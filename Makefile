@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build test race bench obs-smoke crash-smoke fuzz-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke parse-smoke mem-smoke
+.PHONY: check vet build test race bench bench-module obs-smoke crash-smoke fuzz-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke parse-smoke mem-smoke
 
 # check is what CI runs: static checks, a full build, the test suite
 # under the race detector (the engine promises parallel execution across
 # disjoint tables, so plain `go test` is not enough), the crash-recovery
 # torture subset, the wire-fault torture subset, the MVCC snapshot
 # smoke, the planner smoke, the replication smoke, the resource-
-# governance smoke, and the metrics-overhead smoke.
-check: vet build race parse-smoke crash-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke mem-smoke obs-smoke
+# governance smoke, the metrics-overhead smoke, and the benchmark
+# module's own vet + smoke run.
+check: vet build race parse-smoke crash-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke mem-smoke obs-smoke bench-module
 
 vet:
 	$(GO) vet ./...
@@ -22,16 +23,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the experiment tables (quick sizes).
+# bench regenerates the experiment tables E1-E8 (quick sizes).
 bench:
 	$(GO) run ./cmd/tipbench
+
+# bench-module compiles and smoke-tests benchmark/, the referee behind
+# BENCHMARK.json. It is its own module (own go.mod, importing
+# tip/internal/...), so `go build ./... && go test ./...` at the root
+# never compiles it: a change that removes an internal package or an
+# exported name it uses would otherwise go unnoticed.
+bench-module:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
 
 # parse-smoke guards the SQL front end: the differential parity corpus
 # (every statement in the test suites, examples and the workload
 # generator must produce the same AST as the frozen pre-rewrite
-# grammar), the committed FuzzParseParity/FuzzLexer seed corpora, the
-# lexer/parser bug-sweep regressions (error line:column, malformed
-# exponents), and the allocs-per-parse regression bound
+# grammar in refparse), the committed FuzzParseParity/FuzzLexer seed
+# corpora, the lexer/parser bug-sweep regressions (error line:column,
+# malformed exponents), and the allocs-per-parse regression bound
 # (testing.AllocsPerRun, so it runs without the race detector's
 # allocation inflation).
 parse-smoke:
@@ -73,12 +83,13 @@ mvcc-smoke:
 # plan-smoke exercises the cost-based planner and the batched executor
 # under the race detector: the EXPLAIN/EXPLAIN ANALYZE planner-choice
 # goldens (period-index probe kept and rejected by cost, sort-merge and
-# hash coalesce, statistics flipping both decisions), the batched-vs-
-# scalar parity property battery (GROUP BY/group_union/DISTINCT/ORDER
-# BY/set ops over NULLs and period boundaries), and the layered-stratum
-# agreement across every TIP coalesce plan variant (E2).
+# hash coalesce, statistics flipping both decisions), the SQL-level
+# differential battery (coalesce operator vs generic aggregation, top-K
+# heap vs full sort, over NULLs and period boundaries, ending with the
+# check that no operator wrote through an aliased slab row), and the
+# layered-stratum agreement across every TIP coalesce plan variant (E2).
 plan-smoke:
-	$(GO) test -race -run 'TestPlanner|TestExplain|TestBatchedScalarParity' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestPlanner|TestExplain|TestDifferential' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestE2AgreesAndRuns|TestCoalescePlanVariants' -count=1 ./internal/bench ./internal/layered
 
 # repl-smoke runs the replication torture battery under the race
@@ -97,7 +108,8 @@ repl-smoke:
 # error, all-or-nothing writes, reusable session, bounded overshoot),
 # the accounting-leak invariant across the operator matrix under every
 # ending (success, memory abort, timeout, interrupt, rollback), the
-# >=90% accounting-coverage floor, bounded top-K parity and engagement,
+# >=90% accounting-coverage floor, bounded top-K engagement, bounded
+# memory and (TestDifferential) agreement with the full sort,
 # the memory-hog workload mix with and without a budget, and the wire
 # layer: budget aborts as client.ErrResource on a connection that stays
 # usable, memory-pressure shedding ridden out by the retry policy, the
@@ -105,7 +117,7 @@ repl-smoke:
 # goroutine leaks.
 mem-smoke:
 	$(GO) test -race -run 'TestSetStatementMemory|TestBudgetAbort|TestMemAccountingLeakInvariant|TestAccountingCoverage' -count=1 ./internal/engine
-	$(GO) test -race -run 'TestTopK' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestTopK|TestDifferential' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestMemHog' -count=1 ./internal/workload
 	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenRetry|TestResultFrameCapOverWire|TestOOMStorm' -count=1 ./internal/server
 

@@ -10,7 +10,8 @@ package tip_test
 //	E4  BenchmarkNowBinding
 //	E6  BenchmarkOverlapsScan / BenchmarkOverlapsIndex
 //	E8  BenchmarkOverlapJoinNested / BenchmarkOverlapJoinIndexed
-//	E9  BenchmarkDisjointWritersCoarse / BenchmarkDisjointWritersPerTable
+//	—   BenchmarkDisjointWriters* (a writer beside a scanning analyst;
+//	    `make mvcc-smoke` and `make obs-smoke` run them)
 //	—   micro-benchmarks of the kernel (parse, format, codec, group_union)
 
 import (
@@ -274,17 +275,12 @@ func BenchmarkOverlapJoinIndexed(b *testing.B) {
 	}
 }
 
-// --- E9: per-table locking vs the single-lock ablation -----------------------
+// --- concurrency: a writer beside a scanning analyst -------------------------
 
 // disjointWritersBench measures insert throughput into a writer-private
-// table while an analyst session loops full temporal scans over another
-// table. Coarse mode reproduces the seed's one-lock engine, where every
-// insert queues behind the scan in flight.
-func disjointWritersBench(b *testing.B, coarse, obsOn bool) {
-	disjointWritersBenchAnalyst(b, coarse, obsOn, true)
-}
-
-func disjointWritersBenchAnalyst(b *testing.B, coarse, obsOn, analyst bool) {
+// table, optionally while an analyst session loops full temporal scans
+// over another table.
+func disjointWritersBench(b *testing.B, obsOn, analyst bool) {
 	sess, blade := bench.NewTIPDB()
 	if err := workload.LoadTIP(sess, blade, workload.Generate(workload.DefaultConfig(2000))); err != nil {
 		b.Fatal(err)
@@ -293,7 +289,6 @@ func disjointWritersBenchAnalyst(b *testing.B, coarse, obsOn, analyst bool) {
 		b.Fatal(err)
 	}
 	db := sess.Database()
-	db.SetCoarseLocking(coarse)
 	db.SetObservability(obsOn)
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -327,23 +322,20 @@ func disjointWritersBenchAnalyst(b *testing.B, coarse, obsOn, analyst bool) {
 	<-done
 }
 
-func BenchmarkDisjointWritersCoarse(b *testing.B)   { disjointWritersBench(b, true, true) }
-func BenchmarkDisjointWritersPerTable(b *testing.B) { disjointWritersBench(b, false, true) }
+func BenchmarkDisjointWritersPerTable(b *testing.B) { disjointWritersBench(b, true, true) }
 
 // BenchmarkDisjointWritersPerTableNoObs is the observability-overhead
 // ablation: identical to PerTable with the metrics subsystem switched
 // off. `make obs-smoke` compares the two; DESIGN.md records the gap.
-func BenchmarkDisjointWritersPerTableNoObs(b *testing.B) { disjointWritersBench(b, false, false) }
+func BenchmarkDisjointWritersPerTableNoObs(b *testing.B) { disjointWritersBench(b, false, true) }
 
-// BenchmarkDisjointWritersNoAnalyst is the MVCC ablation baseline:
-// identical to PerTable without the scanning analyst. Since reads are
+// BenchmarkDisjointWritersNoAnalyst is the MVCC baseline: identical to
+// PerTable without the scanning analyst. Since reads are
 // snapshot-pinned and lock-free, the analyst costs the writer only the
 // CPU the scans themselves burn — on a multi-core box PerTable should
 // land within ~10% of this baseline (`make mvcc-smoke` runs both; the
 // gap is CPU competition, not lock waits, so it widens on one core).
-func BenchmarkDisjointWritersNoAnalyst(b *testing.B) {
-	disjointWritersBenchAnalyst(b, false, true, false)
-}
+func BenchmarkDisjointWritersNoAnalyst(b *testing.B) { disjointWritersBench(b, true, false) }
 
 // --- kernel micro-benchmarks -------------------------------------------------
 

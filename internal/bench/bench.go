@@ -1,5 +1,5 @@
 // Package bench implements the experiment harness of DESIGN.md: one
-// function per experiment (E1-E9), each regenerating the corresponding
+// function per experiment (E1-E8), each regenerating the corresponding
 // result table. cmd/tipbench drives them from the command line; the
 // repository-root bench_test.go wraps the same measurements as testing.B
 // benchmarks.
@@ -8,8 +8,8 @@
 // the element algebra (E1), the blade-vs-stratum gap for coalescing (E2)
 // and temporal joins (E3), the time-dependence of NOW (E4), the size of
 // generated stratum SQL (E5), the period-index crossover (E6), the WAL
-// durability ablation (E7), the temporal-join algorithm comparison (E8),
-// and the per-table vs single-lock concurrency ablation (E9).
+// durability ablation (E7) and the temporal-join algorithm comparison
+// (E8).
 package bench
 
 import (
@@ -19,14 +19,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tip/internal/blade"
 	"tip/internal/core"
 	"tip/internal/engine"
-	"tip/internal/exec"
 	"tip/internal/layered"
 	"tip/internal/temporal"
 	"tip/internal/types"
@@ -187,10 +184,10 @@ func E1(sizes []int) *Table {
 // E2 compares temporal coalescing built into the engine
 // (length(group_union(valid))) against the layered stratum's generated
 // SQL (TotalDurationSQL) on identical data. This is the quantitative
-// form of the paper's §5 argument. The TIP side runs under every
-// coalesce plan variant (sort-merge, hash-agg via a hash index on the
-// grouping column, and the row-at-a-time generic path) so the layered
-// gap is measured against each plan the engine can pick.
+// form of the paper's §5 argument. The TIP side runs under both
+// coalesce plan variants (sort-merge, and hash-agg via a hash index on
+// the grouping column) so the layered gap is measured against each plan
+// the engine can pick.
 func E2(sizes []int, layeredMax int) *Table {
 	variants := layered.CoalescePlanVariants()
 	header := []string{"rows"}
@@ -209,7 +206,6 @@ func E2(sizes []int, layeredMax int) *Table {
 			"data is determinate-only: the stratum's Forever sentinel cannot reproduce TIP's NOW binding for open periods",
 		},
 	}
-	defer exec.SetVectorized(true)
 	tipQ := `SELECT patient, length(group_union(valid)) FROM Prescription GROUP BY patient`
 	for _, n := range sizes {
 		cfg := workload.DefaultConfig(n)
@@ -247,7 +243,6 @@ func E2(sizes []int, layeredMax int) *Table {
 			}
 			row = append(row, fmtNs(ns))
 		}
-		exec.SetVectorized(true)
 		if n <= layeredMax {
 			st := NewFlatDB()
 			if err := workload.LoadLayered(st, rows); err != nil {
@@ -654,115 +649,6 @@ func E8(sizes []int) *Table {
 	return t
 }
 
-// E9 measures what per-table locking buys over the seed's single
-// engine-wide lock (the coarse ablation, engine.SetCoarseLocking): a
-// mixed workload where an analyst session runs long temporal scans over
-// one table while writer sessions insert into their own, disjoint
-// tables. Under the coarse lock every insert queues behind the scan in
-// flight; under per-table locks the writers never meet the analyst.
-// The reported metric is aggregate writer throughput — the statements
-// the coarse lock makes wait on an unrelated table.
-func E9(writerCounts []int, analystRows int, runFor time.Duration) *Table {
-	t := &Table{
-		ID: "E9",
-		Title: fmt.Sprintf("Concurrency: writer throughput beside a scanning analyst (%d-row scans, %v window)",
-			analystRows, runFor),
-		Header: []string{"writers", "coarse (1 lock)", "per-table", "speedup", "coarse scans/s", "per-table scans/s"},
-		Notes: []string{
-			"one analyst session loops `SELECT COUNT(*) ... WHERE overlaps(...)` full scans over rx;",
-			"each writer session inserts into its own table, disjoint from rx and from each other",
-			"coarse mode = SetCoarseLocking(true), the seed engine's discipline",
-		},
-	}
-	newEngine := func(writers int) *engine.Database {
-		reg := blade.NewRegistry()
-		core.MustRegister(reg)
-		db := engine.New(reg)
-		db.SetClock(func() temporal.Chronon { return PinnedNow })
-		s := db.NewSession()
-		if _, err := s.Exec(`CREATE TABLE rx (a INT, valid Element)`, nil); err != nil {
-			panic(err)
-		}
-		elementT, _ := db.Registry().LookupType("Element")
-		base := temporal.MustDate(1998, 1, 1)
-		p := map[string]types.Value{}
-		for i := 0; i < analystRows; i++ {
-			lo := base + temporal.Chronon(int64(i%1000)*86400)
-			p["a"] = types.NewInt(int64(i))
-			p["v"] = types.NewUDT(elementT, temporal.MustPeriod(lo, lo+10*86400).Element())
-			if _, err := s.Exec(`INSERT INTO rx VALUES (:a, :v)`, p); err != nil {
-				panic(err)
-			}
-		}
-		for i := 0; i < writers; i++ {
-			if _, err := s.Exec(fmt.Sprintf(`CREATE TABLE t%d (a INT)`, i), nil); err != nil {
-				panic(err)
-			}
-		}
-		return db
-	}
-	// run returns aggregate writer inserts/s and analyst scans/s.
-	run := func(db *engine.Database, writers int) (float64, float64) {
-		var stop atomic.Bool
-		var scans atomic.Int64
-		var analystDone sync.WaitGroup
-		analystDone.Add(1)
-		go func() {
-			defer analystDone.Done()
-			s := db.NewSession()
-			q := `SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-03-10]')`
-			for !stop.Load() {
-				if _, err := s.Exec(q, nil); err != nil {
-					panic(err)
-				}
-				scans.Add(1)
-			}
-		}()
-		var wg sync.WaitGroup
-		var ops atomic.Int64
-		start := time.Now()
-		deadline := start.Add(runFor)
-		for g := 0; g < writers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				s := db.NewSession()
-				ins := fmt.Sprintf(`INSERT INTO t%d VALUES (:a)`, g)
-				p := map[string]types.Value{}
-				n := int64(0)
-				for i := 0; time.Now().Before(deadline); i++ {
-					p["a"] = types.NewInt(int64(i))
-					if _, err := s.Exec(ins, p); err != nil {
-						panic(err)
-					}
-					n++
-				}
-				ops.Add(n)
-			}(g)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		stop.Store(true)
-		analystDone.Wait()
-		return float64(ops.Load()) / elapsed.Seconds(), float64(scans.Load()) / elapsed.Seconds()
-	}
-	for _, g := range writerCounts {
-		coarseDB := newEngine(g)
-		coarseDB.SetCoarseLocking(true)
-		coarseOps, coarseScans := run(coarseDB, g)
-		fineOps, fineScans := run(newEngine(g), g)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", g),
-			fmt.Sprintf("%.0f ops/s", coarseOps),
-			fmt.Sprintf("%.0f ops/s", fineOps),
-			fmt.Sprintf("%.1fx", fineOps/coarseOps),
-			fmt.Sprintf("%.0f", coarseScans),
-			fmt.Sprintf("%.0f", fineScans),
-		})
-	}
-	return t
-}
-
 // Quick returns every experiment at laptop-quick sizes; cmd/tipbench's
 // -full flag widens them.
 func Quick() []*Table {
@@ -775,7 +661,6 @@ func Quick() []*Table {
 		E6(2000, []int{1, 7, 30, 120, 720}),
 		E7(1000),
 		E8([]int{100, 200, 400, 800}),
-		E9([]int{1, 2, 4}, 2000, 400*time.Millisecond),
 	}
 }
 
@@ -790,7 +675,6 @@ func Full() []*Table {
 		E6(10000, []int{1, 7, 30, 120, 720}),
 		E7(5000),
 		E8([]int{100, 200, 400, 800, 1600, 3200}),
-		E9([]int{1, 2, 4, 8}, 5000, time.Second),
 	}
 }
 
@@ -813,9 +697,7 @@ func ByID(id string) (*Table, error) {
 		return E7(1000), nil
 	case "E8":
 		return E8([]int{100, 200, 400, 800}), nil
-	case "E9":
-		return E9([]int{1, 2, 4}, 2000, 400*time.Millisecond), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (want E1..E9)", id)
+		return nil, fmt.Errorf("bench: unknown experiment %q (want E1..E8)", id)
 	}
 }

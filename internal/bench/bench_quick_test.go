@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Small smoke tests: each experiment must run and produce a well-formed
@@ -31,7 +28,7 @@ func TestE2AgreesAndRuns(t *testing.T) {
 	}
 	// Both sizes within layeredMax: slowdown column populated.
 	for _, r := range tab.Rows {
-		if r[3] == "-" {
+		if r[len(r)-1] == "-" {
 			t.Errorf("slowdown missing: %v", r)
 		}
 	}
@@ -95,35 +92,6 @@ func TestE8Agrees(t *testing.T) {
 	tab := E8([]int{50}) // panics internally on disagreement
 	if len(tab.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}
-
-func TestE9WritersFaster(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// The experiment measures parallel disjoint writers against a
-		// global-lock ablation. On a single CPU there is no parallelism
-		// to win: fine-grained locking only stops the analyst from
-		// being starved by the coarse lock, so the analyst's scans eat
-		// the one core and writers measure "slower" no matter the
-		// locking discipline.
-		t.Skip("needs >= 2 CPUs to measure a parallel-writer speedup")
-	}
-	tab := E9([]int{2}, 200, 80*time.Millisecond)
-	if len(tab.Rows) != 1 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if len(tab.Rows[0]) != len(tab.Header) {
-		t.Fatalf("ragged row %v", tab.Rows[0])
-	}
-	// The per-table engine must beat the coarse ablation: the speedup
-	// column is "N.Nx" and N must be at least 1.
-	sp := strings.TrimSuffix(tab.Rows[0][3], "x")
-	v, err := strconv.ParseFloat(sp, 64)
-	if err != nil {
-		t.Fatalf("speedup cell %q: %v", tab.Rows[0][3], err)
-	}
-	if v < 1 {
-		t.Errorf("per-table locking slower than coarse: %v", tab.Rows[0])
 	}
 }
 

@@ -154,7 +154,7 @@ func JSONResults(rows int) []Result {
 			}
 		})
 
-	return []Result{insert, coalesce, join, ReplReadResult(), ParseResult()}
+	return []Result{insert, coalesce, join, ReplReadResult()}
 }
 
 // mvccOpsPerSec measures single-writer insert throughput, optionally

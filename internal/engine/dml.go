@@ -252,7 +252,7 @@ func (s *Session) matchingRows(tbl *exec.Table, env *exec.Env, where exec.RowExp
 	var ids []int
 	var scanErr error
 	var ticks uint32
-	s.snap(tbl).Rows.Scan(func(id int, r exec.Row) bool {
+	s.snaps[strings.ToLower(tbl.Meta.Name)].Rows.Scan(func(id int, r exec.Row) bool {
 		if ticks++; ticks&(exec.BatchRows-1) == 0 {
 			if scanErr = env.CancelErr(); scanErr != nil {
 				return false

@@ -51,7 +51,6 @@ type Database struct {
 	// serialise on per-table locks instead; DDL holds it exclusively.
 	mu     sync.RWMutex
 	gen    atomic.Uint64 // catalog generation; bumped by every DDL
-	coarse atomic.Bool   // ablation: seed-style single-lock discipline
 	reg    *blade.Registry
 	cat    *catalog.Catalog
 	tables map[string]*exec.Table   // lower-cased name
@@ -136,13 +135,6 @@ func New(reg *blade.Registry) *Database {
 	db.obs.reg.RegisterFunc("mem.budget", func() float64 { return float64(db.mem.Budget()) })
 	return db
 }
-
-// SetCoarseLocking switches the engine to the pre-per-table-locking
-// discipline where every statement takes the catalog lock exclusively.
-// It exists as an ablation knob — the concurrency experiment (E9)
-// measures per-table locking against it — and as a bisection aid for
-// locking bugs; leave it off otherwise.
-func (db *Database) SetCoarseLocking(on bool) { db.coarse.Store(on) }
 
 // Generation returns the catalog generation counter. Every successful
 // DDL statement bumps it; session statement caches revalidate against

@@ -26,11 +26,8 @@ import (
 //     vice versa.
 //   - ROLLBACK writes the tables named in the transaction's undo log.
 //   - BEGIN, COMMIT and SET NOW = DEFAULT touch only session-local
-//     state and lock nothing.
-//
-// SET NOW = <value> in particular now takes no table locks: its value
-// subquery reads through pinned snapshots like any other read, so it
-// cannot block behind an unrelated table's writer.
+//     state and lock nothing. SET NOW = <value> reads its value
+//     subquery through pinned snapshots like any other read.
 //
 // Table locks are only ever acquired while the catalog lock is held
 // shared, and only ever created/deleted while it is held exclusively,
@@ -40,15 +37,10 @@ import (
 // lockFor acquires every lock stmt needs, pins the statement's table
 // snapshots, and returns the matching release function.
 func (s *Session) lockFor(stmt ast.Statement) func() {
-	db := s.db
-	if db.coarse.Load() {
-		db.mu.Lock()
-		return db.mu.Unlock
-	}
 	switch st := stmt.(type) {
 	case *ast.CreateTable, *ast.DropTable, *ast.CreateIndex, *ast.DropIndex:
-		db.mu.Lock()
-		return db.mu.Unlock
+		s.db.mu.Lock()
+		return s.db.mu.Unlock
 	case *ast.Begin, *ast.Commit:
 		return func() {}
 	case *ast.SetNow:

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"sync"
 
 	"tip/internal/exec"
@@ -79,31 +78,19 @@ func (h *horizonTracker) min(cur uint64) uint64 {
 }
 
 // beginWrite opens a table writer stamped with a fresh version-clock
-// sequence. The caller must hold the table's write lock (or the
-// catalog lock exclusively).
+// sequence. The caller must hold the table's write lock, and — like
+// every statement that reaches here through lockTables — have pinned
+// its snapshots: captureSnaps registered the session at or below the
+// version clock it read, so hz.min is already below seq.
 //
-// The reclamation horizon is capped at seq-1, strictly below the
-// writer's own sequence: state this statement itself kills (hash
-// postings, freed slots) is stamped seq and must survive until Commit,
-// because Discard has to find and revert it. In fine-grained locking
-// mode captureSnaps has already registered the session below seq, but
-// coarse mode (and internal paths under exclusive locks) may reach
-// here with nothing registered, where an uncapped hz.min(seq) would
-// let Add's opportunistic GC drop a posting the in-flight statement
-// just killed.
+// The seq-1 cap restates that as an invariant the writer depends on:
+// state this statement itself kills (hash postings, freed slots) is
+// stamped seq and must survive until Commit, because Discard has to
+// find and revert it. A horizon at seq would let Add's opportunistic
+// GC drop a posting the in-flight statement just killed.
 func (s *Session) beginWrite(tbl *exec.Table) *exec.TableWriter {
 	seq := s.db.vclock.Add(1)
 	return tbl.BeginWrite(seq, s.db.hz.min(seq-1))
-}
-
-// snap returns the version of tbl the current statement pinned, or the
-// latest published version when the statement captured none (coarse
-// locking mode, or internal paths running under exclusive locks).
-func (s *Session) snap(tbl *exec.Table) *exec.TableVersion {
-	if v, ok := s.snaps[strings.ToLower(tbl.Meta.Name)]; ok {
-		return v
-	}
-	return tbl.Snapshot()
 }
 
 // captureSnaps pins a consistent set of table versions for the named

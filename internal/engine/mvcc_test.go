@@ -179,34 +179,9 @@ func TestMVCCStaleFreeEntryRollback(t *testing.T) {
 	}
 }
 
-// TestMVCCCoarseDiscardKeepsPostings runs a failing multi-row UPDATE in
-// coarse-locking mode, where nothing is registered with the horizon
-// tracker. The statement kills and re-adds hash postings row by row
-// before erroring; an uncapped reclamation horizon used to let the
-// re-add physically drop the posting the statement itself just killed,
-// so the discard could not revive it and the surviving row silently
-// vanished from equality lookups.
-func TestMVCCCoarseDiscardKeepsPostings(t *testing.T) {
-	db, s := newMVCCDB(t)
-	db.SetCoarseLocking(true)
-	mvccExec(t, s, `CREATE TABLE t (k VARCHAR(8), v INT)`)
-	mvccExec(t, s, `INSERT INTO t VALUES ('a', 1), ('a', 0)`)
-	mvccExec(t, s, `CREATE INDEX t_k ON t (k)`)
-
-	// Row 0 updates cleanly (unindex + reindex under 'a'); row 1 then
-	// divides by zero, discarding the statement.
-	if _, err := s.Exec(`UPDATE t SET v = 10 / v`, nil); err == nil {
-		t.Fatal("UPDATE with a zero divisor should fail")
-	}
-	res := mvccExec(t, s, `SELECT COUNT(*) FROM t WHERE k = 'a'`)
-	if res.Rows[0][0].Int() != 2 {
-		t.Fatalf("equality lookup after discarded UPDATE = %d rows, want 2", res.Rows[0][0].Int())
-	}
-}
-
 // TestMVCCReadersOffLockTable holds a table's write lock the way an
 // in-flight writer statement does and checks that reads of that same
-// table — and SET NOW with a value, which used to take table locks —
+// table — and SET NOW with a value, which reads through snapshots too —
 // complete without blocking.
 func TestMVCCReadersOffLockTable(t *testing.T) {
 	db, s1 := newMVCCDB(t)

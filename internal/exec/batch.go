@@ -2,22 +2,20 @@ package exec
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"tip/internal/types"
 )
 
-// Batched execution support. The executor is materialised, so
-// "vectorized" here means the hot loops work at batch granularity
-// instead of row granularity: row storage comes from a per-statement
-// arena in BatchRows-sized chunks (one allocation per batch instead of
-// one per row), grouping keys build into a reused byte buffer instead
-// of per-row strings, single-source scans alias the immutable MVCC slab
-// rows instead of copying them, and the cancel token is polled once per
-// BatchRows rows. The specialised coalesce operator (coalesce.go) is
-// the columnar end of this: it extracts the period columns of a grouped
-// temporal aggregation into flat (group, lo, hi) arrays and sort-merges
-// them.
+// Batched execution support. The executor is materialised; its hot
+// loops work at batch granularity, not row granularity: row storage
+// comes from a per-statement arena in BatchRows-sized chunks (one
+// allocation per batch instead of one per row), grouping keys build
+// into a reused byte buffer instead of per-row strings, single-source
+// scans alias the immutable MVCC slab rows instead of copying them, and
+// the cancel token is polled once per BatchRows rows. The specialised
+// coalesce operator (coalesce.go) is the columnar end of this: it
+// extracts the period columns of a grouped temporal aggregation into
+// flat (group, lo, hi) arrays and sort-merges them.
 
 // BatchRows is the executor's batch size: the arena chunk granularity
 // and the number of row-loop iterations between cancel-token polls.
@@ -25,22 +23,6 @@ import (
 // poll at the same granularity as the executor's batch loops (the
 // write-atomicity tests depend on one shared definition).
 const BatchRows = 256
-
-// vectorizedMode gates the batched fast paths (slab-row aliasing,
-// single-source pass-through, and the specialised coalesce operator).
-// It exists as the ablation knob for the batched-vs-scalar property
-// tests and the §5 plan comparison; production never turns it off.
-var vectorizedMode atomic.Bool
-
-func init() { vectorizedMode.Store(true) }
-
-// SetVectorized toggles batched execution. Off means the executor runs
-// the original row-at-a-time loops: per-row copies and the generic
-// grouped-aggregation path. Intended for tests and benchmarks only.
-func SetVectorized(on bool) { vectorizedMode.Store(on) }
-
-// Vectorized reports whether batched execution is enabled.
-func Vectorized() bool { return vectorizedMode.Load() }
 
 // rowArena hands out row backing storage in BatchRows-sized chunks so a
 // statement's row loops allocate once per batch instead of once per
@@ -74,9 +56,8 @@ func (rt *runtime) alloc(w int) Row {
 }
 
 // appendKey appends the length-prefixed grouping/DISTINCT key of vals
-// to dst. The format matches what rowKey historically produced
-// (len:keylen:key... per value) but builds into a reusable buffer, so
-// map probes via m[string(buf)] stay allocation-free on hits.
+// to dst (len:keylen:key... per value). It builds into a reusable
+// buffer, so map probes via m[string(buf)] stay allocation-free on hits.
 func (rt *runtime) appendKey(dst []byte, vals []types.Value) []byte {
 	now := rt.env.Now
 	for _, v := range vals {

@@ -158,11 +158,6 @@ func (rt *runtime) charge(n int64) {
 	}
 }
 
-// chargeRow charges the backing storage of a freshly-copied row.
-func (rt *runtime) chargeRow(r Row) {
-	rt.charge(int64(cap(r)) * valueSize)
-}
-
 // flushMem drains the local counter into the statement account.
 func (rt *runtime) flushMem() {
 	if rt.memLocal != 0 && rt.env.Mem != nil {

@@ -32,10 +32,10 @@ func Run(env *Env, sel *ast.Select) (*Result, error) {
 
 // source is one bound FROM item.
 type source struct {
-	binding  string
-	schema   Schema
-	off      int    // slot offset within the full-width from row
-	tbl      *Table // nil for derived tables
+	binding string
+	schema  Schema
+	off     int    // slot offset within the full-width from row
+	tbl     *Table // nil for derived tables
 	// snap is the table version this statement reads (set with tbl);
 	// every row and index access of the source goes through it.
 	snap     *TableVersion
@@ -272,7 +272,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 	grouped := len(aggSpecs) > 0 || len(sel.GroupBy) > 0
 	var cp *coalescePlan
-	if grouped && Vectorized() {
+	if grouped {
 		cp = b.tryCoalesce(sel, aggSpecs, sources, fromSchema)
 	}
 	if grouped && b.env.PlanChoice != nil {
@@ -519,11 +519,9 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		// LIMIT+OFFSET rows, so a fixed-size heap replaces full
 		// materialisation + sort.SliceStable. LIMIT/OFFSET are bound
 		// against the outer chain only, so evaluating them up front sees
-		// the same scope stack the post-sort evaluation would. The
-		// scalar (SetVectorized(false)) executor keeps the full sort as
-		// the parity oracle.
+		// the same scope stack the post-sort evaluation would.
 		var tk *topkHeap
-		if len(orders) > 0 && limitC != nil && !distinct && Vectorized() {
+		if len(orders) > 0 && limitC != nil && !distinct {
 			lim, err := evalCount(rt, limitC, "LIMIT")
 			if err != nil {
 				return nil, err

@@ -176,7 +176,6 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		}
 	}
 
-	width := len(src.schema)
 	scan := func(rt *runtime, candidates []int) ([]Row, error) {
 		// Size the output for the no-filter case up front; filtered scans
 		// waste at most one slice that the append-growth path would have
@@ -192,7 +191,6 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 			return nil, err
 		}
 		out := make([]Row, 0, hint)
-		alias := Vectorized()
 		consider := func(r Row) error {
 			if err := rt.checkCancel(); err != nil {
 				return err
@@ -202,17 +200,9 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 				return err
 			}
 			if ok {
-				if alias {
-					// MVCC slab rows are immutable (writers replace whole
-					// rows), so the batched executor aliases them instead
-					// of copying one row at a time.
-					out = append(out, r)
-					return nil
-				}
-				row := make(Row, width)
-				copy(row, r)
-				rt.chargeRow(row)
-				out = append(out, row)
+				// MVCC slab rows are immutable (writers replace whole
+				// rows), so the scan aliases them instead of copying.
+				out = append(out, r)
 			}
 			return nil
 		}
@@ -733,7 +723,7 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 			return nil, err
 		}
 		if level == 0 {
-			if width == len(src.schema) && Vectorized() {
+			if width == len(src.schema) {
 				// Single-source query: the from row IS the source row, so
 				// pass the scan's batch through (filtering in place when
 				// level filters exist — srcRows is owned by this call).

@@ -140,10 +140,9 @@ func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, 
 		}
 		// Bounded top-K over the combined rows: the set-operation parts
 		// are materialised either way, but a small LIMIT still skips the
-		// full sort and bounds the surviving buffer. The scalar executor
-		// keeps the full sort as the parity oracle.
+		// full sort and bounds the surviving buffer.
 		sorted := false
-		if len(orders) > 0 && limitC != nil && Vectorized() {
+		if len(orders) > 0 && limitC != nil {
 			lim, err := evalCount(rt, limitC, "LIMIT")
 			if err != nil {
 				return nil, err

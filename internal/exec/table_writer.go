@@ -41,7 +41,9 @@ type hashOp struct {
 
 // BeginWrite starts a writer over the table's latest version with the
 // given version-clock sequence and horizon (the oldest sequence any
-// open transaction or pinned statement snapshot could read at).
+// open transaction or pinned statement snapshot could read at). The
+// horizon must be below seq: Discard can only revert postings the
+// writer's own index maintenance has not reclaimed.
 func (t *Table) BeginWrite(seq, horizon uint64) *TableWriter {
 	base := t.Snapshot()
 	return &TableWriter{

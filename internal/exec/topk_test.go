@@ -1,12 +1,9 @@
 package exec_test
 
-// Bounded top-K sort tests. When a query has ORDER BY with a LIMIT (and
-// the batched executor is on), the sort runs as a k-bounded heap
-// instead of materialising and sorting every row. The scalar executor
-// never engages top-K, so bothModes doubles as a parity oracle: the
-// heap must reproduce the full stable sort byte for byte — including
-// the first-occurrence order of equal keys, DESC directions, OFFSET
-// consumption and NULL ranking.
+// Bounded top-K sort tests. When a query has ORDER BY with a LIMIT, the
+// sort runs as a k-bounded heap instead of materialising and sorting
+// every row; differential_test.go checks the heap against the full
+// stable sort.
 
 import (
 	"errors"
@@ -16,62 +13,15 @@ import (
 	"tip/internal/exec"
 )
 
-func TestTopKParity(t *testing.T) {
-	defer exec.SetVectorized(true)
-	r := rand.New(rand.NewSource(91))
-	s := newDB(t)
-	seedParity(t, s, r, 300)
-
-	queries := []string{
-		// Single key, both directions; many duplicate keys force the
-		// seq tiebreaker to reproduce the stable sort.
-		`SELECT k, v FROM p ORDER BY k LIMIT 10`,
-		`SELECT k, v FROM p ORDER BY k DESC LIMIT 10`,
-		// Multi-key with mixed directions and NULL keys in play.
-		`SELECT k, v, at FROM p ORDER BY k DESC, v, at LIMIT 25`,
-		`SELECT k, v, at FROM p ORDER BY at DESC, k, v DESC LIMIT 7`,
-		// OFFSET: the heap must keep limit+offset survivors.
-		`SELECT k, v FROM p ORDER BY k, v LIMIT 10 OFFSET 5`,
-		`SELECT k, v FROM p ORDER BY k, v LIMIT 3 OFFSET 200`,
-		`SELECT k, v FROM p ORDER BY v DESC LIMIT 5 OFFSET 299`, // offset near the end
-		// Degenerate limits.
-		`SELECT k FROM p ORDER BY k LIMIT 0`,
-		`SELECT k FROM p ORDER BY k LIMIT 1`,
-		`SELECT k, v FROM p ORDER BY k LIMIT 100000`, // k > topKMaxRows: full sort
-		// Expression order keys.
-		`SELECT k, v FROM p ORDER BY v * 2 + k, k LIMIT 12`,
-		// Grouped query under top-K: heap input is the aggregate rows.
-		`SELECT k, COUNT(*) FROM p GROUP BY k ORDER BY 2 DESC, k LIMIT 3`,
-		`SELECT k, v, SUM(v) FROM p GROUP BY k, v ORDER BY 3 DESC, k, v LIMIT 6 OFFSET 2`,
-		// WHERE + join feeding the heap.
-		`SELECT a.k, b.v FROM p a, p b WHERE a.k = b.k ORDER BY a.k, b.v DESC LIMIT 15`,
-		// Set operations sort in their own path (setop top-K).
-		`SELECT k FROM p UNION SELECT v FROM p ORDER BY 1 LIMIT 4`,
-		`SELECT k, v FROM p UNION ALL SELECT v, k FROM p ORDER BY 1 DESC, 2 LIMIT 9 OFFSET 3`,
-		`SELECT k FROM p EXCEPT SELECT 99 FROM p ORDER BY 1 DESC LIMIT 2`,
-	}
-	for _, q := range queries {
-		bothModes(t, s, q)
-	}
-}
-
-// TestTopKEngages proves the parity runs above actually took the heap
-// path: the planner counter advances exactly when ORDER BY+LIMIT is
-// bounded, and never for DISTINCT or unlimited sorts.
+// TestTopKEngages proves the heap path runs: the planner counter
+// advances exactly when ORDER BY+LIMIT is bounded, and never for
+// DISTINCT or unlimited sorts.
 func TestTopKEngages(t *testing.T) {
 	s := newDB(t)
-	db := s.Database()
 	mustExec(t, s, `CREATE TABLE e (a INT, b INT)`)
 	mustExec(t, s, `INSERT INTO e VALUES (3, 1), (1, 2), (2, 3), (1, 4)`)
 
-	topk := func() float64 {
-		for _, st := range db.Metrics().Snapshot() {
-			if st.Name == "planner.sort.topk" {
-				return st.Value
-			}
-		}
-		return 0
-	}
+	topk := func() float64 { return counter(s, "planner.sort.topk") }
 
 	before := topk()
 	mustExec(t, s, `SELECT a FROM e ORDER BY a LIMIT 2`)
@@ -79,9 +29,9 @@ func TestTopKEngages(t *testing.T) {
 		t.Errorf("bounded sort did not engage top-k (counter %v -> %v)", before, got)
 	}
 	before = topk()
-	mustExec(t, s, `SELECT a FROM e ORDER BY a`)                   // no limit
-	mustExec(t, s, `SELECT DISTINCT a FROM e ORDER BY a LIMIT 2`)  // distinct follows the sort
-	mustExec(t, s, `SELECT a FROM e ORDER BY a LIMIT 100000`)      // k over the heap bound
+	mustExec(t, s, `SELECT a FROM e ORDER BY a`)                  // no limit
+	mustExec(t, s, `SELECT DISTINCT a FROM e ORDER BY a LIMIT 2`) // distinct follows the sort
+	mustExec(t, s, `SELECT a FROM e ORDER BY a LIMIT 100000`)     // k over the heap bound
 	if got := topk(); got != before {
 		t.Errorf("top-k engaged where it must not (counter %v -> %v)", before, got)
 	}
@@ -119,4 +69,3 @@ func TestTopKBoundedMemory(t *testing.T) {
 		t.Errorf("top-k peak = %d bytes, want (0, 256KiB]", peak)
 	}
 }
-

@@ -7,8 +7,8 @@
 // the predicate on the candidates against its row snapshot, so indexes may
 // be conservative (supersets are fine, missing rows are not).
 //
-// Since the MVCC refactor readers no longer hold table locks, so both
-// indexes are versioned to match the row-slab versions they travel with:
+// Readers hold no table locks, so both indexes are versioned to match
+// the row-slab versions they travel with:
 //
 //   - Hash is one shared structure per indexed column whose postings carry
 //     the born/died version sequences of the writers that added and
@@ -23,8 +23,8 @@
 //     under the table's write lock. Appends extend the shared entry log in
 //     place (slots beyond a published version's length are invisible to
 //     its readers); removals copy the surviving entries. The sorted search
-//     form is built lazily once per version into fresh slices, so the old
-//     rebuild-under-dirty-flag mutation is gone from the read path.
+//     form is built lazily once per version into fresh slices, so the
+//     read path mutates nothing a reader can see.
 package index
 
 import (

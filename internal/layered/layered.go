@@ -169,35 +169,28 @@ func (st *Stratum) OverlapJoin(table, key, pred1, pred2 string) (*exec.Result, e
 	return st.sess.Exec(OverlapJoinSQL(table, key, pred1, pred2), nil)
 }
 
-// TIPPlanVariant names one executor configuration for the in-engine
-// side of the §5 comparison. The planner picks the coalesce strategy by
-// cost, so a variant steers it indirectly: UseHashIndex creates a hash
-// index on the grouping column (giving the planner a distinct-key
-// estimate that favours hash aggregation), and Vectorized=false forces
-// the generic row-at-a-time aggregation path.
+// TIPPlanVariant names one plan the in-engine side of the §5 comparison
+// runs under. The planner picks the coalesce strategy by cost, so a
+// variant steers it indirectly: UseHashIndex creates a hash index on
+// the grouping column, giving the planner a distinct-key estimate that
+// favours hash aggregation.
 type TIPPlanVariant struct {
 	Name         string
-	Vectorized   bool
 	UseHashIndex bool
 }
 
-// CoalescePlanVariants returns the executor configurations the E2
-// comparison runs the TIP side under: the default vectorized sort-merge
-// coalesce, hash-aggregation coalesce (hash index on the grouping
-// column), and the pre-batching row-at-a-time aggregation.
+// CoalescePlanVariants returns the plans the E2 comparison runs the TIP
+// side under: the default sort-merge coalesce and hash-aggregation
+// coalesce (hash index on the grouping column).
 func CoalescePlanVariants() []TIPPlanVariant {
 	return []TIPPlanVariant{
-		{Name: "sort-merge", Vectorized: true},
-		{Name: "hash-agg", Vectorized: true, UseHashIndex: true},
-		{Name: "row-at-a-time", Vectorized: false},
+		{Name: "sort-merge"},
+		{Name: "hash-agg", UseHashIndex: true},
 	}
 }
 
-// Apply configures a TIP session for the variant. Vectorization is a
-// process-wide executor switch; callers should restore the default
-// (exec.SetVectorized(true)) when done.
+// Apply prepares a loaded TIP session for the variant.
 func (v TIPPlanVariant) Apply(sess *engine.Session, table, key string) error {
-	exec.SetVectorized(v.Vectorized)
 	if v.UseHashIndex {
 		ddl := fmt.Sprintf("CREATE INDEX %s_%s_hash ON %s (%s)", table, key, table, key)
 		if _, err := sess.Exec(ddl, nil); err != nil {

@@ -8,7 +8,6 @@ import (
 	"tip/internal/blade"
 	"tip/internal/core"
 	"tip/internal/engine"
-	"tip/internal/exec"
 	"tip/internal/layered"
 	"tip/internal/temporal"
 	"tip/internal/types"
@@ -294,10 +293,9 @@ func TestComplexityMetrics(t *testing.T) {
 
 // TestCoalescePlanVariants runs TIP's group_union under every coalesce
 // plan variant (sort-merge, hash-agg via a hash index on the grouping
-// column, row-at-a-time) and checks each against the kernel truth — the
-// agreement leg of the E2 plan-variant comparison.
+// column) and checks each against the kernel truth — the agreement leg
+// of the E2 plan-variant comparison.
 func TestCoalescePlanVariants(t *testing.T) {
-	defer exec.SetVectorized(true)
 	for _, v := range layered.CoalescePlanVariants() {
 		tip, _, b := newSessions(t)
 		truth := randomPatientData2(t, tip, b, 8, 6, int64(101))

@@ -29,7 +29,7 @@ import (
 // scheduled promptly; on a single-CPU box the test binary's own
 // goroutines (GC, the server, the client) compete for the one core and
 // scheduling delay alone can exceed the bound, so the allowance widens
-// there — same single-core accommodation as TestE9WritersFaster.
+// there.
 func abortSlack() time.Duration {
 	if runtime.GOMAXPROCS(0) == 1 {
 		return time.Second

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tip/internal/sql/parse/refparse"
-	"tip/internal/sql/parse/refparse/prepr"
 )
 
 const benchQuery = `SELECT doctor, patient, dosage FROM Prescription WHERE dosage > 10 AND drug = 'Diabeta'`
@@ -24,17 +23,6 @@ func BenchmarkRefParse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := refparse.Parse(benchQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPreRewriteParse times the full pre-rewrite front end (old
-// eager lexer + old parser) — the baseline BENCH_parse.json reports.
-func BenchmarkPreRewriteParse(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := prepr.Parse(benchQuery); err != nil {
 			b.Fatal(err)
 		}
 	}
