@@ -1,15 +1,14 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-module obs-smoke crash-smoke fuzz-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke parse-smoke mem-smoke
+.PHONY: check vet build test race bench bench-module loc crash-smoke fuzz-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke parse-smoke mem-smoke
 
 # check is what CI runs: static checks, a full build, the test suite
 # under the race detector (the engine promises parallel execution across
 # disjoint tables, so plain `go test` is not enough), the crash-recovery
 # torture subset, the wire-fault torture subset, the MVCC snapshot
 # smoke, the planner smoke, the replication smoke, the resource-
-# governance smoke, the metrics-overhead smoke, and the benchmark
-# module's own vet + smoke run.
-check: vet build race parse-smoke crash-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke mem-smoke obs-smoke bench-module
+# governance smoke, and the benchmark module's own vet + smoke run.
+check: vet build race parse-smoke crash-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke mem-smoke bench-module
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +35,11 @@ bench-module:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
 
+# loc prints the line count ROADMAP.md tracks: non-test Go outside
+# benchmark/. Every simplicity PR reports this number before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
 # parse-smoke guards the SQL front end: the differential parity corpus
 # (every statement in the test suites, examples and the workload
 # generator must produce the same AST as the frozen pre-rewrite
@@ -60,7 +64,9 @@ crash-smoke:
 # severs, silent truncations, stalls) must leak no goroutines and keep
 # memory bounded, cancellation racing writes must never half-apply a
 # statement, and the lifecycle acceptance tests (MsgCancel and statement
-# timeout under 100ms, shedding, graceful drain) must hold.
+# timeout answered with their typed errors on a connection that stays
+# usable, shedding, graceful drain) must hold. Abort latency is logged,
+# not asserted.
 netfault-smoke:
 	$(GO) test -race -run 'TestNetFault|TestLifecycle' ./internal/server
 
@@ -120,10 +126,3 @@ mem-smoke:
 	$(GO) test -race -run 'TestTopK|TestDifferential' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestMemHog' -count=1 ./internal/workload
 	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenRetry|TestResultFrameCapOverWire|TestOOMStorm' -count=1 ./internal/server
-
-# obs-smoke compares writer throughput with the metrics subsystem on
-# (BenchmarkDisjointWritersPerTable) and off (...PerTableNoObs). The
-# observability overhead budget is <=5%; DESIGN.md ("Observability")
-# records the measured numbers.
-obs-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkDisjointWritersPerTable' -benchtime 300ms .

@@ -11,7 +11,7 @@ package tip_test
 //	E6  BenchmarkOverlapsScan / BenchmarkOverlapsIndex
 //	E8  BenchmarkOverlapJoinNested / BenchmarkOverlapJoinIndexed
 //	—   BenchmarkDisjointWriters* (a writer beside a scanning analyst;
-//	    `make mvcc-smoke` and `make obs-smoke` run them)
+//	    `make mvcc-smoke` runs them)
 //	—   micro-benchmarks of the kernel (parse, format, codec, group_union)
 
 import (
@@ -280,7 +280,7 @@ func BenchmarkOverlapJoinIndexed(b *testing.B) {
 // disjointWritersBench measures insert throughput into a writer-private
 // table, optionally while an analyst session loops full temporal scans
 // over another table.
-func disjointWritersBench(b *testing.B, obsOn, analyst bool) {
+func disjointWritersBench(b *testing.B, analyst bool) {
 	sess, blade := bench.NewTIPDB()
 	if err := workload.LoadTIP(sess, blade, workload.Generate(workload.DefaultConfig(2000))); err != nil {
 		b.Fatal(err)
@@ -289,7 +289,6 @@ func disjointWritersBench(b *testing.B, obsOn, analyst bool) {
 		b.Fatal(err)
 	}
 	db := sess.Database()
-	db.SetObservability(obsOn)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -322,12 +321,7 @@ func disjointWritersBench(b *testing.B, obsOn, analyst bool) {
 	<-done
 }
 
-func BenchmarkDisjointWritersPerTable(b *testing.B) { disjointWritersBench(b, true, true) }
-
-// BenchmarkDisjointWritersPerTableNoObs is the observability-overhead
-// ablation: identical to PerTable with the metrics subsystem switched
-// off. `make obs-smoke` compares the two; DESIGN.md records the gap.
-func BenchmarkDisjointWritersPerTableNoObs(b *testing.B) { disjointWritersBench(b, false, true) }
+func BenchmarkDisjointWritersPerTable(b *testing.B) { disjointWritersBench(b, true) }
 
 // BenchmarkDisjointWritersNoAnalyst is the MVCC baseline: identical to
 // PerTable without the scanning analyst. Since reads are
@@ -335,7 +329,7 @@ func BenchmarkDisjointWritersPerTableNoObs(b *testing.B) { disjointWritersBench(
 // CPU the scans themselves burn — on a multi-core box PerTable should
 // land within ~10% of this baseline (`make mvcc-smoke` runs both; the
 // gap is CPU competition, not lock waits, so it widens on one core).
-func BenchmarkDisjointWritersNoAnalyst(b *testing.B) { disjointWritersBench(b, true, false) }
+func BenchmarkDisjointWritersNoAnalyst(b *testing.B) { disjointWritersBench(b, false) }
 
 // --- kernel micro-benchmarks -------------------------------------------------
 

@@ -10,11 +10,9 @@
 //	tipbench              # every experiment, quick sizes
 //	tipbench -exp E2      # one experiment
 //	tipbench -full        # paper-scale sizes (several minutes)
-//	tipbench -json .      # write machine-readable BENCH_<name>.json files
 //
-// -json runs the throughput scenarios with statement tracing forced on
-// every statement, so the reported p50/p99 come from the engine's own
-// latency histograms (internal/obs), not wall-clock division.
+// Machine-readable performance numbers come from the benchmark/ module
+// (see BENCHMARK.json), not from this command.
 package main
 
 import (
@@ -28,19 +26,9 @@ import (
 func main() {
 	exp := flag.String("exp", "", "run a single experiment (E1..E8)")
 	full := flag.Bool("full", false, "run the full-scale sweeps")
-	jsonDir := flag.String("json", "", "write machine-readable BENCH_<name>.json files to this directory")
 	flag.Parse()
 
 	switch {
-	case *jsonDir != "":
-		paths, err := bench.WriteJSON(*jsonDir, bench.JSONResults(2000))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, p := range paths {
-			fmt.Println(p)
-		}
 	case *exp != "":
 		tab, err := bench.ByID(*exp)
 		if err != nil {

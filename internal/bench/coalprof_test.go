@@ -8,8 +8,8 @@ import (
 
 func BenchmarkCoalesceQuery(b *testing.B) {
 	data := workload.Generate(workload.DefaultConfig(2000))
-	sess, _ := NewTIPDB()
-	if err := loadPrescriptions(sess, data); err != nil {
+	sess, bl := NewTIPDB()
+	if err := workload.LoadTIP(sess, bl, data); err != nil {
 		b.Fatal(err)
 	}
 	q := `SELECT patient, length(group_union(valid)) FROM Prescription GROUP BY patient`

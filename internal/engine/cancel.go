@@ -12,7 +12,8 @@ import (
 // Statement cancellation and timeouts. Every session owns one
 // exec.Token that its executor polls inside row loops. The token can be
 // fired from any goroutine — the server's connection reader on a
-// MsgCancel frame, or the statement-timeout timer armed by Exec — and
+// MsgCancel frame, or the statement-timeout timer armed for each
+// statement of Exec and ExecScript alike (Session.runStatement) — and
 // the statement then unwinds with a typed error (exec.ErrCancelled or
 // exec.ErrTimeout) before any further rows are produced.
 //
@@ -23,7 +24,7 @@ import (
 // missing from the log, nor half its rows applied.
 //
 // An Interrupt that lands between statements stays pending and aborts
-// the session's next statement; Exec clears the token when the
+// the session's next statement; the token is cleared when that
 // statement finishes either way, so the session stays usable after a
 // cancel (matching the wire contract: one MsgCancel aborts at most one
 // statement).

@@ -163,6 +163,50 @@ func TestStatementTimeout(t *testing.T) {
 	}
 }
 
+// A script statement runs the same lifecycle as Exec: the cap set by
+// the script's first statement arms a timer for its second.
+func TestScriptHonoursStatementTimeout(t *testing.T) {
+	db, s := newDB(t)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	fill(t, s, 2048)
+	_, err := s.ExecScript(`SET STATEMENT_TIMEOUT = 1;
+		SELECT COUNT(*) FROM t x, t y WHERE x.a + y.a >= 0`, nil)
+	if !errors.Is(err, exec.ErrTimeout) {
+		t.Fatalf("4M-pair cross join under a 1ms cap: err = %v, want ErrTimeout", err)
+	}
+	if v, _ := db.Metrics().Snapshot().Get("stmt.timeout"); v < 1 {
+		t.Errorf("stmt.timeout = %v, want >= 1", v)
+	}
+	// The timeout consumed the token: the session is usable again.
+	if _, err := s.ExecScript(`SET STATEMENT_TIMEOUT = DEFAULT; SELECT COUNT(*) FROM t`, nil); err != nil {
+		t.Fatalf("script after a timed-out script: %v", err)
+	}
+}
+
+// One Interrupt aborts at most one statement, through ExecScript as
+// through Exec: the script it lands in stops, the next one runs.
+func TestScriptCancelDoesNotLeak(t *testing.T) {
+	_, s := newDB(t)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	fill(t, s, 1024)
+	const script = `INSERT INTO t SELECT a FROM t; SELECT COUNT(*) FROM t`
+
+	s.Interrupt()
+	if _, err := s.ExecScript(script, nil); !errors.Is(err, exec.ErrCancelled) {
+		t.Fatalf("script after Interrupt: err = %v, want ErrCancelled", err)
+	}
+	if got := count(t, s, `SELECT COUNT(*) FROM t`); got != 1024 {
+		t.Fatalf("cancelled script applied rows: 1024 -> %d", got)
+	}
+	res, err := s.ExecScript(script, nil)
+	if err != nil {
+		t.Fatalf("second script still cancelled: %v", err)
+	}
+	if got := res.Rows[0][0].Int(); got != 2048 {
+		t.Fatalf("second script counted %d rows, want 2048", got)
+	}
+}
+
 func TestSetDefaultStmtTimeout(t *testing.T) {
 	_, s := newDB(t)
 	s.SetDefaultStmtTimeout(250 * time.Millisecond)

@@ -7,11 +7,12 @@
 // Session is single-goroutine state (one per client connection); the
 // Database is safe for any number of concurrent sessions. Locking is
 // two-level: a catalog lock guards the schema, the table registry and
-// the WAL handle, and every table carries its own RWMutex. DDL takes
-// the catalog lock exclusively; DML and queries share the catalog lock
-// and lock only the tables the statement binds (writers exclusively,
-// readers shared), acquired in sorted name order so disjoint-table
-// statements run in parallel and same-table statements cannot deadlock.
+// the WAL handle, and every table carries its own writer mutex. DDL
+// takes the catalog lock exclusively; DML and queries share the catalog
+// lock and lock only the tables the statement writes, acquired in
+// sorted name order so disjoint-table statements run in parallel and
+// same-table statements cannot deadlock; reads pin immutable table
+// versions instead of locking (see locks.go).
 // Each session keeps an LRU cache of parsed statements keyed by SQL
 // text, revalidated against a catalog generation counter that every DDL
 // bumps, so the hot repeated-statement path skips the parser.
@@ -53,8 +54,8 @@ type Database struct {
 	gen    atomic.Uint64 // catalog generation; bumped by every DDL
 	reg    *blade.Registry
 	cat    *catalog.Catalog
-	tables map[string]*exec.Table   // lower-cased name
-	locks  map[string]*sync.RWMutex // per-table locks, same keys as tables
+	tables map[string]*exec.Table // lower-cased name
+	locks  map[string]*sync.Mutex // per-table locks, same keys as tables
 	tm     *txn.Manager
 	wal    *wal      // nil unless EnableWAL was called
 	obs    *obsState // metrics registry + statement instrumentation
@@ -98,7 +99,7 @@ func New(reg *blade.Registry) *Database {
 		reg:    reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.RWMutex),
+		locks:  make(map[string]*sync.Mutex),
 		tm:     txn.NewManager(),
 		obs:    newObsState(),
 		hz:     newHorizonTracker(),
@@ -223,20 +224,45 @@ func (s *Session) InTransaction() bool { return s.tx != nil }
 // the WAL stops accepting appends so the log on disk stays a consistent
 // prefix of the in-memory history (Checkpoint heals it).
 func (s *Session) Exec(sql string, params map[string]types.Value) (*exec.Result, error) {
-	o := s.db.obs
-	if o.enabled() {
-		s.stmtSeq++
-		if o.shouldTrace(s.stmtSeq) {
-			s.tr.Begin()
+	return s.runStatement(nil, sql, params)
+}
+
+// ExecScript executes a ';'-separated sequence of statements, returning
+// the last result. The whole script is parsed first, so a syntax error
+// anywhere executes nothing; each statement then runs exactly as if
+// handed to Exec with its own source text — its own timeout, cancel
+// token, memory budget, trace and WAL frame — and the script stops at
+// the first error.
+func (s *Session) ExecScript(sql string, params map[string]types.Value) (*exec.Result, error) {
+	parts, err := parse.ParseScriptParts(sql)
+	if err != nil {
+		return nil, err
+	}
+	var last *exec.Result
+	for _, p := range parts {
+		if last, err = s.runStatement(p.Stmt, p.SQL, params); err != nil {
+			return nil, err
 		}
 	}
-	stmt, err := s.parseCached(sql)
-	if err != nil {
-		s.tr.Active = false
-		if o.enabled() {
+	return last, nil
+}
+
+// runStatement is the lifecycle of one statement, shared by Exec (stmt
+// is nil: sql is parsed through the session's statement cache) and
+// ExecScript (stmt was parsed with the rest of its script).
+func (s *Session) runStatement(stmt ast.Statement, sql string, params map[string]types.Value) (*exec.Result, error) {
+	o := s.db.obs
+	s.stmtSeq++
+	if o.shouldTrace(s.stmtSeq) {
+		s.tr.Begin()
+	}
+	if stmt == nil {
+		var err error
+		if stmt, err = s.parseCached(sql); err != nil {
+			s.tr.Active = false
 			o.errors.Inc()
+			return nil, err
 		}
-		return nil, err
 	}
 	s.tr.Mark(&s.tr.Parse)
 	// The cancel token covers exactly one statement: arm the timeout
@@ -257,27 +283,6 @@ func (s *Session) Exec(sql string, params map[string]types.Value) (*exec.Result,
 	s.obsFinish(stmt, sql)
 	s.lastPeak = s.mem.Peak()
 	return res, err
-}
-
-// ExecScript executes a ';'-separated sequence of statements, returning
-// the last result. Each state-changing statement is WAL-logged
-// individually (with its own source text), exactly as if run through
-// Exec.
-func (s *Session) ExecScript(sql string, params map[string]types.Value) (*exec.Result, error) {
-	parts, err := parse.ParseScriptParts(sql)
-	if err != nil {
-		return nil, err
-	}
-	var last *exec.Result
-	for _, p := range parts {
-		s.mem.SetBudget(s.stmtMem)
-		last, err = s.execLogged(p.Stmt, p.SQL, params)
-		s.mem.Reset()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return last, nil
 }
 
 // execLogged executes one parsed statement and appends it to the WAL
@@ -317,14 +322,10 @@ func (s *Session) parseCached(sql string) (ast.Statement, error) {
 	gen := s.db.gen.Load()
 	o := s.db.obs
 	if stmt, ok := s.cache.get(sql, gen); ok {
-		if o.enabled() {
-			o.pcHits.Inc()
-		}
+		o.pcHits.Inc()
 		return stmt, nil
 	}
-	if o.enabled() {
-		o.pcMisses.Inc()
-	}
+	o.pcMisses.Inc()
 	stmt, err := parse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -346,9 +347,7 @@ func (s *Session) CacheStats() (hits, misses uint64) {
 // (see the package comment for the locking discipline).
 func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*exec.Result, error) {
 	if !s.replApply && s.db.readOnly.Load() && loggable(stmt) {
-		if o := s.db.obs; o.enabled() {
-			o.errors.Inc()
-		}
+		s.db.obs.errors.Inc()
 		return nil, ErrReadOnly
 	}
 	unlock := s.lockFor(stmt)
@@ -356,25 +355,24 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 	defer unlock()
 	res, err := s.execLocked(stmt, params)
 	s.tr.Mark(&s.tr.Exec)
-	if o := s.db.obs; o.enabled() {
-		o.stmts[stmtKind(stmt)].Inc()
-		switch {
-		case err != nil:
-			o.errors.Inc()
-			if errors.Is(err, exec.ErrCancelled) {
-				o.cancelled.Inc()
-			} else if errors.Is(err, exec.ErrTimeout) {
-				o.timeouts.Inc()
-			} else if errors.Is(err, exec.ErrMemory) {
-				o.memExceeded.Inc()
-			}
-		case res != nil:
-			if n := len(res.Rows); n > 0 {
-				o.rowsRead.Add(uint64(n))
-			}
-			if res.Affected > 0 {
-				o.rowsWrit.Add(uint64(res.Affected))
-			}
+	o := s.db.obs
+	o.stmts[stmtKind(stmt)].Inc()
+	switch {
+	case err != nil:
+		o.errors.Inc()
+		if errors.Is(err, exec.ErrCancelled) {
+			o.cancelled.Inc()
+		} else if errors.Is(err, exec.ErrTimeout) {
+			o.timeouts.Inc()
+		} else if errors.Is(err, exec.ErrMemory) {
+			o.memExceeded.Inc()
+		}
+	case res != nil:
+		if n := len(res.Rows); n > 0 {
+			o.rowsRead.Add(uint64(n))
+		}
+		if res.Affected > 0 {
+			o.rowsWrit.Add(uint64(res.Affected))
 		}
 	}
 	if err == nil && isDDL(stmt) {
@@ -492,7 +490,7 @@ func (s *Session) createTable(st *ast.CreateTable) (*exec.Result, error) {
 	}
 	key := strings.ToLower(st.Name)
 	s.db.tables[key] = exec.NewTable(meta)
-	s.db.locks[key] = &sync.RWMutex{}
+	s.db.locks[key] = &sync.Mutex{}
 	return &exec.Result{}, nil
 }
 

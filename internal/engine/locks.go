@@ -11,7 +11,7 @@ import (
 
 // Locking and snapshot acquisition. The catalog lock (Database.mu)
 // guards the schema, the tables/locks maps and the WAL handle;
-// per-table RWMutexes serialise writers. A statement's footprint is
+// per-table mutexes serialise writers. A statement's footprint is
 // decided up front from its AST (exec.StatementTables), before any
 // shared state is touched:
 //
@@ -94,24 +94,18 @@ func (s *Session) lockTables(reads, writes []string) func() {
 		}
 	}
 	sort.Strings(names)
-	obsOn := db.obs.enabled()
-	var held []*sync.RWMutex
+	var held []*sync.Mutex
 	for _, t := range names {
-		if obsOn {
-			// Per-table op counters, counted on the same filtered name
-			// list the snapshots use (nonexistent tables never reach
-			// here).
-			to := db.obs.tableOf(t)
-			if write[t] {
-				to.writes.Inc()
-			} else {
-				to.reads.Inc()
-			}
-		}
+		// Per-table op counters, counted on the same filtered name list
+		// the snapshots use (nonexistent tables never reach here).
+		to := db.obs.tableOf(t)
 		if write[t] {
+			to.writes.Inc()
 			l := db.locks[t]
 			l.Lock()
 			held = append(held, l)
+		} else {
+			to.reads.Inc()
 		}
 	}
 	s.captureSnaps(names)

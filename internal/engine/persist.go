@@ -197,7 +197,7 @@ func (db *Database) loadSnapshot(data []byte, replace bool) error {
 		reg:    db.reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.RWMutex),
+		locks:  make(map[string]*sync.Mutex),
 		tm:     db.tm,
 		obs:    db.obs,
 	}
@@ -283,7 +283,7 @@ func (db *Database) decodeSnapshot(data []byte) (uint64, error) {
 		}
 		tbl := exec.NewTable(meta)
 		db.tables[strings.ToLower(name)] = tbl
-		db.locks[strings.ToLower(name)] = &sync.RWMutex{}
+		db.locks[strings.ToLower(name)] = &sync.Mutex{}
 		rowCount, rest, err := readUvarint(data)
 		if err != nil {
 			return 0, err

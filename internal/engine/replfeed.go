@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -141,47 +139,11 @@ func ReadWALFrames(path string, afterSeq uint64, fn func(ReplFrame) error) error
 		return fmt.Errorf("engine: wal read: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
-	var (
-		scratch []byte // reused for skipped frames
-		lastSeq uint64
-		haveSeq bool
-	)
-	for {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("%w: frame length (after seq %d): %v", ErrWAL, lastSeq, err)
-		}
-		if n > walMaxFrame {
-			return fmt.Errorf("%w: frame length %d (after seq %d)", ErrWAL, n, lastSeq)
-		}
-		// Peek at the frame to learn its seq; only frames past afterSeq
-		// get a retained allocation.
-		if uint64(cap(scratch)) < n {
-			scratch = make([]byte, n)
-		}
-		body := scratch[:n]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil // torn tail
-		}
-		fr, err := decodeWALFrame(body)
-		if err != nil {
-			return err
-		}
-		if haveSeq && fr.seq != lastSeq+1 {
-			return fmt.Errorf("%w: seq %d, want %d", ErrWAL, fr.seq, lastSeq+1)
-		}
-		lastSeq, haveSeq = fr.seq, true
+	return scanWALFrames(f, func(fr walFrame, body []byte) (bool, error) {
 		if fr.seq <= afterSeq {
-			continue
+			return true, nil
 		}
-		out := make([]byte, n)
-		copy(out, body)
-		if err := fn(ReplFrame{Epoch: fr.epoch, Seq: fr.seq, Body: out}); err != nil {
-			return err
-		}
-	}
+		// Only delivered frames get a retained allocation.
+		return true, fn(ReplFrame{Epoch: fr.epoch, Seq: fr.seq, Body: bytes.Clone(body)})
+	})
 }

@@ -12,23 +12,19 @@ import (
 
 // Engine observability. Every Database carries an obs.Registry and a
 // small set of pre-resolved counters so the hot path never takes the
-// registry lock. The instrumentation has two tiers:
+// registry lock. The instrumentation is unconditional and has two tiers:
 //
 //   - Counters (statements by kind, errors, rows, plan cache, WAL,
 //     per-table ops) are pure atomic increments with no clock reads and
-//     stay on for every statement.
+//     run on every statement.
 //   - Phase traces (parse/lock/exec/WAL durations feeding the latency
 //     and lock-wait histograms and the slow-query log) cost several
 //     clock reads, so they are sampled: one statement in traceSample is
 //     traced, except while the slow-query log is enabled, which forces
 //     tracing on every statement so no slow query can dodge the log.
-//
-// SetObservability(false) turns the whole subsystem off; it exists as
-// the ablation knob for measuring instrumentation overhead and is not
-// meant for production use.
 
-// traceSample is the default statement-trace sampling interval; must be
-// a power of two. One in traceSample statements pays the clock reads.
+// traceSample is the statement-trace sampling interval; must be a power
+// of two. One in traceSample statements pays the clock reads.
 const traceSample = 16
 
 // Statement kind indices for the per-kind counters and histograms.
@@ -75,14 +71,12 @@ type tableOps struct {
 // pre-resolved handles for everything the statement path touches.
 type obsState struct {
 	reg *obs.Registry
-	off atomic.Bool // SetObservability(false)
 
-	sampleMask atomic.Uint64 // trace when seq&mask == 0
-	slowNs     atomic.Int64  // slow-query threshold; 0 disables the log
-	slowLog    atomic.Value  // func(string)
+	slowNs  atomic.Int64 // slow-query threshold; 0 disables the log
+	slowLog atomic.Value // func(string)
 
-	stmts     [nKinds]*obs.Counter
-	lats      [nKinds]*obs.Histogram
+	stmts       [nKinds]*obs.Counter
+	lats        [nKinds]*obs.Histogram
 	errors      *obs.Counter
 	cancelled   *obs.Counter
 	timeouts    *obs.Counter
@@ -108,7 +102,6 @@ type obsState struct {
 
 func newObsState() *obsState {
 	o := &obsState{reg: obs.NewRegistry()}
-	o.sampleMask.Store(traceSample - 1)
 	for k := 0; k < nKinds; k++ {
 		o.stmts[k] = o.reg.Counter("stmt." + kindNames[k])
 		o.lats[k] = o.reg.Histogram("stmt." + kindNames[k] + ".latency")
@@ -138,15 +131,12 @@ func newObsState() *obsState {
 	return o
 }
 
-// enabled reports whether instrumentation is on (the default).
-func (o *obsState) enabled() bool { return !o.off.Load() }
-
 // shouldTrace decides whether this statement pays for phase timing.
 func (o *obsState) shouldTrace(seq uint64) bool {
 	if o.slowNs.Load() > 0 {
 		return true
 	}
-	return seq&o.sampleMask.Load() == 0
+	return seq&(traceSample-1) == 0
 }
 
 // tableOf returns the per-table counters for a lower-cased table name.
@@ -167,9 +157,6 @@ func (o *obsState) tableOf(name string) *tableOps {
 // "planner.<choice>" metrics. It is handed to the executor as the
 // Env.PlanChoice hook.
 func (o *obsState) planChoice(choice string) {
-	if !o.enabled() {
-		return
-	}
 	if c, ok := o.planner.Load(choice); ok {
 		c.(*obs.Counter).Inc()
 		return
@@ -181,10 +168,6 @@ func (o *obsState) planChoice(choice string) {
 
 // Metrics exposes the engine's metrics registry.
 func (db *Database) Metrics() *obs.Registry { return db.obs.reg }
-
-// SetObservability turns statement instrumentation on or off. It is on
-// by default; turning it off exists for overhead measurement.
-func (db *Database) SetObservability(on bool) { db.obs.off.Store(!on) }
 
 // SetSlowQueryLog logs every statement slower than threshold through
 // logf, with a parse/lock/exec/WAL phase breakdown. While enabled,
@@ -199,20 +182,6 @@ func (db *Database) SetSlowQueryLog(threshold time.Duration, logf func(msg strin
 	db.obs.slowNs.Store(threshold.Nanoseconds())
 }
 
-// SetTraceSampling sets the statement-trace sampling interval: one in
-// every statements is phase-timed. every is rounded up to a power of
-// two; 1 traces every statement.
-func (db *Database) SetTraceSampling(every int) {
-	if every < 1 {
-		every = 1
-	}
-	n := uint64(1)
-	for n < uint64(every) {
-		n <<= 1
-	}
-	db.obs.sampleMask.Store(n - 1)
-}
-
 // obsFinish closes a statement's trace (when one is active): it feeds
 // the per-kind latency and lock-wait histograms and the slow-query log.
 func (s *Session) obsFinish(stmt ast.Statement, sql string) {
@@ -221,9 +190,6 @@ func (s *Session) obsFinish(stmt ast.Statement, sql string) {
 	}
 	total := s.tr.End()
 	o := s.db.obs
-	if !o.enabled() {
-		return
-	}
 	o.lats[stmtKind(stmt)].Observe(total.Nanoseconds())
 	o.lockWait.Observe(s.tr.Lock.Nanoseconds())
 	if ns := o.slowNs.Load(); ns > 0 && total.Nanoseconds() >= ns {

@@ -57,11 +57,11 @@ func TestEngineStatementMetrics(t *testing.T) {
 func TestPlanCacheMetrics(t *testing.T) {
 	db, s := newDB(t)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
-	mustExec(t, s, `SELECT * FROM t`) // miss
-	mustExec(t, s, `SELECT * FROM t`) // hit
-	mustExec(t, s, `SELECT * FROM t`) // hit
+	mustExec(t, s, `SELECT * FROM t`)        // miss
+	mustExec(t, s, `SELECT * FROM t`)        // hit
+	mustExec(t, s, `SELECT * FROM t`)        // hit
 	mustExec(t, s, `CREATE TABLE u (b INT)`) // DDL bumps generation
-	mustExec(t, s, `SELECT * FROM t`) // stale entry evicted, miss
+	mustExec(t, s, `SELECT * FROM t`)        // stale entry evicted, miss
 
 	snap := db.Metrics().Snapshot()
 	hits, _ := snap.Get("plancache.hits")
@@ -134,6 +134,19 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 	}
 
+	// Every statement of a script is logged under its own text.
+	if _, err := s.ExecScript(`INSERT INTO t VALUES (7); SELECT a FROM t`, nil); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	script := append([]string(nil), logged[n:]...)
+	n = len(logged)
+	mu.Unlock()
+	if len(script) != 2 || !strings.HasSuffix(script[0], ": INSERT INTO t VALUES (7)") ||
+		!strings.HasSuffix(script[1], ": SELECT a FROM t") {
+		t.Errorf("script statements logged as %q, want one line per statement", script)
+	}
+
 	// Disabling stops logging.
 	db.SetSlowQueryLog(0, nil)
 	mustExec(t, s, `INSERT INTO t VALUES (43)`)
@@ -145,29 +158,11 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-func TestObservabilityOff(t *testing.T) {
-	db, s := newDB(t)
-	db.SetObservability(false)
-	mustExec(t, s, `CREATE TABLE t (a INT)`)
-	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	mustExec(t, s, `SELECT * FROM t`)
-	snap := db.Metrics().Snapshot()
-	for _, name := range []string{"stmt.select", "stmt.insert", "stmt.ddl", "rows.read", "rows.written"} {
-		if v, _ := snap.Get(name); v != 0 {
-			t.Errorf("%s = %v with observability off, want 0", name, v)
-		}
-	}
-	// Turning it back on resumes counting.
-	db.SetObservability(true)
-	mustExec(t, s, `SELECT * FROM t`)
-	if v, _ := db.Metrics().Snapshot().Get("stmt.select"); v != 1 {
-		t.Errorf("stmt.select = %v after re-enabling, want 1", v)
-	}
-}
-
 func TestLatencyHistogramsSampled(t *testing.T) {
 	db, s := newDB(t)
-	db.SetTraceSampling(1) // trace every statement
+	// The slow-query log forces a trace on every statement; an hour is a
+	// threshold nothing reaches, so nothing is logged.
+	db.SetSlowQueryLog(time.Hour, func(string) { t.Error("slow log fired") })
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	for i := 0; i < 10; i++ {
 		mustExec(t, s, `INSERT INTO t VALUES (1)`)
@@ -181,6 +176,6 @@ func TestLatencyHistogramsSampled(t *testing.T) {
 		t.Errorf("stmt.insert.latency.p50 = %v, want > 0", p50)
 	}
 	if lw, _ := snap.Get("lock.wait.count"); lw == 0 {
-		t.Error("lock.wait histogram empty with sampling=1")
+		t.Error("lock.wait histogram empty with every statement traced")
 	}
 }

@@ -266,10 +266,8 @@ func (db *Database) walSyncTo(w *wal, seq uint64) error {
 	target := w.flushedSeq.Load()
 	start := time.Now()
 	err := w.f.Sync()
-	if o := db.obs; o.enabled() {
-		o.walFsyncs.Inc()
-		o.walFsyncLat.Observe(time.Since(start).Nanoseconds())
-	}
+	db.obs.walFsyncs.Inc()
+	db.obs.walFsyncLat.Observe(time.Since(start).Nanoseconds())
 	if err != nil {
 		return err
 	}
@@ -436,7 +434,6 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 		return nil
 	}
 	payload := encodeWALPayload(now, sql, params)
-	obsOn := db.obs.enabled()
 	seq, size, err := func() (uint64, int, error) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
@@ -464,15 +461,11 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 		return w.seq, hn + len(body), nil
 	}()
 	if err != nil {
-		if obsOn {
-			db.obs.walFailures.Inc()
-		}
+		db.obs.walFailures.Inc()
 		return err
 	}
-	if obsOn {
-		db.obs.walAppends.Inc()
-		db.obs.walBytes.Add(uint64(size))
-	}
+	db.obs.walAppends.Inc()
+	db.obs.walBytes.Add(uint64(size))
 	if SyncPolicy(db.syncPolicy.Load()) == SyncEveryAppend {
 		if err := db.walSyncTo(w, seq); err != nil {
 			w.mu.Lock()
@@ -480,9 +473,7 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 				w.failed = err
 			}
 			w.mu.Unlock()
-			if obsOn {
-				db.obs.walFailures.Inc()
-			}
+			db.obs.walFailures.Inc()
 			return fmt.Errorf("%w: fsync: %v", ErrWALFailed, err)
 		}
 	}
@@ -535,64 +526,82 @@ func (db *Database) ReplayWALRange(path string, afterSeq, upToSeq uint64) error 
 		sess.nowOverride = nil
 	}()
 
-	r := bufio.NewReaderSize(f, 64<<10)
 	var (
-		body     []byte // reused frame buffer
 		firstSeq uint64
 		lastSeq  uint64
 		haveSeq  bool
-		frameIdx int
 		maxEpoch = snapEpoch
+	)
+	err = scanWALFrames(f, func(fr walFrame, _ []byte) (bool, error) {
+		if fr.seq > upToSeq {
+			return false, nil
+		}
+		if !haveSeq {
+			firstSeq = fr.seq
+		}
+		lastSeq, haveSeq = fr.seq, true
+		if fr.epoch > maxEpoch {
+			maxEpoch = fr.epoch
+		}
+		// Skip pre-checkpoint frames (their effect is inside the snapshot:
+		// the checkpoint crashed before truncating the log) and frames
+		// already applied (replica catch-up resuming mid-log).
+		if fr.epoch < snapEpoch || fr.seq <= afterSeq {
+			return true, nil
+		}
+		return true, db.replayRecord(sess, fr.payload)
+	})
+	if err != nil {
+		return err
+	}
+	return db.finishReplay(maxEpoch, firstSeq, lastSeq, haveSeq)
+}
+
+// scanWALFrames is the one reader of the log's on-disk framing: a
+// uvarint body length, then the body. It calls fn for every frame in
+// file order after checking the length bound, the checksum and sequence
+// continuity; body (and fr.payload inside it) alias a buffer the next
+// frame overwrites. fn returns false to end the scan early, and its
+// error is returned unwrapped. A frame cut short by a crash (torn tail)
+// ends the scan cleanly; any other damage surfaces ErrWAL naming the
+// frame's position and the last good sequence number.
+func scanWALFrames(f io.Reader, fn func(fr walFrame, body []byte) (more bool, err error)) error {
+	r := bufio.NewReaderSize(f, 64<<10)
+	var (
+		buf      []byte // reused frame buffer
+		lastSeq  uint64
+		frameIdx int
 	)
 	for {
 		n, err := binary.ReadUvarint(r)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return db.finishReplay(maxEpoch, firstSeq, lastSeq, haveSeq)
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil // end of log, or a tail torn inside the length prefix
 			}
 			return fmt.Errorf("%w: frame %d length (after seq %d): %v", ErrWAL, frameIdx+1, lastSeq, err)
 		}
 		if n > walMaxFrame {
 			return fmt.Errorf("%w: frame %d length %d (after seq %d)", ErrWAL, frameIdx+1, n, lastSeq)
 		}
-		if uint64(cap(body)) < n {
-			body = make([]byte, n)
+		if uint64(cap(buf)) < n {
+			buf = make([]byte, n)
 		}
-		body = body[:n]
+		body := buf[:n]
 		if _, err := io.ReadFull(r, body); err != nil {
 			// Torn tail: the crash cut the last frame short. Everything
-			// before it replayed.
-			return db.finishReplay(maxEpoch, firstSeq, lastSeq, haveSeq)
+			// before it was delivered.
+			return nil
 		}
 		frameIdx++
 		fr, err := decodeWALFrame(body)
 		if err != nil {
 			return fmt.Errorf("frame %d (after seq %d): %w", frameIdx, lastSeq, err)
 		}
-		if haveSeq && fr.seq != lastSeq+1 {
+		if frameIdx > 1 && fr.seq != lastSeq+1 {
 			return fmt.Errorf("%w: frame %d seq %d, want %d", ErrWAL, frameIdx, fr.seq, lastSeq+1)
 		}
-		if !haveSeq {
-			firstSeq = fr.seq
-		}
-		lastSeq, haveSeq = fr.seq, true
-		if fr.seq > upToSeq {
-			prev := fr.seq - 1
-			return db.finishReplay(maxEpoch, firstSeq, prev, prev >= firstSeq)
-		}
-		if fr.epoch > maxEpoch {
-			maxEpoch = fr.epoch
-		}
-		if fr.epoch < snapEpoch {
-			// Pre-checkpoint frame: its effect is inside the snapshot
-			// (the checkpoint crashed before truncating the log).
-			continue
-		}
-		if fr.seq <= afterSeq {
-			// Already applied (replica catch-up resuming mid-log).
-			continue
-		}
-		if err := db.replayRecord(sess, fr.payload); err != nil {
+		lastSeq = fr.seq
+		if more, err := fn(fr, body); err != nil || !more {
 			return err
 		}
 	}

@@ -12,6 +12,7 @@ package engine
 // loss" drops.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -316,6 +317,83 @@ func TestWALSeqGapDetected(t *testing.T) {
 		t.Fatalf("replay err = %v, want ErrWAL for seq gap", err)
 	}
 	assertExactPrefix(t, rec, 4, "seq gap")
+}
+
+// TestWALCorruptThroughBothReaders feeds the same damaged logs to both
+// public readers of the on-disk framing — ReplayWAL (recovery) and
+// ReadWALFrames (replication catch-up) — and requires identical
+// verdicts: the same clean prefix, and for real damage the same ErrWAL
+// naming the frame and the last good sequence number.
+func TestWALCorruptThroughBothReaders(t *testing.T) {
+	const stmts = 8
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "wal.log")
+	db := freshEngine(t)
+	if err := db.EnableWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	tortureWorkload(t, s, 0, stmts)
+	// A ninth frame whose body needs a two-byte length prefix, so a
+	// crash can tear the prefix itself.
+	execSQL(t, s, `CREATE TABLE `+strings.Repeat("pad", 60)+` (a INT)`)
+	if err := db.DisableWAL(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := frameBoundaries(t, log)
+	if _, k := binary.Uvarint(log[bounds[stmts-1]:]); k != 2 {
+		t.Fatalf("pad frame length prefix is %d bytes, want 2", k)
+	}
+	cases := []struct {
+		name    string
+		log     []byte
+		frames  int    // frames both readers must accept before stopping
+		wantErr string // "" = the scan ends cleanly
+	}{
+		{"torn tail inside a body", bytes.Clone(log[:bounds[7]-3]), 7, ""},
+		{"torn tail inside a length prefix", bytes.Clone(log[:bounds[7]+1]), 8, ""},
+		{"bad checksum", func() []byte {
+			b := bytes.Clone(log)
+			b[bounds[5]-1] ^= 0xFF // last byte of frame 6
+			return b
+		}(), 5, "frame 6 (after seq 5)"},
+		{"sequence gap", append(bytes.Clone(log[:bounds[2]]), log[bounds[3]:]...), 3, "frame 4 seq 5, want 4"},
+		{"impossible length", binary.AppendUvarint(bytes.Clone(log[:bounds[3]]), walMaxFrame+1), 4, "frame 5 length"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, "damaged.log")
+		if err := os.WriteFile(path, tc.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec := freshEngine(t)
+		replayErr := rec.ReplayWAL(path)
+		assertExactPrefix(t, rec, tc.frames, tc.name)
+		read := 0
+		readErr := ReadWALFrames(path, 0, func(fr ReplFrame) error {
+			if read++; fr.Seq != uint64(read) {
+				t.Errorf("%s: frame %d has seq %d", tc.name, read, fr.Seq)
+			}
+			return nil
+		})
+		if read != tc.frames {
+			t.Errorf("%s: ReadWALFrames delivered %d frames, want %d", tc.name, read, tc.frames)
+		}
+		if tc.wantErr == "" {
+			if replayErr != nil || readErr != nil {
+				t.Errorf("%s: replay err = %v, read err = %v, want a clean end", tc.name, replayErr, readErr)
+			}
+			continue
+		}
+		for reader, err := range map[string]error{"ReplayWAL": replayErr, "ReadWALFrames": readErr} {
+			if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: %s err = %v, want ErrWAL mentioning %q", tc.name, reader, err, tc.wantErr)
+			}
+		}
+	}
 }
 
 // TestWALShortWriteStickyAndRecoverable drives the append path into a

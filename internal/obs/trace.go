@@ -9,9 +9,10 @@ import (
 // statement-cache lookup), lock acquisition, execution and WAL append.
 // A Trace is owned by a single session and reused across statements —
 // no allocation per statement. Because every clock read costs tens of
-// nanoseconds, traces are sampled: the engine begins a Trace on every
-// Nth statement (and on every statement while the slow-query log is
-// enabled); untraced statements still feed the pure-counter metrics.
+// nanoseconds, traces are sampled: the engine begins a Trace on a fixed
+// one-in-N share of statements, and on every statement while the
+// slow-query log is enabled — nothing else changes the rate. Untraced
+// statements still feed the pure-counter metrics.
 type Trace struct {
 	Active bool
 	start  time.Time
