@@ -91,11 +91,24 @@ mvcc-smoke:
 # goldens (period-index probe kept and rejected by cost, sort-merge and
 # hash coalesce, statistics flipping both decisions), the SQL-level
 # differential battery (coalesce operator vs generic aggregation, top-K
-# heap vs full sort, over NULLs and period boundaries, ending with the
-# check that no operator wrote through an aliased slab row), and the
-# layered-stratum agreement across every TIP coalesce plan variant (E2).
+# heap vs full sort, period-index / hash / nested-loop / LEFT joins
+# streamed into COUNT(*), GROUP BY and SELECT * against a pair count
+# taken in the test, over NULLs and period boundaries, ending with the
+# check that no operator wrote through an aliased slab row), the
+# NOW-relative literal re-run under two SET NOWs and a moved clock on
+# one cached text, and the layered-stratum agreement across every TIP
+# coalesce plan variant (E2). The allocation pins (testing.AllocsPerRun,
+# so they run without the race detector's allocation inflation): a
+# period-index join allocates at most one object per candidate pair, a
+# literal overlap probe nothing per candidate, the hash point read and
+# INSERT no more than their recorded counts; beside them Overlaps against
+# its bind-and-merge reference on both sides of its pair limit with zero
+# allocations, Registry.Call casting into the caller's slice and its cast
+# memo converting a repeated input once, and the memo's input test.
 plan-smoke:
-	$(GO) test -race -run 'TestPlanner|TestExplain|TestDifferential' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestPlanner|TestExplain|TestDifferential|TestNowRelativeLiteralPerExecution' -count=1 ./internal/exec
+	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPointStatementAllocs' -count=1 ./internal/exec
+	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
 	$(GO) test -race -run 'TestE2AgreesAndRuns|TestCoalescePlanVariants' -count=1 ./internal/bench ./internal/layered
 
 # repl-smoke runs the replication torture battery under the race

@@ -13,6 +13,7 @@ package blade
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -362,7 +363,8 @@ func (r *Registry) Resolve(name string, args []*types.Type) (*Resolution, error)
 }
 
 // Invoke resolves and evaluates a routine call in one step: implicit casts
-// are applied, strict routines short-circuit NULL inputs.
+// are applied (into args, as in Call), strict routines short-circuit NULL
+// inputs.
 func (r *Registry) Invoke(ctx *Ctx, name string, args []types.Value) (types.Value, error) {
 	argTypes := make([]*types.Type, len(args))
 	for i, a := range args {
@@ -376,52 +378,110 @@ func (r *Registry) Invoke(ctx *Ctx, name string, args []types.Value) (types.Valu
 	if err != nil {
 		return types.Value{}, err
 	}
-	return r.Call(ctx, res, args)
+	return r.Call(ctx, res, args, nil)
 }
 
 // Call evaluates a previously resolved routine against concrete arguments.
-func (r *Registry) Call(ctx *Ctx, res *Resolution, args []types.Value) (types.Value, error) {
+// Strict routines short-circuit NULL inputs before any cast, so a NULL
+// beside an inconvertible value stays a NULL result. Otherwise the
+// resolution's implicit casts are applied into args in place, so args
+// must be a slice the caller owns and may overwrite; routines never
+// retain it. memo is nil or holds one CastMemo per argument: a call site
+// that passes the same memo on every row converts a repeated input once.
+func (r *Registry) Call(ctx *Ctx, res *Resolution, args []types.Value, memo []CastMemo) (types.Value, error) {
 	rt := res.Routine
-	// Strict-NULL and cast screening first: when no implicit cast fires
-	// the argument slice passes through unchanged (routines never retain
-	// it), keeping the per-call hot path allocation-free.
-	needCast := false
-	for i, a := range args {
-		if a.Null {
-			if rt.Strict {
+	if rt.Strict {
+		for _, a := range args {
+			if a.Null {
 				result := rt.Result
 				if result == nil {
 					result = types.TNull
 				}
 				return types.NewNull(result), nil
 			}
+		}
+	}
+	for i, c := range res.Casts {
+		if c == nil || args[i].Null {
 			continue
 		}
-		if res.Casts[i] != nil {
-			needCast = true
+		var cv types.Value
+		var err error
+		if memo != nil {
+			cv, err = memo[i].apply(ctx, c, args[i])
+		} else {
+			cv, err = c.apply(ctx, args[i])
 		}
-	}
-	callArgs := args
-	if needCast {
-		callArgs = make([]types.Value, len(args))
-		for i, a := range args {
-			c := res.Casts[i]
-			if a.Null || c == nil {
-				callArgs[i] = a
-				continue
-			}
-			cv, err := c.Fn(ctx, a)
-			if err != nil {
-				return types.Value{}, fmt.Errorf("implicit cast %s→%s: %w", c.From, c.To, err)
-			}
-			callArgs[i] = cv
+		if err != nil {
+			return types.Value{}, err
 		}
+		args[i] = cv
 	}
-	out, err := rt.Fn(ctx, callArgs)
+	out, err := rt.Fn(ctx, args)
 	if err != nil {
 		return types.Value{}, fmt.Errorf("%s: %w", rt.Name, err)
 	}
 	return out, nil
+}
+
+// apply converts one routine argument along this implicit cast edge.
+func (c *Cast) apply(ctx *Ctx, v types.Value) (types.Value, error) {
+	out, err := c.Fn(ctx, v)
+	if err != nil {
+		return types.Value{}, fmt.Errorf("implicit cast %s→%s: %w", c.From, c.To, err)
+	}
+	return out, nil
+}
+
+// CastMemo is one call-site argument position's last implicit
+// conversion (see Call). The zero value is empty. A cast sees the Ctx and
+// so may depend on NOW; keep a memo for one execution, no longer.
+type CastMemo struct {
+	cast    *Cast
+	in, out types.Value
+}
+
+// apply converts v along c, reusing the previous result when both the
+// cast and the input are unchanged.
+func (m *CastMemo) apply(ctx *Ctx, c *Cast, v types.Value) (types.Value, error) {
+	if m.cast == c && sameInput(m.in, v) {
+		return m.out, nil
+	}
+	out, err := c.apply(ctx, v)
+	if err != nil {
+		return types.Value{}, err
+	}
+	*m = CastMemo{cast: c, in: v, out: out}
+	return out, nil
+}
+
+// sameInput reports whether a and b are the same cast input: type, NULL
+// flag and payload. It never panics, and it answers false for UDT
+// payloads it cannot compare with == (an Element holds a slice), which
+// only costs the memo a conversion.
+func sameInput(a, b types.Value) bool {
+	if a.T != b.T || a.Null != b.Null || a.I != b.I || a.S != b.S ||
+		math.Float64bits(a.F) != math.Float64bits(b.F) {
+		return false
+	}
+	switch x := a.O.(type) {
+	case nil:
+		return b.O == nil
+	case temporal.Chronon:
+		return samePayload(x, b.O)
+	case temporal.Span:
+		return samePayload(x, b.O)
+	case temporal.Instant:
+		return samePayload(x, b.O)
+	case temporal.Period:
+		return samePayload(x, b.O)
+	}
+	return false
+}
+
+func samePayload[T comparable](x T, o any) bool {
+	y, ok := o.(T)
+	return ok && x == y
 }
 
 // Convert applies a cast (explicit or implicit) from v's type to the

@@ -2,9 +2,11 @@ package blade
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"tip/internal/temporal"
 	"tip/internal/types"
 )
 
@@ -279,5 +281,99 @@ func TestDuplicateOverloadRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("duplicate overload should fail")
+	}
+}
+
+func TestCallCastsIntoArgs(t *testing.T) {
+	r := NewRegistry()
+	res, err := r.Resolve("+", []*types.Type{types.TInt, types.TFloat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ctx()
+	args := make([]types.Value, 2)
+	allocs := testing.AllocsPerRun(100, func() {
+		args[0], args[1] = types.NewInt(1), types.NewFloat(1.5)
+		if got, err := r.Call(c, res, args, nil); err != nil || got.Float() != 2.5 {
+			t.Fatalf("1 + 1.5 = %v, %v", got.Format(), err)
+		}
+	})
+	if args[0].T != types.TFloat {
+		t.Errorf("the INT argument was not cast in place: %s", args[0].T)
+	}
+	if allocs != 0 {
+		t.Errorf("Call with an implicit cast allocates %.0f times; want 0", allocs)
+	}
+}
+
+// TestCallMemoConvertsOnce pins Call's per-position memo: a repeated
+// input is converted once, a changed one again, and a nil memo converts
+// every time.
+func TestCallMemoConvertsOnce(t *testing.T) {
+	r := NewRegistry()
+	res, err := r.Resolve("+", []*types.Type{types.TInt, types.TFloat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conversions := 0
+	inner := res.Casts[0]
+	counted := &Resolution{Routine: res.Routine, Casts: []*Cast{{
+		From: inner.From, To: inner.To, Implicit: true,
+		Fn: func(c *Ctx, v types.Value) (types.Value, error) {
+			conversions++
+			return inner.Fn(c, v)
+		},
+	}, nil}}
+	call := func(memo []CastMemo, i int64) {
+		args := []types.Value{types.NewInt(i), types.NewFloat(0.5)}
+		if got, err := r.Call(ctx(), counted, args, memo); err != nil || got.Float() != float64(i)+0.5 {
+			t.Fatalf("%d + 0.5 = %v, %v", i, got.Format(), err)
+		}
+	}
+	memo := make([]CastMemo, 2)
+	for _, i := range []int64{1, 1, 1, 2, 2, 1} {
+		call(memo, i)
+	}
+	if conversions != 3 {
+		t.Errorf("memoised calls converted %d times; want 3", conversions)
+	}
+	conversions = 0
+	call(nil, 1)
+	call(nil, 1)
+	if conversions != 2 {
+		t.Errorf("calls without a memo converted %d times; want 2", conversions)
+	}
+}
+
+// TestSameInput pins the cast memo's input test: equal only when type,
+// NULL flag and payload are provably the same, false (never a panic)
+// for payloads == cannot compare.
+func TestSameInput(t *testing.T) {
+	periodT := &types.Type{Name: "Period", Kind: types.KindUDT}
+	elementT := &types.Type{Name: "Element", Kind: types.KindUDT}
+	p := temporal.Period{Start: temporal.AbsInstant(10), End: temporal.Now}
+	e := p.Element()
+	cases := []struct {
+		name string
+		a, b types.Value
+		want bool
+	}{
+		{"same int", types.NewInt(3), types.NewInt(3), true},
+		{"other int", types.NewInt(3), types.NewInt(4), false},
+		{"int vs float", types.NewInt(3), types.NewFloat(3), false},
+		{"zero vs negative zero", types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)), false},
+		{"NaN", types.NewFloat(math.NaN()), types.NewFloat(math.NaN()), true},
+		{"same string", types.NewString("[1999-01-01, NOW]"), types.NewString("[1999-01-01, NOW]"), true},
+		{"other string", types.NewString("a"), types.NewString("b"), false},
+		{"typed vs untyped NULL", types.NewNull(types.TString), types.NewNull(types.TNull), false},
+		{"same period", types.NewUDT(periodT, p), types.NewUDT(periodT, p), true},
+		{"other period", types.NewUDT(periodT, p), types.NewUDT(periodT, temporal.MustPeriod(10, 20)), false},
+		{"period vs element payload", types.NewUDT(periodT, p), types.NewUDT(periodT, e), false},
+		{"same element", types.NewUDT(elementT, e), types.NewUDT(elementT, e), false},
+	}
+	for _, c := range cases {
+		if got := sameInput(c.a, c.b); got != c.want {
+			t.Errorf("%s: sameInput = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

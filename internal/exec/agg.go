@@ -125,6 +125,100 @@ func (b *binder) collectAggs(exprs []ast.Expr) ([]*aggSpec, error) {
 	return specs, nil
 }
 
+// groupTable is generic grouped aggregation: one accumulator set per
+// distinct group key, kept in first-encounter order. It copies the
+// values it needs out of each input row and never keeps the row, so it
+// can consume a join's rows as they are produced.
+type groupTable struct {
+	keyExprs []cexpr
+	specs    []*aggSpec
+	groups   map[string]*aggGroup
+	order    []*aggGroup
+	vals     []types.Value
+}
+
+type aggGroup struct {
+	vals []types.Value
+	accs []*aggAcc
+}
+
+func newGroupTable(keyExprs []cexpr, specs []*aggSpec) *groupTable {
+	return &groupTable{
+		keyExprs: keyExprs,
+		specs:    specs,
+		groups:   make(map[string]*aggGroup),
+		vals:     make([]types.Value, len(keyExprs)),
+	}
+}
+
+func (gt *groupTable) newGroup() *aggGroup {
+	g := &aggGroup{accs: make([]*aggAcc, len(gt.specs))}
+	for i, spec := range gt.specs {
+		g.accs[i] = newAggAcc(spec)
+	}
+	return g
+}
+
+// add folds one from row into its group.
+func (gt *groupTable) add(rt *runtime, fr Row) error {
+	if err := rt.checkCancel(); err != nil {
+		return err
+	}
+	rt.push(fr)
+	defer rt.pop()
+	for i, ge := range gt.keyExprs {
+		v, err := ge(rt)
+		if err != nil {
+			return err
+		}
+		gt.vals[i] = v
+	}
+	rt.keybuf = rt.appendKey(rt.keybuf[:0], gt.vals)
+	g, ok := gt.groups[string(rt.keybuf)]
+	if !ok {
+		g = gt.newGroup()
+		g.vals = rt.alloc(len(gt.vals))
+		copy(g.vals, gt.vals)
+		gt.groups[string(rt.keybuf)] = g
+		gt.order = append(gt.order, g)
+		rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead +
+			groupOverhead + int64(len(gt.specs))*aggAccSize)
+	}
+	for _, acc := range g.accs {
+		if err := acc.add(rt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rows finalises every group into a group row ([group values...,
+// aggregate results...]). A global aggregate over no input still yields
+// one row.
+func (gt *groupTable) rows(rt *runtime) ([]Row, error) {
+	if len(gt.order) == 0 && len(gt.keyExprs) == 0 {
+		gt.order = append(gt.order, gt.newGroup())
+	}
+	if err := rt.grow(int64(len(gt.order)) * rowHeaderSize); err != nil {
+		return nil, err
+	}
+	n := len(gt.keyExprs)
+	out := make([]Row, 0, len(gt.order))
+	for _, g := range gt.order {
+		groupRow := rt.alloc(n + len(gt.specs))
+		copy(groupRow, g.vals)
+		for i, acc := range g.accs {
+			v, err := acc.final(rt)
+			if err != nil {
+				return nil, err
+			}
+			groupRow[n+i] = v
+		}
+		out = append(out, groupRow)
+	}
+	return out, nil
+}
+
 // aggAcc is the runtime accumulator for one aggregate call in one group.
 type aggAcc struct {
 	spec   *aggSpec

@@ -1,0 +1,163 @@
+package exec_test
+
+// Allocation pins for the statement shapes of the benchmark's temporal
+// and point workloads. testing.AllocsPerRun counts whole statements
+// through the engine (plan cache, binding, execution, result), so the
+// bounds are about how allocations scale with the rows a statement
+// touches: a period-index join pays at most one object per candidate
+// pair, and a literal overlap probe pays nothing per candidate. The race
+// detector inflates allocation counts, so the pins skip under -race.
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"tip/internal/engine"
+	"tip/internal/exec"
+	"tip/internal/temporal"
+	"tip/internal/types"
+)
+
+// seedAllocRx loads n rows of (patient, drug, dosage, valid) with eight
+// rows per patient and one 1-10 day period each, spread over 1,000 days
+// from 1998-01-01, behind a hash index on patient and a period index on
+// valid.
+func seedAllocRx(t *testing.T, s *engine.Session, n int) {
+	t.Helper()
+	mustExec(t, s, `CREATE TABLE rx (patient VARCHAR(20), drug VARCHAR(20), dosage INT, valid Element)`)
+	mustExec(t, s, `CREATE INDEX rx_patient ON rx (patient)`)
+	mustExec(t, s, `CREATE INDEX rx_valid ON rx (valid) USING PERIOD`)
+	r := rand.New(rand.NewSource(int64(n)))
+	base := temporal.MustDate(1998, 1, 1)
+	const day = 86400
+	for lo := 0; lo < n; lo += 500 {
+		var vals []string
+		for i := lo; i < n && i < lo+500; i++ {
+			start := base + temporal.Chronon(r.Intn(1000)*day)
+			end := start + temporal.Chronon((1+r.Intn(10))*day) - 1
+			vals = append(vals, fmt.Sprintf("('p%d', 'd%d', %d, '%s')",
+				i/8, r.Intn(20), r.Intn(100), temporal.MustPeriod(start, end).Element()))
+		}
+		mustExec(t, s, "INSERT INTO rx VALUES "+strings.Join(vals, ", "))
+	}
+}
+
+// stmtAllocs is the average allocation count of one execution of sql.
+func stmtAllocs(t *testing.T, s *engine.Session, sql string, params map[string]types.Value) float64 {
+	t.Helper()
+	if _, err := s.Exec(sql, params); err != nil { // warm the plan cache
+		t.Fatalf("Exec(%s): %v", sql, err)
+	}
+	return testing.AllocsPerRun(20, func() {
+		if _, err := s.Exec(sql, params); err != nil {
+			t.Fatalf("Exec(%s): %v", sql, err)
+		}
+	})
+}
+
+func TestPeriodJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	s := newDB(t)
+	seedAllocRx(t, s, 2000)
+	mustExec(t, s, `CREATE TABLE visit (id INT, during Period)`)
+	mustExec(t, s, `INSERT INTO visit VALUES (0, '[1998-02-01, 1998-08-01]'),
+		(1, '[1998-06-01, 1998-12-01]'), (2, '[1999-01-01, 1999-07-01]'), (3, '[1999-09-01, 2000-03-01]')`)
+	const q = `SELECT COUNT(*) FROM visit v, rx p WHERE v.id BETWEEN 0 AND 3 AND overlaps(p.valid, v.during)`
+	if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+q)), "\n"); !strings.Contains(plan, "period-index nested loop") {
+		t.Fatalf("the join did not use the period index:\n%s", plan)
+	}
+	// Every period is determinate, so the index candidates are exactly
+	// the overlapping pairs the query counts.
+	pairs := float64(mustExec(t, s, q).Rows[0][0].Int())
+	if pairs < 1000 {
+		t.Fatalf("only %.0f candidate pairs; the fixture should give over 1,000", pairs)
+	}
+	avg := stmtAllocs(t, s, q, nil)
+	t.Logf("period-index join: %.0f allocations for %.0f candidate pairs", avg, pairs)
+	if avg > pairs {
+		t.Errorf("period-index join allocates %.0f objects for %.0f candidate pairs; the bound is one per pair", avg, pairs)
+	}
+}
+
+func TestLiteralProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	const q = `SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-06-30]')`
+	probe := func(n int) (allocs float64, candidates int64) {
+		s := newDB(t)
+		seedAllocRx(t, s, n)
+		if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+q)), "\n"); !strings.Contains(plan, "period index on valid") {
+			t.Fatalf("the probe did not use the period index:\n%s", plan)
+		}
+		return stmtAllocs(t, s, q, nil), mustExec(t, s, q).Rows[0][0].Int()
+	}
+	small, kSmall := probe(300)
+	large, kLarge := probe(3000)
+	t.Logf("literal probe: %.0f allocations over %d candidates, %.0f over %d", small, kSmall, large, kLarge)
+	if kLarge < 5*kSmall {
+		t.Fatalf("candidates %d vs %d: the larger table should give many more", kSmall, kLarge)
+	}
+	if large >= 1.5*small {
+		t.Errorf("literal probe allocates %.0f objects over %d candidates but %.0f over %d: per-candidate allocation is back",
+			large, kLarge, small, kSmall)
+	}
+}
+
+// The point statements of the insert and point-read workloads: a hash
+// point read of a patient with eight rows and a parameterised INSERT.
+// The bounds are their measured counts (go 1.24, amd64); work on the
+// temporal paths must not make either statement allocate more.
+const (
+	pointReadAllocs = 55
+	insertAllocs    = 57
+)
+
+func TestPointStatementAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	s := newDB(t)
+	seedAllocRx(t, s, 2000)
+	const read = `SELECT drug, dosage, valid FROM rx WHERE patient = :p`
+	readParams := map[string]types.Value{"p": types.NewString("p17")}
+	if n := len(mustExecParams(t, s, read, readParams).Rows); n != 8 {
+		t.Fatalf("point read returned %d rows, want 8", n)
+	}
+	valid, err := temporal.ParseElement("{[1999-01-01, NOW]}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	elem, _ := s.Database().Registry().LookupType("Element")
+	insertParams := map[string]types.Value{
+		"pat": types.NewString("p9999"), "drug": types.NewString("d1"),
+		"dose": types.NewInt(5), "valid": types.NewUDT(elem, valid),
+	}
+	for _, c := range []struct {
+		sql    string
+		params map[string]types.Value
+		bound  float64
+	}{
+		{read, readParams, pointReadAllocs},
+		{`INSERT INTO rx VALUES (:pat, :drug, :dose, :valid)`, insertParams, insertAllocs},
+	} {
+		avg := stmtAllocs(t, s, c.sql, c.params)
+		t.Logf("%s: %.0f allocations per statement", c.sql, avg)
+		if avg > c.bound {
+			t.Errorf("%s allocates %.0f objects per statement; the bound is %.0f", c.sql, avg, c.bound)
+		}
+	}
+}
+
+func mustExecParams(t *testing.T, s *engine.Session, sql string, params map[string]types.Value) *exec.Result {
+	t.Helper()
+	res, err := s.Exec(sql, params)
+	if err != nil {
+		t.Fatalf("Exec(%s): %v", sql, err)
+	}
+	return res
+}

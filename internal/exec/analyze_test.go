@@ -5,9 +5,11 @@ package exec_test
 // and loop counts are exact (the seeds are fixed).
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"tip/internal/engine"
 )
@@ -51,6 +53,70 @@ func TestExplainAnalyzePeriodJoin(t *testing.T) {
 	}, "\n")
 	if got != want {
 		t.Errorf("period join EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExplainAnalyzePeriodJoinCount pins the streamed last join level:
+// its rows are counted as they go to the aggregate, never materialised,
+// and the join line must still report every one of them — as many as
+// COUNT(*) answers.
+func TestExplainAnalyzePeriodJoinCount(t *testing.T) {
+	s := newDB(t)
+	seedTemporalJoin(t, s, true, 40, 11)
+	const q = `SELECT COUNT(*) FROM rx r, visit v WHERE overlaps(v.during, r.valid)`
+	count := mustExec(t, s, q).Rows[0][0].Int()
+	got := analyzed(t, s, q)
+	want := strings.Join([]string{
+		"select: 2 source(s) (actual rows=1 loops=1 time=X)",
+		"  scan r: full scan (0 filter(s)) (actual rows=40 loops=1 time=X)",
+		"  scan v: full scan (0 filter(s)) (never executed)",
+		fmt.Sprintf("  join v: period-index nested loop on during (1 filter(s) re-checked) (actual rows=%d loops=1 time=X)", count),
+		"  aggregate: 0 group expr(s), 1 aggregate(s) (actual rows=1 loops=1 time=X)",
+		"execution time: X",
+		"peak memory: X",
+	}, "\n")
+	if count != 95 {
+		t.Errorf("COUNT(*) = %d; the fixture (seed 11) gives 95", count)
+	}
+	if got != want {
+		t.Errorf("period join COUNT(*) EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExplainAnalyzeOwnTimes pins what the join and aggregate times
+// mean once the last join level streams into the aggregate: each line
+// reports its own work, so the two never add up to more than the select
+// that contains them (plus the microsecond each line is rounded to).
+func TestExplainAnalyzeOwnTimes(t *testing.T) {
+	s := newDB(t)
+	seedTemporalJoin(t, s, true, 300, 11)
+	res, err := s.Exec(`EXPLAIN ANALYZE SELECT v.id, COUNT(*) FROM rx r, visit v
+		WHERE overlaps(v.during, r.valid) GROUP BY v.id`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineTime := func(prefix string) time.Duration {
+		for _, r := range res.Rows {
+			line := strings.TrimSpace(r[0].Str())
+			if !strings.HasPrefix(line, prefix) {
+				continue
+			}
+			m := regexp.MustCompile(`time=([^)]+)\)`).FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("no time on %q", line)
+			}
+			d, err := time.ParseDuration(m[1])
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			return d
+		}
+		t.Fatalf("no %q line in the plan", prefix)
+		return 0
+	}
+	sel, join, agg := lineTime("select:"), lineTime("join v:"), lineTime("aggregate:")
+	if join+agg > sel+2*time.Microsecond {
+		t.Errorf("join %v + aggregate %v exceed their select %v: a line counts another's work", join, agg, sel)
 	}
 }
 

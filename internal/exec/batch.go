@@ -6,8 +6,9 @@ import (
 	"tip/internal/types"
 )
 
-// Batched execution support. The executor is materialised; its hot
-// loops work at batch granularity, not row granularity: row storage
+// Batched execution support. The executor is materialised up to the
+// last join level (which streams, see joinSources); its hot loops work
+// at batch granularity, not row granularity: row storage
 // comes from a per-statement arena in BatchRows-sized chunks (one
 // allocation per batch instead of one per row), grouping keys build
 // into a reused byte buffer instead of per-row strings, single-source

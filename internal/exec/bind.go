@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -419,13 +420,18 @@ func (b *binder) bindCall(n *ast.Call, sc *bindScope) (cexpr, error) {
 	fname := name
 	// Overload resolution depends only on the argument types, which are
 	// almost always the same on every row, so the closure memoizes the
-	// last resolution and its type signature. Bound programs run on a
-	// single goroutine per execution (the row arena is unsynchronized for
-	// the same reason), so the cache needs no locking.
+	// last resolution and its type signature. Its cast memos apply each
+	// implicit cast once per distinct input (blade.CastMemo): a literal
+	// converts once, a join's outer-row probe once per outer row. The
+	// memos live as long as this closure, one execution — the plan cache
+	// keeps ASTs, not bound plans — so nothing converted under one NOW
+	// reaches a later statement. An execution runs on one goroutine (the
+	// row arena is unsynchronized for the same reason), so no locking.
 	var (
 		cachedRes *blade.Resolution
 		cachedSig []*types.Type
 		argBuf    []types.Value
+		casts     []blade.CastMemo
 	)
 	return func(rt *runtime) (types.Value, error) {
 		// Routines receive the argument slice for the duration of the
@@ -469,8 +475,11 @@ func (b *binder) bindCall(n *ast.Call, sc *bindScope) (cexpr, error) {
 				return types.Value{}, err
 			}
 			cachedRes, cachedSig = res, sig
+			if casts == nil && slices.ContainsFunc(res.Casts, func(c *blade.Cast) bool { return c != nil }) {
+				casts = make([]blade.CastMemo, len(args))
+			}
 		}
-		return rt.env.Reg.Call(rt.env.Ctx(), cachedRes, vals)
+		return rt.env.Reg.Call(rt.env.Ctx(), cachedRes, vals, casts)
 	}, nil
 }
 

@@ -14,6 +14,12 @@ package exec_test
 //   - ORDER BY ... LIMIT k [OFFSET o] runs the bounded top-K heap; the
 //     same query without the limit runs the full stable sort, which the
 //     test slices itself.
+//   - Joins stream their last level into the consumer: COUNT(*), a
+//     GROUP BY over the joined table and SELECT * over the period-index,
+//     hash, nested-loop and LEFT joins must all agree with a pair count
+//     the test takes itself from the two tables' rows, and the coalesce
+//     operator, which collects the streamed rows, must agree with
+//     generic aggregation over the same join.
 //
 // Scans alias the immutable MVCC slab rows instead of copying them, so
 // the battery ends by checking that no operator wrote through an alias:
@@ -27,7 +33,9 @@ import (
 	"testing"
 
 	"tip/internal/engine"
+	"tip/internal/exec"
 	"tip/internal/temporal"
+	"tip/internal/types"
 )
 
 // seedParity loads n rows of (k INT, v INT, valid Element, at Chronon)
@@ -202,6 +210,126 @@ func topKDifferential(t *testing.T, s *engine.Session) {
 	}
 }
 
+// intervalsOf binds a temporal value (Element or Period; nil for NULL)
+// at the test's NOW.
+func intervalsOf(v types.Value) []temporal.Interval {
+	if v.Null {
+		return nil
+	}
+	switch x := v.Obj().(type) {
+	case temporal.Element:
+		return x.Bind(testNow)
+	case temporal.Period:
+		if iv, ok := x.Bind(testNow); ok {
+			return []temporal.Interval{iv}
+		}
+	}
+	return nil
+}
+
+func anyOverlap(a, b []temporal.Interval) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x.Overlaps(y) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// joinDifferential counts each join's pairs from the tables' rows and
+// checks three consumers of the streamed join against that count.
+func joinDifferential(t *testing.T, s *engine.Session, indexed bool) {
+	t.Helper()
+	pRows := mustExec(t, s, `SELECT k, v, valid FROM p`).Rows
+	qRows := mustExec(t, s, `SELECT k, during FROM q`).Rows
+	sameInt := func(a, b types.Value) bool { return !a.Null && !b.Null && a.Int() == b.Int() }
+	count := func(outer, inner []exec.Row, match func(o, i exec.Row) bool) int64 {
+		var n int64
+		for _, o := range outer {
+			for _, i := range inner {
+				if match(o, i) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	var leftPairs int64
+	for _, q := range qRows {
+		n := count([]exec.Row{q}, pRows, func(q, p exec.Row) bool { return sameInt(q[0], p[0]) })
+		leftPairs += max(n, 1)
+	}
+	periodPlan := "nested loop (1 filter(s))"
+	if indexed {
+		periodPlan = "period-index nested loop"
+	}
+	for _, c := range []struct {
+		from, where, group, plan string
+		valid, num               string // an Element and an INT column of the joined rows
+		want                     int64
+	}{
+		{"p, q", "overlaps(p.valid, q.during)", "q.k", periodPlan, "p.valid", "p.v",
+			count(pRows, qRows, func(p, q exec.Row) bool { return anyOverlap(intervalsOf(p[2]), intervalsOf(q[1])) })},
+		{"q, p", "overlaps(q.during, p.valid)", "p.k", periodPlan, "p.valid", "p.v",
+			count(qRows, pRows, func(q, p exec.Row) bool { return anyOverlap(intervalsOf(q[1]), intervalsOf(p[2])) })},
+		{"p a, p b", "a.k = b.k", "b.k", "hash join", "a.valid", "b.v",
+			count(pRows, pRows, func(a, b exec.Row) bool { return sameInt(a[0], b[0]) })},
+		{"p a, q b", "a.v < b.k", "b.k", "nested loop (1 filter(s))", "a.valid", "a.v",
+			count(pRows, qRows, func(a, b exec.Row) bool { return !b[0].Null && a[1].Int() < b[0].Int() })},
+		{"q LEFT JOIN p ON q.k = p.k", "", "q.k", "left outer nested loop", "p.valid", "p.v", leftPairs},
+	} {
+		where := ""
+		if c.where != "" {
+			where = " WHERE " + c.where
+		}
+		countQ := "SELECT COUNT(*) FROM " + c.from + where
+		if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+countQ)), "\n"); !strings.Contains(plan, c.plan) {
+			t.Errorf("%s: expected a %q plan:\n%s", countQ, c.plan, plan)
+		}
+		if got := mustExec(t, s, countQ).Rows[0][0].Int(); got != c.want {
+			t.Errorf("%s = %d, the test counts %d pairs", countQ, got, c.want)
+		}
+		groupQ := "SELECT " + c.group + ", COUNT(*) FROM " + c.from + where + " GROUP BY " + c.group
+		var sum int64
+		for _, r := range mustExec(t, s, groupQ).Rows {
+			sum += r[1].Int()
+		}
+		if sum != c.want {
+			t.Errorf("%s sums to %d, the test counts %d pairs", groupQ, sum, c.want)
+		}
+		starQ := "SELECT * FROM " + c.from + where
+		if got := int64(len(mustExec(t, s, starQ).Rows)); got != c.want {
+			t.Errorf("%s returns %d rows, the test counts %d pairs", starQ, got, c.want)
+		}
+		// The coalesce operator keeps its whole input, so it copies the
+		// join's rows out; generic aggregation (MIN forces it) is the
+		// reference.
+		unionQ := "SELECT " + c.group + ", COUNT(*), group_union(" + c.valid + ") FROM " + c.from + where +
+			" GROUP BY " + c.group + " ORDER BY " + c.group
+		before := counter(s, "planner.coalesce.sort_merge") + counter(s, "planner.coalesce.hash")
+		got := grid(mustExec(t, s, unionQ))
+		if counter(s, "planner.coalesce.sort_merge")+counter(s, "planner.coalesce.hash") != before+1 {
+			t.Errorf("%s: the coalesce operator did not run", unionQ)
+		}
+		want := grid(mustExec(t, s, strings.Replace(unionQ, " FROM ", ", MIN("+c.num+") FROM ", 1)))
+		for i := range want {
+			want[i] = want[i][:len(want[i])-1]
+		}
+		sameGrid(t, unionQ, got, want)
+	}
+}
+
+// firstColumn returns the first column of every row as text.
+func firstColumn(res *exec.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = r[0].Format()
+	}
+	return out
+}
+
 // aliasingOperators runs the operators that consume aliased scan rows
 // without a specialised twin — generic aggregates, DISTINCT, unbounded
 // sorts, hash / nested-loop / left / period-index joins, index-driven
@@ -261,6 +389,7 @@ func TestDifferential(t *testing.T) {
 				t.Errorf("%s never chosen", fx.strategy)
 			}
 			topKDifferential(t, s)
+			joinDifferential(t, s, fx.indexed)
 			aliasingOperators(t, s)
 
 			if !bytes.Equal(slabBytes(t, s, "p", "q"), slabs) {

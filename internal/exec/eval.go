@@ -43,7 +43,7 @@ func (rt *runtime) compareValues(op string, a, b types.Value) (types.Value, erro
 	reg := rt.env.Reg
 	argT := []*types.Type{a.T, b.T}
 	if res, ok := reg.ResolveExact(op, argT); ok {
-		return reg.Call(rt.env.Ctx(), res, []types.Value{a, b})
+		return reg.Call(rt.env.Ctx(), res, []types.Value{a, b}, nil)
 	}
 	ua, ub := a, b
 	if ua.T != ub.T {
@@ -65,7 +65,7 @@ func (rt *runtime) compareValues(op string, a, b types.Value) (types.Value, erro
 	// (e.g. Chronon = Instant unifies to Instant).
 	if ua.T == ub.T {
 		if res, ok := reg.ResolveExact(op, []*types.Type{ua.T, ub.T}); ok {
-			return reg.Call(rt.env.Ctx(), res, []types.Value{ua, ub})
+			return reg.Call(rt.env.Ctx(), res, []types.Value{ua, ub}, nil)
 		}
 	}
 	cmp, err := ua.Compare(ub, rt.env.Now)
@@ -75,7 +75,7 @@ func (rt *runtime) compareValues(op string, a, b types.Value) (types.Value, erro
 	// Last resort: a blade overload reachable through implicit casts
 	// (e.g. Period = Element lifts the period into an element).
 	if res, rerr := reg.Resolve(op, argT); rerr == nil {
-		return reg.Call(rt.env.Ctx(), res, []types.Value{a, b})
+		return reg.Call(rt.env.Ctx(), res, []types.Value{a, b}, nil)
 	}
 	return types.Value{}, err
 }

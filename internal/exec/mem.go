@@ -9,7 +9,8 @@ import (
 	"tip/internal/types"
 )
 
-// Per-statement memory accounting. Execution is materialised: every
+// Per-statement memory accounting. Execution is materialised except for
+// the last join level, which streams into its consumer: every other
 // operator buffers its full output (rows, grouping tables, DISTINCT
 // sets, sort keys, coalesce interval arrays), so the natural failure
 // mode of an oversized query is an OOM kill that takes the whole

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -448,28 +449,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 
 	distinct := sel.Distinct
-	groupByN := len(sel.GroupBy)
 
 	run := func(rt *runtime) (*Result, error) {
 		var rootStart time.Time
 		if stRoot != nil {
 			rootStart = time.Now()
-		}
-		fromRows, err := joinSources(rt, sources, width, hashConds, periodConds, levelFilters, joinStats)
-		if err != nil {
-			return nil, err
-		}
-		if len(sources) == 0 {
-			// Push an empty row so the FROM-less select still occupies
-			// one scope level; outer references in a correlated WHERE
-			// resolve at depth 1 and must find the outer row there.
-			ok, err := evalFilters(rt, zeroFilters, Row{})
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				fromRows = nil
-			}
 		}
 
 		type outEntry struct {
@@ -575,89 +559,126 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			return nil
 		}
 
-		if grouped {
-			var aggStart time.Time
-			if stAgg != nil {
-				aggStart = time.Now()
+		// consume takes the join's output as joinSources produces it
+		// (see there for who owns the rows). Grouping and projection
+		// copy values out of each row; only the coalesce operator needs
+		// its whole input at once.
+		var (
+			consume  func(rows []Row) error
+			gt       *groupTable
+			fromRows []Row // the coalesce operator's input
+			aggStart time.Time
+		)
+		switch {
+		case cp != nil:
+			consume = func(rows []Row) error {
+				if len(sources) == 1 {
+					fromRows = rows
+					return nil
+				}
+				for _, r := range rows {
+					m := rt.alloc(width)
+					copy(m, r)
+					rt.charge(rowHeaderSize)
+					fromRows = append(fromRows, m)
+				}
+				return nil
 			}
+		case grouped:
+			gt = newGroupTable(groupKeyExprs, aggSpecs)
+			consume = func(rows []Row) error {
+				for _, fr := range rows {
+					if err := gt.add(rt, fr); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		default:
+			consume = func(rows []Row) error {
+				if tk == nil && len(rows) > cap(out)-len(out) {
+					// Charge the new capacity (doubling, as append
+					// would) before allocating it.
+					newCap := max(2*cap(out), len(out)+len(rows))
+					if err := rt.grow(int64(newCap-cap(out)) * 2 * rowHeaderSize); err != nil {
+						return err
+					}
+					out = slices.Grow(out, newCap-len(out))
+				}
+				for _, fr := range rows {
+					if err := rt.checkCancel(); err != nil {
+						return err
+					}
+					rt.push(fr)
+					err := emit(rt)
+					rt.pop()
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		// Under EXPLAIN ANALYZE the consumer's time is taken out of the
+		// streamed last join level and charged to the aggregate, so each
+		// line still reports its own work.
+		var consumeDur time.Duration
+		if joinStats != nil && len(sources) > 1 {
+			inner := consume
+			consume = func(rows []Row) error {
+				start := time.Now()
+				err := inner(rows)
+				consumeDur += time.Since(start)
+				return err
+			}
+		}
+		if len(sources) == 0 {
+			// Push an empty row so the FROM-less select still occupies
+			// one scope level; outer references in a correlated WHERE
+			// resolve at depth 1 and must find the outer row there.
+			ok, err := evalFilters(rt, zeroFilters, Row{})
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				if err := consume([]Row{{}}); err != nil {
+					return nil, err
+				}
+			}
+		} else if err := joinSources(rt, sources, width, hashConds, periodConds, levelFilters, joinStats, consume); err != nil {
+			return nil, err
+		}
+		if consumeDur > 0 {
+			joinStats[len(sources)-1].Nanos -= consumeDur.Nanoseconds()
+		}
+		if stAgg != nil {
+			aggStart = time.Now().Add(-consumeDur)
+		}
+
+		if grouped {
 			var groupRows []Row
-			handled := false
 			if cp != nil {
 				gr, ok, err := cp.run(rt, fromRows)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					groupRows, handled = gr, true
+					groupRows = gr
+				} else {
+					gt = newGroupTable(groupKeyExprs, aggSpecs)
+					for _, fr := range fromRows {
+						if err := gt.add(rt, fr); err != nil {
+							return nil, err
+						}
+					}
 				}
 			}
-			if !handled {
-				type group struct {
-					vals []types.Value
-					accs []*aggAcc
-				}
-				groups := make(map[string]*group)
-				var order []*group
-				vals := make([]types.Value, groupByN)
-				for _, fr := range fromRows {
-					if err := rt.checkCancel(); err != nil {
-						return nil, err
-					}
-					rt.push(fr)
-					for i, ge := range groupKeyExprs {
-						v, err := ge(rt)
-						if err != nil {
-							rt.pop()
-							return nil, err
-						}
-						vals[i] = v
-					}
-					rt.keybuf = rt.appendKey(rt.keybuf[:0], vals)
-					g, ok := groups[string(rt.keybuf)]
-					if !ok {
-						gv := rt.alloc(groupByN)
-						copy(gv, vals)
-						g = &group{vals: gv, accs: make([]*aggAcc, len(aggSpecs))}
-						for i, spec := range aggSpecs {
-							g.accs[i] = newAggAcc(spec)
-						}
-						groups[string(rt.keybuf)] = g
-						order = append(order, g)
-						rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead +
-							groupOverhead + int64(len(aggSpecs))*aggAccSize)
-					}
-					for _, acc := range g.accs {
-						if err := acc.add(rt); err != nil {
-							rt.pop()
-							return nil, err
-						}
-					}
-					rt.pop()
-				}
-				if len(order) == 0 && groupByN == 0 {
-					// Global aggregate over an empty input still yields one row.
-					g := &group{accs: make([]*aggAcc, len(aggSpecs))}
-					for i, spec := range aggSpecs {
-						g.accs[i] = newAggAcc(spec)
-					}
-					order = append(order, g)
-				}
-				if err := rt.grow(int64(len(order)) * rowHeaderSize); err != nil {
+			if gt != nil {
+				gr, err := gt.rows(rt)
+				if err != nil {
 					return nil, err
 				}
-				groupRows = make([]Row, 0, len(order))
-				for _, g := range order {
-					groupRow := rt.alloc(groupByN + len(aggSpecs))
-					copy(groupRow, g.vals)
-					for i, acc := range g.accs {
-						v, err := acc.final(rt)
-						if err != nil {
-							return nil, err
-						}
-						groupRow[groupByN+i] = v
-					}
-					groupRows = append(groupRows, groupRow)
-				}
+				groupRows = gr
 			}
 			for _, groupRow := range groupRows {
 				rt.push(groupRow)
@@ -685,24 +706,6 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			}
 			if stAgg != nil {
 				stAgg.record(aggStart, emitted)
-			}
-		} else {
-			if tk == nil {
-				if err := rt.grow(int64(len(fromRows)) * 2 * rowHeaderSize); err != nil {
-					return nil, err
-				}
-				out = make([]outEntry, 0, len(fromRows))
-			}
-			for _, fr := range fromRows {
-				if err := rt.checkCancel(); err != nil {
-					return nil, err
-				}
-				rt.push(fr)
-				eErr := emit(rt)
-				rt.pop()
-				if eErr != nil {
-					return nil, eErr
-				}
 			}
 		}
 

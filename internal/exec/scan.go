@@ -543,64 +543,47 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 }
 
 // periodIndexJoin joins src into the accumulated rows by probing src's
-// period index with each accumulated row's temporal value. Pushed
-// single-table filters and the level filters (which include the
-// originating overlaps/contains conjunct) are re-applied, so the
-// conservative index candidates stay sound.
-func periodIndexJoin(rt *runtime, acc []Row, src *source, width int, pc *periodJoinCond, levelFilters []cexpr) ([]Row, error) {
-	var joined []Row
+// period index with each accumulated row's temporal value, handing each
+// candidate pair to pair. Pushed single-table filters are re-applied
+// here and pair applies the level filters (which include the
+// originating overlaps/contains conjunct), so the conservative index
+// candidates stay sound.
+func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, pair func(a, sr Row) error) error {
 	colType := src.tbl.Meta.Columns[pc.col].Type
-	// Candidate rows merge into a reused scratch row; only rows that
-	// survive the filters are copied out of the arena (batch.go), so
-	// filtered-out candidates cost no allocation.
-	scratch := make(Row, width)
-	keep := func(a, sr Row) error {
-		copy(scratch, a)
-		copy(scratch[src.off:], sr)
-		ok, err := evalFilters(rt, levelFilters, scratch)
-		if err != nil || !ok {
-			return err
-		}
-		m := rt.alloc(width)
-		copy(m, scratch)
-		rt.charge(rowHeaderSize)
-		joined = append(joined, m)
-		return nil
-	}
 	for _, a := range acc {
 		if err := rt.checkCancel(); err != nil {
-			return nil, err
+			return err
 		}
 		rt.push(a)
 		pv, err := pc.probe(rt)
 		rt.pop()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if pv.Null {
 			continue
 		}
 		ids, ok, err := periodCandidates(rt, src.snap, pc.col, colType, pv)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			// The probe value has no interval form; fall back to the
 			// full source for this accumulated row.
 			srcRows, err := src.exec(rt)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for _, sr := range srcRows {
-				if err := keep(a, sr); err != nil {
-					return nil, err
+				if err := pair(a, sr); err != nil {
+					return err
 				}
 			}
 			continue
 		}
 		for _, id := range ids {
 			if err := rt.checkCancel(); err != nil {
-				return nil, err
+				return err
 			}
 			sr, live := src.snap.Rows.Get(id)
 			if !live {
@@ -608,17 +591,17 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, width int, pc *periodJ
 			}
 			ok, err := evalFilters(rt, src.pushed, sr)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				continue
 			}
-			if err := keep(a, sr); err != nil {
-				return nil, err
+			if err := pair(a, sr); err != nil {
+				return err
 			}
 		}
 	}
-	return joined, nil
+	return nil
 }
 
 // staticColumnType returns the declared type of a column reference, or
@@ -691,13 +674,50 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 	return true
 }
 
-// joinSources materialises the left-deep join of all sources into
-// full-width from rows.
-func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, periodConds []*periodJoinCond, levelFilters [][]cexpr, levelStats []*OpStats) ([]Row, error) {
-	if len(sources) == 0 {
-		return []Row{{}}, nil
+// joinSources runs the left-deep join of one or more sources and hands
+// every full-width row of its last level to emit. Earlier levels
+// materialise their survivors into arena rows, which the next level
+// re-reads; the last level streams. A single source hands over all its
+// rows in one call, and they are the source's own rows (immutable slab
+// rows or a derived table's result), which emit may keep. A join hands
+// over each surviving pair as it is found, in a scratch row the next
+// pair overwrites, which emit must copy to keep.
+func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, periodConds []*periodJoinCond, levelFilters [][]cexpr, levelStats []*OpStats, emit func(rows []Row) error) error {
+	if len(sources) == 1 {
+		// The from row IS the source row, so pass the scan's batch
+		// through (filtering in place when level filters exist — srcRows
+		// is owned by this call).
+		srcRows, err := sources[0].exec(rt)
+		if err != nil {
+			return err
+		}
+		rows := srcRows
+		if len(levelFilters[0]) > 0 {
+			rows = srcRows[:0]
+			for _, sr := range srcRows {
+				if err := rt.checkCancel(); err != nil {
+					return err
+				}
+				ok, err := evalFilters(rt, levelFilters[0], sr)
+				if err != nil {
+					return err
+				}
+				if ok {
+					rows = append(rows, sr)
+				}
+			}
+		}
+		return emit(rows)
 	}
-	var acc []Row
+
+	// One empty prefix row makes level 0 a nested loop like any other.
+	acc := []Row{nil}
+	last := len(sources) - 1
+	// Candidate pairs merge into one scratch row; only survivors of a
+	// level below the last are copied out (into the arena, batch.go), so
+	// filtered-out pairs and every last-level pair allocate nothing.
+	scratch := make(Row, width)
+	scratchBatch := []Row{scratch}
 	for level, src := range sources {
 		var st *OpStats
 		if level < len(levelStats) {
@@ -707,78 +727,13 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 		if st != nil {
 			lvlStart = time.Now()
 		}
-		if level > 0 && periodConds[level] != nil && hashConds[level] == nil && !src.leftJoin {
-			joined, err := periodIndexJoin(rt, acc, src, width, periodConds[level], levelFilters[level])
-			if err != nil {
-				return nil, err
-			}
-			acc = joined
-			if st != nil {
-				st.record(lvlStart, len(acc))
-			}
-			continue
-		}
-		srcRows, err := src.exec(rt)
-		if err != nil {
-			return nil, err
-		}
-		if level == 0 {
-			if width == len(src.schema) {
-				// Single-source query: the from row IS the source row, so
-				// pass the scan's batch through (filtering in place when
-				// level filters exist — srcRows is owned by this call).
-				if len(levelFilters[0]) == 0 {
-					acc = srcRows
-				} else {
-					acc = srcRows[:0]
-					for _, sr := range srcRows {
-						if err := rt.checkCancel(); err != nil {
-							return nil, err
-						}
-						ok, err := evalFilters(rt, levelFilters[0], sr)
-						if err != nil {
-							return nil, err
-						}
-						if ok {
-							acc = append(acc, sr)
-						}
-					}
-				}
-				if st != nil {
-					st.record(lvlStart, len(acc))
-				}
-				continue
-			}
-			if err := rt.grow(int64(len(srcRows)) * rowHeaderSize); err != nil {
-				return nil, err
-			}
-			acc = make([]Row, 0, len(srcRows))
-			scratch := make(Row, width)
-			for _, sr := range srcRows {
-				if err := rt.checkCancel(); err != nil {
-					return nil, err
-				}
-				copy(scratch[src.off:], sr)
-				ok, err := evalFilters(rt, levelFilters[0], scratch)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					full := rt.alloc(width)
-					copy(full, scratch)
-					acc = append(acc, full)
-				}
-			}
-			if st != nil {
-				st.record(lvlStart, len(acc))
-			}
-			continue
-		}
-		var joined []Row
-		// Candidate pairs merge into a reused scratch row; survivors are
-		// copied out of the arena, so filtered-out pairs allocate nothing.
-		scratch := make(Row, width)
-		merge := func(a Row, sr Row) error {
+
+		// pair merges accumulated row a and source row sr into scratch
+		// and, when the level's filters pass, keeps the result: in the
+		// next level's input, or through emit at the last level.
+		var next []Row
+		kept := 0
+		pair := func(a, sr Row) error {
 			if err := rt.checkCancel(); err != nil {
 				return err
 			}
@@ -788,122 +743,127 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 			if err != nil || !ok {
 				return err
 			}
+			kept++
+			if level == last {
+				return emit(scratchBatch)
+			}
 			m := rt.alloc(width)
 			copy(m, scratch)
 			rt.charge(rowHeaderSize)
-			joined = append(joined, m)
+			next = append(next, m)
 			return nil
 		}
-		if src.leftJoin {
-			for _, a := range acc {
-				matched := false
-				for _, sr := range srcRows {
-					if err := rt.checkCancel(); err != nil {
-						return nil, err
-					}
-					copy(scratch, a)
-					copy(scratch[src.off:], sr)
-					ok, err := evalFilters(rt, src.on, scratch)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-					matched = true
-					keep, err := evalFilters(rt, levelFilters[level], scratch)
-					if err != nil {
-						return nil, err
-					}
-					if keep {
-						m := rt.alloc(width)
-						copy(m, scratch)
-						rt.charge(rowHeaderSize)
-						joined = append(joined, m)
-					}
-				}
-				if !matched {
-					// NULL-pad the right side and re-check the WHERE
-					// filters of this level against the padded row.
-					copy(scratch, a)
-					for i, cm := range src.schema {
-						scratch[src.off+i] = types.NewNull(cm.Type)
-					}
-					keep, err := evalFilters(rt, levelFilters[level], scratch)
-					if err != nil {
-						return nil, err
-					}
-					if keep {
-						m := rt.alloc(width)
-						copy(m, scratch)
-						rt.charge(rowHeaderSize)
-						joined = append(joined, m)
-					}
-				}
+
+		if periodConds[level] != nil && hashConds[level] == nil && !src.leftJoin {
+			if err := periodIndexJoin(rt, acc, src, periodConds[level], pair); err != nil {
+				return err
 			}
-			acc = joined
-			if st != nil {
-				st.record(lvlStart, len(acc))
-			}
-			continue
+		} else if err := joinLevel(rt, acc, src, hashConds[level], scratch, pair); err != nil {
+			return err
 		}
-		if hc := hashConds[level]; hc != nil {
-			// Build side: the new source.
-			buildMap := make(map[string][]Row, len(srcRows))
-			tmp := make(Row, width)
+		if st != nil {
+			st.record(lvlStart, kept)
+		}
+		acc = next
+	}
+	return nil
+}
+
+// joinLevel joins src into the accumulated rows without an index: an
+// equality conjunct builds a hash table over src, anything else is a
+// nested loop, and every pair goes through pair. A LEFT JOIN first tests
+// its ON conjuncts in scratch and pairs each row nothing matched with a
+// NULL row.
+func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Row, pair func(a, sr Row) error) error {
+	srcRows, err := src.exec(rt)
+	if err != nil {
+		return err
+	}
+	switch {
+	case src.leftJoin:
+		nulls := make(Row, len(src.schema))
+		for i, cm := range src.schema {
+			nulls[i] = types.NewNull(cm.Type)
+		}
+		for _, a := range acc {
+			matched := false
 			for _, sr := range srcRows {
 				if err := rt.checkCancel(); err != nil {
-					return nil, err
+					return err
 				}
-				for i := range tmp {
-					tmp[i] = types.Value{T: types.TNull, Null: true}
-				}
-				copy(tmp[src.off:], sr)
-				rt.push(tmp)
-				kv, err := hc.build(rt)
-				rt.pop()
+				copy(scratch, a)
+				copy(scratch[src.off:], sr)
+				ok, err := evalFilters(rt, src.on, scratch)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				if kv.Null {
-					continue
-				}
-				k := kv.Key(rt.env.Now)
-				rt.charge(int64(len(k)) + rowHeaderSize + mapEntryOverhead)
-				buildMap[k] = append(buildMap[k], sr)
-			}
-			for _, a := range acc {
-				if err := rt.checkCancel(); err != nil {
-					return nil, err
-				}
-				rt.push(a)
-				kv, err := hc.probe(rt)
-				rt.pop()
-				if err != nil {
-					return nil, err
-				}
-				if kv.Null {
-					continue
-				}
-				for _, sr := range buildMap[kv.Key(rt.env.Now)] {
-					if err := merge(a, sr); err != nil {
-						return nil, err
+				if ok {
+					matched = true
+					if err := pair(a, sr); err != nil {
+						return err
 					}
 				}
 			}
-		} else {
-			for _, a := range acc {
-				for _, sr := range srcRows {
-					if err := merge(a, sr); err != nil {
-						return nil, err
-					}
+			if !matched {
+				// NULL-pad the right side; pair re-checks the WHERE
+				// filters of this level against the padded row.
+				if err := pair(a, nulls); err != nil {
+					return err
 				}
 			}
 		}
-		acc = joined
-		if st != nil {
-			st.record(lvlStart, len(acc))
+	case hc != nil:
+		// Build side: the new source.
+		buildMap := make(map[string][]Row, len(srcRows))
+		tmp := make(Row, len(scratch))
+		for _, sr := range srcRows {
+			if err := rt.checkCancel(); err != nil {
+				return err
+			}
+			for i := range tmp {
+				tmp[i] = types.Value{T: types.TNull, Null: true}
+			}
+			copy(tmp[src.off:], sr)
+			rt.push(tmp)
+			kv, err := hc.build(rt)
+			rt.pop()
+			if err != nil {
+				return err
+			}
+			if kv.Null {
+				continue
+			}
+			k := kv.Key(rt.env.Now)
+			rt.charge(int64(len(k)) + rowHeaderSize + mapEntryOverhead)
+			buildMap[k] = append(buildMap[k], sr)
+		}
+		for _, a := range acc {
+			if err := rt.checkCancel(); err != nil {
+				return err
+			}
+			rt.push(a)
+			kv, err := hc.probe(rt)
+			rt.pop()
+			if err != nil {
+				return err
+			}
+			if kv.Null {
+				continue
+			}
+			for _, sr := range buildMap[kv.Key(rt.env.Now)] {
+				if err := pair(a, sr); err != nil {
+					return err
+				}
+			}
+		}
+	default:
+		for _, a := range acc {
+			for _, sr := range srcRows {
+				if err := pair(a, sr); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	return acc, nil
+	return nil
 }

@@ -287,9 +287,13 @@ func (ix *Period) Search(qlo, qhi temporal.Chronon) []int {
 // SearchElement returns candidates overlapping any period of the probe
 // element, bound at the given moment.
 func (ix *Period) SearchElement(e temporal.Element, now temporal.Chronon) []int {
+	ivs := e.Bind(now)
+	if len(ivs) == 1 {
+		return ix.Search(ivs[0].Lo, ivs[0].Hi) // already distinct
+	}
 	var ids []int
 	seen := make(map[int]struct{})
-	for _, iv := range e.Bind(now) {
+	for _, iv := range ivs {
 		for _, id := range ix.Search(iv.Lo, iv.Hi) {
 			if _, dup := seen[id]; !dup {
 				seen[id] = struct{}{}

@@ -211,6 +211,11 @@ func TestPeriodIndexElementDedup(t *testing.T) {
 	if len(got) != 1 || got[0] != 7 {
 		t.Errorf("SearchElement dedup = %v", got)
 	}
+	// A one-period probe is one Search, already distinct.
+	got = ix.SearchElement(pd(1, 12).Element(), day(0))
+	if len(got) != 1 || got[0] != 7 {
+		t.Errorf("one-period SearchElement = %v", got)
+	}
 }
 
 func TestPeriodIndexNowRelativeConservative(t *testing.T) {

@@ -4,6 +4,8 @@ package temporal
 // concrete value of NOW and then runs a single merge pass over the two
 // sorted interval lists, so every operation is linear in the total number
 // of periods — the implementation strategy the paper describes in §3.
+// Overlaps tests small elements pair by pair instead, which needs no
+// bound lists.
 
 // Union returns the element denoting the set union of e and other at the
 // given moment. The result is always determinate and canonical.
@@ -33,9 +35,24 @@ func (e Element) Complement(now Chronon) Element {
 	return elementOf(differenceIntervals(all, e.Bind(now)))
 }
 
+// overlapsPairLimit is the largest period-pair count Overlaps tests
+// pairwise; bigger elements pay for Bind's canonical lists once and
+// merge-walk them in linear time instead. BenchmarkOverlapsSquare on
+// disjoint n × n elements (2 vCPUs, ns/op pairwise vs merge, determinate
+// / NOW-relative): 4×4 166 vs 164 / 210 vs 230, 5×5 215 vs 177 /
+// 314 vs 244, 8×8 527 vs 256 / 823 vs 477. The crossover is 16 pairs,
+// and a tie goes to the path that allocates nothing.
+const overlapsPairLimit = 16
+
 // Overlaps reports whether e and other share at least one chronon at the
 // given moment — the predicate used by the paper's temporal self-join.
+// Sharing a chronon does not depend on canonical form (some bound period
+// of e meets some bound period of other), so small elements are tested
+// pair by pair without allocating.
 func (e Element) Overlaps(other Element, now Chronon) bool {
+	if len(e.periods)*len(other.periods) <= overlapsPairLimit {
+		return overlapsPairwise(e.periods, other.periods, now)
+	}
 	a, b := e.Bind(now), other.Bind(now)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -46,6 +63,23 @@ func (e Element) Overlaps(other Element, now Chronon) bool {
 			i++
 		} else {
 			j++
+		}
+	}
+	return false
+}
+
+// overlapsPairwise reports whether some period of ps meets some period
+// of qs once both are bound at now.
+func overlapsPairwise(ps, qs []Period, now Chronon) bool {
+	for _, p := range ps {
+		a, ok := p.Bind(now)
+		if !ok {
+			continue
+		}
+		for _, q := range qs {
+			if b, ok := q.Bind(now); ok && a.Overlaps(b) {
+				return true
+			}
 		}
 	}
 	return false
