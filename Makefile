@@ -2,16 +2,19 @@ GO ?= go
 
 .PHONY: check vet build test race bench bench-module loc crash-smoke fuzz-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke parse-smoke mem-smoke
 
-# check is what CI runs: static checks, a full build, the test suite
-# under the race detector (the engine promises parallel execution across
-# disjoint tables, so plain `go test` is not enough), the crash-recovery
+# check is what CI runs: static checks (vet, gofmt), a full build, the
+# test suite under the race detector (the engine promises parallel
+# execution across disjoint tables, so plain `go test` is not enough),
+# the crash-recovery
 # torture subset, the wire-fault torture subset, the MVCC snapshot
 # smoke, the planner smoke, the replication smoke, the resource-
 # governance smoke, and the benchmark module's own vet + smoke run.
 check: vet build race parse-smoke crash-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke mem-smoke bench-module
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -86,19 +89,21 @@ mvcc-smoke:
 	$(GO) test -race -run 'TestMVCC' -count=1 ./internal/engine
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .
 
-# plan-smoke exercises the cost-based planner and the batched executor
-# under the race detector: the EXPLAIN/EXPLAIN ANALYZE planner-choice
-# goldens (period-index probe kept and rejected by cost, sort-merge and
-# hash coalesce, statistics flipping both decisions), the SQL-level
+# plan-smoke exercises the planner and the batched executor under the
+# race detector: the EXPLAIN/EXPLAIN ANALYZE goldens (one plan per query
+# shape: a period predicate over a period-indexed column probes the
+# index even when the window covers every stored period, GROUP BY ...
+# group_union runs the coalesce operator's hash grouping), the SQL-level
 # differential battery (coalesce operator vs generic aggregation, top-K
 # heap vs full sort, period-index / hash / nested-loop / LEFT joins
 # streamed into COUNT(*), GROUP BY and SELECT * against a pair count
 # taken in the test, over NULLs and period boundaries, ending with the
 # check that no operator wrote through an aliased slab row), the
 # NOW-relative literal re-run under two SET NOWs and a moved clock on
-# one cached text, and the layered-stratum agreement across every TIP
-# coalesce plan variant (E2). The allocation pins (testing.AllocsPerRun,
-# so they run without the race detector's allocation inflation): a
+# one cached text, and TIP's coalescing checked against the layered
+# stratum (E2) and against the kernel truth. The allocation pins
+# (testing.AllocsPerRun, so they run without the race detector's
+# allocation inflation): a
 # period-index join allocates at most one object per candidate pair, a
 # literal overlap probe nothing per candidate, the hash point read and
 # INSERT no more than their recorded counts; beside them Overlaps against
@@ -106,10 +111,10 @@ mvcc-smoke:
 # allocations, Registry.Call casting into the caller's slice and its cast
 # memo converting a repeated input once, and the memo's input test.
 plan-smoke:
-	$(GO) test -race -run 'TestPlanner|TestExplain|TestDifferential|TestNowRelativeLiteralPerExecution' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestNowRelativeLiteralPerExecution' -count=1 ./internal/exec
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPointStatementAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
-	$(GO) test -race -run 'TestE2AgreesAndRuns|TestCoalescePlanVariants' -count=1 ./internal/bench ./internal/layered
+	$(GO) test -race -run 'TestE2AgreesAndRuns|TestCoalesceAgainstTruth' -count=1 ./internal/bench ./internal/layered
 
 # repl-smoke runs the replication torture battery under the race
 # detector: a 3-node in-process cluster (durable primary + 2 snapshot-

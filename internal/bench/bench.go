@@ -184,25 +184,15 @@ func E1(sizes []int) *Table {
 // E2 compares temporal coalescing built into the engine
 // (length(group_union(valid))) against the layered stratum's generated
 // SQL (TotalDurationSQL) on identical data. This is the quantitative
-// form of the paper's §5 argument. The TIP side runs under both
-// coalesce plan variants (sort-merge, and hash-agg via a hash index on
-// the grouping column) so the layered gap is measured against each plan
-// the engine can pick.
+// form of the paper's §5 argument.
 func E2(sizes []int, layeredMax int) *Table {
-	variants := layered.CoalescePlanVariants()
-	header := []string{"rows"}
-	for _, v := range variants {
-		header = append(header, "TIP "+v.Name)
-	}
-	header = append(header, "layered SQL", "slowdown")
 	t := &Table{
 		ID:     "E2",
-		Title:  "Coalescing: TIP blade (per plan variant) vs layered stratum (total medicated time per patient)",
-		Header: header,
+		Title:  "Coalescing: TIP blade vs layered stratum (total medicated time per patient)",
+		Header: []string{"rows", "TIP", "layered SQL", "slowdown"},
 		Notes: []string{
 			fmt.Sprintf("layered runs capped at %d rows: the generated nested NOT EXISTS SQL grows superlinearly", layeredMax),
-			"results verified equal across every TIP plan variant, and against the stratum where it runs",
-			"slowdown = layered vs the default TIP plan (sort-merge)",
+			"results verified equal against the stratum where it runs",
 			"data is determinate-only: the stratum's Forever sentinel cannot reproduce TIP's NOW binding for open periods",
 		},
 	}
@@ -211,38 +201,16 @@ func E2(sizes []int, layeredMax int) *Table {
 		cfg := workload.DefaultConfig(n)
 		cfg.OpenFraction = 0 // see note: the stratum cannot encode NOW faithfully
 		rows := workload.Generate(cfg)
-		row := []string{fmt.Sprintf("%d", n)}
-		var defaultNs float64
-		var defaultSess *engine.Session
-		var want map[string]int64
-		for vi, v := range variants {
-			tipSess, b := NewTIPDB()
-			if err := workload.LoadTIP(tipSess, b, rows); err != nil {
-				panic(err)
-			}
-			if err := v.Apply(tipSess, "Prescription", "patient"); err != nil {
-				panic(err)
-			}
-			ns := timeIt(50*time.Millisecond, func() {
-				if _, err := tipSess.Exec(tipQ, nil); err != nil {
-					panic(err)
-				}
-			})
-			got := coalesceAnswers(tipSess)
-			if vi == 0 {
-				defaultNs, defaultSess, want = ns, tipSess, got
-			} else if len(got) != len(want) {
-				panic(fmt.Sprintf("E2: %s returned %d groups, %s %d",
-					v.Name, len(got), variants[0].Name, len(want)))
-			} else {
-				for k, d := range got {
-					if d != want[k] {
-						panic(fmt.Sprintf("E2: %s: %s=%d, %s=%d", k, v.Name, d, variants[0].Name, want[k]))
-					}
-				}
-			}
-			row = append(row, fmtNs(ns))
+		tipSess, b := NewTIPDB()
+		if err := workload.LoadTIP(tipSess, b, rows); err != nil {
+			panic(err)
 		}
+		tipNs := timeIt(50*time.Millisecond, func() {
+			if _, err := tipSess.Exec(tipQ, nil); err != nil {
+				panic(err)
+			}
+		})
+		row := []string{fmt.Sprintf("%d", n), fmtNs(tipNs)}
 		if n <= layeredMax {
 			st := NewFlatDB()
 			if err := workload.LoadLayered(st, rows); err != nil {
@@ -253,27 +221,14 @@ func E2(sizes []int, layeredMax int) *Table {
 					panic(err)
 				}
 			})
-			verifyCoalesceAgreement(defaultSess, st)
-			row = append(row, fmtNs(layeredNs), fmt.Sprintf("%.1fx", layeredNs/defaultNs))
+			verifyCoalesceAgreement(tipSess, st)
+			row = append(row, fmtNs(layeredNs), fmt.Sprintf("%.1fx", layeredNs/tipNs))
 		} else {
 			row = append(row, "(skipped)", "-")
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-// coalesceAnswers returns patient -> coalesced seconds for the E2 query.
-func coalesceAnswers(sess *engine.Session) map[string]int64 {
-	res, err := sess.Exec(`SELECT patient, length(group_union(valid)) FROM Prescription GROUP BY patient`, nil)
-	if err != nil {
-		panic(err)
-	}
-	out := make(map[string]int64, len(res.Rows))
-	for _, r := range res.Rows {
-		out[r[0].Str()] = int64(r[1].Obj().(temporal.Span))
-	}
-	return out
 }
 
 // verifyCoalesceAgreement cross-checks the two systems' answers.

@@ -588,7 +588,6 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 		}
 		nv.Hash[pos] = ix
 	}
-	nv.Stats = exec.ComputeStats(nv)
 	tbl.Install(nv)
 	return &exec.Result{}, nil
 }
@@ -622,7 +621,6 @@ func (s *Session) dropIndex(st *ast.DropIndex) (*exec.Result, error) {
 			}
 		}
 	}
-	nv.Stats = exec.ComputeStats(nv)
 	tbl.Install(nv)
 	return &exec.Result{}, s.db.cat.DropIndex(st.Name)
 }

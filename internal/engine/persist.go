@@ -302,9 +302,7 @@ func (db *Database) decodeSnapshot(data []byte) (uint64, error) {
 			}
 			b.Insert(row)
 		}
-		nv := &exec.TableVersion{Rows: b.Commit()}
-		nv.Stats = exec.ComputeStats(nv)
-		tbl.Install(nv)
+		tbl.Install(&exec.TableVersion{Rows: b.Commit()})
 	}
 	indexCount, data, err := readUvarint(data)
 	if err != nil {

@@ -152,8 +152,8 @@ func (o *obsState) tableOf(name string) *tableOps {
 	return actual.(*tableOps)
 }
 
-// planChoice bumps the counter for one planner decision (e.g.
-// "scan.period" or "coalesce.sort_merge"), surfacing plan selection as
+// planChoice bumps the counter for one operator the planner picked
+// (e.g. "scan.period" or "coalesce.hash"), surfacing plan selection as
 // "planner.<choice>" metrics. It is handed to the executor as the
 // Env.PlanChoice hook.
 func (o *obsState) planChoice(choice string) {

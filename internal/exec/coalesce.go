@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"bytes"
-	"math"
 	"slices"
 	"sync"
 
@@ -19,8 +17,8 @@ import (
 // Instead of running one accumulator per (group, aggregate) with
 // per-row interface dispatch, the operator works in three flat passes:
 //
-//  1. assign every input row a group ordinal, either by hashing the
-//     grouping key or by sorting a concatenated key buffer (sort-merge);
+//  1. assign every input row a group ordinal by hashing its grouping key
+//     into a map from key to first-encounter ordinal;
 //  2. extract the period columns of every group_union argument into one
 //     (group, lo, hi) array, sort it by (group, lo), and coalesce each
 //     group's run with a single linear normalize pass;
@@ -33,15 +31,6 @@ import (
 // surprise, such as a non-Element value reaching group_union through an
 // implicit cast) falls back to the generic accumulator path, which
 // remains the semantics reference.
-
-// Cost model constants for the coalesce strategy choice (see DESIGN.md,
-// "Batched execution & temporal planning"). Units are arbitrary "row
-// touch" multiples; only ratios matter.
-const (
-	coalesceCmpCost   = 0.5  // one key comparison during sort-merge
-	coalesceHashCost  = 1.5  // hashing one key into the group map
-	coalesceGroupCost = 16.0 // creating one group map entry
-)
 
 type coalesceAggKind int
 
@@ -58,22 +47,15 @@ type coalesceAggSpec struct {
 	col  int
 }
 
-// coalescePlan is the bound fast path: group columns, aggregate specs,
-// and the statistics-driven strategy choice.
+// coalescePlan is the bound fast path: group columns and aggregate specs.
 type coalescePlan struct {
 	groupCols []int
 	aggs      []coalesceAggSpec
-	strategy  string // "sort-merge" or "hash"
-	estN      int    // estimated input rows (0 = unknown)
-	estG      int    // estimated group count
-	costMerge float64
-	costHash  float64
 }
 
 // tryCoalesce checks whether the grouped query is eligible for the
-// specialised coalesce operator and, if so, chooses the grouping
-// strategy by estimated cost. nil means the generic path runs.
-func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, sources []*source, fromSchema Schema) *coalescePlan {
+// specialised coalesce operator. nil means the generic path runs.
+func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Schema) *coalescePlan {
 	if len(sel.GroupBy) == 0 || sel.Distinct {
 		return nil
 	}
@@ -119,47 +101,7 @@ func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, sources []*so
 	if !union {
 		return nil
 	}
-
-	// Cardinality estimates: input rows from the single base table's
-	// statistics when the plan is a plain scan, group count from a hash
-	// index on the (single) grouping column when one exists.
-	if len(sources) == 1 && sources[0].tbl != nil && sources[0].snap.Stats != nil {
-		cp.estN = sources[0].snap.Stats.RowCount
-	}
-	cp.estG = cp.estN
-	if len(cp.groupCols) == 1 {
-		pos := cp.groupCols[0]
-		for _, src := range sources {
-			if src.tbl == nil || pos < src.off || pos >= src.off+len(src.schema) {
-				continue
-			}
-			if ix := src.snap.Hash[pos-src.off]; ix != nil {
-				if k := ix.KeyCount(); k > 0 {
-					cp.estG = k
-					if cp.estN > 0 && cp.estG > cp.estN {
-						cp.estG = cp.estN
-					}
-				}
-			}
-			break
-		}
-	}
-	n, g := float64(cp.estN), float64(cp.estG)
-	cp.costMerge = 2 * n * math.Log2(math.Max(n, 2)) * coalesceCmpCost
-	fan := math.Max(2, n/math.Max(g, 1))
-	cp.costHash = n*coalesceHashCost + g*coalesceGroupCost + n*math.Log2(fan)*coalesceCmpCost
-	cp.strategy = "sort-merge"
-	if cp.costHash < cp.costMerge {
-		cp.strategy = "hash"
-	}
 	return cp
-}
-
-// smEnt pairs a row's grouping-key hash with its row index; the
-// sort-merge pass orders these instead of the rows themselves.
-type smEnt struct {
-	h   uint64
-	idx int32
 }
 
 // coalesceScratch holds every working buffer of one coalesce execution.
@@ -169,14 +111,7 @@ type smEnt struct {
 // instances recycle through a pool to keep the hot path off the heap.
 type coalesceScratch struct {
 	ord     []int32
-	keys    []byte
-	offs    []int32
-	ents    []smEnt
-	tmp     []smEnt
 	first   []int32
-	perm    []int32
-	rank    []int32
-	ordered []int32
 	rowsPer []int64
 	cnt64   []int64
 	ivs     []temporal.Interval
@@ -194,9 +129,7 @@ var coalesceScratchPool = sync.Pool{New: func() any { return new(coalesceScratch
 // capacity is real memory held for the statement's whole run, whether
 // or not this run allocated it.
 func (sc *coalesceScratch) footprint() int64 {
-	return int64(cap(sc.ord))*4 + int64(cap(sc.keys)) + int64(cap(sc.offs))*4 +
-		int64(cap(sc.ents))*16 + int64(cap(sc.tmp))*16 + int64(cap(sc.first))*4 +
-		int64(cap(sc.perm))*4 + int64(cap(sc.rank))*4 + int64(cap(sc.ordered))*4 +
+	return int64(cap(sc.ord))*4 + int64(cap(sc.first))*4 +
 		int64(cap(sc.rowsPer))*8 + int64(cap(sc.cnt64))*8 +
 		int64(cap(sc.ivs))*intervalSize + int64(cap(sc.ivg))*4 +
 		int64(cap(sc.grouped))*intervalSize +
@@ -210,49 +143,6 @@ func i32buf(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
-}
-
-// i32bufRT is i32buf with any growth charged to the statement.
-func i32bufRT(rt *runtime, buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		rt.charge(int64(n) * 4)
-	}
-	return i32buf(buf, n)
-}
-
-// radixSortByHash sorts ents by h with a stable byte-wise counting
-// sort, using tmp as the ping-pong buffer, and returns the slice that
-// holds the result. Stability matters: rows with equal keys (hence
-// equal hashes) come in ascending row order and must stay that way so
-// each run's head is its group's first-encounter row. bits is the
-// number of significant hash bits (the caller folds its hash down so
-// fewer counting passes suffice).
-func radixSortByHash(ents, tmp []smEnt, bits int) []smEnt {
-	var count [256]int32
-	a, b := ents, tmp
-	for shift := 0; shift < bits; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, e := range a {
-			count[byte(e.h>>shift)]++
-		}
-		if count[byte(a[0].h>>shift)] == int32(len(a)) {
-			continue // every entry shares this digit; pass is a no-op
-		}
-		sum := int32(0)
-		for i, c := range count {
-			count[i] = sum
-			sum += c
-		}
-		for _, e := range a {
-			d := byte(e.h >> shift)
-			b[count[d]] = e
-			count[d]++
-		}
-		a, b = b, a
-	}
-	return a
 }
 
 // run executes the fast path over the materialised from rows, returning
@@ -277,138 +167,28 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 	}
 
 	// Pass 1: group ordinals. first[g] is the group's first input row.
-	ord := i32bufRT(rt, sc.ord, n)
+	if cap(sc.ord) < n {
+		rt.charge(int64(n) * 4)
+	}
+	ord := i32buf(sc.ord, n)
 	sc.ord = ord
 	first := sc.first[:0]
-	if cp.strategy == "hash" {
-		m := make(map[string]int32, 64)
-		for i, fr := range fromRows {
-			if err := rt.checkCancel(); err != nil {
-				return nil, false, err
-			}
-			rt.keybuf = rt.appendKeyCols(rt.keybuf[:0], fr, cp.groupCols)
-			g, ok := m[string(rt.keybuf)]
-			if !ok {
-				g = int32(len(first))
-				rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead + 4)
-				m[string(rt.keybuf)] = g
-				first = append(first, int32(i))
-			}
-			ord[i] = g
+	m := make(map[string]int32, 64)
+	for i, fr := range fromRows {
+		if err := rt.checkCancel(); err != nil {
+			return nil, false, err
 		}
-		sc.first = first
-	} else {
-		// Sort-merge: concatenate every row's key into one buffer, hash
-		// each key with 64-bit FNV-1a, and radix-sort (hash, row index)
-		// entries by the hash. Equal keys hash equally, so every run of
-		// equal keys is contiguous, and the stable radix passes keep
-		// duplicates in ascending row order — the head of each run is the
-		// group's first-encounter row. Distinct keys colliding on the full
-		// 64-bit hash are astronomically unlikely but handled for
-		// correctness: each multi-entry hash run is re-sorted by key bytes
-		// (insertion sort, stable), which for the overwhelmingly common
-		// all-duplicates run costs one equality check per adjacent pair.
-		keys := sc.keys[:0]
-		keysCap := cap(keys)
-		offs := i32bufRT(rt, sc.offs, n+1)
-		sc.offs = offs
-		ents := sc.ents
-		if cap(ents) < n {
-			rt.charge(int64(n) * 16)
-			ents = make([]smEnt, n)
+		rt.keybuf = rt.appendKeyCols(rt.keybuf[:0], fr, cp.groupCols)
+		g, ok := m[string(rt.keybuf)]
+		if !ok {
+			g = int32(len(first))
+			rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead + 4)
+			m[string(rt.keybuf)] = g
+			first = append(first, int32(i))
 		}
-		ents = ents[:n]
-		sc.ents = ents
-		tmp := sc.tmp
-		if cap(tmp) < n {
-			rt.charge(int64(n) * 16)
-			tmp = make([]smEnt, n)
-		}
-		tmp = tmp[:n]
-		sc.tmp = tmp
-		// The hash only has to keep distinct keys apart well enough that
-		// colliding runs stay short; folding the 64-bit FNV value down to
-		// 16 bits (24 for very wide inputs) halves-to-quarters the radix
-		// pass count, and the per-run byte sort absorbs the extra
-		// collisions.
-		bits := 16
-		if n > 1<<14 {
-			bits = 24
-		}
-		mask := uint64(1)<<bits - 1
-		offs[0] = 0
-		for i, fr := range fromRows {
-			if err := rt.checkCancel(); err != nil {
-				return nil, false, err
-			}
-			keys = rt.appendKeyCols(keys, fr, cp.groupCols)
-			if c := cap(keys); c != keysCap {
-				rt.charge(int64(c - keysCap))
-				keysCap = c
-			}
-			offs[i+1] = int32(len(keys))
-			h := uint64(14695981039346656037) // FNV-1a offset basis
-			for _, b := range keys[offs[i]:] {
-				h = (h ^ uint64(b)) * 1099511628211
-			}
-			h ^= h >> 32
-			h ^= h >> 16
-			ents[i] = smEnt{h: h & mask, idx: int32(i)}
-		}
-		sc.keys = keys
-		ents = radixSortByHash(ents, tmp, bits)
-		for i := 0; i < n; {
-			j := i + 1
-			for j < n && ents[j].h == ents[i].h {
-				j++
-			}
-			if j-i > 1 {
-				run := ents[i:j]
-				for x := 1; x < len(run); x++ {
-					for y := x; y > 0; y-- {
-						a, b := run[y].idx, run[y-1].idx
-						if bytes.Compare(keys[offs[a]:offs[a+1]], keys[offs[b]:offs[b+1]]) >= 0 {
-							break
-						}
-						run[y], run[y-1] = run[y-1], run[y]
-					}
-				}
-			}
-			i = j
-		}
-		for k, e := range ents {
-			ri := e.idx
-			if k == 0 {
-				first = append(first, ri)
-			} else if prev := ents[k-1].idx; !bytes.Equal(keys[offs[ri]:offs[ri+1]], keys[offs[prev]:offs[prev+1]]) {
-				first = append(first, ri)
-			}
-			ord[ri] = int32(len(first) - 1)
-		}
-		// Remap ordinals from hash order to first-encounter order so the
-		// emission order matches the generic operator: walk the rows in
-		// input order and hand out new ordinals as groups first appear —
-		// linear, where sorting the groups by first row would be O(g log g).
-		rank := i32buf(sc.rank, len(first))
-		sc.rank = rank
-		for g := range rank {
-			rank[g] = -1
-		}
-		ordered := i32buf(sc.ordered, len(first))
-		sc.ordered = ordered
-		next := int32(0)
-		for i := range ord {
-			g := ord[i]
-			if rank[g] < 0 {
-				rank[g] = next
-				ordered[next] = int32(i)
-				next++
-			}
-			ord[i] = rank[g]
-		}
-		sc.first = first // keep the grown buffer; `first` now aliases sc.ordered
-		first = ordered
+		ord[i] = g
 	}
+	sc.first = first
 	numGroups := len(first)
 
 	// Pass 2: aggregates, each over the flat (row -> group) mapping.

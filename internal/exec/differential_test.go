@@ -7,10 +7,9 @@ package exec_test
 // NULL elements, adjacent-period boundaries (merge under coalescing)
 // and duplicate rows (DISTINCT and set-op pressure):
 //
-//   - GROUP BY ... group_union runs the coalesce operator (sort-merge,
-//     or hash once a hash index estimates the group count); the same
-//     query with an extra MIN(v) is declined by tryCoalesce and runs
-//     the generic accumulators.
+//   - GROUP BY ... group_union runs the coalesce operator's hash
+//     grouping; the same query with an extra MIN(v) is declined by
+//     tryCoalesce and runs the generic accumulators.
 //   - ORDER BY ... LIMIT k [OFFSET o] runs the bounded top-K heap; the
 //     same query without the limit runs the full stable sort, which the
 //     test slices itself.
@@ -122,9 +121,7 @@ func coalesceDifferential(t *testing.T, s *engine.Session) {
 		`SELECT k, v, length(group_union(valid)) FROM p GROUP BY k, v ORDER BY k, v`,
 		`SELECT k, group_union(valid) FROM p GROUP BY k HAVING COUNT(*) > 10 ORDER BY k`,
 	}
-	coalesced := func() float64 {
-		return counter(s, "planner.coalesce.sort_merge") + counter(s, "planner.coalesce.hash")
-	}
+	coalesced := func() float64 { return counter(s, "planner.coalesce.hash") }
 	for _, q := range queries {
 		before, generic := coalesced(), counter(s, "planner.agg.generic")
 		got := grid(mustExec(t, s, q))
@@ -308,9 +305,9 @@ func joinDifferential(t *testing.T, s *engine.Session, indexed bool) {
 		// reference.
 		unionQ := "SELECT " + c.group + ", COUNT(*), group_union(" + c.valid + ") FROM " + c.from + where +
 			" GROUP BY " + c.group + " ORDER BY " + c.group
-		before := counter(s, "planner.coalesce.sort_merge") + counter(s, "planner.coalesce.hash")
+		before := counter(s, "planner.coalesce.hash")
 		got := grid(mustExec(t, s, unionQ))
-		if counter(s, "planner.coalesce.sort_merge")+counter(s, "planner.coalesce.hash") != before+1 {
+		if counter(s, "planner.coalesce.hash") != before+1 {
 			t.Errorf("%s: the coalesce operator did not run", unionQ)
 		}
 		want := grid(mustExec(t, s, strings.Replace(unionQ, " FROM ", ", MIN("+c.num+") FROM ", 1)))
@@ -358,17 +355,16 @@ func aliasingOperators(t *testing.T, s *engine.Session) {
 }
 
 // TestDifferential runs the whole battery twice: over bare tables
-// (full scans, sort-merge coalesce) and with hash and period indexes
-// present (index-driven scans, the period-index join, hash coalesce).
+// (full scans) and with hash and period indexes present (index-driven
+// scans, the period-index join).
 func TestDifferential(t *testing.T) {
 	for _, fx := range []struct {
-		name     string
-		seed     int64
-		indexed  bool
-		strategy string // the coalesce strategy single-column grouping must pick
+		name    string
+		seed    int64
+		indexed bool
 	}{
-		{"plain", 77, false, "planner.coalesce.sort_merge"},
-		{"indexed", 78, true, "planner.coalesce.hash"},
+		{"plain", 77, false},
+		{"indexed", 78, true},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			s := newDB(t)
@@ -385,9 +381,6 @@ func TestDifferential(t *testing.T) {
 			slabs := slabBytes(t, s, "p", "q")
 
 			coalesceDifferential(t, s)
-			if counter(s, fx.strategy) == 0 {
-				t.Errorf("%s never chosen", fx.strategy)
-			}
 			topKDifferential(t, s)
 			joinDifferential(t, s, fx.indexed)
 			aliasingOperators(t, s)

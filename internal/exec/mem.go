@@ -175,7 +175,8 @@ func (rt *runtime) pollMem() error {
 }
 
 // grow is the fallible charge for large upfront allocations (a scan's
-// row-slice hint, a hash build side sized from statistics): charge n
+// row-slice hint, projection growth and the result slice, the coalesce
+// scratch, interval and emission buffers, group emission): charge n
 // bytes and immediately check the budget, so a single allocation far
 // beyond the budget fails before the make, not a batch later.
 func (rt *runtime) grow(n int64) error {

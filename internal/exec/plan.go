@@ -274,15 +274,12 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	grouped := len(aggSpecs) > 0 || len(sel.GroupBy) > 0
 	var cp *coalescePlan
 	if grouped {
-		cp = b.tryCoalesce(sel, aggSpecs, sources, fromSchema)
+		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
 	if grouped && b.env.PlanChoice != nil {
-		switch {
-		case cp != nil && cp.strategy == "hash":
+		if cp != nil {
 			b.env.PlanChoice("coalesce.hash")
-		case cp != nil:
-			b.env.PlanChoice("coalesce.sort_merge")
-		default:
+		} else {
 			b.env.PlanChoice("agg.generic")
 		}
 	}
@@ -290,8 +287,8 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	if b.explain != nil {
 		switch {
 		case cp != nil:
-			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s); coalesce: %s (est rows=%d groups=%d, cost merge=%.0f hash=%.0f)",
-				len(sel.GroupBy), len(aggSpecs), cp.strategy, cp.estN, cp.estG, cp.costMerge, cp.costHash)
+			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s); coalesce: hash",
+				len(sel.GroupBy), len(aggSpecs))
 		case grouped:
 			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s)", len(sel.GroupBy), len(aggSpecs))
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"tip/internal/sql/ast"
@@ -129,28 +128,6 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		}
 	}
 
-	// Cost-based access-path choice for period probes. Hash probes are
-	// always taken (one bucket lookup); a period probe may touch a large
-	// fraction of the index, so when the table is past batch size and
-	// carries statistics, estimate the probe's candidate count and fall
-	// back to the full scan when re-checking the candidates would cost
-	// more than reading every row. The probe expression can only be
-	// pre-evaluated when it is parent-free (top-level query).
-	var costNote string
-	if probe != nil && probe.kind == "period" && parent == nil {
-		if st := snap.Stats; st != nil && st.RowCount > BatchRows {
-			colType := tbl.Meta.Columns[probe.col].Type
-			if idxCost, scanCost, estK, ok := b.periodProbeCost(snap, probe.col, colType, probe.probe); ok {
-				if idxCost >= scanCost {
-					costNote = fmt.Sprintf("; period index on %s rejected by cost (index=%.0f scan=%.0f est=%d)",
-						tbl.Meta.Columns[probe.col].Name, idxCost, scanCost, estK)
-					probe = nil
-				} else {
-					costNote = fmt.Sprintf(" (cost: index=%.0f scan=%.0f est=%d)", idxCost, scanCost, estK)
-				}
-			}
-		}
-	}
 	if b.env.PlanChoice != nil {
 		switch {
 		case probe != nil && probe.kind == "hash":
@@ -169,10 +146,10 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 			stScan = b.note("scan %s: hash index on %s (%d filter(s) re-checked)",
 				src.binding, tbl.Meta.Columns[probe.col].Name, len(filters))
 		case probe != nil && probe.kind == "period":
-			stScan = b.note("scan %s: period index on %s (%d filter(s) re-checked)%s",
-				src.binding, tbl.Meta.Columns[probe.col].Name, len(filters), costNote)
+			stScan = b.note("scan %s: period index on %s (%d filter(s) re-checked)",
+				src.binding, tbl.Meta.Columns[probe.col].Name, len(filters))
 		default:
-			stScan = b.note("scan %s: full scan (%d filter(s))%s", src.binding, len(filters), costNote)
+			stScan = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
 		}
 	}
 
@@ -290,95 +267,6 @@ func periodCandidates(rt *runtime, snap *TableVersion, col int, colType *types.T
 	default:
 		return nil, false, nil
 	}
-}
-
-// periodRecheckCost weighs one index candidate against one scanned row:
-// a candidate costs a point lookup in the row slab plus the filter
-// re-check, where a scanned row costs just the filter evaluation.
-const periodRecheckCost = 1.5
-
-// periodProbeCost estimates the cost of answering the scan through the
-// period index on col versus reading every row, by pre-evaluating the
-// (parent-free) probe expression and intersecting its window with the
-// column's published statistics. Selectivity uses the standard interval
-// overlap model: a stored interval of average span s overlaps a query
-// window [qlo,qhi] iff its start falls in [qlo-s, qhi], so the match
-// fraction is (window + s) / (data extent + s). ok=false means no
-// estimate could be made (no statistics, a NULL or non-temporal probe,
-// or a probe evaluation error) and the index is kept.
-func (b *binder) periodProbeCost(snap *TableVersion, col int, colType *types.Type, probe cexpr) (idxCost, scanCost float64, estK int, ok bool) {
-	st := snap.Stats
-	ps, have := st.Periods[col]
-	if !have || ps.Entries == 0 {
-		return 0, 0, 0, false
-	}
-	rt := &runtime{env: b.env}
-	pv, err := probe(rt)
-	if err != nil || pv.Null {
-		return 0, 0, 0, false
-	}
-	if cv, err := b.env.Reg.ImplicitConvert(b.env.Ctx(), pv, colType); err == nil {
-		pv = cv
-	}
-	qlo, qhi, bound := probeWindow(pv, b.env.Now)
-	if !bound {
-		return 0, 0, 0, false
-	}
-	dataW := float64(ps.Hi-ps.Lo) + 1
-	avgSpan := float64(ps.SpanSum) / float64(ps.Entries)
-	ovLo, ovHi := qlo, qhi
-	if ovLo < ps.Lo {
-		ovLo = ps.Lo
-	}
-	if ovHi > ps.Hi {
-		ovHi = ps.Hi
-	}
-	overlapW := 0.0
-	if ovHi >= ovLo {
-		overlapW = float64(ovHi-ovLo) + 1
-	}
-	sel := (overlapW + avgSpan) / (dataW + avgSpan)
-	if sel > 1 {
-		sel = 1
-	}
-	k := sel * float64(ps.Entries)
-	idxCost = math.Log2(float64(ps.Entries)+2) + k*periodRecheckCost
-	scanCost = float64(st.RowCount)
-	return idxCost, scanCost, int(k), true
-}
-
-// probeWindow returns the conservative chronon window covered by a
-// temporal probe value; ok=false for values with no interval form.
-func probeWindow(pv types.Value, now temporal.Chronon) (lo, hi int64, ok bool) {
-	switch obj := pv.Obj().(type) {
-	case temporal.Element:
-		ivs := obj.Bind(now)
-		if len(ivs) == 0 {
-			return 0, 0, false
-		}
-		lo, hi = int64(ivs[0].Lo), int64(ivs[0].Hi)
-		for _, iv := range ivs[1:] {
-			if int64(iv.Lo) < lo {
-				lo = int64(iv.Lo)
-			}
-			if int64(iv.Hi) > hi {
-				hi = int64(iv.Hi)
-			}
-		}
-		return lo, hi, true
-	case temporal.Period:
-		iv, bound := obj.Bind(now)
-		if !bound {
-			return 0, 0, false
-		}
-		return int64(iv.Lo), int64(iv.Hi), true
-	case temporal.Chronon:
-		return int64(obj), int64(obj), true
-	case temporal.Instant:
-		c := obj.Bind(now)
-		return int64(c), int64(c), true
-	}
-	return 0, 0, false
 }
 
 // refsSource reports whether the expression references any column of the

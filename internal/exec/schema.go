@@ -98,48 +98,6 @@ type TableVersion struct {
 	Rows    *storage.Version
 	Hash    map[int]*index.Hash
 	Periods map[int]*index.Period
-	// Stats are the version's table statistics, derived from components
-	// that maintain them incrementally under the table write lock (row
-	// count from the slab, period bounds/span from the index builders)
-	// and published atomically with the version. nil on versions
-	// predating statistics (the planner then skips cost estimation).
-	Stats *TableStats
-}
-
-// PeriodColStats summarises one period-indexed column: the number of
-// indexed intervals, their conservative overall bounds, and the total
-// interval width (for average-span selectivity). Bounds are exact after
-// any removal (Remove recomputes) and conservative otherwise.
-type PeriodColStats struct {
-	Entries int
-	Lo, Hi  int64
-	SpanSum int64
-}
-
-// TableStats is the statistics snapshot published with a TableVersion.
-// Distinct-key estimates are not stored here: they come from the shared
-// hash-index cores (index.Hash.KeyCount), which stay bounded by the GC
-// on the write path and over-approximate only by not-yet-reclaimed dead
-// keys.
-type TableStats struct {
-	RowCount int
-	Periods  map[int]PeriodColStats
-}
-
-// ComputeStats derives a version's statistics from its components. Row
-// count is O(1); period stats are O(#indexed columns) reads of values
-// the builders maintain incrementally. Every site that installs a
-// TableVersion calls this before Install.
-func ComputeStats(v *TableVersion) *TableStats {
-	st := &TableStats{RowCount: v.Rows.Len()}
-	if len(v.Periods) > 0 {
-		st.Periods = make(map[int]PeriodColStats, len(v.Periods))
-		for pos, ix := range v.Periods {
-			entries, lo, hi, span := ix.Stats()
-			st.Periods[pos] = PeriodColStats{Entries: entries, Lo: lo, Hi: hi, SpanSum: span}
-		}
-	}
-	return st
 }
 
 // Table is the runtime state of one table: catalog metadata plus the
@@ -153,13 +111,11 @@ type Table struct {
 // NewTable returns an empty runtime table for the given metadata.
 func NewTable(meta *catalog.TableMeta) *Table {
 	t := &Table{Meta: meta}
-	v := &TableVersion{
+	t.cur.Store(&TableVersion{
 		Rows:    storage.NewVersion(),
 		Hash:    make(map[int]*index.Hash),
 		Periods: make(map[int]*index.Period),
-	}
-	v.Stats = ComputeStats(v)
-	t.cur.Store(v)
+	})
 	return t
 }
 
@@ -189,10 +145,10 @@ type Env struct {
 	// cancelled token aborts the statement with its typed error (see
 	// cancel.go). nil means the statement cannot be cancelled.
 	Cancel *Token
-	// PlanChoice, when non-nil, is called once per planner access-path
-	// decision with a short label ("scan.full", "scan.period",
-	// "coalesce.sort_merge", ...). The engine wires it to its
-	// planner.* counters.
+	// PlanChoice, when non-nil, is called once per operator the planner
+	// picks from the query's shape, with a short label ("scan.full",
+	// "scan.period", "coalesce.hash", "agg.generic", "sort.topk"). The
+	// engine wires it to its planner.* counters.
 	PlanChoice func(choice string)
 	// Mem, when non-nil, is the statement's memory account: every
 	// buffering site charges the bytes it retains and the rationed poll

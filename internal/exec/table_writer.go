@@ -141,7 +141,6 @@ func (w *TableWriter) Commit() {
 			nv.Periods[pos] = b.Commit()
 		}
 	}
-	nv.Stats = ComputeStats(nv)
 	w.t.Install(nv)
 }
 

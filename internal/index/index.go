@@ -152,17 +152,6 @@ func (h *Hash) Lookup(key string, seq uint64) []int {
 	return ids
 }
 
-// KeyCount estimates the number of distinct indexed keys in O(1) map
-// overhead: it counts map entries without filtering for live postings,
-// so keys whose postings are all dead but not yet reclaimed inflate the
-// estimate slightly. The planner uses it as a distinct-value estimate;
-// use Len for an exact live count.
-func (h *Hash) KeyCount() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.m)
-}
-
 // Len returns the number of distinct keys with at least one live
 // posting.
 func (h *Hash) Len() int {
@@ -193,16 +182,9 @@ func (h *Hash) Len() int {
 // methods are safe for any number of concurrent readers.
 type Period struct {
 	entries []periodEntry // shared log prefix; immutable within [0, len)
-	// Statistics maintained incrementally by PeriodBuilder: conservative
-	// bounds over all entries and the summed interval width. Valid only
-	// when entries is non-empty. Appends extend the bounds exactly;
-	// Remove recomputes them exactly (it already walks every entry), so
-	// the bounds never drift wider than one rebuild.
-	stLo, stHi int64
-	spanSum    int64
-	once       sync.Once
-	sorted     []periodEntry
-	maxHi      []int64
+	once    sync.Once
+	sorted  []periodEntry
+	maxHi   []int64
 }
 
 type periodEntry struct {
@@ -233,16 +215,6 @@ func (ix *Period) Len() int {
 		return 0
 	}
 	return len(ix.entries)
-}
-
-// Stats returns the version's entry count, conservative overall bounds,
-// and summed interval width (all zero for an empty index). O(1): the
-// values are maintained incrementally by the builder.
-func (ix *Period) Stats() (entries int, lo, hi, spanSum int64) {
-	if ix == nil || len(ix.entries) == 0 {
-		return 0, 0, 0, 0
-	}
-	return len(ix.entries), ix.stLo, ix.stHi, ix.spanSum
 }
 
 func (ix *Period) build() {
@@ -310,9 +282,7 @@ func (ix *Period) SearchElement(e temporal.Element, now temporal.Chronon) []int 
 // change (appends land beyond the base version's visible length, and
 // removals copy).
 type PeriodBuilder struct {
-	entries    []periodEntry
-	stLo, stHi int64
-	spanSum    int64
+	entries []periodEntry
 }
 
 // NewPeriodBuilder starts a successor of v, which may be nil to build
@@ -321,7 +291,6 @@ func NewPeriodBuilder(v *Period) *PeriodBuilder {
 	b := &PeriodBuilder{}
 	if v != nil {
 		b.entries = v.entries
-		b.stLo, b.stHi, b.spanSum = v.stLo, v.stHi, v.spanSum
 	}
 	return b
 }
@@ -342,34 +311,16 @@ func (b *PeriodBuilder) AddPeriod(p temporal.Period, id int) {
 		return
 	}
 	b.entries = append(b.entries, periodEntry{lo: lo, hi: hi, id: id})
-	if len(b.entries) == 1 || lo < b.stLo {
-		b.stLo = lo
-	}
-	if len(b.entries) == 1 || hi > b.stHi {
-		b.stHi = hi
-	}
-	b.spanSum += hi - lo + 1
 }
 
 // Remove drops all entries of a row id, copying the survivors so
-// published versions keep theirs. The statistics are recomputed exactly
-// from the survivors — the walk is already O(n), so this keeps the
-// published bounds from drifting wider after deletions.
+// published versions keep theirs.
 func (b *PeriodBuilder) Remove(id int) {
 	out := make([]periodEntry, 0, len(b.entries))
-	b.stLo, b.stHi, b.spanSum = 0, 0, 0
 	for _, e := range b.entries {
-		if e.id == id {
-			continue
+		if e.id != id {
+			out = append(out, e)
 		}
-		if len(out) == 0 || e.lo < b.stLo {
-			b.stLo = e.lo
-		}
-		if len(out) == 0 || e.hi > b.stHi {
-			b.stHi = e.hi
-		}
-		b.spanSum += e.hi - e.lo + 1
-		out = append(out, e)
 	}
 	b.entries = out
 }
@@ -379,5 +330,5 @@ func (b *PeriodBuilder) Len() int { return len(b.entries) }
 
 // Commit publishes the builder's state as a new immutable version.
 func (b *PeriodBuilder) Commit() *Period {
-	return &Period{entries: b.entries, stLo: b.stLo, stHi: b.stHi, spanSum: b.spanSum}
+	return &Period{entries: b.entries}
 }

@@ -169,37 +169,6 @@ func (st *Stratum) OverlapJoin(table, key, pred1, pred2 string) (*exec.Result, e
 	return st.sess.Exec(OverlapJoinSQL(table, key, pred1, pred2), nil)
 }
 
-// TIPPlanVariant names one plan the in-engine side of the §5 comparison
-// runs under. The planner picks the coalesce strategy by cost, so a
-// variant steers it indirectly: UseHashIndex creates a hash index on
-// the grouping column, giving the planner a distinct-key estimate that
-// favours hash aggregation.
-type TIPPlanVariant struct {
-	Name         string
-	UseHashIndex bool
-}
-
-// CoalescePlanVariants returns the plans the E2 comparison runs the TIP
-// side under: the default sort-merge coalesce and hash-aggregation
-// coalesce (hash index on the grouping column).
-func CoalescePlanVariants() []TIPPlanVariant {
-	return []TIPPlanVariant{
-		{Name: "sort-merge"},
-		{Name: "hash-agg", UseHashIndex: true},
-	}
-}
-
-// Apply prepares a loaded TIP session for the variant.
-func (v TIPPlanVariant) Apply(sess *engine.Session, table, key string) error {
-	if v.UseHashIndex {
-		ddl := fmt.Sprintf("CREATE INDEX %s_%s_hash ON %s (%s)", table, key, table, key)
-		if _, err := sess.Exec(ddl, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Complexity measures the size of a generated query for experiment E5:
 // character count, rough token count, number of table references (FROM
 // items) and subquery nesting depth.

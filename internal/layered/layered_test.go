@@ -291,36 +291,29 @@ func TestComplexityMetrics(t *testing.T) {
 	}
 }
 
-// TestCoalescePlanVariants runs TIP's group_union under every coalesce
-// plan variant (sort-merge, hash-agg via a hash index on the grouping
-// column) and checks each against the kernel truth — the agreement leg
-// of the E2 plan-variant comparison.
-func TestCoalescePlanVariants(t *testing.T) {
-	for _, v := range layered.CoalescePlanVariants() {
-		tip, _, b := newSessions(t)
-		truth := randomPatientData2(t, tip, b, 8, 6, int64(101))
-		if err := v.Apply(tip, "rx", "patient"); err != nil {
-			t.Fatalf("%s: Apply: %v", v.Name, err)
-		}
-		res, err := tip.Exec(`SELECT patient, group_union(valid) FROM rx GROUP BY patient`, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-		if len(res.Rows) != len(truth) {
-			t.Fatalf("%s: %d groups, want %d", v.Name, len(res.Rows), len(truth))
-		}
-		for _, row := range res.Rows {
-			p := row[0].Str()
-			got := row[1].Obj().(temporal.Element)
-			if !got.Equal(truth[p], testNow) {
-				t.Errorf("%s: %s: got %s, truth %s", v.Name, p, got, truth[p])
-			}
+// TestCoalesceAgainstTruth runs TIP's group_union through the coalesce
+// operator and checks every group against the kernel truth.
+func TestCoalesceAgainstTruth(t *testing.T) {
+	tip, _, b := newSessions(t)
+	truth := randomPatientData2(t, tip, b, 8, 6, int64(101))
+	res, err := tip.Exec(`SELECT patient, group_union(valid) FROM rx GROUP BY patient`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(truth) {
+		t.Fatalf("%d groups, want %d", len(res.Rows), len(truth))
+	}
+	for _, row := range res.Rows {
+		p := row[0].Str()
+		got := row[1].Obj().(temporal.Element)
+		if !got.Equal(truth[p], testNow) {
+			t.Errorf("%s: got %s, truth %s", p, got, truth[p])
 		}
 	}
 }
 
 // randomPatientData2 is randomPatientData without the stratum side, for
-// TIP-only variant checks.
+// TIP-only checks.
 func randomPatientData2(t *testing.T, tip *engine.Session, b *core.Blade,
 	patients, periodsPer int, seed int64) map[string]temporal.Element {
 	t.Helper()

@@ -82,9 +82,9 @@ var parityCorpus = []string{
 	`SELECT CAST(a AS INT), b::VARCHAR(10)::Element FROM t`,
 	`SELECT 1 + 2 * 3 - 4 / 5 % 6, a || b || 'c'`,
 	`SELECT a = b = c, 1 < 2 <= 3, x != y, x <> y`,
-	`SELECT a::END FROM t`,  // type names may be reserved words
-	`SELECT all a from t`,   // ALL quantifier on a plain select
-	`SELECT a all FROM t`,   // ALL is not reserved, so it aliases
+	`SELECT a::END FROM t`,                      // type names may be reserved words
+	`SELECT all a from t`,                       // ALL quantifier on a plain select
+	`SELECT a all FROM t`,                       // ALL is not reserved, so it aliases
 	`SELECT intersect(a, b), left(s, 1) FROM t`, // reserved words as call names
 	`SELECT t.* FROM t`, `SELECT from.* FROM from`,
 	`SELECT a NOT IN (1, 2) FROM t`,

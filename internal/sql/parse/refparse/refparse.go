@@ -496,7 +496,7 @@ func (p *parser) delete() (ast.Statement, error) {
 
 func (p *parser) set() (ast.Statement, error) {
 	p.advance() // SET
-	kind := 0 // 0 = NOW, 1 = STATEMENT_TIMEOUT, 2 = STATEMENT_MEMORY
+	kind := 0   // 0 = NOW, 1 = STATEMENT_TIMEOUT, 2 = STATEMENT_MEMORY
 	switch {
 	case p.accept("NOW"):
 	case p.accept("STATEMENT_TIMEOUT"):

@@ -113,7 +113,7 @@ var kwNames = [kwMax]string{
 	KwHash: "HASH", KwIf: "IF",
 	KwIndex: "INDEX", KwInto: "INTO", KwNow: "NOW", KwOuter: "OUTER",
 	KwPeriod: "PERIOD", KwRollback: "ROLLBACK", KwShow: "SHOW",
-	KwStatementMemory: "STATEMENT_MEMORY",
+	KwStatementMemory:  "STATEMENT_MEMORY",
 	KwStatementTimeout: "STATEMENT_TIMEOUT", KwTable: "TABLE",
 	KwTables: "TABLES", KwTransaction: "TRANSACTION", KwUsing: "USING",
 	KwWork: "WORK",

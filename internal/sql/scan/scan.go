@@ -2,7 +2,7 @@
 // lexer is a byte-scan state machine built for the cache-miss hot path:
 // a 256-entry character-class table dispatches each byte, identifier
 // and number tokens are sub-slices of the source (never copies), string
-// literals are sub-slices unless a '' escape forces a copy, keywords
+// literals are sub-slices unless a doubled-quote escape forces a copy, keywords
 // are resolved once at scan time through a hash-bucketed table fed by a
 // rolling case-fold hash computed during the identifier scan (the
 // token carries a KwID), and operators carry a SymID so the parser
@@ -11,7 +11,7 @@
 // tests and the frozen reference parser).
 //
 // Dialect notes: identifiers and keywords are case-insensitive;
-// strings are single-quoted with '' escaping; numbers are integer or
+// strings are single-quoted with doubled-quote escaping; numbers are integer or
 // float literals where a fraction requires a digit after the '.' ("1."
 // is the number 1 followed by the qualified-name dot, and ".5" is a dot
 // followed by 5 — leading-dot floats are deliberately not a literal
@@ -43,26 +43,26 @@ type SymID uint8
 
 // Symbol ids. SymNone marks a non-symbol token.
 const (
-	SymNone   SymID = iota
-	SymLParen       // (
-	SymRParen       // )
-	SymComma        // ,
-	SymDot          // .
-	SymStar         // *
-	SymSlash        // /
-	SymPlus         // +
-	SymMinus        // -
-	SymPercent      // %
-	SymEq           // =
-	SymLt           // <
-	SymGt           // >
-	SymLe           // <=
-	SymGe           // >=
-	SymNe           // <>
-	SymNeBang       // != (canonicalised to <> by the parser)
-	SymConcat       // ||
-	SymCast         // :: (Informix explicit cast)
-	SymSemi         // ;
+	SymNone    SymID = iota
+	SymLParen        // (
+	SymRParen        // )
+	SymComma         // ,
+	SymDot           // .
+	SymStar          // *
+	SymSlash         // /
+	SymPlus          // +
+	SymMinus         // -
+	SymPercent       // %
+	SymEq            // =
+	SymLt            // <
+	SymGt            // >
+	SymLe            // <=
+	SymGe            // >=
+	SymNe            // <>
+	SymNeBang        // != (canonicalised to <> by the parser)
+	SymConcat        // ||
+	SymCast          // :: (Informix explicit cast)
+	SymSemi          // ;
 
 	NSym // number of symbol ids (array-table bound)
 )
@@ -84,7 +84,7 @@ func (s SymID) String() string {
 }
 
 // Token is one lexical unit. Text is a sub-slice of the source for
-// Ident, Number and Param tokens (and for String tokens without ''
+// Ident, Number and Param tokens (and for String tokens without doubled-quote
 // escapes), so a retained token keeps its source string alive. The
 // struct is kept to 24 bytes — the parser's token window is copied on
 // every advance.
@@ -382,7 +382,7 @@ func (l *Lexer) number(t *Token, start int) error {
 }
 
 // str scans a single-quoted string literal. The fast path returns a
-// sub-slice of the source; only a '' escape forces a copy.
+// sub-slice of the source; only a doubled-quote escape forces a copy.
 func (l *Lexer) str(t *Token, start int) error {
 	src := l.src
 	pos := start + 1
@@ -400,7 +400,7 @@ func (l *Lexer) str(t *Token, start int) error {
 	return l.errAt(start, "unterminated string starting")
 }
 
-// strEscaped finishes a string literal whose first '' escape sits at
+// strEscaped finishes a string literal whose first doubled-quote escape sits at
 // firstEsc, building the unescaped text in a copy.
 func (l *Lexer) strEscaped(t *Token, start, firstEsc int) error {
 	src := l.src

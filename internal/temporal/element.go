@@ -65,7 +65,7 @@ func MustElement(periods ...Period) Element {
 // normalizing them (sort, drop empties, merge overlapping and adjacent
 // runs) exactly as the element algebra does. It exists so callers that
 // assemble interval sets outside the algebra — the executor's
-// sort-merge coalesce operator — produce elements identical to the ones
+// coalesce operator — produce elements identical to the ones
 // MakeElement-based aggregation yields. Normalization is linear when
 // the input is already sorted by Lo.
 func ElementOfIntervals(ivs []Interval) Element {
