@@ -38,8 +38,8 @@ type Routine struct {
 	Name string
 	// Params are the formal parameter types.
 	Params []*types.Type
-	// Result is the routine's static result type. A nil Result marks a
-	// polymorphic routine whose result type depends on its inputs.
+	// Result is the routine's static result type, required: the
+	// executor types every call site with it before the first row.
 	Result *types.Type
 	// Strict routines are not invoked on NULL input: a typed NULL of the
 	// Result type is produced instead. Virtually all TIP routines are
@@ -175,9 +175,13 @@ func (r *Registry) TypeNames() []string {
 	return out
 }
 
-// RegisterRoutine adds one routine overload. An overload with identical
-// parameter types as an existing one is rejected.
+// RegisterRoutine adds one routine overload. An overload without a
+// result type, or with identical parameter types as an existing one, is
+// rejected.
 func (r *Registry) RegisterRoutine(rt *Routine) error {
+	if rt.Result == nil {
+		return fmt.Errorf("blade: routine %s%s declares no result type", rt.Name, typeList(rt.Params))
+	}
 	key := strings.ToLower(rt.Name)
 	for _, ex := range r.routines[key] {
 		if sameParams(ex.Params, rt.Params) {
@@ -362,25 +366,6 @@ func (r *Registry) Resolve(name string, args []*types.Type) (*Resolution, error)
 	return best, nil
 }
 
-// Invoke resolves and evaluates a routine call in one step: implicit casts
-// are applied (into args, as in Call), strict routines short-circuit NULL
-// inputs.
-func (r *Registry) Invoke(ctx *Ctx, name string, args []types.Value) (types.Value, error) {
-	argTypes := make([]*types.Type, len(args))
-	for i, a := range args {
-		if a.Null && a.T == nil {
-			argTypes[i] = types.TNull
-		} else {
-			argTypes[i] = a.T
-		}
-	}
-	res, err := r.Resolve(name, argTypes)
-	if err != nil {
-		return types.Value{}, err
-	}
-	return r.Call(ctx, res, args, nil)
-}
-
 // Call evaluates a previously resolved routine against concrete arguments.
 // Strict routines short-circuit NULL inputs before any cast, so a NULL
 // beside an inconvertible value stays a NULL result. Otherwise the
@@ -393,11 +378,7 @@ func (r *Registry) Call(ctx *Ctx, res *Resolution, args []types.Value, memo []Ca
 	if rt.Strict {
 		for _, a := range args {
 			if a.Null {
-				result := rt.Result
-				if result == nil {
-					result = types.TNull
-				}
-				return types.NewNull(result), nil
+				return types.NewNull(rt.Result), nil
 			}
 		}
 	}
@@ -408,7 +389,7 @@ func (r *Registry) Call(ctx *Ctx, res *Resolution, args []types.Value, memo []Ca
 		var cv types.Value
 		var err error
 		if memo != nil {
-			cv, err = memo[i].apply(ctx, c, args[i])
+			cv, err = memo[i].Apply(ctx, c, args[i])
 		} else {
 			cv, err = c.apply(ctx, args[i])
 		}
@@ -433,17 +414,17 @@ func (c *Cast) apply(ctx *Ctx, v types.Value) (types.Value, error) {
 	return out, nil
 }
 
-// CastMemo is one call-site argument position's last implicit
-// conversion (see Call). The zero value is empty. A cast sees the Ctx and
-// so may depend on NOW; keep a memo for one execution, no longer.
+// CastMemo is one call-site position's last implicit conversion (see
+// Call). The zero value is empty. A cast sees the Ctx and so may depend
+// on NOW; keep a memo for one execution, no longer.
 type CastMemo struct {
 	cast    *Cast
 	in, out types.Value
 }
 
-// apply converts v along c, reusing the previous result when both the
-// cast and the input are unchanged.
-func (m *CastMemo) apply(ctx *Ctx, c *Cast, v types.Value) (types.Value, error) {
+// Apply converts the non-NULL v along c, reusing the previous result
+// when both the cast and the input are unchanged.
+func (m *CastMemo) Apply(ctx *Ctx, c *Cast, v types.Value) (types.Value, error) {
 	if m.cast == c && sameInput(m.in, v) {
 		return m.out, nil
 	}

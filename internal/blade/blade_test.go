@@ -12,6 +12,19 @@ import (
 
 func ctx() *Ctx { return &Ctx{} }
 
+// invoke resolves name against the arguments' types and calls it.
+func invoke(r *Registry, name string, args []types.Value) (types.Value, error) {
+	argTypes := make([]*types.Type, len(args))
+	for i, a := range args {
+		argTypes[i] = a.T
+	}
+	res, err := r.Resolve(name, argTypes)
+	if err != nil {
+		return types.Value{}, err
+	}
+	return r.Call(ctx(), res, args, nil)
+}
+
 func TestBuiltinRoutines(t *testing.T) {
 	r := NewRegistry()
 	tests := []struct {
@@ -37,7 +50,7 @@ func TestBuiltinRoutines(t *testing.T) {
 		{"least", []types.Value{types.NewInt(2), types.NewInt(9)}, "2"},
 	}
 	for _, tt := range tests {
-		got, err := r.Invoke(ctx(), tt.name, tt.args)
+		got, err := invoke(r, tt.name, tt.args)
 		if err != nil {
 			t.Errorf("%s: %v", tt.name, err)
 			continue
@@ -55,11 +68,11 @@ func TestDivisionByZero(t *testing.T) {
 		{types.NewFloat(1), types.NewFloat(0)},
 		{types.NewInt(1), types.NewInt(0)},
 	} {
-		if _, err := r.Invoke(ctx(), "/", args); err == nil {
+		if _, err := invoke(r, "/", args); err == nil {
 			t.Error("division by zero should fail")
 		}
 	}
-	if _, err := r.Invoke(ctx(), "%", []types.Value{types.NewInt(1), types.NewInt(0)}); err == nil {
+	if _, err := invoke(r, "%", []types.Value{types.NewInt(1), types.NewInt(0)}); err == nil {
 		t.Error("modulo by zero should fail")
 	}
 }
@@ -107,8 +120,8 @@ func TestAmbiguityDetected(t *testing.T) {
 	r.MustRegisterCast(&Cast{From: cT, To: a, Implicit: true, Fn: id})
 	r.MustRegisterCast(&Cast{From: cT, To: bT, Implicit: true, Fn: id})
 	fn := func(_ *Ctx, args []types.Value) (types.Value, error) { return args[0], nil }
-	r.MustRegisterRoutine(&Routine{Name: "f", Params: []*types.Type{a}, Fn: fn})
-	r.MustRegisterRoutine(&Routine{Name: "f", Params: []*types.Type{bT}, Fn: fn})
+	r.MustRegisterRoutine(&Routine{Name: "f", Params: []*types.Type{a}, Result: a, Fn: fn})
+	r.MustRegisterRoutine(&Routine{Name: "f", Params: []*types.Type{bT}, Result: bT, Fn: fn})
 	_, err := r.Resolve("f", []*types.Type{cT})
 	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("ambiguity error = %v", err)
@@ -117,7 +130,7 @@ func TestAmbiguityDetected(t *testing.T) {
 
 func TestStrictNullHandling(t *testing.T) {
 	r := NewRegistry()
-	got, err := r.Invoke(ctx(), "upper", []types.Value{types.NewNull(types.TString)})
+	got, err := invoke(r, "upper", []types.Value{types.NewNull(types.TString)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +245,7 @@ func TestRoutineErrorsAreWrapped(t *testing.T) {
 		Fn: func(*Ctx, []types.Value) (types.Value, error) {
 			return types.Value{}, fmt.Errorf("kaboom")
 		}})
-	_, err := r.Invoke(ctx(), "boom", []types.Value{types.NewInt(1)})
+	_, err := invoke(r, "boom", []types.Value{types.NewInt(1)})
 	if err == nil || !strings.Contains(err.Error(), "boom: kaboom") {
 		t.Errorf("wrapped error = %v", err)
 	}
@@ -275,12 +288,16 @@ func TestResolveExact(t *testing.T) {
 
 func TestDuplicateOverloadRejected(t *testing.T) {
 	r := NewRegistry()
+	fn := func(*Ctx, []types.Value) (types.Value, error) { return types.Value{}, nil }
 	err := r.RegisterRoutine(&Routine{
-		Name: "+", Params: []*types.Type{types.TInt, types.TInt},
-		Fn: func(*Ctx, []types.Value) (types.Value, error) { return types.Value{}, nil },
+		Name: "+", Params: []*types.Type{types.TInt, types.TInt}, Result: types.TInt, Fn: fn,
 	})
-	if err == nil {
-		t.Error("duplicate overload should fail")
+	if err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Errorf("duplicate overload error = %v", err)
+	}
+	err = r.RegisterRoutine(&Routine{Name: "untyped", Params: []*types.Type{types.TInt}, Fn: fn})
+	if err == nil || !strings.Contains(err.Error(), "no result type") {
+		t.Errorf("untyped routine error = %v", err)
 	}
 }
 

@@ -189,12 +189,22 @@ func TestPaperQ4Coalesce(t *testing.T) {
 }
 
 // TestPaperChrononPlusChrononIsTypeError checks the §2 rule that a
-// Chronon plus a Chronon is a type error.
+// Chronon plus a Chronon is a type error, reported when the statement is
+// bound: the table is empty, so no row ever evaluates the expression.
+// Routine arguments and comparisons no overload accepts fail the same
+// way.
 func TestPaperChrononPlusChrononIsTypeError(t *testing.T) {
 	_, s, _ := newTestDB(t)
-	_, err := s.Exec(`SELECT patientdob + patientdob FROM Prescription`, nil)
-	if err == nil {
-		t.Skip("no rows, expression never evaluated; insert one row")
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT patientdob + patientdob FROM Prescription`, "no overload of +"},
+		{`SELECT start(valid) + start(valid) FROM Prescription`, "no overload of +"},
+		{`SELECT patient FROM Prescription WHERE overlaps(valid, 5)`, "no overload of overlaps"},
+		{`SELECT patient FROM Prescription WHERE valid < 3`, "cannot compare Element < INT"},
+	} {
+		_, err := s.Exec(c.sql, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s on an empty table: err = %v, want %q", c.sql, err, c.want)
+		}
 	}
 }
 

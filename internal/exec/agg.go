@@ -10,8 +10,8 @@ import (
 
 // Aggregation: the built-in aggregates (COUNT, SUM, AVG, MIN, MAX) plus
 // blade-registered user-defined aggregates such as TIP's group_union.
-// Implementation selection is lazy — the first non-NULL input picks the
-// accumulator — so the engine stays dynamically typed.
+// Each call site's implementation, implicit cast and result type are
+// fixed at bind time from the argument's static type (bindAgg).
 
 var builtinAggs = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true,
@@ -30,95 +30,87 @@ type aggSpec struct {
 	arg      cexpr // nil for COUNT(*)
 	distinct bool
 	star     bool
+
+	// Fixed by bindAgg:
+	typ      *types.Type           // result type
+	newState func() blade.AggState // nil for COUNT and a NULL-typed argument
+	agg      *blade.Aggregate      // the blade aggregate, nil for built-in states
+	cast     *blade.Cast           // implicit cast into agg's parameter type
+	memo     blade.CastMemo
+}
+
+// bindAgg binds the argument of one aggregate call site and picks its
+// implementation from the argument's type: built-in numeric states for
+// SUM/AVG, the order-based state for MIN/MAX, and blade user-defined
+// aggregates for everything else (including SUM over UDTs like Span).
+func (b *binder) bindAgg(spec *aggSpec, sc *bindScope) error {
+	if spec.star { // COUNT(*)
+		spec.typ = types.TInt
+		return nil
+	}
+	arg, at, err := b.bind(spec.call.Args[0], sc)
+	if err != nil {
+		return err
+	}
+	spec.arg = arg
+	switch {
+	case spec.name == "count":
+		spec.typ = types.TInt
+	case at == types.TNull:
+		spec.typ = types.TNull // no input is ever non-NULL
+	case spec.name == "sum" && at.Kind == types.KindInt:
+		spec.typ, spec.newState = types.TInt, func() blade.AggState { return &sumIntState{} }
+	case spec.name == "sum" && at.Kind == types.KindFloat:
+		spec.typ, spec.newState = types.TFloat, func() blade.AggState { return &sumFloatState{} }
+	case spec.name == "avg" && (at.Kind == types.KindInt || at.Kind == types.KindFloat):
+		spec.typ, spec.newState = types.TFloat, func() blade.AggState { return &avgState{} }
+	case spec.name == "min" || spec.name == "max":
+		isMin := spec.name == "min"
+		spec.typ, spec.newState = at, func() blade.AggState { return &minMaxState{min: isMin} }
+	default:
+		agg, cast, err := b.env.Reg.ResolveAggregate(spec.name, at)
+		if err != nil {
+			return err
+		}
+		spec.typ, spec.newState, spec.agg, spec.cast = agg.Result, agg.New, agg, cast
+	}
+	return nil
 }
 
 // collectAggs walks the given expressions gathering aggregate call sites.
-// It does not descend into subqueries (their aggregates are their own)
-// nor into aggregate arguments (nested aggregates are an error).
+// It does not descend into subqueries (their aggregates are their own),
+// and an aggregate inside another's argument is an error.
 func (b *binder) collectAggs(exprs []ast.Expr) ([]*aggSpec, error) {
 	var specs []*aggSpec
-	var walk func(e ast.Expr, inAgg bool) error
-	walk = func(e ast.Expr, inAgg bool) error {
-		switch n := e.(type) {
-		case nil:
-			return nil
-		case *ast.Unary:
-			return walk(n.X, inAgg)
-		case *ast.Binary:
-			if err := walk(n.L, inAgg); err != nil {
-				return err
-			}
-			return walk(n.R, inAgg)
-		case *ast.Call:
-			if b.isAggregate(n.LowerName()) {
-				if inAgg {
-					return fmt.Errorf("exec: nested aggregate %s", n.Name)
-				}
-				spec := &aggSpec{call: n, name: n.LowerName(), distinct: n.Distinct, star: n.Star}
-				if !n.Star {
-					if len(n.Args) != 1 {
-						return fmt.Errorf("exec: aggregate %s takes one argument", n.Name)
-					}
-				}
-				specs = append(specs, spec)
-				if !n.Star {
-					return walk(n.Args[0], true)
-				}
-				return nil
-			}
-			for _, a := range n.Args {
-				if err := walk(a, inAgg); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *ast.Cast:
-			return walk(n.X, inAgg)
-		case *ast.IsNull:
-			return walk(n.X, inAgg)
-		case *ast.Between:
-			if err := walk(n.X, inAgg); err != nil {
-				return err
-			}
-			if err := walk(n.Lo, inAgg); err != nil {
-				return err
-			}
-			return walk(n.Hi, inAgg)
-		case *ast.InList:
-			if err := walk(n.X, inAgg); err != nil {
-				return err
-			}
-			for _, item := range n.List {
-				if err := walk(item, inAgg); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *ast.Like:
-			if err := walk(n.X, inAgg); err != nil {
-				return err
-			}
-			return walk(n.Pattern, inAgg)
-		case *ast.Case:
-			if err := walk(n.Operand, inAgg); err != nil {
-				return err
-			}
-			for _, w := range n.Whens {
-				if err := walk(w.Cond, inAgg); err != nil {
-					return err
-				}
-				if err := walk(w.Then, inAgg); err != nil {
-					return err
-				}
-			}
-			return walk(n.Else, inAgg)
-		default:
-			// Literals, params, column refs, subqueries: nothing to do.
-			return nil
-		}
+	var err error
+	aggCall := func(x ast.Expr) (*ast.Call, bool) {
+		n, ok := x.(*ast.Call)
+		return n, ok && b.isAggregate(n.LowerName())
 	}
 	for _, e := range exprs {
-		if err := walk(e, false); err != nil {
+		walkExpr(e, func(x ast.Expr) bool {
+			n, ok := aggCall(x)
+			if !ok {
+				return true
+			}
+			switch {
+			case n.Star && n.LowerName() != "count":
+				err = fmt.Errorf("exec: %s(*) is not allowed", n.Name)
+			case !n.Star && len(n.Args) != 1:
+				err = fmt.Errorf("exec: aggregate %s takes one argument", n.Name)
+			}
+			for _, a := range n.Args {
+				walkExpr(a, func(y ast.Expr) bool {
+					if inner, ok := aggCall(y); ok && err == nil {
+						err = fmt.Errorf("exec: nested aggregate %s", inner.Name)
+					}
+					return err == nil
+				})
+			}
+			specs = append(specs, &aggSpec{call: n, name: n.LowerName(), distinct: n.Distinct, star: n.Star})
+			return err == nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -221,16 +213,17 @@ func (gt *groupTable) rows(rt *runtime) ([]Row, error) {
 
 // aggAcc is the runtime accumulator for one aggregate call in one group.
 type aggAcc struct {
-	spec   *aggSpec
-	count  int64
-	state  blade.AggState
-	cast   *blade.Cast
-	chosen bool
-	seen   map[string]struct{}
+	spec  *aggSpec
+	count int64
+	state blade.AggState
+	seen  map[string]struct{}
 }
 
 func newAggAcc(spec *aggSpec) *aggAcc {
 	acc := &aggAcc{spec: spec}
+	if spec.newState != nil {
+		acc.state = spec.newState()
+	}
 	if spec.distinct {
 		acc.seen = make(map[string]struct{})
 	}
@@ -259,69 +252,24 @@ func (a *aggAcc) add(rt *runtime) error {
 		a.seen[k] = struct{}{}
 	}
 	a.count++
-	if a.spec.name == "count" {
+	if a.state == nil {
 		return nil
 	}
-	if !a.chosen {
-		if err := a.choose(rt, v); err != nil {
+	if c := a.spec.cast; c != nil {
+		if v, err = a.spec.memo.Apply(rt.env.Ctx(), c, v); err != nil {
 			return err
 		}
-	}
-	if a.cast != nil {
-		cv, err := a.cast.Fn(rt.env.Ctx(), v)
-		if err != nil {
-			return err
-		}
-		v = cv
 	}
 	return a.state.Step(rt.env.Ctx(), v)
 }
 
-// choose picks the accumulator implementation from the first value's
-// type: built-in numeric implementations for SUM/AVG, the generic
-// order-based implementation for MIN/MAX, and blade user-defined
-// aggregates for everything else (including SUM over UDTs like Span).
-func (a *aggAcc) choose(rt *runtime, v types.Value) error {
-	a.chosen = true
-	numeric := v.T.Kind == types.KindInt || v.T.Kind == types.KindFloat
-	switch a.spec.name {
-	case "sum":
-		if numeric {
-			if v.T.Kind == types.KindInt {
-				a.state = &sumIntState{}
-			} else {
-				a.state = &sumFloatState{}
-			}
-			return nil
-		}
-	case "avg":
-		if numeric {
-			a.state = &avgState{}
-			return nil
-		}
-	case "min":
-		a.state = &minMaxState{min: true}
-		return nil
-	case "max":
-		a.state = &minMaxState{}
-		return nil
-	}
-	agg, cast, err := rt.env.Reg.ResolveAggregate(a.spec.name, v.T)
-	if err != nil {
-		return err
-	}
-	a.state = agg.New()
-	a.cast = cast
-	return nil
-}
-
 // final produces the aggregate's result for the group.
 func (a *aggAcc) final(rt *runtime) (types.Value, error) {
-	if a.spec.name == "count" {
+	switch {
+	case a.spec.name == "count":
 		return types.NewInt(a.count), nil
-	}
-	if !a.chosen {
-		return types.NewNull(types.TNull), nil // empty input
+	case a.count == 0 || a.state == nil:
+		return types.NewNull(a.spec.typ), nil // no non-NULL input
 	}
 	return a.state.Final(rt.env.Ctx())
 }

@@ -108,6 +108,38 @@ func TestLiteralProbeAllocs(t *testing.T) {
 	}
 }
 
+// TestRowExprAllocs pins per-row expressions whose overloads, comparisons
+// and casts are chosen at bind time: arithmetic and a comparison over
+// INT columns allocate nothing per row, and comparing a routine's Span
+// result with a string literal allocates only the Span's box, because
+// the literal converts once per statement.
+func TestRowExprAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	small, large := newDB(t), newDB(t)
+	seedAllocRx(t, small, 300)
+	seedAllocRx(t, large, 3000)
+	for _, c := range []struct {
+		sql    string
+		perRow float64 // allocations per extra row allowed
+	}{
+		{`SELECT SUM(dosage + 1) FROM rx`, 0},
+		{`SELECT COUNT(*) FROM rx WHERE dosage * 2 > 50`, 0},
+		{`SELECT COUNT(*) FROM rx WHERE length(valid) > '3 00:00:00'`, 1},
+	} {
+		s, l := stmtAllocs(t, small, c.sql, nil), stmtAllocs(t, large, c.sql, nil)
+		perRow := (l - s) / 2700
+		t.Logf("%s: %.0f allocations over 300 rows, %.0f over 3,000 (%.2f per extra row)", c.sql, s, l, perRow)
+		switch {
+		case c.perRow == 0 && l >= 1.5*s:
+			t.Errorf("%s allocates %.0f objects over 300 rows but %.0f over 3,000: per-row allocation is back", c.sql, s, l)
+		case c.perRow > 0 && perRow > c.perRow:
+			t.Errorf("%s allocates %.2f objects per extra row; the bound is %.0f", c.sql, perRow, c.perRow)
+		}
+	}
+}
+
 // The point statements of the insert and point-read workloads: a hash
 // point read of a patient with eight rows and a parameterised INSERT.
 // The bounds are their measured counts (go 1.24, amd64); work on the

@@ -2,11 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
-	"tip/internal/blade"
 	"tip/internal/sql/ast"
 	"tip/internal/types"
 )
@@ -20,26 +18,13 @@ type bindScope struct {
 	agg    *aggContext
 }
 
-// depthOf returns how many levels up sc sits from the innermost scope
-// `from`.
-func depthOf(from, sc *bindScope) int {
-	d := 0
-	for s := from; s != nil; s = s.parent {
-		if s == sc {
-			return d
-		}
-		d++
-	}
-	return -1
-}
-
 // aggContext maps aggregate calls and group-by expressions onto slots of
 // the group row ([group values..., aggregate results...]).
 type aggContext struct {
-	// slots assigns each aggregate call its result position after base.
-	slots map[*ast.Call]int
-	// base is the group-row offset where aggregate results start.
-	base int
+	// specs are the aggregate call sites; specs[i]'s result sits at
+	// base+i.
+	specs []*aggSpec
+	base  int
 	// groupKeys are canonical renderings of the group-by expressions;
 	// a projection expression matching groupKeys[i] reads group slot i.
 	groupKeys []string
@@ -85,8 +70,15 @@ func (b *binder) note(format string, args ...any) *OpStats {
 	return n.st
 }
 
-// bind compiles e for evaluation in scope sc.
-func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, error) {
+// bind compiles e for evaluation in scope sc and returns its static
+// type: column types come from the schema, literal and parameter types
+// from the value, routine and aggregate result types from the blade
+// registry. Every overload, comparison and implicit cast is chosen here,
+// once per call site, so a no-such-overload error surfaces before the
+// first row. Binding runs once per execution (the plan cache keeps
+// ASTs), so parameter values and NOW are known. types.TNull types an
+// expression that is NULL on every row.
+func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, *types.Type, error) {
 	// In the projection of a grouped query, an expression syntactically
 	// equal to a GROUP BY expression reads the precomputed group slot
 	// (e.g. SELECT sal/100 ... GROUP BY sal/100).
@@ -96,35 +88,28 @@ func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, error) {
 			for i, gk := range sc.agg.groupKeys {
 				if gk == key {
 					slot := i
-					return func(rt *runtime) (types.Value, error) { return rt.at(0)[slot], nil }, nil
+					return func(rt *runtime) (types.Value, error) { return rt.at(0)[slot], nil }, sc.schema[slot].Type, nil
 				}
 			}
 		}
 	}
 	switch n := e.(type) {
 	case *ast.IntLit:
-		v := types.NewInt(n.V)
-		return func(*runtime) (types.Value, error) { return v, nil }, nil
+		return literal(types.NewInt(n.V))
 	case *ast.FloatLit:
-		v := types.NewFloat(n.V)
-		return func(*runtime) (types.Value, error) { return v, nil }, nil
+		return literal(types.NewFloat(n.V))
 	case *ast.StringLit:
-		v := types.NewString(n.V)
-		return func(*runtime) (types.Value, error) { return v, nil }, nil
+		return literal(types.NewString(n.V))
 	case *ast.BoolLit:
-		v := types.NewBool(n.V)
-		return func(*runtime) (types.Value, error) { return v, nil }, nil
+		return literal(types.NewBool(n.V))
 	case *ast.NullLit:
-		return func(*runtime) (types.Value, error) { return types.NewNull(types.TNull), nil }, nil
+		return literal(types.NewNull(types.TNull))
 	case *ast.Param:
-		name := n.Name
-		return func(rt *runtime) (types.Value, error) {
-			v, ok := rt.env.Params[name]
-			if !ok {
-				return types.Value{}, fmt.Errorf("exec: missing parameter :%s", name)
-			}
-			return v, nil
-		}, nil
+		v, ok := b.env.Params[n.Name]
+		if !ok {
+			return nil, nil, fmt.Errorf("exec: missing parameter :%s", n.Name)
+		}
+		return literal(v)
 	case *ast.ColumnRef:
 		return b.bindColumn(n, sc)
 	case *ast.Unary:
@@ -136,9 +121,9 @@ func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, error) {
 	case *ast.Cast:
 		return b.bindCast(n, sc)
 	case *ast.IsNull:
-		x, err := b.bind(n.X, sc)
+		x, _, err := b.bind(n.X, sc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		not := n.Not
 		return func(rt *runtime) (types.Value, error) {
@@ -147,7 +132,7 @@ func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, error) {
 				return types.Value{}, err
 			}
 			return types.NewBool(v.Null != not), nil
-		}, nil
+		}, types.TBool, nil
 	case *ast.Between:
 		return b.bindBetween(n, sc)
 	case *ast.InList:
@@ -159,7 +144,7 @@ func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, error) {
 	case *ast.Exists:
 		plan, err := b.bindSelect(n.Subquery, sc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		not := n.Not
 		return func(rt *runtime) (types.Value, error) {
@@ -168,14 +153,14 @@ func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, error) {
 				return types.Value{}, err
 			}
 			return types.NewBool((len(res.Rows) > 0) != not), nil
-		}, nil
+		}, types.TBool, nil
 	case *ast.Subquery:
 		plan, err := b.bindSelect(n.Query, sc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(plan.outSchema) != 1 {
-			return nil, fmt.Errorf("exec: scalar subquery must return one column")
+			return nil, nil, fmt.Errorf("exec: scalar subquery must return one column")
 		}
 		return func(rt *runtime) (types.Value, error) {
 			res, err := plan.run(rt)
@@ -190,32 +175,41 @@ func (b *binder) bind(e ast.Expr, sc *bindScope) (cexpr, error) {
 			default:
 				return types.Value{}, fmt.Errorf("exec: scalar subquery returned %d rows", len(res.Rows))
 			}
-		}, nil
+		}, plan.outSchema[0].Type, nil
 	default:
-		return nil, fmt.Errorf("exec: unsupported expression %T", e)
+		return nil, nil, fmt.Errorf("exec: unsupported expression %T", e)
 	}
 }
 
-func (b *binder) bindColumn(n *ast.ColumnRef, sc *bindScope) (cexpr, error) {
+// literal binds a constant; a NULL without a type is NULL-typed.
+func literal(v types.Value) (cexpr, *types.Type, error) {
+	t := v.T
+	if t == nil {
+		t = types.TNull
+	}
+	return func(*runtime) (types.Value, error) { return v, nil }, t, nil
+}
+
+func (b *binder) bindColumn(n *ast.ColumnRef, sc *bindScope) (cexpr, *types.Type, error) {
 	depth := 0
 	for s := sc; s != nil; s = s.parent {
 		idx, err := s.schema.Resolve(n.Table, n.Column)
 		if err == nil {
 			d, i := depth, idx
-			return func(rt *runtime) (types.Value, error) { return rt.at(d)[i], nil }, nil
+			return func(rt *runtime) (types.Value, error) { return rt.at(d)[i], nil }, s.schema[idx].Type, nil
 		}
 		if err != errNotFound {
-			return nil, err
+			return nil, nil, err
 		}
 		depth++
 	}
-	return nil, fmt.Errorf("exec: unknown column %s", n.String())
+	return nil, nil, fmt.Errorf("exec: unknown column %s", n.String())
 }
 
-func (b *binder) bindUnary(n *ast.Unary, sc *bindScope) (cexpr, error) {
-	x, err := b.bind(n.X, sc)
+func (b *binder) bindUnary(n *ast.Unary, sc *bindScope) (cexpr, *types.Type, error) {
+	x, xt, err := b.bind(n.X, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch n.Op {
 	case "NOT":
@@ -225,49 +219,50 @@ func (b *binder) bindUnary(n *ast.Unary, sc *bindScope) (cexpr, error) {
 				return types.Value{}, err
 			}
 			t, isNull, err := truth(v)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if isNull {
-				return nullBool, nil
+			if err != nil || isNull {
+				return nullBool, err
 			}
 			return types.NewBool(!t), nil
-		}, nil
+		}, types.TBool, nil
 	case "-":
-		return func(rt *runtime) (types.Value, error) {
-			v, err := x(rt)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if v.Null {
-				return types.NewNull(v.T), nil
-			}
-			switch v.T.Kind {
-			case types.KindInt:
-				return types.NewInt(-v.Int()), nil
-			case types.KindFloat:
+		switch xt.Kind {
+		case types.KindNull:
+			return x, xt, nil
+		case types.KindInt, types.KindFloat:
+			return func(rt *runtime) (types.Value, error) {
+				v, err := x(rt)
+				if err != nil || v.Null {
+					return v, err
+				}
+				if v.T.Kind == types.KindInt {
+					return types.NewInt(-v.Int()), nil
+				}
 				return types.NewFloat(-v.Float()), nil
-			default:
-				return rt.env.Reg.Invoke(rt.env.Ctx(), "neg", []types.Value{v})
-			}
-		}, nil
+			}, xt, nil
+		}
+		// Other types negate through the blade routine "neg".
+		return b.bindRoutine("neg", []cexpr{x}, []*types.Type{xt})
 	default:
-		return nil, fmt.Errorf("exec: unknown unary operator %s", n.Op)
+		return nil, nil, fmt.Errorf("exec: unknown unary operator %s", n.Op)
 	}
 }
 
-func (b *binder) bindBinary(n *ast.Binary, sc *bindScope) (cexpr, error) {
-	l, err := b.bind(n.L, sc)
+func (b *binder) bindBinary(n *ast.Binary, sc *bindScope) (cexpr, *types.Type, error) {
+	l, ltyp, err := b.bind(n.L, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r, err := b.bind(n.R, sc)
+	r, rtyp, err := b.bind(n.R, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	op := n.Op
 	switch op {
-	case "AND":
+	case "AND", "OR":
+		// decisive is the operand value that settles the result alone:
+		// FALSE for AND, TRUE for OR. UNKNOWN otherwise wins over the
+		// other value.
+		decisive := op == "OR"
 		return func(rt *runtime) (types.Value, error) {
 			lv, err := l(rt)
 			if err != nil {
@@ -277,57 +272,30 @@ func (b *binder) bindBinary(n *ast.Binary, sc *bindScope) (cexpr, error) {
 			if err != nil {
 				return types.Value{}, err
 			}
-			if !ln && !lt {
-				return falseValue, nil
+			if !ln && lt == decisive {
+				return lv, nil
 			}
 			rv, err := r(rt)
 			if err != nil {
 				return types.Value{}, err
 			}
 			rtv, rn, err := truth(rv)
-			if err != nil {
-				return types.Value{}, err
-			}
 			switch {
-			case !rn && !rtv:
-				return falseValue, nil
+			case err != nil:
+				return types.Value{}, err
+			case !rn && rtv == decisive:
+				return rv, nil
 			case ln || rn:
 				return nullBool, nil
 			default:
-				return trueValue, nil
+				return types.NewBool(!decisive), nil
 			}
-		}, nil
-	case "OR":
-		return func(rt *runtime) (types.Value, error) {
-			lv, err := l(rt)
-			if err != nil {
-				return types.Value{}, err
-			}
-			lt, ln, err := truth(lv)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if !ln && lt {
-				return trueValue, nil
-			}
-			rv, err := r(rt)
-			if err != nil {
-				return types.Value{}, err
-			}
-			rtv, rn, err := truth(rv)
-			if err != nil {
-				return types.Value{}, err
-			}
-			switch {
-			case !rn && rtv:
-				return trueValue, nil
-			case ln || rn:
-				return nullBool, nil
-			default:
-				return falseValue, nil
-			}
-		}, nil
+		}, types.TBool, nil
 	case "=", "<>", "<", "<=", ">", ">=":
+		cmp, err := b.bindCompare(op, ltyp, rtyp)
+		if err != nil {
+			return nil, nil, err
+		}
 		return func(rt *runtime) (types.Value, error) {
 			lv, err := l(rt)
 			if err != nil {
@@ -337,183 +305,161 @@ func (b *binder) bindBinary(n *ast.Binary, sc *bindScope) (cexpr, error) {
 			if err != nil {
 				return types.Value{}, err
 			}
-			return rt.compareValues(op, lv, rv)
-		}, nil
-	default:
-		// Arithmetic and concatenation resolve through the blade
-		// registry; all operator overloads are strict.
-		return func(rt *runtime) (types.Value, error) {
-			lv, err := l(rt)
-			if err != nil {
-				return types.Value{}, err
-			}
-			rv, err := r(rt)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if lv.Null || rv.Null {
-				return types.NewNull(types.TNull), nil
-			}
-			return rt.env.Reg.Invoke(rt.env.Ctx(), op, []types.Value{lv, rv})
-		}, nil
+			return cmp(rt, lv, rv)
+		}, types.TBool, nil
 	}
+	// Arithmetic and concatenation are blade routines; every operator
+	// overload is strict, so a NULL-typed operand makes the result NULL
+	// on every row whatever the other operand's type.
+	if ltyp == types.TNull || rtyp == types.TNull {
+		return func(rt *runtime) (types.Value, error) {
+			_, err := l(rt)
+			if err == nil {
+				_, err = r(rt)
+			}
+			return types.NewNull(types.TNull), err
+		}, types.TNull, nil
+	}
+	return b.bindRoutine(op, []cexpr{l, r}, []*types.Type{ltyp, rtyp})
 }
 
-func (b *binder) bindCall(n *ast.Call, sc *bindScope) (cexpr, error) {
-	name := n.LowerName()
-	if b.isAggregate(name) {
-		// An aggregate call is only meaningful while projecting a
-		// grouped query; the group pipeline has pre-assigned it a slot.
-		for s := sc; s != nil; s = s.parent {
-			if s.agg == nil {
-				continue
-			}
-			slot, ok := s.agg.slots[n]
-			if !ok {
-				continue
-			}
-			d := depthOf(sc, s)
-			i := s.agg.base + slot
-			return func(rt *runtime) (types.Value, error) { return rt.at(d)[i], nil }, nil
-		}
-		return nil, fmt.Errorf("exec: aggregate %s is not allowed here", n.Name)
+// bindRoutine resolves the overload of name for the argument types and
+// binds the call.
+func (b *binder) bindRoutine(name string, args []cexpr, argTypes []*types.Type) (cexpr, *types.Type, error) {
+	res, err := b.env.Reg.Resolve(name, argTypes)
+	if err != nil {
+		return nil, nil, err
 	}
-	if name == "coalesce" {
-		if len(n.Args) == 0 {
-			return nil, fmt.Errorf("exec: COALESCE requires arguments")
-		}
-		args := make([]cexpr, len(n.Args))
-		for i, a := range n.Args {
-			c, err := b.bind(a, sc)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = c
-		}
-		return func(rt *runtime) (types.Value, error) {
-			for _, a := range args {
-				v, err := a(rt)
-				if err != nil {
-					return types.Value{}, err
-				}
-				if !v.Null {
-					return v, nil
-				}
-			}
-			return types.NewNull(types.TNull), nil
-		}, nil
-	}
-	if n.Star {
-		return nil, fmt.Errorf("exec: %s(*) is not a known aggregate", n.Name)
-	}
-	args := make([]cexpr, len(n.Args))
-	for i, a := range n.Args {
-		c, err := b.bind(a, sc)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = c
-	}
-	if !b.env.Reg.HasRoutine(name) {
-		return nil, fmt.Errorf("exec: unknown function %s", n.Name)
-	}
-	fname := name
-	// Overload resolution depends only on the argument types, which are
-	// almost always the same on every row, so the closure memoizes the
-	// last resolution and its type signature. Its cast memos apply each
-	// implicit cast once per distinct input (blade.CastMemo): a literal
-	// converts once, a join's outer-row probe once per outer row. The
-	// memos live as long as this closure, one execution — the plan cache
-	// keeps ASTs, not bound plans — so nothing converted under one NOW
-	// reaches a later statement. An execution runs on one goroutine (the
-	// row arena is unsynchronized for the same reason), so no locking.
-	var (
-		cachedRes *blade.Resolution
-		cachedSig []*types.Type
-		argBuf    []types.Value
-		casts     []blade.CastMemo
-	)
+	cs := newCallSite(res)
 	return func(rt *runtime) (types.Value, error) {
-		// Routines receive the argument slice for the duration of the
-		// call only (see Registry.Call), so one buffer per bound call
-		// site serves every row.
-		if argBuf == nil {
-			argBuf = make([]types.Value, len(args))
-		}
-		vals := argBuf
 		for i, a := range args {
 			v, err := a(rt)
 			if err != nil {
 				return types.Value{}, err
 			}
-			vals[i] = v
+			cs.args[i] = v
 		}
-		match := cachedRes != nil
-		if match {
-			for i, v := range vals {
-				at := v.T
-				if v.Null && at == nil {
-					at = types.TNull
-				}
-				if cachedSig[i] != at {
-					match = false
-					break
-				}
-			}
-		}
-		if !match {
-			sig := make([]*types.Type, len(vals))
-			for i, v := range vals {
-				if v.Null && v.T == nil {
-					sig[i] = types.TNull
-				} else {
-					sig[i] = v.T
-				}
-			}
-			res, err := rt.env.Reg.Resolve(fname, sig)
-			if err != nil {
-				return types.Value{}, err
-			}
-			cachedRes, cachedSig = res, sig
-			if casts == nil && slices.ContainsFunc(res.Casts, func(c *blade.Cast) bool { return c != nil }) {
-				casts = make([]blade.CastMemo, len(args))
-			}
-		}
-		return rt.env.Reg.Call(rt.env.Ctx(), cachedRes, vals, casts)
-	}, nil
+		return cs.call(rt)
+	}, res.Routine.Result, nil
 }
 
-func (b *binder) bindCast(n *ast.Cast, sc *bindScope) (cexpr, error) {
+func (b *binder) bindCall(n *ast.Call, sc *bindScope) (cexpr, *types.Type, error) {
+	name := n.LowerName()
+	if b.isAggregate(name) {
+		// An aggregate call is only meaningful while projecting a
+		// grouped query; the group pipeline has pre-assigned it a slot.
+		for s, d := sc, 0; s != nil; s, d = s.parent, d+1 {
+			for i := 0; s.agg != nil && i < len(s.agg.specs); i++ {
+				if spec := s.agg.specs[i]; spec.call == n {
+					depth, slot := d, s.agg.base+i
+					return func(rt *runtime) (types.Value, error) { return rt.at(depth)[slot], nil }, spec.typ, nil
+				}
+			}
+		}
+		return nil, nil, fmt.Errorf("exec: aggregate %s is not allowed here", n.Name)
+	}
+	if name == "coalesce" {
+		return b.bindCoalesce(n, sc)
+	}
+	if n.Star {
+		return nil, nil, fmt.Errorf("exec: %s(*) is not a known aggregate", n.Name)
+	}
+	args, argTypes, err := b.bindAll(n.Args, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !b.env.Reg.HasRoutine(name) {
+		return nil, nil, fmt.Errorf("exec: unknown function %s", n.Name)
+	}
+	return b.bindRoutine(name, args, argTypes)
+}
+
+// bindCoalesce binds COALESCE(a, b, ...): the first non-NULL argument.
+func (b *binder) bindCoalesce(n *ast.Call, sc *bindScope) (cexpr, *types.Type, error) {
+	if len(n.Args) == 0 {
+		return nil, nil, fmt.Errorf("exec: COALESCE requires arguments")
+	}
+	args, common, err := b.bindArms("COALESCE", n.Args, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return func(rt *runtime) (types.Value, error) {
+		for _, a := range args {
+			v, err := a(rt)
+			if err != nil || !v.Null {
+				return v, err
+			}
+		}
+		return types.NewNull(types.TNull), nil
+	}, common, nil
+}
+
+// bindArms binds the arms of a CASE or a COALESCE, each lifted to the
+// arms' common type (see unify).
+func (b *binder) bindArms(what string, exprs []ast.Expr, sc *bindScope) ([]cexpr, *types.Type, error) {
+	arms, typs, err := b.bindAll(exprs, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	common := types.TNull
+	for _, t := range typs {
+		if common, err = b.unify(what, common, t); err != nil {
+			return nil, nil, err
+		}
+	}
+	for i := range arms {
+		if arms[i], err = b.coerceArm(what, arms[i], typs[i], common); err != nil {
+			return nil, nil, err
+		}
+	}
+	return arms, common, nil
+}
+
+// bindCast binds an explicit cast: the conversion edge is looked up
+// here, and a missing one is a bind-time error.
+func (b *binder) bindCast(n *ast.Cast, sc *bindScope) (cexpr, *types.Type, error) {
 	to, ok := b.env.Reg.LookupType(n.TypeName)
 	if !ok {
-		return nil, fmt.Errorf("exec: unknown type %s", n.TypeName)
+		return nil, nil, fmt.Errorf("exec: unknown type %s", n.TypeName)
 	}
-	x, err := b.bind(n.X, sc)
+	x, xt, err := b.bind(n.X, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if xt == to {
+		return x, to, nil
+	}
+	c, ok := b.env.Reg.LookupCast(xt, to)
+	if !ok && xt != types.TNull {
+		return nil, nil, fmt.Errorf("exec: no cast from %s to %s", xt, to)
 	}
 	return func(rt *runtime) (types.Value, error) {
 		v, err := x(rt)
-		if err != nil {
-			return types.Value{}, err
+		if err != nil || v.Null {
+			return types.NewNull(to), err
 		}
-		return rt.env.Reg.Convert(rt.env.Ctx(), v, to)
-	}, nil
+		out, err := c.Fn(rt.env.Ctx(), v)
+		if err != nil {
+			return types.Value{}, fmt.Errorf("cast %s→%s: %w", c.From, c.To, err)
+		}
+		return out, nil
+	}, to, nil
 }
 
-func (b *binder) bindBetween(n *ast.Between, sc *bindScope) (cexpr, error) {
-	x, err := b.bind(n.X, sc)
+func (b *binder) bindBetween(n *ast.Between, sc *bindScope) (cexpr, *types.Type, error) {
+	bounds, typs, err := b.bindAll([]ast.Expr{n.X, n.Lo, n.Hi}, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	lo, err := b.bind(n.Lo, sc)
+	geLo, err := b.bindCompare(">=", typs[0], typs[1])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	hi, err := b.bind(n.Hi, sc)
+	leHi, err := b.bindCompare("<=", typs[0], typs[2])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	x, lo, hi := bounds[0], bounds[1], bounds[2]
 	not := n.Not
 	return func(rt *runtime) (types.Value, error) {
 		xv, err := x(rt)
@@ -528,128 +474,110 @@ func (b *binder) bindBetween(n *ast.Between, sc *bindScope) (cexpr, error) {
 		if err != nil {
 			return types.Value{}, err
 		}
-		ge, err := rt.compareValues(">=", xv, lov)
+		ge, err := geLo(rt, xv, lov)
 		if err != nil {
 			return types.Value{}, err
 		}
-		le, err := rt.compareValues("<=", xv, hiv)
+		le, err := leHi(rt, xv, hiv)
 		if err != nil {
 			return types.Value{}, err
 		}
 		// BETWEEN is (x >= lo AND x <= hi) under three-valued logic.
-		geT, geN, _ := truth(ge)
-		leT, leN, _ := truth(le)
-		var out types.Value
 		switch {
-		case (!geN && !geT) || (!leN && !leT):
-			out = falseValue
-		case geN || leN:
+		case (!ge.Null && !ge.Bool()) || (!le.Null && !le.Bool()):
+			return types.NewBool(not), nil
+		case ge.Null || le.Null:
 			return nullBool, nil
 		default:
-			out = trueValue
+			return types.NewBool(!not), nil
 		}
-		if not {
-			return types.NewBool(!out.Bool()), nil
-		}
-		return out, nil
-	}, nil
+	}, types.TBool, nil
 }
 
-func (b *binder) bindIn(n *ast.InList, sc *bindScope) (cexpr, error) {
-	x, err := b.bind(n.X, sc)
+// bindIn binds x IN (list) and x IN (subquery): TRUE when x equals an
+// item, else UNKNOWN when some comparison was, else FALSE.
+func (b *binder) bindIn(n *ast.InList, sc *bindScope) (cexpr, *types.Type, error) {
+	x, xt, err := b.bind(n.X, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	not := n.Not
-	finish := func(anyTrue, anyNull bool) types.Value {
-		switch {
-		case anyTrue:
-			return types.NewBool(!not)
-		case anyNull:
-			return nullBool
-		default:
-			return types.NewBool(not)
-		}
-	}
+	var plan *selectPlan
+	var list []cexpr
+	var eqs []cmpFn
+	itemTypes := []*types.Type{nil}
 	if n.Subquery != nil {
-		plan, err := b.bindSelect(n.Subquery, sc)
-		if err != nil {
-			return nil, err
+		if plan, err = b.bindSelect(n.Subquery, sc); err != nil {
+			return nil, nil, err
 		}
 		if len(plan.outSchema) != 1 {
-			return nil, fmt.Errorf("exec: IN subquery must return one column")
+			return nil, nil, fmt.Errorf("exec: IN subquery must return one column")
 		}
-		return func(rt *runtime) (types.Value, error) {
-			xv, err := x(rt)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if xv.Null {
-				return nullBool, nil
-			}
+		itemTypes[0] = plan.outSchema[0].Type
+	} else if list, itemTypes, err = b.bindAll(n.List, sc); err != nil {
+		return nil, nil, err
+	}
+	for _, t := range itemTypes {
+		eq, err := b.bindCompare("=", xt, t)
+		if err != nil {
+			return nil, nil, err
+		}
+		eqs = append(eqs, eq)
+	}
+	not := n.Not
+	return func(rt *runtime) (types.Value, error) {
+		xv, err := x(rt)
+		if err != nil || xv.Null {
+			return nullBool, err
+		}
+		var rows []Row
+		items := len(list)
+		if plan != nil {
 			res, err := plan.run(rt)
 			if err != nil {
 				return types.Value{}, err
 			}
-			anyTrue, anyNull := false, false
-			for _, row := range res.Rows {
-				eq, isNull, err := rt.equalValues(xv, row[0])
-				if err != nil {
-					return types.Value{}, err
-				}
-				anyTrue = anyTrue || eq
-				anyNull = anyNull || isNull
-				if anyTrue {
-					break
-				}
+			rows, items = res.Rows, len(res.Rows)
+		}
+		anyNull := false
+		for i := 0; i < items; i++ {
+			var iv, v types.Value
+			if plan != nil {
+				v, err = eqs[0](rt, xv, rows[i][0])
+			} else if iv, err = list[i](rt); err == nil {
+				v, err = eqs[i](rt, xv, iv)
 			}
-			return finish(anyTrue, anyNull), nil
-		}, nil
-	}
-	list := make([]cexpr, len(n.List))
-	for i, item := range n.List {
-		c, err := b.bind(item, sc)
-		if err != nil {
-			return nil, err
+			if err != nil {
+				return types.Value{}, err
+			}
+			hit, isNull, err := truth(v)
+			if err != nil {
+				return types.Value{}, err
+			}
+			if hit {
+				return types.NewBool(!not), nil
+			}
+			anyNull = anyNull || isNull
 		}
-		list[i] = c
-	}
-	return func(rt *runtime) (types.Value, error) {
-		xv, err := x(rt)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if xv.Null {
+		if anyNull {
 			return nullBool, nil
 		}
-		anyTrue, anyNull := false, false
-		for _, item := range list {
-			iv, err := item(rt)
-			if err != nil {
-				return types.Value{}, err
-			}
-			eq, isNull, err := rt.equalValues(xv, iv)
-			if err != nil {
-				return types.Value{}, err
-			}
-			anyTrue = anyTrue || eq
-			anyNull = anyNull || isNull
-			if anyTrue {
-				break
-			}
-		}
-		return finish(anyTrue, anyNull), nil
-	}, nil
+		return types.NewBool(not), nil
+	}, types.TBool, nil
 }
 
-func (b *binder) bindLike(n *ast.Like, sc *bindScope) (cexpr, error) {
-	x, err := b.bind(n.X, sc)
+func (b *binder) bindLike(n *ast.Like, sc *bindScope) (cexpr, *types.Type, error) {
+	x, xt, err := b.bind(n.X, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pat, err := b.bind(n.Pattern, sc)
+	pat, pt, err := b.bind(n.Pattern, sc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	for _, t := range []*types.Type{xt, pt} {
+		if t != types.TNull && t.Kind != types.KindString {
+			return nil, nil, fmt.Errorf("exec: LIKE requires strings, not %s", t)
+		}
 	}
 	not := n.Not
 	return func(rt *runtime) (types.Value, error) {
@@ -664,77 +592,76 @@ func (b *binder) bindLike(n *ast.Like, sc *bindScope) (cexpr, error) {
 		if xv.Null || pv.Null {
 			return nullBool, nil
 		}
-		if xv.T.Kind != types.KindString || pv.T.Kind != types.KindString {
-			return types.Value{}, fmt.Errorf("exec: LIKE requires strings")
-		}
 		return types.NewBool(likeMatch(xv.Str(), pv.Str()) != not), nil
-	}, nil
+	}, types.TBool, nil
 }
 
-func (b *binder) bindCase(n *ast.Case, sc *bindScope) (cexpr, error) {
+// bindCase binds a searched or simple CASE; the THEN and ELSE arms take
+// their common type.
+func (b *binder) bindCase(n *ast.Case, sc *bindScope) (cexpr, *types.Type, error) {
 	var operand cexpr
+	var opType *types.Type
 	var err error
 	if n.Operand != nil {
-		if operand, err = b.bind(n.Operand, sc); err != nil {
-			return nil, err
+		if operand, opType, err = b.bind(n.Operand, sc); err != nil {
+			return nil, nil, err
 		}
 	}
-	type arm struct{ cond, then cexpr }
-	arms := make([]arm, len(n.Whens))
+	conds := make([]ast.Expr, len(n.Whens))
+	results := make([]ast.Expr, len(n.Whens), len(n.Whens)+1)
 	for i, w := range n.Whens {
-		c, err := b.bind(w.Cond, sc)
-		if err != nil {
-			return nil, err
-		}
-		t, err := b.bind(w.Then, sc)
-		if err != nil {
-			return nil, err
-		}
-		arms[i] = arm{cond: c, then: t}
+		conds[i], results[i] = w.Cond, w.Then
 	}
-	var elseC cexpr
 	if n.Else != nil {
-		if elseC, err = b.bind(n.Else, sc); err != nil {
-			return nil, err
+		results = append(results, n.Else)
+	}
+	whens, condTypes, err := b.bindAll(conds, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	arms, common, err := b.bindArms("CASE", results, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	// A simple CASE compares the operand with each WHEN value.
+	eqs := make([]cmpFn, len(whens))
+	for i, t := range condTypes {
+		if operand == nil {
+			break
+		}
+		if eqs[i], err = b.bindCompare("=", opType, t); err != nil {
+			return nil, nil, err
 		}
 	}
 	return func(rt *runtime) (types.Value, error) {
 		var opv types.Value
+		var err error
 		if operand != nil {
-			v, err := operand(rt)
-			if err != nil {
+			if opv, err = operand(rt); err != nil {
 				return types.Value{}, err
 			}
-			opv = v
 		}
-		for _, a := range arms {
-			cv, err := a.cond(rt)
+		for i, when := range whens {
+			cv, err := when(rt)
+			if err == nil && operand != nil {
+				cv, err = eqs[i](rt, opv, cv)
+			}
 			if err != nil {
 				return types.Value{}, err
 			}
-			match := false
-			if operand != nil {
-				eq, _, err := rt.equalValues(opv, cv)
-				if err != nil {
-					return types.Value{}, err
-				}
-				match = eq
-			} else {
-				t, isNull, err := truth(cv)
-				if err != nil {
-					return types.Value{}, err
-				}
-				match = t && !isNull
+			match, _, err := truth(cv)
+			if err != nil {
+				return types.Value{}, err
 			}
 			if match {
-				return a.then(rt)
+				return arms[i](rt)
 			}
 		}
-		if elseC != nil {
-			return elseC(rt)
+		if len(arms) > len(whens) {
+			return arms[len(whens)](rt)
 		}
 		return types.NewNull(types.TNull), nil
-	}, nil
+	}, common, nil
 }
 
 // exprString renders an expression canonically, used to match projection

@@ -26,40 +26,43 @@ import (
 //     like the generic operator.
 //
 // The operator binds only when every aggregate is COUNT(*), COUNT(col)
-// or non-DISTINCT group_union(col) over plain column references and at
-// least one group_union is present; anything else (and any runtime
-// surprise, such as a non-Element value reaching group_union through an
-// implicit cast) falls back to the generic accumulator path, which
-// remains the semantics reference.
+// or non-DISTINCT group_union(col) over plain column references, at
+// least one group_union is present, and every group_union argument's
+// static type is exactly the aggregate's Element parameter (no implicit
+// cast); anything else takes the generic accumulator path, which remains
+// the semantics reference.
 
 type coalesceAggKind int
 
 const (
-	caCountStar coalesceAggKind = iota
-	caCountCol
+	caCount coalesceAggKind = iota
 	caUnion
 )
 
 // coalesceAggSpec mirrors one aggSpec the fast path can evaluate
-// columnarly; col is the fromSchema position of the argument.
+// columnarly; col is the fromSchema position of the argument, -1 for
+// COUNT(*).
 type coalesceAggSpec struct {
 	kind coalesceAggKind
 	col  int
 }
 
-// coalescePlan is the bound fast path: group columns and aggregate specs.
+// coalescePlan is the bound fast path: group columns, aggregate specs
+// and the Element type group_union yields.
 type coalescePlan struct {
 	groupCols []int
 	aggs      []coalesceAggSpec
+	elem      *types.Type
 }
 
 // tryCoalesce checks whether the grouped query is eligible for the
 // specialised coalesce operator. nil means the generic path runs.
 func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Schema) *coalescePlan {
-	if len(sel.GroupBy) == 0 || sel.Distinct {
+	elem, ok := b.env.Reg.LookupType("Element")
+	if !ok || len(sel.GroupBy) == 0 || sel.Distinct {
 		return nil
 	}
-	cp := &coalescePlan{}
+	cp := &coalescePlan{elem: elem}
 	for _, ge := range sel.GroupBy {
 		cr, ok := ge.(*ast.ColumnRef)
 		if !ok {
@@ -74,10 +77,10 @@ func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Sc
 	union := false
 	for _, spec := range aggSpecs {
 		if spec.name == "count" && spec.star {
-			cp.aggs = append(cp.aggs, coalesceAggSpec{kind: caCountStar})
+			cp.aggs = append(cp.aggs, coalesceAggSpec{kind: caCount, col: -1})
 			continue
 		}
-		if spec.distinct || spec.star || len(spec.call.Args) != 1 {
+		if spec.distinct {
 			return nil
 		}
 		cr, ok := spec.call.Args[0].(*ast.ColumnRef)
@@ -90,8 +93,11 @@ func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Sc
 		}
 		switch spec.name {
 		case "count":
-			cp.aggs = append(cp.aggs, coalesceAggSpec{kind: caCountCol, col: pos})
+			cp.aggs = append(cp.aggs, coalesceAggSpec{kind: caCount, col: pos})
 		case "group_union":
+			if spec.agg == nil || spec.agg.Param != elem || spec.cast != nil {
+				return nil
+			}
 			cp.aggs = append(cp.aggs, coalesceAggSpec{kind: caUnion, col: pos})
 			union = true
 		default:
@@ -112,7 +118,6 @@ func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Sc
 type coalesceScratch struct {
 	ord     []int32
 	first   []int32
-	rowsPer []int64
 	cnt64   []int64
 	ivs     []temporal.Interval
 	ivg     []int32
@@ -129,8 +134,7 @@ var coalesceScratchPool = sync.Pool{New: func() any { return new(coalesceScratch
 // capacity is real memory held for the statement's whole run, whether
 // or not this run allocated it.
 func (sc *coalesceScratch) footprint() int64 {
-	return int64(cap(sc.ord))*4 + int64(cap(sc.first))*4 +
-		int64(cap(sc.rowsPer))*8 + int64(cap(sc.cnt64))*8 +
+	return int64(cap(sc.ord))*4 + int64(cap(sc.first))*4 + int64(cap(sc.cnt64))*8 +
 		int64(cap(sc.ivs))*intervalSize + int64(cap(sc.ivg))*4 +
 		int64(cap(sc.grouped))*intervalSize +
 		int64(cap(sc.cnt))*4 + int64(cap(sc.fill))*4 + int64(cap(sc.saw))
@@ -148,13 +152,11 @@ func i32buf(buf []int32, n int) []int32 {
 // run executes the fast path over the materialised from rows, returning
 // one group row ([group values..., aggregate values...]) per group in
 // first-encounter order — the layout and order the generic operator
-// produces. ok=false means a runtime precondition failed (a non-Element
-// value under group_union); the caller must fall back to the generic
-// path, which this call has not affected.
-func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
+// produces.
+func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, error) {
 	n := len(fromRows)
 	if n == 0 {
-		return nil, true, nil
+		return nil, nil
 	}
 	groupByN := len(cp.groupCols)
 	sc := coalesceScratchPool.Get().(*coalesceScratch)
@@ -163,7 +165,7 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 	// The pooled scratch's resident capacity is charged fallibly up
 	// front; every growth site below charges its delta.
 	if err := rt.grow(sc.footprint()); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	// Pass 1: group ordinals. first[g] is the group's first input row.
@@ -176,7 +178,7 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 	m := make(map[string]int32, 64)
 	for i, fr := range fromRows {
 		if err := rt.checkCancel(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		rt.keybuf = rt.appendKeyCols(rt.keybuf[:0], fr, cp.groupCols)
 		g, ok := m[string(rt.keybuf)]
@@ -192,26 +194,10 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 	numGroups := len(first)
 
 	// Pass 2: aggregates, each over the flat (row -> group) mapping.
-	var rowsPer []int64
-	for _, a := range cp.aggs {
-		if a.kind == caCountStar {
-			if cap(sc.rowsPer) < numGroups {
-				sc.rowsPer = make([]int64, numGroups)
-			}
-			rowsPer = sc.rowsPer[:numGroups]
-			for g := range rowsPer {
-				rowsPer[g] = 0
-			}
-			for _, g := range ord {
-				rowsPer[g]++
-			}
-			break
-		}
-	}
 	aggVals := make([][]types.Value, len(cp.aggs))
 	for ai, a := range cp.aggs {
 		switch a.kind {
-		case caCountCol:
+		case caCount:
 			if cap(sc.cnt64) < numGroups {
 				sc.cnt64 = make([]int64, numGroups)
 			}
@@ -221,9 +207,9 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 			}
 			for i, fr := range fromRows {
 				if err := rt.checkCancel(); err != nil {
-					return nil, false, err
+					return nil, err
 				}
-				if !fr[a.col].Null {
+				if a.col < 0 || !fr[a.col].Null {
 					cnt[ord[i]]++
 				}
 			}
@@ -234,9 +220,9 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 			}
 			aggVals[ai] = vs
 		case caUnion:
-			vs, ok, err := unionColumnar(rt, sc, fromRows, ord, numGroups, a.col)
-			if err != nil || !ok {
-				return nil, ok, err
+			vs, err := unionColumnar(rt, sc, fromRows, ord, numGroups, a.col, cp.elem)
+			if err != nil {
+				return nil, err
 			}
 			aggVals[ai] = vs
 		}
@@ -244,28 +230,24 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 
 	// Pass 3: emission.
 	if err := rt.grow(int64(numGroups) * rowHeaderSize); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	out := make([]Row, numGroups)
 	for g := 0; g < numGroups; g++ {
 		if err := rt.checkCancel(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		row := rt.alloc(groupByN + len(cp.aggs))
 		fr := fromRows[first[g]]
 		for j, c := range cp.groupCols {
 			row[j] = fr[c]
 		}
-		for ai, a := range cp.aggs {
-			if a.kind == caCountStar {
-				row[groupByN+ai] = types.NewInt(rowsPer[g])
-			} else {
-				row[groupByN+ai] = aggVals[ai][g]
-			}
+		for ai := range cp.aggs {
+			row[groupByN+ai] = aggVals[ai][g]
 		}
 		out[g] = row
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // unionColumnar evaluates one group_union aggregate columnarly: bind
@@ -274,10 +256,9 @@ func (cp *coalescePlan) run(rt *runtime, fromRows []Row) ([]Row, bool, error) {
 // single linear pass. Semantics match the generic elementSetAgg
 // exactly: NULL inputs are skipped, a group with no non-NULL input
 // yields NULL, and a group whose inputs bind to no intervals yields the
-// empty element. ok=false bails to the generic path when a value is not
-// a plain Element (e.g. a Period column reaching group_union through
-// the implicit cast).
-func unionColumnar(rt *runtime, sc *coalesceScratch, fromRows []Row, ord []int32, numGroups, col int) ([]types.Value, bool, error) {
+// empty element. Every non-NULL value holds an Element: tryCoalesce
+// admits only arguments of exactly the Element type elem.
+func unionColumnar(rt *runtime, sc *coalesceScratch, fromRows []Row, ord []int32, numGroups, col int, elem *types.Type) ([]types.Value, error) {
 	// Collect raw (unsorted, unmerged) interval bindings per row along
 	// with their group ordinals. Normalisation happens once per group
 	// below, so skipping each element's own canonicalisation
@@ -297,28 +278,16 @@ func unionColumnar(rt *runtime, sc *coalesceScratch, fromRows []Row, ord []int32
 	for g := range cnt {
 		cnt[g] = 0
 	}
-	var vT *types.Type
 	ivsCap := cap(ivs)
 	for i, fr := range fromRows {
 		if err := rt.checkCancel(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		v := fr[col]
 		if v.Null {
 			continue
 		}
-		if v.T.Kind != types.KindUDT {
-			return nil, false, nil
-		}
-		el, ok := v.Obj().(temporal.Element)
-		if !ok {
-			return nil, false, nil
-		}
-		if vT == nil {
-			vT = v.T
-		} else if v.T != vT {
-			return nil, false, nil
-		}
+		el := v.Obj().(temporal.Element)
 		g := ord[i]
 		saw[g] = true
 		at := len(ivs)
@@ -345,7 +314,7 @@ func unionColumnar(rt *runtime, sc *coalesceScratch, fromRows []Row, ord []int32
 	grouped := sc.grouped
 	if cap(grouped) < len(ivs) {
 		if err := rt.grow(int64(len(ivs)) * intervalSize); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		grouped = make([]temporal.Interval, len(ivs))
 	}
@@ -365,10 +334,10 @@ func unionColumnar(rt *runtime, sc *coalesceScratch, fromRows []Row, ord []int32
 	out := make([]types.Value, numGroups)
 	for g := 0; g < numGroups; g++ {
 		if err := rt.checkCancel(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if !saw[g] {
-			out[g] = types.NewNull(types.TNull)
+			out[g] = types.NewNull(elem)
 			continue
 		}
 		run := grouped[cnt[g]:cnt[g+1]]
@@ -401,7 +370,7 @@ func unionColumnar(rt *runtime, sc *coalesceScratch, fromRows []Row, ord []int32
 		}
 		// The element's own period slice escapes into the result row.
 		rt.charge(int64(len(run)) * intervalSize)
-		out[g] = types.NewUDT(vT, temporal.ElementOfIntervals(run))
+		out[g] = types.NewUDT(elem, temporal.ElementOfIntervals(run))
 	}
-	return out, true, nil
+	return out, nil
 }

@@ -425,6 +425,42 @@ func TestThreeValuedLogic(t *testing.T) {
 	}
 }
 
+// TestArmsUnify pins the arm rule: CASE arms, COALESCE arguments and the
+// columns of set-operation operands take one common type, so a result
+// column's values agree with its type. INT and FLOAT arms give FLOAT on
+// every row; INT and VARCHAR arms are a bind-time error naming both,
+// even over a table with no rows.
+func TestArmsUnify(t *testing.T) {
+	s := newDB(t)
+	seedEmp(t, s)
+	for _, q := range []string{
+		`SELECT CASE WHEN sal > 150 THEN 1 ELSE 2.5 END FROM emp`,
+		`SELECT COALESCE(dno, 2.5) FROM emp`,
+		`SELECT x + 1 FROM (SELECT sal AS x FROM emp UNION SELECT 2.5) u`,
+	} {
+		res := mustExec(t, s, q)
+		if res.Types[0] != types.TFloat {
+			t.Errorf("%s: column type %s, want FLOAT", q, res.Types[0])
+		}
+		for _, r := range res.Rows {
+			if r[0].Null || r[0].T != types.TFloat {
+				t.Errorf("%s: row value %s %s, want a FLOAT", q, r[0].T, r[0].Format())
+			}
+		}
+	}
+	mustExec(t, s, `CREATE TABLE none (a INT)`)
+	for _, q := range []string{
+		`SELECT CASE WHEN a > 50 THEN 1 ELSE 'x' END FROM none`,
+		`SELECT COALESCE(a, 'x') FROM none`,
+		`SELECT x FROM (SELECT a AS x FROM none UNION SELECT 'x') u`,
+	} {
+		_, err := s.Exec(q, nil)
+		if err == nil || !strings.Contains(err.Error(), "INT") || !strings.Contains(err.Error(), "VARCHAR") {
+			t.Errorf("%s: err = %v, want a type error naming INT and VARCHAR", q, err)
+		}
+	}
+}
+
 func TestStarExpansion(t *testing.T) {
 	s := newDB(t)
 	seedEmp(t, s)

@@ -12,7 +12,7 @@ import (
 // similar statement positions.
 func EvalConst(env *Env, e ast.Expr) (types.Value, error) {
 	b := &binder{env: env}
-	ce, err := b.bind(e, nil)
+	ce, _, err := b.bind(e, nil)
 	if err != nil {
 		return types.Value{}, err
 	}
@@ -43,7 +43,7 @@ type RowExpr func(env *Env, row Row) (types.Value, error)
 // CompileRowExpr compiles e against the schema of one table binding.
 func CompileRowExpr(env *Env, schema Schema, e ast.Expr) (RowExpr, error) {
 	b := &binder{env: env}
-	ce, err := b.bind(e, &bindScope{schema: schema})
+	ce, _, err := b.bind(e, &bindScope{schema: schema})
 	if err != nil {
 		return nil, err
 	}

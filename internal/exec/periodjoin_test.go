@@ -113,6 +113,27 @@ func TestPeriodJoinWithExtraFilters(t *testing.T) {
 	}
 }
 
+// TestPeriodJoinContainsEmptyElement pins the container-side rule for
+// contains joins: an empty element is contained in every element but
+// overlaps none, so a period index on the contained side would miss it.
+// The join on the contained side stays a nested loop and counts it.
+func TestPeriodJoinContainsEmptyElement(t *testing.T) {
+	s := newDB(t)
+	mustExec(t, s, `CREATE TABLE a (id INT, valid Element)`)
+	mustExec(t, s, `CREATE TABLE b (id INT, valid Element)`)
+	mustExec(t, s, `CREATE INDEX bix ON b (valid) USING PERIOD`)
+	mustExec(t, s, `INSERT INTO a VALUES (1, '{[1999-01-01, 1999-12-31]}')`)
+	mustExec(t, s, `INSERT INTO b VALUES (1, '{[1999-03-01, 1999-03-31]}'), (2, '{}')`)
+	const q = `SELECT COUNT(*) FROM a, b WHERE contains(a.valid, b.valid)`
+	if n := mustExec(t, s, q).Rows[0][0].Int(); n != 2 {
+		t.Errorf("contains join counts %d pairs, want 2 (the empty element is contained)", n)
+	}
+	plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+q)), "\n")
+	if strings.Contains(plan, "period-index") {
+		t.Errorf("contains join probes the contained side's index:\n%s", plan)
+	}
+}
+
 func TestPeriodJoinHashStillPreferred(t *testing.T) {
 	// When an equality conjunct exists, the hash join wins the level and
 	// the period conjunct stays a plain filter.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"tip/internal/sql/ast"
@@ -56,6 +57,7 @@ type source struct {
 type periodJoinCond struct {
 	probe cexpr
 	col   int
+	lift  probeCast
 }
 
 // hashJoinCond is an equality conjunct usable as a hash-join condition at
@@ -79,7 +81,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		if err != nil {
 			return nil, err
 		}
-		key := lower(src.binding)
+		key := strings.ToLower(src.binding)
 		if seen[key] {
 			return nil, fmt.Errorf("exec: duplicate table binding %s; use an alias", src.binding)
 		}
@@ -118,7 +120,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			return nil, fmt.Errorf("exec: LEFT JOIN ON may only reference %s and earlier tables",
 				sources[i].binding)
 		}
-		on, err := b.bindAll(splitConjuncts(ref.On), fromScope)
+		on, _, err := b.bindAll(splitConjuncts(ref.On), fromScope)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +192,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			// Derived table: wrap its exec with the pushed filters.
 			inner := src.exec
 			scope := &bindScope{parent: parent, schema: src.schema}
-			filters, err := b.bindAll(pushed[i], scope)
+			filters, _, err := b.bindAll(pushed[i], scope)
 			if err != nil {
 				return nil, err
 			}
@@ -239,7 +241,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	// Compile per-level join filters against the full from schema.
 	levelFilters := make([][]cexpr, len(sources))
 	for i, cs := range levelConj {
-		fs, err := b.bindAll(cs, fromScope)
+		fs, _, err := b.bindAll(cs, fromScope)
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +249,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 	var zeroFilters []cexpr
 	if len(zeroLevel) > 0 { // FROM-less query with WHERE
-		fs, err := b.bindAll(zeroLevel, &bindScope{parent: parent, schema: nil})
+		fs, _, err := b.bindAll(zeroLevel, &bindScope{parent: parent, schema: nil})
 		if err != nil {
 			return nil, err
 		}
@@ -274,6 +276,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	grouped := len(aggSpecs) > 0 || len(sel.GroupBy) > 0
 	var cp *coalescePlan
 	if grouped {
+		for _, spec := range aggSpecs {
+			if err := b.bindAgg(spec, fromScope); err != nil {
+				return nil, err
+			}
+		}
 		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
 	if grouped && b.env.PlanChoice != nil {
@@ -319,37 +326,26 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 				return nil, fmt.Errorf("exec: * is not allowed with GROUP BY or aggregates")
 			}
 		}
+		var groupTypes []*types.Type
+		groupKeyExprs, groupTypes, err = b.bindAll(sel.GroupBy, fromScope)
+		if err != nil {
+			return nil, err
+		}
 		groupSchema := make(Schema, len(sel.GroupBy))
 		groupKeys := make([]string, len(sel.GroupBy))
 		for i, ge := range sel.GroupBy {
 			groupKeys[i] = exprString(ge)
+			groupSchema[i] = ColMeta{Type: groupTypes[i]}
 			if cr, ok := ge.(*ast.ColumnRef); ok {
 				if pos, err := fromSchema.Resolve(cr.Table, cr.Column); err == nil {
 					groupSchema[i] = fromSchema[pos]
-					continue
 				}
 			}
-			groupSchema[i] = ColMeta{Name: "", Type: types.TNull}
-		}
-		slots := make(map[*ast.Call]int, len(aggSpecs))
-		for i, spec := range aggSpecs {
-			slots[spec.call] = i
-			if !spec.star {
-				arg, err := b.bind(spec.call.Args[0], fromScope)
-				if err != nil {
-					return nil, err
-				}
-				spec.arg = arg
-			}
-		}
-		groupKeyExprs, err = b.bindAll(sel.GroupBy, fromScope)
-		if err != nil {
-			return nil, err
 		}
 		projScope = &bindScope{
 			parent: parent,
 			schema: groupSchema,
-			agg:    &aggContext{slots: slots, base: len(sel.GroupBy), groupKeys: groupKeys},
+			agg:    &aggContext{specs: aggSpecs, base: len(sel.GroupBy), groupKeys: groupKeys},
 		}
 	}
 
@@ -357,6 +353,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	type projItem struct {
 		name string
 		ce   cexpr
+		typ  *types.Type
 	}
 	var proj []projItem
 	for _, item := range sel.Items {
@@ -370,19 +367,20 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 				proj = append(proj, projItem{
 					name: fromSchema[pos].Name,
 					ce:   func(rt *runtime) (types.Value, error) { return rt.at(0)[i], nil },
+					typ:  fromSchema[pos].Type,
 				})
 			}
 			continue
 		}
-		ce, err := b.bind(item.Expr, projScope)
+		ce, t, err := b.bind(item.Expr, projScope)
 		if err != nil {
 			return nil, err
 		}
-		proj = append(proj, projItem{name: itemName(item), ce: ce})
+		proj = append(proj, projItem{name: itemName(item), ce: ce, typ: t})
 	}
 	outSchema := make(Schema, len(proj))
 	for i, p := range proj {
-		outSchema[i] = ColMeta{Name: p.name, Type: types.TNull}
+		outSchema[i] = ColMeta{Name: p.name, Type: p.typ}
 	}
 
 	// ---- HAVING ------------------------------------------------------------
@@ -391,7 +389,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		if !grouped {
 			return nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
 		}
-		having, err = b.bind(sel.Having, projScope)
+		having, _, err = b.bind(sel.Having, projScope)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +421,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			if sel.Distinct {
 				return nil, fmt.Errorf("exec: ORDER BY %s must name an output column under DISTINCT", exprString(o.Expr))
 			}
-			ce, err := b.bind(o.Expr, projScope)
+			ce, _, err := b.bind(o.Expr, projScope)
 			if err != nil {
 				return nil, err
 			}
@@ -435,17 +433,18 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	// ---- LIMIT / OFFSET --------------------------------------------------------
 	var limitC, offsetC cexpr
 	if sel.Limit != nil {
-		if limitC, err = b.bind(sel.Limit, parentOnly(parent)); err != nil {
+		if limitC, _, err = b.bind(sel.Limit, parentOnly(parent)); err != nil {
 			return nil, err
 		}
 	}
 	if sel.Offset != nil {
-		if offsetC, err = b.bind(sel.Offset, parentOnly(parent)); err != nil {
+		if offsetC, _, err = b.bind(sel.Offset, parentOnly(parent)); err != nil {
 			return nil, err
 		}
 	}
 
 	distinct := sel.Distinct
+	cols, colTypes := outSchema.columns()
 
 	run := func(rt *runtime) (*Result, error) {
 		var rootStart time.Time
@@ -654,28 +653,14 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 
 		if grouped {
 			var groupRows []Row
+			var err error
 			if cp != nil {
-				gr, ok, err := cp.run(rt, fromRows)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					groupRows = gr
-				} else {
-					gt = newGroupTable(groupKeyExprs, aggSpecs)
-					for _, fr := range fromRows {
-						if err := gt.add(rt, fr); err != nil {
-							return nil, err
-						}
-					}
-				}
+				groupRows, err = cp.run(rt, fromRows)
+			} else {
+				groupRows, err = gt.rows(rt)
 			}
-			if gt != nil {
-				gr, err := gt.rows(rt)
-				if err != nil {
-					return nil, err
-				}
-				groupRows = gr
+			if err != nil {
+				return nil, err
 			}
 			for _, groupRow := range groupRows {
 				rt.push(groupRow)
@@ -809,10 +794,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			stLimit.record(limStart, hi-lo)
 		}
 
-		res := &Result{Cols: make([]string, len(outSchema))}
-		for i, c := range outSchema {
-			res.Cols[i] = c.Name
-		}
+		res := &Result{Cols: cols, Types: colTypes}
 		if err := rt.grow(int64(hi-lo) * rowHeaderSize); err != nil {
 			return nil, err
 		}
@@ -820,7 +802,6 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		for _, e := range out[lo:hi] {
 			res.Rows = append(res.Rows, e.row)
 		}
-		res.inferTypes()
 		if stRoot != nil {
 			stRoot.record(rootStart, len(res.Rows))
 		}
@@ -876,7 +857,7 @@ func itemName(item ast.SelectItem) string {
 func expandStar(table string, schema Schema) ([]int, error) {
 	var cols []int
 	for i, c := range schema {
-		if table == "" || equalFold(c.Table, table) {
+		if table == "" || strings.EqualFold(c.Table, table) {
 			cols = append(cols, i)
 		}
 	}
@@ -890,16 +871,17 @@ func expandStar(table string, schema Schema) ([]int, error) {
 }
 
 // bindAll compiles a list of expressions in one scope.
-func (b *binder) bindAll(exprs []ast.Expr, sc *bindScope) ([]cexpr, error) {
+func (b *binder) bindAll(exprs []ast.Expr, sc *bindScope) ([]cexpr, []*types.Type, error) {
 	out := make([]cexpr, len(exprs))
+	typs := make([]*types.Type, len(exprs))
 	for i, e := range exprs {
-		ce, err := b.bind(e, sc)
+		ce, t, err := b.bind(e, sc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out[i] = ce
+		out[i], typs[i] = ce, t
 	}
-	return out, nil
+	return out, typs, nil
 }
 
 // evalFilters pushes row (when non-nil) and requires every filter TRUE.
@@ -937,18 +919,6 @@ func splitConjuncts(e ast.Expr) []ast.Expr {
 	}
 	return []ast.Expr{e}
 }
-
-func lower(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		if c >= 'A' && c <= 'Z' {
-			out[i] = c + 32
-		}
-	}
-	return string(out)
-}
-
-func equalFold(a, b string) bool { return lower(a) == lower(b) }
 
 func countBits(m uint64) int {
 	n := 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"tip/internal/blade"
 	"tip/internal/sql/ast"
 	"tip/internal/temporal"
 	"tip/internal/types"
@@ -55,101 +56,70 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		return nil, fmt.Errorf("exec: internal: bindScan on derived table %s", src.binding)
 	}
 	scope := &bindScope{parent: parent, schema: src.schema}
-	filters, err := b.bindAll(pushed, scope)
+	filters, _, err := b.bindAll(pushed, scope)
 	if err != nil {
 		return nil, err
 	}
 	src.pushed = filters // retained for the period-index join path
 
-	// Index selection.
+	// Index selection. A probe must not read the scanned table itself:
+	// it is evaluated once, against the outer rows only.
+	self := []*source{{schema: src.schema}}
+	refsSelf := func(e ast.Expr) bool {
+		set, err := b.refSources(e, self, src.schema)
+		return err != nil || set != 0
+	}
 	type probePlan struct {
 		kind  string // "hash" or "period"
 		col   int
 		probe cexpr // bound against the parent chain only
+		lift  probeCast
 	}
 	var probe *probePlan
 	for _, c := range pushed {
-		if probe != nil {
-			break
-		}
-		// col = constExpr against a hash index.
-		if bin, ok := c.(*ast.Binary); ok && bin.Op == "=" {
-			for _, try := range [][2]ast.Expr{{bin.L, bin.R}, {bin.R, bin.L}} {
-				cr, ok := try[0].(*ast.ColumnRef)
-				if !ok {
-					continue
-				}
-				pos, err := src.schema.Resolve(cr.Table, cr.Column)
-				if err != nil {
-					continue
-				}
-				if snap.Hash[pos] == nil || b.refsSource(try[1], src.schema) {
-					continue
-				}
-				pc, err := b.bind(try[1], parent)
-				if err != nil {
-					continue
-				}
-				probe = &probePlan{kind: "hash", col: pos, probe: pc}
-				break
-			}
-			continue
-		}
-		// overlaps/contains(col, probe) against a period index.
-		if call, ok := c.(*ast.Call); ok && len(call.Args) == 2 {
-			name := call.LowerName()
-			if name != "overlaps" && name != "contains" {
+		kind, pairs := indexArgs(c)
+		for _, try := range pairs {
+			pos, ok := indexedColumn(try[0], src, kind)
+			if !ok || refsSelf(try[1]) {
 				continue
 			}
-			for _, try := range [][2]ast.Expr{{call.Args[0], call.Args[1]}, {call.Args[1], call.Args[0]}} {
-				if name == "contains" && try[0] != call.Args[0] {
-					// contains(col, x): only the container side can use
-					// the index (the contained side may be anywhere).
-					continue
-				}
-				cr, ok := try[0].(*ast.ColumnRef)
-				if !ok {
-					continue
-				}
-				pos, err := src.schema.Resolve(cr.Table, cr.Column)
-				if err != nil {
-					continue
-				}
-				if snap.Periods[pos] == nil || b.refsSource(try[1], src.schema) {
-					continue
-				}
-				pc, err := b.bind(try[1], parent)
-				if err != nil {
-					continue
-				}
-				probe = &probePlan{kind: "period", col: pos, probe: pc}
-				break
+			pc, pt, err := b.bind(try[1], parent)
+			if err != nil {
+				continue
 			}
+			// Hash keys are formatted values of the column's type, so only
+			// a probe that converts to it implicitly can look up. A period
+			// probe with no implicit edge keeps its own type: a narrower
+			// temporal value still maps to intervals.
+			cast, ok := b.implicitCast(pt, src.schema[pos].Type)
+			if !ok && kind == "hash" {
+				continue
+			}
+			probe = &probePlan{kind: kind, col: pos, probe: pc, lift: probeCast{cast: cast}}
+			break
 		}
-	}
-
-	if b.env.PlanChoice != nil {
-		switch {
-		case probe != nil && probe.kind == "hash":
-			b.env.PlanChoice("scan.hash")
-		case probe != nil:
-			b.env.PlanChoice("scan.period")
-		default:
-			b.env.PlanChoice("scan.full")
+		if probe != nil {
+			break
 		}
 	}
 
 	var stScan *OpStats
-	if b.explain != nil {
+	switch {
+	case b.explain == nil:
+	case probe != nil:
+		stScan = b.note("scan %s: %s index on %s (%d filter(s) re-checked)",
+			src.binding, probe.kind, tbl.Meta.Columns[probe.col].Name, len(filters))
+	default:
+		stScan = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
+	}
+	if b.env.PlanChoice != nil {
 		switch {
-		case probe != nil && probe.kind == "hash":
-			stScan = b.note("scan %s: hash index on %s (%d filter(s) re-checked)",
-				src.binding, tbl.Meta.Columns[probe.col].Name, len(filters))
-		case probe != nil && probe.kind == "period":
-			stScan = b.note("scan %s: period index on %s (%d filter(s) re-checked)",
-				src.binding, tbl.Meta.Columns[probe.col].Name, len(filters))
+		case probe == nil:
+			b.env.PlanChoice("scan.full")
+		case probe.kind == "hash":
+			b.env.PlanChoice("scan.hash")
 		default:
-			stScan = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
+			b.env.PlanChoice("scan.period")
 		}
 	}
 
@@ -205,7 +175,6 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		return instrumentRows(stScan, func(rt *runtime) ([]Row, error) { return scan(rt, nil) }), nil
 	}
 
-	colType := tbl.Meta.Columns[probe.col].Type
 	return instrumentRows(stScan, func(rt *runtime) ([]Row, error) {
 		pv, err := probe.probe(rt)
 		if err != nil {
@@ -214,82 +183,63 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		if pv.Null {
 			return nil, nil // equality/overlap with NULL matches nothing
 		}
-		switch probe.kind {
-		case "hash":
-			cv, err := rt.env.Reg.ImplicitConvert(rt.env.Ctx(), pv, colType)
-			if err != nil {
-				// Fall back to a full scan if the probe cannot be
-				// converted to the column type.
-				return scan(rt, nil)
-			}
-			ids := snap.Hash[probe.col].Lookup(cv.Key(rt.env.Now), snap.Seq)
-			return scan(rt, ids)
-		case "period":
-			ids, ok, err := periodCandidates(rt, snap, probe.col, colType, pv)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return scan(rt, nil)
-			}
-			return scan(rt, ids)
+		cv, ok := probe.lift.apply(rt, pv)
+		if probe.kind == "hash" && ok {
+			return scan(rt, snap.Hash[probe.col].Lookup(cv.Key(rt.env.Now), snap.Seq))
 		}
+		if probe.kind == "period" {
+			if ids, ok := periodCandidates(rt, snap, probe.col, cv); ok {
+				return scan(rt, ids)
+			}
+		}
+		// A probe the cast rejects or the index cannot map scans fully.
 		return scan(rt, nil)
 	}), nil
 }
 
-// periodCandidates probes a period index with a value convertible to the
-// indexed column's type; ok is false when the probe cannot be mapped to
-// intervals.
-func periodCandidates(rt *runtime, snap *TableVersion, col int, colType *types.Type, pv types.Value) ([]int, bool, error) {
-	cv, err := rt.env.Reg.ImplicitConvert(rt.env.Ctx(), pv, colType)
-	if err != nil {
-		// The probe might be a narrower temporal value (e.g. a Period
-		// probing an Element column); fall back on its native type.
-		cv = pv
+// probeCast lifts an index probe to the indexed column's type along the
+// implicit cast chosen at bind time, through its own memo; without a
+// cast the probe passes through.
+type probeCast struct {
+	cast *blade.Cast
+	memo blade.CastMemo
+}
+
+// apply converts the non-NULL v; ok is false when the cast rejects it,
+// and v comes back unchanged.
+func (p *probeCast) apply(rt *runtime, v types.Value) (types.Value, bool) {
+	if p.cast == nil {
+		return v, true
 	}
+	cv, err := p.memo.Apply(rt.env.Ctx(), p.cast, v)
+	if err != nil {
+		return v, false
+	}
+	return cv, true
+}
+
+// periodCandidates probes a period index with a temporal value; ok is
+// false when the probe cannot be mapped to intervals.
+func periodCandidates(rt *runtime, snap *TableVersion, col int, pv types.Value) ([]int, bool) {
 	now := rt.env.Now
 	ix := snap.Periods[col]
-	switch obj := cv.Obj().(type) {
+	switch obj := pv.Obj().(type) {
 	case temporal.Element:
-		return ix.SearchElement(obj, now), true, nil
+		return ix.SearchElement(obj, now), true
 	case temporal.Period:
 		iv, ok := obj.Bind(now)
 		if !ok {
-			return nil, true, nil
+			return nil, true
 		}
-		return ix.Search(iv.Lo, iv.Hi), true, nil
+		return ix.Search(iv.Lo, iv.Hi), true
 	case temporal.Chronon:
-		return ix.Search(obj, obj), true, nil
+		return ix.Search(obj, obj), true
 	case temporal.Instant:
 		c := obj.Bind(now)
-		return ix.Search(c, c), true, nil
+		return ix.Search(c, c), true
 	default:
-		return nil, false, nil
+		return nil, false
 	}
-}
-
-// refsSource reports whether the expression references any column of the
-// given schema. Expressions containing subqueries are treated as
-// referencing it (conservatively).
-func (b *binder) refsSource(e ast.Expr, schema Schema) bool {
-	found := false
-	walkExpr(e, func(x ast.Expr) bool {
-		switch n := x.(type) {
-		case *ast.ColumnRef:
-			if _, err := schema.Resolve(n.Table, n.Column); err == nil {
-				found = true
-			}
-		case *ast.Subquery, *ast.Exists:
-			found = true
-		case *ast.InList:
-			if n.Subquery != nil {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // refSources returns the bitmask of sources a conjunct references.
@@ -335,47 +285,73 @@ func (b *binder) refSources(e ast.Expr, sources []*source, fromSchema Schema) (u
 	return mask, nil
 }
 
+// indexArgs returns the (column, probe) argument orders through which
+// conjunct c could use an index: either side of col = x for a hash
+// index; either side of overlaps(col, x), but only the container side of
+// contains(col, x), for a period index — the contained side may be
+// anywhere, even empty.
+func indexArgs(c ast.Expr) (kind string, pairs [][2]ast.Expr) {
+	switch n := c.(type) {
+	case *ast.Binary:
+		if n.Op == "=" {
+			return "hash", [][2]ast.Expr{{n.L, n.R}, {n.R, n.L}}
+		}
+	case *ast.Call:
+		if len(n.Args) != 2 {
+			break
+		}
+		switch n.LowerName() {
+		case "overlaps":
+			return "period", [][2]ast.Expr{{n.Args[0], n.Args[1]}, {n.Args[1], n.Args[0]}}
+		case "contains":
+			return "period", [][2]ast.Expr{{n.Args[0], n.Args[1]}}
+		}
+	}
+	return "", nil
+}
+
+// indexedColumn returns the position of e in the table source src when e
+// is a column reference with an index of the given kind.
+func indexedColumn(e ast.Expr, src *source, kind string) (int, bool) {
+	cr, ok := e.(*ast.ColumnRef)
+	if !ok {
+		return 0, false
+	}
+	pos, err := src.schema.Resolve(cr.Table, cr.Column)
+	if err != nil {
+		return 0, false
+	}
+	if kind == "hash" {
+		return pos, src.snap.Hash[pos] != nil
+	}
+	return pos, src.snap.Periods[pos] != nil
+}
+
 // tryPeriodJoin checks whether conjunct c can drive a period-index
-// nested-loop join at the given level: an overlaps/contains call whose
-// one side is a period-indexed column of source `level` and whose other
+// nested-loop join at the given level: a period-index conjunct (see
+// indexArgs) over a period-indexed column of source `level` whose other
 // side references only earlier sources.
 func (b *binder) tryPeriodJoin(c ast.Expr, level int, set uint64, sources []*source, fromSchema Schema, fromScope *bindScope) (*periodJoinCond, bool) {
-	call, ok := c.(*ast.Call)
-	if !ok || len(call.Args) != 2 {
-		return nil, false
-	}
-	name := call.LowerName()
-	if name != "overlaps" && name != "contains" {
-		return nil, false
-	}
 	src := sources[level]
-	if src.tbl == nil {
+	kind, pairs := indexArgs(c)
+	if kind != "period" || src.tbl == nil {
 		return nil, false
 	}
-	levelBit := uint64(1) << level
-	below := set &^ levelBit
-	for i, arg := range call.Args {
-		cr, ok := arg.(*ast.ColumnRef)
+	below := set &^ (uint64(1) << level)
+	for _, try := range pairs {
+		pos, ok := indexedColumn(try[0], src, kind)
 		if !ok {
 			continue
 		}
-		pos, err := src.schema.Resolve(cr.Table, cr.Column)
+		if otherSet, err := b.refSources(try[1], sources, fromSchema); err != nil || otherSet != below {
+			continue
+		}
+		probe, pt, err := b.bind(try[1], fromScope)
 		if err != nil {
 			continue
 		}
-		if src.snap.Periods[pos] == nil {
-			continue
-		}
-		other := call.Args[1-i]
-		otherSet, err := b.refSources(other, sources, fromSchema)
-		if err != nil || otherSet != below {
-			continue
-		}
-		probe, err := b.bind(other, fromScope)
-		if err != nil {
-			continue
-		}
-		return &periodJoinCond{probe: probe, col: pos}, true
+		cast, _ := b.implicitCast(pt, src.schema[pos].Type)
+		return &periodJoinCond{probe: probe, col: pos, lift: probeCast{cast: cast}}, true
 	}
 	return nil, false
 }
@@ -407,24 +383,19 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 	default:
 		return nil, false
 	}
+	probe, pt, err := b.bind(probeE, fromScope)
+	if err != nil {
+		return nil, false
+	}
+	build, bt, err := b.bind(buildE, fromScope)
+	if err != nil {
+		return nil, false
+	}
 	// Hash keys are formatted values, so equality across types (INT vs
 	// FLOAT, say) would miss matches the comparison semantics find.
-	// Only column pairs with the same static type hash-join; everything
-	// else takes the nested loop.
-	lt, ok := staticColumnType(bin.L, fromSchema)
-	if !ok {
-		return nil, false
-	}
-	rt, ok := staticColumnType(bin.R, fromSchema)
-	if !ok || lt != rt || lt == types.TNull {
-		return nil, false
-	}
-	probe, err := b.bind(probeE, fromScope)
-	if err != nil {
-		return nil, false
-	}
-	build, err := b.bind(buildE, fromScope)
-	if err != nil {
+	// Only sides with the same static type hash-join; everything else
+	// takes the nested loop.
+	if pt != bt || pt == types.TNull {
 		return nil, false
 	}
 	return &hashJoinCond{probe: probe, build: build}, true
@@ -437,7 +408,6 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 // originating overlaps/contains conjunct), so the conservative index
 // candidates stay sound.
 func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, pair func(a, sr Row) error) error {
-	colType := src.tbl.Meta.Columns[pc.col].Type
 	for _, a := range acc {
 		if err := rt.checkCancel(); err != nil {
 			return err
@@ -451,10 +421,8 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, pa
 		if pv.Null {
 			continue
 		}
-		ids, ok, err := periodCandidates(rt, src.snap, pc.col, colType, pv)
-		if err != nil {
-			return err
-		}
+		pv, _ = pc.lift.apply(rt, pv)
+		ids, ok := periodCandidates(rt, src.snap, pc.col, pv)
 		if !ok {
 			// The probe value has no interval form; fall back to the
 			// full source for this accumulated row.
@@ -490,25 +458,6 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, pa
 		}
 	}
 	return nil
-}
-
-// staticColumnType returns the declared type of a column reference, or
-// ok=false for any other expression shape (whose static type the
-// dynamically-typed engine does not track).
-func staticColumnType(e ast.Expr, schema Schema) (*types.Type, bool) {
-	cr, ok := e.(*ast.ColumnRef)
-	if !ok {
-		return nil, false
-	}
-	pos, err := schema.Resolve(cr.Table, cr.Column)
-	if err != nil {
-		return nil, false
-	}
-	t := schema[pos].Type
-	if t == nil {
-		return nil, false
-	}
-	return t, true
 }
 
 // walkExpr visits e and its children pre-order until visit returns false.

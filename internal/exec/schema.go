@@ -1,5 +1,6 @@
 // Package exec implements query planning and execution for the TIP
-// engine: expression compilation with blade routine resolution, scans with
+// engine: statically typed expression compilation with blade routine
+// resolution at bind time, scans with
 // hash- and period-index selection, left-deep joins (hash joins for
 // equality conditions, nested loops otherwise), grouping with built-in and
 // user-defined aggregates, DISTINCT, ORDER BY, LIMIT, and correlated
@@ -33,8 +34,9 @@ type ColMeta struct {
 	Table string
 	// Name is the column's name.
 	Name string
-	// Type is the static type when known, types.TNull otherwise (the
-	// engine types dynamically; static types drive index selection).
+	// Type is the column's static type: every non-NULL value in the
+	// column has it, and the binder chooses overloads, comparisons and
+	// casts from it. types.TNull types a column that is always NULL.
 	Type *types.Type
 }
 
@@ -76,9 +78,9 @@ func refName(table, col string) string {
 type Result struct {
 	// Cols are the output column names.
 	Cols []string
-	// Types are the output column types, inferred from the first
-	// non-NULL value in each column (types.TNull when a column is
-	// entirely NULL or the result is empty).
+	// Types are the output columns' static types: every non-NULL value
+	// in a column has its type (types.TNull types a column that is
+	// always NULL).
 	Types []*types.Type
 	// Rows are the output tuples.
 	Rows []Row
@@ -203,16 +205,11 @@ func (rt *runtime) pop()       { rt.rows = rt.rows[:len(rt.rows)-1] }
 // at returns the row `depth` scopes up from the innermost.
 func (rt *runtime) at(depth int) Row { return rt.rows[len(rt.rows)-1-depth] }
 
-// inferTypes fills Result.Types from row contents.
-func (r *Result) inferTypes() {
-	r.Types = make([]*types.Type, len(r.Cols))
-	for i := range r.Types {
-		r.Types[i] = types.TNull
-		for _, row := range r.Rows {
-			if !row[i].Null {
-				r.Types[i] = row[i].T
-				break
-			}
-		}
+// columns returns the schema's column names and types.
+func (s Schema) columns() ([]string, []*types.Type) {
+	names, typs := make([]string, len(s)), make([]*types.Type, len(s))
+	for i, c := range s {
+		names[i], typs[i] = c.Name, c.Type
 	}
+	return names, typs
 }

@@ -2,16 +2,20 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"tip/internal/blade"
 	"tip/internal/sql/ast"
 )
 
 // Compound selects: UNION [ALL], EXCEPT and INTERSECT chains, applied
 // left-associatively with SQL set semantics (duplicates eliminated
-// except under UNION ALL). The trailing ORDER BY may reference output
-// columns by name or position; LIMIT/OFFSET apply to the combination.
+// except under UNION ALL). Each output column has the operands' common
+// type (see unify), and an operand's rows are lifted to it before they
+// combine. The trailing ORDER BY may reference output columns by name or
+// position; LIMIT/OFFSET apply to the combination.
 
 func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, error) {
 	core := *sel
@@ -20,14 +24,18 @@ func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, 
 	if err != nil {
 		return nil, err
 	}
+	// parts[0] is the left operand; each later part combines with the
+	// rows so far.
 	type part struct {
 		op   string
 		all  bool
 		plan *selectPlan
+		lift func(rt *runtime, rows []Row) error
 		st   *OpStats
 	}
-	parts := make([]part, len(sel.SetOps))
-	for i, sp := range sel.SetOps {
+	outSchema := slices.Clone(left.outSchema)
+	parts := []part{{plan: left}}
+	for _, sp := range sel.SetOps {
 		var st *OpStats
 		if b.explain != nil {
 			op := sp.Op
@@ -44,7 +52,17 @@ func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, 
 			return nil, fmt.Errorf("exec: %s operands have %d and %d columns",
 				sp.Op, len(left.outSchema), len(plan.outSchema))
 		}
-		parts[i] = part{op: sp.Op, all: sp.All, plan: plan, st: st}
+		for c := range outSchema {
+			if outSchema[c].Type, err = b.unify(setColumn(outSchema, c), outSchema[c].Type, plan.outSchema[c].Type); err != nil {
+				return nil, err
+			}
+		}
+		parts = append(parts, part{op: sp.Op, all: sp.All, plan: plan, st: st})
+	}
+	for i := range parts {
+		if parts[i].lift, err = b.liftRows(parts[i].plan.outSchema, outSchema); err != nil {
+			return nil, err
+		}
 	}
 
 	// ORDER BY binds against the leftmost operand's output columns.
@@ -63,7 +81,7 @@ func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, 
 			spec.idx = int(n.V) - 1
 		case *ast.ColumnRef:
 			if n.Table == "" {
-				if pos, err := left.outSchema.Resolve("", n.Column); err == nil {
+				if pos, err := outSchema.Resolve("", n.Column); err == nil {
 					spec.idx = pos
 				}
 			}
@@ -75,22 +93,19 @@ func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, 
 	}
 	var limitC, offsetC cexpr
 	if sel.Limit != nil {
-		if limitC, err = b.bind(sel.Limit, parentOnly(parent)); err != nil {
+		if limitC, _, err = b.bind(sel.Limit, parentOnly(parent)); err != nil {
 			return nil, err
 		}
 	}
 	if sel.Offset != nil {
-		if offsetC, err = b.bind(sel.Offset, parentOnly(parent)); err != nil {
+		if offsetC, _, err = b.bind(sel.Offset, parentOnly(parent)); err != nil {
 			return nil, err
 		}
 	}
 
+	cols, colTypes := outSchema.columns()
 	run := func(rt *runtime) (*Result, error) {
-		res, err := left.run(rt)
-		if err != nil {
-			return nil, err
-		}
-		rows := res.Rows
+		var rows []Row
 		for _, p := range parts {
 			var pStart time.Time
 			if p.st != nil {
@@ -100,31 +115,24 @@ func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, 
 			if err != nil {
 				return nil, err
 			}
+			if err := p.lift(rt, rres.Rows); err != nil {
+				return nil, err
+			}
 			switch {
+			case p.op == "":
+				rows = rres.Rows
 			case p.op == "UNION" && p.all:
 				rt.charge(int64(len(rres.Rows)) * rowHeaderSize)
 				rows = append(rows, rres.Rows...)
 			case p.op == "UNION":
 				rows, err = dedup(rt, append(rows, rres.Rows...))
-			case p.op == "EXCEPT":
+			default: // EXCEPT keeps the rows the right side lacks, INTERSECT the others
 				right := keySet(rt, rres.Rows)
 				var kept, deduped []Row
 				if deduped, err = dedup(rt, rows); err == nil {
 					for _, r := range deduped {
 						rt.keybuf = rt.appendKey(rt.keybuf[:0], r)
-						if _, hit := right[string(rt.keybuf)]; !hit {
-							kept = append(kept, r)
-						}
-					}
-					rows = kept
-				}
-			case p.op == "INTERSECT":
-				right := keySet(rt, rres.Rows)
-				var kept, deduped []Row
-				if deduped, err = dedup(rt, rows); err == nil {
-					for _, r := range deduped {
-						rt.keybuf = rt.appendKey(rt.keybuf[:0], r)
-						if _, hit := right[string(rt.keybuf)]; hit {
+						if _, hit := right[string(rt.keybuf)]; hit == (p.op == "INTERSECT") {
 							kept = append(kept, r)
 						}
 					}
@@ -240,11 +248,42 @@ func (b *binder) bindCompound(sel *ast.Select, parent *bindScope) (*selectPlan, 
 				hi = lo + n
 			}
 		}
-		out := &Result{Cols: res.Cols, Rows: rows[lo:hi]}
-		out.inferTypes()
-		return out, nil
+		return &Result{Cols: cols, Types: colTypes, Rows: rows[lo:hi]}, nil
 	}
-	return &selectPlan{outSchema: left.outSchema, run: run}, nil
+	return &selectPlan{outSchema: outSchema, run: run}, nil
+}
+
+func setColumn(schema Schema, c int) string {
+	return fmt.Sprintf("set operation column %d (%s)", c+1, schema[c].Name)
+}
+
+// liftRows returns the in-place conversion of an operand's rows from its
+// column types to the compound's, each column through its own memo.
+// Operand rows are fresh projection rows, so writing them is safe.
+func (b *binder) liftRows(from, to Schema) (func(rt *runtime, rows []Row) error, error) {
+	casts := make([]*blade.Cast, len(from))
+	memos := make([]blade.CastMemo, len(from))
+	for c := range from {
+		var ok bool
+		if casts[c], ok = b.implicitCast(from[c].Type, to[c].Type); !ok {
+			return nil, mixError(setColumn(to, c), from[c].Type, to[c].Type)
+		}
+	}
+	return func(rt *runtime, rows []Row) error {
+		for _, r := range rows {
+			for c, cast := range casts {
+				if cast == nil || r[c].Null {
+					continue
+				}
+				v, err := memos[c].Apply(rt.env.Ctx(), cast, r[c])
+				if err != nil {
+					return err
+				}
+				r[c] = v
+			}
+		}
+		return nil
+	}, nil
 }
 
 // dedup removes duplicate rows by key, preserving first occurrence. Key

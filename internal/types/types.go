@@ -242,6 +242,21 @@ func (v Value) Compare(w Value, now temporal.Chronon) (int, error) {
 	}
 }
 
+// Comparable reports whether Compare orders non-NULL values of types a
+// and b, decided from the types alone.
+func Comparable(a, b *Type) bool {
+	switch {
+	case a.Kind == KindNull || b.Kind == KindNull:
+		return false
+	case a.Kind == KindUDT || b.Kind == KindUDT:
+		return a == b && a.UDT.Compare != nil
+	case isNumeric(a.Kind) && isNumeric(b.Kind):
+		return true
+	default:
+		return a.Kind == b.Kind
+	}
+}
+
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
 func cmpInt(a, b int64) int {
