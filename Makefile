@@ -98,25 +98,33 @@ mvcc-smoke:
 # heap vs full sort, period-index / hash / nested-loop / LEFT joins
 # streamed into COUNT(*), GROUP BY and SELECT * against a pair count
 # taken in the test, over NULLs and period boundaries, ending with the
-# check that no operator wrote through an aliased slab row), the
-# NOW-relative literal re-run under two SET NOWs and a moved clock on
-# one cached text, and TIP's coalescing checked against the layered
-# stratum (E2) and against the kernel truth. Binding resolves every
-# overload, comparison and aggregate once per call site from static
-# types, and the bound expressions are checked against the per-row
-# dispatch they replaced, over every operator and pair of types. The
-# allocation pins (testing.AllocsPerRun, so they run without the race
-# detector's allocation inflation): a period-index join allocates at most
-# one object per candidate pair, a literal overlap probe nothing per
-# candidate, row arithmetic and comparisons nothing per row (a Span
-# result one box), the hash point read and INSERT no more than their
-# recorded counts; beside them Overlaps against its bind-and-merge
-# reference on both sides of its pair limit with zero allocations, and
-# the one cast path every implicit cast takes: Registry.Call casting into
-# the caller's slice, the cast memo converting a repeated input once, and
-# the memo's input test.
+# check that no operator wrote through an aliased slab row; then the
+# indexed and the bare fixture asked the same exact-overlaps probes and
+# joins under two SET NOWs, with joined columns read only in ORDER BY,
+# HAVING, GROUP BY, CASE, aggregates and LEFT JOIN ON), the period-index
+# edge cases (an empty contained side, a user overload of overlaps that
+# keeps its re-check, a probe text the cast rejects, an index miss that
+# must not scan), the NOW-relative literal re-run under two SET NOWs and
+# a moved clock on one cached text, and TIP's coalescing checked against
+# the layered stratum (E2) and against the kernel truth. Binding resolves
+# every overload, comparison and aggregate once per call site from
+# static types, and the bound expressions are checked against the
+# per-row dispatch they replaced, over every operator and pair of types.
+# The period index's exact search is checked against Element.Overlaps
+# over all four indexable types at three NOWs. The allocation pins
+# (testing.AllocsPerRun, so they run without the race detector's
+# allocation inflation): neither a period-index join nor a literal
+# overlap probe allocates per pair or candidate, row arithmetic and
+# comparisons nothing per row (a Span result one box), the hash point
+# read, INSERT and literal probe no more than their recorded counts;
+# beside them Overlaps against its bind-and-merge reference on both
+# sides of its pair limit with zero allocations, and the one cast path
+# every implicit cast takes: Registry.Call casting into the caller's
+# slice, the cast memo converting a repeated input once, and the memo's
+# input test.
 plan-smoke:
-	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPointStatementAllocs|TestRowExprAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
 	$(GO) test -race -run 'TestE2AgreesAndRuns|TestCoalesceAgainstTruth' -count=1 ./internal/bench ./internal/layered

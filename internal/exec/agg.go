@@ -158,23 +158,9 @@ func (gt *groupTable) add(rt *runtime, fr Row) error {
 	}
 	rt.push(fr)
 	defer rt.pop()
-	for i, ge := range gt.keyExprs {
-		v, err := ge(rt)
-		if err != nil {
-			return err
-		}
-		gt.vals[i] = v
-	}
-	rt.keybuf = rt.appendKey(rt.keybuf[:0], gt.vals)
-	g, ok := gt.groups[string(rt.keybuf)]
-	if !ok {
-		g = gt.newGroup()
-		g.vals = rt.alloc(len(gt.vals))
-		copy(g.vals, gt.vals)
-		gt.groups[string(rt.keybuf)] = g
-		gt.order = append(gt.order, g)
-		rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead +
-			groupOverhead + int64(len(gt.specs))*aggAccSize)
+	g, err := gt.group(rt)
+	if err != nil {
+		return err
 	}
 	for _, acc := range g.accs {
 		if err := acc.add(rt); err != nil {
@@ -182,6 +168,34 @@ func (gt *groupTable) add(rt *runtime, fr Row) error {
 		}
 	}
 	return nil
+}
+
+// group returns the group of the row on top of the scope stack, creating
+// it on first sight. A global aggregate (no GROUP BY) has one group and
+// builds no key.
+func (gt *groupTable) group(rt *runtime) (*aggGroup, error) {
+	if len(gt.keyExprs) == 0 && len(gt.order) == 1 {
+		return gt.order[0], nil
+	}
+	for i, ge := range gt.keyExprs {
+		v, err := ge(rt)
+		if err != nil {
+			return nil, err
+		}
+		gt.vals[i] = v
+	}
+	rt.keybuf = rt.appendKey(rt.keybuf[:0], gt.vals)
+	if g, ok := gt.groups[string(rt.keybuf)]; ok {
+		return g, nil
+	}
+	g := gt.newGroup()
+	g.vals = rt.alloc(len(gt.vals))
+	copy(g.vals, gt.vals)
+	gt.groups[string(rt.keybuf)] = g
+	gt.order = append(gt.order, g)
+	rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead +
+		groupOverhead + int64(len(gt.specs))*aggAccSize)
+	return g, nil
 }
 
 // rows finalises every group into a group row ([group values...,

@@ -4,9 +4,9 @@ package exec_test
 // and point workloads. testing.AllocsPerRun counts whole statements
 // through the engine (plan cache, binding, execution, result), so the
 // bounds are about how allocations scale with the rows a statement
-// touches: a period-index join pays at most one object per candidate
-// pair, and a literal overlap probe pays nothing per candidate. The race
-// detector inflates allocation counts, so the pins skip under -race.
+// touches: neither a period-index join nor a literal overlap probe pays
+// anything per pair or candidate. The race detector inflates allocation
+// counts, so the pins skip under -race.
 
 import (
 	"fmt"
@@ -61,25 +61,27 @@ func TestPeriodJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	s := newDB(t)
-	seedAllocRx(t, s, 2000)
-	mustExec(t, s, `CREATE TABLE visit (id INT, during Period)`)
-	mustExec(t, s, `INSERT INTO visit VALUES (0, '[1998-02-01, 1998-08-01]'),
-		(1, '[1998-06-01, 1998-12-01]'), (2, '[1999-01-01, 1999-07-01]'), (3, '[1999-09-01, 2000-03-01]')`)
 	const q = `SELECT COUNT(*) FROM visit v, rx p WHERE v.id BETWEEN 0 AND 3 AND overlaps(p.valid, v.during)`
-	if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+q)), "\n"); !strings.Contains(plan, "period-index nested loop") {
-		t.Fatalf("the join did not use the period index:\n%s", plan)
+	join := func(n int) (allocs float64, pairs int64) {
+		s := newDB(t)
+		seedAllocRx(t, s, n)
+		mustExec(t, s, `CREATE TABLE visit (id INT, during Period)`)
+		mustExec(t, s, `INSERT INTO visit VALUES (0, '[1998-02-01, 1998-08-01]'),
+			(1, '[1998-06-01, 1998-12-01]'), (2, '[1999-01-01, 1999-07-01]'), (3, '[1999-09-01, 2000-03-01]')`)
+		if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+q)), "\n"); !strings.Contains(plan, "period-index nested loop") {
+			t.Fatalf("the join did not use the period index:\n%s", plan)
+		}
+		return stmtAllocs(t, s, q, nil), mustExec(t, s, q).Rows[0][0].Int()
 	}
-	// Every period is determinate, so the index candidates are exactly
-	// the overlapping pairs the query counts.
-	pairs := float64(mustExec(t, s, q).Rows[0][0].Int())
-	if pairs < 1000 {
-		t.Fatalf("only %.0f candidate pairs; the fixture should give over 1,000", pairs)
+	small, pSmall := join(500)
+	large, pLarge := join(5000)
+	t.Logf("period-index join: %.0f allocations for %d pairs, %.0f for %d", small, pSmall, large, pLarge)
+	if pLarge < 5*pSmall {
+		t.Fatalf("pairs %d vs %d: the larger table should give many more", pSmall, pLarge)
 	}
-	avg := stmtAllocs(t, s, q, nil)
-	t.Logf("period-index join: %.0f allocations for %.0f candidate pairs", avg, pairs)
-	if avg > pairs {
-		t.Errorf("period-index join allocates %.0f objects for %.0f candidate pairs; the bound is one per pair", avg, pairs)
+	if large >= 1.5*small {
+		t.Errorf("period-index join allocates %.0f objects for %d pairs but %.0f for %d: per-pair allocation is back",
+			small, pSmall, large, pLarge)
 	}
 }
 
@@ -105,6 +107,9 @@ func TestLiteralProbeAllocs(t *testing.T) {
 	if large >= 1.5*small {
 		t.Errorf("literal probe allocates %.0f objects over %d candidates but %.0f over %d: per-candidate allocation is back",
 			large, kLarge, small, kSmall)
+	}
+	if large > literalProbeAllocs {
+		t.Errorf("literal probe allocates %.0f objects per statement; the bound is %d", large, literalProbeAllocs)
 	}
 }
 
@@ -143,10 +148,13 @@ func TestRowExprAllocs(t *testing.T) {
 // The point statements of the insert and point-read workloads: a hash
 // point read of a patient with eight rows and a parameterised INSERT.
 // The bounds are their measured counts (go 1.24, amd64); work on the
-// temporal paths must not make either statement allocate more.
+// temporal paths must not make either statement allocate more. The
+// literal overlap probe of TestLiteralProbeAllocs has a ceiling of its
+// own at either table size.
 const (
-	pointReadAllocs = 55
-	insertAllocs    = 57
+	pointReadAllocs    = 55
+	insertAllocs       = 57
+	literalProbeAllocs = 104
 )
 
 func TestPointStatementAllocs(t *testing.T) {

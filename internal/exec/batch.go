@@ -9,8 +9,8 @@ import (
 // Batched execution support. The executor is materialised up to the
 // last join level (which streams, see joinSources); its hot loops work
 // at batch granularity, not row granularity: row storage
-// comes from a per-statement arena in BatchRows-sized chunks (one
-// allocation per batch instead of one per row), grouping keys build
+// comes from a per-statement arena in chunks of up to BatchRows rows
+// (one allocation per batch instead of one per row), grouping keys build
 // into a reused byte buffer instead of per-row strings, single-source
 // scans alias the immutable MVCC slab rows instead of copying them, and
 // the cancel token is polled once per BatchRows rows. The specialised
@@ -25,14 +25,21 @@ import (
 // write-atomicity tests depend on one shared definition).
 const BatchRows = 256
 
-// rowArena hands out row backing storage in BatchRows-sized chunks so a
-// statement's row loops allocate once per batch instead of once per
-// row. Chunks are never recycled: rows handed out may escape into the
-// statement's Result, so the arena only amortises allocation — handed
-// out memory stays owned by whoever holds the row.
+// rowArena hands out row backing storage in chunks of up to BatchRows
+// rows so a statement's row loops allocate once per batch instead of
+// once per row. Chunks are never recycled: rows handed out may escape
+// into the statement's Result, so the arena only amortises allocation —
+// handed out memory stays owned by whoever holds the row.
 type rowArena struct {
-	buf []types.Value
+	buf  []types.Value
+	next int // values in the next chunk
 }
+
+// arenaFirstChunk is the size in values of a statement's first arena
+// chunk. Chunks double from it up to BatchRows rows, so a statement that
+// returns a handful of rows allocates, and leaves the GC to scan, a few
+// kilobytes instead of a whole batch.
+const arenaFirstChunk = 64
 
 // alloc returns a zeroed row of the given width carved from the
 // arena's current chunk (full capacity: appends to the row never bleed
@@ -44,10 +51,8 @@ func (rt *runtime) alloc(w int) Row {
 		return Row{}
 	}
 	if len(a.buf) < w {
-		n := BatchRows * w
-		if n < 1024 {
-			n = 1024
-		}
+		a.next = min(max(2*a.next, arenaFirstChunk), BatchRows*w)
+		n := max(a.next, w)
 		a.buf = make([]types.Value, n)
 		rt.charge(int64(n) * valueSize)
 	}

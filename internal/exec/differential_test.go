@@ -23,6 +23,16 @@ package exec_test
 // Scans alias the immutable MVCC slab rows instead of copying them, so
 // the battery ends by checking that no operator wrote through an alias:
 // every table's rows must encode to the same bytes as before.
+//
+// A third fixture loads the same rows twice, bare and indexed, and asks
+// both the same queries (indexDifferential): the period index answers
+// overlaps exactly and the executor no longer re-checks it, including
+// for stored [start, NOW] rows under two SET NOWs; index probes that find
+// nothing return nothing; and join levels copy only the columns a later
+// expression reads, so queries read the joined table's columns only in
+// ORDER BY, HAVING, GROUP BY, CASE, aggregate arguments and LEFT JOIN ON.
+// A column the copy leaves out is a zero Value there, which fails any
+// operator that reads it.
 
 import (
 	"bytes"
@@ -389,5 +399,82 @@ func TestDifferential(t *testing.T) {
 				t.Error("an operator wrote through an aliased slab row: table contents changed under read-only queries")
 			}
 		})
+	}
+	t.Run("index-vs-scan", func(t *testing.T) {
+		plain, indexed := newDB(t), newDB(t)
+		for _, s := range []*engine.Session{plain, indexed} {
+			seedParity(t, s, rand.New(rand.NewSource(79)), 300)
+			// Stored NOW-relative rows: open since January, open since a
+			// day that NOW = 1998-02-05 has not reached (binds empty), and
+			// a closed period beside an open one.
+			mustExec(t, s, `INSERT INTO p VALUES
+				(1, 2, '{[1998-01-20, NOW]}', '1998-01-20'), (2, 3, '{[1998-02-10, NOW]}', '1998-02-10'),
+				(3, 1, '{[1998-01-02, 1998-01-04], [1998-02-20, NOW]}', '1998-01-02'), (NULL, 0, '{[NOW, NOW]}', NULL)`)
+			mustExec(t, s, `CREATE TABLE q (k INT, during Period)`)
+			mustExec(t, s, `INSERT INTO q VALUES
+				(0, '[1998-01-03, 1998-01-20]'), (1, '[1998-01-10, 1998-02-05]'),
+				(2, '[1998-02-01, 1998-02-02]'), (NULL, '[1998-01-01, 1998-03-01]'), (4, '[1998-02-15, NOW]')`)
+		}
+		mustExec(t, indexed, `CREATE INDEX pk ON p (k)`)
+		mustExec(t, indexed, `CREATE INDEX pv ON p (valid) USING PERIOD`)
+		mustExec(t, indexed, `CREATE INDEX pa ON p (at) USING PERIOD`)
+		mustExec(t, indexed, `CREATE INDEX qd ON q (during) USING PERIOD`)
+		for _, now := range []string{"1998-02-05", "1998-03-20"} {
+			for _, s := range []*engine.Session{plain, indexed} {
+				mustExec(t, s, fmt.Sprintf(`SET NOW = '%s'`, now))
+			}
+			indexDifferential(t, plain, indexed)
+		}
+	})
+}
+
+// indexDifferential asks the bare and the indexed fixture the same
+// queries and requires the same cells in the same order; plan, when set,
+// is a fragment the indexed EXPLAIN must show.
+func indexDifferential(t *testing.T, plain, indexed *engine.Session) {
+	t.Helper()
+	const exact = "exact overlaps"
+	for _, c := range []struct{ q, plan string }{
+		// Exact probes over Element and Chronon columns, either argument
+		// order, NOW-relative and multi-period windows.
+		{`SELECT k, v, valid FROM p WHERE overlaps(valid, '[1998-01-25, 1998-02-03]')`, exact},
+		{`SELECT COUNT(*) FROM p WHERE overlaps('{[1998-01-01, 1998-01-03], [1998-02-08, NOW]}', valid)`, exact},
+		{`SELECT COUNT(*) FROM p WHERE overlaps(valid, '[1998-02-12, 1998-02-12]') AND v > 0`, exact},
+		{`SELECT k, at FROM p WHERE overlaps(at, '[1998-01-10, 1998-01-20]')`, exact},
+		{`SELECT COUNT(*) FROM p WHERE overlaps(valid, '[NOW, NOW]')`, exact},
+		// Probes that find nothing return nothing.
+		{`SELECT COUNT(*) FROM p WHERE overlaps(valid, '[2005-01-01, 2005-01-02]')`, exact},
+		{`SELECT k, v FROM p WHERE k = 99`, "hash index on k"},
+		// contains keeps its re-check, and an empty contained side
+		// matches every element.
+		{`SELECT COUNT(*) FROM p WHERE contains(valid, '{[1998-01-05, 1998-01-06]}'::Element)`, "(1 filter(s) re-checked)"},
+		{`SELECT COUNT(*) FROM p WHERE contains(valid, '{}'::Element)`, "period index on valid (1 filter(s) re-checked)"},
+		// Exact joins whose joined table's columns are read only in ORDER
+		// BY, HAVING, GROUP BY, CASE, aggregate arguments or a subquery.
+		{`SELECT q.k FROM q, p WHERE overlaps(p.valid, q.during) ORDER BY p.at, p.v, q.k`, exact},
+		{`SELECT q.k, COUNT(*) FROM q, p WHERE overlaps(p.valid, q.during) GROUP BY q.k HAVING MAX(p.v) > 1 ORDER BY q.k`, exact},
+		{`SELECT COUNT(*) FROM q, p WHERE overlaps(q.during, p.valid) GROUP BY p.k ORDER BY 1`, exact},
+		{`SELECT SUM(CASE WHEN p.v > 1 THEN 1 ELSE 0 END), COUNT(*) FROM p, q WHERE overlaps(p.valid, q.during)`, exact},
+		{`SELECT q.k, MIN(p.at), MAX(p.at), COUNT(p.valid), group_union(p.valid) FROM q, p
+			WHERE overlaps(p.valid, q.during) GROUP BY q.k ORDER BY q.k`, exact},
+		{`SELECT q.k, (SELECT COUNT(*) FROM p p2 WHERE p2.k = p.k) FROM q, p
+			WHERE overlaps(p.valid, q.during) ORDER BY 1, 2`, exact},
+		// Three levels: the exact level materialises what the hash level
+		// reads; and an equality later in the WHERE takes the level, so
+		// the overlaps conjunct must stay a filter.
+		{`SELECT COUNT(*), SUM(b.v) FROM q, p a, p b WHERE overlaps(a.valid, q.during) AND a.k = b.k AND b.at <> a.at`, exact},
+		{`SELECT COUNT(*) FROM p a, p b WHERE overlaps(a.valid, b.valid) AND a.k = b.k`, "hash join (1 residual filter(s))"},
+		{`SELECT COUNT(*) FROM q, p WHERE contains(p.valid, q.during)`, "period-index nested loop on valid (1 filter(s) re-checked)"},
+		// A star reads every column of every source.
+		{`SELECT * FROM q, p WHERE overlaps(p.valid, q.during)`, exact},
+		// LEFT JOIN ON reads columns nothing else does.
+		{`SELECT q.k, COUNT(p.v) FROM q LEFT JOIN p ON p.k = q.k AND overlaps(p.valid, q.during) GROUP BY q.k ORDER BY q.k`, ""},
+	} {
+		if c.plan != "" {
+			if plan := explained(t, indexed, c.q); !strings.Contains(plan, c.plan) {
+				t.Errorf("%s: indexed plan lacks %q:\n%s", c.q, c.plan, plan)
+			}
+		}
+		sameGrid(t, c.q, grid(mustExec(t, indexed, c.q)), grid(mustExec(t, plain, c.q)))
 	}
 }

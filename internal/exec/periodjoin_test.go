@@ -12,8 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"tip/internal/blade"
 	"tip/internal/engine"
 	"tip/internal/temporal"
+	"tip/internal/types"
 )
 
 func seedTemporalJoin(t *testing.T, s *engine.Session, indexed bool, n int, seed int64) {
@@ -148,5 +150,107 @@ func TestPeriodJoinHashStillPreferred(t *testing.T) {
 	joined := strings.Join(lines, "\n")
 	if !strings.Contains(joined, "hash join") {
 		t.Errorf("hash join not preferred:\n%s", joined)
+	}
+}
+
+// TestPeriodJoinContainsEmptyProbe pins the empty contained side when
+// the container side is indexed: the index finds what overlaps a probe,
+// and an empty element overlaps nothing, yet every element contains it.
+// Under contains an empty bound probe must pair with every row, under
+// overlaps with none.
+func TestPeriodJoinContainsEmptyProbe(t *testing.T) {
+	s := newDB(t)
+	mustExec(t, s, `CREATE TABLE a (valid Element)`)
+	mustExec(t, s, `CREATE TABLE b (valid Element)`)
+	mustExec(t, s, `CREATE INDEX aix ON a (valid) USING PERIOD`)
+	mustExec(t, s, `INSERT INTO a VALUES ('{[1999-01-01, 1999-12-31]}'), ('{[2000-01-01, 2000-12-31]}')`)
+	mustExec(t, s, `INSERT INTO b VALUES ('{[1999-03-01, 1999-03-31]}'), ('{}')`)
+	for _, c := range []struct {
+		q    string
+		want int64
+	}{
+		{`SELECT COUNT(*) FROM b, a WHERE contains(a.valid, b.valid)`, 3},
+		{`SELECT COUNT(*) FROM b, a WHERE overlaps(a.valid, b.valid)`, 1},
+		{`SELECT COUNT(*) FROM a WHERE contains(valid, '{}'::Element)`, 2},
+		{`SELECT COUNT(*) FROM a WHERE overlaps(valid, '{}')`, 0},
+	} {
+		if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+c.q)), "\n"); !strings.Contains(plan, "index") {
+			t.Errorf("%s does not use the index on a:\n%s", c.q, plan)
+		}
+		if got := mustExec(t, s, c.q).Rows[0][0].Int(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.q, got, c.want)
+		}
+	}
+}
+
+// TestUserOverlapsKeepsRecheck registers an overlaps(Period, Period)
+// overload with strict Allen semantics. It resolves ahead of the builtin
+// overlaps(Element, Element) for two Periods, so the index no longer
+// answers the conjunct: the scan and the join keep it as a re-checked
+// filter, and the answers are the overload's, as on a bare table.
+func TestUserOverlapsKeepsRecheck(t *testing.T) {
+	plain, indexed := newDB(t), newDB(t)
+	seedTemporalJoin(t, plain, false, 60, 5)
+	seedTemporalJoin(t, indexed, true, 60, 5)
+	for _, s := range []*engine.Session{plain, indexed} {
+		reg := s.Database().Registry()
+		period, _ := reg.LookupType("Period")
+		reg.MustRegisterRoutine(&blade.Routine{
+			Name: "overlaps", Params: []*types.Type{period, period}, Result: types.TBool, Strict: true,
+			Fn: func(ctx *blade.Ctx, args []types.Value) (types.Value, error) {
+				p, q := args[0].Obj().(temporal.Period), args[1].Obj().(temporal.Period)
+				return types.NewBool(temporal.PeriodOverlapsAllen(p, q, ctx.Now)), nil
+			},
+		})
+	}
+	for _, c := range []struct{ q, plan, loose string }{
+		{`SELECT COUNT(*) FROM visit WHERE overlaps(during, '[1998-03-01, 1998-06-30]')`,
+			"period index on during (1 filter(s) re-checked)",
+			`SELECT COUNT(*) FROM visit WHERE overlaps(during, '{[1998-03-01, 1998-06-30]}'::Element)`},
+		{`SELECT COUNT(*) FROM visit a, visit v WHERE overlaps(v.during, a.during)`,
+			"period-index nested loop on during (1 filter(s) re-checked)",
+			`SELECT COUNT(*) FROM visit a, visit v WHERE overlaps(v.during, a.during::Element)`},
+	} {
+		if plan := explained(t, indexed, c.q); !strings.Contains(plan, c.plan) {
+			t.Errorf("%s: the plan does not re-check the user overload:\n%s", c.q, plan)
+		}
+		got, want := mustExec(t, indexed, c.q).Rows[0][0].Int(), mustExec(t, plain, c.q).Rows[0][0].Int()
+		if got != want {
+			t.Errorf("%s = %d on the indexed table, %d on the bare one", c.q, got, want)
+		}
+		// The builtin, reached through an Element cast, answers loose
+		// overlap: a larger count here shows the overload ran.
+		if n := mustExec(t, indexed, c.loose).Rows[0][0].Int(); n <= got {
+			t.Errorf("%s = %d, not above the overload's %d: the fixture does not tell them apart", c.loose, n, got)
+		}
+	}
+}
+
+// TestPeriodJoinProbeCastFailure drives an exact overlaps join from a
+// VARCHAR probe, which the routine's implicit cast parses per outer row.
+// Text that parses probes the index; text that does not leaves the index
+// out, and the conjunct, tested on every pair as the bare join tests it,
+// fails the statement the same way.
+func TestPeriodJoinProbeCastFailure(t *testing.T) {
+	plain, indexed := newDB(t), newDB(t)
+	seedTemporalJoin(t, plain, false, 40, 17)
+	seedTemporalJoin(t, indexed, true, 40, 17)
+	const q = `SELECT COUNT(*) FROM w, visit v WHERE overlaps(v.during, w.txt)`
+	for _, s := range []*engine.Session{plain, indexed} {
+		mustExec(t, s, `CREATE TABLE w (txt VARCHAR(40))`)
+		mustExec(t, s, `INSERT INTO w VALUES ('[1998-03-01, 1998-05-31]'), ('{[1998-07-01, 1998-07-02], [1999-01-01, 1999-03-01]}')`)
+	}
+	if plan := explained(t, indexed, q); !strings.Contains(plan, "period-index nested loop on during, exact overlaps") {
+		t.Fatalf("the join does not answer overlaps from the index:\n%s", plan)
+	}
+	got, want := mustExec(t, indexed, q).Rows[0][0].Int(), mustExec(t, plain, q).Rows[0][0].Int()
+	if got != want || got == 0 {
+		t.Fatalf("%s = %d on the indexed table, %d on the bare one", q, got, want)
+	}
+	for _, s := range []*engine.Session{plain, indexed} {
+		mustExec(t, s, `INSERT INTO w VALUES ('not a period')`)
+		if _, err := s.Exec(q, nil); err == nil || !strings.Contains(err.Error(), "not a period") {
+			t.Errorf("%s over unparsable text: err = %v, want the cast's error", q, err)
+		}
 	}
 }

@@ -47,17 +47,38 @@ type source struct {
 	// the period-index join path re-applies them to index candidates.
 	pushed []cexpr
 	exec   func(rt *runtime) ([]Row, error)
+	// cols lists the columns a join level copies into its scratch row:
+	// those some expression over the joined row reads (readColumns). nil
+	// copies every column.
+	cols []int
+}
+
+// put copies the columns of source row sr that the join reads into the
+// full-width row dst.
+func (s *source) put(dst, sr Row) {
+	if s.cols == nil {
+		copy(dst[s.off:], sr)
+		return
+	}
+	for _, c := range s.cols {
+		dst[s.off+c] = sr[c]
+	}
 }
 
 // periodJoinCond drives a period-index nested-loop join: for each
 // accumulated row, probe evaluates a temporal value over the earlier
-// sources and the index on col of the newly joined table supplies
-// candidates. The originating overlaps/contains conjunct stays in the
-// level filters, so conservative index results are re-checked.
+// sources and the index on col of the newly joined table supplies its
+// rows. When the index answers the originating conjunct exactly (check
+// is set, see periodLift) the conjunct leaves the level filters;
+// otherwise it stays there and re-checks the index's superset.
 type periodJoinCond struct {
-	probe cexpr
-	col   int
-	lift  probeCast
+	conj, probeExpr ast.Expr
+	probe           cexpr
+	col             int
+	lift            probeCast
+	contains        bool
+	check           *overlapsCheck
+	ids             []int // candidate scratch, reused across accumulated rows
 }
 
 // hashJoinCond is an equality conjunct usable as a hash-join condition at
@@ -135,6 +156,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	hashConds := make([]*hashJoinCond, len(sources))
 	periodConds := make([]*periodJoinCond, len(sources))
 	var zeroLevel []ast.Expr // conjuncts referencing no source
+	var joinReads []ast.Expr // join conditions' probe sides read the joined row
 	for _, c := range conjuncts {
 		set, err := b.refSources(c, sources, fromSchema)
 		if err != nil {
@@ -160,16 +182,16 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			if hashConds[level] == nil && !sources[level].leftJoin {
 				if hc, ok := b.tryHashCond(c, level, set, sources, fromSchema, fromScope); ok {
 					hashConds[level] = hc
+					joinReads = append(joinReads, c)
 					continue
 				}
 			}
 			// An overlaps/contains conjunct against a period-indexed
-			// column can drive an index nested-loop join; the conjunct
-			// also stays below as a level filter (indexes are
-			// conservative).
+			// column can drive an index nested-loop join.
 			if hashConds[level] == nil && periodConds[level] == nil && !sources[level].leftJoin {
 				if pc, ok := b.tryPeriodJoin(c, level, set, sources, fromSchema, fromScope); ok {
 					periodConds[level] = pc
+					joinReads = append(joinReads, pc.probeExpr)
 				}
 			}
 			levelConj[level] = append(levelConj[level], c)
@@ -178,6 +200,19 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	if len(sources) > 0 {
 		levelConj[0] = append(levelConj[0], zeroLevel...)
 		zeroLevel = nil
+	}
+	for level, pc := range periodConds {
+		switch {
+		case pc == nil:
+		case hashConds[level] != nil:
+			periodConds[level] = nil // a later equality took the level
+		case pc.check != nil:
+			// The index answers the conjunct; it is not re-checked.
+			levelConj[level] = slices.DeleteFunc(levelConj[level], func(c ast.Expr) bool { return c == pc.conj })
+		}
+	}
+	if len(sources) > 1 {
+		readColumns(sel, append(joinReads, slices.Concat(levelConj...)...), sources, fromSchema)
 	}
 
 	// Compile scans with their pushed filters.
@@ -228,9 +263,12 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 				joinStats[i] = b.note("join %s: hash join (%d residual filter(s))",
 					sources[i].binding, len(levelConj[i]))
 			case periodConds[i] != nil:
-				joinStats[i] = b.note("join %s: period-index nested loop on %s (%d filter(s) re-checked)",
-					sources[i].binding,
-					sources[i].tbl.Meta.Columns[periodConds[i].col].Name, len(levelConj[i]))
+				exact := ""
+				if periodConds[i].check != nil {
+					exact = ", exact overlaps"
+				}
+				joinStats[i] = b.note("join %s: period-index nested loop on %s%s (%d filter(s) re-checked)",
+					sources[i].binding, sources[i].tbl.Meta.Columns[periodConds[i].col].Name, exact, len(levelConj[i]))
 			default:
 				joinStats[i] = b.note("join %s: nested loop (%d filter(s))",
 					sources[i].binding, len(levelConj[i]))
@@ -809,6 +847,61 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 
 	return &selectPlan{outSchema: outSchema, run: run}, nil
+}
+
+// readColumns sets the cols of every source of a join: the columns
+// that exprs (the level filters and join conditions), the select list, GROUP
+// BY, HAVING, ORDER BY and LEFT JOIN ON read from the joined row. Pushed
+// filters read the source row itself and do not count. A star, or a
+// subquery (which may read any column as an outer reference), leaves
+// every source copying all its columns.
+func readColumns(sel *ast.Select, exprs []ast.Expr, sources []*source, fromSchema Schema) {
+	all := false
+	for _, item := range sel.Items {
+		all = all || item.Star
+		exprs = append(exprs, item.Expr)
+	}
+	exprs = append(exprs, sel.GroupBy...)
+	exprs = append(exprs, sel.Having)
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for _, ref := range sel.From {
+		exprs = append(exprs, ref.On)
+	}
+	read := make([]bool, len(fromSchema))
+	for _, e := range exprs {
+		walkExpr(e, func(x ast.Expr) bool {
+			switch n := x.(type) {
+			case *ast.ColumnRef:
+				// errNotFound is an outer reference or an output alias.
+				if pos, err := fromSchema.Resolve(n.Table, n.Column); err == nil {
+					read[pos] = true
+				} else if err != errNotFound {
+					all = true
+				}
+			case *ast.Subquery, *ast.Exists:
+				all = true
+			case *ast.InList:
+				all = all || n.Subquery != nil
+			}
+			return !all
+		})
+	}
+	if all {
+		return
+	}
+	for _, s := range sources {
+		cols := make([]int, 0, len(s.schema))
+		for i := range s.schema {
+			if read[s.off+i] {
+				cols = append(cols, i)
+			}
+		}
+		if len(cols) < len(s.schema) {
+			s.cols = cols
+		}
+	}
 }
 
 // parentOnly returns a scope exposing only the outer chain (LIMIT and

@@ -95,3 +95,50 @@ func TestPeriodProbeWholeExtent(t *testing.T) {
 	})
 	check("after widening")
 }
+
+// TestIndexMissReadsNothing pins that an index probe finding no row
+// answers with no rows instead of scanning the table. The count is the
+// same either way, so the test compares the statements' peak memory: a
+// scan sizes its output for every row it may return, which for a full
+// scan is the whole table. COUNT(*) keeps everything else equal.
+func TestIndexMissReadsNothing(t *testing.T) {
+	s := newDB(t)
+	seedAllocRx(t, s, 2000)
+	peak := func(q string) int64 {
+		t.Helper()
+		res, err := s.Exec("EXPLAIN ANALYZE "+q, nil)
+		if err != nil {
+			t.Fatalf("EXPLAIN ANALYZE %s: %v", q, err)
+		}
+		for _, r := range res.Rows {
+			var n int64
+			if _, err := fmt.Sscanf(r[0].Str(), "peak memory: %d bytes", &n); err == nil {
+				return n
+			}
+		}
+		t.Fatalf("EXPLAIN ANALYZE %s reports no peak memory", q)
+		return 0
+	}
+	for _, c := range []struct{ plan, hit, miss string }{
+		{"hash index on patient",
+			`SELECT COUNT(*) FROM rx WHERE patient = 'p17'`,
+			`SELECT COUNT(*) FROM rx WHERE patient = 'nobody'`},
+		{"period index on valid",
+			`SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-03-01]')`,
+			`SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[2010-03-01, 2010-03-01]')`},
+	} {
+		if plan := explained(t, s, c.miss); !strings.Contains(plan, c.plan) {
+			t.Fatalf("%s does not use the %s:\n%s", c.miss, c.plan, plan)
+		}
+		if n := mustExec(t, s, c.hit).Rows[0][0].Int(); n == 0 {
+			t.Fatalf("%s counts no rows; the fixture should give some", c.hit)
+		}
+		if n := mustExec(t, s, c.miss).Rows[0][0].Int(); n != 0 {
+			t.Fatalf("%s = %d, want 0", c.miss, n)
+		}
+		if hit, miss := peak(c.hit), peak(c.miss); miss > hit {
+			t.Errorf("%s peaks at %d bytes, above the %d of a probe that finds rows: the miss scanned the table",
+				c.miss, miss, hit)
+		}
+	}
+}

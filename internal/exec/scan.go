@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tip/internal/blade"
+	"tip/internal/index"
 	"tip/internal/sql/ast"
 	"tip/internal/temporal"
 	"tip/internal/types"
@@ -47,9 +49,11 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 }
 
 // bindScan compiles a table scan with its pushed-down filters, choosing a
-// hash or period index when a filter permits. Index candidates are always
-// re-checked against every filter, so conservative index results stay
-// sound.
+// hash or period index when a filter permits. The rows a hash index
+// finds are re-checked against every filter. A period index answers the
+// builtin overlaps(Element, Element) exactly (periodLift), so that
+// conjunct leaves the filters its rows are re-checked against; any other
+// period conjunct stays, since its index rows are a superset.
 func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (func(rt *runtime) ([]Row, error), error) {
 	tbl, snap := src.tbl, src.snap
 	if tbl == nil {
@@ -70,32 +74,45 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		return err != nil || set != 0
 	}
 	type probePlan struct {
-		kind  string // "hash" or "period"
-		col   int
-		probe cexpr // bound against the parent chain only
-		lift  probeCast
+		kind     string // "hash" or "period"
+		col      int
+		probe    cexpr // bound against the parent chain only
+		lift     probeCast
+		contains bool
+		ids      []int // candidate scratch, reused across runs
 	}
 	var probe *probePlan
-	for _, c := range pushed {
-		kind, pairs := indexArgs(c)
-		for _, try := range pairs {
-			pos, ok := indexedColumn(try[0], src, kind)
-			if !ok || refsSelf(try[1]) {
+	// residual is what the index's rows are re-checked against.
+	residual := filters
+	for ci, c := range pushed {
+		kind, call, uses := indexArgs(c)
+		for _, u := range uses {
+			pos, ok := indexedColumn(u.col, src, kind)
+			if !ok || refsSelf(u.probe) {
 				continue
 			}
-			pc, pt, err := b.bind(try[1], parent)
+			pc, pt, err := b.bind(u.probe, parent)
 			if err != nil {
 				continue
 			}
-			// Hash keys are formatted values of the column's type, so only
-			// a probe that converts to it implicitly can look up. A period
-			// probe with no implicit edge keeps its own type: a narrower
-			// temporal value still maps to intervals.
-			cast, ok := b.implicitCast(pt, src.schema[pos].Type)
-			if !ok && kind == "hash" {
-				continue
+			p := &probePlan{kind: kind, col: pos, probe: pc}
+			if kind == "period" {
+				var exact *blade.Resolution
+				p.lift, exact = b.periodLift(call, u.colArg, src.schema[pos].Type, pt)
+				p.contains = call.LowerName() == "contains"
+				if exact != nil {
+					residual = slices.Delete(slices.Clone(filters), ci, ci+1)
+				}
+			} else {
+				// Hash keys are formatted values of the column's type, so
+				// only a probe that converts to it implicitly can look up.
+				cast, ok := b.implicitCast(pt, src.schema[pos].Type)
+				if !ok {
+					continue
+				}
+				p.lift = probeCast{cast: cast}
 			}
-			probe = &probePlan{kind: kind, col: pos, probe: pc, lift: probeCast{cast: cast}}
+			probe = p
 			break
 		}
 		if probe != nil {
@@ -106,11 +123,14 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 	var stScan *OpStats
 	switch {
 	case b.explain == nil:
-	case probe != nil:
+	case probe == nil:
+		stScan = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
+	case len(residual) < len(filters):
+		stScan = b.note("scan %s: period index on %s, exact overlaps (%d filter(s) re-checked)",
+			src.binding, tbl.Meta.Columns[probe.col].Name, len(residual))
+	default:
 		stScan = b.note("scan %s: %s index on %s (%d filter(s) re-checked)",
 			src.binding, probe.kind, tbl.Meta.Columns[probe.col].Name, len(filters))
-	default:
-		stScan = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
 	}
 	if b.env.PlanChoice != nil {
 		switch {
@@ -123,13 +143,16 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		}
 	}
 
-	scan := func(rt *runtime, candidates []int) ([]Row, error) {
+	// scan returns the live rows that pass fs: of the whole table when
+	// full is set, else of the index's ids only, so an index that finds
+	// nothing yields no rows.
+	scan := func(rt *runtime, full bool, ids []int, fs []cexpr) ([]Row, error) {
 		// Size the output for the no-filter case up front; filtered scans
 		// waste at most one slice that the append-growth path would have
 		// allocated anyway.
 		hint := snap.Rows.Len()
-		if candidates != nil && len(candidates) < hint {
-			hint = len(candidates)
+		if !full {
+			hint = min(hint, len(ids))
 		}
 		// The output headers are a single upfront allocation sized by the
 		// hint; charge fallibly so a scan hopelessly beyond the budget
@@ -142,7 +165,7 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 			if err := rt.checkCancel(); err != nil {
 				return err
 			}
-			ok, err := evalFilters(rt, filters, r)
+			ok, err := evalFilters(rt, fs, r)
 			if err != nil {
 				return err
 			}
@@ -153,8 +176,8 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 			}
 			return nil
 		}
-		if candidates != nil {
-			for _, id := range candidates {
+		if !full {
+			for _, id := range ids {
 				if r, ok := snap.Rows.Get(id); ok {
 					if err := consider(r); err != nil {
 						return nil, err
@@ -172,7 +195,7 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 	}
 
 	if probe == nil {
-		return instrumentRows(stScan, func(rt *runtime) ([]Row, error) { return scan(rt, nil) }), nil
+		return instrumentRows(stScan, func(rt *runtime) ([]Row, error) { return scan(rt, true, nil, filters) }), nil
 	}
 
 	return instrumentRows(stScan, func(rt *runtime) ([]Row, error) {
@@ -184,16 +207,18 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 			return nil, nil // equality/overlap with NULL matches nothing
 		}
 		cv, ok := probe.lift.apply(rt, pv)
-		if probe.kind == "hash" && ok {
-			return scan(rt, snap.Hash[probe.col].Lookup(cv.Key(rt.env.Now), snap.Seq))
-		}
-		if probe.kind == "period" {
-			if ids, ok := periodCandidates(rt, snap, probe.col, cv); ok {
-				return scan(rt, ids)
+		switch {
+		case !ok:
+		case probe.kind == "hash":
+			return scan(rt, false, snap.Hash[probe.col].Lookup(cv.Key(rt.env.Now), snap.Seq), filters)
+		default:
+			if probe.ids, ok = periodCandidates(rt, snap.Periods[probe.col], cv, probe.contains, probe.ids[:0]); ok {
+				return scan(rt, false, probe.ids, residual)
 			}
 		}
-		// A probe the cast rejects or the index cannot map scans fully.
-		return scan(rt, nil)
+		// A probe the cast rejects or the index cannot answer scans fully,
+		// re-checking every filter.
+		return scan(rt, true, nil, filters)
 	}), nil
 }
 
@@ -218,28 +243,78 @@ func (p *probeCast) apply(rt *runtime, v types.Value) (types.Value, bool) {
 	return cv, true
 }
 
-// periodCandidates probes a period index with a temporal value; ok is
-// false when the probe cannot be mapped to intervals.
-func periodCandidates(rt *runtime, snap *TableVersion, col int, pv types.Value) ([]int, bool) {
-	now := rt.env.Now
-	ix := snap.Periods[col]
-	switch obj := pv.Obj().(type) {
-	case temporal.Element:
-		return ix.SearchElement(obj, now), true
-	case temporal.Period:
-		iv, ok := obj.Bind(now)
-		if !ok {
-			return nil, true
+// periodLift binds how a probe of type pt reaches the period index on a
+// column of type ct for the index conjunct call, the column being its
+// argument colArg. When call resolves to the builtin overlaps(Element,
+// Element), the index answers it exactly: the probe is lifted by that
+// routine's own cast, and the resolution comes back for the paths the
+// index cannot serve. Anything else — contains, a user overload of
+// overlaps — returns nil, so the conjunct stays among the re-checked
+// filters, and lifts the probe to the column's type where an implicit
+// cast exists (a narrower temporal value keeps its own type: it still
+// maps to intervals).
+func (b *binder) periodLift(call *ast.Call, colArg int, ct, pt *types.Type) (probeCast, *blade.Resolution) {
+	if elem, ok := b.env.Reg.LookupType("Element"); ok && call.LowerName() == "overlaps" {
+		argTypes := []*types.Type{ct, pt}
+		if colArg == 1 {
+			argTypes[0], argTypes[1] = pt, ct
 		}
-		return ix.Search(iv.Lo, iv.Hi), true
+		res, err := b.env.Reg.Resolve("overlaps", argTypes)
+		if err == nil && res.Routine.Params[0] == elem && res.Routine.Params[1] == elem {
+			return probeCast{cast: res.Casts[1-colArg]}, res
+		}
+	}
+	cast, _ := b.implicitCast(pt, ct)
+	return probeCast{cast: cast}, nil
+}
+
+// overlapsCheck evaluates an exactly-answered overlaps conjunct from the
+// indexed column's value and the unconverted probe value, as the bound
+// conjunct would.
+type overlapsCheck struct {
+	cs     *callSite
+	colArg int
+}
+
+func (c *overlapsCheck) holds(rt *runtime, col, probe types.Value) (bool, error) {
+	c.cs.args[c.colArg], c.cs.args[1-c.colArg] = col, probe
+	v, err := c.cs.call(rt)
+	if err != nil {
+		return false, err
+	}
+	ok, isNull, err := truth(v)
+	return ok && !isNull, err
+}
+
+// periodCandidates appends to dst, in ascending slot order, the rows of
+// the period index ix whose value overlaps the temporal probe v at the
+// statement's NOW — rt.env.Now, the NOW every routine of the statement
+// sees. ok is false when the index cannot give the conjunct's rows: v
+// has no interval form, or it binds empty under contains (every element
+// contains the empty one, overlapping or not).
+func periodCandidates(rt *runtime, ix *index.Period, v types.Value, contains bool, dst []int) ([]int, bool) {
+	now := rt.env.Now
+	ivs := rt.ivs[:0]
+	switch obj := v.Obj().(type) {
+	case temporal.Element:
+		ivs = obj.AppendBound(ivs, now)
+	case temporal.Period:
+		if iv, ok := obj.Bind(now); ok {
+			ivs = append(ivs, iv)
+		}
 	case temporal.Chronon:
-		return ix.Search(obj, obj), true
+		ivs = append(ivs, temporal.Interval{Lo: obj, Hi: obj})
 	case temporal.Instant:
 		c := obj.Bind(now)
-		return ix.Search(c, c), true
+		ivs = append(ivs, temporal.Interval{Lo: c, Hi: c})
 	default:
-		return nil, false
+		return dst, false
 	}
+	rt.ivs = ivs
+	if contains && len(ivs) == 0 {
+		return dst, false
+	}
+	return ix.Overlapping(&rt.hits, dst, ivs, now), true
 }
 
 // refSources returns the bitmask of sources a conjunct references.
@@ -285,16 +360,23 @@ func (b *binder) refSources(e ast.Expr, sources []*source, fromSchema Schema) (u
 	return mask, nil
 }
 
-// indexArgs returns the (column, probe) argument orders through which
-// conjunct c could use an index: either side of col = x for a hash
-// index; either side of overlaps(col, x), but only the container side of
-// contains(col, x), for a period index — the contained side may be
-// anywhere, even empty.
-func indexArgs(c ast.Expr) (kind string, pairs [][2]ast.Expr) {
+// indexUse is one way a conjunct could drive an index: col = probe for
+// a hash index, or a period call with col as argument colArg.
+type indexUse struct {
+	col, probe ast.Expr
+	colArg     int
+}
+
+// indexArgs returns the ways conjunct c could use an index, and for a
+// period index the call: either side of col = x for a hash index; either
+// side of overlaps(col, x), but only the container side of contains(col,
+// x), for a period index — the contained side may be anywhere, even
+// empty.
+func indexArgs(c ast.Expr) (kind string, call *ast.Call, uses []indexUse) {
 	switch n := c.(type) {
 	case *ast.Binary:
 		if n.Op == "=" {
-			return "hash", [][2]ast.Expr{{n.L, n.R}, {n.R, n.L}}
+			return "hash", nil, []indexUse{{n.L, n.R, 0}, {n.R, n.L, 1}}
 		}
 	case *ast.Call:
 		if len(n.Args) != 2 {
@@ -302,12 +384,12 @@ func indexArgs(c ast.Expr) (kind string, pairs [][2]ast.Expr) {
 		}
 		switch n.LowerName() {
 		case "overlaps":
-			return "period", [][2]ast.Expr{{n.Args[0], n.Args[1]}, {n.Args[1], n.Args[0]}}
+			return "period", n, []indexUse{{n.Args[0], n.Args[1], 0}, {n.Args[1], n.Args[0], 1}}
 		case "contains":
-			return "period", [][2]ast.Expr{{n.Args[0], n.Args[1]}}
+			return "period", n, []indexUse{{n.Args[0], n.Args[1], 0}}
 		}
 	}
-	return "", nil
+	return "", nil, nil
 }
 
 // indexedColumn returns the position of e in the table source src when e
@@ -333,25 +415,29 @@ func indexedColumn(e ast.Expr, src *source, kind string) (int, bool) {
 // side references only earlier sources.
 func (b *binder) tryPeriodJoin(c ast.Expr, level int, set uint64, sources []*source, fromSchema Schema, fromScope *bindScope) (*periodJoinCond, bool) {
 	src := sources[level]
-	kind, pairs := indexArgs(c)
+	kind, call, uses := indexArgs(c)
 	if kind != "period" || src.tbl == nil {
 		return nil, false
 	}
 	below := set &^ (uint64(1) << level)
-	for _, try := range pairs {
-		pos, ok := indexedColumn(try[0], src, kind)
+	for _, u := range uses {
+		pos, ok := indexedColumn(u.col, src, kind)
 		if !ok {
 			continue
 		}
-		if otherSet, err := b.refSources(try[1], sources, fromSchema); err != nil || otherSet != below {
+		if otherSet, err := b.refSources(u.probe, sources, fromSchema); err != nil || otherSet != below {
 			continue
 		}
-		probe, pt, err := b.bind(try[1], fromScope)
+		probe, pt, err := b.bind(u.probe, fromScope)
 		if err != nil {
 			continue
 		}
-		cast, _ := b.implicitCast(pt, src.schema[pos].Type)
-		return &periodJoinCond{probe: probe, col: pos, lift: probeCast{cast: cast}}, true
+		pc := &periodJoinCond{conj: c, probeExpr: u.probe, probe: probe, col: pos, contains: call.LowerName() == "contains"}
+		var exact *blade.Resolution
+		if pc.lift, exact = b.periodLift(call, u.colArg, src.schema[pos].Type, pt); exact != nil {
+			pc.check = &overlapsCheck{cs: newCallSite(exact), colArg: u.colArg}
+		}
+		return pc, true
 	}
 	return nil, false
 }
@@ -403,11 +489,14 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 
 // periodIndexJoin joins src into the accumulated rows by probing src's
 // period index with each accumulated row's temporal value, handing each
-// candidate pair to pair. Pushed single-table filters are re-applied
-// here and pair applies the level filters (which include the
-// originating overlaps/contains conjunct), so the conservative index
-// candidates stay sound.
-func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, pair func(a, sr Row) error) error {
+// row the index finds, once it passes the pushed single-table filters, to
+// pair. An exact conjunct (pc.check) is answered by the index; any other
+// stays among the level filters pair applies. When the index cannot
+// answer (the probe's cast rejects it, it has no interval form, or it is
+// an empty contained side), the accumulated row pairs with every source
+// row, and an exact conjunct is tested here.
+func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, begin func(a Row), pair func(sr Row) error) error {
+	ix := src.snap.Periods[pc.col]
 	for _, a := range acc {
 		if err := rt.checkCancel(); err != nil {
 			return err
@@ -421,23 +510,18 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, pa
 		if pv.Null {
 			continue
 		}
-		pv, _ = pc.lift.apply(rt, pv)
-		ids, ok := periodCandidates(rt, src.snap, pc.col, pv)
+		begin(a)
+		cv, ok := pc.lift.apply(rt, pv)
+		if ok {
+			pc.ids, ok = periodCandidates(rt, ix, cv, pc.contains, pc.ids[:0])
+		}
 		if !ok {
-			// The probe value has no interval form; fall back to the
-			// full source for this accumulated row.
-			srcRows, err := src.exec(rt)
-			if err != nil {
+			if err := pairUnindexed(rt, src, pc, pv, pair); err != nil {
 				return err
-			}
-			for _, sr := range srcRows {
-				if err := pair(a, sr); err != nil {
-					return err
-				}
 			}
 			continue
 		}
-		for _, id := range ids {
+		for _, id := range pc.ids {
 			if err := rt.checkCancel(); err != nil {
 				return err
 			}
@@ -452,9 +536,34 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, pa
 			if !ok {
 				continue
 			}
-			if err := pair(a, sr); err != nil {
+			if err := pair(sr); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// pairUnindexed pairs the current accumulated row with every source row,
+// testing an exactly-answered conjunct on the probe value pv, which is
+// not among the level filters.
+func pairUnindexed(rt *runtime, src *source, pc *periodJoinCond, pv types.Value, pair func(sr Row) error) error {
+	srcRows, err := src.exec(rt)
+	if err != nil {
+		return err
+	}
+	for _, sr := range srcRows {
+		if pc.check != nil {
+			ok, err := pc.check.holds(rt, sr[pc.col], pv)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
+		if err := pair(sr); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -518,7 +627,11 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 // rows in one call, and they are the source's own rows (immutable slab
 // rows or a derived table's result), which emit may keep. A join hands
 // over each surviving pair as it is found, in a scratch row the next
-// pair overwrites, which emit must copy to keep.
+// pair overwrites, which emit must copy to keep. The scratch row holds
+// only the columns some expression over the joined row reads
+// (source.cols); the others stay zero Values, which no operator accepts,
+// so a column wrongly left out fails loudly instead of reading a stale
+// value.
 func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, periodConds []*periodJoinCond, levelFilters [][]cexpr, levelStats []*OpStats, emit func(rows []Row) error) error {
 	if len(sources) == 1 {
 		// The from row IS the source row, so pass the scan's batch
@@ -565,17 +678,19 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 			lvlStart = time.Now()
 		}
 
-		// pair merges accumulated row a and source row sr into scratch
-		// and, when the level's filters pass, keeps the result: in the
-		// next level's input, or through emit at the last level.
+		// begin starts the pairs of accumulated row a: its columns go
+		// into scratch once, not once per pair.
+		begin := func(a Row) { copy(scratch[:src.off], a) }
+		// pair puts source row sr beside them and, when the level's
+		// filters pass, keeps the result: in the next level's input, or
+		// through emit at the last level.
 		var next []Row
 		kept := 0
-		pair := func(a, sr Row) error {
+		pair := func(sr Row) error {
 			if err := rt.checkCancel(); err != nil {
 				return err
 			}
-			copy(scratch, a)
-			copy(scratch[src.off:], sr)
+			src.put(scratch, sr)
 			ok, err := evalFilters(rt, levelFilters[level], scratch)
 			if err != nil || !ok {
 				return err
@@ -591,11 +706,11 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 			return nil
 		}
 
-		if periodConds[level] != nil && hashConds[level] == nil && !src.leftJoin {
-			if err := periodIndexJoin(rt, acc, src, periodConds[level], pair); err != nil {
+		if pc := periodConds[level]; pc != nil {
+			if err := periodIndexJoin(rt, acc, src, pc, begin, pair); err != nil {
 				return err
 			}
-		} else if err := joinLevel(rt, acc, src, hashConds[level], scratch, pair); err != nil {
+		} else if err := joinLevel(rt, acc, src, hashConds[level], scratch, begin, pair); err != nil {
 			return err
 		}
 		if st != nil {
@@ -611,7 +726,7 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 // nested loop, and every pair goes through pair. A LEFT JOIN first tests
 // its ON conjuncts in scratch and pairs each row nothing matched with a
 // NULL row.
-func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Row, pair func(a, sr Row) error) error {
+func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Row, begin func(a Row), pair func(sr Row) error) error {
 	srcRows, err := src.exec(rt)
 	if err != nil {
 		return err
@@ -623,20 +738,20 @@ func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Ro
 			nulls[i] = types.NewNull(cm.Type)
 		}
 		for _, a := range acc {
+			begin(a)
 			matched := false
 			for _, sr := range srcRows {
 				if err := rt.checkCancel(); err != nil {
 					return err
 				}
-				copy(scratch, a)
-				copy(scratch[src.off:], sr)
+				src.put(scratch, sr)
 				ok, err := evalFilters(rt, src.on, scratch)
 				if err != nil {
 					return err
 				}
 				if ok {
 					matched = true
-					if err := pair(a, sr); err != nil {
+					if err := pair(sr); err != nil {
 						return err
 					}
 				}
@@ -644,7 +759,7 @@ func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Ro
 			if !matched {
 				// NULL-pad the right side; pair re-checks the WHERE
 				// filters of this level against the padded row.
-				if err := pair(a, nulls); err != nil {
+				if err := pair(nulls); err != nil {
 					return err
 				}
 			}
@@ -687,16 +802,18 @@ func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Ro
 			if kv.Null {
 				continue
 			}
+			begin(a)
 			for _, sr := range buildMap[kv.Key(rt.env.Now)] {
-				if err := pair(a, sr); err != nil {
+				if err := pair(sr); err != nil {
 					return err
 				}
 			}
 		}
 	default:
 		for _, a := range acc {
+			begin(a)
 			for _, sr := range srcRows {
-				if err := pair(a, sr); err != nil {
+				if err := pair(sr); err != nil {
 					return err
 				}
 			}

@@ -189,7 +189,9 @@ func (e *Env) Ctx() *blade.Ctx {
 // scope. ticks counts row-loop iterations to ration cancel polls;
 // arena and keybuf are the statement's batch allocator and reused
 // grouping-key buffer (batch.go); memLocal accumulates memory charges
-// between flushes to env.Mem (mem.go).
+// between flushes to env.Mem (mem.go); hits and ivs are the period-index
+// searches' dedup bitset and bound-probe scratch (periodCandidates), each
+// used within one search only.
 type runtime struct {
 	env      *Env
 	rows     []Row
@@ -197,6 +199,8 @@ type runtime struct {
 	arena    rowArena
 	keybuf   []byte
 	memLocal int64
+	hits     index.Hits
+	ivs      []temporal.Interval
 }
 
 func (rt *runtime) push(r Row) { rt.rows = append(rt.rows, r) }

@@ -3,9 +3,14 @@
 // predicates (the in-engine counterpart of the temporal-index DataBlade of
 // Bliujūtė et al. that the TIP paper cites as related work).
 //
-// Both indexes return candidate row ids; the executor always re-evaluates
-// the predicate on the candidates against its row snapshot, so indexes may
-// be conservative (supersets are fine, missing rows are not).
+// The hash index returns the row ids posted under a key, which the
+// executor re-checks against its filters. The period index answers
+// overlap exactly: Overlapping returns precisely the rows one of whose
+// periods, bound at the statement's NOW, shares a chronon with the probe
+// — the answer of TIP's overlaps(Element, Element) — so the executor
+// stops re-checking that predicate on every candidate. Search keeps the
+// conservative contract (a superset at every NOW) for callers that have
+// no NOW.
 //
 // Readers hold no table locks, so both indexes are versioned to match
 // the row-slab versions they travel with:
@@ -20,14 +25,19 @@
 //     bounded.
 //
 //   - Period is an immutable per-version value built by a PeriodBuilder
-//     under the table's write lock. Appends extend the shared entry log in
-//     place (slots beyond a published version's length are invisible to
-//     its readers); removals copy the surviving entries. The sorted search
-//     form is built lazily once per version into fresh slices, so the
-//     read path mutates nothing a reader can see.
+//     under the table's write lock. Appends extend the shared entry logs
+//     in place (slots beyond a published version's length are invisible
+//     to its readers); removals copy the surviving entries. The sorted
+//     search form is built lazily once per version into fresh slices, so
+//     the read path mutates nothing a reader can see. Searches
+//     deduplicate into a caller-owned Hits bitset, not a per-search map.
 package index
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -171,20 +181,27 @@ func (h *Hash) Len() int {
 
 // Period is one immutable version of an interval index over the periods
 // of a temporal column. Each row contributes one entry per period of its
-// (Element, Period, Chronon or Instant) value. NOW-relative endpoints are
-// indexed conservatively: a NOW-relative start as the minimum chronon and
-// a NOW-relative end as the maximum, so the candidate set is a superset
-// at every evaluation time.
+// (Element, Period, Chronon or Instant) value, to one of two runs:
 //
-// The sorted search form — entries by interval start with a prefix
-// maximum of interval ends, giving O(log n + k) overlap search — is built
-// lazily on first search, once per version, into fresh slices. All
-// methods are safe for any number of concurrent readers.
+//   - closed entries, both endpoints absolute, sorted by start with a
+//     prefix maximum of ends, so an overlap search is O(log n + k);
+//   - open entries, with a NOW-relative endpoint ([1999-10-01, NOW], the
+//     open period of a still-current row), which keep their period and
+//     are bound at search time. Sorted by start (the minimum chronon when
+//     the start is NOW-relative too), a search walks those that start by
+//     the probe's end. Kept out of the closed run, their unbounded ends no
+//     longer saturate its prefix maximum.
+//
+// The sorted form is built lazily on first search, once per version, into
+// fresh slices. All methods are safe for any number of concurrent readers.
 type Period struct {
-	entries []periodEntry // shared log prefix; immutable within [0, len)
-	once    sync.Once
-	sorted  []periodEntry
-	maxHi   []int64
+	closed []periodEntry // shared log prefixes; immutable within [0, len)
+	open   []openEntry
+	once   sync.Once
+	sorted []periodEntry // closed, by lo
+	maxHi  []int64       // maxHi[i] is the largest hi of sorted[:i+1]
+	opens  []openEntry   // open, by lo
+	slots  int           // one past the largest row id
 }
 
 type periodEntry struct {
@@ -192,21 +209,10 @@ type periodEntry struct {
 	id     int
 }
 
-// boundsOf computes the conservative index interval of one period.
-func boundsOf(p temporal.Period) (int64, int64) {
-	lo, hi := int64(temporal.MinChronon), int64(temporal.MaxChronon)
-	if c, ok := p.Start.Chronon(); ok {
-		lo = int64(c)
-	}
-	if c, ok := p.End.Chronon(); ok {
-		hi = int64(c)
-	}
-	if hi < lo {
-		// A determinate empty period never matches; store an empty
-		// sentinel that no query interval overlaps.
-		return 1, 0
-	}
-	return lo, hi
+type openEntry struct {
+	lo int64 // the absolute start, or MinChronon for a NOW-relative one
+	p  temporal.Period
+	id int
 }
 
 // Len returns the number of indexed periods.
@@ -214,75 +220,120 @@ func (ix *Period) Len() int {
 	if ix == nil {
 		return 0
 	}
-	return len(ix.entries)
+	return len(ix.closed) + len(ix.open)
 }
 
 func (ix *Period) build() {
-	ix.sorted = append([]periodEntry(nil), ix.entries...)
-	sort.Slice(ix.sorted, func(i, j int) bool { return ix.sorted[i].lo < ix.sorted[j].lo })
-	ix.maxHi = make([]int64, 0, len(ix.sorted))
-	maxSoFar := int64(-1 << 62)
-	for _, e := range ix.sorted {
-		if e.hi > maxSoFar {
-			maxSoFar = e.hi
-		}
-		ix.maxHi = append(ix.maxHi, maxSoFar)
+	ix.sorted = slices.Clone(ix.closed)
+	slices.SortFunc(ix.sorted, func(a, b periodEntry) int { return cmp.Compare(a.lo, b.lo) })
+	ix.maxHi = make([]int64, len(ix.sorted))
+	maxSoFar := int64(math.MinInt64)
+	for i, e := range ix.sorted {
+		maxSoFar = max(maxSoFar, e.hi)
+		ix.maxHi[i] = maxSoFar
+		ix.slots = max(ix.slots, e.id+1)
+	}
+	ix.opens = slices.Clone(ix.open)
+	slices.SortFunc(ix.opens, func(a, b openEntry) int { return cmp.Compare(a.lo, b.lo) })
+	for _, e := range ix.opens {
+		ix.slots = max(ix.slots, e.id+1)
 	}
 }
 
-// Search returns the distinct row ids whose indexed intervals overlap
-// [qlo, qhi] (closed). The result order is unspecified and the slice is
-// owned by the caller.
+// Hits gathers the row ids of a search in a bitset over row slots: a row
+// found through several periods or several probe intervals is reported
+// once, and ids come out in ascending slot order, the order a full scan
+// visits rows in. The zero value is ready to use. A Hits holds nothing
+// between searches, so one execution can reuse one for all its searches
+// (one at a time).
+type Hits struct {
+	words  []uint64
+	lo, hi int // the word range the search in progress has touched
+}
+
+func (h *Hits) reset(slots int) {
+	if n := (slots + 63) >> 6; len(h.words) < n {
+		h.words = make([]uint64, n)
+	}
+	h.lo, h.hi = len(h.words), 0
+}
+
+func (h *Hits) add(id int) {
+	w := id >> 6
+	h.words[w] |= 1 << (id & 63)
+	h.lo, h.hi = min(h.lo, w), max(h.hi, w+1)
+}
+
+// drain appends the gathered ids to dst in ascending order and clears
+// them.
+func (h *Hits) drain(dst []int) []int {
+	for w := h.lo; w < h.hi; w++ {
+		for x := h.words[w]; x != 0; x &= x - 1 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(x))
+		}
+		h.words[w] = 0
+	}
+	return dst
+}
+
+// Overlapping appends to dst the distinct row ids one of whose periods,
+// bound at now, shares a chronon with one of the probe intervals, in
+// ascending order, and returns the extended slice. The answer is exact:
+// for a probe element bound at the same now, it is the set of rows whose
+// value e satisfies e.Overlaps(probe, now) — a row whose periods all bind
+// empty at now ([2000-01-01, NOW] asked in 1999) is not in it. h is the
+// caller's scratch.
+func (ix *Period) Overlapping(h *Hits, dst []int, probe []temporal.Interval, now temporal.Chronon) []int {
+	return ix.collect(h, dst, probe, now, true)
+}
+
+// Search returns the distinct row ids whose periods may overlap [qlo, qhi]
+// (closed) at some value of NOW, in ascending order: exact for periods
+// with absolute endpoints, conservative for NOW-relative ones (a
+// NOW-relative start counts as the minimum chronon, a NOW-relative end as
+// the maximum), so the answer is a superset of Overlapping's at every
+// NOW. The slice is owned by the caller.
 func (ix *Period) Search(qlo, qhi temporal.Chronon) []int {
-	ix.once.Do(ix.build)
-	// Entries with lo > qhi cannot overlap; binary-search the cut.
-	n := sort.Search(len(ix.sorted), func(i int) bool { return ix.sorted[i].lo > int64(qhi) })
-	var ids []int
-	seen := make(map[int]struct{})
-	// Walk backwards pruning with prefix maxima: once every earlier
-	// entry's hi is below qlo, stop.
-	for i := n - 1; i >= 0; i-- {
-		if ix.maxHi[i] < int64(qlo) {
-			break
-		}
-		e := ix.sorted[i]
-		if e.hi >= int64(qlo) {
-			if _, dup := seen[e.id]; !dup {
-				seen[e.id] = struct{}{}
-				ids = append(ids, e.id)
-			}
-		}
-	}
-	return ids
+	return ix.collect(new(Hits), nil, []temporal.Interval{{Lo: qlo, Hi: qhi}}, 0, false)
 }
 
-// SearchElement returns candidates overlapping any period of the probe
-// element, bound at the given moment.
-func (ix *Period) SearchElement(e temporal.Element, now temporal.Chronon) []int {
-	ivs := e.Bind(now)
-	if len(ivs) == 1 {
-		return ix.Search(ivs[0].Lo, ivs[0].Hi) // already distinct
-	}
-	var ids []int
-	seen := make(map[int]struct{})
-	for _, iv := range ivs {
-		for _, id := range ix.Search(iv.Lo, iv.Hi) {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				ids = append(ids, id)
+// collect runs one search: open entries are bound at now when exact, and
+// otherwise tested with their conservative bounds.
+func (ix *Period) collect(h *Hits, dst []int, probe []temporal.Interval, now temporal.Chronon, exact bool) []int {
+	ix.once.Do(ix.build)
+	h.reset(ix.slots)
+	for _, q := range probe {
+		qlo, qhi := int64(q.Lo), int64(q.Hi)
+		// Entries starting after qhi cannot overlap. Below the cut, walk
+		// the closed run backwards until every earlier end is below qlo.
+		n := sort.Search(len(ix.sorted), func(i int) bool { return ix.sorted[i].lo > qhi })
+		for i := n - 1; i >= 0 && ix.maxHi[i] >= qlo; i-- {
+			if e := ix.sorted[i]; e.hi >= qlo {
+				h.add(e.id)
+			}
+		}
+		n = sort.Search(len(ix.opens), func(i int) bool { return ix.opens[i].lo > qhi })
+		for _, e := range ix.opens[:n] {
+			if exact {
+				if iv, ok := e.p.Bind(now); ok && iv.Overlaps(q) {
+					h.add(e.id)
+				}
+			} else if end, abs := e.p.End.Chronon(); !abs || end >= q.Lo {
+				h.add(e.id)
 			}
 		}
 	}
-	return ids
+	return h.drain(dst)
 }
 
 // PeriodBuilder accumulates the next version of a period index. It must
 // only be used by the one writer holding the table's write lock; Commit
 // publishes the new version, and dropping the builder discards every
-// change (appends land beyond the base version's visible length, and
+// change (appends land beyond the base version's visible lengths, and
 // removals copy).
 type PeriodBuilder struct {
-	entries []periodEntry
+	closed []periodEntry
+	open   []openEntry
 }
 
 // NewPeriodBuilder starts a successor of v, which may be nil to build
@@ -290,7 +341,7 @@ type PeriodBuilder struct {
 func NewPeriodBuilder(v *Period) *PeriodBuilder {
 	b := &PeriodBuilder{}
 	if v != nil {
-		b.entries = v.entries
+		b.closed, b.open = v.closed, v.open
 	}
 	return b
 }
@@ -302,33 +353,34 @@ func (b *PeriodBuilder) AddElement(e temporal.Element, id int) {
 	}
 }
 
-// AddPeriod indexes one period for the row id. The append may extend
-// the shared entry log in place: published versions expose only their
-// own prefix, so the new slot is invisible until Commit.
+// AddPeriod indexes one period for the row id. The append may extend a
+// shared entry log in place: published versions expose only their own
+// prefix, so the new slot is invisible until Commit. A period with
+// absolute endpoints in the wrong order binds empty at every NOW and is
+// not indexed.
 func (b *PeriodBuilder) AddPeriod(p temporal.Period, id int) {
-	lo, hi := boundsOf(p)
-	if hi < lo {
-		return
+	lo, loAbs := p.Start.Chronon()
+	hi, hiAbs := p.End.Chronon()
+	switch {
+	case loAbs && hiAbs && hi < lo:
+	case loAbs && hiAbs:
+		b.closed = append(b.closed, periodEntry{lo: int64(lo), hi: int64(hi), id: id})
+	default:
+		if !loAbs {
+			lo = temporal.MinChronon
+		}
+		b.open = append(b.open, openEntry{lo: int64(lo), p: p, id: id})
 	}
-	b.entries = append(b.entries, periodEntry{lo: lo, hi: hi, id: id})
 }
 
 // Remove drops all entries of a row id, copying the survivors so
 // published versions keep theirs.
 func (b *PeriodBuilder) Remove(id int) {
-	out := make([]periodEntry, 0, len(b.entries))
-	for _, e := range b.entries {
-		if e.id != id {
-			out = append(out, e)
-		}
-	}
-	b.entries = out
+	b.closed = slices.DeleteFunc(slices.Clone(b.closed), func(e periodEntry) bool { return e.id == id })
+	b.open = slices.DeleteFunc(slices.Clone(b.open), func(e openEntry) bool { return e.id == id })
 }
-
-// Len returns the number of indexed periods in the working state.
-func (b *PeriodBuilder) Len() int { return len(b.entries) }
 
 // Commit publishes the builder's state as a new immutable version.
 func (b *PeriodBuilder) Commit() *Period {
-	return &Period{entries: b.entries}
+	return &Period{closed: b.closed, open: b.open}
 }

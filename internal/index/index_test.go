@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -205,16 +206,17 @@ func TestPeriodIndexElementDedup(t *testing.T) {
 	if len(got) != 1 || got[0] != 7 {
 		t.Errorf("dedup = %v", got)
 	}
-	// SearchElement dedups across probe periods too.
+	// Overlapping dedups across probe periods too.
+	var h Hits
 	probe := temporal.MustElement(pd(1, 2), pd(11, 12))
-	got = ix.SearchElement(probe, day(0))
+	got = ix.Overlapping(&h, nil, probe.Bind(day(0)), day(0))
 	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("SearchElement dedup = %v", got)
+		t.Errorf("Overlapping dedup = %v", got)
 	}
-	// A one-period probe is one Search, already distinct.
-	got = ix.SearchElement(pd(1, 12).Element(), day(0))
+	// A one-period probe spanning both of the row's periods.
+	got = ix.Overlapping(&h, got[:0], pd(1, 12).Element().Bind(day(0)), day(0))
 	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("one-period SearchElement = %v", got)
+		t.Errorf("one-period Overlapping = %v", got)
 	}
 }
 
@@ -226,8 +228,8 @@ func TestPeriodIndexNowRelativeConservative(t *testing.T) {
 	}
 	b.AddPeriod(since, 1)
 	ix := b.Commit()
-	// The open end is indexed to MaxChronon, so any future query window
-	// still finds it (the executor re-checks the real predicate).
+	// Search has no NOW, so it counts the open end as MaxChronon: any
+	// future query window still finds the row.
 	got := ix.Search(temporal.MustDate(2010, 1, 1), temporal.MustDate(2010, 12, 31))
 	if len(got) != 1 {
 		t.Errorf("NOW-relative candidate missing: %v", got)
@@ -304,5 +306,127 @@ func TestPeriodIndexVersionChain(t *testing.T) {
 	}
 	if got := v1.Search(day(4), day(4)); len(got) != 1 {
 		t.Errorf("pinned version sees successor's append: %v", got)
+	}
+}
+
+// TestPeriodOverlappingExact checks Overlapping against Element.Overlaps,
+// the predicate it answers, row by row. Stored values take the four
+// indexable shapes (an Element of one to three periods, a Period, a
+// Chronon, an Instant) and mix NOW-relative starts and ends, periods
+// that bind empty at some NOWs ([2000-01-01, NOW] before 2000) and
+// day-aligned periods that touch or abut; the probes are elements of the
+// same mix, bound at three NOWs. Search, which has no NOW, must return a
+// superset every time. A second version with some rows removed is checked
+// the same way, with the first still answering for all its rows.
+func TestPeriodOverlappingExact(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	const d = 86400
+	base := temporal.MustDate(1999, 1, 1)
+	instant := func() temporal.Instant {
+		if r.Intn(4) == 0 {
+			return temporal.NowRelative(temporal.Span((r.Intn(240) - 120) * d))
+		}
+		return temporal.AbsInstant(base + temporal.Chronon(r.Intn(900)*d))
+	}
+	period := func() temporal.Period {
+		switch r.Intn(6) {
+		case 0:
+			return temporal.Period{Start: temporal.AbsInstant(temporal.MustDate(2000, 1, 1)), End: temporal.Now}
+		case 1:
+			lo := base + temporal.Chronon(r.Intn(900)*d)
+			return temporal.MustPeriod(lo, lo+d-1)
+		}
+		p := temporal.Period{Start: instant(), End: instant()}
+		lo, loAbs := p.Start.Chronon()
+		hi, hiAbs := p.End.Chronon()
+		if loAbs && hiAbs && hi < lo {
+			p.Start, p.End = p.End, p.Start
+		}
+		return p
+	}
+	element := func() temporal.Element {
+		ps := make([]temporal.Period, 1+r.Intn(3))
+		for i := range ps {
+			ps[i] = period()
+		}
+		return temporal.MustElement(ps...)
+	}
+
+	const n = 400
+	rows := make([]temporal.Element, n) // each row's value as the Element overlaps sees
+	b := NewPeriodBuilder(nil)
+	for id := range rows {
+		switch id % 4 {
+		case 0:
+			rows[id] = element()
+			b.AddElement(rows[id], id)
+			continue
+		case 1:
+			p := period()
+			rows[id] = p.Element()
+		case 2:
+			rows[id] = (base + temporal.Chronon(r.Intn(900)*d)).Period().Element()
+		case 3:
+			i := instant()
+			rows[id] = temporal.Period{Start: i, End: i}.Element()
+		}
+		p, _ := rows[id].First()
+		b.AddPeriod(p, id)
+	}
+	v1 := b.Commit()
+	b = NewPeriodBuilder(v1)
+	live := make([]bool, n)
+	for id := range live {
+		live[id] = id%7 != 3
+		if !live[id] {
+			b.Remove(id)
+		}
+	}
+	v2 := b.Commit()
+
+	var h Hits
+	var got []int
+	var ivs []temporal.Interval
+	probes := 0
+	for _, now := range []temporal.Chronon{
+		temporal.MustDate(1999, 6, 15), temporal.MustDate(2000, 6, 15), temporal.MustDate(2001, 9, 1),
+	} {
+		for trial := 0; trial < 100; trial++ {
+			probe := element()
+			ivs = probe.AppendBound(ivs[:0], now)
+			for _, v := range []struct {
+				ix   *Period
+				live func(id int) bool
+			}{
+				{v1, func(int) bool { return true }},
+				{v2, func(id int) bool { return live[id] }},
+			} {
+				got = v.ix.Overlapping(&h, got[:0], ivs, now)
+				var want []int
+				for id, e := range rows {
+					if v.live(id) && e.Overlaps(probe, now) {
+						want = append(want, id)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("NOW %s, probe %s: Overlapping = %v, Element.Overlaps says %v", now, probe, got, want)
+				}
+				found := map[int]bool{}
+				for _, iv := range ivs {
+					for _, id := range v.ix.Search(iv.Lo, iv.Hi) {
+						found[id] = true
+					}
+				}
+				for _, id := range got {
+					if !found[id] {
+						t.Fatalf("NOW %s, probe %s: Search misses row %d", now, probe, id)
+					}
+				}
+				probes += len(want)
+			}
+		}
+	}
+	if probes == 0 {
+		t.Fatal("no probe matched any row; the generator is broken")
 	}
 }
