@@ -140,8 +140,8 @@ plan-smoke:
 # killed replicas rejoining via snapshot + WAL catch-up, severed and
 # stalled links resubscribing with exact-count (no-gap, no-double-apply)
 # convergence, checkpoint truncation forcing snapshot re-bootstrap, and
-# the staleness-bounded read router failing over around dead and lagging
-# replicas.
+# a replica's position read over the client's Stats beside the
+# primary's.
 repl-smoke:
 	$(GO) test -race -count=1 ./internal/repl
 
@@ -154,11 +154,11 @@ repl-smoke:
 # memory and (TestDifferential) agreement with the full sort,
 # the memory-hog workload mix with and without a budget, and the wire
 # layer: budget aborts as client.ErrResource on a connection that stays
-# usable, memory-pressure shedding ridden out by the retry policy, the
-# response frame cap, and an OOM storm with bounded heap and zero
-# goroutine leaks.
+# usable, memory-pressure shedding that the same connection outlives
+# once the pressure lifts, the response frame cap, and an OOM storm
+# with bounded heap and zero goroutine leaks.
 mem-smoke:
 	$(GO) test -race -run 'TestSetStatementMemory|TestBudgetAbort|TestMemAccountingLeakInvariant|TestAccountingCoverage' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestTopK|TestDifferential' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestMemHog' -count=1 ./internal/workload
-	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenRetry|TestResultFrameCapOverWire|TestOOMStorm' -count=1 ./internal/server
+	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenSucceeds|TestResultFrameCapOverWire|TestOOMStorm' -count=1 ./internal/server

@@ -155,7 +155,6 @@ func main() {
 			repl.WithReplicaName(name),
 			repl.WithReplicaLogger(log.Printf),
 		)
-		srvOpts = append(srvOpts, server.WithReplStatus(replica.Status))
 		log.Printf("read replica %q of %s", name, *replicateFrom)
 	case *durable != "":
 		primary := repl.NewPrimary(db.Engine(), db.WALPath(),

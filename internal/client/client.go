@@ -5,11 +5,11 @@
 // temporal.Element, ...), not strings, exactly as the TIP Browser maps
 // JDBC results to TIP Java objects.
 //
-// The connection is lifecycle-aware: statements can carry a
-// context.Context (cancellation is forwarded to the server as a
-// MsgCancel frame), dial/read/write timeouts bound every wire
-// operation, and an opt-in RetryPolicy transparently redials and
-// retries idempotent statements with exponential backoff and jitter.
+// A statement's context.Context is the one way to bound it: cancelling
+// it forwards a MsgCancel frame and the server aborts the statement.
+// The client never retries; server errors arrive typed (ErrBusy,
+// ErrResource, ErrShutdown, ...) so the caller can decide what is safe
+// to run again.
 //
 // A thin database/sql driver is also provided (see driver.go) for
 // applications that prefer the standard interface; it maps TIP values to
@@ -34,9 +34,8 @@ import (
 )
 
 // ErrConnClosed is the sticky state of a connection after Close or a
-// transport failure (broken pipe, timeout, severed peer): every
-// subsequent call fails with an error matching it. A RetryPolicy lifts
-// the transport-failure case by redialling; an explicit Close is final.
+// transport failure (broken pipe, severed peer): every subsequent call
+// fails with an error matching it.
 var ErrConnClosed = errors.New("client: connection closed")
 
 // cancelGrace bounds how long a context-cancelled statement waits for
@@ -44,32 +43,14 @@ var ErrConnClosed = errors.New("client: connection closed")
 // declares the connection broken.
 const cancelGrace = 2 * time.Second
 
-// Options configures a connection's lifecycle behaviour. The zero value
-// preserves the historical behaviour: blocking dial, unbounded reads
-// and writes, no retries.
-type Options struct {
-	// DialTimeout bounds connection establishment (0 = no bound).
-	DialTimeout time.Duration
-	// ReadTimeout bounds each wait for a server reply (0 = no bound).
-	// It caps effective statement duration, so set it above the
-	// server's statement timeout.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each frame write (0 = no bound).
-	WriteTimeout time.Duration
-	// Retry enables transparent retry of failed statements; see
-	// RetryPolicy for what is eligible. Nil disables retries.
-	Retry *RetryPolicy
-	// Metrics receives the client's counters (client.retries); nil
-	// uses a private registry, readable via Conn.Metrics.
-	Metrics *obs.Registry
-}
+// handshakeTimeout bounds the welcome read: a server (or load balancer)
+// that accepts and then stalls must not hang the dial forever.
+const handshakeTimeout = 10 * time.Second
 
 // Conn is one client connection. Statements are serialised internally;
 // Cancel and Close may be called concurrently with a running statement.
 type Conn struct {
-	addr string
-	reg  *blade.Registry
-	opts Options
+	reg *blade.Registry
 
 	mu sync.Mutex // serialises request/response exchanges
 
@@ -80,81 +61,38 @@ type Conn struct {
 	conn   net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
-	broken bool // transport failed; unusable until redialled
+	broken bool // transport failed; final
 	closed bool // Close called; final
-
-	metrics *obs.Registry
-	retries *obs.Counter // client.retries
 }
 
-// Connect dials a TIP server with default Options. The registry must
-// have the same blades registered as the server, so wire values decode
-// to native objects.
+// Connect dials a TIP server. The registry must have the same blades
+// registered as the server, so wire values decode to native objects.
 func Connect(addr string, reg *blade.Registry) (*Conn, error) {
-	return ConnectOpts(addr, reg, Options{})
-}
-
-// ConnectOpts dials a TIP server with explicit lifecycle options.
-func ConnectOpts(addr string, reg *blade.Registry, opts Options) (*Conn, error) {
-	c := &Conn{addr: addr, reg: reg, opts: opts, metrics: opts.Metrics}
-	if c.metrics == nil {
-		c.metrics = obs.NewRegistry()
-	}
-	c.retries = c.metrics.Counter("client.retries")
-	nc, r, w, err := c.dial()
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	c := &Conn{reg: reg, conn: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
+	if err := c.handshake(); err != nil {
+		_ = nc.Close()
 		return nil, err
 	}
-	c.conn, c.r, c.w = nc, r, w
 	return c, nil
 }
 
-// Metrics exposes the client's metrics registry.
-func (c *Conn) Metrics() *obs.Registry { return c.metrics }
-
-// dial establishes and handshakes a fresh transport connection.
-func (c *Conn) dial() (net.Conn, *bufio.Reader, *bufio.Writer, error) {
-	var nc net.Conn
-	var err error
-	if c.opts.DialTimeout > 0 {
-		nc, err = net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-	} else {
-		nc, err = net.Dial("tcp", c.addr)
-	}
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("client: %w", err)
-	}
-	r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
-	if err := handshake(nc, r, w, c.opts); err != nil {
-		_ = nc.Close()
-		return nil, nil, nil, err
-	}
-	return nc, r, w, nil
-}
-
-// handshake runs the hello/welcome exchange. The welcome read always
-// has a deadline — a server (or load balancer) that accepts and then
-// stalls must not hang the dial forever. A typed busy rejection from
-// the server's connection limit surfaces as a *ServerError matching
-// ErrBusy.
-func handshake(nc net.Conn, r *bufio.Reader, w *bufio.Writer, opts Options) error {
-	if opts.WriteTimeout > 0 {
-		_ = nc.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
-	}
-	if err := protocol.WriteFrame(w, protocol.EncodeHello("tip-go-client")); err != nil {
+// handshake runs the hello/welcome exchange under handshakeTimeout. A
+// typed busy rejection from the server's connection limit surfaces as a
+// *ServerError matching ErrBusy.
+func (c *Conn) handshake() error {
+	if err := protocol.WriteFrame(c.w, protocol.EncodeHello("tip-go-client")); err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	hd := opts.ReadTimeout
-	if hd <= 0 {
-		hd = 10 * time.Second
-	}
-	_ = nc.SetReadDeadline(time.Now().Add(hd))
-	frame, err := protocol.ReadFrame(r)
+	_ = c.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	frame, err := protocol.ReadFrame(c.r)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	_ = nc.SetReadDeadline(time.Time{})
-	_ = nc.SetWriteDeadline(time.Time{})
+	_ = c.conn.SetReadDeadline(time.Time{})
 	if len(frame) == 0 {
 		return fmt.Errorf("client: bad handshake")
 	}
@@ -181,7 +119,7 @@ func handshake(nc net.Conn, r *bufio.Reader, w *bufio.Writer, opts Options) erro
 
 // stateErrLocked reports the sticky connection state; wmu must be held.
 func (c *Conn) stateErrLocked() error {
-	if c.closed || c.broken || c.conn == nil {
+	if c.closed || c.broken {
 		return ErrConnClosed
 	}
 	return nil
@@ -191,57 +129,27 @@ func (c *Conn) stateErrLocked() error {
 func (c *Conn) breakLocked() {
 	if !c.broken {
 		c.broken = true
-		if c.conn != nil {
-			_ = c.conn.Close()
-		}
-	}
-}
-
-// reconnect replaces a broken transport with a fresh dialled one. A
-// closed connection stays closed.
-func (c *Conn) reconnect() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.closed {
-		return ErrConnClosed
-	}
-	if c.conn != nil {
 		_ = c.conn.Close()
 	}
-	nc, r, w, err := c.dial()
-	if err != nil {
-		c.broken = true
-		return err
-	}
-	c.conn, c.r, c.w = nc, r, w
-	c.broken = false
-	return nil
 }
 
-// exchange writes one frame and reads the reply. Transport failures
-// mark the connection broken; the returned error then matches
-// ErrConnClosed (and still carries the underlying cause).
+// exchange writes one frame and reads the reply. A connection already
+// closed or broken refuses the frame with the bare ErrConnClosed: no byte
+// was sent. Transport failures mark the connection broken; the returned
+// error then matches ErrConnClosed and still carries the cause.
 func (c *Conn) exchange(payload []byte) ([]byte, error) {
 	c.wmu.Lock()
 	if err := c.stateErrLocked(); err != nil {
 		c.wmu.Unlock()
 		return nil, err
 	}
-	conn := c.conn
-	if d := c.opts.WriteTimeout; d > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(d))
-	}
-	err := protocol.WriteFrame(c.w, payload)
-	if err != nil {
+	if err := protocol.WriteFrame(c.w, payload); err != nil {
 		c.breakLocked()
 		c.wmu.Unlock()
 		return nil, fmt.Errorf("client: write: %w", errors.Join(ErrConnClosed, err))
 	}
-	if d := c.opts.ReadTimeout; d > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(d))
-	} else {
-		_ = conn.SetReadDeadline(time.Time{})
-	}
+	// Clear any deadline a previous statement's cancellation left behind.
+	_ = c.conn.SetReadDeadline(time.Time{})
 	c.wmu.Unlock()
 	frame, err := protocol.ReadFrame(c.r)
 	if err != nil {
@@ -267,41 +175,8 @@ func (c *Conn) Exec(sql string, params map[string]types.Value) (*exec.Result, er
 func (c *Conn) ExecContext(ctx context.Context, sql string, params map[string]types.Value) (*exec.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	policy := c.opts.Retry
-	for attempt := 0; ; attempt++ {
-		res, err := c.execOnce(ctx, sql, params)
-		if err == nil {
-			return res, nil
-		}
-		if ctx.Err() != nil || policy == nil || !policy.retryable(sql, err) || attempt+1 >= policy.attempts() {
-			return nil, err
-		}
-		c.retries.Inc()
-		if serr := sleepCtx(ctx, policy.Backoff(attempt+1)); serr != nil {
-			return nil, err
-		}
-		if errors.Is(err, ErrConnClosed) {
-			if rerr := c.reconnect(); rerr != nil && errors.Is(rerr, ErrConnClosed) {
-				return nil, err // explicitly closed: stop retrying
-			}
-		}
-	}
-}
-
-// execOnce runs one attempt of a statement; mu must be held.
-func (c *Conn) execOnce(ctx context.Context, sql string, params map[string]types.Value) (*exec.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	// Redialling before the statement is sent is always safe, even for
-	// writes — nothing is in flight yet.
-	c.wmu.Lock()
-	needRedial := c.broken && !c.closed && c.opts.Retry != nil
-	c.wmu.Unlock()
-	if needRedial {
-		if err := c.reconnect(); err != nil {
-			return nil, fmt.Errorf("client: reconnect: %w", errors.Join(ErrConnClosed, err))
-		}
 	}
 
 	// Watch ctx for the duration of the exchange: on cancellation, tell
@@ -317,7 +192,7 @@ func (c *Conn) execOnce(ctx context.Context, sql string, params map[string]types
 				cancelled.Store(true)
 				_ = c.Cancel()
 				c.wmu.Lock()
-				if c.conn != nil && !c.closed {
+				if !c.closed {
 					_ = c.conn.SetReadDeadline(time.Now().Add(cancelGrace))
 				}
 				c.wmu.Unlock()
@@ -369,46 +244,11 @@ func (c *Conn) Cancel() error {
 	if err := c.stateErrLocked(); err != nil {
 		return err
 	}
-	if d := c.opts.WriteTimeout; d > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(d))
-	}
 	if err := protocol.WriteFrame(c.w, []byte{protocol.MsgCancel}); err != nil {
 		c.breakLocked()
 		return fmt.Errorf("client: cancel: %w", errors.Join(ErrConnClosed, err))
 	}
 	return nil
-}
-
-// ReplStatus asks the server for its replication position: role
-// (primary or replica), the WAL seq it has flushed (primary) or applied
-// (replica), and the primary runID that seq belongs to. Routers use it
-// to bound read staleness.
-func (c *Conn) ReplStatus() (protocol.ReplStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	frame, err := c.exchange(protocol.EncodeReplStatusRequest())
-	if err != nil {
-		return protocol.ReplStatus{}, err
-	}
-	if len(frame) == 0 {
-		return protocol.ReplStatus{}, fmt.Errorf("client: empty frame")
-	}
-	switch frame[0] {
-	case protocol.MsgReplStatus:
-		st, err := protocol.DecodeReplStatus(frame[1:])
-		if err != nil {
-			return protocol.ReplStatus{}, fmt.Errorf("client: %w", err)
-		}
-		return st, nil
-	case protocol.MsgError:
-		msg, code, derr := protocol.DecodeError(frame[1:])
-		if derr != nil {
-			return protocol.ReplStatus{}, fmt.Errorf("client: %w", derr)
-		}
-		return protocol.ReplStatus{}, &ServerError{Message: msg, Code: code}
-	default:
-		return protocol.ReplStatus{}, fmt.Errorf("client: unexpected reply to status request")
-	}
 }
 
 // Stats requests the server's metrics snapshot (engine counters,
@@ -439,27 +279,12 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.conn == nil || c.broken {
+	if c.broken {
 		return nil
 	}
 	_ = c.conn.SetWriteDeadline(time.Now().Add(time.Second))
 	_ = protocol.WriteFrame(c.w, []byte{protocol.MsgQuit})
 	return c.conn.Close()
-}
-
-// sleepCtx sleeps for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // ServerError is an error reported by the server (a SQL error, a
@@ -487,12 +312,12 @@ var (
 	// draining.
 	ErrShutdown = errors.New("client: server shutting down")
 	// ErrReadOnly matches writes rejected by a read-only replica; send
-	// them to the primary instead (a Router does this automatically).
+	// them to the primary instead.
 	ErrReadOnly = errors.New("client: server is a read-only replica")
 	// ErrResource matches statements rejected or aborted by resource
 	// governance: shed under memory pressure, over the statement memory
 	// budget, or a result too large for one response frame. No change
-	// was applied, so retrying (after backoff) is safe.
+	// was applied, so retrying is safe.
 	ErrResource = errors.New("client: resource limit exceeded")
 )
 

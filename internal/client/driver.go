@@ -19,7 +19,9 @@ import (
 // supported — TIP uses named parameters — so statements take either no
 // arguments or sql.Named arguments. TIP-typed result values are mapped to
 // their literal text (the standard interface cannot carry UDT objects);
-// use the native Conn for full type mapping.
+// use the native Conn for full type mapping. Redial is the pool's job: a
+// connection whose transport broke reports itself invalid, so database/sql
+// drops it and dials afresh.
 
 // Driver implements driver.Driver over the TIP wire protocol.
 type Driver struct{}
@@ -53,9 +55,17 @@ func (s *sqlConn) Prepare(query string) (driver.Stmt, error) {
 
 func (s *sqlConn) Close() error { return s.c.Close() }
 
+// IsValid implements driver.Validator: a broken or closed connection is
+// not put back in the pool.
+func (s *sqlConn) IsValid() bool {
+	s.c.wmu.Lock()
+	defer s.c.wmu.Unlock()
+	return s.c.stateErrLocked() == nil
+}
+
 func (s *sqlConn) Begin() (driver.Tx, error) {
 	if _, err := s.c.Exec("BEGIN", nil); err != nil {
-		return nil, err
+		return nil, badConn(err)
 	}
 	return &sqlTx{c: s.c}, nil
 }
@@ -88,7 +98,19 @@ func (s *sqlStmt) run(ctx context.Context, args []driver.NamedValue) (*exec.Resu
 	if err != nil {
 		return nil, err
 	}
-	return s.c.ExecContext(ctx, s.query, params)
+	res, err := s.c.ExecContext(ctx, s.query, params)
+	return res, badConn(err)
+}
+
+// badConn maps a statement the Conn refused before sending any byte (the
+// bare ErrConnClosed) to driver.ErrBadConn, so database/sql retries it on
+// another connection. A transport failure mid-statement keeps its own
+// error: the statement's fate is unknown, so it must not be re-run.
+func badConn(err error) error {
+	if err == ErrConnClosed {
+		return driver.ErrBadConn
+	}
+	return err
 }
 
 // ExecContext implements driver.StmtExecContext, the path database/sql

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"context"
 	"database/sql/driver"
+	"errors"
 	"testing"
 
 	"tip/internal/types"
@@ -72,4 +74,24 @@ func TestNamedParams(t *testing.T) {
 func TestRegisterDriverIdempotent(t *testing.T) {
 	RegisterDriver()
 	RegisterDriver() // must not panic on double registration
+}
+
+// TestRefusedStatementIsBadConn: a connection that is already closed
+// reports itself invalid, and refuses statements before sending a byte
+// with driver.ErrBadConn, so database/sql retries them elsewhere.
+func TestRefusedStatementIsBadConn(t *testing.T) {
+	s := &sqlConn{c: &Conn{closed: true}}
+	if s.IsValid() {
+		t.Error("closed connection reports itself valid")
+	}
+	stmt, err := s.Prepare(`SELECT 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.(*sqlStmt).ExecContext(context.Background(), nil); !errors.Is(err, driver.ErrBadConn) {
+		t.Errorf("refused statement: err = %v, want driver.ErrBadConn", err)
+	}
+	if _, err := s.Begin(); !errors.Is(err, driver.ErrBadConn) {
+		t.Errorf("refused BEGIN: err = %v, want driver.ErrBadConn", err)
+	}
 }

@@ -32,8 +32,8 @@
 //	MsgSnapshot   replica→primary: no body (request);
 //	              primary→replica: str runID, uvarint epoch,
 //	              uvarint seq, snapshot bytes (rest of frame)
-//	MsgReplStatus either direction: no body (request), or byte role,
-//	              uvarint appliedSeq, str runID (report)
+//	MsgReplStatus either direction on a stream: byte role,
+//	              uvarint appliedSeq, str runID
 //
 // Value: str typeName ("" for untyped NULL), then the types codec bytes.
 package protocol
@@ -82,10 +82,9 @@ const (
 	// database snapshot for replica bootstrap, stamped with the
 	// primary's runID and the WAL seq the snapshot reflects.
 	MsgSnapshot
-	// MsgReplStatus is the replication position probe: an empty body
-	// requests it, a non-empty body reports {role, appliedSeq, runID}.
-	// Served by every server (a primary reports its flushed seq, a
-	// replica its applied seq) so routers can bound staleness.
+	// MsgReplStatus reports {role, appliedSeq, runID} on a WAL stream:
+	// the primary's flushed seq (first reply and idle heartbeats) and
+	// the replica's applied seq (periodic position reports).
 	MsgReplStatus
 )
 

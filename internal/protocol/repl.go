@@ -85,9 +85,6 @@ func DecodeSnapshot(body []byte) (runID string, epoch, seq uint64, data []byte, 
 	return runID, epoch, seq, body[k:], nil
 }
 
-// EncodeReplStatusRequest builds the empty-body MsgReplStatus request.
-func EncodeReplStatusRequest() []byte { return []byte{MsgReplStatus} }
-
 // EncodeReplStatus builds a MsgReplStatus report.
 func EncodeReplStatus(st ReplStatus) []byte {
 	buf := append([]byte{MsgReplStatus}, st.Role)
@@ -96,8 +93,7 @@ func EncodeReplStatus(st ReplStatus) []byte {
 }
 
 // DecodeReplStatus parses a MsgReplStatus report body (after the kind
-// byte). An empty body is the request form — callers distinguish it
-// before decoding.
+// byte).
 func DecodeReplStatus(body []byte) (ReplStatus, error) {
 	if len(body) < 1 {
 		return ReplStatus{}, fmt.Errorf("%w: status role", ErrProtocol)

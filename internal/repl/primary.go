@@ -133,8 +133,9 @@ func (p *Primary) lagSeq() uint64 {
 	return worst
 }
 
-// Status implements server.ReplSource.
-func (p *Primary) Status() protocol.ReplStatus {
+// status is the primary's stream position: its first reply to a
+// subscriber and the payload of idle heartbeats.
+func (p *Primary) status() protocol.ReplStatus {
 	return protocol.ReplStatus{
 		Role:       protocol.RolePrimary,
 		AppliedSeq: p.db.WALSeq(),
@@ -175,7 +176,7 @@ func (p *Primary) Stream(req server.ReplStreamRequest, send func(payload []byte)
 	}()
 	// Ack the subscription with our position and runID before the first
 	// frame.
-	if err := send(protocol.EncodeReplStatus(p.Status())); err != nil {
+	if err := send(protocol.EncodeReplStatus(p.status())); err != nil {
 		return err
 	}
 	last := req.FromSeq
@@ -277,7 +278,7 @@ func (p *Primary) live(sub *engine.WALSub, last *uint64, rs *replicaState,
 			}
 			p.noteReport(rs, msg)
 		case <-hb.C:
-			if err := send(protocol.EncodeReplStatus(p.Status())); err != nil {
+			if err := send(protocol.EncodeReplStatus(p.status())); err != nil {
 				return false, err
 			}
 		case fr, ok := <-sub.C:

@@ -86,7 +86,7 @@ func startReplica(t *testing.T, primaryAddr string, opts ...repl.ReplicaOption) 
 	opts = append([]repl.ReplicaOption{repl.WithStatusInterval(10 * time.Millisecond)}, opts...)
 	rep := repl.StartReplica(db, primaryAddr, opts...)
 	t.Cleanup(rep.Close)
-	srv, err := server.Listen(db, "127.0.0.1:0", server.WithReplStatus(rep.Status))
+	srv, err := server.Listen(db, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

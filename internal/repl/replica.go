@@ -137,9 +137,8 @@ func StartReplica(db *engine.Database, addr string, opts ...ReplicaOption) *Repl
 // AppliedSeq returns the last WAL seq applied locally.
 func (r *Replica) AppliedSeq() uint64 { return r.applied.Load() }
 
-// Status reports the replica's position; wire it into its server with
-// server.WithReplStatus so routers can bound staleness.
-func (r *Replica) Status() protocol.ReplStatus {
+// status is the replica's position report to its primary.
+func (r *Replica) status() protocol.ReplStatus {
 	runID, _ := r.runID.Load().(string)
 	return protocol.ReplStatus{Role: protocol.RoleReplica, AppliedSeq: r.applied.Load(), RunID: runID}
 }
@@ -279,7 +278,7 @@ func (r *Replica) runOnce() error {
 	// fromSeq, but this hands the primary a full status report) and
 	// then periodically from a side goroutine, so lag stays observable
 	// even when the apply loop is busy or the stream idle.
-	if err := writeFrame(protocol.EncodeReplStatus(r.Status())); err != nil {
+	if err := writeFrame(protocol.EncodeReplStatus(r.status())); err != nil {
 		return err
 	}
 	statusDone := make(chan struct{})
@@ -294,7 +293,7 @@ func (r *Replica) runOnce() error {
 			case <-r.stop:
 				return
 			case <-tick.C:
-				if writeFrame(protocol.EncodeReplStatus(r.Status())) != nil {
+				if writeFrame(protocol.EncodeReplStatus(r.status())) != nil {
 					return
 				}
 			}

@@ -72,11 +72,11 @@ func serveBig(t *testing.T, db *engine.Database, opts ...server.Option) *server.
 	return srv
 }
 
-func connectTo(t *testing.T, srv *server.Server, opts client.Options) *client.Conn {
+func connectTo(t *testing.T, srv *server.Server) *client.Conn {
 	t.Helper()
 	reg := blade.NewRegistry()
 	core.MustRegister(reg)
-	c, err := client.ConnectOpts(srv.Addr(), reg, opts)
+	c, err := client.Connect(srv.Addr(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLifecycle(t *testing.T) {
 
 	t.Run("MsgCancel", func(t *testing.T) {
 		srv := serveBig(t, db)
-		c := connectTo(t, srv, client.Options{})
+		c := connectTo(t, srv)
 		done := make(chan error, 1)
 		go func() {
 			_, err := c.Exec(slowQuery, nil)
@@ -127,7 +127,7 @@ func TestLifecycle(t *testing.T) {
 
 	t.Run("StmtTimeout", func(t *testing.T) {
 		srv := serveBig(t, db, server.WithStmtTimeout(25*time.Millisecond))
-		c := connectTo(t, srv, client.Options{})
+		c := connectTo(t, srv)
 		start := time.Now()
 		_, err := c.Exec(slowQuery, nil)
 		t.Logf("25ms cap surfaced after %v", time.Since(start))
@@ -163,8 +163,8 @@ func TestLifecycle(t *testing.T) {
 	t.Run("InflightShedding", func(t *testing.T) {
 		srv := serveBig(t, db, server.WithMaxInflight(1))
 		busyBefore, _ := db.Metrics().Snapshot().Get("server.shed")
-		a := connectTo(t, srv, client.Options{})
-		b := connectTo(t, srv, client.Options{})
+		a := connectTo(t, srv)
+		b := connectTo(t, srv)
 		done := make(chan error, 1)
 		go func() {
 			_, err := a.Exec(slowQuery, nil)
@@ -189,13 +189,13 @@ func TestLifecycle(t *testing.T) {
 
 	t.Run("MaxConnsRejected", func(t *testing.T) {
 		srv := serveBig(t, db, server.WithMaxConns(1))
-		a := connectTo(t, srv, client.Options{})
+		a := connectTo(t, srv)
 		if _, err := a.Exec(`SELECT 1`, nil); err != nil {
 			t.Fatal(err)
 		}
 		reg := blade.NewRegistry()
 		core.MustRegister(reg)
-		_, err := client.ConnectOpts(srv.Addr(), reg, client.Options{DialTimeout: 2 * time.Second})
+		_, err := client.Connect(srv.Addr(), reg)
 		if !errors.Is(err, client.ErrBusy) {
 			t.Fatalf("want ErrBusy past the connection limit, got %v", err)
 		}
@@ -204,7 +204,7 @@ func TestLifecycle(t *testing.T) {
 		_ = a.Close()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			c, err := client.ConnectOpts(srv.Addr(), reg, client.Options{DialTimeout: 2 * time.Second})
+			c, err := client.Connect(srv.Addr(), reg)
 			if err == nil {
 				_ = c.Close()
 				break
@@ -218,8 +218,8 @@ func TestLifecycle(t *testing.T) {
 
 	t.Run("GracefulShutdownDrains", func(t *testing.T) {
 		srv := serveBig(t, db)
-		a := connectTo(t, srv, client.Options{})
-		b := connectTo(t, srv, client.Options{})
+		a := connectTo(t, srv)
+		b := connectTo(t, srv)
 		var res *exec.Result
 		done := make(chan error, 1)
 		go func() {
@@ -259,14 +259,14 @@ func TestLifecycle(t *testing.T) {
 		// The listener is down.
 		reg := blade.NewRegistry()
 		core.MustRegister(reg)
-		if _, err := client.ConnectOpts(srv.Addr(), reg, client.Options{DialTimeout: time.Second}); err == nil {
+		if _, err := client.Connect(srv.Addr(), reg); err == nil {
 			t.Fatal("connect succeeded after shutdown")
 		}
 	})
 
 	t.Run("CloseInterruptsInFlight", func(t *testing.T) {
 		srv := serveBig(t, db)
-		a := connectTo(t, srv, client.Options{})
+		a := connectTo(t, srv)
 		done := make(chan error, 1)
 		go func() {
 			_, err := a.Exec(slowQuery, nil)

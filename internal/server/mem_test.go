@@ -2,10 +2,10 @@ package server_test
 
 // Resource-governance over the wire (`make mem-smoke`): budget aborts
 // arrive typed (client.ErrResource) and leave the connection reusable;
-// global memory pressure sheds new queries, and the standard retry
-// policy rides out the shed; oversized results are refused by the
-// send-path frame bound; and an OOM storm of hog queries stays inside
-// a bounded heap with zero goroutine leaks.
+// global memory pressure sheds new queries typed, and the same
+// connection succeeds once the pressure lifts; oversized results are
+// refused by the send-path frame bound; and an OOM storm of hog queries
+// stays inside a bounded heap with zero goroutine leaks.
 
 import (
 	"errors"
@@ -48,7 +48,7 @@ const hogSQL = `SELECT a.k, a.v, a.s, b.v FROM w a, w b ORDER BY a.v DESC, b.v`
 func TestBudgetAbortOverWire(t *testing.T) {
 	srv, db := startOpts(t, server.WithStmtMem(256<<10))
 	seedWide(t, db, 400)
-	c := connectTo(t, srv, client.Options{})
+	c := connectTo(t, srv)
 
 	_, err := c.Exec(hogSQL, nil)
 	if !errors.Is(err, client.ErrResource) {
@@ -78,30 +78,24 @@ func TestBudgetAbortOverWire(t *testing.T) {
 	}
 }
 
-func TestMemShedThenRetry(t *testing.T) {
+func TestMemShedThenSucceeds(t *testing.T) {
 	srv, db := startOpts(t, server.WithMemBudget(1<<20))
 	seedWide(t, db, 10)
-	// Simulate in-flight statements holding nearly the whole engine
-	// budget: charge the global account directly, then release it after
-	// the client's first attempts have been shed.
-	db.MemAccount().Charge(1 << 20)
-	release := time.AfterFunc(150*time.Millisecond, func() { db.MemAccount().Charge(-(1 << 20)) })
-	defer release.Stop()
+	c := connectTo(t, srv)
 
-	// Without retry: typed shed, nothing ran.
-	plain := connectTo(t, srv, client.Options{})
-	if _, err := plain.Exec(`SELECT COUNT(*) FROM w`, nil); !errors.Is(err, client.ErrResource) {
+	// Simulate in-flight statements holding the whole engine budget:
+	// charge the global account directly. The query is shed typed;
+	// nothing ran.
+	db.MemAccount().Charge(1 << 20)
+	if _, err := c.Exec(`SELECT COUNT(*) FROM w`, nil); !errors.Is(err, client.ErrResource) {
 		t.Fatalf("under pressure: err = %v, want ErrResource", err)
 	}
 
-	// With the standard retry policy: the shed is retryable, and the
-	// query lands once the pressure lifts.
-	retrying := connectTo(t, srv, client.Options{
-		Retry: &client.RetryPolicy{MaxAttempts: 10, BaseDelay: 50 * time.Millisecond},
-	})
-	res, err := retrying.Exec(`SELECT COUNT(*) FROM w`, nil)
+	// Once the pressure lifts, the same connection runs the query.
+	db.MemAccount().Charge(-(1 << 20))
+	res, err := c.Exec(`SELECT COUNT(*) FROM w`, nil)
 	if err != nil {
-		t.Fatalf("shed-then-retry failed: %v", err)
+		t.Fatalf("after release: %v", err)
 	}
 	if res.Rows[0][0].Int() != 10 {
 		t.Errorf("count = %d", res.Rows[0][0].Int())
@@ -114,7 +108,7 @@ func TestMemShedThenRetry(t *testing.T) {
 func TestResultFrameCapOverWire(t *testing.T) {
 	srv, db := startOpts(t, server.WithMaxResult(32<<10))
 	seedWide(t, db, 50)
-	c := connectTo(t, srv, client.Options{})
+	c := connectTo(t, srv)
 
 	// A single huge row: the encoded result exceeds the response bound.
 	big := strings.Repeat("x", 64<<10)
@@ -158,7 +152,7 @@ func TestOOMStorm(t *testing.T) {
 			defer wg.Done()
 			reg := blade.NewRegistry()
 			core.MustRegister(reg)
-			c, err := client.ConnectOpts(srv.Addr(), reg, client.Options{DialTimeout: 5 * time.Second})
+			c, err := client.Connect(srv.Addr(), reg)
 			if err != nil {
 				errCh <- err
 				return

@@ -49,7 +49,7 @@ func healthyRetry(t *testing.T, srv *server.Server, within time.Duration) {
 	core.MustRegister(reg)
 	deadline := time.Now().Add(within)
 	for {
-		c, err := client.ConnectOpts(srv.Addr(), reg, client.Options{DialTimeout: 2 * time.Second})
+		c, err := client.Connect(srv.Addr(), reg)
 		if err == nil {
 			_, err = c.Exec(`SELECT 1`, nil)
 			_ = c.Close()

@@ -49,8 +49,6 @@ const memShedFrac = 0.9
 // WithReplication); internal/repl.Primary implements it. The server
 // keeps the interface structural so it never imports the repl package.
 type ReplSource interface {
-	// Status reports the primary's current stream position.
-	Status() protocol.ReplStatus
 	// Snapshot encodes a bootstrap snapshot with the runID and
 	// epoch/seq position it reflects.
 	Snapshot() (runID string, epoch, seq uint64, data []byte, err error)
@@ -85,8 +83,7 @@ type Server struct {
 	maxFrame    uint64        // receive-path frame bound
 	maxResult   uint64        // send-path bound on one result frame
 
-	repl     ReplSource                 // non-nil on a replication primary
-	statusFn func() protocol.ReplStatus // MsgReplStatus answer (replicas override)
+	repl ReplSource // non-nil on a replication primary
 
 	mu       sync.Mutex
 	conns    map[net.Conn]*engine.Session
@@ -180,13 +177,6 @@ func WithReadTimeout(d time.Duration) Option {
 // snapshots, both through src.
 func WithReplication(src ReplSource) Option {
 	return func(s *Server) { s.repl = src }
-}
-
-// WithReplStatus overrides the MsgReplStatus answer. A replica server
-// passes its applied-position reporter here so routers can bound read
-// staleness; without it a server reports RolePrimary at its WAL seq.
-func WithReplStatus(fn func() protocol.ReplStatus) Option {
-	return func(s *Server) { s.statusFn = fn }
 }
 
 // Listen starts a server on addr (e.g. "127.0.0.1:5432" or ":0").
@@ -451,13 +441,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			if fatal {
 				return
 			}
-		case protocol.MsgReplStatus:
-			// Empty body = request; a report from a peer outside a
-			// subscribed stream carries nothing we track — answer both
-			// with our own status.
-			if err := protocol.WriteFrame(w, protocol.EncodeReplStatus(s.replStatus())); err != nil {
-				return
-			}
 		case protocol.MsgSnapshot:
 			if err := protocol.WriteFrame(w, s.replSnapshot()); err != nil {
 				return
@@ -548,19 +531,6 @@ func encodeExecError(err error) []byte {
 		return protocol.EncodeErrorCode(protocol.ErrCodeResource, err.Error())
 	}
 	return protocol.EncodeError(err.Error())
-}
-
-// replStatus answers MsgReplStatus: the repl source's position on a
-// primary, the configured reporter on a replica, the bare WAL position
-// otherwise.
-func (s *Server) replStatus() protocol.ReplStatus {
-	if s.repl != nil {
-		return s.repl.Status()
-	}
-	if s.statusFn != nil {
-		return s.statusFn()
-	}
-	return protocol.ReplStatus{Role: protocol.RolePrimary, AppliedSeq: s.db.WALSeq()}
 }
 
 // replSnapshot builds the MsgSnapshot response payload.
