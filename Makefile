@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-module loc crash-smoke fuzz-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke parse-smoke mem-smoke
+.PHONY: check vet build test race bench bench-smoke bench-module loc crash-smoke fuzz-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke parse-smoke mem-smoke
 
 # check is what CI runs: static checks (vet, gofmt), a full build, the
 # test suite under the race detector (the engine promises parallel
@@ -8,8 +8,9 @@ GO ?= go
 # the crash-recovery
 # torture subset, the wire-fault torture subset, the MVCC snapshot
 # smoke, the planner smoke, the replication smoke, the resource-
-# governance smoke, and the benchmark module's own vet + smoke run.
-check: vet build race parse-smoke crash-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke mem-smoke bench-module
+# governance smoke, one run of every testing.B benchmark, and the
+# benchmark module's own vet + smoke run.
+check: vet build race parse-smoke crash-smoke netfault-smoke mvcc-smoke plan-smoke repl-smoke mem-smoke bench-smoke bench-module
 
 # vet also fails on any file gofmt would rewrite.
 vet:
@@ -25,9 +26,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the experiment tables E1-E8 (quick sizes).
+# bench runs the in-process experiment series E1-E8 of bench_test.go
+# (EXPERIMENTS.md names each family's benchmarks).
 bench:
-	$(GO) run ./cmd/tipbench
+	$(GO) test -run '^$$' -bench . -benchmem .
+
+# bench-smoke runs every testing.B benchmark in the tree exactly once,
+# so each still builds its fixture and passes its own checks (the E7
+# replay counts the rows it recovered).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-module compiles and smoke-tests benchmark/, the referee behind
 # BENCHMARK.json. It is its own module (own go.mod, importing
@@ -132,7 +140,7 @@ plan-smoke:
 	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPointStatementAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
-	$(GO) test -race -run 'TestE2AgreesAndRuns|TestCoalesceAgainstTruth' -count=1 ./internal/bench ./internal/layered
+	$(GO) test -race -run 'TestTotalDurationAgrees|TestCoalesceAgainstTruth' -count=1 ./internal/layered
 
 # repl-smoke runs the replication torture battery under the race
 # detector: a 3-node in-process cluster (durable primary + 2 snapshot-

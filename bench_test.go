@@ -1,32 +1,63 @@
 package tip_test
 
-// testing.B benchmarks, one family per experiment of DESIGN.md.
-// cmd/tipbench prints the same series as formatted tables with
-// verification; these expose the raw measurements to `go test -bench`.
+// testing.B benchmarks, one family per experiment of EXPERIMENTS.md:
+// the repository's in-process measurements, run with `go test -bench`
+// (`make bench`; `make bench-smoke` runs each once). Machine-readable,
+// gated end-to-end numbers come from the benchmark/ module instead.
 //
 //	E1  BenchmarkElementUnion / Intersect / Difference / NonCanonicalUnion
-//	E2  BenchmarkCoalesceTIP / BenchmarkCoalesceLayered
+//	E2  BenchmarkCoalesceTIP / BenchmarkCoalesceLayered / BenchmarkCoalesceQuery
 //	E3  BenchmarkTemporalJoinTIP / BenchmarkTemporalJoinLayered
 //	E4  BenchmarkNowBinding
 //	E6  BenchmarkOverlapsScan / BenchmarkOverlapsIndex
+//	E7  BenchmarkWALInsert / BenchmarkWALReplay
 //	E8  BenchmarkOverlapJoinNested / BenchmarkOverlapJoinIndexed
 //	—   BenchmarkDisjointWriters* (a writer beside a scanning analyst;
 //	    `make mvcc-smoke` runs them)
 //	—   micro-benchmarks of the kernel (parse, format, codec, group_union)
+//
+// E5 counts SQL size rather than time; internal/layered's
+// TestComplexityMetrics asserts it.
 
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
-	"tip/internal/bench"
+	"tip/internal/blade"
+	"tip/internal/core"
 	"tip/internal/engine"
 	"tip/internal/layered"
 	"tip/internal/temporal"
 	"tip/internal/workload"
 )
 
-var benchNow = bench.PinnedNow
+// benchNow is the benchmarks' fixed transaction time (the paper's demo
+// era).
+var benchNow = temporal.MustDate(1999, 11, 12)
+
+// newTIPEngine builds a pinned-clock TIP engine.
+func newTIPEngine() (*engine.Database, *core.Blade) {
+	reg := blade.NewRegistry()
+	bl := core.MustRegister(reg)
+	db := engine.New(reg)
+	db.SetClock(func() temporal.Chronon { return benchNow })
+	return db, bl
+}
+
+// newTIPDB builds a pinned-clock TIP database and session.
+func newTIPDB() (*engine.Session, *core.Blade) {
+	db, bl := newTIPEngine()
+	return db.NewSession(), bl
+}
+
+// newFlatDB builds a pinned-clock plain database wrapped in a stratum.
+func newFlatDB() *layered.Stratum {
+	db := engine.New(blade.NewRegistry())
+	db.SetClock(func() temporal.Chronon { return benchNow })
+	return layered.New(db.NewSession())
+}
 
 // --- E1: element algebra scaling -----------------------------------------
 
@@ -89,8 +120,8 @@ func tipWithData(b *testing.B, n int) *engine.Session {
 	b.Helper()
 	cfg := workload.DefaultConfig(n)
 	cfg.OpenFraction = 0
-	sess, blade := bench.NewTIPDB()
-	if err := workload.LoadTIP(sess, blade, workload.Generate(cfg)); err != nil {
+	sess, bl := newTIPDB()
+	if err := workload.LoadTIP(sess, bl, workload.Generate(cfg)); err != nil {
 		b.Fatal(err)
 	}
 	return sess
@@ -100,7 +131,7 @@ func layeredWithData(b *testing.B, n int) *layered.Stratum {
 	b.Helper()
 	cfg := workload.DefaultConfig(n)
 	cfg.OpenFraction = 0
-	st := bench.NewFlatDB()
+	st := newFlatDB()
 	if err := workload.LoadLayered(st, workload.Generate(cfg)); err != nil {
 		b.Fatal(err)
 	}
@@ -133,6 +164,23 @@ func BenchmarkCoalesceLayered(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCoalesceQuery is the paper's Q4 over 2,000 rows with the
+// default share of NOW-relative elements, reporting allocations.
+func BenchmarkCoalesceQuery(b *testing.B) {
+	sess, bl := newTIPDB()
+	if err := workload.LoadTIP(sess, bl, workload.Generate(workload.DefaultConfig(2000))); err != nil {
+		b.Fatal(err)
+	}
+	q := `SELECT patient, length(group_union(valid)) FROM Prescription GROUP BY patient`
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Exec(q, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -178,10 +226,10 @@ func BenchmarkTemporalJoinLayered(b *testing.B) {
 // BenchmarkNowBinding measures the evaluation-time cost of substituting
 // the transaction time into NOW-relative elements.
 func BenchmarkNowBinding(b *testing.B) {
-	sess, blade := bench.NewTIPDB()
+	sess, bl := newTIPDB()
 	cfg := workload.DefaultConfig(1000)
 	cfg.OpenFraction = 1 // every element NOW-relative
-	if err := workload.LoadTIP(sess, blade, workload.Generate(cfg)); err != nil {
+	if err := workload.LoadTIP(sess, bl, workload.Generate(cfg)); err != nil {
 		b.Fatal(err)
 	}
 	q := `SELECT COUNT(*) FROM Prescription WHERE contains(valid, now())`
@@ -196,8 +244,8 @@ func BenchmarkNowBinding(b *testing.B) {
 // --- E6: period index vs scan ---------------------------------------------
 
 func overlapsBench(b *testing.B, indexed bool, windowDays int) {
-	sess, blade := bench.NewTIPDB()
-	if err := workload.LoadTIP(sess, blade, workload.Generate(workload.DefaultConfig(5000))); err != nil {
+	sess, bl := newTIPDB()
+	if err := workload.LoadTIP(sess, bl, workload.Generate(workload.DefaultConfig(5000))); err != nil {
 		b.Fatal(err)
 	}
 	if indexed {
@@ -228,10 +276,82 @@ func BenchmarkOverlapsIndex(b *testing.B) {
 	}
 }
 
+// --- E7: durability, WAL overhead and recovery ----------------------------
+
+// walRows is the number of INSERTs per E7 operation.
+const walRows = 1000
+
+// BenchmarkWALInsert times loading walRows prescriptions into a fresh
+// engine, without a WAL and with one; an operation is the whole load.
+func BenchmarkWALInsert(b *testing.B) {
+	rows := workload.Generate(workload.DefaultConfig(walRows))
+	for _, logged := range []bool{false, true} {
+		name := "memory"
+		if logged {
+			name = "wal"
+		}
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db, bl := newTIPEngine()
+				if logged {
+					if err := db.EnableWAL(filepath.Join(dir, fmt.Sprintf("wal%d.log", i))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := workload.LoadTIP(db.NewSession(), bl, rows); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := db.DisableWAL(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*walRows), "ns/insert")
+		})
+	}
+}
+
+// BenchmarkWALReplay times recovery: replaying a log of walRows INSERTs
+// (and the CREATE TABLE before them) into a fresh engine. Every replay
+// must recover every row.
+func BenchmarkWALReplay(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "wal.log")
+	db, bl := newTIPEngine()
+	if err := db.EnableWAL(path); err != nil {
+		b.Fatal(err)
+	}
+	if err := workload.LoadTIP(db.NewSession(), bl, workload.Generate(workload.DefaultConfig(walRows))); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.DisableWAL(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh, _ := newTIPEngine()
+		if err := fresh.ReplayWAL(path); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		res, err := fresh.NewSession().Exec(`SELECT COUNT(*) FROM Prescription`, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := res.Rows[0][0].Int(); got != walRows {
+			b.Fatalf("recovered %d rows, want %d", got, walRows)
+		}
+		b.StartTimer()
+	}
+}
+
 // --- E8: temporal join algorithms ---------------------------------------
 
 func overlapJoinBench(b *testing.B, indexed bool, n int) {
-	sess, _ := bench.NewTIPDB()
+	sess, _ := newTIPDB()
 	mustB := func(q string) {
 		b.Helper()
 		if _, err := sess.Exec(q, nil); err != nil {
@@ -281,8 +401,8 @@ func BenchmarkOverlapJoinIndexed(b *testing.B) {
 // table, optionally while an analyst session loops full temporal scans
 // over another table.
 func disjointWritersBench(b *testing.B, analyst bool) {
-	sess, blade := bench.NewTIPDB()
-	if err := workload.LoadTIP(sess, blade, workload.Generate(workload.DefaultConfig(2000))); err != nil {
+	sess, bl := newTIPDB()
+	if err := workload.LoadTIP(sess, bl, workload.Generate(workload.DefaultConfig(2000))); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := sess.Exec(`CREATE TABLE w (a INT)`, nil); err != nil {
@@ -376,11 +496,11 @@ func BenchmarkElementCodec(b *testing.B) {
 func BenchmarkGroupUnionAggregate(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			sess, blade := bench.NewTIPDB()
+			sess, bl := newTIPDB()
 			cfg := workload.DefaultConfig(n)
 			cfg.OpenFraction = 0
 			cfg.Patients = 1 // a single group: pure aggregate cost
-			if err := workload.LoadTIP(sess, blade, workload.Generate(cfg)); err != nil {
+			if err := workload.LoadTIP(sess, bl, workload.Generate(cfg)); err != nil {
 				b.Fatal(err)
 			}
 			q := `SELECT patient, length(group_union(valid)) FROM Prescription GROUP BY patient`

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"tip/internal/exec"
+	"tip/internal/sql/ast"
 )
 
 // MVCC bookkeeping. The version clock (Database.vclock) stamps every
@@ -158,12 +159,14 @@ func (s *Session) releaseSnaps() {
 }
 
 // Close releases the session's engine-side registrations. An abandoned
-// open transaction stops pinning the reclamation horizon (its applied
-// changes remain; there is no implicit rollback). Safe to call more
-// than once; the session must not be used afterwards.
+// open transaction is rolled back as a logged ROLLBACK, so replay ends
+// it where it ended live instead of folding later statements into it;
+// a pending Interrupt is cleared first so it cannot abort that
+// rollback. Safe to call more than once; the session must not be used
+// afterwards.
 func (s *Session) Close() {
 	if s.tx != nil {
-		s.db.hz.endTxn(s.tx.ID)
-		s.tx = nil
+		s.cancel.Reset()
+		_, _ = s.runStatement(&ast.Rollback{}, "ROLLBACK", nil)
 	}
 }

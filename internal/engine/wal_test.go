@@ -128,6 +128,54 @@ func TestWALOpenTransactionRolledBackAtRecovery(t *testing.T) {
 	}
 }
 
+// closedMidTransaction opens a session on db, leaves a transaction
+// open with one INSERT of a = 1 and closes the session, as the server
+// does when a client disconnects.
+func closedMidTransaction(t *testing.T, db *engine.Database) {
+	t.Helper()
+	a := db.NewSession()
+	mustExec(t, a, `BEGIN`)
+	mustExec(t, a, `INSERT INTO t VALUES (1)`)
+	a.Close()
+}
+
+// liveMatchesRecovered checks that the live table and the one recovered
+// from the log both hold exactly the committed row a = 2.
+func liveMatchesRecovered(t *testing.T, live *engine.Session, wal string) {
+	t.Helper()
+	for name, s := range map[string]*engine.Session{"live": live, "recovered": recoverDB(t, wal)} {
+		res := mustExec(t, s, `SELECT a FROM t`)
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
+			t.Errorf("%s rows = %v, want [[2]]", name, res.Rows)
+		}
+	}
+}
+
+// A session closed mid-transaction rolls the transaction back through
+// the log, so another session's later BEGIN replays without finding a
+// transaction already open.
+func TestWALClosedSessionThenTransaction(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.log")
+	db, s := newWALDB(t, wal)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	closedMidTransaction(t, db)
+	mustExec(t, s, `BEGIN`)
+	mustExec(t, s, `INSERT INTO t VALUES (2)`)
+	mustExec(t, s, `COMMIT`)
+	liveMatchesRecovered(t, s, wal)
+}
+
+// A session closed mid-transaction does not swallow another session's
+// later autocommit write into its transaction at replay.
+func TestWALClosedSessionThenAutocommit(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.log")
+	db, s := newWALDB(t, wal)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	closedMidTransaction(t, db)
+	mustExec(t, s, `INSERT INTO t VALUES (2)`)
+	liveMatchesRecovered(t, s, wal)
+}
+
 func TestWALTornTailIgnored(t *testing.T) {
 	wal := filepath.Join(t.TempDir(), "wal.log")
 	db, s := newWALDB(t, wal)

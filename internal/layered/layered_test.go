@@ -289,6 +289,24 @@ func TestComplexityMetrics(t *testing.T) {
 	if tc.TableRefs != 1 {
 		t.Errorf("tip table refs = %d", tc.TableRefs)
 	}
+
+	// Q3, the overlap self-join: the stratum's fragment join is already
+	// longer than TIP's query, and set semantics need a coalescing pass
+	// over its fragments on top.
+	tipQ3 := `SELECT p1.patient, intersect(p1.valid, p2.valid) FROM rx p1, rx p2
+		WHERE p1.drug = 'Diabeta' AND p2.drug = 'Aspirin'
+		AND p1.patient = p2.patient AND overlaps(p1.valid, p2.valid)`
+	joinSQL := layered.OverlapJoinSQL("rx", "patient", "p1.drug = 'Diabeta'", "p2.drug = 'Aspirin'")
+	jc := layered.MeasureSQL(joinSQL)
+	t3 := layered.MeasureSQL(tipQ3)
+	if jc.Chars <= t3.Chars {
+		t.Errorf("layered Q3 join should be longer: %d vs %d chars", jc.Chars, t3.Chars)
+	}
+	withPass := layered.MeasureSQL(joinSQL + "\n" + layered.CoalesceSQL("fragments", "patient"))
+	if withPass.Chars <= 2*t3.Chars || withPass.Depth <= t3.Depth {
+		t.Errorf("layered Q3 with its coalescing pass (%d chars, depth %d) should dwarf TIP's (%d chars, depth %d)",
+			withPass.Chars, withPass.Depth, t3.Chars, t3.Depth)
+	}
 }
 
 // TestCoalesceAgainstTruth runs TIP's group_union through the coalesce

@@ -319,8 +319,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.nConns.Add(-1)
 	sess := s.db.NewSession()
-	// Drop the session's MVCC registrations (an abandoned open
-	// transaction would otherwise pin the reclamation horizon forever).
+	// Roll back a transaction the client abandoned and drop the
+	// session's MVCC registrations.
 	defer sess.Close()
 	sess.SetDefaultStmtTimeout(s.stmtTimeout)
 	sess.SetDefaultStmtMem(s.stmtMem)

@@ -6,10 +6,13 @@ package server_test
 
 import (
 	"bufio"
+	"fmt"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"tip"
 	"tip/internal/blade"
 	"tip/internal/client"
 	"tip/internal/core"
@@ -109,6 +112,76 @@ func TestAbruptDisconnectMidSession(t *testing.T) {
 	}
 	_ = conn.Close()
 	healthy(t, srv)
+}
+
+// A client that disconnects mid-transaction, by hanging up or by the
+// server closing under it, has its transaction rolled back: the state a
+// durable database recovers after that equals the live one.
+func TestDisconnectMidTransactionRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		disconnect func(c *client.Conn, srv *server.Server) error
+	}{
+		{"client hangs up", func(c *client.Conn, srv *server.Server) error {
+			_ = c.Close()
+			return srv.Shutdown(time.Minute) // waits for the session to close
+		}},
+		{"server closes", func(_ *client.Conn, srv *server.Server) error { return srv.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			db, err := tip.OpenDurable(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := db.Session()
+			s.MustExec(`CREATE TABLE t (a INT)`, nil)
+			srv, err := db.Serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := blade.NewRegistry()
+			core.MustRegister(reg)
+			c, err := client.Connect(srv.Addr(), reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []string{`BEGIN`, `INSERT INTO t VALUES (1)`} {
+				if _, err := c.Exec(q, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.disconnect(c, srv); err != nil {
+				t.Fatal(err)
+			}
+			_ = c.Close()
+			s.MustExec(`INSERT INTO t VALUES (2)`, nil)
+
+			rows := func(s *tip.Session) string {
+				res, err := s.Exec(`SELECT a FROM t ORDER BY a`, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := ""
+				for _, r := range res.Rows {
+					out += fmt.Sprintf("[%d]", r[0].Int())
+				}
+				return out
+			}
+			live := rows(s)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := tip.OpenDurable(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			if got := rows(reopened.Session()); live != "[2]" || got != live {
+				t.Errorf("live %s, reopened %s, want [2] for both", live, got)
+			}
+		})
+	}
 }
 
 func TestCorruptQueryFrameGetsError(t *testing.T) {

@@ -9,22 +9,6 @@ import (
 // Smoke tests for the command-line tools, run end to end. Skipped under
 // -short (each invocation compiles a main package).
 
-func TestTipbenchTool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tools skipped in -short mode")
-	}
-	out, err := exec.Command("go", "run", "./cmd/tipbench", "-exp", "E5").CombinedOutput()
-	if err != nil {
-		t.Fatalf("tipbench: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "Query complexity") {
-		t.Errorf("tipbench output missing table:\n%s", out)
-	}
-	if out, err := exec.Command("go", "run", "./cmd/tipbench", "-exp", "E99").CombinedOutput(); err == nil {
-		t.Errorf("unknown experiment should fail:\n%s", out)
-	}
-}
-
 func TestTipbrowseDemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tools skipped in -short mode")
