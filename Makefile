@@ -147,9 +147,11 @@ plan-smoke:
 # bootstrapped read replicas over real TCP) converging under load,
 # killed replicas rejoining via snapshot + WAL catch-up, severed and
 # stalled links resubscribing with exact-count (no-gap, no-double-apply)
-# convergence, checkpoint truncation forcing snapshot re-bootstrap, and
-# a replica's position read over the client's Stats beside the
-# primary's.
+# convergence, checkpoint truncation forcing snapshot re-bootstrap, a
+# caught-up replica tailing wal.log across a Checkpoint on the same
+# stream (no snapshot, no resubscribe), a 3,000-INSERT burst shipped
+# from the file, and a replica's position read over the client's Stats
+# beside the primary's.
 repl-smoke:
 	$(GO) test -race -count=1 ./internal/repl
 

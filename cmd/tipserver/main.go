@@ -48,8 +48,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:4711", "listen address")
 	dbPath := flag.String("db", "", "snapshot file to load on start and save on shutdown")
 	durable := flag.String("durable", "", "directory for a WAL-backed, crash-safe database")
-	durability := flag.String("durability", "checkpoint",
-		`WAL fsync policy with -durable: "checkpoint", "strict", or "grouped[=interval]"`)
+	durability := flag.String("durability", "grouped",
+		`WAL fsync policy with -durable: "grouped[=interval]" or "strict"`)
 	demo := flag.Int("demo", 0, "load N synthetic prescriptions on start")
 	metrics := flag.String("metrics", "", "serve the metrics snapshot as JSON on this HTTP address (/stats)")
 	slow := flag.Duration("slowquery", 0, "log statements slower than this (0 disables)")

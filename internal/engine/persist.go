@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,17 +36,12 @@ import (
 //	uvarint indexCount
 //	  index: str name, str table, str column, byte kind
 //
-// Version 1 ("TIPDB1\n") lacks the epoch field and loads as epoch 0.
-//
 // Snapshots are written atomically: the bytes go to path+".tmp", the
 // temp file is fsynced, renamed over path, and the parent directory is
 // fsynced — a crash at any point leaves either the old snapshot or the
 // new one, never a torn file.
 
-const (
-	snapshotMagicV1 = "TIPDB1\n"
-	snapshotMagic   = "TIPDB2\n"
-)
+const snapshotMagic = "TIPDB2\n"
 
 // ErrBadSnapshot reports a malformed snapshot file.
 var ErrBadSnapshot = errors.New("engine: bad snapshot")
@@ -227,18 +223,12 @@ func (db *Database) loadSnapshot(data []byte, replace bool) error {
 // decodeSnapshot populates the (empty) database from snapshot bytes and
 // returns the snapshot's durability epoch.
 func (db *Database) decodeSnapshot(data []byte) (uint64, error) {
-	var epoch uint64
-	switch {
-	case len(data) >= len(snapshotMagic) && string(data[:len(snapshotMagic)]) == snapshotMagic:
-		data = data[len(snapshotMagic):]
-		var err error
-		if epoch, data, err = readUvarint(data); err != nil {
-			return 0, err
-		}
-	case len(data) >= len(snapshotMagicV1) && string(data[:len(snapshotMagicV1)]) == snapshotMagicV1:
-		data = data[len(snapshotMagicV1):] // pre-epoch format
-	default:
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return 0, fmt.Errorf("%w: magic", ErrBadSnapshot)
+	}
+	epoch, data, err := readUvarint(data[len(snapshotMagic):])
+	if err != nil {
+		return 0, err
 	}
 	tableCount, data, err := readUvarint(data)
 	if err != nil {

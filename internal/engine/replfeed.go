@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,84 +9,131 @@ import (
 // The WAL as a replication feed. A frame body — {CRC32C, epoch, seq,
 // payload}, everything after the on-disk length prefix — is the unit of
 // shipment: a primary forwards the exact bytes it logged, and a replica
-// verifies the same checksum local replay would. Two sources produce
-// frames: SubscribeWAL taps appends as they happen (the live tail), and
-// ReadWALFrames streams the log file from a given position (catch-up).
-// A subscriber that falls behind its buffer is closed rather than
-// blocking the append path; it re-catches-up from the file and
-// resubscribes, which is the same state machine a reconnecting replica
-// runs.
+// verifies the same checksum local replay would. The log file is the
+// only source of frames: a WALTail reads it through the same walReader
+// recovery uses, keeping its byte offset between calls, and waits for
+// more on Appended. The append path knows nothing of replicas beyond
+// closing one channel when a tail is waiting.
 
-// ReplFrame is one WAL frame as shipped to replication subscribers.
-// Body is the full frame body (checksum included); Epoch and Seq are
-// pre-decoded for routing without re-parsing.
+// ReplFrame is one WAL frame as a replica receives it. Body is the full
+// frame body (checksum included); Epoch and Seq are pre-decoded for
+// routing without re-parsing.
 type ReplFrame struct {
 	Epoch uint64
 	Seq   uint64
 	Body  []byte
 }
 
-// WALSub is a live tail subscription. C delivers frames in strict
-// append order with no gaps. The channel closes when the subscriber
-// overruns its buffer (the append path never blocks on a slow
-// consumer), when the WAL is disabled, or on Close.
-type WALSub struct {
-	C  <-chan ReplFrame
-	ch chan ReplFrame
-	w  *wal
+// ErrWALGone reports that frames a tail still owes were truncated out
+// of the log by a Checkpoint: the reader must start over from a
+// snapshot.
+var ErrWALGone = errors.New("engine: WAL frames checkpointed away")
+
+// WALTail follows a database's log file from a sequence number. Next
+// returns the following frame bodies in order; at the end of the file
+// the caller waits on Appended and calls Next again.
+type WALTail struct {
+	db    *Database
+	r     walReader
+	after uint64 // seq of the last frame returned (or the start position)
+	base  uint64 // WALBase when the reader last started at offset 0
 }
 
-// SubscribeWAL registers a live tail subscription with the given buffer
-// capacity. Frames appended after the call are delivered in order;
-// frames appended before it are not (read them from the file). Requires
-// an enabled WAL.
-func (db *Database) SubscribeWAL(buf int) (*WALSub, error) {
-	if buf < 1 {
-		buf = 1
+// TailWAL opens the log file at path (the one EnableWAL writes) for
+// reading the frames with seq > afterSeq. It fails with ErrWALGone if
+// a Checkpoint has already truncated some of them.
+func (db *Database) TailWAL(path string, afterSeq uint64) (*WALTail, error) {
+	t := &WALTail{db: db, after: afterSeq, base: db.WALBase()}
+	if afterSeq < t.base {
+		return nil, t.gone()
 	}
-	db.mu.RLock()
-	w := db.wal
-	db.mu.RUnlock()
-	if w == nil {
-		return nil, errors.New("engine: SubscribeWAL: WAL not enabled")
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("engine: wal tail: %w", err)
 	}
-	sub := &WALSub{ch: make(chan ReplFrame, buf), w: w}
-	sub.C = sub.ch
-	w.mu.Lock()
-	if w.subs == nil {
-		w.subs = make(map[*WALSub]struct{})
-	}
-	w.subs[sub] = struct{}{}
-	w.mu.Unlock()
-	return sub, nil
+	t.r.f = f
+	return t, nil
 }
 
-// Close unregisters the subscription and closes its channel. Safe to
-// call more than once and safe concurrently with appends.
-func (sub *WALSub) Close() {
-	w := sub.w
-	w.mu.Lock()
-	if _, ok := w.subs[sub]; ok {
-		delete(w.subs, sub)
-		close(sub.ch)
-	}
-	w.mu.Unlock()
-}
+// Close releases the log file.
+func (t *WALTail) Close() error { return t.r.f.Close() }
 
-// publishLocked fans a freshly appended frame out to the live
-// subscribers. Caller holds w.mu, which is what serialises the sends
-// into append order. A full subscriber is dropped and closed: the
-// append path never waits on a consumer, and the closed channel tells
-// the consumer to re-catch-up from the file.
-func (w *wal) publishLocked(fr ReplFrame) {
-	for sub := range w.subs {
-		select {
-		case sub.ch <- fr:
-		default:
-			delete(w.subs, sub)
-			close(sub.ch)
+// Next returns the body of frame after+1, or nil when the file holds no
+// complete frame past the tail yet: a frame cut short at the end of
+// the file is still being written, not damage. The body aliases a
+// buffer the next call reuses. Damage surfaces as ErrWAL, exactly as
+// ReplayWAL reports it.
+//
+// A Checkpoint truncates the file under the tail; it shows as a new
+// WALBase. A tail that had returned every frame up to the new base
+// starts over at offset 0, otherwise Next fails with ErrWALGone. Bytes
+// read across the truncation fail the checksum or break the sequence,
+// so every anomaly re-reads the base before it counts as damage.
+func (t *WALTail) Next() ([]byte, error) {
+	for {
+		if base := t.db.WALBase(); base != t.base {
+			if err := t.rewind(base); err != nil {
+				return nil, err
+			}
+		}
+		fr, body, ok, err := t.r.next()
+		if err == nil && ok && fr.seq > t.after+1 {
+			err = t.gone()
+		}
+		if err != nil {
+			if t.db.WALBase() != t.base {
+				continue // a truncation, not damage: rewind above
+			}
+			return nil, err
+		}
+		if !ok {
+			return nil, nil
+		}
+		if fr.seq > t.after {
+			t.after = fr.seq
+			return body, nil
 		}
 	}
+}
+
+// rewind restarts the reader at offset 0 of a log truncated down to
+// base, if the tail had returned every frame the truncation dropped.
+func (t *WALTail) rewind(base uint64) error {
+	t.base = base
+	if t.after < base {
+		return t.gone()
+	}
+	t.r.reset()
+	return nil
+}
+
+func (t *WALTail) gone() error {
+	return fmt.Errorf("%w: frames after seq %d are no longer in the log", ErrWALGone, t.after)
+}
+
+// Appended returns a channel closed by the next append to the log or by
+// DisableWAL. Take it before the Next call that reaches the end of the
+// file, so an append in between is not missed. It is nil when no WAL is
+// enabled. The channel is allocated only while a tail waits, so the
+// append path pays one nil check whatever the number of tails.
+func (t *WALTail) Appended() <-chan struct{} {
+	t.db.mu.RLock()
+	w := t.db.wal
+	t.db.mu.RUnlock()
+	if w == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	select {
+	case <-w.stop: // DisableWAL is closing the log
+		return w.stop
+	default:
+	}
+	if w.appended == nil {
+		w.appended = make(chan struct{})
+	}
+	return w.appended
 }
 
 // WALSeq returns the sequence number of the last WAL frame flushed to
@@ -122,28 +168,4 @@ func DecodeWALFrameBody(body []byte) (ReplFrame, []byte, error) {
 		return ReplFrame{}, nil, err
 	}
 	return ReplFrame{Epoch: fr.epoch, Seq: fr.seq, Body: body}, fr.payload, nil
-}
-
-// ReadWALFrames streams the log file at path, calling fn for every
-// valid frame with seq > afterSeq, in order. Sequence continuity is
-// checked across all scanned frames (not just the delivered ones); a
-// torn trailing frame ends the stream cleanly, while corruption or a
-// gap surfaces ErrWAL. Delivered frame bodies are freshly allocated, so
-// fn may retain them. A missing file streams nothing.
-func ReadWALFrames(path string, afterSeq uint64, fn func(ReplFrame) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("engine: wal read: %w", err)
-	}
-	defer f.Close()
-	return scanWALFrames(f, func(fr walFrame, body []byte) (bool, error) {
-		if fr.seq <= afterSeq {
-			return true, nil
-		}
-		// Only delivered frames get a retained allocation.
-		return true, fn(ReplFrame{Epoch: fr.epoch, Seq: fr.seq, Body: bytes.Clone(body)})
-	})
 }

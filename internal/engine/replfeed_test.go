@@ -1,75 +1,200 @@
 package engine_test
 
-// The WAL as a replication feed: bounded-range replay, live tail
-// subscriptions with overrun cutoff, frame-stream reads and the
-// flushed/synced gauges that report shipping progress.
+// The WAL as a replication feed: the tail cursor over the log file
+// (start position, half-written frames, Checkpoint truncation), the
+// append signal it waits on, and the flushed/synced gauges that report
+// shipping progress.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
-	"tip/internal/blade"
-	"tip/internal/core"
 	"tip/internal/engine"
-	"tip/internal/temporal"
 )
 
-func freshDB(t *testing.T) *engine.Database {
+// tailSeqs drains every complete frame the tail holds and returns their
+// seqs, checking each body's checksum.
+func tailSeqs(t *testing.T, tail *engine.WALTail) []uint64 {
 	t.Helper()
-	reg := blade.NewRegistry()
-	if _, err := core.Register(reg); err != nil {
-		t.Fatal(err)
+	var seqs []uint64
+	for {
+		body, err := tail.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body == nil {
+			return seqs
+		}
+		fr, _, err := engine.DecodeWALFrameBody(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, fr.Seq)
 	}
-	db := engine.New(reg)
-	db.SetClock(func() temporal.Chronon { return testNow })
-	return db
 }
 
-func TestReplayWALRangeIsResumable(t *testing.T) {
+func openTail(t *testing.T, db *engine.Database, path string, after uint64) *engine.WALTail {
+	t.Helper()
+	tail, err := db.TailWAL(path, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tail.Close() })
+	return tail
+}
+
+func TestWALTailFromSeqKeepsItsOffset(t *testing.T) {
 	wal := filepath.Join(t.TempDir(), "wal.log")
-	_, s := newWALDB(t, wal)
-	mustExec(t, s, `CREATE TABLE t (a INT)`) // seq 1
-	for i := 1; i <= 4; i++ {                // seqs 2..5
+	db, s := newWALDB(t, wal)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	for i := 1; i <= 4; i++ {
 		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
 	}
-
-	// Replay only the first three frames...
-	db2 := freshDB(t)
-	if err := db2.ReplayWALRange(wal, 0, 3); err != nil {
-		t.Fatal(err)
+	tail := openTail(t, db, wal, 2)
+	if got := fmt.Sprint(tailSeqs(t, tail)); got != "[3 4 5]" {
+		t.Fatalf("frames after seq 2 = %s, want [3 4 5]", got)
 	}
-	s2 := db2.NewSession()
-	if got := count(t, s2, `SELECT COUNT(*) FROM t`); got != 2 {
-		t.Fatalf("rows after partial replay = %d, want 2", got)
-	}
-	if got := db2.WALSeq(); got != 3 {
-		t.Fatalf("WALSeq after partial replay = %d, want 3", got)
-	}
-
-	// ...then resume from where the partial replay stopped.
-	if err := db2.ReplayWALRange(wal, db2.WALSeq(), ^uint64(0)); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(t, s2, `SELECT COUNT(*) FROM t`); got != 4 {
-		t.Fatalf("rows after resumed replay = %d, want 4", got)
-	}
-	if got := db2.WALSeq(); got != 5 {
-		t.Fatalf("WALSeq after resumed replay = %d, want 5", got)
+	mustExec(t, s, `INSERT INTO t VALUES (5)`)
+	if got := fmt.Sprint(tailSeqs(t, tail)); got != "[6]" {
+		t.Fatalf("frames after the next append = %s, want [6]", got)
 	}
 }
 
-func TestReplayWALRangeBoundBelowLog(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	_, s := newWALDB(t, wal)
+// TestWALTailWaitsForHalfWrittenFrame grows a two-frame log file by
+// hand from every cut point: a frame whose bytes have only partly
+// landed is not shipped, and is shipped whole, once, after the rest
+// arrive.
+func TestWALTailWaitsForHalfWrittenFrame(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.log")
+	_, s := newWALDB(t, src)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
-
-	db2 := freshDB(t)
-	if err := db2.ReplayWALRange(wal, 0, 0); err != nil {
+	mustExec(t, s, `INSERT INTO t VALUES (1)`)
+	full, err := os.ReadFile(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db2.WALSeq(); got != 0 {
-		t.Fatalf("WALSeq with upToSeq=0 = %d, want 0", got)
+	n, k := binary.Uvarint(full)
+	firstEnd := k + int(n)
+
+	path := filepath.Join(dir, "tailed.log")
+	db, _ := newDB(t)
+	for cut := 1; cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tail := openTail(t, db, path, 0)
+		want := "[]"
+		if cut >= firstEnd {
+			want = "[1]"
+		}
+		if got := fmt.Sprint(tailSeqs(t, tail)); got != want {
+			t.Fatalf("cut at byte %d: shipped %s before the rest landed, want %s", cut, got, want)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(full[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Close()
+		want = "[1 2]"
+		if cut >= firstEnd {
+			want = "[2]"
+		}
+		if got := fmt.Sprint(tailSeqs(t, tail)); got != want {
+			t.Fatalf("cut at byte %d: shipped %s after the rest landed, want %s", cut, got, want)
+		}
+	}
+}
+
+// TestWALTailAppendSignal checks the channel a caught-up tail waits
+// on: one channel for every waiter, closed by the next append, and by
+// DisableWAL.
+func TestWALTailAppendSignal(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.log")
+	db, s := newWALDB(t, wal)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	tail := openTail(t, db, wal, 0)
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+
+	ch := tail.Appended()
+	if ch == nil || closed(ch) {
+		t.Fatal("append signal closed before any append")
+	}
+	if tail.Appended() != ch {
+		t.Fatal("waiting tails got different channels")
+	}
+	mustExec(t, s, `INSERT INTO t VALUES (1)`)
+	if !closed(ch) {
+		t.Fatal("append did not close the signal")
+	}
+
+	ch = tail.Appended()
+	if closed(ch) {
+		t.Fatal("fresh signal is already closed")
+	}
+	if err := db.DisableWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("DisableWAL did not close the signal")
+	}
+	if tail.Appended() != nil {
+		t.Fatal("append signal without a WAL is not nil")
+	}
+}
+
+// TestWALTailAcrossCheckpoint: a tail that had read every frame when a
+// Checkpoint truncated the log carries on from offset 0; a tail
+// behind the truncation, or opened below the new base, gets ErrWALGone.
+func TestWALTailAcrossCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "wal.log")
+	db, s := newWALDB(t, wal)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	for i := 0; i < 3; i++ {
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
+	}
+	caughtUp := openTail(t, db, wal, 0)
+	if got := fmt.Sprint(tailSeqs(t, caughtUp)); got != "[1 2 3 4]" {
+		t.Fatalf("before checkpoint: %s", got)
+	}
+	behind := openTail(t, db, wal, 0)
+	if body, err := behind.Next(); err != nil || body == nil {
+		t.Fatalf("behind.Next = %v, %v", body, err)
+	}
+
+	if err := db.Checkpoint(filepath.Join(dir, "snap.tipdb")); err != nil {
+		t.Fatal(err)
+	}
+	// Before anything is appended: the caught-up tail has nothing to
+	// ship, and the one behind learns at once that it never will.
+	if got := fmt.Sprint(tailSeqs(t, caughtUp)); got != "[]" {
+		t.Fatalf("right after checkpoint: %s, want []", got)
+	}
+	if _, err := behind.Next(); !errors.Is(err, engine.ErrWALGone) {
+		t.Fatalf("tail behind the checkpoint: err = %v, want ErrWALGone", err)
+	}
+	mustExec(t, s, `INSERT INTO t VALUES (3)`)
+	mustExec(t, s, `INSERT INTO t VALUES (4)`)
+	if got := fmt.Sprint(tailSeqs(t, caughtUp)); got != "[5 6]" {
+		t.Fatalf("after checkpoint: %s, want [5 6]", got)
+	}
+	if _, err := db.TailWAL(wal, 3); !errors.Is(err, engine.ErrWALGone) {
+		t.Fatalf("tail opened below the base: err = %v, want ErrWALGone", err)
 	}
 }
 
@@ -85,88 +210,6 @@ func TestWALSeqGauges(t *testing.T) {
 	}
 	if _, ok := snap.Get("wal.synced_seq"); !ok {
 		t.Fatal("wal.synced_seq gauge missing")
-	}
-}
-
-func TestSubscribeWALDeliversFrames(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
-	mustExec(t, s, `CREATE TABLE t (a INT)`) // before the subscription: not delivered
-
-	sub, err := db.SubscribeWAL(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	fr := <-sub.C
-	if fr.Seq != 2 {
-		t.Fatalf("live frame seq = %d, want 2", fr.Seq)
-	}
-	if _, _, err := engine.DecodeWALFrameBody(fr.Body); err != nil {
-		t.Fatalf("live frame body does not decode: %v", err)
-	}
-}
-
-func TestSubscribeWALOverrunCutsTheSubscriber(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
-	mustExec(t, s, `CREATE TABLE t (a INT)`)
-
-	sub, err := db.SubscribeWAL(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	// Fill the buffer and overflow it without draining: the slow
-	// subscriber must be cut, never the appender blocked.
-	for i := 0; i < 4; i++ {
-		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
-	}
-	delivered := 0
-	for range sub.C {
-		delivered++
-	}
-	if delivered != 2 {
-		t.Fatalf("delivered %d frames before the cut, want the 2 buffered", delivered)
-	}
-}
-
-func TestReadWALFramesFromSeq(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	_, s := newWALDB(t, wal)
-	mustExec(t, s, `CREATE TABLE t (a INT)`)
-	for i := 1; i <= 4; i++ {
-		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
-	}
-
-	var seqs []uint64
-	err := engine.ReadWALFrames(wal, 2, func(fr engine.ReplFrame) error {
-		if _, _, err := engine.DecodeWALFrameBody(fr.Body); err != nil {
-			return err
-		}
-		seqs = append(seqs, fr.Seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{3, 4, 5}
-	if len(seqs) != len(want) {
-		t.Fatalf("frames after seq 2 = %v, want %v", seqs, want)
-	}
-	for i := range want {
-		if seqs[i] != want[i] {
-			t.Fatalf("frames after seq 2 = %v, want %v", seqs, want)
-		}
-	}
-}
-
-func TestReadWALFramesMissingFileIsEmpty(t *testing.T) {
-	err := engine.ReadWALFrames(filepath.Join(t.TempDir(), "nope.log"), 0,
-		func(engine.ReplFrame) error { t.Fatal("unexpected frame"); return nil })
-	if err != nil {
-		t.Fatalf("missing WAL should read as empty, got %v", err)
 	}
 }
 

@@ -48,12 +48,10 @@ import (
 // truncating the log, so if the truncate never happens the stale frames
 // are skipped rather than double-applied on top of the snapshot.
 //
-// Durability is a policy (SetDurability): SyncOnCheckpoint flushes to
-// the OS on every append and fsyncs only at Checkpoint (an OS crash can
-// lose the tail); SyncEveryAppend fsyncs before the statement returns,
-// with concurrent appenders sharing one fsync (group commit);
-// SyncGrouped bounds the loss window to an interval by fsyncing from a
-// background syncer.
+// Durability is a policy (SetDurability): SyncGrouped, the default,
+// bounds the loss window to an interval by fsyncing from a background
+// syncer; SyncEveryAppend fsyncs before the statement returns, with
+// concurrent appenders sharing one fsync (group commit).
 
 // walMaxFrame bounds a frame's decoded length. A corrupt length prefix
 // must not turn into an unbounded allocation at replay; no legitimate
@@ -68,16 +66,13 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 type SyncPolicy int32
 
 const (
-	// SyncOnCheckpoint (the default) flushes appends to the OS but
-	// fsyncs only at Checkpoint: commits survive a process crash, not
-	// necessarily an OS crash or power loss.
-	SyncOnCheckpoint SyncPolicy = iota
+	// SyncGrouped (the default) fsyncs from a background syncer at a
+	// fixed interval: a power loss can take back at most the last
+	// interval's commits.
+	SyncGrouped SyncPolicy = iota
 	// SyncEveryAppend fsyncs before a statement's Exec returns.
 	// Concurrent appenders are batched into one fsync (group commit).
 	SyncEveryAppend
-	// SyncGrouped fsyncs from a background syncer at a fixed interval:
-	// a power loss can take back at most the last interval's commits.
-	SyncGrouped
 )
 
 // walSink is the file behind the log: an *os.File in production, a
@@ -111,12 +106,10 @@ type wal struct {
 	syncedSeq  atomic.Uint64 // highest seq known durable (fsynced)
 	syncMu     sync.Mutex    // serializes fsyncs
 
-	// subs are live replication subscribers (see SubscribeWAL). Guarded
-	// by mu; frames are published in append order while the lock is held,
-	// so every subscriber sees a gap-free suffix of the stream until its
-	// buffer overruns (the sub is then closed and must re-catch-up from
-	// the file).
-	subs map[*WALSub]struct{}
+	// appended is closed by the next append, then reset to nil; a
+	// WALTail waiting at the end of the file allocates it (Appended).
+	// Guarded by mu.
+	appended chan struct{}
 
 	stop chan struct{} // closed by DisableWAL to end the group syncer
 	done chan struct{} // closed when the syncer goroutine exits
@@ -203,9 +196,9 @@ func (db *Database) DisableWAL() error {
 	<-w.done
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for sub := range w.subs {
-		delete(w.subs, sub)
-		close(sub.ch)
+	if w.appended != nil {
+		close(w.appended)
+		w.appended = nil
 	}
 	flushErr := w.failed
 	if flushErr == nil {
@@ -325,8 +318,9 @@ func (db *Database) Checkpoint(snapshotPath string) error {
 	// an fsync.
 	w.flushedSeq.Store(w.seq)
 	w.syncedSeq.Store(w.seq)
-	// The truncate discarded every frame up to w.seq: replication
-	// catch-up below that point must go through a snapshot (WALBase).
+	// The truncate discarded every frame up to w.seq: a replica below
+	// that point must go through a snapshot, and a WALTail sees the
+	// truncation as the new WALBase.
 	db.mu.Lock()
 	db.walBase = w.seq
 	db.mu.Unlock()
@@ -457,7 +451,10 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 		}
 		w.seq++
 		w.flushedSeq.Store(w.seq)
-		w.publishLocked(ReplFrame{Epoch: w.epoch, Seq: w.seq, Body: body})
+		if w.appended != nil {
+			close(w.appended)
+			w.appended = nil
+		}
 		return w.seq, hn + len(body), nil
 	}()
 	if err != nil {
@@ -482,30 +479,16 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 
 // ReplayWAL re-executes the statements logged in path against this
 // database (typically right after loading the matching snapshot).
-// Frames are streamed through a bounded buffer, so recovery memory
-// scales with the largest record, not the log size. Each statement runs
-// under the NOW it originally executed with; frames from an epoch older
-// than the loaded snapshot's are skipped (they are already inside the
-// snapshot). A transaction still open at the end of the log is rolled
-// back. A truncated trailing record (torn write at crash) ends replay
-// cleanly; a checksum mismatch or sequence gap stops replay at the last
-// valid frame and surfaces ErrWAL.
+// Frames are read through a bounded buffer, so recovery memory scales
+// with the largest record, not the log size. Each statement runs under
+// the NOW it originally executed with; frames from an epoch older than
+// the loaded snapshot's are skipped (they are already inside the
+// snapshot: the checkpoint crashed before truncating the log). A
+// transaction still open at the end of the log is rolled back. A
+// truncated trailing record (torn write at crash) ends replay cleanly;
+// a checksum mismatch or sequence gap stops replay at the last valid
+// frame and surfaces ErrWAL.
 func (db *Database) ReplayWAL(path string) error {
-	return db.ReplayWALRange(path, 0, ^uint64(0))
-}
-
-// ReplayWALRange replays only the frames with afterSeq < seq ≤ upToSeq.
-// Every frame up to upToSeq is still scanned, checksummed and
-// gap-checked — the bounds select which statements re-execute, not how
-// much of the log is validated — and epoch-skipping applies as in
-// ReplayWAL. The full range (0, ^uint64(0)) is crash recovery; a
-// tighter upToSeq reconstructs the database as of a specific frame for
-// point-in-time debugging, and a raised afterSeq resumes replay on a
-// state already caught up through afterSeq (the replication catch-up
-// path). After a bounded replay the database reflects a log prefix;
-// enabling the WAL on it and appending would fork history, so treat
-// point-in-time states as read-only.
-func (db *Database) ReplayWALRange(path string, afterSeq, upToSeq uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -526,85 +509,110 @@ func (db *Database) ReplayWALRange(path string, afterSeq, upToSeq uint64) error 
 		sess.nowOverride = nil
 	}()
 
-	var (
-		firstSeq uint64
-		lastSeq  uint64
-		haveSeq  bool
-		maxEpoch = snapEpoch
-	)
-	err = scanWALFrames(f, func(fr walFrame, _ []byte) (bool, error) {
-		if fr.seq > upToSeq {
-			return false, nil
+	r := walReader{f: f}
+	var firstSeq uint64
+	maxEpoch := snapEpoch
+	for {
+		fr, _, ok, err := r.next()
+		if err != nil {
+			return err
 		}
-		if !haveSeq {
+		if !ok {
+			break
+		}
+		if r.frames == 1 {
 			firstSeq = fr.seq
 		}
-		lastSeq, haveSeq = fr.seq, true
-		if fr.epoch > maxEpoch {
-			maxEpoch = fr.epoch
+		maxEpoch = max(maxEpoch, fr.epoch)
+		if fr.epoch < snapEpoch {
+			continue
 		}
-		// Skip pre-checkpoint frames (their effect is inside the snapshot:
-		// the checkpoint crashed before truncating the log) and frames
-		// already applied (replica catch-up resuming mid-log).
-		if fr.epoch < snapEpoch || fr.seq <= afterSeq {
-			return true, nil
-		}
-		return true, db.replayRecord(sess, fr.payload)
-	})
-	if err != nil {
-		return err
-	}
-	return db.finishReplay(maxEpoch, firstSeq, lastSeq, haveSeq)
-}
-
-// scanWALFrames is the one reader of the log's on-disk framing: a
-// uvarint body length, then the body. It calls fn for every frame in
-// file order after checking the length bound, the checksum and sequence
-// continuity; body (and fr.payload inside it) alias a buffer the next
-// frame overwrites. fn returns false to end the scan early, and its
-// error is returned unwrapped. A frame cut short by a crash (torn tail)
-// ends the scan cleanly; any other damage surfaces ErrWAL naming the
-// frame's position and the last good sequence number.
-func scanWALFrames(f io.Reader, fn func(fr walFrame, body []byte) (more bool, err error)) error {
-	r := bufio.NewReaderSize(f, 64<<10)
-	var (
-		buf      []byte // reused frame buffer
-		lastSeq  uint64
-		frameIdx int
-	)
-	for {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil // end of log, or a tail torn inside the length prefix
-			}
-			return fmt.Errorf("%w: frame %d length (after seq %d): %v", ErrWAL, frameIdx+1, lastSeq, err)
-		}
-		if n > walMaxFrame {
-			return fmt.Errorf("%w: frame %d length %d (after seq %d)", ErrWAL, frameIdx+1, n, lastSeq)
-		}
-		if uint64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		body := buf[:n]
-		if _, err := io.ReadFull(r, body); err != nil {
-			// Torn tail: the crash cut the last frame short. Everything
-			// before it was delivered.
-			return nil
-		}
-		frameIdx++
-		fr, err := decodeWALFrame(body)
-		if err != nil {
-			return fmt.Errorf("frame %d (after seq %d): %w", frameIdx, lastSeq, err)
-		}
-		if frameIdx > 1 && fr.seq != lastSeq+1 {
-			return fmt.Errorf("%w: frame %d seq %d, want %d", ErrWAL, frameIdx, fr.seq, lastSeq+1)
-		}
-		lastSeq = fr.seq
-		if more, err := fn(fr, body); err != nil || !more {
+		if err := db.replayRecord(sess, fr.payload); err != nil {
 			return err
 		}
 	}
+	return db.finishReplay(maxEpoch, firstSeq, r.seq, r.frames > 0)
+}
+
+// walReader is the one reader of the log's on-disk framing — a uvarint
+// body length, then the body — for recovery (ReplayWAL) and replication
+// (WALTail) alike. It reads the file at an offset it keeps between
+// calls, checking each frame's length bound, checksum and sequence
+// continuity. A frame cut short at the end of the file is left unread:
+// it is a torn tail to recovery and a frame still being written to a
+// tail, which reads it whole once its remaining bytes land.
+type walReader struct {
+	f      *os.File
+	off    int64  // file offset of the first unconsumed byte, a frame boundary
+	buf    []byte // bytes read from off on, not yet consumed
+	store  []byte // backing array of buf
+	frames int    // frames consumed since offset 0 (named in errors)
+	seq    uint64 // seq of the last consumed frame
+}
+
+// next consumes and returns the next complete frame; ok is false when
+// the file ends first. body (and fr.payload inside it) alias a buffer
+// the next call overwrites. Damage surfaces as ErrWAL naming the
+// frame's position and the last good sequence number.
+func (r *walReader) next() (fr walFrame, body []byte, ok bool, err error) {
+	for {
+		n, k := binary.Uvarint(r.buf)
+		if k < 0 {
+			return fr, nil, false, fmt.Errorf("%w: frame %d length (after seq %d): varint overflow", ErrWAL, r.frames+1, r.seq)
+		}
+		if k > 0 && n > walMaxFrame {
+			return fr, nil, false, fmt.Errorf("%w: frame %d length %d (after seq %d)", ErrWAL, r.frames+1, n, r.seq)
+		}
+		if k == 0 || uint64(len(r.buf)-k) < n {
+			need := len(r.buf) + 1
+			if k > 0 {
+				need = k + int(n)
+			}
+			if more, err := r.fill(need); !more || err != nil {
+				return fr, nil, false, err
+			}
+			continue
+		}
+		body = r.buf[k : k+int(n)]
+		r.buf = r.buf[k+int(n):]
+		r.off += int64(k) + int64(n)
+		r.frames++
+		if fr, err = decodeWALFrame(body); err != nil {
+			return fr, nil, false, fmt.Errorf("frame %d (after seq %d): %w", r.frames, r.seq, err)
+		}
+		if r.frames > 1 && fr.seq != r.seq+1 {
+			return fr, nil, false, fmt.Errorf("%w: frame %d seq %d, want %d", ErrWAL, r.frames, fr.seq, r.seq+1)
+		}
+		r.seq = fr.seq
+		return fr, body, true, nil
+	}
+}
+
+// fill appends file bytes to r.buf, making room for at least need
+// unconsumed bytes; more is false when the file has nothing further.
+func (r *walReader) fill(need int) (more bool, err error) {
+	if need < 64<<10 {
+		need = 64 << 10
+	}
+	if cap(r.store) < need {
+		r.store = make([]byte, need)
+	}
+	r.store = r.store[:cap(r.store)]
+	have := copy(r.store, r.buf)
+	m, err := r.f.ReadAt(r.store[have:], r.off+int64(have))
+	r.buf = r.store[:have+m]
+	if m > 0 {
+		return true, nil
+	}
+	if err != nil && !errors.Is(err, io.EOF) {
+		return false, fmt.Errorf("engine: wal read: %w", err)
+	}
+	return false, nil
+}
+
+// reset moves the reader back to offset 0 of a truncated file.
+func (r *walReader) reset() {
+	*r = walReader{f: r.f, store: r.store}
 }
 
 // finishReplay records where the log started and ended so EnableWAL

@@ -320,10 +320,11 @@ func TestWALSeqGapDetected(t *testing.T) {
 }
 
 // TestWALCorruptThroughBothReaders feeds the same damaged logs to both
-// public readers of the on-disk framing — ReplayWAL (recovery) and
-// ReadWALFrames (replication catch-up) — and requires identical
-// verdicts: the same clean prefix, and for real damage the same ErrWAL
-// naming the frame and the last good sequence number.
+// consumers of the on-disk framing — ReplayWAL (recovery) and WALTail
+// (the replication feed) — and requires identical verdicts: the tail
+// ships exactly the frames replay applies, a torn tail ends both
+// cleanly, and real damage stops both with the same ErrWAL naming the
+// frame and the last good sequence number.
 func TestWALCorruptThroughBothReaders(t *testing.T) {
 	const stmts = 8
 	dir := t.TempDir()
@@ -372,15 +373,24 @@ func TestWALCorruptThroughBothReaders(t *testing.T) {
 		rec := freshEngine(t)
 		replayErr := rec.ReplayWAL(path)
 		assertExactPrefix(t, rec, tc.frames, tc.name)
+		tail, err := freshEngine(t).TailWAL(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		read := 0
-		readErr := ReadWALFrames(path, 0, func(fr ReplFrame) error {
-			if read++; fr.Seq != uint64(read) {
-				t.Errorf("%s: frame %d has seq %d", tc.name, read, fr.Seq)
+		var readErr error
+		for {
+			body, err := tail.Next()
+			if readErr = err; err != nil || body == nil {
+				break
 			}
-			return nil
-		})
+			if read++; !bytes.Equal(body, log[bounds[read-1]-len(body):bounds[read-1]]) {
+				t.Errorf("%s: shipped frame %d is not the logged one", tc.name, read)
+			}
+		}
+		_ = tail.Close()
 		if read != tc.frames {
-			t.Errorf("%s: ReadWALFrames delivered %d frames, want %d", tc.name, read, tc.frames)
+			t.Errorf("%s: WALTail shipped %d frames, want %d", tc.name, read, tc.frames)
 		}
 		if tc.wantErr == "" {
 			if replayErr != nil || readErr != nil {
@@ -388,7 +398,7 @@ func TestWALCorruptThroughBothReaders(t *testing.T) {
 			}
 			continue
 		}
-		for reader, err := range map[string]error{"ReplayWAL": replayErr, "ReadWALFrames": readErr} {
+		for reader, err := range map[string]error{"ReplayWAL": replayErr, "WALTail": readErr} {
 			if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: %s err = %v, want ErrWAL mentioning %q", tc.name, reader, err, tc.wantErr)
 			}

@@ -61,16 +61,6 @@ func TestSyncGroupedBatchesFsyncs(t *testing.T) {
 	}
 }
 
-func TestSyncOnCheckpointDoesNotFsyncPerAppend(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
-	mustExec(t, s, `CREATE TABLE t (a INT)`)
-	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	if got := walMetric(t, db, "wal.fsyncs"); got != 0 {
-		t.Errorf("wal.fsyncs under SyncOnCheckpoint = %v, want 0", got)
-	}
-}
-
 // Restart cycles: recover, append more, recover again. Sequence numbers
 // must continue across the restart or the second recovery would report
 // a gap; epochs must continue across a checkpoint in the middle.

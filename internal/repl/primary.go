@@ -7,13 +7,16 @@
 // crash recovery would, and the stream cannot drift from the on-disk
 // format.
 //
-// The subscriber state machine has two sources stitched by sequence
-// number: file catch-up (frames appended before the live subscription
-// existed) and the live tail. A replica that falls behind, partitions,
-// or restarts resubscribes from its last applied seq; if the primary
-// has checkpointed those frames away — or restarted into a new WAL
-// lineage, detected by runID — the subscription is refused with
-// ErrCodeWALGone and the replica re-bootstraps from a snapshot.
+// The log file is the one source of frames: each subscription tails
+// wal.log from the replica's position with a cursor that keeps its
+// byte offset, ships every complete frame, and then sleeps until the
+// next append. A Checkpoint that truncates the file under a caught-up
+// subscription restarts the cursor at offset 0. A replica that falls
+// behind, partitions, or restarts resubscribes from its last applied
+// seq; if the primary has checkpointed those frames away — or
+// restarted into a new WAL lineage, detected by runID — the
+// subscription is refused with ErrCodeWALGone and the replica
+// re-bootstraps from a snapshot.
 // Exactly-once apply needs no acknowledgements: frames carry strict
 // seqs, the replica skips duplicates and refuses gaps.
 package repl
@@ -32,20 +35,9 @@ import (
 	"tip/internal/server"
 )
 
-// liveBuf is the per-subscriber live-tail buffer. A subscriber that
-// falls this many frames behind while the stream is blocked on its
-// connection is cut off and re-caught-up from the file — the append
-// path never waits on a slow replica.
-const liveBuf = 1024
-
 // DefaultHeartbeat is how often an idle stream sends a MsgReplStatus
 // heartbeat so replicas can tell a quiet primary from a dead link.
 const DefaultHeartbeat = 2 * time.Second
-
-var (
-	errStreamStopped = errors.New("repl: stream stopped")
-	errSeqGap        = errors.New("repl: sequence gap")
-)
 
 // Primary serves the WAL as a replication stream. It implements
 // server.ReplSource; wire it with server.WithReplication.
@@ -153,17 +145,30 @@ func (p *Primary) Snapshot() (runID string, epoch, seq uint64, data []byte, err 
 }
 
 // Stream implements server.ReplSource: it owns one subscriber's
-// connection until the peer disconnects or the server drains,
-// alternating file catch-up with the live tail.
+// connection until the peer disconnects or the server drains. It ships
+// every complete frame past the subscriber's position from the log
+// file, then waits for a stop, a position report, the heartbeat or the
+// next append.
 func (p *Primary) Stream(req server.ReplStreamRequest, send func(payload []byte) error,
 	incoming <-chan []byte, stop <-chan struct{}) error {
+	gone := func(msg string) error {
+		return send(protocol.EncodeErrorCode(protocol.ErrCodeWALGone, msg+"; snapshot required"))
+	}
 	if req.RunID != "" && req.RunID != p.runID {
-		return send(protocol.EncodeErrorCode(protocol.ErrCodeWALGone,
-			"repl: primary restarted into a new WAL lineage; snapshot required"))
+		return gone("repl: primary restarted into a new WAL lineage")
 	}
-	if msg, gone := p.checkRetention(req.FromSeq); gone {
-		return send(protocol.EncodeErrorCode(protocol.ErrCodeWALGone, msg))
+	if cur := p.db.WALSeq(); req.FromSeq > cur {
+		return gone(fmt.Sprintf("repl: cannot stream from seq %d (log ends at %d)", req.FromSeq, cur))
 	}
+	tail, err := p.db.TailWAL(p.walPath, req.FromSeq)
+	if errors.Is(err, engine.ErrWALGone) {
+		return gone(err.Error())
+	}
+	if err != nil {
+		_ = send(protocol.EncodeError("repl: " + err.Error()))
+		return err
+	}
+	defer tail.Close()
 	rs := &replicaState{name: req.Name}
 	rs.applied.Store(req.FromSeq)
 	p.mu.Lock()
@@ -179,123 +184,57 @@ func (p *Primary) Stream(req server.ReplStreamRequest, send func(payload []byte)
 	if err := send(protocol.EncodeReplStatus(p.status())); err != nil {
 		return err
 	}
-	last := req.FromSeq
-	for {
-		// Subscribe before reading the file: every frame is then either
-		// in the file already or guaranteed to arrive on the channel,
-		// and duplicates straddling the boundary are skipped by seq.
-		sub, err := p.db.SubscribeWAL(liveBuf)
-		if err != nil {
-			_ = send(protocol.EncodeError("repl: " + err.Error()))
-			return err
-		}
-		err = p.catchUp(&last, rs, send, incoming, stop)
-		if err != nil {
-			sub.Close()
-			switch {
-			case errors.Is(err, errStreamStopped):
-				return nil
-			case errors.Is(err, errSeqGap):
-				// The file no longer starts at last+1: a checkpoint
-				// truncated it under us. If the position is gone for
-				// good the replica must re-bootstrap.
-				if msg, gone := p.checkRetention(last); gone {
-					return send(protocol.EncodeErrorCode(protocol.ErrCodeWALGone, msg))
-				}
-				continue
-			default:
-				return err
-			}
-		}
-		again, err := p.live(sub, &last, rs, send, incoming, stop)
-		sub.Close()
-		if err != nil || !again {
-			return err
-		}
-		if msg, gone := p.checkRetention(last); gone {
-			return send(protocol.EncodeErrorCode(protocol.ErrCodeWALGone, msg))
-		}
-	}
-}
-
-// checkRetention reports whether frames after fromSeq can still be
-// served from the log.
-func (p *Primary) checkRetention(fromSeq uint64) (string, bool) {
-	base, cur := p.db.WALBase(), p.db.WALSeq()
-	if fromSeq < base || fromSeq > cur {
-		return fmt.Sprintf("repl: cannot stream from seq %d (log holds %d..%d); snapshot required",
-			fromSeq, base+1, cur), true
-	}
-	return "", false
-}
-
-// catchUp ships frames from the log file until its end, advancing
-// *last. Position reports from the subscriber are drained without
-// blocking the stream.
-func (p *Primary) catchUp(last *uint64, rs *replicaState, send func([]byte) error,
-	incoming <-chan []byte, stop <-chan struct{}) error {
-	return engine.ReadWALFrames(p.walPath, *last, func(fr engine.ReplFrame) error {
-		for {
-			select {
-			case <-stop:
-				return errStreamStopped
-			case msg, ok := <-incoming:
-				if !ok {
-					return errStreamStopped
-				}
-				p.noteReport(rs, msg)
-				continue
-			default:
-			}
-			break
-		}
-		if fr.Seq != *last+1 {
-			return errSeqGap
-		}
-		if err := send(protocol.EncodeWALFrameMsg(fr.Body)); err != nil {
-			return err
-		}
-		*last = fr.Seq
-		p.framesShipped.Inc()
-		return nil
-	})
-}
-
-// live ships frames from the tail subscription. It returns again=true
-// when the subscription was cut (buffer overrun) and the caller should
-// re-catch-up from the file, again=false when the stream is over.
-func (p *Primary) live(sub *engine.WALSub, last *uint64, rs *replicaState,
-	send func([]byte) error, incoming <-chan []byte, stop <-chan struct{}) (again bool, err error) {
 	hb := time.NewTicker(p.heartbeat)
 	defer hb.Stop()
 	for {
+		// Taken before reading to the end of the file, so an append in
+		// between wakes the wait below.
+		appended := tail.Appended()
+		if appended == nil {
+			_ = send(protocol.EncodeError("repl: WAL not enabled"))
+			return errors.New("repl: WAL not enabled")
+		}
+		for {
+			body, err := tail.Next()
+			if errors.Is(err, engine.ErrWALGone) {
+				return gone(err.Error())
+			}
+			if err != nil {
+				return err
+			}
+			if body == nil {
+				break
+			}
+			if err := send(protocol.EncodeWALFrameMsg(body)); err != nil {
+				return err
+			}
+			p.framesShipped.Inc()
+			// A long backlog still honours a drain and keeps the
+			// subscriber's position current.
+			select {
+			case <-stop:
+				return nil
+			case msg, ok := <-incoming:
+				if !ok {
+					return nil
+				}
+				p.noteReport(rs, msg)
+			default:
+			}
+		}
 		select {
 		case <-stop:
-			return false, nil
+			return nil
 		case msg, ok := <-incoming:
 			if !ok {
-				return false, nil
+				return nil
 			}
 			p.noteReport(rs, msg)
 		case <-hb.C:
 			if err := send(protocol.EncodeReplStatus(p.status())); err != nil {
-				return false, err
+				return err
 			}
-		case fr, ok := <-sub.C:
-			if !ok {
-				return true, nil // overrun: re-catch-up from the file
-			}
-			if fr.Seq <= *last {
-				continue // already shipped during catch-up
-			}
-			if fr.Seq != *last+1 {
-				return true, nil // defensive: stitch the gap from the file
-			}
-			if err := send(protocol.EncodeWALFrameMsg(fr.Body)); err != nil {
-				return false, err
-			}
-			*last = fr.Seq
-			p.framesShipped.Inc()
+		case <-appended:
 		}
 	}
 }

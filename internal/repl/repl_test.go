@@ -4,7 +4,9 @@ package repl_test
 // under load, killed replicas rejoining via snapshot + catch-up,
 // partitioned and stalled replicas resubscribing without gaps or
 // double-apply, checkpoint truncation forcing snapshot re-bootstrap,
-// and the raw wire subscription. Run with -race; every exact-count
+// a caught-up replica tailing the log across a Checkpoint, a burst of
+// appends streamed from the file, and the raw wire subscription. Run
+// with -race; every exact-count
 // assertion doubles as a no-gap/no-double-apply proof (INSERT is not
 // idempotent, so a double-applied frame shows up as an extra row and a
 // gap as a missing one).
@@ -30,7 +32,7 @@ import (
 
 var testNow = temporal.MustDate(1999, 11, 12)
 
-func newEngine(t *testing.T) *engine.Database {
+func newEngine(t testing.TB) *engine.Database {
 	t.Helper()
 	reg := blade.NewRegistry()
 	if _, err := core.Register(reg); err != nil {
@@ -49,7 +51,7 @@ type primaryNode struct {
 	dir  string
 }
 
-func startPrimary(t *testing.T, opts ...repl.PrimaryOption) *primaryNode {
+func startPrimary(t testing.TB, opts ...repl.PrimaryOption) *primaryNode {
 	t.Helper()
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "wal.log")
@@ -67,7 +69,7 @@ func startPrimary(t *testing.T, opts ...repl.PrimaryOption) *primaryNode {
 	return &primaryNode{db: db, sess: db.NewSession(), prim: p, srv: srv, dir: dir}
 }
 
-func (p *primaryNode) mustExec(t *testing.T, sql string) {
+func (p *primaryNode) mustExec(t testing.TB, sql string) {
 	t.Helper()
 	if _, err := p.sess.Exec(sql, nil); err != nil {
 		t.Fatalf("primary %q: %v", sql, err)
@@ -80,7 +82,7 @@ type replicaNode struct {
 	srv *server.Server
 }
 
-func startReplica(t *testing.T, primaryAddr string, opts ...repl.ReplicaOption) *replicaNode {
+func startReplica(t testing.TB, primaryAddr string, opts ...repl.ReplicaOption) *replicaNode {
 	t.Helper()
 	db := newEngine(t)
 	opts = append([]repl.ReplicaOption{repl.WithStatusInterval(10 * time.Millisecond)}, opts...)
@@ -96,7 +98,7 @@ func startReplica(t *testing.T, primaryAddr string, opts ...repl.ReplicaOption) 
 
 // converge waits until the replica has applied the primary's current
 // position.
-func (r *replicaNode) converge(t *testing.T, p *primaryNode) {
+func (r *replicaNode) converge(t testing.TB, p *primaryNode) {
 	t.Helper()
 	want := p.db.WALSeq()
 	if !r.rep.WaitForSeq(want, 10*time.Second) {
@@ -104,7 +106,7 @@ func (r *replicaNode) converge(t *testing.T, p *primaryNode) {
 	}
 }
 
-func countRows(t *testing.T, db *engine.Database, table string) int {
+func countRows(t testing.TB, db *engine.Database, table string) int {
 	t.Helper()
 	s := db.NewSession()
 	defer s.Close()
@@ -115,7 +117,7 @@ func countRows(t *testing.T, db *engine.Database, table string) int {
 	return int(res.Rows[0][0].Int())
 }
 
-func metric(t *testing.T, db *engine.Database, name string) float64 {
+func metric(t testing.TB, db *engine.Database, name string) float64 {
 	t.Helper()
 	v, _ := db.Metrics().Snapshot().Get(name)
 	return v
@@ -286,6 +288,60 @@ func TestCheckpointTruncationForcesRebootstrap(t *testing.T) {
 	}
 	if got := metric(t, r.db, "repl.snapshots_loaded"); got < 2 {
 		t.Fatalf("snapshots_loaded = %v, want >= 2 (bootstrap + WALGone recovery)", got)
+	}
+}
+
+// TestCaughtUpReplicaTailsAcrossCheckpoint: a Checkpoint truncates
+// wal.log under a replica that has every frame. The primary's cursor
+// starts over at offset 0 of the truncated file and the same stream
+// carries on — no snapshot, no resubscribe.
+func TestCaughtUpReplicaTailsAcrossCheckpoint(t *testing.T) {
+	p := startPrimary(t)
+	p.mustExec(t, `CREATE TABLE t (a INT)`)
+	for i := 0; i < 10; i++ {
+		p.mustExec(t, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
+	}
+	r := startReplica(t, p.srv.Addr())
+	r.converge(t, p)
+	for round := 0; round < 3; round++ {
+		if err := p.db.Checkpoint(filepath.Join(p.dir, "snapshot.tipdb")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			p.mustExec(t, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, 10*(round+1)+i))
+		}
+		r.converge(t, p)
+	}
+	if got := countRows(t, r.db, "t"); got != 40 {
+		t.Fatalf("replica rows after tailing 3 checkpoints = %d, want exactly 40", got)
+	}
+	if got := metric(t, r.db, "repl.snapshots_loaded"); got != 1 {
+		t.Fatalf("snapshots_loaded = %v, want 1 (no re-bootstrap)", got)
+	}
+	if got := metric(t, r.db, "repl.resubscribes"); got != 0 {
+		t.Fatalf("resubscribes = %v, want 0 (one stream throughout)", got)
+	}
+}
+
+// TestBurstConvergesFromTheFile appends a burst larger than any
+// in-memory buffer a stream could hold; the primary ships it from the
+// log file and the replica converges to the exact count on its first
+// snapshot.
+func TestBurstConvergesFromTheFile(t *testing.T) {
+	p := startPrimary(t)
+	p.mustExec(t, `CREATE TABLE t (a INT)`)
+	r := startReplica(t, p.srv.Addr())
+	r.converge(t, p)
+	const burst = 3000
+	for i := 0; i < burst; i++ {
+		p.mustExec(t, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
+	}
+	r.converge(t, p)
+	if got := countRows(t, r.db, "t"); got != burst {
+		t.Fatalf("replica rows after the burst = %d, want exactly %d", got, burst)
+	}
+	if got := metric(t, r.db, "repl.snapshots_loaded"); got != 1 {
+		t.Fatalf("snapshots_loaded = %v, want 1 (no re-bootstrap)", got)
 	}
 }
 

@@ -144,16 +144,13 @@ func OpenDurable(dir string) (*DB, error) {
 type SyncPolicy = engine.SyncPolicy
 
 const (
-	// SyncOnCheckpoint (the default) flushes appends to the OS but
-	// fsyncs only at Checkpoint: a crash can lose the tail of
-	// acknowledged statements still in the kernel's page cache.
-	SyncOnCheckpoint = engine.SyncOnCheckpoint
+	// SyncGrouped (the default) fsyncs from a background syncer on a
+	// fixed cadence; a crash loses at most one interval of acknowledged
+	// statements.
+	SyncGrouped = engine.SyncGrouped
 	// SyncEveryAppend fsyncs before each logged statement returns;
 	// concurrent appenders share one fsync (group commit).
 	SyncEveryAppend = engine.SyncEveryAppend
-	// SyncGrouped fsyncs from a background syncer on a fixed cadence;
-	// a crash loses at most one interval of acknowledged statements.
-	SyncGrouped = engine.SyncGrouped
 )
 
 // SetDurability selects the WAL fsync policy. groupInterval sets the
@@ -166,16 +163,14 @@ func (db *DB) SetDurability(p SyncPolicy, groupInterval time.Duration) {
 // Durability reports the current WAL fsync policy.
 func (db *DB) Durability() SyncPolicy { return db.eng.Durability() }
 
-// ParseDurability parses a command-line durability spec: "checkpoint",
-// "strict", or "grouped[=interval]" (for example "grouped=5ms").
+// ParseDurability parses a command-line durability spec: "strict" or
+// "grouped[=interval]" (for example "grouped=5ms").
 func ParseDurability(spec string) (SyncPolicy, time.Duration, error) {
 	name, arg, hasArg := strings.Cut(spec, "=")
 	if hasArg && name != "grouped" {
 		return 0, 0, fmt.Errorf("tip: durability %q takes no argument", name)
 	}
 	switch name {
-	case "checkpoint":
-		return SyncOnCheckpoint, 0, nil
 	case "strict":
 		return SyncEveryAppend, 0, nil
 	case "grouped":
@@ -188,7 +183,7 @@ func ParseDurability(spec string) (SyncPolicy, time.Duration, error) {
 		}
 		return SyncGrouped, d, nil
 	default:
-		return 0, 0, fmt.Errorf("tip: unknown durability %q (want checkpoint, strict, or grouped[=interval])", spec)
+		return 0, 0, fmt.Errorf("tip: unknown durability %q (want strict or grouped[=interval])", spec)
 	}
 }
 

@@ -145,6 +145,40 @@ func TestOpenDurable(t *testing.T) {
 	}
 }
 
+// TestOpenDurableFsyncsWithoutCheckpoint pins the default commit
+// contract: a fresh durable database makes acknowledged statements
+// durable from the background group syncer, with no Checkpoint.
+func TestOpenDurableFsyncsWithoutCheckpoint(t *testing.T) {
+	db, err := OpenDurable(filepath.Join(t.TempDir(), "dbdir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.Session().MustExec(`CREATE TABLE t (a INT)`, nil)
+	fsyncs := func() float64 {
+		v, _ := db.Engine().Metrics().Snapshot().Get("wal.fsyncs")
+		return v
+	}
+	for deadline := time.Now().Add(5 * time.Second); fsyncs() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no fsync without a Checkpoint")
+		}
+	}
+}
+
+func TestParseDurability(t *testing.T) {
+	for spec, want := range map[string]SyncPolicy{"strict": SyncEveryAppend, "grouped": SyncGrouped, "grouped=5ms": SyncGrouped} {
+		if got, _, err := ParseDurability(spec); err != nil || got != want {
+			t.Errorf("ParseDurability(%q) = %v, %v; want %v", spec, got, err, want)
+		}
+	}
+	for _, spec := range []string{"checkpoint", "strict=1ms", "grouped=0s", ""} {
+		if _, _, err := ParseDurability(spec); err == nil {
+			t.Errorf("ParseDurability(%q) succeeded, want an error", spec)
+		}
+	}
+}
+
 func TestServeRoundTrip(t *testing.T) {
 	db, s := openPinned()
 	s.MustExec(`CREATE TABLE t (a INT)`, nil)
