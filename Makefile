@@ -66,9 +66,15 @@ parse-smoke:
 # crash-smoke replays the crash-torture battery (-short trims the
 # random intra-frame cuts; every frame-boundary cut still runs): the WAL
 # is cut at every byte offset that a real crash could leave behind and
-# recovery must restore an exact statement prefix with no double-applies.
+# recovery must restore an exact statement prefix with no double-applies,
+# and a statement appended after a torn tail must survive the next
+# recovery. Then the log-order checks (a statement's frame is appended
+# under its locks, so live and recovered state agree) and the two
+# reopen-twice recoveries: a torn tail, and a crash mid-transaction
+# followed by a write.
 crash-smoke:
-	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink' ./internal/engine
+	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink|TestWALTornTail|TestLogOrder' ./internal/engine
+	$(GO) test -run 'TestTornTailReopenedTwice|TestCrashMidTransactionThenWrite' .
 
 # netfault-smoke replays the wire-fault torture battery under the race
 # detector: 1000 hostile connections (slowloris trickles, mid-frame
@@ -150,8 +156,9 @@ plan-smoke:
 # convergence, checkpoint truncation forcing snapshot re-bootstrap, a
 # caught-up replica tailing wal.log across a Checkpoint on the same
 # stream (no snapshot, no resubscribe), a 3,000-INSERT burst shipped
-# from the file, and a replica's position read over the client's Stats
-# beside the primary's.
+# from the file, concurrent writers whose log order the replica must
+# reproduce row for row, and a replica's position read over the
+# client's Stats beside the primary's.
 repl-smoke:
 	$(GO) test -race -count=1 ./internal/repl
 

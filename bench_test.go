@@ -22,6 +22,7 @@ package tip_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -42,6 +43,19 @@ func newTIPEngine() (*engine.Database, *core.Blade) {
 	reg := blade.NewRegistry()
 	bl := core.MustRegister(reg)
 	db := engine.New(reg)
+	db.SetClock(func() temporal.Chronon { return benchNow })
+	return db, bl
+}
+
+// openTIPEngine opens a pinned-clock durable TIP database in dir.
+func openTIPEngine(b *testing.B, dir string) (*engine.Database, *core.Blade) {
+	b.Helper()
+	reg := blade.NewRegistry()
+	bl := core.MustRegister(reg)
+	db, err := engine.Open(reg, dir)
+	if err != nil {
+		b.Fatal(err)
+	}
 	db.SetClock(func() temporal.Chronon { return benchNow })
 	return db, bl
 }
@@ -296,16 +310,14 @@ func BenchmarkWALInsert(b *testing.B) {
 				b.StopTimer()
 				db, bl := newTIPEngine()
 				if logged {
-					if err := db.EnableWAL(filepath.Join(dir, fmt.Sprintf("wal%d.log", i))); err != nil {
-						b.Fatal(err)
-					}
+					db, bl = openTIPEngine(b, filepath.Join(dir, fmt.Sprint(i)))
 				}
 				b.StartTimer()
 				if err := workload.LoadTIP(db.NewSession(), bl, rows); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if err := db.DisableWAL(); err != nil {
+				if err := db.Close(); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
@@ -319,23 +331,31 @@ func BenchmarkWALInsert(b *testing.B) {
 // (and the CREATE TABLE before them) into a fresh engine. Every replay
 // must recover every row.
 func BenchmarkWALReplay(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "wal.log")
-	db, bl := newTIPEngine()
-	if err := db.EnableWAL(path); err != nil {
-		b.Fatal(err)
-	}
+	dir := b.TempDir()
+	db, bl := openTIPEngine(b, filepath.Join(dir, "src"))
 	if err := workload.LoadTIP(db.NewSession(), bl, workload.Generate(workload.DefaultConfig(walRows))); err != nil {
 		b.Fatal(err)
 	}
-	if err := db.DisableWAL(); err != nil {
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "src", "wal.log"))
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fresh, _ := newTIPEngine()
-		if err := fresh.ReplayWAL(path); err != nil {
+		// Each open recovers a fresh copy: Open may append to the log.
+		b.StopTimer()
+		copyDir := filepath.Join(dir, fmt.Sprint(i))
+		if err := os.MkdirAll(copyDir, 0o755); err != nil {
 			b.Fatal(err)
 		}
+		if err := os.WriteFile(filepath.Join(copyDir, "wal.log"), log, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		fresh, _ := openTIPEngine(b, copyDir)
 		b.StopTimer()
 		res, err := fresh.NewSession().Exec(`SELECT COUNT(*) FROM Prescription`, nil)
 		if err != nil {
@@ -343,6 +363,9 @@ func BenchmarkWALReplay(b *testing.B) {
 		}
 		if got := res.Rows[0][0].Int(); got != walRows {
 			b.Fatalf("recovered %d rows, want %d", got, walRows)
+		}
+		if err := fresh.Close(); err != nil {
+			b.Fatal(err)
 		}
 		b.StartTimer()
 	}

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	tipserver -addr :4711                      # empty in-memory database
-//	tipserver -addr :4711 -db medical.tipdb    # load/save a snapshot
 //	tipserver -addr :4711 -durable ./dbdir     # WAL-backed, crash-safe
 //	tipserver -durable ./dbdir -durability strict         # fsync every append
 //	tipserver -durable ./dbdir -durability grouped=5ms    # background group fsync
@@ -25,6 +24,10 @@
 //	tipserver -addr :4711 -durable ./dbdir                  # primary
 //	tipserver -addr :4712 -replicate-from 127.0.0.1:4711    # read replica
 //	tipserver -addr :4713 -replicate-from 127.0.0.1:4711 -advertise r2
+//
+// A durable database is one directory: snapshot.tipdb plus wal.log. A
+// graceful shutdown (SIGINT, SIGTERM) checkpoints it. A snapshot file
+// written by an older -db option opens as ./dbdir/snapshot.tipdb.
 package main
 
 import (
@@ -46,7 +49,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:4711", "listen address")
-	dbPath := flag.String("db", "", "snapshot file to load on start and save on shutdown")
 	durable := flag.String("durable", "", "directory for a WAL-backed, crash-safe database")
 	durability := flag.String("durability", "grouped",
 		`WAL fsync policy with -durable: "grouped[=interval]" or "strict"`)
@@ -69,36 +71,23 @@ func main() {
 		"name this replica reports to the primary (default: the listen address)")
 	flag.Parse()
 
-	if *replicateFrom != "" && (*durable != "" || *dbPath != "" || *demo > 0) {
-		log.Fatal("-replicate-from is exclusive with -durable, -db and -demo: a replica's state comes from its primary")
+	if *replicateFrom != "" && (*durable != "" || *demo > 0) {
+		log.Fatal("-replicate-from is exclusive with -durable and -demo: a replica's state comes from its primary")
 	}
 
 	var db *tip.DB
-	if *durable != "" {
-		opened, err := tip.OpenDurable(*durable)
-		if err != nil {
-			log.Fatalf("open durable %s: %v", *durable, err)
-		}
+	if *durable == "" {
+		db = tip.Open()
+	} else {
 		policy, interval, err := tip.ParseDurability(*durability)
 		if err != nil {
 			log.Fatalf("-durability: %v", err)
 		}
-		opened.SetDurability(policy, interval)
-		db = opened
-		log.Printf("durable database at %s (WAL-backed, %s durability)", *durable, *durability)
-	}
-	if db == nil && *dbPath != "" {
-		if _, err := os.Stat(*dbPath); err == nil {
-			loaded, err := tip.OpenFile(*dbPath)
-			if err != nil {
-				log.Fatalf("load %s: %v", *dbPath, err)
-			}
-			db = loaded
-			log.Printf("loaded snapshot %s", *dbPath)
+		if db, err = tip.OpenDurable(*durable); err != nil {
+			log.Fatalf("open durable %s: %v", *durable, err)
 		}
-	}
-	if db == nil {
-		db = tip.Open()
+		db.SetDurability(policy, interval)
+		log.Printf("durable database at %s (WAL-backed, %s durability)", *durable, *durability)
 	}
 	if *demo > 0 {
 		rows := workload.Generate(workload.DefaultConfig(*demo))
@@ -157,8 +146,7 @@ func main() {
 		)
 		log.Printf("read replica %q of %s", name, *replicateFrom)
 	case *durable != "":
-		primary := repl.NewPrimary(db.Engine(), db.WALPath(),
-			repl.WithPrimaryLogger(log.Printf))
+		primary := repl.NewPrimary(db.Engine(), repl.WithPrimaryLogger(log.Printf))
 		srvOpts = append(srvOpts, server.WithReplication(primary))
 		log.Printf("replication primary (lineage %s)", primary.RunID())
 	}
@@ -177,17 +165,11 @@ func main() {
 	if replica != nil {
 		replica.Close()
 	}
-	switch {
-	case *durable != "":
+	if *durable != "" {
 		if err := db.Checkpoint(); err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}
 		_ = db.Close()
 		log.Print("checkpointed")
-	case *dbPath != "":
-		if err := db.Save(*dbPath); err != nil {
-			log.Fatalf("save %s: %v", *dbPath, err)
-		}
-		log.Printf("saved snapshot %s", *dbPath)
 	}
 }

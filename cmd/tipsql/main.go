@@ -1,17 +1,21 @@
 // Command tipsql is an interactive SQL shell for TIP databases. It can
-// run embedded (against an in-memory or snapshot-backed database) or as
-// a network client against a tipserver.
+// run embedded (against an in-memory or durable database) or as a
+// network client against a tipserver.
 //
 // Usage:
 //
 //	tipsql                          # embedded, empty database
-//	tipsql -db medical.tipdb        # embedded, snapshot-backed
+//	tipsql -durable ./dbdir         # embedded, WAL-backed, crash-safe
 //	tipsql -connect 127.0.0.1:4711  # network client (Figure 1)
 //	tipsql -demo 200                # embedded with synthetic data
 //
+// -durable means what it means for tipserver: the directory holds
+// snapshot.tipdb plus wal.log, every statement is logged as it runs,
+// and the shell checkpoints the directory when it exits. A snapshot
+// file written by an older -db option opens as ./dbdir/snapshot.tipdb.
+//
 // Statements end with ';'. Shell commands: \q quits, \t lists tables,
-// \stats prints the engine metrics snapshot, \save <path> snapshots an
-// embedded database.
+// \d describes a table, \stats prints the engine metrics snapshot.
 package main
 
 import (
@@ -38,7 +42,7 @@ type executor interface {
 
 func main() {
 	connect := flag.String("connect", "", "connect to a tipserver instead of running embedded")
-	dbPath := flag.String("db", "", "embedded: snapshot file to load")
+	durable := flag.String("durable", "", "embedded: directory for a WAL-backed, crash-safe database")
 	demo := flag.Int("demo", 0, "embedded: load N synthetic prescriptions")
 	flag.Parse()
 
@@ -56,19 +60,21 @@ func main() {
 		defer c.Close()
 		run, netc = c, c
 		fmt.Printf("connected to %s\n", *connect)
-	default:
-		if *dbPath != "" {
-			if _, err := os.Stat(*dbPath); err == nil {
-				loaded, err := tip.OpenFile(*dbPath)
-				if err != nil {
-					log.Fatal(err)
-				}
-				db = loaded
+	case *durable != "":
+		var err error
+		if db, err = tip.OpenDurable(*durable); err != nil {
+			log.Fatal(err)
+		}
+		defer func() {
+			if err := db.Checkpoint(); err != nil {
+				log.Printf("checkpoint: %v", err)
 			}
-		}
-		if db == nil {
-			db = tip.Open()
-		}
+			_ = db.Close()
+		}()
+	default:
+		db = tip.Open()
+	}
+	if db != nil {
 		if *demo > 0 {
 			rows := workload.Generate(workload.DefaultConfig(*demo))
 			if err := workload.LoadTIP(db.Session().Raw(), db.Blade(), rows); err != nil {
@@ -96,19 +102,8 @@ func main() {
 				execute(run, "DESCRIBE "+strings.TrimSpace(strings.TrimPrefix(trimmed, `\d `)))
 			case trimmed == `\stats`:
 				printStats(db, netc)
-			case strings.HasPrefix(trimmed, `\save `):
-				if db == nil {
-					fmt.Println("error: \\save only works embedded")
-					break
-				}
-				path := strings.TrimSpace(strings.TrimPrefix(trimmed, `\save `))
-				if err := db.Save(path); err != nil {
-					fmt.Printf("error: %v\n", err)
-				} else {
-					fmt.Printf("saved %s\n", path)
-				}
 			default:
-				fmt.Println(`commands: \q quit, \t tables, \d <table>, \stats, \save <path>`)
+				fmt.Println(`commands: \q quit, \t tables, \d <table>, \stats`)
 			}
 			fmt.Print("tip> ")
 			continue

@@ -6,13 +6,13 @@
 // A Database owns the shared state; Sessions execute statements. A
 // Session is single-goroutine state (one per client connection); the
 // Database is safe for any number of concurrent sessions. Locking is
-// two-level: a catalog lock guards the schema, the table registry and
-// the WAL handle, and every table carries its own writer mutex. DDL
-// takes the catalog lock exclusively; DML and queries share the catalog
-// lock and lock only the tables the statement writes, acquired in
-// sorted name order so disjoint-table statements run in parallel and
-// same-table statements cannot deadlock; reads pin immutable table
-// versions instead of locking (see locks.go).
+// two-level: a catalog lock guards the schema and the table registry,
+// and every table carries its own read-write lock. DDL takes the
+// catalog lock exclusively; DML shares the catalog lock and locks the
+// tables it writes exclusively and the other tables it reads shared,
+// acquired in sorted name order so disjoint-table statements run in
+// parallel and cannot deadlock; queries pin immutable table versions
+// instead of locking (see locks.go).
 // Each session keeps an LRU cache of parsed statements keyed by SQL
 // text, revalidated against a catalog generation counter that every DDL
 // bumps, so the hot repeated-statement path skips the parser.
@@ -20,9 +20,10 @@
 // Transactions are undo-logged and roll back row-level changes; the
 // transaction's begin time fixes the interpretation of NOW for all its
 // statements (Clifford-style transaction-time NOW), and a session may
-// override NOW for what-if evaluation (SET NOW = ...). When the WAL is
-// enabled, state-changing statements are appended after they apply; see
-// Exec for the failure contract.
+// override NOW for what-if evaluation (SET NOW = ...). A durable
+// database (Open) appends each state-changing statement to its log
+// after it applies and before it releases its locks; see Exec for the
+// failure contract.
 package engine
 
 import (
@@ -47,17 +48,17 @@ import (
 
 // Database is one TIP-enabled database instance.
 type Database struct {
-	// mu is the catalog lock: it guards cat, the tables/locks maps and
-	// the wal handle. Statements that only bind rows hold it shared and
-	// serialise on per-table locks instead; DDL holds it exclusively.
+	// mu is the catalog lock: it guards cat and the tables/locks maps.
+	// Statements that only bind rows hold it shared and serialise on
+	// per-table locks instead; DDL holds it exclusively.
 	mu     sync.RWMutex
 	gen    atomic.Uint64 // catalog generation; bumped by every DDL
 	reg    *blade.Registry
 	cat    *catalog.Catalog
-	tables map[string]*exec.Table // lower-cased name
-	locks  map[string]*sync.Mutex // per-table locks, same keys as tables
+	tables map[string]*exec.Table   // lower-cased name
+	locks  map[string]*sync.RWMutex // per-table locks, same keys as tables
 	tm     *txn.Manager
-	wal    *wal      // nil unless EnableWAL was called
+	wal    *wal      // the log of a durable database, fixed by Open; nil in memory
 	obs    *obsState // metrics registry + statement instrumentation
 
 	// MVCC state: vclock is the version clock stamping every writer
@@ -67,17 +68,11 @@ type Database struct {
 	vclock atomic.Uint64
 	hz     *horizonTracker
 
-	// Durability state. epoch is the current durability epoch (stamped
-	// on snapshots and WAL frames; bumped by Checkpoint) and walSeq the
-	// last WAL frame sequence number; both are guarded by mu and fed by
-	// Load/ReplayWAL at recovery. ckpt is the checkpoint gate: writers
-	// hold it shared across apply+log, Checkpoint exclusively across
-	// epoch-bump+snapshot+truncate, so no statement lands in the
-	// snapshot while its WAL frame carries the new epoch (which would
-	// double-apply it at recovery).
-	epoch        uint64
-	walSeq       uint64
-	walBase      uint64 // seq preceding the oldest frame still in the log (guarded by mu)
+	// ckpt is the checkpoint gate: writers hold it shared across
+	// apply+log, Checkpoint exclusively across epoch-bump+snapshot+
+	// truncate, so no statement lands in the snapshot while its WAL
+	// frame carries the new epoch (which would double-apply it at
+	// recovery).
 	ckpt         sync.RWMutex
 	syncPolicy   atomic.Int32 // SyncPolicy; see SetDurability
 	syncInterval atomic.Int64 // SyncGrouped fsync cadence, nanoseconds
@@ -85,6 +80,10 @@ type Database struct {
 	// readOnly marks a replica: loggable statements from ordinary
 	// sessions fail with ErrReadOnly; see SetReadOnly.
 	readOnly atomic.Bool
+
+	// afterApply, when set (tests only), runs between a logged
+	// statement's apply and its log append.
+	afterApply func(*Session)
 
 	// mem is the engine-wide memory account: the parent of every
 	// session's statement account, so Used() sums the intermediate
@@ -99,7 +98,7 @@ func New(reg *blade.Registry) *Database {
 		reg:    reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.Mutex),
+		locks:  make(map[string]*sync.RWMutex),
 		tm:     txn.NewManager(),
 		obs:    newObsState(),
 		hz:     newHorizonTracker(),
@@ -108,25 +107,12 @@ func New(reg *blade.Registry) *Database {
 	// Durability-position gauges: replication lag is judged against
 	// these (a replica applied through seq S is behind flushed_seq −
 	// S statements, of which everything ≤ synced_seq is fsync-durable).
-	db.obs.reg.RegisterFunc("wal.flushed_seq", func() float64 {
-		db.mu.RLock()
-		w := db.wal
-		seq := db.walSeq
-		db.mu.RUnlock()
-		if w != nil {
-			seq = w.flushedSeq.Load()
-		}
-		return float64(seq)
-	})
+	db.obs.reg.RegisterFunc("wal.flushed_seq", func() float64 { return float64(db.WALSeq()) })
 	db.obs.reg.RegisterFunc("wal.synced_seq", func() float64 {
-		db.mu.RLock()
-		w := db.wal
-		seq := db.walSeq
-		db.mu.RUnlock()
-		if w != nil {
-			seq = w.syncedSeq.Load()
+		if db.wal == nil {
+			return 0
 		}
-		return float64(seq)
+		return float64(db.wal.syncedSeq.Load())
 	})
 	// Memory-governance gauges: accounted bytes across all in-flight
 	// statements, the high-water mark, and the engine-wide budget the
@@ -217,9 +203,9 @@ func (s *Session) InTransaction() bool { return s.tx != nil }
 
 // Exec parses and executes one SQL statement with optional named
 // parameters, consulting the session's statement cache before the
-// parser. When write-ahead logging is enabled, state-changing
-// statements are appended to the log after they apply. If the append
-// fails, the in-memory result is still returned, together with an error
+// parser. On a durable database, state-changing statements are
+// appended to the log after they apply. If the append fails, the
+// in-memory result is still returned, together with an error
 // wrapping ErrWALFailed: the statement is applied but not durable, and
 // the WAL stops accepting appends so the log on disk stays a consistent
 // prefix of the in-memory history (Checkpoint heals it).
@@ -280,35 +266,9 @@ func (s *Session) runStatement(stmt ast.Statement, sql string, params map[string
 	// read the statement's peak for the slow-query log.
 	defer s.mem.Reset()
 	s.mem.SetBudget(s.stmtMem)
-	res, err := s.execLogged(stmt, sql, params)
+	res, err := s.execStmt(stmt, sql, params)
 	s.obsFinish(stmt, sql)
 	s.lastPeak = s.mem.Peak()
-	return res, err
-}
-
-// execLogged executes one parsed statement and appends it to the WAL
-// when it applied successfully and changes state. NOW is captured
-// before execution so the logged time matches what the statement
-// evaluated under (BEGIN changes the session's NOW as a side effect).
-func (s *Session) execLogged(stmt ast.Statement, sql string, params map[string]types.Value) (*exec.Result, error) {
-	now := s.Now()
-	if loggable(stmt) {
-		// Hold the checkpoint gate across apply+log so Checkpoint never
-		// snapshots a statement whose WAL frame then lands in the new
-		// epoch (it would replay on top of the snapshot).
-		s.db.ckpt.RLock()
-		defer s.db.ckpt.RUnlock()
-	}
-	res, err := s.ExecStmt(stmt, params)
-	if err == nil && loggable(stmt) {
-		logErr := s.db.logStatement(now, sql, params)
-		s.tr.Mark(&s.tr.WAL)
-		if logErr != nil {
-			// Applied in memory but not logged: surface the durability
-			// failure while still handing back the result (see Exec).
-			return res, logErr
-		}
-	}
 	return res, err
 }
 
@@ -345,11 +305,33 @@ func (s *Session) CacheStats() (hits, misses uint64) {
 }
 
 // ExecStmt executes one parsed statement, acquiring the locks it needs
-// (see the package comment for the locking discipline).
+// (see the package comment for the locking discipline). It appends
+// nothing to the log: only Exec and ExecScript, which hold the source
+// text, make a statement durable.
 func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*exec.Result, error) {
+	return s.execStmt(stmt, "", params)
+}
+
+// execStmt executes one parsed statement under its locks. A statement
+// that applied, changes state and comes with its source text sql is
+// appended to the log before the locks are released, so frames reach
+// the log in the order their statements applied. NOW is captured
+// before execution so the logged time matches what the statement
+// evaluated under (BEGIN changes the session's NOW as a side effect).
+func (s *Session) execStmt(stmt ast.Statement, sql string, params map[string]types.Value) (*exec.Result, error) {
 	if !s.replApply && s.db.readOnly.Load() && loggable(stmt) {
 		s.db.obs.errors.Inc()
 		return nil, ErrReadOnly
+	}
+	logged := sql != "" && s.db.wal != nil && loggable(stmt)
+	var now temporal.Chronon
+	if logged {
+		now = s.Now()
+		// Hold the checkpoint gate across apply+log so Checkpoint never
+		// snapshots a statement whose WAL frame then lands in the new
+		// epoch (it would replay on top of the snapshot).
+		s.db.ckpt.RLock()
+		defer s.db.ckpt.RUnlock()
 	}
 	unlock := s.lockFor(stmt)
 	s.tr.Mark(&s.tr.Lock)
@@ -380,6 +362,15 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 		// Bumped while the catalog lock is still held exclusively, so a
 		// reader never observes a new schema with an old generation.
 		s.db.gen.Add(1)
+	}
+	if err == nil && logged {
+		if s.db.afterApply != nil {
+			s.db.afterApply(s)
+		}
+		err = s.db.logStatement(now, sql, params)
+		s.tr.Mark(&s.tr.WAL)
+		// On failure the statement is applied but not logged: the
+		// result still goes back with the durability error (see Exec).
 	}
 	return res, err
 }
@@ -491,7 +482,7 @@ func (s *Session) createTable(st *ast.CreateTable) (*exec.Result, error) {
 	}
 	key := strings.ToLower(st.Name)
 	s.db.tables[key] = exec.NewTable(meta)
-	s.db.locks[key] = &sync.Mutex{}
+	s.db.locks[key] = &sync.RWMutex{}
 	return &exec.Result{}, nil
 }
 

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -260,30 +261,20 @@ func TestIndexEquivalence(t *testing.T) {
 
 func TestPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot.tipdb")
-
-	db, s := newDB(t)
+	db, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE p (name VARCHAR(20), dob Chronon, valid Element)`)
 	mustExec(t, s, `INSERT INTO p VALUES ('a', '1970-01-01', '{[1999-01-01, NOW]}'),
 		('b', '1980-06-15 12:30:00', '{[1998-01-01, 1998-06-01], [1999-02-01, 1999-03-01]}'),
 		('c', NULL, NULL)`)
 	mustExec(t, s, `CREATE INDEX pn ON p (name)`)
 	mustExec(t, s, `CREATE INDEX pv ON p (valid) USING PERIOD`)
-	if err := db.Save(path); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reload into a fresh engine with the same blades.
-	reg := blade.NewRegistry()
-	if _, err := core.Register(reg); err != nil {
-		t.Fatal(err)
-	}
-	db2 := engine.New(reg)
-	db2.SetClock(func() temporal.Chronon { return testNow })
-	if err := db2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	s2 := db2.NewSession()
+	// Reload from the snapshot alone (the log is empty) into a fresh
+	// engine with the same blades.
+	s2 := recoverDB(t, dir)
 	res := mustExec(t, s2, `SELECT name, dob, valid FROM p ORDER BY name`)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -301,13 +292,13 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if got := count(t, s2, `SELECT COUNT(*) FROM p WHERE overlaps(valid, '[1999-02-15, 1999-02-20]')`); got != 2 {
 		t.Errorf("rebuilt period index: %d", got)
 	}
-	// Loading into a non-empty database fails.
-	if err := db2.Load(path); err == nil {
-		t.Error("Load into non-empty database should fail")
+	// A corrupt snapshot fails the open cleanly.
+	bad := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bad, "snapshot.tipdb"), []byte("TIPDB9\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Corrupt file fails cleanly.
-	if err := db.Load(filepath.Join(dir, "missing")); err == nil {
-		t.Error("Load of missing file should fail")
+	if _, err := engine.Open(db.Registry(), bad); err == nil {
+		t.Error("Open over a corrupt snapshot should fail")
 	}
 }
 

@@ -10,17 +10,19 @@ import (
 )
 
 // Locking and snapshot acquisition. The catalog lock (Database.mu)
-// guards the schema, the tables/locks maps and the WAL handle;
-// per-table mutexes serialise writers. A statement's footprint is
-// decided up front from its AST (exec.StatementTables), before any
-// shared state is touched:
+// guards the schema and the tables/locks maps; per-table read-write
+// locks order writers. A statement's footprint is decided up front from
+// its AST (exec.StatementTables), before any shared state is touched:
 //
 //   - DDL takes the catalog lock exclusively and needs nothing else
 //     (exclusive catalog hold implies no statement is in flight, so DDL
 //     may install new table versions directly).
 //   - Everything that binds rows takes the catalog lock shared, then
-//     the write locks of exactly the tables it writes, in sorted name
-//     order. Read tables take no lock at all: the statement pins an
+//     the table locks of its footprint in sorted name order: exclusive
+//     on the tables it writes and, if it writes any, shared on the
+//     tables it only reads, so no write to those lands between its
+//     read and its log append and replay reads what it read. A pure
+//     reader takes no table lock at all: the statement pins an
 //     immutable version snapshot of every footprint table instead
 //     (captureSnaps), so one long scan never blocks a writer and
 //     vice versa.
@@ -68,10 +70,12 @@ func (s *Session) lockFor(stmt ast.Statement) func() {
 	}
 }
 
-// lockTables takes the catalog lock shared plus the write locks of the
-// written tables in sorted name order, then pins version snapshots of
-// the whole footprint (written tables after their lock is held, so the
-// pinned version is the latest), and returns the release function.
+// lockTables takes the catalog lock shared plus, in sorted name order,
+// the write locks of the written tables and — when there are any — the
+// read locks of the other footprint tables, then pins version
+// snapshots of the whole footprint (a locked table after its lock is
+// held, so the pinned version is the latest), and returns the release
+// function.
 // Names must be lower-cased; names without a registered table are
 // skipped — the statement will fail resolution under the catalog lock
 // anyway.
@@ -94,25 +98,34 @@ func (s *Session) lockTables(reads, writes []string) func() {
 		}
 	}
 	sort.Strings(names)
-	var held []*sync.Mutex
+	var wl, rl []*sync.RWMutex
 	for _, t := range names {
 		// Per-table op counters, counted on the same filtered name list
 		// the snapshots use (nonexistent tables never reach here).
 		to := db.obs.tableOf(t)
-		if write[t] {
+		switch {
+		case write[t]:
 			to.writes.Inc()
 			l := db.locks[t]
 			l.Lock()
-			held = append(held, l)
-		} else {
+			wl = append(wl, l)
+		case len(writes) > 0:
+			to.reads.Inc()
+			l := db.locks[t]
+			l.RLock()
+			rl = append(rl, l)
+		default:
 			to.reads.Inc()
 		}
 	}
 	s.captureSnaps(names)
 	return func() {
 		s.releaseSnaps()
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i].Unlock()
+		for _, l := range rl {
+			l.RUnlock()
+		}
+		for _, l := range wl {
+			l.Unlock()
 		}
 		db.mu.RUnlock()
 	}

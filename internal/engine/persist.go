@@ -36,43 +36,16 @@ import (
 //	uvarint indexCount
 //	  index: str name, str table, str column, byte kind
 //
-// Snapshots are written atomically: the bytes go to path+".tmp", the
-// temp file is fsynced, renamed over path, and the parent directory is
-// fsynced — a crash at any point leaves either the old snapshot or the
-// new one, never a torn file.
+// Checkpoint writes a durable database directory's snapshot and Open
+// loads it. Snapshots are written atomically: the bytes go to
+// path+".tmp", the temp file is fsynced, renamed over path, and the
+// parent directory is fsynced — a crash at any point leaves either the
+// old snapshot or the new one, never a torn file.
 
 const snapshotMagic = "TIPDB2\n"
 
 // ErrBadSnapshot reports a malformed snapshot file.
 var ErrBadSnapshot = errors.New("engine: bad snapshot")
-
-// Save writes a snapshot of the database to path (atomically, fsynced),
-// stamped with the current durability epoch. It does not bump the
-// epoch: a standalone Save does not truncate the WAL, so recovery from
-// a Save-written snapshot plus a live log still replays the log in
-// full — use Checkpoint for WAL-coordinated snapshots.
-func (db *Database) Save(path string) error {
-	db.mu.RLock()
-	epoch := db.epoch
-	db.mu.RUnlock()
-	return db.save(path, epoch)
-}
-
-// save snapshots the database under the given epoch stamp.
-func (db *Database) save(path string, epoch uint64) error {
-	// Each table's latest published version is immutable, so encoding
-	// needs no table locks: one atomic load per table yields a
-	// per-table-consistent snapshot even while writers run. (Checkpoint
-	// additionally quiesces writers via db.ckpt for WAL-epoch
-	// coordination; a plain Save does not need to.)
-	db.mu.RLock()
-	buf := db.encodeSnapshot(epoch)
-	db.mu.RUnlock()
-	if err := writeFileAtomic(path, buf); err != nil {
-		return fmt.Errorf("engine: save: %w", err)
-	}
-	return nil
-}
 
 // writeFileAtomic writes data to path so that a crash leaves either the
 // old file or the new one: write to a temp file, fsync it, rename over
@@ -160,32 +133,17 @@ func (db *Database) encodeSnapshot(epoch uint64) []byte {
 	return buf
 }
 
-// Load reads a snapshot from path into a fresh database state. The
-// database must be empty (freshly constructed with the right blades).
-// The snapshot is decoded into staging state and installed only if it
-// decodes completely, so a failed Load leaves the database empty and
-// retryable.
-func (db *Database) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("engine: load: %w", err)
+// loadSnapshot decodes snapshot bytes into staging state and, only if
+// they decode completely, swaps them in for the current catalog and
+// tables wholesale; it returns the snapshot's durability epoch. Open
+// loads into a fresh database, a replica re-bootstrap into a live one
+// (LoadReplicaSnapshot). A failed load leaves the database as it was.
+func (db *Database) loadSnapshot(data []byte) (uint64, error) {
+	if db.wal != nil {
+		return 0, fmt.Errorf("engine: cannot replace the contents of a database with a log")
 	}
-	return db.loadSnapshot(data, false)
-}
-
-// loadSnapshot decodes snapshot bytes into staging state and installs
-// it. With replace unset the database must be empty (recovery); with
-// replace set the current catalog and tables are swapped out wholesale
-// (replica re-bootstrap — see LoadReplicaSnapshot).
-func (db *Database) loadSnapshot(data []byte, replace bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if !replace && len(db.tables) != 0 {
-		return fmt.Errorf("engine: load into non-empty database")
-	}
-	if replace && db.wal != nil {
-		return fmt.Errorf("engine: cannot replace contents while the WAL is enabled")
-	}
 	// Decode into a staging shadow of this database: same registry and
 	// managers, fresh catalog/tables/locks. Nothing is installed until
 	// the whole snapshot decoded.
@@ -193,31 +151,28 @@ func (db *Database) loadSnapshot(data []byte, replace bool) error {
 		reg:    db.reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.Mutex),
+		locks:  make(map[string]*sync.RWMutex),
 		tm:     db.tm,
 		obs:    db.obs,
 	}
 	epoch, err := stage.decodeSnapshot(data)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	db.cat = stage.cat
 	db.tables = stage.tables
 	db.locks = stage.locks
-	db.epoch = epoch
 	// Index rebuilds bumped the staging version clock; carry it over so
 	// post-load writer sequences stay above every installed version.
-	// When replacing, the live clock may already be higher — never move
-	// it backwards, or new writes would stamp versions old snapshots
-	// consider reclaimed.
+	// The live clock may already be higher — never move it backwards,
+	// or new writes would stamp versions old snapshots consider
+	// reclaimed.
 	if sv := stage.vclock.Load(); sv > db.vclock.Load() {
 		db.vclock.Store(sv)
 	}
-	if replace {
-		// Schema changed out from under every cached plan.
-		db.gen.Add(1)
-	}
-	return nil
+	// Schema changed out from under every cached plan.
+	db.gen.Add(1)
+	return epoch, nil
 }
 
 // decodeSnapshot populates the (empty) database from snapshot bytes and
@@ -273,7 +228,7 @@ func (db *Database) decodeSnapshot(data []byte) (uint64, error) {
 		}
 		tbl := exec.NewTable(meta)
 		db.tables[strings.ToLower(name)] = tbl
-		db.locks[strings.ToLower(name)] = &sync.Mutex{}
+		db.locks[strings.ToLower(name)] = &sync.RWMutex{}
 		rowCount, rest, err := readUvarint(data)
 		if err != nil {
 			return 0, err

@@ -65,26 +65,23 @@ func (db *Database) ReplicationSnapshot() (epoch, seq uint64, data []byte) {
 		time.Sleep(time.Millisecond)
 	}
 	defer db.ckpt.Unlock()
-	db.mu.RLock()
-	epoch = db.epoch
-	data = db.encodeSnapshot(epoch)
-	w := db.wal
-	seq = db.walSeq
-	db.mu.RUnlock()
-	if w != nil {
-		seq = w.flushedSeq.Load()
+	if w := db.wal; w != nil {
+		epoch, seq = w.epoch, w.flushedSeq.Load()
 	}
-	return epoch, seq, data
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return epoch, seq, db.encodeSnapshot(epoch)
 }
 
 // LoadReplicaSnapshot replaces the database's entire contents with a
 // snapshot shipped from the primary (replica bootstrap and
-// re-bootstrap). Unlike Load it accepts a non-empty database: the old
-// catalog and tables are swapped out atomically under the catalog lock,
-// and in-flight snapshot reads keep their pinned versions. Refused
-// while a WAL is enabled — a replica's durability is the primary's.
+// re-bootstrap). The old catalog and tables are swapped out atomically
+// under the catalog lock, and in-flight snapshot reads keep their
+// pinned versions. Refused on a database with a log — a replica's
+// durability is the primary's.
 func (db *Database) LoadReplicaSnapshot(data []byte) error {
-	return db.loadSnapshot(data, true)
+	_, err := db.loadSnapshot(data)
+	return err
 }
 
 // openTxns reports how many transactions are currently open.

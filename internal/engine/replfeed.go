@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // The WAL as a replication feed. A frame body — {CRC32C, epoch, seq,
@@ -39,15 +40,18 @@ type WALTail struct {
 	base  uint64 // WALBase when the reader last started at offset 0
 }
 
-// TailWAL opens the log file at path (the one EnableWAL writes) for
-// reading the frames with seq > afterSeq. It fails with ErrWALGone if
-// a Checkpoint has already truncated some of them.
-func (db *Database) TailWAL(path string, afterSeq uint64) (*WALTail, error) {
+// TailWAL opens the database's log file for reading the frames with
+// seq > afterSeq. It fails with ErrWALGone if a Checkpoint has already
+// truncated some of them.
+func (db *Database) TailWAL(afterSeq uint64) (*WALTail, error) {
+	if db.wal == nil {
+		return nil, errors.New("engine: wal tail: the database has no log")
+	}
 	t := &WALTail{db: db, after: afterSeq, base: db.WALBase()}
 	if afterSeq < t.base {
 		return nil, t.gone()
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(db.wal.dir, walFile))
 	if err != nil {
 		return nil, fmt.Errorf("engine: wal tail: %w", err)
 	}
@@ -62,7 +66,7 @@ func (t *WALTail) Close() error { return t.r.f.Close() }
 // complete frame past the tail yet: a frame cut short at the end of
 // the file is still being written, not damage. The body aliases a
 // buffer the next call reuses. Damage surfaces as ErrWAL, exactly as
-// ReplayWAL reports it.
+// Open reports it.
 //
 // A Checkpoint truncates the file under the tail; it shows as a new
 // WALBase. A tail that had returned every frame up to the new base
@@ -112,23 +116,16 @@ func (t *WALTail) gone() error {
 }
 
 // Appended returns a channel closed by the next append to the log or by
-// DisableWAL. Take it before the Next call that reaches the end of the
-// file, so an append in between is not missed. It is nil when no WAL is
-// enabled. The channel is allocated only while a tail waits, so the
+// Close. Take it before the Next call that reaches the end of the file,
+// so an append in between is not missed. It is nil once the database
+// is closed. The channel is allocated only while a tail waits, so the
 // append path pays one nil check whatever the number of tails.
 func (t *WALTail) Appended() <-chan struct{} {
-	t.db.mu.RLock()
 	w := t.db.wal
-	t.db.mu.RUnlock()
-	if w == nil {
-		return nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	select {
-	case <-w.stop: // DisableWAL is closing the log
-		return w.stop
-	default:
+	if w.failed == errClosed {
+		return nil
 	}
 	if w.appended == nil {
 		w.appended = make(chan struct{})
@@ -137,17 +134,13 @@ func (t *WALTail) Appended() <-chan struct{} {
 }
 
 // WALSeq returns the sequence number of the last WAL frame flushed to
-// the log (the position a fully caught-up replica converges to). With
-// no WAL enabled it reports the recovery position.
+// the log (the position a fully caught-up replica converges to); 0 for
+// an in-memory database.
 func (db *Database) WALSeq() uint64 {
-	db.mu.RLock()
-	w := db.wal
-	seq := db.walSeq
-	db.mu.RUnlock()
-	if w == nil {
-		return seq
+	if db.wal == nil {
+		return 0
 	}
-	return w.flushedSeq.Load()
+	return db.wal.flushedSeq.Load()
 }
 
 // WALBase returns the sequence number preceding the oldest frame still
@@ -155,9 +148,10 @@ func (db *Database) WALSeq() uint64 {
 // base is impossible (Checkpoint truncated those frames); the
 // subscriber needs a fresh snapshot instead.
 func (db *Database) WALBase() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.walBase
+	if db.wal == nil {
+		return 0
+	}
+	return db.wal.base.Load()
 }
 
 // DecodeWALFrameBody validates a frame body's checksum and splits it

@@ -37,9 +37,9 @@ func tailSeqs(t *testing.T, tail *engine.WALTail) []uint64 {
 	}
 }
 
-func openTail(t *testing.T, db *engine.Database, path string, after uint64) *engine.WALTail {
+func openTail(t *testing.T, db *engine.Database, after uint64) *engine.WALTail {
 	t.Helper()
-	tail, err := db.TailWAL(path, after)
+	tail, err := db.TailWAL(after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +48,12 @@ func openTail(t *testing.T, db *engine.Database, path string, after uint64) *eng
 }
 
 func TestWALTailFromSeqKeepsItsOffset(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	db, s := openDir(t, t.TempDir())
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	for i := 1; i <= 4; i++ {
 		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
 	}
-	tail := openTail(t, db, wal, 2)
+	tail := openTail(t, db, 2)
 	if got := fmt.Sprint(tailSeqs(t, tail)); got != "[3 4 5]" {
 		t.Fatalf("frames after seq 2 = %s, want [3 4 5]", got)
 	}
@@ -69,25 +68,26 @@ func TestWALTailFromSeqKeepsItsOffset(t *testing.T) {
 // landed is not shipped, and is shipped whole, once, after the rest
 // arrive.
 func TestWALTailWaitsForHalfWrittenFrame(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "src.log")
-	_, s := newWALDB(t, src)
+	src := t.TempDir()
+	_, s := openDir(t, src)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	full, err := os.ReadFile(src)
+	full, err := os.ReadFile(filepath.Join(src, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, k := binary.Uvarint(full)
 	firstEnd := k + int(n)
 
-	path := filepath.Join(dir, "tailed.log")
-	db, _ := newDB(t)
+	// The bytes land in the log of a database that appends nothing.
+	dir := t.TempDir()
+	db, _ := openDir(t, dir)
+	path := filepath.Join(dir, "wal.log")
 	for cut := 1; cut < len(full); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		tail := openTail(t, db, path, 0)
+		tail := openTail(t, db, 0)
 		want := "[]"
 		if cut >= firstEnd {
 			want = "[1]"
@@ -115,12 +115,11 @@ func TestWALTailWaitsForHalfWrittenFrame(t *testing.T) {
 
 // TestWALTailAppendSignal checks the channel a caught-up tail waits
 // on: one channel for every waiter, closed by the next append, and by
-// DisableWAL.
+// Close.
 func TestWALTailAppendSignal(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	db, s := openDir(t, t.TempDir())
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
-	tail := openTail(t, db, wal, 0)
+	tail := openTail(t, db, 0)
 	closed := func(ch <-chan struct{}) bool {
 		select {
 		case <-ch:
@@ -146,14 +145,14 @@ func TestWALTailAppendSignal(t *testing.T) {
 	if closed(ch) {
 		t.Fatal("fresh signal is already closed")
 	}
-	if err := db.DisableWAL(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !closed(ch) {
-		t.Fatal("DisableWAL did not close the signal")
+		t.Fatal("Close did not close the signal")
 	}
 	if tail.Appended() != nil {
-		t.Fatal("append signal without a WAL is not nil")
+		t.Fatal("append signal of a closed database is not nil")
 	}
 }
 
@@ -161,23 +160,21 @@ func TestWALTailAppendSignal(t *testing.T) {
 // Checkpoint truncated the log carries on from offset 0; a tail
 // behind the truncation, or opened below the new base, gets ErrWALGone.
 func TestWALTailAcrossCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "wal.log")
-	db, s := newWALDB(t, wal)
+	db, s := openDir(t, t.TempDir())
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	for i := 0; i < 3; i++ {
 		mustExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
 	}
-	caughtUp := openTail(t, db, wal, 0)
+	caughtUp := openTail(t, db, 0)
 	if got := fmt.Sprint(tailSeqs(t, caughtUp)); got != "[1 2 3 4]" {
 		t.Fatalf("before checkpoint: %s", got)
 	}
-	behind := openTail(t, db, wal, 0)
+	behind := openTail(t, db, 0)
 	if body, err := behind.Next(); err != nil || body == nil {
 		t.Fatalf("behind.Next = %v, %v", body, err)
 	}
 
-	if err := db.Checkpoint(filepath.Join(dir, "snap.tipdb")); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Before anything is appended: the caught-up tail has nothing to
@@ -193,14 +190,13 @@ func TestWALTailAcrossCheckpoint(t *testing.T) {
 	if got := fmt.Sprint(tailSeqs(t, caughtUp)); got != "[5 6]" {
 		t.Fatalf("after checkpoint: %s, want [5 6]", got)
 	}
-	if _, err := db.TailWAL(wal, 3); !errors.Is(err, engine.ErrWALGone) {
+	if _, err := db.TailWAL(3); !errors.Is(err, engine.ErrWALGone) {
 		t.Fatalf("tail opened below the base: err = %v, want ErrWALGone", err)
 	}
 }
 
 func TestWALSeqGauges(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	db, s := openDir(t, t.TempDir())
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1)`)
 

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -83,19 +82,15 @@ func TestPlanCacheMetrics(t *testing.T) {
 }
 
 func TestWALMetrics(t *testing.T) {
-	db, s := newDB(t)
+	db, s := openDir(t, t.TempDir())
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
-	path := filepath.Join(t.TempDir(), "wal.log")
-	if err := db.EnableWAL(path); err != nil {
-		t.Fatal(err)
-	}
 	mustExec(t, s, `INSERT INTO t VALUES (1)`)
 	mustExec(t, s, `INSERT INTO t VALUES (2)`)
 	snap := db.Metrics().Snapshot()
 	appends, _ := snap.Get("wal.appends")
 	bytes, _ := snap.Get("wal.bytes")
-	if appends != 2 {
-		t.Errorf("wal.appends = %v, want 2", appends)
+	if appends != 3 {
+		t.Errorf("wal.appends = %v, want 3", appends)
 	}
 	if bytes <= 0 {
 		t.Errorf("wal.bytes = %v, want > 0", bytes)

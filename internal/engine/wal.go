@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,15 +20,18 @@ import (
 	"tip/internal/types"
 )
 
-// Statement-level write-ahead logging. Between snapshots, every
-// successful state-changing statement (DDL, DML, transaction control)
-// is appended to the log together with the NOW it executed under, so a
-// restart can replay it with identical temporal semantics. Checkpoint
-// writes a snapshot and truncates the log.
+// Statement-level write-ahead logging. A durable database is one
+// directory (Open): a snapshot plus the log of every successful
+// state-changing statement (DDL, DML, transaction control) since, each
+// appended — while the statement still holds its locks — together with
+// the NOW it executed under, so a restart can replay it with identical
+// temporal semantics. Checkpoint writes a snapshot and truncates the
+// log.
 //
 // The log is a redo log of statements, not of row changes: replay
 // re-executes the SQL. A transaction left open at the end of the log
-// (crash mid-transaction) is rolled back after replay.
+// (crash mid-transaction) is rolled back through the log when the
+// database opens.
 //
 // Frame layout (length-prefixed, checksummed, epoch-stamped):
 //
@@ -76,27 +80,40 @@ const (
 )
 
 // walSink is the file behind the log: an *os.File in production, a
-// fault-injection wrapper (internal/iofault) in crash tests.
+// fault-injection wrapper (internal/iofault) in crash tests. The file
+// is opened for appending, so a write after Truncate lands at the new
+// end.
 type walSink interface {
 	io.Writer
 	Sync() error
 	Truncate(size int64) error
-	Seek(offset int64, whence int) (int64, error)
 	Close() error
 }
 
-// wal is the open log file.
+// The two files of a durable database directory.
+const (
+	snapshotFile = "snapshot.tipdb"
+	walFile      = "wal.log"
+)
+
+// wal is the open log of a durable database. Open fixes it before the
+// database is shared; it is never replaced, only sealed by Close.
 type wal struct {
-	mu sync.Mutex
-	f  walSink
-	w  *bufio.Writer
+	dir string // the database directory
+	mu  sync.Mutex
+	f   walSink
+	w   *bufio.Writer
 	// failed is the first append error, sticky: once an append fails
 	// the log may end in a torn record, so no further records are
 	// written — the file stays a consistent (replayable) prefix of the
 	// in-memory history until Checkpoint truncates and heals it.
+	// errClosed seals the log for good.
 	failed error
-	epoch  uint64 // stamped on new frames; bumped by Checkpoint (guarded by mu)
+	epoch  uint64 // stamped on new frames; bumped by Checkpoint under mu and the checkpoint gate
 	seq    uint64 // last assigned frame seq (guarded by mu)
+	// base is the seq preceding the oldest frame still in the file:
+	// catch-up from below it needs a snapshot (see WALBase).
+	base atomic.Uint64
 
 	// Group commit: appenders record the highest seq flushed to the
 	// file; fsyncs are serialized on syncMu, and one fsync covers every
@@ -111,7 +128,7 @@ type wal struct {
 	// Guarded by mu.
 	appended chan struct{}
 
-	stop chan struct{} // closed by DisableWAL to end the group syncer
+	stop chan struct{} // closed by Close to end the group syncer
 	done chan struct{} // closed when the syncer goroutine exits
 }
 
@@ -127,10 +144,13 @@ var ErrWAL = errors.New("engine: corrupt WAL")
 // condition (the snapshot captures the state the log no longer covers).
 var ErrWALFailed = errors.New("engine: WAL append failed; statement applied but not logged")
 
+// errClosed is the failure Close seals the log with.
+var errClosed = errors.New("engine: database closed")
+
 // SetDurability selects the WAL fsync policy. groupInterval is the
 // background fsync cadence for SyncGrouped (ignored by the other
 // policies; <=0 keeps the current interval, default 2ms). Safe to call
-// before or after EnableWAL.
+// at any time.
 func (db *Database) SetDurability(p SyncPolicy, groupInterval time.Duration) {
 	if groupInterval > 0 {
 		db.syncInterval.Store(int64(groupInterval))
@@ -143,82 +163,104 @@ func (db *Database) Durability() SyncPolicy {
 	return SyncPolicy(db.syncPolicy.Load())
 }
 
-// EnableWAL starts appending state-changing statements to path,
-// creating the file if needed. Call Load and ReplayWAL first when
-// recovering: they establish the durability epoch and the next frame
-// sequence number that new appends continue from.
-func (db *Database) EnableWAL(path string) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("engine: wal: %w", err)
-	}
-	if err := db.enableWALSink(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return nil
+// Open opens the durable database kept in dir, creating the directory
+// if needed. It loads dir/snapshot.tipdb if present, replays dir/wal.log
+// on top of it, cuts a torn tail off the log and fsyncs it, and then
+// appends every state-changing statement to that same file. A
+// transaction the log leaves open (a crash mid-transaction) is rolled
+// back through the log before Open returns, so a later recovery ends it
+// at the same point. Damage inside the log fails Open with ErrWAL.
+func Open(reg *blade.Registry, dir string) (*Database, error) {
+	return open(reg, dir, func(f *os.File) walSink { return f })
 }
 
-// enableWALSink installs an already-open sink as the log. Split from
-// EnableWAL so crash tests can inject a fault layer.
-func (db *Database) enableWALSink(f walSink) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.wal != nil {
-		return fmt.Errorf("engine: WAL already enabled")
+// open is Open with the log file passed through sink, which crash tests
+// use to inject faults into the append path.
+func open(reg *blade.Registry, dir string, sink func(*os.File) walSink) (*Database, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("engine: open: %w", err)
 	}
-	w := &wal{
-		f:     f,
-		w:     bufio.NewWriter(f),
-		epoch: db.epoch,
-		seq:   db.walSeq,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+	db := New(reg)
+	var snapEpoch uint64
+	if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
+		if snapEpoch, err = db.loadSnapshot(data); err != nil {
+			return nil, err
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("engine: open: %w", err)
 	}
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("engine: open: %w", err)
+	}
+	sess := db.NewSession()
+	w, end, err := db.replay(sess, f, snapEpoch)
+	if err == nil {
+		err = f.Truncate(end)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	w.dir, w.f = dir, sink(f)
+	w.w = bufio.NewWriter(w.f)
+	w.stop, w.done = make(chan struct{}), make(chan struct{})
 	w.flushedSeq.Store(w.seq)
 	w.syncedSeq.Store(w.seq)
 	db.wal = w
 	go db.walSyncer(w)
-	return nil
+	sess.Close() // logs the ROLLBACK of a transaction left open
+	return db, nil
 }
 
-// DisableWAL stops logging, fsyncs what was appended and closes the
-// file.
-func (db *Database) DisableWAL() error {
-	db.mu.Lock()
+// Close seals the log: it fsyncs and closes the file, and every later
+// state-changing statement still applies in memory but fails with
+// ErrWALFailed. It returns the log's earlier failure, if any. Close on
+// an in-memory database, or a second Close, does nothing.
+func (db *Database) Close() error {
 	w := db.wal
-	db.wal = nil
-	db.mu.Unlock()
 	if w == nil {
 		return nil
 	}
-	close(w.stop)
-	<-w.done
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	err := w.failed
+	if err == errClosed {
+		w.mu.Unlock()
+		return nil
+	}
+	w.failed = errClosed
 	if w.appended != nil {
 		close(w.appended)
 		w.appended = nil
 	}
-	flushErr := w.failed
-	if flushErr == nil {
-		flushErr = w.w.Flush()
+	w.mu.Unlock()
+	close(w.stop)
+	<-w.done
+	// Appends flush as they go, so only an fsync is outstanding. Held
+	// on syncMu, so a SyncEveryAppend committer still waiting finds its
+	// frame covered instead of syncing a closed file.
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if err == nil {
+		err = w.f.Sync()
 	}
-	if flushErr == nil {
-		flushErr = w.f.Sync()
+	if err == nil {
+		w.syncedSeq.Store(w.flushedSeq.Load())
 	}
-	closeErr := w.f.Close()
-	if flushErr != nil {
-		return flushErr
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return closeErr
+	return err
 }
 
 // walSyncer is the background group-commit loop: under SyncGrouped it
 // fsyncs any frames flushed since the last sync, bounding the loss
-// window to the configured interval. It runs for every enabled WAL
-// (the off-policy tick is a couple of atomic loads) so switching
-// policies at runtime needs no goroutine management.
+// window to the configured interval. It runs for every open log (the
+// off-policy tick is a couple of atomic loads) so switching policies
+// at runtime needs no goroutine management.
 func (db *Database) walSyncer(w *wal) {
 	defer close(w.done)
 	for {
@@ -268,46 +310,43 @@ func (db *Database) walSyncTo(w *wal, seq uint64) error {
 	return nil
 }
 
-// Checkpoint writes a snapshot under the next durability epoch, then
-// truncates the log: recovery needs only the snapshot plus the (empty)
-// log. The epoch ordering closes the crash window between the two
-// steps — a snapshot at epoch e+1 makes replay skip every frame still
-// stamped e, so a crash before the truncate cannot double-apply them.
-// Writers are quiesced (db.ckpt held exclusively) so no statement
+// Checkpoint writes dir/snapshot.tipdb under the next durability epoch,
+// then truncates the log: recovery needs only the snapshot plus the
+// (empty) log. The epoch ordering closes the crash window between the
+// two steps — a snapshot at epoch e+1 makes replay skip every frame
+// still stamped e, so a crash before the truncate cannot double-apply
+// them. Writers are quiesced (db.ckpt held exclusively) so no statement
 // straddles the snapshot with its WAL frame.
-func (db *Database) Checkpoint(snapshotPath string) error {
+func (db *Database) Checkpoint() error {
+	w := db.wal
+	if w == nil {
+		return errors.New("engine: Checkpoint needs a database opened with Open")
+	}
 	db.ckpt.Lock()
 	defer db.ckpt.Unlock()
-	db.mu.RLock()
-	w := db.wal
-	epoch := db.epoch
-	db.mu.RUnlock()
-	if w == nil {
-		// No log to truncate: a plain consistent snapshot at the
-		// current epoch.
-		return db.save(snapshotPath, epoch)
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed == errClosed {
+		return fmt.Errorf("engine: checkpoint: %w", errClosed)
+	}
+	// Each table's latest published version is immutable and writers
+	// are quiesced, so the catalog read lock is all encoding needs.
 	newEpoch := w.epoch + 1
-	if err := db.save(snapshotPath, newEpoch); err != nil {
-		return err
+	db.mu.RLock()
+	data := db.encodeSnapshot(newEpoch)
+	db.mu.RUnlock()
+	if err := writeFileAtomic(filepath.Join(w.dir, snapshotFile), data); err != nil {
+		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
 	// The snapshot at newEpoch is on disk: commit the epoch so frames
 	// appended from here on replay on top of it, even if the truncate
 	// below fails — stale frames stay skippable either way.
 	w.epoch = newEpoch
-	db.mu.Lock()
-	db.epoch = newEpoch
-	db.mu.Unlock()
 	// A failed WAL may hold a poisoned buffered writer and a torn tail
 	// on disk; the snapshot supersedes both, so drop the buffer and let
 	// the truncate heal the log.
 	w.w.Reset(w.f)
 	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("engine: checkpoint: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
@@ -321,9 +360,7 @@ func (db *Database) Checkpoint(snapshotPath string) error {
 	// The truncate discarded every frame up to w.seq: a replica below
 	// that point must go through a snapshot, and a WALTail sees the
 	// truncation as the new WALBase.
-	db.mu.Lock()
-	db.walBase = w.seq
-	db.mu.Unlock()
+	w.base.Store(w.seq)
 	return nil
 }
 
@@ -419,11 +456,11 @@ func decodeWALFrame(body []byte) (walFrame, error) {
 }
 
 // logStatement appends one executed statement to the WAL and, under
-// SyncEveryAppend, fsyncs before returning.
+// SyncEveryAppend, fsyncs before returning. The caller still holds the
+// statement's locks, so frames reach the log in the order their
+// statements applied.
 func (db *Database) logStatement(now temporal.Chronon, sql string, params map[string]types.Value) error {
-	db.mu.RLock()
 	w := db.wal
-	db.mu.RUnlock()
 	if w == nil {
 		return nil
 	}
@@ -477,65 +514,44 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 	return nil
 }
 
-// ReplayWAL re-executes the statements logged in path against this
-// database (typically right after loading the matching snapshot).
-// Frames are read through a bounded buffer, so recovery memory scales
-// with the largest record, not the log size. Each statement runs under
-// the NOW it originally executed with; frames from an epoch older than
-// the loaded snapshot's are skipped (they are already inside the
-// snapshot: the checkpoint crashed before truncating the log). A
-// transaction still open at the end of the log is rolled back. A
-// truncated trailing record (torn write at crash) ends replay cleanly;
-// a checksum mismatch or sequence gap stops replay at the last valid
-// frame and surfaces ErrWAL.
-func (db *Database) ReplayWAL(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("engine: wal replay: %w", err)
-	}
-	defer f.Close()
-	db.mu.RLock()
-	snapEpoch := db.epoch
-	db.mu.RUnlock()
-
-	sess := db.NewSession()
-	defer func() {
-		if sess.InTransaction() {
-			_, _ = sess.ExecStmt(&ast.Rollback{}, nil)
-		}
-		sess.nowOverride = nil
-	}()
-
+// replay re-executes the frames of the log f on sess, each under the
+// NOW it originally executed with. Frames are read through a bounded
+// buffer, so recovery memory scales with the largest record, not the
+// log size. Frames from an epoch older than the snapshot's are skipped
+// (they are already inside the snapshot: the checkpoint crashed before
+// truncating the log). A frame cut short at the end (a torn write)
+// ends replay cleanly; a checksum mismatch or sequence gap stops it at
+// the last valid frame and surfaces ErrWAL. It returns the log's
+// position — epoch, last seq and base — as an unopened wal, with the
+// offset just past the last whole frame.
+func (db *Database) replay(sess *Session, f *os.File, snapEpoch uint64) (*wal, int64, error) {
+	w := &wal{epoch: snapEpoch}
 	r := walReader{f: f}
-	var firstSeq uint64
-	maxEpoch := snapEpoch
 	for {
 		fr, _, ok, err := r.next()
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		if !ok {
 			break
 		}
 		if r.frames == 1 {
-			firstSeq = fr.seq
+			w.base.Store(fr.seq - 1)
 		}
-		maxEpoch = max(maxEpoch, fr.epoch)
+		w.epoch = max(w.epoch, fr.epoch)
 		if fr.epoch < snapEpoch {
 			continue
 		}
 		if err := db.replayRecord(sess, fr.payload); err != nil {
-			return err
+			return nil, 0, err
 		}
 	}
-	return db.finishReplay(maxEpoch, firstSeq, r.seq, r.frames > 0)
+	w.seq = r.seq
+	return w, r.off, nil
 }
 
 // walReader is the one reader of the log's on-disk framing — a uvarint
-// body length, then the body — for recovery (ReplayWAL) and replication
+// body length, then the body — for recovery (Open) and replication
 // (WALTail) alike. It reads the file at an offset it keeps between
 // calls, checking each frame's length bound, checksum and sequence
 // continuity. A frame cut short at the end of the file is left unread:
@@ -613,26 +629,6 @@ func (r *walReader) fill(need int) (more bool, err error) {
 // reset moves the reader back to offset 0 of a truncated file.
 func (r *walReader) reset() {
 	*r = walReader{f: r.f, store: r.store}
-}
-
-// finishReplay records where the log started and ended so EnableWAL
-// continues the epoch and sequence numbering from there and replication
-// knows the oldest frame still on disk (WALBase).
-func (db *Database) finishReplay(maxEpoch, firstSeq, lastSeq uint64, haveSeq bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if maxEpoch > db.epoch {
-		db.epoch = maxEpoch
-	}
-	if haveSeq && lastSeq > db.walSeq {
-		db.walSeq = lastSeq
-	}
-	if haveSeq {
-		db.walBase = firstSeq - 1
-	} else {
-		db.walBase = db.walSeq
-	}
-	return nil
 }
 
 // decodeWALPayload parses a frame payload into the statement's original

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,34 +13,47 @@ import (
 	"tip/internal/types"
 )
 
-func newWALDB(t *testing.T, walPath string) (*engine.Database, *engine.Session) {
-	t.Helper()
-	db, s := newDB(t)
-	if err := db.EnableWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = db.DisableWAL() })
-	return db, s
-}
-
-// recover builds a fresh engine and replays the log into it.
-func recoverDB(t *testing.T, walPath string) *engine.Session {
+// openDir opens the durable database in dir under the test clock and
+// closes it when the test ends.
+func openDir(t *testing.T, dir string) (*engine.Database, *engine.Session) {
 	t.Helper()
 	reg := blade.NewRegistry()
 	if _, err := core.Register(reg); err != nil {
 		t.Fatal(err)
 	}
-	db := engine.New(reg)
-	db.SetClock(func() temporal.Chronon { return testNow })
-	if err := db.ReplayWAL(walPath); err != nil {
+	db, err := engine.Open(reg, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return db.NewSession()
+	db.SetClock(func() temporal.Chronon { return testNow })
+	t.Cleanup(func() { _ = db.Close() })
+	return db, db.NewSession()
+}
+
+// recoverDB copies the files of the durable database in dir — the disk
+// image a crash would leave — and opens the copy.
+func recoverDB(t *testing.T, dir string) *engine.Session {
+	t.Helper()
+	crashed := t.TempDir()
+	for _, name := range []string{"snapshot.tipdb", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, s := openDir(t, crashed)
+	return s
 }
 
 func TestWALReplayRebuildsState(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	_, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	_, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE t (a INT, valid Element)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1, '{[1999-01-01, NOW]}')`)
 	mustExec(t, s, `UPDATE t SET a = 2 WHERE a = 1`)
@@ -47,7 +61,7 @@ func TestWALReplayRebuildsState(t *testing.T) {
 	mustExec(t, s, `DELETE FROM t WHERE a = 3`)
 	mustExec(t, s, `CREATE INDEX tv ON t (valid) USING PERIOD`)
 
-	s2 := recoverDB(t, wal)
+	s2 := recoverDB(t, dir)
 	res := mustExec(t, s2, `SELECT a, valid FROM t`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
 		t.Fatalf("recovered rows = %v", res.Rows)
@@ -62,8 +76,8 @@ func TestWALReplayRebuildsState(t *testing.T) {
 }
 
 func TestWALParamsAndNowFidelity(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	db, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE t (c Chronon)`)
 	// now() must replay as the ORIGINAL execution time, not replay time.
 	mustExec(t, s, `INSERT INTO t VALUES (now())`)
@@ -74,7 +88,7 @@ func TestWALParamsAndNowFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := recoverDB(t, wal)
+	s2 := recoverDB(t, dir)
 	// Recovery engine has a different "today"; pin it far away to prove
 	// the logged NOW is used.
 	res := mustExec(t, s2, `SELECT c FROM t ORDER BY c`)
@@ -97,15 +111,15 @@ func mustChrononType(t *testing.T, db *engine.Database) *types.Type {
 }
 
 func TestWALRollbackReplays(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	_, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	_, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `INSERT INTO t VALUES (1)`)
 	mustExec(t, s, `ROLLBACK`)
 	mustExec(t, s, `INSERT INTO t VALUES (2)`)
 
-	s2 := recoverDB(t, wal)
+	s2 := recoverDB(t, dir)
 	res := mustExec(t, s2, `SELECT a FROM t`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
 		t.Fatalf("recovered after rollback = %v", res.Rows)
@@ -113,15 +127,15 @@ func TestWALRollbackReplays(t *testing.T) {
 }
 
 func TestWALOpenTransactionRolledBackAtRecovery(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	_, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	_, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1)`)
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `INSERT INTO t VALUES (99)`)
 	// "Crash": no COMMIT is ever logged.
 
-	s2 := recoverDB(t, wal)
+	s2 := recoverDB(t, dir)
 	res := mustExec(t, s2, `SELECT a FROM t`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
 		t.Fatalf("uncommitted work survived recovery: %v", res.Rows)
@@ -141,9 +155,9 @@ func closedMidTransaction(t *testing.T, db *engine.Database) {
 
 // liveMatchesRecovered checks that the live table and the one recovered
 // from the log both hold exactly the committed row a = 2.
-func liveMatchesRecovered(t *testing.T, live *engine.Session, wal string) {
+func liveMatchesRecovered(t *testing.T, live *engine.Session, dir string) {
 	t.Helper()
-	for name, s := range map[string]*engine.Session{"live": live, "recovered": recoverDB(t, wal)} {
+	for name, s := range map[string]*engine.Session{"live": live, "recovered": recoverDB(t, dir)} {
 		res := mustExec(t, s, `SELECT a FROM t`)
 		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
 			t.Errorf("%s rows = %v, want [[2]]", name, res.Rows)
@@ -155,63 +169,78 @@ func liveMatchesRecovered(t *testing.T, live *engine.Session, wal string) {
 // the log, so another session's later BEGIN replays without finding a
 // transaction already open.
 func TestWALClosedSessionThenTransaction(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	db, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	closedMidTransaction(t, db)
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `INSERT INTO t VALUES (2)`)
 	mustExec(t, s, `COMMIT`)
-	liveMatchesRecovered(t, s, wal)
+	liveMatchesRecovered(t, s, dir)
 }
 
 // A session closed mid-transaction does not swallow another session's
 // later autocommit write into its transaction at replay.
 func TestWALClosedSessionThenAutocommit(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	db, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	closedMidTransaction(t, db)
 	mustExec(t, s, `INSERT INTO t VALUES (2)`)
-	liveMatchesRecovered(t, s, wal)
+	liveMatchesRecovered(t, s, dir)
 }
 
-func TestWALTornTailIgnored(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
-	mustExec(t, s, `CREATE TABLE t (a INT)`)
-	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	if err := db.DisableWAL(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn write: append a frame header claiming more bytes
-	// than exist.
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
+// appendTorn appends a torn write to the closed database's log: a frame
+// header claiming more bytes than follow.
+func appendTorn(t *testing.T, dir string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Write([]byte{200, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	_ = f.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	s2 := recoverDB(t, wal)
+// A torn tail is cut off at open, so what the reopened database
+// appends follows the last whole frame and the next open reads it.
+func TestWALTornTailIgnored(t *testing.T) {
+	dir := t.TempDir()
+	db, s := openDir(t, dir)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendTorn(t, dir)
+
+	db2, s2 := openDir(t, dir)
 	if got := count(t, s2, `SELECT COUNT(*) FROM t`); got != 1 {
 		t.Errorf("recovered rows = %d", got)
+	}
+	mustExec(t, s2, `INSERT INTO t VALUES (2)`)
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, s3 := openDir(t, dir)
+	if got := count(t, s3, `SELECT COUNT(*) FROM t`); got != 2 {
+		t.Errorf("rows after the second open = %d, want 2", got)
 	}
 }
 
 func TestWALCheckpointTruncates(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "wal.log")
-	snapshot := filepath.Join(dir, "snap.tipdb")
-	db, s := newWALDB(t, wal)
+	db, s := openDir(t, dir)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1)`)
-	if err := db.Checkpoint(snapshot); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(wal)
+	info, err := os.Stat(filepath.Join(dir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,20 +251,13 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	mustExec(t, s, `INSERT INTO t VALUES (2)`)
 
 	// Recovery = snapshot + remaining log.
-	reg := blade.NewRegistry()
-	if _, err := core.Register(reg); err != nil {
-		t.Fatal(err)
-	}
-	db2 := engine.New(reg)
-	db2.SetClock(func() temporal.Chronon { return testNow })
-	if err := db2.Load(snapshot); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.ReplayWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(t, db2.NewSession(), `SELECT COUNT(*) FROM t`); got != 2 {
+	if got := count(t, recoverDB(t, dir), `SELECT COUNT(*) FROM t`); got != 2 {
 		t.Errorf("snapshot+log recovery rows = %d", got)
+	}
+	// Without a log, Checkpoint has nothing to write to.
+	mem, _ := newDB(t)
+	if err := mem.Checkpoint(); err == nil {
+		t.Error("Checkpoint of an in-memory database should fail")
 	}
 }
 
@@ -243,8 +265,8 @@ func TestWALCheckpointTruncates(t *testing.T) {
 // state created through a script silently vanished on recovery. Scripts
 // now log each statement individually.
 func TestWALScriptStatementsReplay(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	_, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	_, s := openDir(t, dir)
 	if _, err := s.ExecScript(`
 		CREATE TABLE t (a INT, valid Element);
 		INSERT INTO t VALUES (:a, '{[1999-01-01, NOW]}');
@@ -261,7 +283,7 @@ func TestWALScriptStatementsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := recoverDB(t, wal)
+	s2 := recoverDB(t, dir)
 	res := mustExec(t, s2, `SELECT a, valid FROM t`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
 		t.Fatalf("recovered script rows = %v", res.Rows)
@@ -272,8 +294,9 @@ func TestWALScriptStatementsReplay(t *testing.T) {
 }
 
 func TestWALSelectsNotLogged(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	dir := t.TempDir()
+	_, s := openDir(t, dir)
+	wal := filepath.Join(dir, "wal.log")
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	before, _ := os.Stat(wal)
 	mustExec(t, s, `SELECT * FROM t`)
@@ -283,20 +306,23 @@ func TestWALSelectsNotLogged(t *testing.T) {
 	if before.Size() != after.Size() {
 		t.Error("read-only statements were logged")
 	}
-	_ = db
 }
 
-func TestWALDoubleEnableFails(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, _ := newWALDB(t, wal)
-	if err := db.EnableWAL(wal); err == nil {
-		t.Error("double EnableWAL should fail")
-	}
-	// Disable is idempotent.
-	if err := db.DisableWAL(); err != nil {
+// Close seals the log: later writes still apply in memory but report
+// ErrWALFailed, and a second Close is a no-op.
+func TestWALCloseSeals(t *testing.T) {
+	db, s := openDir(t, t.TempDir())
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DisableWAL(); err != nil {
-		t.Fatal(err)
+	if _, err := s.Exec(`INSERT INTO t VALUES (1)`, nil); !errors.Is(err, engine.ErrWALFailed) {
+		t.Errorf("write after Close: err = %v, want ErrWALFailed", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if err := db.Checkpoint(); err == nil {
+		t.Error("Checkpoint after Close should fail")
 	}
 }

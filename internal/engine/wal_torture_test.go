@@ -28,15 +28,49 @@ import (
 	"tip/internal/types"
 )
 
-func freshEngine(t testing.TB) *Database {
+func testRegistry(t testing.TB) *blade.Registry {
 	t.Helper()
 	reg := blade.NewRegistry()
 	if _, err := core.Register(reg); err != nil {
 		t.Fatal(err)
 	}
-	db := New(reg)
-	db.SetClock(func() temporal.Chronon { return temporal.MustDate(1999, 11, 12) })
+	return reg
+}
+
+var tortureNow = temporal.MustDate(1999, 11, 12)
+
+func freshEngine(t testing.TB) *Database {
+	t.Helper()
+	db := New(testRegistry(t))
+	db.SetClock(func() temporal.Chronon { return tortureNow })
 	return db
+}
+
+// openEngine opens the durable database in dir under the test clock,
+// passing its log file through sink when one is given, and closes it
+// when the test ends.
+func openEngine(t testing.TB, dir string, sink func(*os.File) walSink) *Database {
+	t.Helper()
+	if sink == nil {
+		sink = func(f *os.File) walSink { return f }
+	}
+	db, err := open(testRegistry(t), dir, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetClock(func() temporal.Chronon { return tortureNow })
+	t.Cleanup(func() { _ = db.Close() })
+	return db
+}
+
+// readFile returns the named file of a database directory.
+func readFile(t testing.TB, dir, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // tortureWorkload runs the canonical history against s: statement 0
@@ -55,6 +89,19 @@ func tortureWorkload(t *testing.T, s *Session, from, to int) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
+}
+
+// tortureLog runs the first stmts statements of the canonical history on
+// a durable database and returns its log.
+func tortureLog(t *testing.T, stmts int) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	db := openEngine(t, dir, nil)
+	tortureWorkload(t, db.NewSession(), 0, stmts)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return readFile(t, dir, walFile)
 }
 
 // frameBoundaries returns the byte offsets at the end of each complete
@@ -105,44 +152,66 @@ func assertExactPrefix(t *testing.T, db *Database, m int, ctx string) {
 	}
 }
 
-// recoverCut writes the first cut bytes of log to a file, recovers a
-// fresh engine from it (plus an optional snapshot) and returns the
-// engine with the replay error.
-func recoverCut(t *testing.T, dir, snap string, log []byte, cut int) (*Database, error) {
+// recoverLog opens a fresh directory holding log as its wal.log (and
+// snap, if any, as its snapshot) — the disk image a crash left — and
+// returns the database with Open's error.
+func recoverLog(t *testing.T, snap, log []byte) (*Database, error) {
 	t.Helper()
-	path := filepath.Join(dir, "cut.log")
-	if err := os.WriteFile(path, log[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db := freshEngine(t)
-	if snap != "" {
-		if err := db.Load(snap); err != nil {
+	dir := t.TempDir()
+	if snap != nil {
+		if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return db, db.ReplayWAL(path)
+	if err := os.WriteFile(filepath.Join(dir, walFile), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := open(testRegistry(t), dir, func(f *os.File) walSink { return f })
+	if err != nil {
+		return nil, err
+	}
+	db.SetClock(func() temporal.Chronon { return tortureNow })
+	t.Cleanup(func() { _ = db.Close() })
+	return db, nil
+}
+
+// replayDamaged replays a damaged log into an in-memory engine through
+// the reader Open uses and returns the engine as far as replay got,
+// with the error that stopped it. Open over the same log must fail with
+// that same error.
+func replayDamaged(t *testing.T, log []byte) (*Database, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), walFile)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	db := freshEngine(t)
+	_, _, err = db.replay(db.NewSession(), f, 0)
+	if _, openErr := recoverLog(t, nil, log); openErr == nil || openErr.Error() != err.Error() {
+		t.Fatalf("Open err = %v, replay err = %v", openErr, err)
+	}
+	return db, err
 }
 
 // TestCrashTortureEveryCutPoint cuts a 210-statement log at every frame
 // boundary and at random intra-frame offsets. Every boundary cut must
 // recover exactly that many statements; every intra-frame cut is a torn
-// tail that must recover cleanly to the frames before it.
+// tail that must recover cleanly to the frames before it, and a
+// statement appended after that recovery must survive the next one.
 func TestCrashTortureEveryCutPoint(t *testing.T) {
 	const stmts = 210
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	db := freshEngine(t)
-	if err := db.EnableWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
+	db := openEngine(t, dir, nil)
 	tortureWorkload(t, db.NewSession(), 0, stmts)
-	if err := db.DisableWAL(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := readFile(t, dir, walFile)
 	bounds := frameBoundaries(t, log)
 	if len(bounds) != stmts {
 		t.Fatalf("frames = %d, want %d", len(bounds), stmts)
@@ -150,11 +219,12 @@ func TestCrashTortureEveryCutPoint(t *testing.T) {
 
 	// Every frame boundary, including the empty log.
 	for k, cut := range append([]int{0}, bounds...) {
-		rec, err := recoverCut(t, dir, "", log, cut)
+		rec, err := recoverLog(t, nil, log[:cut])
 		if err != nil {
 			t.Fatalf("boundary cut %d (frame %d): %v", cut, k, err)
 		}
 		assertExactPrefix(t, rec, k, "boundary cut")
+		_ = rec.Close()
 	}
 
 	// Random intra-frame offsets: torn tails.
@@ -170,11 +240,21 @@ func TestCrashTortureEveryCutPoint(t *testing.T) {
 		for k < len(bounds) && bounds[k] <= cut {
 			k++
 		}
-		rec, err := recoverCut(t, dir, "", log, cut)
+		rec, err := recoverLog(t, nil, log[:cut])
 		if err != nil {
 			t.Fatalf("intra-frame cut %d: %v", cut, err)
 		}
 		assertExactPrefix(t, rec, k, "intra-frame cut")
+		// Open cut the torn bytes off: the next statement of the
+		// history follows the last whole frame, and the next open
+		// recovers it.
+		tortureWorkload(t, rec.NewSession(), k, k+1)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again := openEngine(t, rec.wal.dir, nil)
+		assertExactPrefix(t, again, k+1, "append after a torn tail")
+		_ = again.Close()
 	}
 }
 
@@ -186,40 +266,32 @@ func TestCrashTortureEveryCutPoint(t *testing.T) {
 func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
 	const half, stmts = 51, 101
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	snapPath := filepath.Join(dir, "snap.tipdb")
-	raw, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := iofault.Wrap(raw)
-	db := freshEngine(t)
-	if err := db.enableWALSink(sink); err != nil {
-		t.Fatal(err)
-	}
+	var sink *iofault.File
+	db := openEngine(t, dir, func(f *os.File) walSink {
+		sink = iofault.Wrap(f)
+		return sink
+	})
 	s := db.NewSession()
 	tortureWorkload(t, s, 0, half)
 
 	// Checkpoint writes the snapshot, then "crashes" before the
 	// truncate: the stale epoch-0 frames stay in the log.
 	sink.FailTruncate(true)
-	if err := db.Checkpoint(snapPath); !errors.Is(err, iofault.ErrInjected) {
+	if err := db.Checkpoint(); !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("checkpoint err = %v, want injected truncate failure", err)
 	}
 	sink.FailTruncate(false)
 
 	// The survivor keeps writing in the new epoch.
 	tortureWorkload(t, s, half, stmts)
-	if err := db.DisableWAL(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Full recovery: snapshot + stale-plus-fresh log, zero doubles.
-	rec := freshEngine(t)
-	if err := rec.Load(snapPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.ReplayWAL(walPath); err != nil {
+	snap, log := readFile(t, dir, snapshotFile), readFile(t, dir, walFile)
+	rec, err := recoverLog(t, snap, log)
+	if err != nil {
 		t.Fatal(err)
 	}
 	assertExactPrefix(t, rec, stmts, "checkpoint window full recovery")
@@ -227,16 +299,12 @@ func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
 	// Every boundary cut of the combined log. Cuts inside the stale
 	// epoch-0 region recover to the snapshot alone (the first half);
 	// cuts past it add the epoch-1 frames before the cut.
-	log, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bounds := frameBoundaries(t, log)
 	if len(bounds) != stmts { // CREATE + 100 inserts, one frame each
 		t.Fatalf("frames = %d, want %d", len(bounds), stmts)
 	}
 	for k, cut := range append([]int{0}, bounds...) {
-		rec, err := recoverCut(t, dir, snapPath, log, cut)
+		rec, err := recoverLog(t, snap, log[:cut])
 		if err != nil {
 			t.Fatalf("checkpoint-window cut %d: %v", cut, err)
 		}
@@ -247,38 +315,22 @@ func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
 			want = k
 		}
 		assertExactPrefix(t, rec, want, "checkpoint-window cut")
+		_ = rec.Close()
 	}
 }
 
 // TestWALCorruptMiddleFrameStopsReplay flips a byte inside a middle
 // frame: replay must apply the statements before it, stop, and surface
-// ErrWAL naming where it stopped — not execute the damaged SQL.
+// ErrWAL naming where it stopped — not execute the damaged SQL — and
+// Open must refuse the log with that error.
 func TestWALCorruptMiddleFrameStopsReplay(t *testing.T) {
 	const stmts = 40
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	db := freshEngine(t)
-	if err := db.EnableWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	tortureWorkload(t, db.NewSession(), 0, stmts)
-	if err := db.DisableWAL(); err != nil {
-		t.Fatal(err)
-	}
-	log, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := tortureLog(t, stmts)
 	bounds := frameBoundaries(t, log)
 	const victim = stmts / 2
 	log[bounds[victim]-1] ^= 0xFF // last byte of frame victim+1's body
 
-	path := filepath.Join(dir, "corrupt.log")
-	if err := os.WriteFile(path, log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec := freshEngine(t)
-	err = rec.ReplayWAL(path)
+	rec, err := replayDamaged(t, log)
 	if !errors.Is(err, ErrWAL) {
 		t.Fatalf("replay err = %v, want ErrWAL", err)
 	}
@@ -292,59 +344,35 @@ func TestWALCorruptMiddleFrameStopsReplay(t *testing.T) {
 // numbers expose the gap even though every remaining frame checksums.
 func TestWALSeqGapDetected(t *testing.T) {
 	const stmts = 10
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	db := freshEngine(t)
-	if err := db.EnableWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	tortureWorkload(t, db.NewSession(), 0, stmts)
-	if err := db.DisableWAL(); err != nil {
-		t.Fatal(err)
-	}
-	log, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := tortureLog(t, stmts)
 	bounds := frameBoundaries(t, log)
 	gapped := append(append([]byte{}, log[:bounds[3]]...), log[bounds[4]:]...)
-	path := filepath.Join(dir, "gapped.log")
-	if err := os.WriteFile(path, gapped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec := freshEngine(t)
-	if err := rec.ReplayWAL(path); !errors.Is(err, ErrWAL) {
+	rec, err := replayDamaged(t, gapped)
+	if !errors.Is(err, ErrWAL) {
 		t.Fatalf("replay err = %v, want ErrWAL for seq gap", err)
 	}
 	assertExactPrefix(t, rec, 4, "seq gap")
 }
 
 // TestWALCorruptThroughBothReaders feeds the same damaged logs to both
-// consumers of the on-disk framing — ReplayWAL (recovery) and WALTail
-// (the replication feed) — and requires identical verdicts: the tail
-// ships exactly the frames replay applies, a torn tail ends both
-// cleanly, and real damage stops both with the same ErrWAL naming the
-// frame and the last good sequence number.
+// consumers of the on-disk framing — Open (recovery) and WALTail (the
+// replication feed) — and requires identical verdicts: the tail ships
+// exactly the frames replay applies, a torn tail ends both cleanly, and
+// real damage stops both with the same ErrWAL naming the frame and the
+// last good sequence number.
 func TestWALCorruptThroughBothReaders(t *testing.T) {
 	const stmts = 8
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	db := freshEngine(t)
-	if err := db.EnableWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
+	db := openEngine(t, dir, nil)
 	s := db.NewSession()
 	tortureWorkload(t, s, 0, stmts)
 	// A ninth frame whose body needs a two-byte length prefix, so a
 	// crash can tear the prefix itself.
 	execSQL(t, s, `CREATE TABLE `+strings.Repeat("pad", 60)+` (a INT)`)
-	if err := db.DisableWAL(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := readFile(t, dir, walFile)
 	bounds := frameBoundaries(t, log)
 	if _, k := binary.Uvarint(log[bounds[stmts-1]:]); k != 2 {
 		t.Fatalf("pad frame length prefix is %d bytes, want 2", k)
@@ -366,14 +394,21 @@ func TestWALCorruptThroughBothReaders(t *testing.T) {
 		{"impossible length", binary.AppendUvarint(bytes.Clone(log[:bounds[3]]), walMaxFrame+1), 4, "frame 5 length"},
 	}
 	for _, tc := range cases {
-		path := filepath.Join(dir, "damaged.log")
-		if err := os.WriteFile(path, tc.log, 0o644); err != nil {
+		var rec *Database
+		var replayErr error
+		if tc.wantErr == "" {
+			rec, replayErr = recoverLog(t, nil, tc.log)
+		} else {
+			rec, replayErr = replayDamaged(t, tc.log)
+		}
+		assertExactPrefix(t, rec, tc.frames, tc.name)
+		// The tail reads the same bytes as the log of a database that
+		// appends nothing.
+		tailed := openEngine(t, t.TempDir(), nil)
+		if err := os.WriteFile(filepath.Join(tailed.wal.dir, walFile), tc.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec := freshEngine(t)
-		replayErr := rec.ReplayWAL(path)
-		assertExactPrefix(t, rec, tc.frames, tc.name)
-		tail, err := freshEngine(t).TailWAL(path, 0)
+		tail, err := tailed.TailWAL(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +433,7 @@ func TestWALCorruptThroughBothReaders(t *testing.T) {
 			}
 			continue
 		}
-		for reader, err := range map[string]error{"ReplayWAL": replayErr, "WALTail": readErr} {
+		for reader, err := range map[string]error{"Open": replayErr, "WALTail": readErr} {
 			if !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: %s err = %v, want ErrWAL mentioning %q", tc.name, reader, err, tc.wantErr)
 			}
@@ -412,16 +447,11 @@ func TestWALCorruptThroughBothReaders(t *testing.T) {
 // pre-failure prefix.
 func TestWALShortWriteStickyAndRecoverable(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	raw, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := iofault.Wrap(raw)
-	db := freshEngine(t)
-	if err := db.enableWALSink(sink); err != nil {
-		t.Fatal(err)
-	}
+	var sink *iofault.File
+	db := openEngine(t, dir, func(f *os.File) walSink {
+		sink = iofault.Wrap(f)
+		return sink
+	})
 	s := db.NewSession()
 	tortureWorkload(t, s, 0, 5)
 
@@ -433,8 +463,8 @@ func TestWALShortWriteStickyAndRecoverable(t *testing.T) {
 		t.Fatalf("append after failure err = %v, want sticky ErrWALFailed", err)
 	}
 
-	rec := freshEngine(t)
-	if err := rec.ReplayWAL(walPath); err != nil {
+	rec, err := recoverLog(t, nil, readFile(t, dir, walFile))
+	if err != nil {
 		t.Fatal(err)
 	}
 	assertExactPrefix(t, rec, 5, "short-write torn log")
@@ -453,24 +483,18 @@ func TestWALCrashSinkPrefixRecovery(t *testing.T) {
 	}
 	for _, budget := range budgets {
 		dir := t.TempDir()
-		walPath := filepath.Join(dir, "wal.log")
-		raw, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := iofault.Wrap(raw)
-		sink.SetWriteBudget(budget, iofault.Crash)
-		db := freshEngine(t)
-		if err := db.enableWALSink(sink); err != nil {
-			t.Fatal(err)
-		}
+		db := openEngine(t, dir, func(f *os.File) walSink {
+			sink := iofault.Wrap(f)
+			sink.SetWriteBudget(budget, iofault.Crash)
+			return sink
+		})
 		tortureWorkload(t, db.NewSession(), 0, stmts) // "succeeds": the crash is silent
-		if err := db.DisableWAL(); err != nil {
+		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		rec := freshEngine(t)
-		if err := rec.ReplayWAL(walPath); err != nil {
+		rec, err := recoverLog(t, nil, readFile(t, dir, walFile))
+		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
 		// The surviving prefix length is whatever fit the budget.
@@ -491,11 +515,9 @@ func TestWALCrashSinkPrefixRecovery(t *testing.T) {
 // twice: the logs must be byte-identical (sorted parameter encoding,
 // no map-order leakage), which is what makes golden log tests possible.
 func TestWALDeterministicBytes(t *testing.T) {
-	runOnce := func(path string) []byte {
-		db := freshEngine(t)
-		if err := db.EnableWAL(path); err != nil {
-			t.Fatal(err)
-		}
+	runOnce := func() []byte {
+		dir := t.TempDir()
+		db := openEngine(t, dir, nil)
 		s := db.NewSession()
 		execSQL(t, s, `CREATE TABLE t (a INT, b VARCHAR(10), c INT, d INT)`)
 		for i := range 20 {
@@ -508,18 +530,12 @@ func TestWALDeterministicBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := db.DisableWAL(); err != nil {
+		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return readFile(t, dir, walFile)
 	}
-	dir := t.TempDir()
-	a := runOnce(filepath.Join(dir, "a.log"))
-	b := runOnce(filepath.Join(dir, "b.log"))
+	a, b := runOnce(), runOnce()
 	if string(a) != string(b) {
 		t.Fatal("identical runs produced different WAL bytes")
 	}

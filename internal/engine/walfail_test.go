@@ -5,32 +5,23 @@ package engine
 // together with an error wrapping ErrWALFailed, (b) keep the in-memory
 // change, (c) refuse to log any later statement (sticky failure, so the
 // on-disk log stays a consistent replayable prefix), and (d) heal on
-// Checkpoint. Needs package engine to reach the wal's file handle.
+// Checkpoint. Needs package engine to reach the wal's file handle and
+// to wrap it in a fault-injection sink.
 
 import (
 	"errors"
-	"path/filepath"
+	"os"
 	"testing"
 
-	"tip/internal/blade"
-	"tip/internal/core"
+	"tip/internal/iofault"
 	"tip/internal/sql/parse"
-	"tip/internal/temporal"
 )
 
 func newFailDB(t *testing.T) (*Database, *Session, string) {
 	t.Helper()
-	reg := blade.NewRegistry()
-	if _, err := core.Register(reg); err != nil {
-		t.Fatal(err)
-	}
-	db := New(reg)
-	db.SetClock(func() temporal.Chronon { return temporal.MustDate(1999, 11, 12) })
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	if err := db.EnableWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	return db, db.NewSession(), wal
+	dir := t.TempDir()
+	db := openEngine(t, dir, nil)
+	return db, db.NewSession(), dir
 }
 
 func execSQL(t *testing.T, s *Session, sql string) {
@@ -50,7 +41,7 @@ func rowCount(t *testing.T, s *Session, table string) int64 {
 }
 
 func TestWALAppendFailureKeepsMemoryConsistent(t *testing.T) {
-	db, s, wal := newFailDB(t)
+	db, s, dir := newFailDB(t)
 	execSQL(t, s, `CREATE TABLE t (a INT)`)
 	execSQL(t, s, `INSERT INTO t VALUES (1)`)
 
@@ -82,61 +73,46 @@ func TestWALAppendFailureKeepsMemoryConsistent(t *testing.T) {
 
 	// The on-disk log is a consistent prefix: replay sees only the
 	// statements appended before the failure.
-	reg := blade.NewRegistry()
-	if _, err := core.Register(reg); err != nil {
-		t.Fatal(err)
-	}
-	db2 := New(reg)
-	if err := db2.ReplayWAL(wal); err != nil {
-		t.Fatal(err)
-	}
+	db2 := openEngine(t, dir, nil)
 	if got := rowCount(t, db2.NewSession(), "t"); got != 1 {
 		t.Errorf("replayed prefix rows = %d, want 1", got)
 	}
 }
 
 func TestWALAppendFailureHealedByCheckpoint(t *testing.T) {
-	db, s, wal := newFailDB(t)
+	dir := t.TempDir()
+	var sink *iofault.File
+	db := openEngine(t, dir, func(f *os.File) walSink {
+		sink = iofault.Wrap(f)
+		return sink
+	})
+	s := db.NewSession()
 	execSQL(t, s, `CREATE TABLE t (a INT)`)
-	if err := db.wal.f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sink.SetWriteBudget(0, iofault.FailWrites) // a full disk
 	if _, err := s.Exec(`INSERT INTO t VALUES (1)`, nil); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("err = %v, want ErrWALFailed", err)
 	}
 
-	// Checkpoint cannot truncate a closed file either, so it reports the
-	// I/O error — but after reopening the log (fresh handle on the same
-	// path), a checkpoint clears the sticky failure and logging resumes.
-	snap := filepath.Join(t.TempDir(), "snap.tipdb")
-	if err := db.Checkpoint(snap); err == nil {
-		t.Fatal("checkpoint over a closed WAL file should fail")
+	// A checkpoint that cannot truncate the log reports the I/O error;
+	// once the file works again, a checkpoint clears the sticky failure
+	// and logging resumes.
+	sink.FailTruncate(true)
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("checkpoint over a failing WAL file should fail")
 	}
-	db.mu.Lock()
-	db.wal = nil
-	db.mu.Unlock()
-	if err := db.EnableWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(snap); err != nil {
+	sink.FailTruncate(false)
+	sink.SetWriteBudget(-1, iofault.FailWrites)
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	execSQL(t, s, `INSERT INTO t VALUES (2)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Recovery from the checkpoint snapshot plus the healed log sees the
 	// full post-checkpoint history.
-	reg := blade.NewRegistry()
-	if _, err := core.Register(reg); err != nil {
-		t.Fatal(err)
-	}
-	db2 := New(reg)
-	if err := db2.Load(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.ReplayWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	if got := rowCount(t, db2.NewSession(), "t"); got != 2 {
+	if got := rowCount(t, openEngine(t, dir, nil).NewSession(), "t"); got != 2 {
 		t.Errorf("recovered rows = %d, want 2", got)
 	}
 }

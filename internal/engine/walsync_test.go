@@ -6,7 +6,6 @@ package engine_test
 // the next recovery reports a bogus sequence gap).
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -20,8 +19,7 @@ func walMetric(t *testing.T, db *engine.Database, name string) float64 {
 }
 
 func TestSyncEveryAppendFsyncsBeforeReturn(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	db, s := openDir(t, t.TempDir())
 	db.SetDurability(engine.SyncEveryAppend, 0)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	for i := 0; i < 5; i++ {
@@ -38,8 +36,7 @@ func TestSyncEveryAppendFsyncsBeforeReturn(t *testing.T) {
 }
 
 func TestSyncGroupedBatchesFsyncs(t *testing.T) {
-	wal := filepath.Join(t.TempDir(), "wal.log")
-	db, s := newWALDB(t, wal)
+	db, s := openDir(t, t.TempDir())
 	db.SetDurability(engine.SyncGrouped, time.Millisecond)
 	mustExec(t, s, `CREATE TABLE t (a INT)`)
 	const inserts = 200
@@ -66,60 +63,36 @@ func TestSyncGroupedBatchesFsyncs(t *testing.T) {
 // a gap; epochs must continue across a checkpoint in the middle.
 func TestWALRestartCycleContinuesNumbering(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "wal.log")
-	snap := filepath.Join(dir, "snap.tipdb")
+	reopen := func(db *engine.Database) *engine.Session {
+		t.Helper()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, s := openDir(t, dir)
+		return s
+	}
 
-	db1, s1 := newWALDB(t, wal)
+	db1, s1 := openDir(t, dir)
 	mustExec(t, s1, `CREATE TABLE t (a INT)`)
 	mustExec(t, s1, `INSERT INTO t VALUES (1)`)
-	if err := db1.DisableWAL(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Second process lifetime: replay, keep logging in the same file.
-	s2 := recoverDB(t, wal)
-	db2 := s2.Database()
-	if err := db2.EnableWAL(wal); err != nil {
-		t.Fatal(err)
-	}
+	s2 := reopen(db1)
 	mustExec(t, s2, `INSERT INTO t VALUES (2)`)
-	if err := db2.Checkpoint(snap); err != nil {
+	if err := s2.Database().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, s2, `INSERT INTO t VALUES (3)`)
-	if err := db2.DisableWAL(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Third lifetime: snapshot + post-checkpoint tail.
-	db3, _ := newDB(t)
-	if err := db3.Load(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := db3.ReplayWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	s3 := db3.NewSession()
+	s3 := reopen(s2.Database())
 	if got := count(t, s3, `SELECT COUNT(*) FROM t`); got != 3 {
 		t.Errorf("rows after two restarts = %d, want 3", got)
 	}
-	if err := db3.EnableWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = db3.DisableWAL() })
 	mustExec(t, s3, `INSERT INTO t VALUES (4)`)
-	if err := db3.DisableWAL(); err != nil {
-		t.Fatal(err)
-	}
 
-	db4, _ := newDB(t)
-	if err := db4.Load(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := db4.ReplayWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(t, db4.NewSession(), `SELECT COUNT(*) FROM t`); got != 4 {
+	s4 := reopen(s3.Database())
+	if got := count(t, s4, `SELECT COUNT(*) FROM t`); got != 4 {
 		t.Errorf("rows after three restarts = %d, want 4", got)
 	}
 }

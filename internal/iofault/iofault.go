@@ -46,7 +46,6 @@ type Sink interface {
 	io.Writer
 	Sync() error
 	Truncate(size int64) error
-	Seek(offset int64, whence int) (int64, error)
 	Close() error
 }
 
@@ -164,13 +163,6 @@ func (f *File) Truncate(size int64) error {
 		f.written = size
 	}
 	return err
-}
-
-// Seek delegates to the underlying file.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.f.Seek(offset, whence)
 }
 
 // Close closes the underlying file.

@@ -43,7 +43,6 @@ const DefaultHeartbeat = 2 * time.Second
 // server.ReplSource; wire it with server.WithReplication.
 type Primary struct {
 	db        *engine.Database
-	walPath   string
 	runID     string
 	heartbeat time.Duration
 	logf      func(format string, args ...any)
@@ -79,15 +78,14 @@ func WithHeartbeat(d time.Duration) PrimaryOption {
 	}
 }
 
-// NewPrimary makes db's WAL at walPath streamable. The WAL must be (or
-// become) enabled for live subscriptions; snapshots work regardless.
-// The runID stamps this process's WAL lineage: frame seqs restart when
-// the process does, so a replica holding seqs from an older run must
-// re-bootstrap, and the runID mismatch is how both sides notice.
-func NewPrimary(db *engine.Database, walPath string, opts ...PrimaryOption) *Primary {
+// NewPrimary makes db's WAL streamable. Subscriptions need a durable
+// database (engine.Open); snapshots work regardless. The runID stamps
+// this process's WAL lineage: frame seqs restart when the process
+// does, so a replica holding seqs from an older run must re-bootstrap,
+// and the runID mismatch is how both sides notice.
+func NewPrimary(db *engine.Database, opts ...PrimaryOption) *Primary {
 	p := &Primary{
 		db:        db,
-		walPath:   walPath,
 		runID:     fmt.Sprintf("%d-%x", os.Getpid(), time.Now().UnixNano()),
 		heartbeat: DefaultHeartbeat,
 		logf:      func(string, ...any) {},
@@ -160,7 +158,7 @@ func (p *Primary) Stream(req server.ReplStreamRequest, send func(payload []byte)
 	if cur := p.db.WALSeq(); req.FromSeq > cur {
 		return gone(fmt.Sprintf("repl: cannot stream from seq %d (log ends at %d)", req.FromSeq, cur))
 	}
-	tail, err := p.db.TailWAL(p.walPath, req.FromSeq)
+	tail, err := p.db.TailWAL(req.FromSeq)
 	if errors.Is(err, engine.ErrWALGone) {
 		return gone(err.Error())
 	}
@@ -191,8 +189,8 @@ func (p *Primary) Stream(req server.ReplStreamRequest, send func(payload []byte)
 		// between wakes the wait below.
 		appended := tail.Appended()
 		if appended == nil {
-			_ = send(protocol.EncodeError("repl: WAL not enabled"))
-			return errors.New("repl: WAL not enabled")
+			_ = send(protocol.EncodeError("repl: primary closed"))
+			return errors.New("repl: primary closed")
 		}
 		for {
 			body, err := tail.Next()

@@ -5,8 +5,9 @@ package repl_test
 // partitioned and stalled replicas resubscribing without gaps or
 // double-apply, checkpoint truncation forcing snapshot re-bootstrap,
 // a caught-up replica tailing the log across a Checkpoint, a burst of
-// appends streamed from the file, and the raw wire subscription. Run
-// with -race; every exact-count
+// appends streamed from the file, concurrent writers whose log order
+// the replica reproduces, and the raw wire subscription. Run with
+// -race; every exact-count
 // assertion doubles as a no-gap/no-double-apply proof (INSERT is not
 // idempotent, so a double-applied frame shows up as an extra row and a
 // gap as a missing one).
@@ -15,7 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,25 +49,27 @@ type primaryNode struct {
 	sess *engine.Session
 	prim *repl.Primary
 	srv  *server.Server
-	dir  string
 }
 
 func startPrimary(t testing.TB, opts ...repl.PrimaryOption) *primaryNode {
 	t.Helper()
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	db := newEngine(t)
-	if err := db.EnableWAL(walPath); err != nil {
+	reg := blade.NewRegistry()
+	if _, err := core.Register(reg); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = db.DisableWAL() })
-	p := repl.NewPrimary(db, walPath, opts...)
+	db, err := engine.Open(reg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetClock(func() temporal.Chronon { return testNow })
+	t.Cleanup(func() { _ = db.Close() })
+	p := repl.NewPrimary(db, opts...)
 	srv, err := server.Listen(db, "127.0.0.1:0", server.WithReplication(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return &primaryNode{db: db, sess: db.NewSession(), prim: p, srv: srv, dir: dir}
+	return &primaryNode{db: db, sess: db.NewSession(), prim: p, srv: srv}
 }
 
 func (p *primaryNode) mustExec(t testing.TB, sql string) {
@@ -271,7 +274,7 @@ func TestCheckpointTruncationForcesRebootstrap(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p.mustExec(t, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
 	}
-	if err := p.db.Checkpoint(filepath.Join(p.dir, "snapshot.tipdb")); err != nil {
+	if err := p.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if base := p.db.WALBase(); base <= r.rep.AppliedSeq() {
@@ -304,7 +307,7 @@ func TestCaughtUpReplicaTailsAcrossCheckpoint(t *testing.T) {
 	r := startReplica(t, p.srv.Addr())
 	r.converge(t, p)
 	for round := 0; round < 3; round++ {
-		if err := p.db.Checkpoint(filepath.Join(p.dir, "snapshot.tipdb")); err != nil {
+		if err := p.db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
@@ -343,6 +346,65 @@ func TestBurstConvergesFromTheFile(t *testing.T) {
 	if got := metric(t, r.db, "repl.snapshots_loaded"); got != 1 {
 		t.Fatalf("snapshots_loaded = %v, want 1 (no re-bootstrap)", got)
 	}
+}
+
+// TestReplicaMatchesPrimaryUnderConcurrentWriters races writers that
+// diverged the log from the live state when frames were appended after
+// the locks were released or a writer's reads went unlocked: a DELETE
+// against INSERTs on one table, and INSERT ... SELECT COUNT(*) from a
+// table other sessions insert into. The replica applies the log, so it
+// must end with exactly the primary's rows.
+func TestReplicaMatchesPrimaryUnderConcurrentWriters(t *testing.T) {
+	p := startPrimary(t)
+	for _, table := range []string{"t", "u", "w"} {
+		p.mustExec(t, `CREATE TABLE `+table+` (a INT)`)
+	}
+	r := startReplica(t, p.srv.Addr())
+	r.converge(t, p)
+	const n = 200
+	var wg sync.WaitGroup
+	for _, stmt := range []func(i int) string{
+		func(i int) string { return fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i) },
+		func(int) string { return `DELETE FROM t` },
+		func(i int) string { return fmt.Sprintf(`INSERT INTO u VALUES (%d)`, i) },
+		func(int) string { return `INSERT INTO w SELECT COUNT(*) FROM u` },
+	} {
+		s := p.db.NewSession()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.Close()
+			for i := range n {
+				if _, err := s.Exec(stmt(i), nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	r.converge(t, p)
+	for _, table := range []string{"t", "u", "w"} {
+		if live, replica := rows(t, p.db, table), rows(t, r.db, table); live != replica {
+			t.Errorf("table %s: primary %s, replica %s", table, live, replica)
+		}
+	}
+}
+
+// rows renders a one-column table's values in order.
+func rows(t testing.TB, db *engine.Database, table string) string {
+	t.Helper()
+	s := db.NewSession()
+	defer s.Close()
+	res, err := s.Exec(`SELECT a FROM `+table+` ORDER BY a`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, row := range res.Rows {
+		fmt.Fprintf(&b, "%d ", row[0].Int())
+	}
+	return b.String()
 }
 
 // faultDialer wraps each dialled connection in an iofault.NetConn so a

@@ -104,9 +104,9 @@ func WithIdleTimeout(d time.Duration) ReplicaOption {
 }
 
 // StartReplica switches db read-only and starts replicating it from the
-// primary at addr. The returned Replica runs until Close. db must not
-// have a WAL enabled (a replica's durability is the primary's) and is
-// expected to be empty — its contents are replaced at bootstrap.
+// primary at addr. The returned Replica runs until Close. db must be
+// an in-memory database (a replica's durability is the primary's) and
+// is expected to be empty — its contents are replaced at bootstrap.
 func StartReplica(db *engine.Database, addr string, opts ...ReplicaOption) *Replica {
 	r := &Replica{
 		db:          db,

@@ -22,8 +22,6 @@ package tip
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -88,10 +86,9 @@ var (
 // DB is a TIP-enabled database: the engine with the TIP DataBlade
 // registered.
 type DB struct {
-	eng        *engine.Database
-	blade      *core.Blade
-	reg        *blade.Registry
-	durableDir string
+	eng   *engine.Database
+	blade *core.Blade
+	reg   *blade.Registry
 }
 
 // Open creates an empty in-memory TIP-enabled database.
@@ -101,41 +98,18 @@ func Open() *DB {
 	return &DB{eng: engine.New(reg), blade: b, reg: reg}
 }
 
-// OpenFile loads a database snapshot previously written with Save.
-func OpenFile(path string) (*DB, error) {
-	db := Open()
-	if err := db.eng.Load(path); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// Save writes a snapshot of the database to path.
-func (db *DB) Save(path string) error { return db.eng.Save(path) }
-
 // OpenDurable opens a crash-safe database rooted at dir: it loads
 // dir/snapshot.tipdb if present, replays dir/wal.log, and then logs
 // every further state-changing statement to the WAL. Call Checkpoint
 // periodically to fold the log into a fresh snapshot.
 func OpenDurable(dir string) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("tip: %w", err)
-	}
-	db := Open()
-	snapshot := filepath.Join(dir, "snapshot.tipdb")
-	if _, err := os.Stat(snapshot); err == nil {
-		if err := db.eng.Load(snapshot); err != nil {
-			return nil, err
-		}
-	}
-	if err := db.eng.ReplayWAL(filepath.Join(dir, "wal.log")); err != nil {
+	reg := blade.NewRegistry()
+	b := core.MustRegister(reg)
+	eng, err := engine.Open(reg, dir)
+	if err != nil {
 		return nil, err
 	}
-	if err := db.eng.EnableWAL(filepath.Join(dir, "wal.log")); err != nil {
-		return nil, err
-	}
-	db.durableDir = dir
-	return db, nil
+	return &DB{eng: eng, blade: b, reg: reg}, nil
 }
 
 // SyncPolicy selects how often the WAL is fsynced; see the constants
@@ -187,26 +161,13 @@ func ParseDurability(spec string) (SyncPolicy, time.Duration, error) {
 	}
 }
 
-// WALPath returns the WAL file of a durable database, or "" for an
-// in-memory one. Replication (internal/repl) streams this file.
-func (db *DB) WALPath() string {
-	if db.durableDir == "" {
-		return ""
-	}
-	return filepath.Join(db.durableDir, "wal.log")
-}
-
 // Checkpoint snapshots a durable database and truncates its WAL.
-func (db *DB) Checkpoint() error {
-	if db.durableDir == "" {
-		return fmt.Errorf("tip: Checkpoint requires OpenDurable")
-	}
-	return db.eng.Checkpoint(filepath.Join(db.durableDir, "snapshot.tipdb"))
-}
+func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
-// Close releases the WAL (if any). The database remains usable
-// in-memory but stops logging.
-func (db *DB) Close() error { return db.eng.DisableWAL() }
+// Close fsyncs and closes the WAL (if any). The database remains
+// usable in memory, but state-changing statements then fail with the
+// engine's ErrWALFailed.
+func (db *DB) Close() error { return db.eng.Close() }
 
 // Engine exposes the underlying engine for advanced integration
 // (registering further blades, catalog inspection).

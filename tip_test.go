@@ -1,6 +1,7 @@
 package tip
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -60,32 +61,6 @@ func TestParamConversions(t *testing.T) {
 	// Unsupported type errors cleanly.
 	if _, err := s.Exec(`SELECT :x`, map[string]any{"x": struct{}{}}); err == nil {
 		t.Error("unsupported parameter type should fail")
-	}
-}
-
-func TestSaveOpenFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "demo.tipdb")
-	db, s := openPinned()
-	s.MustExec(`CREATE TABLE t (v Element)`, nil)
-	s.MustExec(`INSERT INTO t VALUES ('{[1999-01-01, NOW]}')`, nil)
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2.SetClock(temporal.MustDate(1999, 11, 12))
-	res, err := db2.Session().Exec(`SELECT v FROM t`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].Format() != "{[1999-01-01, NOW]}" {
-		t.Errorf("reloaded = %s", res.Rows[0][0].Format())
-	}
-	if _, err := OpenFile(filepath.Join(dir, "missing")); err == nil {
-		t.Error("OpenFile of missing path should fail")
 	}
 }
 
@@ -209,5 +184,84 @@ func TestSessionNow(t *testing.T) {
 	s.MustExec(`SET NOW = '2005-01-01'`, nil)
 	if s.Now() != temporal.MustDate(2005, 1, 1) {
 		t.Errorf("Now after override = %s", s.Now())
+	}
+}
+
+// reopen closes a durable database without a checkpoint — the log is
+// all a crash would leave — and opens its directory again.
+func reopen(t *testing.T, db *DB, dir string) *DB {
+	t.Helper()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	return db
+}
+
+func countT(t *testing.T, db *DB) int64 {
+	t.Helper()
+	return db.Session().MustExec(`SELECT COUNT(*) FROM t`, nil).Rows[0][0].Int()
+}
+
+// A torn tail is cut off when the directory opens, so the statements
+// appended after it are read back by the next open instead of failing
+// it with a checksum error.
+func TestTornTailReopenedTwice(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Session().MustExec(`CREATE TABLE t (a INT)`, nil)
+	db.Session().MustExec(`INSERT INTO t VALUES (1)`, nil)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{40, 1, 2}); err != nil { // a frame cut short
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Session().MustExec(`INSERT INTO t VALUES (2)`, nil)
+	db = reopen(t, db, dir)
+	if got := countT(t, db); got != 2 {
+		t.Errorf("rows after the second reopen = %d, want 2", got)
+	}
+}
+
+// A transaction a crash left open is rolled back through the log when
+// the directory opens, so replay does not fold a later autocommit
+// statement into it and undo that statement with it.
+func TestCrashMidTransactionThenWrite(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Session().MustExec(`CREATE TABLE t (a INT)`, nil)
+	s := db.Session()
+	s.MustExec(`BEGIN`, nil)
+	s.MustExec(`INSERT INTO t VALUES (1)`, nil)
+	db = reopen(t, db, dir) // the crash: no COMMIT, no ROLLBACK
+	db.Session().MustExec(`INSERT INTO t VALUES (2)`, nil)
+	if got := countT(t, db); got != 1 {
+		t.Fatalf("live rows = %d, want 1", got)
+	}
+	db = reopen(t, db, dir)
+	if got := countT(t, db); got != 1 {
+		t.Errorf("recovered rows = %d, want 1 (the live count)", got)
 	}
 }
