@@ -79,11 +79,16 @@ crash-smoke:
 # netfault-smoke replays the wire-fault torture battery under the race
 # detector: 1000 hostile connections (slowloris trickles, mid-frame
 # severs, silent truncations, stalls) must leak no goroutines and keep
-# memory bounded, cancellation racing writes must never half-apply a
-# statement, and the lifecycle acceptance tests (MsgCancel and statement
-# timeout answered with their typed errors on a connection that stays
-# usable, shedding, graceful drain) must hold. Abort latency is logged,
-# not asserted.
+# memory bounded, an idle connection must cost one server goroutine, a
+# length prefix split by a stall past the read timeout must be cut while
+# a shorter stall and a frame beyond the 4 KiB read buffer are served,
+# ExecContext must leave no goroutine behind, cancellation racing writes
+# must never half-apply a statement, and the lifecycle acceptance tests
+# (MsgCancel on a side connection, also at the connection limit, and
+# statement timeout answered with their typed errors on a connection
+# that stays usable; a wrong or stale cancel key cancelling nothing;
+# shedding; graceful drain releasing idle connections at once) must
+# hold. Abort latency is logged, not asserted.
 netfault-smoke:
 	$(GO) test -race -run 'TestNetFault|TestLifecycle' ./internal/server
 

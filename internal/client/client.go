@@ -6,7 +6,8 @@
 // JDBC results to TIP Java objects.
 //
 // A statement's context.Context is the one way to bound it: cancelling
-// it forwards a MsgCancel frame and the server aborts the statement.
+// it sends a MsgCancel frame with the connection's cancel key on a
+// short-lived side connection, and the server aborts the statement.
 // The client never retries; server errors arrive typed (ErrBusy,
 // ErrResource, ErrShutdown, ...) so the caller can decide what is safe
 // to run again.
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tip/internal/blade"
@@ -40,7 +40,7 @@ var ErrConnClosed = errors.New("client: connection closed")
 
 // cancelGrace bounds how long a context-cancelled statement waits for
 // the server's acknowledgement before the client abandons the read and
-// declares the connection broken.
+// declares the connection broken, and the cancel request's dial.
 const cancelGrace = 2 * time.Second
 
 // handshakeTimeout bounds the welcome read: a server (or load balancer)
@@ -51,6 +51,7 @@ const handshakeTimeout = 10 * time.Second
 // Cancel and Close may be called concurrently with a running statement.
 type Conn struct {
 	reg *blade.Registry
+	key uint64 // cancel key from the server's welcome
 
 	mu sync.Mutex // serialises request/response exchanges
 
@@ -98,12 +99,16 @@ func (c *Conn) handshake() error {
 	}
 	switch frame[0] {
 	case protocol.MsgWelcome:
-		version, err := protocol.DecodeString(frame[1:])
+		// Version first: a server of another revision may send no key.
+		version, rest, err := protocol.ReadString(frame[1:])
 		if err != nil {
 			return fmt.Errorf("client: %w", err)
 		}
 		if version != protocol.Version {
 			return fmt.Errorf("client: server speaks protocol %q, this client %q", version, protocol.Version)
+		}
+		if c.key, err = protocol.DecodeKey(rest); err != nil {
+			return fmt.Errorf("client: %w", err)
 		}
 		return nil
 	case protocol.MsgError:
@@ -148,8 +153,6 @@ func (c *Conn) exchange(payload []byte) ([]byte, error) {
 		c.wmu.Unlock()
 		return nil, fmt.Errorf("client: write: %w", errors.Join(ErrConnClosed, err))
 	}
-	// Clear any deadline a previous statement's cancellation left behind.
-	_ = c.conn.SetReadDeadline(time.Time{})
 	c.wmu.Unlock()
 	frame, err := protocol.ReadFrame(c.r)
 	if err != nil {
@@ -168,7 +171,7 @@ func (c *Conn) Exec(sql string, params map[string]types.Value) (*exec.Result, er
 }
 
 // ExecContext is Exec with cooperative cancellation: when ctx is
-// cancelled mid-statement the client sends a MsgCancel frame and the
+// cancelled mid-statement the client sends a cancel request and the
 // server aborts the statement; ExecContext then returns ctx's error and
 // the connection stays usable. If the server fails to acknowledge
 // within a grace period the connection is declared broken instead.
@@ -179,33 +182,29 @@ func (c *Conn) ExecContext(ctx context.Context, sql string, params map[string]ty
 		return nil, err
 	}
 
-	// Watch ctx for the duration of the exchange: on cancellation, tell
-	// the server, then bound the pending reply read so a dead server
-	// cannot hold us past the grace period.
-	var cancelled atomic.Bool
-	var stop chan struct{}
+	// On cancellation during the exchange, tell the server, then bound
+	// the pending reply read so a dead server cannot hold us past the
+	// grace period. A watcher that fired is waited for and its deadline
+	// cleared, so it cannot land on the next statement.
+	stop := func() bool { return true }
+	var fired chan struct{}
 	if ctx.Done() != nil {
-		stop = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				cancelled.Store(true)
-				_ = c.Cancel()
-				c.wmu.Lock()
-				if !c.closed {
-					_ = c.conn.SetReadDeadline(time.Now().Add(cancelGrace))
-				}
-				c.wmu.Unlock()
-			case <-stop:
-			}
-		}()
+		done := make(chan struct{})
+		fired = done
+		stop = context.AfterFunc(ctx, func() {
+			defer close(done)
+			_ = c.Cancel()
+			_ = c.conn.SetReadDeadline(time.Now().Add(cancelGrace))
+		})
 	}
 	frame, err := c.exchange(protocol.EncodeQuery(protocol.Query{SQL: sql, Params: params}))
-	if stop != nil {
-		close(stop)
+	ownCancel := !stop()
+	if ownCancel {
+		<-fired
+		_ = c.conn.SetReadDeadline(time.Time{})
 	}
 	if err != nil {
-		if cancelled.Load() && ctx.Err() != nil {
+		if ownCancel && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, err
@@ -225,7 +224,7 @@ func (c *Conn) ExecContext(ctx context.Context, sql string, params map[string]ty
 		if derr != nil {
 			return nil, fmt.Errorf("client: %w", derr)
 		}
-		if code == protocol.ErrCodeCancelled && cancelled.Load() && ctx.Err() != nil {
+		if code == protocol.ErrCodeCancelled && ownCancel && ctx.Err() != nil {
 			// Our own cancel, acknowledged: report it as the ctx error.
 			return nil, ctx.Err()
 		}
@@ -236,17 +235,24 @@ func (c *Conn) ExecContext(ctx context.Context, sql string, params map[string]ty
 }
 
 // Cancel asks the server to abort the connection's in-flight statement
-// (or, if none is running, its next one). Safe to call from any
-// goroutine while another is blocked in Exec.
+// (or, if none is running, its next one). It dials the server and sends
+// the connection's cancel key, so it never waits behind the statement.
+// Safe to call from any goroutine while another is blocked in Exec.
 func (c *Conn) Cancel() error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.stateErrLocked(); err != nil {
+	err := c.stateErrLocked()
+	c.wmu.Unlock()
+	if err != nil {
 		return err
 	}
-	if err := protocol.WriteFrame(c.w, []byte{protocol.MsgCancel}); err != nil {
-		c.breakLocked()
-		return fmt.Errorf("client: cancel: %w", errors.Join(ErrConnClosed, err))
+	nc, err := net.DialTimeout("tcp", c.conn.RemoteAddr().String(), cancelGrace)
+	if err != nil {
+		return fmt.Errorf("client: cancel: %w", err)
+	}
+	defer nc.Close()
+	_ = nc.SetWriteDeadline(time.Now().Add(cancelGrace))
+	if err := protocol.WriteFrame(bufio.NewWriterSize(nc, 16), protocol.EncodeCancel(c.key)); err != nil {
+		return fmt.Errorf("client: cancel: %w", err)
 	}
 	return nil
 }

@@ -334,7 +334,8 @@ func TestRefusesOtherProtocolVersion(t *testing.T) {
 		defer nc.Close()
 		r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
 		if _, err := protocol.ReadFrame(r); err == nil {
-			_ = protocol.WriteFrame(w, protocol.EncodeWelcome("TIP/1"))
+			// Welcomed as TIP/1 and TIP/2 did: a version and no cancel key.
+			_ = protocol.WriteFrame(w, protocol.AppendString([]byte{protocol.MsgWelcome}, "TIP/1"))
 		}
 		_, _ = protocol.ReadFrame(r) // hold the connection until the client leaves
 	}()

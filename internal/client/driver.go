@@ -115,7 +115,8 @@ func badConn(err error) error {
 
 // ExecContext implements driver.StmtExecContext, the path database/sql
 // uses for sql.Named arguments. The context is forwarded to the server:
-// cancelling it aborts the statement with a MsgCancel frame.
+// cancelling it aborts the statement with a cancel request on a side
+// connection (see Conn.Cancel).
 func (s *sqlStmt) ExecContext(ctx context.Context, args []driver.NamedValue) (driver.Result, error) {
 	res, err := s.run(ctx, args)
 	if err != nil {

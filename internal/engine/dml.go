@@ -74,6 +74,7 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 		return nil, err
 	}
 	now := s.Now()
+	ctx := env.Ctx()
 	w := s.beginWrite(tbl)
 	var undo []txn.Entry
 	for _, in := range incoming {
@@ -86,7 +87,7 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 			row[i] = types.NewNull(col.Type)
 		}
 		for i, pos := range cols {
-			cv, err := s.coerce(in[i], tbl.Meta.Columns[pos].Type)
+			cv, err := s.db.reg.ImplicitConvert(ctx, in[i], tbl.Meta.Columns[pos].Type)
 			if err != nil {
 				w.Discard()
 				return nil, fmt.Errorf("engine: column %s: %w", tbl.Meta.Columns[pos].Name, err)
@@ -152,6 +153,7 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		return nil, err
 	}
 	now := s.Now()
+	ctx := env.Ctx()
 	w := s.beginWrite(tbl)
 	var undo []txn.Entry
 	for _, id := range ids {
@@ -167,7 +169,7 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 				w.Discard()
 				return nil, err
 			}
-			cv, err := s.coerce(v, tbl.Meta.Columns[set.pos].Type)
+			cv, err := s.db.reg.ImplicitConvert(ctx, v, tbl.Meta.Columns[set.pos].Type)
 			if err != nil {
 				w.Discard()
 				return nil, fmt.Errorf("engine: column %s: %w", tbl.Meta.Columns[set.pos].Name, err)
@@ -277,9 +279,4 @@ func (s *Session) matchingRows(tbl *exec.Table, env *exec.Env, where exec.RowExp
 		return true
 	})
 	return ids, scanErr
-}
-
-// coerce applies assignment coercion to a column type.
-func (s *Session) coerce(v types.Value, to *types.Type) (types.Value, error) {
-	return s.db.reg.ImplicitConvert(s.env(nil).Ctx(), v, to)
 }

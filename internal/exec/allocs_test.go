@@ -192,7 +192,7 @@ func TestRowExprAllocs(t *testing.T) {
 // own at either table size.
 const (
 	pointReadAllocs    = 55
-	insertAllocs       = 57
+	insertAllocs       = 35
 	literalProbeAllocs = 104
 )
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Cooperative statement cancellation. A Token is shared between the
-// goroutine executing a statement and whoever wants to abort it (the
-// server's connection reader on MsgCancel, a statement-timeout timer).
+// goroutine executing a statement and whoever wants to abort it (a
+// MsgCancel side connection, a statement-timeout timer).
 // The executor polls the token inside every row loop — scans, joins,
 // aggregation, DISTINCT, sort and set operations — so a runaway query
 // stops within a bounded number of rows of the cancel, without any

@@ -82,13 +82,6 @@ func (c *NetConn) SetWriteBudget(n int64, mode NetMode) {
 	c.mode = mode
 }
 
-// Written returns the bytes passed through to the wrapped connection.
-func (c *NetConn) Written() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.written
-}
-
 // Read delegates to the wrapped connection after the read delay.
 func (c *NetConn) Read(p []byte) (int, error) {
 	c.mu.Lock()

@@ -8,7 +8,8 @@
 // Frame: uvarint payloadLength, payload. Payload: 1 kind byte, body.
 //
 //	MsgHello    client→server: str clientName
-//	MsgWelcome  server→client: str serverVersion (Version)
+//	MsgWelcome  server→client: str serverVersion (Version), then the
+//	            connection's cancel key as 8 bytes little-endian
 //	MsgQuery    client→server: str sql, uvarint nParams, (str name, value)*
 //	MsgResult   server→client: uvarint affected, uvarint nCols,
 //	            (str name, str typeName)*, uvarint nRows, nRows×nCols
@@ -20,7 +21,8 @@
 //	MsgQuit     client→server: no body
 //	MsgStats    client→server: no body (request);
 //	            server→client: uvarint n, (str name, float64 bits)*
-//	MsgCancel   client→server: no body
+//	MsgCancel   client→server, as the first and only frame of a
+//	            fresh connection: the cancel key (8 bytes LE)
 //
 // Replication messages (see internal/repl):
 //
@@ -61,13 +63,12 @@ const (
 	MsgError
 	MsgQuit
 	MsgStats
-	// MsgCancel (client→server, no body) asks the server to abort the
-	// connection's in-flight statement. It is fire-and-forget: the
-	// server sends no reply to the cancel itself; the cancelled
-	// statement answers with MsgError carrying ErrCodeCancelled. A
-	// cancel that arrives with no statement running aborts the next
-	// statement on the connection (at most one statement is ever
-	// cancelled per MsgCancel).
+	// MsgCancel (client→server, on a side connection) asks the server
+	// to abort the statement of the connection its key was welcomed on.
+	// The server sends no reply; the cancelled statement answers with
+	// MsgError carrying ErrCodeCancelled. A cancel that arrives with no
+	// statement running aborts the next statement on the connection (at
+	// most one statement is ever cancelled per MsgCancel).
 	MsgCancel
 	// MsgSubscribe (replica→primary) turns the connection into a WAL
 	// stream: the primary answers with a MsgReplStatus report, then
@@ -133,8 +134,9 @@ const (
 
 // Version identifies the protocol revision. A client refuses a server
 // that welcomes it with another one: TIP/1 sent every result value with
-// its type name, so the two cannot read each other's result frames.
-const Version = "TIP/2"
+// its type name, so the two cannot read each other's result frames;
+// TIP/2 took MsgCancel, without a key, on the statement's connection.
+const Version = "TIP/3"
 
 // MaxFrame bounds a frame's payload to keep a malicious peer from forcing
 // huge allocations.
@@ -178,6 +180,13 @@ func WriteFrameLimit(w *bufio.Writer, payload []byte, limit uint64) error {
 		return fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, len(payload), limit)
 	}
 	return WriteFrame(w, payload)
+}
+
+// FrameBuffered reports whether r holds a whole frame: reading it cannot block.
+func FrameBuffered(r *bufio.Reader) bool {
+	buf, _ := r.Peek(r.Buffered())
+	n, k := binary.Uvarint(buf)
+	return k > 0 && n <= uint64(len(buf)-k)
 }
 
 // ReadFrame reads one length-prefixed frame, bounded by MaxFrame.
@@ -281,8 +290,24 @@ func EncodeHello(clientName string) []byte {
 }
 
 // EncodeWelcome builds a MsgWelcome payload.
-func EncodeWelcome(serverVersion string) []byte {
-	return AppendString([]byte{MsgWelcome}, serverVersion)
+func EncodeWelcome(serverVersion string, key uint64) []byte {
+	return binary.LittleEndian.AppendUint64(AppendString([]byte{MsgWelcome}, serverVersion), key)
+}
+
+// EncodeCancel builds a MsgCancel payload.
+func EncodeCancel(key uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{MsgCancel}, key)
+}
+
+// CancelLen is the length of a MsgCancel payload: kind byte and key.
+const CancelLen = 1 + 8
+
+// DecodeKey parses a cancel key: a MsgCancel body or a MsgWelcome's tail.
+func DecodeKey(body []byte) (uint64, error) {
+	if len(body) != 8 {
+		return 0, fmt.Errorf("%w: cancel key", ErrProtocol)
+	}
+	return binary.LittleEndian.Uint64(body), nil
 }
 
 // EncodeQuery builds a MsgQuery payload.

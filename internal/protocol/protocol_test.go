@@ -150,9 +150,50 @@ func TestErrorAndHello(t *testing.T) {
 	if hello[0] != MsgHello {
 		t.Fatal("hello kind")
 	}
-	welcome := EncodeWelcome(Version)
-	if s, _ := DecodeString(welcome[1:]); s != Version {
-		t.Errorf("welcome = %q", s)
+	welcome := EncodeWelcome(Version, 1<<63|42)
+	if welcome[0] != MsgWelcome {
+		t.Fatal("welcome kind")
+	}
+	version, rest, err := ReadString(welcome[1:])
+	if err != nil || version != Version {
+		t.Fatalf("welcome version = %q, %v", version, err)
+	}
+	if key, err := DecodeKey(rest); err != nil || key != 1<<63|42 {
+		t.Errorf("welcome key = %d, %v", key, err)
+	}
+	cancel := EncodeCancel(7)
+	if len(cancel) != CancelLen || cancel[0] != MsgCancel {
+		t.Fatalf("cancel frame % x", cancel)
+	}
+	if key, err := DecodeKey(cancel[1:]); err != nil || key != 7 {
+		t.Errorf("cancel key = %d, %v", key, err)
+	}
+	if _, err := DecodeKey(cancel[1:8]); err == nil {
+		t.Error("short cancel key should fail")
+	}
+}
+
+// TestFrameBuffered: a frame counts as buffered only once its length
+// prefix and every payload byte are in the reader.
+func TestFrameBuffered(t *testing.T) {
+	payload := make([]byte, 300) // a two-byte length prefix
+	var whole bytes.Buffer
+	w := bufio.NewWriter(&whole)
+	if err := WriteFrame(w, payload); err != nil {
+		t.Fatal(err)
+	}
+	frame := whole.Bytes()
+	for _, cut := range []int{1, 2, len(frame) - 1} {
+		r := bufio.NewReader(bytes.NewReader(frame[:cut]))
+		_, _ = r.Peek(1)
+		if FrameBuffered(r) {
+			t.Errorf("%d of %d bytes counted as a whole frame", cut, len(frame))
+		}
+	}
+	r := bufio.NewReader(bytes.NewReader(frame))
+	_, _ = r.Peek(1)
+	if !FrameBuffered(r) {
+		t.Error("whole frame not counted as buffered")
 	}
 }
 

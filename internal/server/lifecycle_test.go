@@ -1,16 +1,22 @@
 package server_test
 
-// Query-lifecycle acceptance tests over the wire: MsgCancel and the
-// statement timeout abort a scan over a million-row table with a typed
-// error, the connection still usable and the counters advancing (how
-// long the abort took is logged, not asserted: a correctness suite does
-// not fail on the clock);
+// Query-lifecycle acceptance tests over the wire: MsgCancel (sent on a
+// side connection, even past the connection limit) and the statement
+// timeout abort a scan over a million-row table with a typed error, the
+// connection still usable and the counters advancing (how long the
+// abort took is logged, not asserted: a correctness suite does not fail
+// on the clock); a cancel key that matches no live connection cancels
+// nothing;
 // admission control sheds load with typed busy errors; graceful
-// shutdown drains in-flight statements while rejecting new work.
+// shutdown drains in-flight statements while rejecting new work and
+// releases idle connections at once.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +27,7 @@ import (
 	"tip/internal/core"
 	"tip/internal/engine"
 	"tip/internal/exec"
+	"tip/internal/protocol"
 	"tip/internal/server"
 	"tip/internal/temporal"
 )
@@ -84,35 +91,68 @@ func connectTo(t *testing.T, srv *server.Server) *client.Conn {
 	return c
 }
 
+// cancelDuringScan starts slowQuery on c, lets the scan get going and
+// calls cancel, then checks the statement ends with want (nil: the
+// statement finishes with its one row) and the connection stays usable.
+func cancelDuringScan(t *testing.T, c *client.Conn, cancel func(), want error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		res, err := c.Exec(slowQuery, nil)
+		if err == nil && len(res.Rows) != 1 {
+			err = fmt.Errorf("scan returned %d rows", len(res.Rows))
+		}
+		done <- err
+	}()
+	time.Sleep(30 * time.Millisecond) // let the scan get going
+	cancelAt := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		t.Logf("statement returned %v after the cancel", time.Since(cancelAt))
+		if want == nil && err != nil || want != nil && !errors.Is(err, want) {
+			t.Fatalf("want %v, got %v", want, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("statement never returned")
+	}
+	if _, err := c.Exec(`SELECT 1`, nil); err != nil {
+		t.Fatalf("connection unusable after the cancel: %v", err)
+	}
+}
+
+// sendCancel sends a raw MsgCancel for key on a fresh connection and
+// waits for the server to close it, which it does, without a reply,
+// once the request is handled.
+func sendCancel(t *testing.T, srv *server.Server, key uint64) {
+	t.Helper()
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Write(append([]byte{protocol.CancelLen}, protocol.EncodeCancel(key)...)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := nc.Read(make([]byte, 16)); n != 0 || err != io.EOF {
+		t.Fatalf("cancel request answered with %d bytes, %v; want no reply", n, err)
+	}
+}
+
 func TestLifecycle(t *testing.T) {
 	db := bigDB(t)
+	cancels := func() float64 { return metricValue(db, "server.cancels") }
 
 	t.Run("MsgCancel", func(t *testing.T) {
 		srv := serveBig(t, db)
 		c := connectTo(t, srv)
-		done := make(chan error, 1)
-		go func() {
-			_, err := c.Exec(slowQuery, nil)
-			done <- err
-		}()
-		time.Sleep(30 * time.Millisecond) // let the scan get going
-		cancelAt := time.Now()
-		if err := c.Cancel(); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-done:
-			t.Logf("cancel took %v", time.Since(cancelAt))
-			if !errors.Is(err, client.ErrCancelled) {
-				t.Fatalf("want ErrCancelled, got %v", err)
+		cancelDuringScan(t, c, func() {
+			if err := c.Cancel(); err != nil {
+				t.Error(err)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("cancelled statement never returned")
-		}
-		// The connection stays usable and the counters advanced.
-		if _, err := c.Exec(`SELECT 1`, nil); err != nil {
-			t.Fatalf("connection unusable after cancel: %v", err)
-		}
+		}, client.ErrCancelled)
+		// The counters advanced.
 		snap, err := c.Stats()
 		if err != nil {
 			t.Fatal(err)
@@ -122,6 +162,67 @@ func TestLifecycle(t *testing.T) {
 		}
 		if v, _ := snap.Get("server.cancels"); v < 1 {
 			t.Errorf("server.cancels = %v, want >= 1", v)
+		}
+	})
+
+	t.Run("CancelAtMaxConns", func(t *testing.T) {
+		// The one slot is taken by the statement's own connection; the
+		// cancel request is served all the same.
+		srv := serveBig(t, db, server.WithMaxConns(1))
+		c := connectTo(t, srv)
+		cancelDuringScan(t, c, func() {
+			if err := c.Cancel(); err != nil {
+				t.Error(err)
+			}
+		}, client.ErrCancelled)
+	})
+
+	t.Run("ContextCancel", func(t *testing.T) {
+		srv := serveBig(t, db)
+		c := connectTo(t, srv)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.ExecContext(ctx, slowQuery, nil)
+			done <- err
+		}()
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+		if _, err := c.Exec(`SELECT 1`, nil); err != nil {
+			t.Fatalf("connection unusable after a cancelled context: %v", err)
+		}
+	})
+
+	t.Run("WrongKeyCancelsNothing", func(t *testing.T) {
+		srv := serveBig(t, db)
+		c := connectTo(t, srv)
+		before := cancels()
+		// The key is 64 random bits; 42 matches no connection.
+		cancelDuringScan(t, c, func() { sendCancel(t, srv, 42) }, nil)
+		if after := cancels(); after != before {
+			t.Errorf("server.cancels moved from %v to %v on an unknown key", before, after)
+		}
+	})
+
+	t.Run("ClosedConnKeyCancelsNothing", func(t *testing.T) {
+		srv := serveBig(t, db)
+		nc, r, w, key := handshake(t, srv)
+		if err := protocol.WriteFrame(w, []byte{protocol.MsgQuit}); err != nil {
+			t.Fatal(err)
+		}
+		// The server drops the key before it closes the connection.
+		if _, err := r.ReadByte(); err != io.EOF {
+			t.Fatalf("connection still open after quit: %v", err)
+		}
+		_ = nc.Close()
+		c := connectTo(t, srv)
+		before := cancels()
+		cancelDuringScan(t, c, func() { sendCancel(t, srv, key) }, nil)
+		if after := cancels(); after != before {
+			t.Errorf("server.cancels moved from %v to %v on a closed connection's key", before, after)
 		}
 	})
 
@@ -261,6 +362,26 @@ func TestLifecycle(t *testing.T) {
 		core.MustRegister(reg)
 		if _, err := client.Connect(srv.Addr(), reg); err == nil {
 			t.Fatal("connect succeeded after shutdown")
+		}
+	})
+
+	t.Run("ShutdownReleasesIdle", func(t *testing.T) {
+		// Connections blocked reading their next frame are released at
+		// once: the drain budget is for statements, not idle clients.
+		srv := serveBig(t, db)
+		idle := connectTo(t, srv)
+		if _, err := idle.Exec(`SELECT 1`, nil); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := srv.Shutdown(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if waited := time.Since(start); waited > 5*time.Second {
+			t.Errorf("shutdown waited %v on an idle connection", waited)
+		}
+		if _, err := idle.Exec(`SELECT 1`, nil); !errors.Is(err, client.ErrConnClosed) {
+			t.Fatalf("idle connection after shutdown: want ErrConnClosed, got %v", err)
 		}
 	})
 

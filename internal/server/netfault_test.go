@@ -4,9 +4,16 @@ package server_test
 // hostile connections — slow writers, mid-frame severs, silent
 // truncations, stalls holding sockets open — must not leak goroutines,
 // grow memory without bound, or disturb a healthy client. Cancellation
-// racing against writes must never leave a statement half-applied.
+// racing against writes must never leave a statement half-applied. An
+// idle connection costs the server one goroutine; a frame stalled past
+// the read timeout is cut, a shorter stall and a frame larger than the
+// read buffer are served, and neither leaves a deadline on the idle
+// connection after it.
 
 import (
+	"bufio"
+	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"runtime"
@@ -88,6 +95,148 @@ func encodedHello() []byte {
 	frame := make([]byte, 0, len(body)+2)
 	frame = append(frame, byte(len(body)))
 	return append(frame, body...)
+}
+
+// handshake opens a raw connection, says hello and returns the
+// connection with its buffers and the cancel key of its welcome.
+func handshake(t *testing.T, srv *server.Server) (net.Conn, *bufio.Reader, *bufio.Writer, uint64) {
+	t.Helper()
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nc.Close() })
+	_ = nc.SetDeadline(time.Now().Add(30 * time.Second))
+	r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+	if err := protocol.WriteFrame(w, protocol.EncodeHello("raw")); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := protocol.ReadFrame(r)
+	if err != nil || len(frame) == 0 || frame[0] != protocol.MsgWelcome {
+		t.Fatalf("handshake: % x, %v", frame, err)
+	}
+	_, rest, err := protocol.ReadString(frame[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := protocol.DecodeKey(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nc, r, w, key
+}
+
+// queryFrame is the wire bytes of one MsgQuery frame for sql.
+func queryFrame(sql string) []byte {
+	payload := protocol.EncodeQuery(protocol.Query{SQL: sql})
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+}
+
+// wantResult reads one reply and fails unless it is a result.
+func wantResult(t *testing.T, r *bufio.Reader, what string) {
+	t.Helper()
+	frame, err := protocol.ReadFrame(r)
+	if err != nil || len(frame) == 0 || frame[0] != protocol.MsgResult {
+		t.Fatalf("%s: reply % .16x, %v; want a result", what, frame, err)
+	}
+}
+
+// TestNetFaultIdleConnGoroutines: an idle connection costs the server
+// one goroutine, not a reader beside its executor.
+func TestNetFaultIdleConnGoroutines(t *testing.T) {
+	srv, _ := startOpts(t)
+	reg := blade.NewRegistry()
+	core.MustRegister(reg)
+	const idle = 50
+	baseline := runtime.NumGoroutine()
+	for range idle {
+		c, err := client.Connect(srv.Addr(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+	}
+	if n := runtime.NumGoroutine() - baseline; n > idle+5 {
+		t.Fatalf("%d idle connections added %d goroutines, want at most %d", idle, n, idle+5)
+	}
+}
+
+// TestNetFaultSplitLengthPrefix: a frame whose two-byte length prefix
+// is split by a stall longer than the read timeout is cut and counted
+// in conn.slow_reads.
+func TestNetFaultSplitLengthPrefix(t *testing.T) {
+	srv, db := startOpts(t, server.WithReadTimeout(100*time.Millisecond))
+	nc, r, _, _ := handshake(t, srv)
+	frame := queryFrame("SELECT '" + strings.Repeat("x", 200) + "'")
+	if frame[0] < 0x80 {
+		t.Fatal("length prefix fits one byte")
+	}
+	if _, err := nc.Write(frame[:1]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	_, _ = nc.Write(frame[1:]) // the server may already have hung up
+	if reply, err := protocol.ReadFrame(r); err == nil {
+		t.Fatalf("stalled frame served: % .16x", reply)
+	}
+	if v := metricValue(db, "conn.slow_reads"); v != 1 {
+		t.Errorf("conn.slow_reads = %v, want 1", v)
+	}
+}
+
+// TestNetFaultShortStallAndLargeFrame: a length prefix split by a stall
+// shorter than the read timeout, and a frame larger than the server's
+// 4 KiB read buffer, are both served, and the connection then idles
+// past the read timeout without being cut.
+func TestNetFaultShortStallAndLargeFrame(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	srv, db := startOpts(t, server.WithReadTimeout(timeout))
+	nc, r, _, _ := handshake(t, srv)
+	frame := queryFrame("SELECT '" + strings.Repeat("x", 200) + "'")
+	if _, err := nc.Write(frame[:1]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(timeout / 10)
+	if _, err := nc.Write(frame[1:]); err != nil {
+		t.Fatal(err)
+	}
+	wantResult(t, r, "split length prefix")
+
+	if _, err := nc.Write(queryFrame("SELECT '" + strings.Repeat("y", 10<<10) + "'")); err != nil {
+		t.Fatal(err)
+	}
+	wantResult(t, r, "10 KiB frame")
+	time.Sleep(2 * timeout)
+	if _, err := nc.Write(queryFrame("SELECT 1")); err != nil {
+		t.Fatal(err)
+	}
+	wantResult(t, r, "query after idling past the read timeout")
+	if v := metricValue(db, "conn.slow_reads"); v != 0 {
+		t.Errorf("conn.slow_reads = %v, want 0", v)
+	}
+}
+
+// TestNetFaultContextWatchers: ExecContext with a cancellable context
+// leaves no goroutine behind once it returns.
+func TestNetFaultContextWatchers(t *testing.T) {
+	srv, _ := startOpts(t)
+	reg := blade.NewRegistry()
+	core.MustRegister(reg)
+	c, err := client.Connect(srv.Addr(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	baseline := runtime.NumGoroutine()
+	for range 100 {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := c.ExecContext(ctx, `SELECT 1`, nil)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitGoroutines(t, baseline, 5*time.Second)
 }
 
 // TestNetFaultTorture throws 1000 hostile connections at a hardened

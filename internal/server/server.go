@@ -5,14 +5,15 @@
 //
 // The server is hardened against slow, hostile and overloading peers:
 //
-//   - Every connection runs a dedicated reader goroutine, so a
-//     MsgCancel frame interrupts the session's in-flight statement even
-//     while the executor is busy. Other frames flow to the executor
-//     through an unbuffered channel, which also bounds per-connection
-//     in-flight work to one executing statement plus one buffered frame.
+//   - Every connection is one goroutine that reads a frame, runs it
+//     and writes the reply. A cancel therefore arrives on a side
+//     connection: a fresh connection whose first frame is
+//     MsgCancel{key}, with the key from the session's MsgWelcome,
+//     interrupts that session, even past the connection limit.
 //   - A connection may idle forever, but once the first byte of a frame
 //     arrives the rest must follow within the read timeout (slowloris
-//     defense), and the frame must fit the receive bound.
+//     defense; a frame already whole in the buffer arms no deadline),
+//     and the frame must fit the receive bound.
 //   - Admission control: connections beyond the connection limit and
 //     queries beyond the in-flight watermark are answered with a typed
 //     "busy" error instead of queueing without bound.
@@ -22,6 +23,8 @@ package server
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,6 +35,7 @@ import (
 	"time"
 
 	"tip/internal/engine"
+	"tip/internal/exec"
 	"tip/internal/obs"
 	"tip/internal/protocol"
 )
@@ -87,8 +91,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	conns    map[net.Conn]*engine.Session
-	closed   bool
-	drainCh  chan struct{} // closed by Shutdown: finish the current frame, then exit
+	keys     map[uint64]*engine.Session // cancel key → session
+	closed   atomic.Bool                // set by Shutdown, before drainCh closes
+	drainCh  chan struct{}              // closed by Shutdown: finish the current frame, then exit
 	wg       sync.WaitGroup
 	nConns   atomic.Int64 // live connections (admission control)
 	inflight atomic.Int64 // executing statements across all connections
@@ -102,7 +107,7 @@ type Server struct {
 	cErrors    *obs.Counter // queries answered with MsgError
 	cShed      *obs.Counter // work rejected by admission control
 	cMemShed   *obs.Counter // queries shed under global memory pressure
-	cCancels   *obs.Counter // MsgCancel frames handled
+	cCancels   *obs.Counter // cancel requests that matched a session
 	cSlowReads *obs.Counter // frames that missed the read deadline
 }
 
@@ -194,6 +199,7 @@ func Listen(db *engine.Database, addr string, opts ...Option) (*Server, error) {
 		maxFrame:    protocol.MaxFrame,
 		maxResult:   protocol.MaxFrame,
 		conns:       make(map[net.Conn]*engine.Session),
+		keys:        make(map[uint64]*engine.Session),
 		drainCh:     make(chan struct{}),
 		cConns:      m.Counter("server.connections"),
 		cRejected:   m.Counter("server.handshake.rejected"),
@@ -232,13 +238,16 @@ func (s *Server) Close() error { return s.Shutdown(0) }
 // drain are answered with a "shutting down" error.
 func (s *Server) Shutdown(drain time.Duration) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Swap(true) {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
 	err := s.ln.Close()
 	close(s.drainCh)
+	// Wake connections blocked on their next frame; busy ones leave after replying.
+	for c := range s.conns {
+		_ = c.SetReadDeadline(time.Unix(1, 0))
+	}
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -274,76 +283,94 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		admitted := true
 		if n := s.nConns.Add(1); s.maxConns > 0 && n > int64(s.maxConns) {
 			s.nConns.Add(-1)
-			s.cShed.Inc()
-			s.wg.Add(1)
-			go s.rejectConn(conn)
-			continue
+			admitted = false
 		}
 		s.wg.Add(1)
-		go s.serveConn(conn)
+		go s.serveConn(conn, admitted)
 	}
 }
 
-// rejectConn answers an over-limit connection with a typed busy error so
-// the client can back off, rather than silently dropping it.
-func (s *Server) rejectConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	w := bufio.NewWriter(conn)
-	if err := protocol.WriteFrame(w, protocol.EncodeErrorCode(protocol.ErrCodeBusy, "server busy: connection limit reached")); err == nil {
-		_ = w.Flush()
-	}
-}
-
-// readFrame reads one frame, letting the connection idle indefinitely
-// but bounding the time from first byte to complete frame.
-func (s *Server) readFrame(conn net.Conn, r *bufio.Reader) ([]byte, error) {
-	_ = conn.SetReadDeadline(time.Time{})
+// readFrame reads one frame of at most limit bytes, letting the
+// connection idle indefinitely but bounding the time from first byte to
+// complete frame. A frame already whole in r leaves the deadline alone.
+func (s *Server) readFrame(conn net.Conn, r *bufio.Reader, limit uint64) ([]byte, error) {
 	if _, err := r.Peek(1); err != nil {
 		return nil, err
 	}
-	if s.readTimeout > 0 {
+	if s.readTimeout > 0 && !protocol.FrameBuffered(r) {
 		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+		defer conn.SetReadDeadline(time.Time{})
 	}
-	frame, err := protocol.ReadFrameLimit(r, s.maxFrame)
-	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+	frame, err := protocol.ReadFrameLimit(r, limit)
+	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) && !s.closed.Load() {
 		s.cSlowReads.Inc()
 	}
 	return frame, err
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// serveConn serves one connection on one goroutine: it reads a frame,
+// runs it and writes the reply. A connection past the connection limit
+// (admitted false) is served only if its first frame is a cancel
+// request; otherwise it is answered with a typed busy error, so the
+// client can back off rather than be silently dropped.
+func (s *Server) serveConn(conn net.Conn, admitted bool) {
 	defer s.wg.Done()
-	defer s.nConns.Add(-1)
+	if admitted {
+		defer s.nConns.Add(-1)
+	}
 	sess := s.db.NewSession()
 	// Roll back a transaction the client abandoned and drop the
 	// session's MVCC registrations.
 	defer sess.Close()
 	sess.SetDefaultStmtTimeout(s.stmtTimeout)
 	sess.SetDefaultStmtMem(s.stmtMem)
+	// crypto/rand cannot fail; a 64-bit key collides as rarely as guessed.
+	var key uint64
+	_ = binary.Read(rand.Reader, binary.LittleEndian, &key)
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
-	s.conns[conn] = sess
+	s.conns[conn], s.keys[key] = sess, sess
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
+		delete(s.keys, key)
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 
-	// Handshake (subject to the frame read deadline, so a peer cannot
-	// hold a connection slot by trickling the hello).
-	frame, err := s.readFrame(conn, r)
+	// The first frame is a hello or a cancel request; a connection past
+	// the limit gets 5 s to start one cancel-sized frame.
+	limit := s.maxFrame
+	if !admitted {
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		limit = protocol.CancelLen
+	}
+	frame, err := s.readFrame(conn, r, limit)
+	if err == nil && len(frame) > 0 && frame[0] == protocol.MsgCancel {
+		target, err := protocol.DecodeKey(frame[1:])
+		s.mu.Lock()
+		if sess := s.keys[target]; err == nil && sess != nil {
+			s.cCancels.Inc()
+			sess.Interrupt()
+		}
+		s.mu.Unlock()
+		return
+	}
+	if !admitted {
+		s.cShed.Inc()
+		_ = protocol.WriteFrame(w, protocol.EncodeErrorCode(protocol.ErrCodeBusy, "server busy: connection limit reached"))
+		return
+	}
 	if err != nil || len(frame) == 0 || frame[0] != protocol.MsgHello {
 		s.cRejected.Inc()
 		s.logf("server: bad handshake from %s", conn.RemoteAddr())
@@ -362,53 +389,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.logf("server: %s (%q) disconnected after %d queries (%d errors)",
 			conn.RemoteAddr(), client, connQueries, connErrors)
 	}()
-	if err := protocol.WriteFrame(w, protocol.EncodeWelcome(protocol.Version)); err != nil {
+	if err := protocol.WriteFrame(w, protocol.EncodeWelcome(protocol.Version, key)); err != nil {
 		return
 	}
 
-	// Dedicated reader: MsgCancel is handled here, inline, so it can
-	// interrupt a statement the executor loop below is still running.
-	// Everything else flows through the unbuffered frames channel. The
-	// reader exits when the connection dies or when serveConn returns
-	// (closing the conn unblocks the pending read; readerDone unblocks a
-	// pending send).
-	frames := make(chan []byte)
-	readerDone := make(chan struct{})
-	defer close(readerDone)
-	go func() {
-		defer close(frames)
-		for {
-			frame, err := s.readFrame(conn, r)
-			if err != nil {
-				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-					s.logf("server: read: %v", err)
-				}
-				return
+	// Between statements, a drain releases the connection.
+	for !s.closed.Load() {
+		frame, err := s.readFrame(conn, r, s.maxFrame)
+		if err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.closed.Load() {
+				s.logf("server: read: %v", err)
 			}
-			if len(frame) > 0 && frame[0] == protocol.MsgCancel {
-				s.cCancels.Inc()
-				sess.Interrupt()
-				continue
-			}
-			select {
-			case frames <- frame:
-			case <-readerDone:
-				return
-			}
-		}
-	}()
-
-	for {
-		var frame []byte
-		var ok bool
-		select {
-		case <-s.drainCh:
-			// Draining and between statements: release the connection.
 			return
-		case frame, ok = <-frames:
-			if !ok {
-				return
-			}
 		}
 		if len(frame) == 0 {
 			return
@@ -459,11 +451,30 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			s.logf("server: %s subscribed as %q from seq %d", conn.RemoteAddr(), name, fromSeq)
 			// The connection is a WAL stream from here on: the repl
-			// source owns it until the peer disconnects or we drain.
+			// source owns it until the peer disconnects or we drain,
+			// and a reader hands it the subscriber's position reports.
+			reports, done := make(chan []byte), make(chan struct{})
+			defer close(done)
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				defer close(reports)
+				for {
+					frame, err := s.readFrame(conn, r, s.maxFrame)
+					if err != nil {
+						return
+					}
+					select {
+					case reports <- frame:
+					case <-done:
+						return
+					}
+				}
+			}()
 			err = s.repl.Stream(
 				ReplStreamRequest{Name: name, FromSeq: fromSeq, RunID: runID},
 				func(payload []byte) error { return protocol.WriteFrame(w, payload) },
-				frames, s.drainCh)
+				reports, s.drainCh)
 			if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("server: stream to %q: %v", name, err)
 			}
@@ -480,10 +491,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // fatal reports that the connection should close after the reply is
 // delivered (the server is draining).
 func (s *Server) runQuery(sess *engine.Session, body []byte, connErrors *uint64) (payload []byte, fatal bool) {
-	select {
-	case <-s.drainCh:
+	if s.closed.Load() {
 		return protocol.EncodeErrorCode(protocol.ErrCodeShutdown, "server shutting down"), true
-	default:
 	}
 	if s.db.MemAccount().Over(memShedFrac) {
 		s.cShed.Inc()
@@ -491,24 +500,17 @@ func (s *Server) runQuery(sess *engine.Session, body []byte, connErrors *uint64)
 		return protocol.EncodeErrorCode(protocol.ErrCodeResource,
 			"server busy: memory pressure"), false
 	}
-	if max := s.maxInflight; max > 0 {
-		if n := s.inflight.Add(1); n > max {
-			s.inflight.Add(-1)
-			s.cShed.Inc()
-			return protocol.EncodeErrorCode(protocol.ErrCodeBusy, "server busy: too many statements in flight"), false
-		}
-		defer s.inflight.Add(-1)
-	} else {
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
+	n := s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	if s.maxInflight > 0 && n > s.maxInflight {
+		s.cShed.Inc()
+		return protocol.EncodeErrorCode(protocol.ErrCodeBusy, "server busy: too many statements in flight"), false
 	}
+	var res *exec.Result
 	q, err := protocol.DecodeQuery(s.db.Registry(), body)
-	if err != nil {
-		s.cErrors.Inc()
-		*connErrors++
-		return protocol.EncodeError(err.Error()), false
+	if err == nil {
+		res, err = sess.Exec(q.SQL, q.Params)
 	}
-	res, err := sess.Exec(q.SQL, q.Params)
 	if err != nil {
 		s.cErrors.Inc()
 		*connErrors++

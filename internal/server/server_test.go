@@ -229,7 +229,7 @@ func TestUnexpectedMessageKind(t *testing.T) {
 	}
 	// MsgWelcome is a server→client kind; sending it to the server is a
 	// protocol violation that should earn an error, not a hang.
-	if err := protocol.WriteFrame(w, protocol.EncodeWelcome("hi")); err != nil {
+	if err := protocol.WriteFrame(w, protocol.EncodeWelcome("hi", 0)); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := protocol.ReadFrame(r)
