@@ -140,7 +140,9 @@ mvcc-smoke:
 # overlap probe allocates per pair or candidate, row arithmetic and
 # comparisons nothing per row (a Span result one box), the hash point
 # read, INSERT and literal probe no more than their recorded counts,
-# the paper's Q4 one object per output row plus a constant;
+# the paper's Q4 one object per output row plus a constant, and the
+# literal probe and the period-index join no more bytes at ten times the
+# table than 1.5 times their bytes at the smaller one;
 # beside them Overlaps against its bind-and-merge reference on both
 # sides of its pair limit with zero allocations, and the one cast path
 # every implicit cast takes: Registry.Call casting into the caller's
@@ -149,7 +151,7 @@ mvcc-smoke:
 plan-smoke:
 	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
-	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPointStatementAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
+	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
 	$(GO) test -race -run 'TestTotalDurationAgrees|TestCoalesceAgainstTruth' -count=1 ./internal/layered
 
@@ -172,7 +174,10 @@ repl-smoke:
 # error, all-or-nothing writes, reusable session, bounded overshoot),
 # the accounting-leak invariant across the operator matrix under every
 # ending (success, memory abort, timeout, interrupt, rollback), the
-# >=90% accounting-coverage floor, bounded top-K engagement, bounded
+# >=90% accounting-coverage floor, streamed scans (COUNT(*) over a full
+# scan and over an exact period probe, each of more rows than the 32KB
+# budget holds row headers for, passing under it while the cross-product
+# sort still fails), bounded top-K engagement, bounded
 # memory and (TestDifferential) agreement with the full sort,
 # the memory-hog workload mix with and without a budget, and the wire
 # layer: budget aborts as client.ErrResource on a connection that stays
@@ -180,7 +185,7 @@ repl-smoke:
 # once the pressure lifts, the response frame cap, and an OOM storm
 # with bounded heap and zero goroutine leaks.
 mem-smoke:
-	$(GO) test -race -run 'TestSetStatementMemory|TestBudgetAbort|TestMemAccountingLeakInvariant|TestAccountingCoverage' -count=1 ./internal/engine
+	$(GO) test -race -run 'TestSetStatementMemory|TestBudgetAbort|TestMemAccountingLeakInvariant|TestAccountingCoverage|TestStreamedScanUnderBudget' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestTopK|TestDifferential' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestMemHog' -count=1 ./internal/workload
 	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenSucceeds|TestResultFrameCapOverWire|TestOOMStorm' -count=1 ./internal/server

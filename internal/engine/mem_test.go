@@ -210,6 +210,40 @@ func TestAccountingCoverage(t *testing.T) {
 	drained(t, db, "after coverage query")
 }
 
+// TestStreamedScanUnderBudget: a scan hands its rows to the consumer in
+// batches, so COUNT(*) over more rows than 32KB of row headers would
+// hold (3,000 rows, 72KB) passes under a 32KB budget, through a full
+// scan and through an exact period-index probe. The cross-product sort,
+// which really holds its input, still busts the same budget.
+func TestStreamedScanUnderBudget(t *testing.T) {
+	db, s := newDB(t)
+	const n = 3000
+	seedMem(t, s, n)
+	mustExec(t, s, `CREATE INDEX m_valid ON m (valid) USING PERIOD`)
+	const probe = `SELECT COUNT(*) FROM m WHERE overlaps(valid, '[1998-01-01, 1998-12-31]')`
+	plan := ""
+	for _, r := range mustExec(t, s, "EXPLAIN "+probe).Rows {
+		plan += r[0].Str() + "\n"
+	}
+	if !strings.Contains(plan, "period index on valid, exact overlaps") {
+		t.Fatalf("the probe does not read the period index:\n%s", plan)
+	}
+
+	mustExec(t, s, `SET STATEMENT_MEMORY = '32KB'`)
+	for _, q := range []string{`SELECT COUNT(*) FROM m`, probe} {
+		if got := count(t, s, q); got != n {
+			t.Errorf("%s = %d under 32KB, want %d", q, got, n)
+		}
+		t.Logf("%s: peak %d bytes", q, s.MemPeak())
+		drained(t, db, q)
+	}
+	_, err := s.Exec(`SELECT a.k, a.v, b.k, b.v FROM m a, m b ORDER BY a.v, b.v`, nil)
+	if !errors.Is(err, engine.ErrMemory) {
+		t.Fatalf("cross-product sort under 32KB: err = %v, want ErrMemory", err)
+	}
+	drained(t, db, "after budget abort")
+}
+
 func counterValue(db *engine.Database, name string) float64 {
 	for _, st := range db.Metrics().Snapshot() {
 		if st.Name == name {

@@ -11,6 +11,7 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -57,21 +58,45 @@ func stmtAllocs(t *testing.T, s *engine.Session, sql string, params map[string]t
 	})
 }
 
+// The period-index join and the literal overlap probe the allocation
+// pins below measure, each over a period-indexed rx of n rows.
+const (
+	periodJoinQ   = `SELECT COUNT(*) FROM visit v, rx p WHERE v.id BETWEEN 0 AND 3 AND overlaps(p.valid, v.during)`
+	literalProbeQ = `SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-06-30]')`
+)
+
+// periodJoinDB seeds rx with n rows beside four visits and checks that
+// periodJoinQ joins them through the period index.
+func periodJoinDB(t *testing.T, n int) *engine.Session {
+	s := newDB(t)
+	seedAllocRx(t, s, n)
+	mustExec(t, s, `CREATE TABLE visit (id INT, during Period)`)
+	mustExec(t, s, `INSERT INTO visit VALUES (0, '[1998-02-01, 1998-08-01]'),
+		(1, '[1998-06-01, 1998-12-01]'), (2, '[1999-01-01, 1999-07-01]'), (3, '[1999-09-01, 2000-03-01]')`)
+	if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+periodJoinQ)), "\n"); !strings.Contains(plan, "period-index nested loop") {
+		t.Fatalf("the join did not use the period index:\n%s", plan)
+	}
+	return s
+}
+
+// literalProbeDB seeds rx with n rows and checks that literalProbeQ
+// reads them through the period index.
+func literalProbeDB(t *testing.T, n int) *engine.Session {
+	s := newDB(t)
+	seedAllocRx(t, s, n)
+	if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+literalProbeQ)), "\n"); !strings.Contains(plan, "period index on valid") {
+		t.Fatalf("the probe did not use the period index:\n%s", plan)
+	}
+	return s
+}
+
 func TestPeriodJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	const q = `SELECT COUNT(*) FROM visit v, rx p WHERE v.id BETWEEN 0 AND 3 AND overlaps(p.valid, v.during)`
 	join := func(n int) (allocs float64, pairs int64) {
-		s := newDB(t)
-		seedAllocRx(t, s, n)
-		mustExec(t, s, `CREATE TABLE visit (id INT, during Period)`)
-		mustExec(t, s, `INSERT INTO visit VALUES (0, '[1998-02-01, 1998-08-01]'),
-			(1, '[1998-06-01, 1998-12-01]'), (2, '[1999-01-01, 1999-07-01]'), (3, '[1999-09-01, 2000-03-01]')`)
-		if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+q)), "\n"); !strings.Contains(plan, "period-index nested loop") {
-			t.Fatalf("the join did not use the period index:\n%s", plan)
-		}
-		return stmtAllocs(t, s, q, nil), mustExec(t, s, q).Rows[0][0].Int()
+		s := periodJoinDB(t, n)
+		return stmtAllocs(t, s, periodJoinQ, nil), mustExec(t, s, periodJoinQ).Rows[0][0].Int()
 	}
 	small, pSmall := join(500)
 	large, pLarge := join(5000)
@@ -89,14 +114,9 @@ func TestLiteralProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	const q = `SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-06-30]')`
 	probe := func(n int) (allocs float64, candidates int64) {
-		s := newDB(t)
-		seedAllocRx(t, s, n)
-		if plan := strings.Join(firstColumn(mustExec(t, s, "EXPLAIN "+q)), "\n"); !strings.Contains(plan, "period index on valid") {
-			t.Fatalf("the probe did not use the period index:\n%s", plan)
-		}
-		return stmtAllocs(t, s, q, nil), mustExec(t, s, q).Rows[0][0].Int()
+		s := literalProbeDB(t, n)
+		return stmtAllocs(t, s, literalProbeQ, nil), mustExec(t, s, literalProbeQ).Rows[0][0].Int()
 	}
 	small, kSmall := probe(300)
 	large, kLarge := probe(3000)
@@ -111,6 +131,54 @@ func TestLiteralProbeAllocs(t *testing.T) {
 	if large > literalProbeAllocs {
 		t.Errorf("literal probe allocates %.0f objects per statement; the bound is %d", large, literalProbeAllocs)
 	}
+}
+
+// TestPeriodProbeBytes pins the bytes, not only the objects, of the
+// literal probe and the period-index join: a statement's allocation must
+// not grow with the rows the index finds, so neither the index's answer
+// nor the scan's output is copied into a slice sized by the candidates.
+// Bytes are the TotalAlloc delta over 20 runs, at the same two table
+// sizes as the object pins, and the larger may allocate at most 1.5
+// times the smaller.
+func TestPeriodProbeBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	for _, c := range []struct {
+		name, q      string
+		db           func(*testing.T, int) *engine.Session
+		small, large int
+	}{
+		{"literal probe", literalProbeQ, literalProbeDB, 300, 3000},
+		{"period-index join", periodJoinQ, periodJoinDB, 500, 5000},
+	} {
+		small := stmtBytes(t, c.db(t, c.small), c.q)
+		large := stmtBytes(t, c.db(t, c.large), c.q)
+		t.Logf("%s: %.0f bytes per statement over %d rows, %.0f over %d", c.name, small, c.small, large, c.large)
+		if large > 1.5*small {
+			t.Errorf("%s allocates %.0f bytes per statement over %d rows but %.0f over %d: allocation grows with the candidates",
+				c.name, small, c.small, large, c.large)
+		}
+	}
+}
+
+// stmtBytes is the average number of bytes one execution of sql
+// allocates, measured like testing.AllocsPerRun: one warm-up run, then
+// the TotalAlloc delta over 20 runs on a single P.
+func stmtBytes(t *testing.T, s *engine.Session, sql string) float64 {
+	t.Helper()
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	mustExec(t, s, sql)
+	const runs = 20
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		if _, err := s.Exec(sql, nil); err != nil {
+			t.Fatalf("Exec(%s): %v", sql, err)
+		}
+	}
+	goruntime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // TestCoalesceAllocs pins the coalesce operator on the paper's Q4
@@ -191,9 +259,9 @@ func TestRowExprAllocs(t *testing.T) {
 // literal overlap probe of TestLiteralProbeAllocs has a ceiling of its
 // own at either table size.
 const (
-	pointReadAllocs    = 55
+	pointReadAllocs    = 50
 	insertAllocs       = 35
-	literalProbeAllocs = 104
+	literalProbeAllocs = 85
 )
 
 func TestPointStatementAllocs(t *testing.T) {

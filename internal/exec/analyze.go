@@ -39,23 +39,6 @@ func (st *OpStats) suffix() string {
 		st.Rows, st.Loops, time.Duration(st.Nanos).Round(time.Microsecond))
 }
 
-// instrumentRows wraps a row-producing closure with an OpStats handle;
-// with a nil handle (ordinary execution) the closure is returned as-is.
-func instrumentRows(st *OpStats, fn func(rt *runtime) ([]Row, error)) func(rt *runtime) ([]Row, error) {
-	if st == nil {
-		return fn
-	}
-	return func(rt *runtime) ([]Row, error) {
-		start := time.Now()
-		rows, err := fn(rt)
-		if err != nil {
-			return nil, err
-		}
-		st.record(start, len(rows))
-		return rows, nil
-	}
-}
-
 // ExplainAnalyze binds and runs a SELECT with operator instrumentation,
 // returning the plan annotated with per-operator actual rows, loops and
 // wall time, plus a trailing total-execution-time row.

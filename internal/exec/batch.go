@@ -6,20 +6,21 @@ import (
 	"tip/internal/types"
 )
 
-// Batched execution support. The executor is materialised up to the
-// last join level (which streams, see joinSources); its hot loops work
-// at batch granularity, not row granularity: row storage
-// comes from a per-statement arena in chunks of up to BatchRows rows
-// (one allocation per batch instead of one per row), grouping keys build
-// into a reused byte buffer instead of per-row strings, single-source
-// scans alias the immutable MVCC slab rows instead of copying them, and
-// the cancel token is polled once per BatchRows rows. The specialised
+// Batched execution support. Scans hand their rows on in batches of at
+// most BatchRows (tableScan.read) and the last join level streams (see
+// joinSources); hot loops work at batch granularity: row storage comes
+// from a per-statement arena in chunks of up to BatchRows rows (one
+// allocation per batch instead of one per row), grouping keys build
+// into a reused byte buffer instead of per-row strings, scans alias the
+// immutable MVCC slab rows instead of copying them, and the cancel token
+// is polled once per BatchRows rows. The specialised
 // coalesce operator (coalesce.go) is the columnar end of this: it
 // extracts the period columns of a grouped temporal aggregation into
 // flat (group, lo, hi) arrays and sort-merges them.
 
-// BatchRows is the executor's batch size: the arena chunk granularity
-// and the number of row-loop iterations between cancel-token polls.
+// BatchRows is the executor's batch size: the most rows a scan hands
+// over at once, the arena chunk granularity and the number of row-loop
+// iterations between cancel-token polls.
 // Must be a power of two. It is exported so the engine's write paths
 // poll at the same granularity as the executor's batch loops (the
 // write-atomicity tests depend on one shared definition).

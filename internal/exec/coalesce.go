@@ -173,6 +173,7 @@ type coalesceRun struct {
 	vals []types.Value    // group values, len(groupCols) per group
 	accs []coalesceAcc    // one per aggregate
 	n    int32            // groups so far
+	hint int              // rows the input will hand over, 0 if unknown
 }
 
 // coalesceAcc is one aggregate's state over every group: a COUNT's
@@ -185,8 +186,8 @@ type coalesceAcc struct {
 	ivg []int32
 }
 
-func (cp *coalescePlan) start() *coalesceRun {
-	return &coalesceRun{cp: cp, strs: make(map[string]int32), null: -1, accs: make([]coalesceAcc, len(cp.aggs))}
+func (cp *coalescePlan) start(hint int) *coalesceRun {
+	return &coalesceRun{cp: cp, strs: make(map[string]int32), null: -1, accs: make([]coalesceAcc, len(cp.aggs)), hint: hint}
 }
 
 // add folds a batch of from rows into their groups. It keeps nothing of
@@ -212,14 +213,15 @@ func (r *coalesceRun) add(rt *runtime, rows []Row) error {
 			}
 			acc.saw[g] = true
 			if acc.ivs == nil {
-				// The first batch sizes the arrays: one period per row is
-				// the common case, and a single source hands over all of
-				// its rows at once. The budget is checked before the make.
-				if err := rt.grow(int64(len(rows)) * (intervalSize + 4)); err != nil {
+				// One period per row is the common case: size the arrays
+				// for the input's rows, when known, else the first batch.
+				// The budget is checked before the make.
+				n := max(r.hint, len(rows))
+				if err := rt.grow(int64(n) * (intervalSize + 4)); err != nil {
 					return err
 				}
-				acc.ivs = make([]temporal.Interval, 0, len(rows))
-				acc.ivg = make([]int32, 0, len(rows))
+				acc.ivs = make([]temporal.Interval, 0, n)
+				acc.ivg = make([]int32, 0, n)
 			}
 			at, c := len(acc.ivs), cap(acc.ivs)
 			acc.ivs = v.Obj().(temporal.Element).AppendBound(acc.ivs, now)

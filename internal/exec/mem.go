@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -9,12 +10,12 @@ import (
 	"tip/internal/types"
 )
 
-// Per-statement memory accounting. Execution is materialised except for
-// the last join level, which streams into its consumer: every other
-// operator buffers its full output (rows, grouping tables, DISTINCT
-// sets, sort keys, coalesce interval arrays), so the natural failure
-// mode of an oversized query is an OOM kill that takes the whole
-// process — and every replica stream — down with it. The accountant
+// Per-statement memory accounting. Scans and the last join level stream,
+// but every other operator buffers its input (join inner sides, grouping
+// tables, DISTINCT sets, sort keys, coalesce interval arrays), so the
+// natural failure mode of an oversized query is an OOM kill that takes
+// the whole process — and every replica stream — down with it. The
+// accountant
 // turns that into a per-statement, typed error: each buffering site
 // charges the bytes it retains, charges accumulate into a runtime-local
 // counter with plain adds, and the counter is flushed to the statement's
@@ -26,7 +27,7 @@ import (
 // Accounts nest: the session's statement account has the engine-wide
 // account as its parent, so every charge also lands in the global
 // account and the server can shed new statements under global pressure.
-// Release is deliberately coarse: materialised execution keeps buffers
+// Release is deliberately coarse: buffering operators keep their buffers
 // alive until the statement completes, so the account is charge-only
 // during execution and Reset returns the whole balance at the statement
 // boundary. That makes the leak invariant structural: after Reset both
@@ -175,11 +176,25 @@ func (rt *runtime) pollMem() error {
 }
 
 // grow is the fallible charge for large upfront allocations (a scan's
-// row-slice hint, projection growth and the result slice, the coalesce
+// batch buffer, a join's gathered inner side, projection growth and the
+// result slice, the coalesce
 // scratch, interval and emission buffers, group emission): charge n
 // bytes and immediately check the budget, so a single allocation far
 // beyond the budget fails before the make, not a batch later.
 func (rt *runtime) grow(n int64) error {
 	rt.charge(n)
 	return rt.pollMem()
+}
+
+// growRows makes room for n more elements in s, doubling as append
+// would, and charges the new capacity at size bytes each before the make.
+func growRows[T any](rt *runtime, s []T, n int, size int64) ([]T, error) {
+	if n <= cap(s)-len(s) {
+		return s, nil
+	}
+	newCap := max(2*cap(s), len(s)+n)
+	if err := rt.grow(int64(newCap-cap(s)) * size); err != nil {
+		return s, err
+	}
+	return slices.Grow(s, newCap-len(s)), nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"tip/internal/index"
 	"tip/internal/sql/ast"
 	"tip/internal/types"
 )
@@ -43,14 +44,29 @@ type source struct {
 	snap     *TableVersion
 	leftJoin bool
 	on       []cexpr // LEFT JOIN condition conjuncts (bound to fromScope)
-	// pushed holds the compiled single-source filters (set by bindScan);
-	// the period-index join path re-applies them to index candidates.
-	pushed []cexpr
-	exec   func(rt *runtime) ([]Row, error)
+	// pushed holds the compiled single-source filters; the period-index
+	// join path re-applies them to index candidates.
+	pushed  []cexpr
+	table   *tableScan  // a table's compiled scan (bindScan)
+	derived *selectPlan // a derived table's plan
 	// cols lists the columns a join level copies into its scratch row:
 	// those some expression over the joined row reads (readColumns). nil
 	// copies every column.
 	cols []int
+}
+
+// scan hands the source's rows to emit in batches (a derived table's in
+// one). The scan refills the batch once emit returns: emit may filter it
+// in place and keep its (immutable) rows, never the slice itself.
+func (s *source) scan(rt *runtime, emit func([]Row) error) error {
+	if s.derived == nil {
+		return s.table.run(rt, emit)
+	}
+	res, err := s.derived.run(rt)
+	if err != nil {
+		return err
+	}
+	return emitFiltered(rt, s.pushed, res.Rows, emit)
 }
 
 // put copies the columns of source row sr that the join reads into the
@@ -78,7 +94,7 @@ type periodJoinCond struct {
 	lift            probeCast
 	contains        bool
 	check           *overlapsCheck
-	ids             []int // candidate scratch, reused across accumulated rows
+	hits            index.Hits // the index's answer for one accumulated row, read by this site only
 }
 
 // hashJoinCond is an equality conjunct usable as a hash-join condition at
@@ -217,38 +233,21 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 
 	// Compile scans with their pushed filters.
 	for i, src := range sources {
-		if src.exec == nil { // table scan awaiting filter compilation
-			ex, err := b.bindScan(src, pushed[i], parent)
-			if err != nil {
-				return nil, err
-			}
-			src.exec = ex
-		} else if len(pushed[i]) > 0 {
-			// Derived table: wrap its exec with the pushed filters.
-			inner := src.exec
-			scope := &bindScope{parent: parent, schema: src.schema}
-			filters, _, err := b.bindAll(pushed[i], scope)
-			if err != nil {
-				return nil, err
-			}
-			src.exec = func(rt *runtime) ([]Row, error) {
-				rows, err := inner(rt)
-				if err != nil {
-					return nil, err
-				}
-				out := rows[:0]
-				for _, r := range rows {
-					ok, err := evalFilters(rt, filters, r)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out = append(out, r)
-					}
-				}
-				return out, nil
-			}
+		var err error
+		if src.derived == nil {
+			err = b.bindScan(src, pushed[i], parent)
+		} else {
+			src.pushed, _, err = b.bindAll(pushed[i], &bindScope{parent: parent, schema: src.schema})
 		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	// An unfiltered single table hands the coalesce operator exactly its
+	// live rows, so the operator sizes its arrays once from their count.
+	rowsHint := 0
+	if len(sources) == 1 && sources[0].tbl != nil && len(pushed[0]) == 0 && len(levelConj[0]) == 0 {
+		rowsHint = sources[0].snap.Rows.Len()
 	}
 
 	var joinStats []*OpStats
@@ -609,7 +608,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		)
 		switch {
 		case cp != nil:
-			cr = cp.start()
+			cr = cp.start(rowsHint)
 			consume = func(rows []Row) error { return cr.add(rt, rows) }
 		case grouped:
 			gt = newGroupTable(groupKeyExprs, aggSpecs)
@@ -623,14 +622,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			}
 		default:
 			consume = func(rows []Row) error {
-				if tk == nil && len(rows) > cap(out)-len(out) {
-					// Charge the new capacity (doubling, as append
-					// would) before allocating it.
-					newCap := max(2*cap(out), len(out)+len(rows))
-					if err := rt.grow(int64(newCap-cap(out)) * 2 * rowHeaderSize); err != nil {
+				if tk == nil {
+					var err error
+					if out, err = growRows(rt, out, len(rows), 2*rowHeaderSize); err != nil {
 						return err
 					}
-					out = slices.Grow(out, newCap-len(out))
 				}
 				for _, fr := range rows {
 					if err := rt.checkCancel(); err != nil {
@@ -647,10 +643,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			}
 		}
 		// Under EXPLAIN ANALYZE the consumer's time is taken out of the
-		// streamed last join level and charged to the aggregate, so each
-		// line still reports its own work.
+		// streamed last join level (a single source's scan takes it out
+		// of its own line, see tableScan.run) and charged to the
+		// aggregate, so each line still reports its own work.
 		var consumeDur time.Duration
-		if joinStats != nil && len(sources) > 1 {
+		if joinStats != nil {
 			inner := consume
 			consume = func(rows []Row) error {
 				start := time.Now()
@@ -675,7 +672,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		} else if err := joinSources(rt, sources, width, hashConds, periodConds, levelFilters, joinStats, consume); err != nil {
 			return nil, err
 		}
-		if consumeDur > 0 {
+		if consumeDur > 0 && len(sources) > 1 {
 			joinStats[len(sources)-1].Nanos -= consumeDur.Nanoseconds()
 		}
 		if stAgg != nil {

@@ -12,8 +12,8 @@ import (
 	"tip/internal/types"
 )
 
-// bindSource resolves one FROM item. Table sources leave exec nil — the
-// planner compiles the scan later, once pushed-down filters are known.
+// bindSource resolves one FROM item. The planner compiles a table's scan
+// later, once pushed-down filters are known.
 func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error) {
 	if ref.Subquery != nil {
 		plan, err := b.bindSelect(ref.Subquery, parent)
@@ -27,13 +27,7 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 		return &source{
 			binding: ref.Alias,
 			schema:  schema,
-			exec: func(rt *runtime) ([]Row, error) {
-				res, err := plan.run(rt)
-				if err != nil {
-					return nil, err
-				}
-				return res.Rows, nil
-			},
+			derived: plan,
 		}, nil
 	}
 	tbl, ok := b.env.Lookup(ref.Table)
@@ -48,23 +42,21 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 	return &source{binding: binding, schema: schema, tbl: tbl, snap: b.env.Snapshot(ref.Table, tbl)}, nil
 }
 
-// bindScan compiles a table scan with its pushed-down filters, choosing a
+// bindScan compiles src.table, with its pushed-down filters, choosing a
 // hash or period index when a filter permits. The rows a hash index
 // finds are re-checked against every filter. A period index answers the
 // builtin overlaps(Element, Element) exactly (periodLift), so that
 // conjunct leaves the filters its rows are re-checked against; any other
 // period conjunct stays, since its index rows are a superset.
-func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (func(rt *runtime) ([]Row, error), error) {
-	tbl, snap := src.tbl, src.snap
-	if tbl == nil {
-		return nil, fmt.Errorf("exec: internal: bindScan on derived table %s", src.binding)
-	}
+func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) error {
+	tbl := src.tbl
 	scope := &bindScope{parent: parent, schema: src.schema}
 	filters, _, err := b.bindAll(pushed, scope)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	src.pushed = filters // retained for the period-index join path
+	ts := &tableScan{snap: src.snap, filters: filters, residual: filters}
 
 	// Index selection. A probe must not read the scanned table itself:
 	// it is evaluated once, against the outer rows only.
@@ -73,17 +65,6 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 		set, err := b.refSources(e, self, src.schema)
 		return err != nil || set != 0
 	}
-	type probePlan struct {
-		kind     string // "hash" or "period"
-		col      int
-		probe    cexpr // bound against the parent chain only
-		lift     probeCast
-		contains bool
-		ids      []int // candidate scratch, reused across runs
-	}
-	var probe *probePlan
-	// residual is what the index's rows are re-checked against.
-	residual := filters
 	for ci, c := range pushed {
 		kind, call, uses := indexArgs(c)
 		for _, u := range uses {
@@ -95,13 +76,12 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 			if err != nil {
 				continue
 			}
-			p := &probePlan{kind: kind, col: pos, probe: pc}
 			if kind == "period" {
 				var exact *blade.Resolution
-				p.lift, exact = b.periodLift(call, u.colArg, src.schema[pos].Type, pt)
-				p.contains = call.LowerName() == "contains"
+				ts.lift, exact = b.periodLift(call, u.colArg, src.schema[pos].Type, pt)
+				ts.contains = call.LowerName() == "contains"
 				if exact != nil {
-					residual = slices.Delete(slices.Clone(filters), ci, ci+1)
+					ts.residual = slices.Delete(slices.Clone(filters), ci, ci+1)
 				}
 			} else {
 				// Hash keys are formatted values of the column's type, so
@@ -110,116 +90,151 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) (fu
 				if !ok {
 					continue
 				}
-				p.lift = probeCast{cast: cast}
+				ts.lift = probeCast{cast: cast}
 			}
-			probe = p
+			ts.kind, ts.col, ts.probe = kind, pos, pc
 			break
 		}
-		if probe != nil {
+		if ts.kind != "" {
 			break
 		}
 	}
 
-	var stScan *OpStats
 	switch {
 	case b.explain == nil:
-	case probe == nil:
-		stScan = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
-	case len(residual) < len(filters):
-		stScan = b.note("scan %s: period index on %s, exact overlaps (%d filter(s) re-checked)",
-			src.binding, tbl.Meta.Columns[probe.col].Name, len(residual))
+	case ts.kind == "":
+		ts.st = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
+	case len(ts.residual) < len(filters):
+		ts.st = b.note("scan %s: period index on %s, exact overlaps (%d filter(s) re-checked)",
+			src.binding, tbl.Meta.Columns[ts.col].Name, len(ts.residual))
 	default:
-		stScan = b.note("scan %s: %s index on %s (%d filter(s) re-checked)",
-			src.binding, probe.kind, tbl.Meta.Columns[probe.col].Name, len(filters))
+		ts.st = b.note("scan %s: %s index on %s (%d filter(s) re-checked)",
+			src.binding, ts.kind, tbl.Meta.Columns[ts.col].Name, len(filters))
 	}
 	if b.env.PlanChoice != nil {
-		switch {
-		case probe == nil:
+		switch ts.kind {
+		case "":
 			b.env.PlanChoice("scan.full")
-		case probe.kind == "hash":
+		case "hash":
 			b.env.PlanChoice("scan.hash")
 		default:
 			b.env.PlanChoice("scan.period")
 		}
 	}
+	src.table = ts
+	return nil
+}
 
-	// scan returns the live rows that pass fs: of the whole table when
-	// full is set, else of the index's ids only, so an index that finds
-	// nothing yields no rows.
-	scan := func(rt *runtime, full bool, ids []int, fs []cexpr) ([]Row, error) {
-		// Size the output for the no-filter case up front; filtered scans
-		// waste at most one slice that the append-growth path would have
-		// allocated anyway.
-		hint := snap.Rows.Len()
-		if !full {
-			hint = min(hint, len(ids))
+// tableScan is a table's compiled scan: its filters, its index probe, if
+// any, and the scratch of this call site, kept across the runs of one
+// execution (a correlated subquery re-runs its scans per outer row).
+type tableScan struct {
+	snap     *TableVersion
+	filters  []cexpr // every pushed filter
+	residual []cexpr // what an exact period search's rows are re-checked against
+	st       *OpStats
+	kind     string // "" for a full scan, else "hash" or "period"
+	col      int
+	probe    cexpr // bound against the parent chain only
+	lift     probeCast
+	contains bool
+	hits     index.Hits // the period search's answer, read by this site only
+	ids      []int      // the hash lookup's answer
+	buf      []Row      // the batch buffer
+}
+
+// run evaluates the index probe, if any, and hands emit the rows it
+// selects. Under EXPLAIN ANALYZE it counts them and leaves the
+// consumer's time out of its own.
+func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
+	if ts.st != nil {
+		start, rows, consume := time.Now(), 0, emit
+		emit = func(batch []Row) error {
+			rows += len(batch)
+			consumed := time.Now()
+			defer func() { start = start.Add(time.Since(consumed)) }()
+			return consume(batch)
 		}
-		// The output headers are a single upfront allocation sized by the
-		// hint; charge fallibly so a scan hopelessly beyond the budget
-		// fails before the make, not a batch later.
-		if err := rt.grow(int64(hint) * rowHeaderSize); err != nil {
-			return nil, err
+		defer func() { ts.st.record(start, rows) }()
+	}
+	if ts.kind == "" {
+		return ts.read(rt, ts.snap.Rows.Len(), nil, nil, ts.filters, emit)
+	}
+	pv, err := ts.probe(rt)
+	if err != nil || pv.Null {
+		return err // equality/overlap with NULL matches nothing
+	}
+	cv, ok := ts.lift.apply(rt, pv)
+	switch {
+	case !ok:
+	case ts.kind == "hash":
+		if ts.ids = ts.snap.Hash[ts.col].Lookup(cv.Key(rt.env.Now), ts.snap.Seq, ts.ids[:0]); len(ts.ids) == 0 {
+			return nil // nil ids would read the whole table
 		}
-		out := make([]Row, 0, hint)
-		consider := func(r Row) error {
-			if err := rt.checkCancel(); err != nil {
-				return err
-			}
-			ok, err := evalFilters(rt, fs, r)
-			if err != nil {
-				return err
-			}
-			if ok {
-				// MVCC slab rows are immutable (writers replace whole
-				// rows), so the scan aliases them instead of copying.
-				out = append(out, r)
-			}
+		return ts.read(rt, len(ts.ids), ts.ids, nil, ts.filters, emit)
+	case periodCandidates(rt, ts.snap.Periods[ts.col], cv, ts.contains, &ts.hits):
+		return ts.read(rt, ts.hits.Len(), nil, &ts.hits, ts.residual, emit)
+	}
+	// A probe the cast rejects or the index cannot answer scans fully,
+	// re-checking every filter.
+	return ts.read(rt, ts.snap.Rows.Len(), nil, nil, ts.filters, emit)
+}
+
+// read hands emit the live rows that pass fs, in batches of at most
+// BatchRows: of the hash lookup's ids, of the period search's hits, or,
+// when both are nil, of the whole table. The batch buffer is sized for
+// the n rows the run may find, split evenly over the fewest batches, so
+// a point read does not pay for a whole batch.
+func (ts *tableScan) read(rt *runtime, n int, ids []int, hits *index.Hits, fs []cexpr, emit func([]Row) error) error {
+	rows := ts.snap.Rows
+	batches := max(1, (n+BatchRows-1)/BatchRows)
+	if want := (n + batches - 1) / batches; cap(ts.buf) < want {
+		if err := rt.grow(int64(want-cap(ts.buf)) * rowHeaderSize); err != nil {
+			return err
+		}
+		ts.buf = make([]Row, 0, want)
+	}
+	buf := ts.buf[:0]
+	add := func(r Row) error {
+		if err := rt.checkCancel(); err != nil {
+			return err
+		}
+		if ok, err := evalFilters(rt, fs, r); err != nil || !ok {
+			return err
+		}
+		// MVCC slab rows are immutable (writers replace whole rows), so
+		// the scan aliases them instead of copying.
+		if buf = append(buf, r); len(buf) < cap(buf) {
 			return nil
 		}
-		if !full {
-			for _, id := range ids {
-				if r, ok := snap.Rows.Get(id); ok {
-					if err := consider(r); err != nil {
-						return nil, err
-					}
-				}
+		err := emit(buf)
+		buf = buf[:0]
+		return err
+	}
+	var err error
+	switch {
+	case hits != nil:
+		for id, ok := hits.Next(); ok && err == nil; id, ok = hits.Next() {
+			if r, live := rows.Get(id); live {
+				err = add(r)
 			}
-			return out, nil
 		}
-		var scanErr error
-		snap.Rows.Scan(func(_ int, r Row) bool {
-			scanErr = consider(r)
-			return scanErr == nil
+	case ids != nil:
+		for _, id := range ids {
+			if r, live := rows.Get(id); live && err == nil {
+				err = add(r)
+			}
+		}
+	default:
+		rows.Scan(func(_ int, r Row) bool {
+			err = add(r)
+			return err == nil
 		})
-		return out, scanErr
 	}
-
-	if probe == nil {
-		return instrumentRows(stScan, func(rt *runtime) ([]Row, error) { return scan(rt, true, nil, filters) }), nil
+	if err != nil || len(buf) == 0 {
+		return err
 	}
-
-	return instrumentRows(stScan, func(rt *runtime) ([]Row, error) {
-		pv, err := probe.probe(rt)
-		if err != nil {
-			return nil, err
-		}
-		if pv.Null {
-			return nil, nil // equality/overlap with NULL matches nothing
-		}
-		cv, ok := probe.lift.apply(rt, pv)
-		switch {
-		case !ok:
-		case probe.kind == "hash":
-			return scan(rt, false, snap.Hash[probe.col].Lookup(cv.Key(rt.env.Now), snap.Seq), filters)
-		default:
-			if probe.ids, ok = periodCandidates(rt, snap.Periods[probe.col], cv, probe.contains, probe.ids[:0]); ok {
-				return scan(rt, false, probe.ids, residual)
-			}
-		}
-		// A probe the cast rejects or the index cannot answer scans fully,
-		// re-checking every filter.
-		return scan(rt, true, nil, filters)
-	}), nil
+	return emit(buf)
 }
 
 // probeCast lifts an index probe to the indexed column's type along the
@@ -286,13 +301,13 @@ func (c *overlapsCheck) holds(rt *runtime, col, probe types.Value) (bool, error)
 	return ok && !isNull, err
 }
 
-// periodCandidates appends to dst, in ascending slot order, the rows of
-// the period index ix whose value overlaps the temporal probe v at the
-// statement's NOW — rt.env.Now, the NOW every routine of the statement
-// sees. ok is false when the index cannot give the conjunct's rows: v
-// has no interval form, or it binds empty under contains (every element
-// contains the empty one, overlapping or not).
-func periodCandidates(rt *runtime, ix *index.Period, v types.Value, contains bool, dst []int) ([]int, bool) {
+// periodCandidates marks in h the rows of the period index ix whose
+// value overlaps the temporal probe v at the statement's NOW —
+// rt.env.Now, the NOW every routine of the statement sees. It returns
+// false when the index cannot give the conjunct's rows: v has no interval
+// form, or it binds empty under contains (every element contains the
+// empty one, overlapping or not).
+func periodCandidates(rt *runtime, ix *index.Period, v types.Value, contains bool, h *index.Hits) bool {
 	now := rt.env.Now
 	ivs := rt.ivs[:0]
 	switch obj := v.Obj().(type) {
@@ -308,13 +323,14 @@ func periodCandidates(rt *runtime, ix *index.Period, v types.Value, contains boo
 		c := obj.Bind(now)
 		ivs = append(ivs, temporal.Interval{Lo: c, Hi: c})
 	default:
-		return dst, false
+		return false
 	}
 	rt.ivs = ivs
 	if contains && len(ivs) == 0 {
-		return dst, false
+		return false
 	}
-	return ix.Overlapping(&rt.hits, dst, ivs, now), true
+	ix.Overlapping(h, ivs, now)
+	return true
 }
 
 // refSources returns the bitmask of sources a conjunct references.
@@ -513,7 +529,7 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, be
 		begin(a)
 		cv, ok := pc.lift.apply(rt, pv)
 		if ok {
-			pc.ids, ok = periodCandidates(rt, ix, cv, pc.contains, pc.ids[:0])
+			ok = periodCandidates(rt, ix, cv, pc.contains, &pc.hits)
 		}
 		if !ok {
 			if err := pairUnindexed(rt, src, pc, pv, pair); err != nil {
@@ -521,7 +537,7 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, be
 			}
 			continue
 		}
-		for _, id := range pc.ids {
+		for id, more := pc.hits.Next(); more; id, more = pc.hits.Next() {
 			if err := rt.checkCancel(); err != nil {
 				return err
 			}
@@ -544,29 +560,27 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, be
 	return nil
 }
 
-// pairUnindexed pairs the current accumulated row with every source row,
-// testing an exactly-answered conjunct on the probe value pv, which is
-// not among the level filters.
+// pairUnindexed pairs the current accumulated row with every source row
+// as the scan streams them, testing an exactly-answered conjunct on the
+// probe value pv, which is not among the level filters.
 func pairUnindexed(rt *runtime, src *source, pc *periodJoinCond, pv types.Value, pair func(sr Row) error) error {
-	srcRows, err := src.exec(rt)
-	if err != nil {
-		return err
-	}
-	for _, sr := range srcRows {
-		if pc.check != nil {
-			ok, err := pc.check.holds(rt, sr[pc.col], pv)
-			if err != nil {
+	return src.scan(rt, func(batch []Row) error {
+		for _, sr := range batch {
+			if pc.check != nil {
+				ok, err := pc.check.holds(rt, sr[pc.col], pv)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue
+				}
+			}
+			if err := pair(sr); err != nil {
 				return err
 			}
-			if !ok {
-				continue
-			}
 		}
-		if err := pair(sr); err != nil {
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // walkExpr visits e and its children pre-order until visit returns false.
@@ -623,41 +637,17 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 // joinSources runs the left-deep join of one or more sources and hands
 // every full-width row of its last level to emit. Earlier levels
 // materialise their survivors into arena rows, which the next level
-// re-reads; the last level streams. A single source hands over all its
-// rows in one call, and they are the source's own rows (immutable slab
-// rows or a derived table's result), which emit may keep. A join hands
-// over each surviving pair as it is found, in a scratch row the next
-// pair overwrites, which emit must copy to keep. The scratch row holds
-// only the columns some expression over the joined row reads
+// re-reads; the last level streams. A single source passes its scan's
+// batches through, filtered in place (see source.scan for what emit may
+// keep). A join hands over each surviving pair as it is found, in a scratch row
+// the next pair overwrites, which emit must copy to keep. The scratch
+// row holds only the columns some expression over the joined row reads
 // (source.cols); the others stay zero Values, which no operator accepts,
 // so a column wrongly left out fails loudly instead of reading a stale
 // value.
 func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, periodConds []*periodJoinCond, levelFilters [][]cexpr, levelStats []*OpStats, emit func(rows []Row) error) error {
 	if len(sources) == 1 {
-		// The from row IS the source row, so pass the scan's batch
-		// through (filtering in place when level filters exist — srcRows
-		// is owned by this call).
-		srcRows, err := sources[0].exec(rt)
-		if err != nil {
-			return err
-		}
-		rows := srcRows
-		if len(levelFilters[0]) > 0 {
-			rows = srcRows[:0]
-			for _, sr := range srcRows {
-				if err := rt.checkCancel(); err != nil {
-					return err
-				}
-				ok, err := evalFilters(rt, levelFilters[0], sr)
-				if err != nil {
-					return err
-				}
-				if ok {
-					rows = append(rows, sr)
-				}
-			}
-		}
-		return emit(rows)
+		return sources[0].scan(rt, func(batch []Row) error { return emitFiltered(rt, levelFilters[0], batch, emit) })
 	}
 
 	// One empty prefix row makes level 0 a nested loop like any other.
@@ -727,8 +717,14 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 // its ON conjuncts in scratch and pairs each row nothing matched with a
 // NULL row.
 func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Row, begin func(a Row), pair func(sr Row) error) error {
-	srcRows, err := src.exec(rt)
-	if err != nil {
+	// Gather src's rows, never the scan's batch slice.
+	var srcRows []Row
+	if err := src.scan(rt, func(batch []Row) (err error) {
+		if srcRows, err = growRows(rt, srcRows, len(batch), rowHeaderSize); err == nil {
+			srcRows = append(srcRows, batch...)
+		}
+		return err
+	}); err != nil {
 		return err
 	}
 	switch {
@@ -820,4 +816,26 @@ func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Ro
 		}
 	}
 	return nil
+}
+
+// emitFiltered hands emit the rows of batch that pass fs, filtering the
+// batch in place.
+func emitFiltered(rt *runtime, fs []cexpr, batch []Row, emit func([]Row) error) error {
+	if len(fs) == 0 {
+		return emit(batch)
+	}
+	kept := batch[:0]
+	for _, r := range batch {
+		if err := rt.checkCancel(); err != nil {
+			return err
+		}
+		ok, err := evalFilters(rt, fs, r)
+		if err != nil {
+			return err
+		}
+		if ok {
+			kept = append(kept, r)
+		}
+	}
+	return emit(kept)
 }

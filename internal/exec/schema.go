@@ -6,9 +6,10 @@
 // user-defined aggregates, DISTINCT, ORDER BY, LIMIT, and correlated
 // subqueries (EXISTS, IN, scalar).
 //
-// Execution is materialised: each operator produces its full row set. The
-// engine targets research-scale data (the paper's demo database); the
-// simplicity buys easy-to-verify semantics for the temporal routines.
+// Scans hand their rows on in batches and the last join level streams;
+// the other operators buffer their full row set. The engine targets
+// research-scale data (the paper's demo database); the simplicity buys
+// easy-to-verify semantics for the temporal routines.
 package exec
 
 import (
@@ -189,9 +190,8 @@ func (e *Env) Ctx() *blade.Ctx {
 // scope. ticks counts row-loop iterations to ration cancel polls;
 // arena and keybuf are the statement's batch allocator and reused
 // grouping-key buffer (batch.go); memLocal accumulates memory charges
-// between flushes to env.Mem (mem.go); hits and ivs are the period-index
-// searches' dedup bitset and bound-probe scratch (periodCandidates), each
-// used within one search only.
+// between flushes to env.Mem (mem.go); ivs is the period-index searches'
+// bound-probe scratch (periodCandidates), used within one search only.
 type runtime struct {
 	env      *Env
 	rows     []Row
@@ -199,7 +199,6 @@ type runtime struct {
 	arena    rowArena
 	keybuf   []byte
 	memLocal int64
-	hits     index.Hits
 	ivs      []temporal.Interval
 }
 

@@ -51,7 +51,7 @@ func TestTableWriterDiscardKeepsPostings(t *testing.T) {
 	}
 	w.Discard() // row 1 "divided by zero"
 
-	if ids := ix.Lookup(key, seq); len(ids) != 2 {
+	if ids := ix.Lookup(key, seq, nil); len(ids) != 2 {
 		t.Fatalf("equality lookup after discarded UPDATE = rows %v, want both", ids)
 	}
 }

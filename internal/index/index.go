@@ -5,7 +5,7 @@
 //
 // The hash index returns the row ids posted under a key, which the
 // executor re-checks against its filters. The period index answers
-// overlap exactly: Overlapping returns precisely the rows one of whose
+// overlap exactly: Overlapping marks precisely the rows one of whose
 // periods, bound at the statement's NOW, shares a chronon with the probe
 // — the answer of TIP's overlaps(Element, Element) — so the executor
 // stops re-checking that predicate on every candidate. Search keeps the
@@ -18,7 +18,7 @@
 //   - Hash is one shared structure per indexed column whose postings carry
 //     the born/died version sequences of the writers that added and
 //     removed them. Lookup filters postings against the reader's snapshot
-//     sequence and copies the result, so nothing mutable escapes; a short
+//     sequence and copies the ids out, so nothing mutable escapes; a short
 //     internal latch covers the map itself. Dead postings are reclaimed
 //     opportunistically on Add and Remove once they fall behind the
 //     snapshot horizon, so both insert-heavy and delete-heavy keys stay
@@ -29,8 +29,8 @@
 //     in place (slots beyond a published version's length are invisible
 //     to its readers); removals copy the surviving entries. The sorted
 //     search form is built lazily once per version into fresh slices, so
-//     the read path mutates nothing a reader can see. Searches
-//     deduplicate into a caller-owned Hits bitset, not a per-search map.
+//     the read path mutates nothing a reader can see. Searches mark a
+//     caller-owned Hits bitset, which the caller reads the ids from.
 package index
 
 import (
@@ -148,18 +148,19 @@ func (h *Hash) UndoRemove(key string, id int, seq uint64) {
 	}
 }
 
-// Lookup returns the row ids indexed under key as seen by a snapshot at
-// seq. The returned slice is freshly allocated and owned by the caller.
-func (h *Hash) Lookup(key string, seq uint64) []int {
+// Lookup appends to dst the row ids indexed under key as seen by a
+// snapshot at seq, and returns the extended slice.
+func (h *Hash) Lookup(key string, seq uint64, dst []int) []int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	var ids []int
-	for _, p := range h.m[key] {
+	ps := h.m[key]
+	for i, p := range ps {
 		if p.born <= seq && (p.died == 0 || p.died > seq) {
-			ids = append(ids, p.id)
+			// Room for every posting left, so dst grows at most once.
+			dst = append(slices.Grow(dst, len(ps)-i), p.id)
 		}
 	}
-	return ids
+	return dst
 }
 
 // Len returns the number of distinct keys with at least one live
@@ -241,17 +242,18 @@ func (ix *Period) build() {
 }
 
 // Hits gathers the row ids of a search in a bitset over row slots: a row
-// found through several periods or several probe intervals is reported
-// once, and ids come out in ascending slot order, the order a full scan
-// visits rows in. The zero value is ready to use. A Hits holds nothing
-// between searches, so one execution can reuse one for all its searches
-// (one at a time).
+// found through several periods or several probe intervals is marked
+// once, and Next reads the ids in ascending slot order, the order a full
+// scan visits rows in. The zero value is ready to use. A Hits holds one
+// search's answer at a time, so each call site that searches owns one.
 type Hits struct {
 	words  []uint64
-	lo, hi int // the word range the search in progress has touched
+	lo, hi int // the word range the search touched and Next has not cleared
 }
 
+// reset clears what an abandoned read left behind.
 func (h *Hits) reset(slots int) {
+	clear(h.words[min(h.lo, h.hi):h.hi])
 	if n := (slots + 63) >> 6; len(h.words) < n {
 		h.words = make([]uint64, n)
 	}
@@ -264,27 +266,35 @@ func (h *Hits) add(id int) {
 	h.lo, h.hi = min(h.lo, w), max(h.hi, w+1)
 }
 
-// drain appends the gathered ids to dst in ascending order and clears
-// them.
-func (h *Hits) drain(dst []int) []int {
+// Len returns the number of ids marked and not yet read.
+func (h *Hits) Len() int {
+	n := 0
 	for w := h.lo; w < h.hi; w++ {
-		for x := h.words[w]; x != 0; x &= x - 1 {
-			dst = append(dst, w<<6|bits.TrailingZeros64(x))
-		}
-		h.words[w] = 0
+		n += bits.OnesCount64(h.words[w])
 	}
-	return dst
+	return n
 }
 
-// Overlapping appends to dst the distinct row ids one of whose periods,
-// bound at now, shares a chronon with one of the probe intervals, in
-// ascending order, and returns the extended slice. The answer is exact:
-// for a probe element bound at the same now, it is the set of rows whose
-// value e satisfies e.Overlaps(probe, now) — a row whose periods all bind
-// empty at now ([2000-01-01, NOW] asked in 1999) is not in it. h is the
-// caller's scratch.
-func (ix *Period) Overlapping(h *Hits, dst []int, probe []temporal.Interval, now temporal.Chronon) []int {
-	return ix.collect(h, dst, probe, now, true)
+// Next returns the smallest marked id and clears it; ok is false once
+// every id has been read.
+func (h *Hits) Next() (id int, ok bool) {
+	for ; h.lo < h.hi; h.lo++ {
+		if x := h.words[h.lo]; x != 0 {
+			h.words[h.lo] = x & (x - 1)
+			return h.lo<<6 | bits.TrailingZeros64(x), true
+		}
+	}
+	return 0, false
+}
+
+// Overlapping marks in h, in place of its previous answer, the row ids
+// one of whose periods, bound at now, shares a chronon with one of the
+// probe intervals. The answer is exact: for a probe element bound at the
+// same now, it is the set of rows whose value e satisfies
+// e.Overlaps(probe, now) — a row whose periods all bind empty at now
+// ([2000-01-01, NOW] asked in 1999) is not in it.
+func (ix *Period) Overlapping(h *Hits, probe []temporal.Interval, now temporal.Chronon) {
+	ix.collect(h, probe, now, true)
 }
 
 // Search returns the distinct row ids whose periods may overlap [qlo, qhi]
@@ -294,12 +304,18 @@ func (ix *Period) Overlapping(h *Hits, dst []int, probe []temporal.Interval, now
 // the maximum), so the answer is a superset of Overlapping's at every
 // NOW. The slice is owned by the caller.
 func (ix *Period) Search(qlo, qhi temporal.Chronon) []int {
-	return ix.collect(new(Hits), nil, []temporal.Interval{{Lo: qlo, Hi: qhi}}, 0, false)
+	var h Hits
+	var ids []int
+	ix.collect(&h, []temporal.Interval{{Lo: qlo, Hi: qhi}}, 0, false)
+	for id, ok := h.Next(); ok; id, ok = h.Next() {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // collect runs one search: open entries are bound at now when exact, and
 // otherwise tested with their conservative bounds.
-func (ix *Period) collect(h *Hits, dst []int, probe []temporal.Interval, now temporal.Chronon, exact bool) []int {
+func (ix *Period) collect(h *Hits, probe []temporal.Interval, now temporal.Chronon, exact bool) {
 	ix.once.Do(ix.build)
 	h.reset(ix.slots)
 	for _, q := range probe {
@@ -323,7 +339,6 @@ func (ix *Period) collect(h *Hits, dst []int, probe []temporal.Interval, now tem
 			}
 		}
 	}
-	return h.drain(dst)
 }
 
 // PeriodBuilder accumulates the next version of a period index. It must

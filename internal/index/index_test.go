@@ -15,23 +15,23 @@ func TestHashIndex(t *testing.T) {
 	h.Add("a", 1, 1, 1)
 	h.Add("a", 2, 1, 1)
 	h.Add("b", 3, 1, 1)
-	if got := h.Lookup("a", 1); len(got) != 2 {
+	if got := h.Lookup("a", 1, nil); len(got) != 2 {
 		t.Errorf("lookup a = %v", got)
 	}
-	if got := h.Lookup("missing", 1); got != nil {
+	if got := h.Lookup("missing", 1, nil); got != nil {
 		t.Errorf("lookup missing = %v", got)
 	}
 	h.Remove("a", 1, 2, 0)
-	if got := h.Lookup("a", 2); len(got) != 1 || got[0] != 2 {
+	if got := h.Lookup("a", 2, nil); len(got) != 1 || got[0] != 2 {
 		t.Errorf("after remove = %v", got)
 	}
 	// A snapshot from before the remove still sees both postings.
-	if got := h.Lookup("a", 1); len(got) != 2 {
+	if got := h.Lookup("a", 1, nil); len(got) != 2 {
 		t.Errorf("old snapshot after remove = %v", got)
 	}
 	// A snapshot from before an add does not see it.
 	h.Add("c", 4, 5, 5)
-	if got := h.Lookup("c", 4); len(got) != 0 {
+	if got := h.Lookup("c", 4, nil); len(got) != 0 {
 		t.Errorf("pre-add snapshot = %v", got)
 	}
 	h.Remove("a", 2, 3, 0)
@@ -48,19 +48,19 @@ func TestHashUndo(t *testing.T) {
 	// A discarded statement's add is physically removed.
 	h.Add("a", 2, 5, 1)
 	h.UndoAdd("a", 2, 5)
-	if got := h.Lookup("a", 9); len(got) != 1 || got[0] != 1 {
+	if got := h.Lookup("a", 9, nil); len(got) != 1 || got[0] != 1 {
 		t.Errorf("after UndoAdd = %v", got)
 	}
 	// A discarded statement's remove is revived.
 	h.Remove("a", 1, 6, 0)
 	h.UndoRemove("a", 1, 6)
-	if got := h.Lookup("a", 9); len(got) != 1 || got[0] != 1 {
+	if got := h.Lookup("a", 9, nil); len(got) != 1 || got[0] != 1 {
 		t.Errorf("after UndoRemove = %v", got)
 	}
 	// UndoAdd of the only posting drops the key.
 	h.Add("solo", 3, 7, 1)
 	h.UndoAdd("solo", 3, 7)
-	if got := h.Lookup("solo", 9); got != nil {
+	if got := h.Lookup("solo", 9, nil); got != nil {
 		t.Errorf("key survived UndoAdd = %v", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestHashRemoveSideGC(t *testing.T) {
 	h.Add("solo", 1, 5, 0)
 	h.Remove("solo", 1, 6, 9) // horizon ahead of seq: posting still kept
 	h.UndoRemove("solo", 1, 6)
-	if got := h.Lookup("solo", 7); len(got) != 1 || got[0] != 1 {
+	if got := h.Lookup("solo", 7, nil); len(got) != 1 || got[0] != 1 {
 		t.Errorf("killed posting was reclaimed by its own Remove: %v", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestHashConcurrentLookupRemove(t *testing.T) {
 			defer wg.Done()
 			for {
 				// A snapshot pinned before every remove sees all ids.
-				got := h.Lookup("k", 1)
+				got := h.Lookup("k", 1, nil)
 				if len(got) != n {
 					t.Errorf("snapshot scan saw %d ids, want %d", len(got), n)
 					return
@@ -154,7 +154,7 @@ func TestHashConcurrentLookupRemove(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Lookup("k", 2+n); len(got) != 0 {
+	if got := h.Lookup("k", 2+n, nil); len(got) != 0 {
 		t.Errorf("after all removes = %v", got)
 	}
 }
@@ -209,14 +209,53 @@ func TestPeriodIndexElementDedup(t *testing.T) {
 	// Overlapping dedups across probe periods too.
 	var h Hits
 	probe := temporal.MustElement(pd(1, 2), pd(11, 12))
-	got = ix.Overlapping(&h, nil, probe.Bind(day(0)), day(0))
-	if len(got) != 1 || got[0] != 7 {
+	ix.Overlapping(&h, probe.Bind(day(0)), day(0))
+	if got = readHits(&h); len(got) != 1 || got[0] != 7 {
 		t.Errorf("Overlapping dedup = %v", got)
 	}
 	// A one-period probe spanning both of the row's periods.
-	got = ix.Overlapping(&h, got[:0], pd(1, 12).Element().Bind(day(0)), day(0))
-	if len(got) != 1 || got[0] != 7 {
+	ix.Overlapping(&h, pd(1, 12).Element().Bind(day(0)), day(0))
+	if got = readHits(&h); len(got) != 1 || got[0] != 7 {
 		t.Errorf("one-period Overlapping = %v", got)
+	}
+}
+
+// readHits reads every id h holds, leaving it clear.
+func readHits(h *Hits) []int {
+	var ids []int
+	for id, ok := h.Next(); ok; id, ok = h.Next() {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestPeriodHitsAbandonedRead: a search whose ids were only partly read must
+// not leak the rest into the next search on the same Hits.
+func TestPeriodHitsAbandonedRead(t *testing.T) {
+	b := NewPeriodBuilder(nil)
+	for id := 0; id < 200; id++ {
+		b.AddPeriod(pd(id, id), id)
+	}
+	ix := b.Commit()
+	var h Hits
+	ix.Overlapping(&h, pd(10, 150).Element().Bind(day(0)), day(0))
+	if n := h.Len(); n != 141 {
+		t.Fatalf("Len = %d, want 141", n)
+	}
+	for i := 0; i < 70; i++ {
+		if id, ok := h.Next(); !ok || id != 10+i {
+			t.Fatalf("Next = %d, %v; want %d", id, ok, 10+i)
+		}
+	}
+	if n := h.Len(); n != 71 {
+		t.Fatalf("Len after 70 reads = %d, want 71", n)
+	}
+	ix.Overlapping(&h, pd(190, 195).Element().Bind(day(0)), day(0))
+	if got := readHits(&h); !slices.Equal(got, []int{190, 191, 192, 193, 194, 195}) {
+		t.Errorf("after an abandoned read: %v", got)
+	}
+	if h.Len() != 0 {
+		t.Errorf("Len after a full read = %d", h.Len())
 	}
 }
 
@@ -385,7 +424,6 @@ func TestPeriodOverlappingExact(t *testing.T) {
 	v2 := b.Commit()
 
 	var h Hits
-	var got []int
 	var ivs []temporal.Interval
 	probes := 0
 	for _, now := range []temporal.Chronon{
@@ -401,7 +439,8 @@ func TestPeriodOverlappingExact(t *testing.T) {
 				{v1, func(int) bool { return true }},
 				{v2, func(id int) bool { return live[id] }},
 			} {
-				got = v.ix.Overlapping(&h, got[:0], ivs, now)
+				v.ix.Overlapping(&h, ivs, now)
+				got := readHits(&h)
 				var want []int
 				for id, e := range rows {
 					if v.live(id) && e.Overlaps(probe, now) {
