@@ -66,14 +66,18 @@ parse-smoke:
 # crash-smoke replays the crash-torture battery (-short trims the
 # random intra-frame cuts; every frame-boundary cut still runs): the WAL
 # is cut at every byte offset that a real crash could leave behind and
-# recovery must restore an exact statement prefix with no double-applies,
-# and a statement appended after a torn tail must survive the next
-# recovery. Then the log-order checks (a statement's frame is appended
-# under its locks, so live and recovered state agree) and the two
-# reopen-twice recoveries: a torn tail, and a crash mid-transaction
-# followed by a write.
+# recovery must restore an exact commit prefix with no double-applies,
+# and a commit appended after a torn tail must survive the next
+# recovery. Then the log-order checks (a commit's group is appended
+# under its locks, so live and recovered state agree), interleaved
+# transactions (a rollback beside another session's write, two BEGINs
+# at once), a crash mid-transaction recovering none of it, the old log
+# and snapshot formats refused, an oversized group failing before it
+# publishes, recovered rows at their live row ids across a snapshot
+# and slot reuse, and the two reopen-twice recoveries: a torn tail, and
+# a crash mid-transaction followed by a write.
 crash-smoke:
-	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink|TestWALTornTail|TestLogOrder' ./internal/engine
+	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink|TestWALTornTail|TestLogOrder|TestInterleavedRollback|TestConcurrentBegins|TestCrashMidTransactionRecoversNeither|TestOldFormatsRefused|TestOversizedGroup|TestRecoveredRowIDs' ./internal/engine
 	$(GO) test -run 'TestTornTailReopenedTwice|TestCrashMidTransactionThenWrite' .
 
 # netfault-smoke replays the wire-fault torture battery under the race
@@ -92,20 +96,24 @@ crash-smoke:
 netfault-smoke:
 	$(GO) test -race -run 'TestNetFault|TestLifecycle' ./internal/server
 
-# fuzz-smoke gives each fuzz target (SQL surface and WAL frame decoder)
-# a short randomized burst beyond the checked-in corpus.
+# fuzz-smoke gives each fuzz target of the commit-group codec (WAL
+# frames and snapshots) a short randomized burst beyond the checked-in
+# corpus.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzWALFrame -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/engine
 
 # mvcc-smoke exercises the MVCC snapshot layer under the race detector:
 # snapshot atomicity beside concurrent writers (plain, hash-index and
-# period-index scans), rollback targeting, horizon-gated slot reuse,
-# zero goroutine leaks and GC of superseded versions — then runs the
+# period-index scans), horizon-gated slot reuse, zero goroutine leaks
+# and GC of superseded versions, a transaction's killed hash postings
+# still found by fresh readers of the published version, and a
+# two-table commit that no statement sees half of — then runs the
 # disjoint-writer benchmark with and without the scanning analyst so the
 # analyst's cost to writers stays visible (scans never take locks, so
 # any gap is pure CPU competition).
 mvcc-smoke:
-	$(GO) test -race -run 'TestMVCC' -count=1 ./internal/engine
+	$(GO) test -race -run 'TestMVCC|TestTxnKeepsKilledHashPostings|TestCommitPublishesAllTablesAtOnce' -count=1 ./internal/engine
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .
 
 # plan-smoke exercises the planner and the batched executor under the
@@ -139,7 +147,9 @@ mvcc-smoke:
 # allocation inflation): neither a period-index join nor a literal
 # overlap probe allocates per pair or candidate, row arithmetic and
 # comparisons nothing per row (a Span result one box), the hash point
-# read, INSERT and literal probe no more than their recorded counts,
+# read, INSERT (in memory and on a durable database, where it records
+# its effects and logs them) and literal probe no more than their
+# recorded counts,
 # the paper's Q4 one object per output row plus a constant, and the
 # literal probe and the period-index join no more bytes at ten times the
 # table than 1.5 times their bytes at the smaller one;
@@ -151,7 +161,7 @@ mvcc-smoke:
 plan-smoke:
 	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
-	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
+	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
 	$(GO) test -race -run 'TestTotalDurationAgrees|TestCoalesceAgainstTruth' -count=1 ./internal/layered
 
@@ -164,8 +174,11 @@ plan-smoke:
 # caught-up replica tailing wal.log across a Checkpoint on the same
 # stream (no snapshot, no resubscribe), a 3,000-INSERT burst shipped
 # from the file, concurrent writers whose log order the replica must
-# reproduce row for row, and a replica's position read over the
-# client's Stats beside the primary's.
+# reproduce row for row, the interleaved-transaction repros on a
+# replica (TestReplicaInterleavedRollback: a ROLLBACK beside another
+# session's INSERT; TestReplicaConcurrentBegins: two transactions open
+# while a replica bootstraps, each arriving as its commit group), and a
+# replica's position read over the client's Stats beside the primary's.
 repl-smoke:
 	$(GO) test -race -count=1 ./internal/repl
 

@@ -26,8 +26,7 @@
 //	tipserver -addr :4713 -replicate-from 127.0.0.1:4711 -advertise r2
 //
 // A durable database is one directory: snapshot.tipdb plus wal.log. A
-// graceful shutdown (SIGINT, SIGTERM) checkpoints it. A snapshot file
-// written by an older -db option opens as ./dbdir/snapshot.tipdb.
+// graceful shutdown (SIGINT, SIGTERM) checkpoints it.
 package main
 
 import (

@@ -10,9 +10,8 @@
 //	tipsql -demo 200                # embedded with synthetic data
 //
 // -durable means what it means for tipserver: the directory holds
-// snapshot.tipdb plus wal.log, every statement is logged as it runs,
-// and the shell checkpoints the directory when it exits. A snapshot
-// file written by an older -db option opens as ./dbdir/snapshot.tipdb.
+// snapshot.tipdb plus wal.log, every commit is logged as it happens,
+// and the shell checkpoints the directory when it exits.
 //
 // Statements end with ';'. Shell commands: \q quits, \t lists tables,
 // \d describes a table, \stats prints the engine metrics snapshot.

@@ -3,7 +3,7 @@
 // temporal data-warehousing work, refs [9,10] of the paper).
 //
 // The source is an ordinary, non-temporal assignment table that only
-// knows the present: (employee, dept). The tvm maintainer turns its
+// knows the present: (employee, dept). The maintainer (tvm.go) turns its
 // change stream into a history view whose `valid` Element records, for
 // every (employee, dept) spell, exactly when the source held it — open
 // rows end at NOW, so the current assignment's history keeps growing
@@ -17,7 +17,6 @@ import (
 	"tip"
 	"tip/internal/exec"
 	"tip/internal/temporal"
-	"tip/internal/tvm"
 	"tip/internal/types"
 )
 
@@ -26,7 +25,7 @@ func main() {
 	db.SetClock(tip.MustChronon(1999, 12, 31, 0, 0, 0))
 	s := db.Session()
 
-	m, err := tvm.New(s.Raw(), db.Blade(), "AssignmentHistory",
+	m, err := NewMaintainer(s.Raw(), db.Blade(), "AssignmentHistory",
 		[]string{"employee VARCHAR(20)"}, []string{"dept VARCHAR(20)"})
 	if err != nil {
 		log.Fatal(err)

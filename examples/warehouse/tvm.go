@@ -1,16 +1,10 @@
-// Package tvm implements temporal view maintenance: keeping a valid-time
-// history table in a TIP-enabled database synchronised with a stream of
-// changes to a non-temporal source — the data-warehousing application
-// that motivated TIP (Yang & Widom, refs [9, 10] of the paper).
-//
-// The source system only knows the present (e.g. each employee's current
-// department). The maintainer turns its change stream into history: each
-// key has at most one *open* row (its validity ends at NOW, so it keeps
-// growing without maintenance); a change closes the open row at the
-// change time and opens a new one. Temporal queries over the view then
-// answer as-of, history and coalesced-duration questions with the TIP
-// routines.
-package tvm
+package main
+
+// Temporal view maintenance: keeping a valid-time history table in a
+// TIP-enabled database synchronised with a stream of changes to a
+// non-temporal source. Each key has at most one *open* row (its
+// validity ends at NOW, so it keeps growing without maintenance); a
+// change closes the open row at the change time and opens a new one.
 
 import (
 	"fmt"
@@ -32,10 +26,10 @@ type Maintainer struct {
 	attrs []string
 }
 
-// New creates the history view table (key columns, attribute columns,
+// NewMaintainer creates the history view table (key columns, attribute columns,
 // and a `valid Element` timestamp) and returns its maintainer. Column
 // specs are "name TYPE" SQL fragments.
-func New(sess *engine.Session, b *core.Blade, view string, keySpecs, attrSpecs []string) (*Maintainer, error) {
+func NewMaintainer(sess *engine.Session, b *core.Blade, view string, keySpecs, attrSpecs []string) (*Maintainer, error) {
 	if len(keySpecs) == 0 {
 		return nil, fmt.Errorf("tvm: at least one key column required")
 	}

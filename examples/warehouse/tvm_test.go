@@ -1,4 +1,4 @@
-package tvm_test
+package main
 
 import (
 	"strings"
@@ -8,7 +8,6 @@ import (
 	"tip/internal/core"
 	"tip/internal/engine"
 	"tip/internal/temporal"
-	"tip/internal/tvm"
 	"tip/internal/types"
 )
 
@@ -30,10 +29,10 @@ func key(s string) []types.Value { return []types.Value{types.NewString(s)} }
 
 func attrs(s string) []types.Value { return []types.Value{types.NewString(s)} }
 
-func newMaintainer(t *testing.T) (*tvm.Maintainer, *engine.Session) {
+func newMaintainer(t *testing.T) (*Maintainer, *engine.Session) {
 	t.Helper()
 	_, sess, b := newDB(t)
-	m, err := tvm.New(sess, b, "AssignmentHistory",
+	m, err := NewMaintainer(sess, b, "AssignmentHistory",
 		[]string{"employee VARCHAR(20)"}, []string{"dept VARCHAR(20)"})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +120,7 @@ func TestAsOf(t *testing.T) {
 
 func TestOpenRowsGrowWithNow(t *testing.T) {
 	db, sess, b := newDB(t)
-	m, err := tvm.New(sess, b, "H", []string{"k VARCHAR(5)"}, []string{"v VARCHAR(5)"})
+	m, err := NewMaintainer(sess, b, "H", []string{"k VARCHAR(5)"}, []string{"v VARCHAR(5)"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestArgumentErrors(t *testing.T) {
 	}
 	_, b := m, sess
 	_ = b
-	if _, err := tvm.New(sess, nil, "bad", nil, nil); err == nil {
+	if _, err := NewMaintainer(sess, nil, "bad", nil, nil); err == nil {
 		t.Error("no key columns should fail")
 	}
 }

@@ -312,7 +312,8 @@ var (
 	// ErrTimeout matches a statement aborted by the statement timeout.
 	ErrTimeout = errors.New("client: statement timeout exceeded")
 	// ErrBusy matches admission-control rejections (connection limit or
-	// load shedding); the statement never ran, so retrying is safe.
+	// load shedding) and writes to a table another session's open
+	// transaction holds; the statement never ran, so retrying is safe.
 	ErrBusy = errors.New("client: server busy")
 	// ErrShutdown matches statements rejected because the server is
 	// draining.

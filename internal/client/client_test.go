@@ -7,6 +7,7 @@ package client_test
 import (
 	"bufio"
 	"database/sql"
+	"database/sql/driver"
 	"errors"
 	"fmt"
 	"net"
@@ -364,5 +365,44 @@ func TestServerClose(t *testing.T) {
 	// Double close is fine.
 	if err := srv.Close(); err != nil {
 		t.Errorf("double close: %v", err)
+	}
+}
+
+// TestDriverBusyIsStatementError: through database/sql, a write to a
+// table another connection's open transaction holds fails with
+// client.ErrBusy as an ordinary statement error — not
+// driver.ErrBadConn, which would make database/sql retry it on other
+// connections — and succeeds once the transaction commits.
+func TestDriverBusyIsStatementError(t *testing.T) {
+	srv, _, _ := startServer(t)
+	client.RegisterDriver()
+	db, err := sql.Open("tip", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE t (a INT)`); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.Exec(`INSERT INTO t VALUES (2)`)
+	if !errors.Is(err, client.ErrBusy) || errors.Is(err, driver.ErrBadConn) {
+		t.Fatalf("insert into the held table: err = %v, want client.ErrBusy", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES (2)`); err != nil {
+		t.Fatalf("retry after COMMIT: %v", err)
+	}
+	var n int64
+	if err := db.QueryRow(`SELECT COUNT(*) FROM t`).Scan(&n); err != nil || n != 2 {
+		t.Fatalf("rows = %d, %v; want 2", n, err)
 	}
 }

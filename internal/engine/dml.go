@@ -6,25 +6,22 @@ import (
 
 	"tip/internal/exec"
 	"tip/internal/sql/ast"
-	"tip/internal/txn"
 	"tip/internal/types"
 )
 
 // DML execution: INSERT, UPDATE, DELETE with NOT NULL enforcement,
-// implicit assignment casts, index maintenance and undo logging.
+// implicit assignment casts, index maintenance and effect recording.
 //
-// Each statement opens a TableWriter over the table's latest version
-// (the pinned snapshot of a written table is the latest version, since
-// the snapshot is captured after the write lock is held), applies every
-// row change to the writer, and publishes atomically with Commit. Any
-// error discards the writer, so readers never observe a partial
-// statement and failed statements leave no trace. Undo entries are
-// buffered and flushed to the open transaction only after Commit — a
-// discarded writer must not leave undo entries addressing rows that
-// were never published.
+// Each statement opens a TableWriter over the version it pinned of its
+// table (beginWrite), applies every row change to the writer, and ends
+// it with endWrite, which publishes or keeps the new version. Any error
+// discards the writer, so readers never observe a partial statement
+// and failed statements leave no trace. On a durable database each row
+// change is also recorded in the statement's group (s.fx).
 
 func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.Result, error) {
-	tbl, ok := s.db.tables[strings.ToLower(st.Table)]
+	key := strings.ToLower(st.Table)
+	tbl, ok := s.db.tables[key]
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
@@ -75,8 +72,7 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 	}
 	now := s.Now()
 	ctx := env.Ctx()
-	w := s.beginWrite(tbl)
-	var undo []txn.Entry
+	w := s.beginWrite(key)
 	for _, in := range incoming {
 		if len(in) != len(cols) {
 			w.Discard()
@@ -105,15 +101,19 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 			w.Discard()
 			return nil, err
 		}
-		undo = append(undo, txn.Entry{Op: txn.OpInsert, Table: tbl.Meta.Name, RowID: id})
+		if s.fx != nil {
+			*s.fx = appendPut(*s.fx, tbl.Meta.Name, id, row)
+		}
 	}
-	w.Commit()
-	s.logUndo(undo)
+	if err := s.endWrite(key, tbl, w); err != nil {
+		return nil, err
+	}
 	return &exec.Result{Affected: len(incoming)}, nil
 }
 
 func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.Result, error) {
-	tbl, ok := s.db.tables[strings.ToLower(st.Table)]
+	key := strings.ToLower(st.Table)
+	tbl, ok := s.db.tables[key]
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
@@ -143,7 +143,7 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		setters[i] = setter{pos: pos, e: ce}
 	}
 
-	ids, err := s.matchingRows(tbl, env, where)
+	ids, err := s.matchingRows(key, env, where)
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +154,7 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 	}
 	now := s.Now()
 	ctx := env.Ctx()
-	w := s.beginWrite(tbl)
-	var undo []txn.Entry
+	w := s.beginWrite(key)
 	for _, id := range ids {
 		old, ok := w.Get(id)
 		if !ok {
@@ -189,15 +188,19 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 			w.Discard()
 			return nil, err
 		}
-		undo = append(undo, txn.Entry{Op: txn.OpUpdate, Table: tbl.Meta.Name, RowID: id, Old: old})
+		if s.fx != nil {
+			*s.fx = appendPut(*s.fx, tbl.Meta.Name, id, row)
+		}
 	}
-	w.Commit()
-	s.logUndo(undo)
+	if err := s.endWrite(key, tbl, w); err != nil {
+		return nil, err
+	}
 	return &exec.Result{Affected: len(ids)}, nil
 }
 
 func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*exec.Result, error) {
-	tbl, ok := s.db.tables[strings.ToLower(st.Table)]
+	key := strings.ToLower(st.Table)
+	tbl, ok := s.db.tables[key]
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
@@ -209,7 +212,7 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 			return nil, err
 		}
 	}
-	ids, err := s.matchingRows(tbl, env, where)
+	ids, err := s.matchingRows(key, env, where)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +221,7 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 		return nil, err
 	}
 	now := s.Now()
-	w := s.beginWrite(tbl)
-	var undo []txn.Entry
+	w := s.beginWrite(key)
 	for _, id := range ids {
 		old, err := w.Delete(id)
 		if err != nil {
@@ -227,22 +229,14 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 			return nil, err
 		}
 		w.UnindexRow(id, old, now)
-		undo = append(undo, txn.Entry{Op: txn.OpDelete, Table: tbl.Meta.Name, RowID: id, Old: old})
+		if s.fx != nil {
+			*s.fx = appendDelete(*s.fx, tbl.Meta.Name, id)
+		}
 	}
-	w.Commit()
-	s.logUndo(undo)
+	if err := s.endWrite(key, tbl, w); err != nil {
+		return nil, err
+	}
 	return &exec.Result{Affected: len(ids)}, nil
-}
-
-// logUndo flushes a committed statement's buffered undo entries to the
-// open transaction, if any.
-func (s *Session) logUndo(undo []txn.Entry) {
-	if s.tx == nil {
-		return
-	}
-	for _, e := range undo {
-		s.tx.Log(e)
-	}
 }
 
 // matchingRows collects the ids of rows satisfying the (optional) WHERE
@@ -250,11 +244,11 @@ func (s *Session) logUndo(undo []txn.Entry) {
 // mutation begins. For a written table the pinned snapshot is the
 // latest version (captured under the write lock), so the id set is
 // exact.
-func (s *Session) matchingRows(tbl *exec.Table, env *exec.Env, where exec.RowExpr) ([]int, error) {
+func (s *Session) matchingRows(key string, env *exec.Env, where exec.RowExpr) ([]int, error) {
 	var ids []int
 	var scanErr error
 	var ticks uint32
-	s.snaps[strings.ToLower(tbl.Meta.Name)].Rows.Scan(func(id int, r exec.Row) bool {
+	s.snaps[key].Rows.Scan(func(id int, r exec.Row) bool {
 		if ticks++; ticks&(exec.BatchRows-1) == 0 {
 			if scanErr = env.CancelErr(); scanErr != nil {
 				return false

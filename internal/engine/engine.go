@@ -7,28 +7,28 @@
 // Session is single-goroutine state (one per client connection); the
 // Database is safe for any number of concurrent sessions. Locking is
 // two-level: a catalog lock guards the schema and the table registry,
-// and every table carries its own read-write lock. DDL takes the
-// catalog lock exclusively; DML shares the catalog lock and locks the
-// tables it writes exclusively and the other tables it reads shared,
-// acquired in sorted name order so disjoint-table statements run in
-// parallel and cannot deadlock; queries pin immutable table versions
-// instead of locking (see locks.go).
+// and every table carries its own write lock. DDL takes the catalog
+// lock exclusively; a DML statement shares the catalog lock and locks
+// the one table it writes, so writers of different tables run in
+// parallel; queries pin immutable table versions instead of locking
+// (see locks.go).
 // Each session keeps an LRU cache of parsed statements keyed by SQL
 // text, revalidated against a catalog generation counter that every DDL
 // bumps, so the hot repeated-statement path skips the parser.
 //
-// Transactions are undo-logged and roll back row-level changes; the
-// transaction's begin time fixes the interpretation of NOW for all its
+// A transaction's begin time fixes the interpretation of NOW for all its
 // statements (Clifford-style transaction-time NOW), and a session may
-// override NOW for what-if evaluation (SET NOW = ...). A durable
-// database (Open) appends each state-changing statement to its log
-// after it applies and before it releases its locks; see Exec for the
-// failure contract.
+// override NOW for what-if evaluation (SET NOW = ...). A transaction
+// writes private table versions that its own statements read and COMMIT
+// publishes (see commit.go). A durable database (Open) logs each
+// commit's effects as one group before the commit's locks are
+// released; see Exec for the failure contract.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,35 +55,40 @@ type Database struct {
 	gen    atomic.Uint64 // catalog generation; bumped by every DDL
 	reg    *blade.Registry
 	cat    *catalog.Catalog
-	tables map[string]*exec.Table   // lower-cased name
-	locks  map[string]*sync.RWMutex // per-table locks, same keys as tables
+	tables map[string]*exec.Table // lower-cased name
+	locks  map[string]*tableLock  // per-table write locks, same keys as tables
 	tm     *txn.Manager
 	wal    *wal      // the log of a durable database, fixed by Open; nil in memory
 	obs    *obsState // metrics registry + statement instrumentation
 
 	// MVCC state: vclock is the version clock stamping every writer
 	// statement (the in-memory extension of the WAL epoch/seq pair —
-	// see DESIGN.md), hz tracks which old sequences open transactions
-	// and in-flight statement snapshots still reach.
+	// see DESIGN.md), hz tracks which old sequences in-flight statement
+	// snapshots still reach. pub is the multi-table commit being
+	// published, if any, and pubMu admits one at a time (see publish).
 	vclock atomic.Uint64
 	hz     *horizonTracker
+	pub    atomic.Pointer[publication]
+	pubMu  sync.Mutex
 
-	// ckpt is the checkpoint gate: writers hold it shared across
-	// apply+log, Checkpoint exclusively across epoch-bump+snapshot+
-	// truncate, so no statement lands in the snapshot while its WAL
+	// ckpt is the checkpoint gate: commits hold it shared across
+	// publish+log, Checkpoint exclusively across epoch-bump+snapshot+
+	// truncate, so no commit lands in the snapshot while its WAL
 	// frame carries the new epoch (which would double-apply it at
 	// recovery).
 	ckpt         sync.RWMutex
 	syncPolicy   atomic.Int32 // SyncPolicy; see SetDurability
 	syncInterval atomic.Int64 // SyncGrouped fsync cadence, nanoseconds
 
-	// readOnly marks a replica: loggable statements from ordinary
-	// sessions fail with ErrReadOnly; see SetReadOnly.
+	// readOnly marks a replica: state-changing statements fail with
+	// ErrReadOnly; see SetReadOnly.
 	readOnly atomic.Bool
 
-	// afterApply, when set (tests only), runs between a logged
-	// statement's apply and its log append.
+	// Test hooks: afterApply runs between a commit's publication and
+	// its log append, midPublish between the first and the second table
+	// of a multi-table publication.
 	afterApply func(*Session)
+	midPublish func()
 
 	// mem is the engine-wide memory account: the parent of every
 	// session's statement account, so Used() sums the intermediate
@@ -98,7 +103,7 @@ func New(reg *blade.Registry) *Database {
 		reg:    reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.RWMutex),
+		locks:  make(map[string]*tableLock),
 		tm:     txn.NewManager(),
 		obs:    newObsState(),
 		hz:     newHorizonTracker(),
@@ -123,11 +128,6 @@ func New(reg *blade.Registry) *Database {
 	return db
 }
 
-// Generation returns the catalog generation counter. Every successful
-// DDL statement bumps it; session statement caches revalidate against
-// it.
-func (db *Database) Generation() uint64 { return db.gen.Load() }
-
 // Registry returns the blade registry (for registering further blades).
 func (db *Database) Registry() *blade.Registry { return db.reg }
 
@@ -143,7 +143,7 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 // used from multiple goroutines at once; open one session per client.
 type Session struct {
 	db          *Database
-	tx          *txn.Txn
+	tx          *txState
 	nowOverride *temporal.Chronon
 	cache       *planCache
 	tr          obs.Trace // reused phase trace; armed on sampled statements
@@ -170,9 +170,10 @@ type Session struct {
 	// start (lower-cased table name → version); see captureSnaps.
 	snaps map[string]*exec.TableVersion
 
-	// replApply marks the replication apply session, exempt from the
-	// read-only check (see NewReplicaSession).
-	replApply bool
+	// fx is where the running statement records its effects (the
+	// transaction's group, or stmtFx); nil when nothing will log them.
+	fx     *[]byte
+	stmtFx []byte
 }
 
 // NewSession opens a session.
@@ -198,17 +199,15 @@ func (s *Session) Now() temporal.Chronon {
 	return s.db.tm.Now()
 }
 
-// InTransaction reports whether an explicit transaction is open.
-func (s *Session) InTransaction() bool { return s.tx != nil }
-
 // Exec parses and executes one SQL statement with optional named
 // parameters, consulting the session's statement cache before the
-// parser. On a durable database, state-changing statements are
-// appended to the log after they apply. If the append fails, the
-// in-memory result is still returned, together with an error
-// wrapping ErrWALFailed: the statement is applied but not durable, and
-// the WAL stops accepting appends so the log on disk stays a consistent
-// prefix of the in-memory history (Checkpoint heals it).
+// parser. On a durable database, each commit — an autocommit statement
+// that changed something, or a COMMIT — appends its effects to the log
+// after it publishes. If the append fails, the in-memory result is
+// still returned, together with an error wrapping ErrWALFailed: the
+// commit is applied but not durable, and the WAL stops accepting
+// appends so the log on disk stays a consistent prefix of the in-memory
+// history (Checkpoint heals it).
 func (s *Session) Exec(sql string, params map[string]types.Value) (*exec.Result, error) {
 	return s.runStatement(nil, sql, params)
 }
@@ -216,9 +215,8 @@ func (s *Session) Exec(sql string, params map[string]types.Value) (*exec.Result,
 // ExecScript executes a ';'-separated sequence of statements, returning
 // the last result. The whole script is parsed first, so a syntax error
 // anywhere executes nothing; each statement then runs exactly as if
-// handed to Exec with its own source text — its own timeout, cancel
-// token, memory budget, trace and WAL frame — and the script stops at
-// the first error.
+// handed to Exec — its own timeout, cancel token, memory budget, trace
+// and commit — and the script stops at the first error.
 func (s *Session) ExecScript(sql string, params map[string]types.Value) (*exec.Result, error) {
 	parts, err := parse.ParseScriptParts(sql)
 	if err != nil {
@@ -266,7 +264,7 @@ func (s *Session) runStatement(stmt ast.Statement, sql string, params map[string
 	// read the statement's peak for the slow-query log.
 	defer s.mem.Reset()
 	s.mem.SetBudget(s.stmtMem)
-	res, err := s.execStmt(stmt, sql, params)
+	res, err := s.ExecStmt(stmt, params)
 	s.obsFinish(stmt, sql)
 	s.lastPeak = s.mem.Peak()
 	return res, err
@@ -304,41 +302,49 @@ func (s *Session) CacheStats() (hits, misses uint64) {
 	return s.cache.hits, s.cache.misses
 }
 
-// ExecStmt executes one parsed statement, acquiring the locks it needs
-// (see the package comment for the locking discipline). It appends
-// nothing to the log: only Exec and ExecScript, which hold the source
-// text, make a statement durable.
+// ExecStmt executes one parsed statement under the locks it needs (see
+// the package comment for the locking discipline). A statement that
+// commits appends its group to the log before the locks are released,
+// so groups reach the log in the order they published.
 func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*exec.Result, error) {
-	return s.execStmt(stmt, "", params)
-}
-
-// execStmt executes one parsed statement under its locks. A statement
-// that applied, changes state and comes with its source text sql is
-// appended to the log before the locks are released, so frames reach
-// the log in the order their statements applied. NOW is captured
-// before execution so the logged time matches what the statement
-// evaluated under (BEGIN changes the session's NOW as a side effect).
-func (s *Session) execStmt(stmt ast.Statement, sql string, params map[string]types.Value) (*exec.Result, error) {
-	if !s.replApply && s.db.readOnly.Load() && loggable(stmt) {
-		s.db.obs.errors.Inc()
+	o := s.db.obs
+	writes := changesState(stmt)
+	if writes && s.db.readOnly.Load() {
+		o.errors.Inc()
 		return nil, ErrReadOnly
 	}
-	logged := sql != "" && s.db.wal != nil && loggable(stmt)
-	var now temporal.Chronon
-	if logged {
-		now = s.Now()
-		// Hold the checkpoint gate across apply+log so Checkpoint never
-		// snapshots a statement whose WAL frame then lands in the new
-		// epoch (it would replay on top of the snapshot).
+	if s.tx != nil && isDDL(stmt) {
+		o.errors.Inc()
+		return nil, ErrDDLInTransaction
+	}
+	tx := s.tx // the transaction a COMMIT ends
+	durable := s.db.wal != nil
+	commits := durable && (writes && tx == nil || tx != nil && isCommit(stmt))
+	if commits {
+		// Hold the checkpoint gate across publish+log so Checkpoint
+		// never snapshots a commit whose WAL frame then lands in the
+		// new epoch (it would replay on top of the snapshot).
 		s.db.ckpt.RLock()
 		defer s.db.ckpt.RUnlock()
 	}
-	unlock := s.lockFor(stmt)
+	var mark int
+	if durable && writes || commits {
+		s.stmtFx, s.fx = s.stmtFx[:0], &s.stmtFx
+		if tx != nil {
+			s.fx = &tx.group
+		}
+		mark = len(*s.fx)
+		defer func() { s.fx = nil }()
+	}
+	unlock, err := s.lockFor(stmt)
 	s.tr.Mark(&s.tr.Lock)
+	if err != nil {
+		o.errors.Inc()
+		return nil, err
+	}
 	defer unlock()
 	res, err := s.execLocked(stmt, params)
 	s.tr.Mark(&s.tr.Exec)
-	o := s.db.obs
 	o.stmts[stmtKind(stmt)].Inc()
 	switch {
 	case err != nil:
@@ -350,6 +356,10 @@ func (s *Session) execStmt(stmt ast.Statement, sql string, params map[string]typ
 		} else if errors.Is(err, exec.ErrMemory) {
 			o.memExceeded.Inc()
 		}
+		if s.fx != nil {
+			*s.fx = (*s.fx)[:mark] // the transaction stays as it was
+		}
+		return res, err
 	case res != nil:
 		if n := len(res.Rows); n > 0 {
 			o.rowsRead.Add(uint64(n))
@@ -358,19 +368,19 @@ func (s *Session) execStmt(stmt ast.Statement, sql string, params map[string]typ
 			o.rowsWrit.Add(uint64(res.Affected))
 		}
 	}
-	if err == nil && isDDL(stmt) {
+	if isDDL(stmt) {
 		// Bumped while the catalog lock is still held exclusively, so a
 		// reader never observes a new schema with an old generation.
 		s.db.gen.Add(1)
 	}
-	if err == nil && logged {
+	if commits && len(*s.fx) > 0 {
 		if s.db.afterApply != nil {
 			s.db.afterApply(s)
 		}
-		err = s.db.logStatement(now, sql, params)
+		// On failure the commit is applied but not logged: the result
+		// still goes back with the durability error (see Exec).
+		err = s.db.logGroup(*s.fx)
 		s.tr.Mark(&s.tr.WAL)
-		// On failure the statement is applied but not logged: the
-		// result still goes back with the durability error (see Exec).
 	}
 	return res, err
 }
@@ -398,21 +408,19 @@ func (s *Session) execLocked(stmt ast.Statement, params map[string]types.Value) 
 		if s.tx != nil {
 			return nil, fmt.Errorf("engine: transaction already open")
 		}
-		s.tx = s.db.tm.Begin()
-		// Pin the reclamation horizon at the version clock: row slots
-		// this transaction's undo log will reference must not be
-		// reused until it ends.
-		s.db.hz.beginTxn(s.tx.ID, s.db.vclock.Load())
+		s.tx = &txState{Txn: s.db.tm.Begin()}
 		return &exec.Result{}, nil
 	case *ast.Commit:
+		// The caller holds the checkpoint gate on a durable database,
+		// then logs the group and releases the transaction's locks.
 		if s.tx == nil {
-			return nil, fmt.Errorf("engine: no open transaction")
+			return nil, errNoTxn
 		}
-		s.db.hz.endTxn(s.tx.ID)
-		s.tx = nil // undo log discarded; changes are already applied
+		s.db.publish(s.tx.tables)
+		s.tx = nil
 		return &exec.Result{}, nil
 	case *ast.Rollback:
-		return s.rollback()
+		return &exec.Result{}, s.rollback()
 	case *ast.SetNow:
 		return s.setNow(st, params)
 	case *ast.SetTimeout:
@@ -465,25 +473,33 @@ func (s *Session) createTable(st *ast.CreateTable) (*exec.Result, error) {
 		}
 		return nil, fmt.Errorf("engine: table %s already exists", st.Name)
 	}
-	cols := make([]catalog.Column, len(st.Columns))
-	for i, cd := range st.Columns {
-		t, ok := s.db.reg.LookupType(cd.TypeName)
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown type %s", cd.TypeName)
-		}
-		cols[i] = catalog.Column{Name: cd.Name, Type: t, NotNull: cd.NotNull}
-	}
-	meta, err := catalog.NewTableMeta(st.Name, cols)
+	meta, err := tableMeta(s.db.reg, st)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.db.cat.CreateTable(meta); err != nil {
 		return nil, err
 	}
-	key := strings.ToLower(st.Name)
+	key := strings.ToLower(meta.Name)
 	s.db.tables[key] = exec.NewTable(meta)
-	s.db.locks[key] = &sync.RWMutex{}
+	s.db.locks[key] = &tableLock{}
+	if s.fx != nil {
+		*s.fx = appendCreateTable(*s.fx, meta)
+	}
 	return &exec.Result{}, nil
+}
+
+// tableMeta resolves the column types of a table definition.
+func tableMeta(reg *blade.Registry, st *ast.CreateTable) (*catalog.TableMeta, error) {
+	cols := make([]catalog.Column, len(st.Columns))
+	for i, cd := range st.Columns {
+		t, ok := reg.LookupType(cd.TypeName)
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown type %s", cd.TypeName)
+		}
+		cols[i] = catalog.Column{Name: cd.Name, Type: t, NotNull: cd.NotNull}
+	}
+	return catalog.NewTableMeta(st.Name, cols)
 }
 
 func (s *Session) dropTable(st *ast.DropTable) (*exec.Result, error) {
@@ -493,14 +509,17 @@ func (s *Session) dropTable(st *ast.DropTable) (*exec.Result, error) {
 		}
 		return nil, fmt.Errorf("engine: no table %s", st.Name)
 	}
-	if s.tx != nil {
-		return nil, fmt.Errorf("engine: DROP TABLE inside a transaction is not supported")
+	if err := s.db.checkFree(st.Name); err != nil {
+		return nil, err
 	}
 	if err := s.db.cat.DropTable(st.Name); err != nil {
 		return nil, err
 	}
 	delete(s.db.tables, strings.ToLower(st.Name))
 	delete(s.db.locks, strings.ToLower(st.Name))
+	if s.fx != nil {
+		*s.fx = appendRecord(*s.fx, recDropTable, st.Name)
+	}
 	return &exec.Result{}, nil
 }
 
@@ -508,6 +527,9 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 	tbl, ok := s.db.tables[strings.ToLower(st.Table)]
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
+	}
+	if err := s.db.checkFree(st.Table); err != nil {
+		return nil, err
 	}
 	pos, ok := tbl.Meta.ColumnIndex(st.Column)
 	if !ok {
@@ -532,9 +554,8 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 			return nil, fmt.Errorf("engine: column %s already has a hash index", st.Column)
 		}
 	}
-	if err := s.db.cat.CreateIndex(&catalog.IndexMeta{
-		Name: st.Name, Table: tbl.Meta.Name, Column: tbl.Meta.Columns[pos].Name, Kind: kind,
-	}); err != nil {
+	im := &catalog.IndexMeta{Name: st.Name, Table: tbl.Meta.Name, Column: tbl.Meta.Columns[pos].Name, Kind: kind}
+	if err := s.db.cat.CreateIndex(im); err != nil {
 		return nil, err
 	}
 	// Build over the existing rows and install as a new table version.
@@ -558,10 +579,7 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 			_ = s.db.cat.DropIndex(st.Name)
 			return nil, buildErr
 		}
-		nv.Periods = make(map[int]*index.Period, len(snap.Periods)+1)
-		for p, ix := range snap.Periods {
-			nv.Periods[p] = ix
-		}
+		nv.Periods = maps.Clone(snap.Periods)
 		nv.Periods[pos] = pb.Commit()
 	} else {
 		ix := index.NewHash()
@@ -574,13 +592,13 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 			}
 			return true
 		})
-		nv.Hash = make(map[int]*index.Hash, len(snap.Hash)+1)
-		for p, h := range snap.Hash {
-			nv.Hash[p] = h
-		}
+		nv.Hash = maps.Clone(snap.Hash)
 		nv.Hash[pos] = ix
 	}
 	tbl.Install(nv)
+	if s.fx != nil {
+		*s.fx = appendCreateIndex(*s.fx, im)
+	}
 	return &exec.Result{}, nil
 }
 
@@ -588,6 +606,9 @@ func (s *Session) dropIndex(st *ast.DropIndex) (*exec.Result, error) {
 	im, ok := s.db.cat.Index(st.Name)
 	if !ok {
 		return nil, fmt.Errorf("engine: no index %s", st.Name)
+	}
+	if err := s.db.checkFree(im.Table); err != nil {
+		return nil, err
 	}
 	tbl := s.db.tables[strings.ToLower(im.Table)]
 	pos, _ := tbl.Meta.ColumnIndex(im.Column)
@@ -599,21 +620,16 @@ func (s *Session) dropIndex(st *ast.DropIndex) (*exec.Result, error) {
 		Periods: snap.Periods,
 	}
 	if im.Kind == catalog.PeriodIndex {
-		nv.Periods = make(map[int]*index.Period, len(snap.Periods))
-		for p, ix := range snap.Periods {
-			if p != pos {
-				nv.Periods[p] = ix
-			}
-		}
+		nv.Periods = maps.Clone(snap.Periods)
+		delete(nv.Periods, pos)
 	} else {
-		nv.Hash = make(map[int]*index.Hash, len(snap.Hash))
-		for p, h := range snap.Hash {
-			if p != pos {
-				nv.Hash[p] = h
-			}
-		}
+		nv.Hash = maps.Clone(snap.Hash)
+		delete(nv.Hash, pos)
 	}
 	tbl.Install(nv)
+	if s.fx != nil {
+		*s.fx = appendRecord(*s.fx, recDropIndex, st.Name)
+	}
 	return &exec.Result{}, s.db.cat.DropIndex(st.Name)
 }
 
@@ -646,67 +662,6 @@ func (s *Session) describe(table string) (*exec.Result, error) {
 	}
 	res.Types = []*types.Type{types.TString, types.TString, types.TString, types.TString}
 	return res, nil
-}
-
-func (s *Session) rollback() (*exec.Result, error) {
-	if s.tx == nil {
-		return nil, fmt.Errorf("engine: no open transaction")
-	}
-	tx := s.tx
-	// Bind NOW for the undo-side index maintenance before clearing the
-	// transaction: the original statements indexed under the
-	// transaction time, and undo must format the same keys.
-	now := s.Now()
-	s.tx = nil
-	// One writer per touched table; undo entries apply newest-first
-	// across tables, then every writer publishes. The transaction's
-	// horizon registration stays until the end so the slots its undo
-	// log references were never reused.
-	writers := make(map[string]*exec.TableWriter)
-	discardAll := func() {
-		for _, w := range writers {
-			w.Discard()
-		}
-		s.db.hz.endTxn(tx.ID)
-	}
-	for _, e := range tx.UndoEntries() {
-		key := strings.ToLower(e.Table)
-		tbl, ok := s.db.tables[key]
-		if !ok {
-			discardAll()
-			return nil, fmt.Errorf("engine: rollback references dropped table %s", e.Table)
-		}
-		w, ok := writers[key]
-		if !ok {
-			w = s.beginWrite(tbl)
-			writers[key] = w
-		}
-		// Maintain indexes around the row change.
-		switch e.Op {
-		case txn.OpInsert, txn.OpUpdate:
-			if row, ok := w.Get(e.RowID); ok {
-				w.UnindexRow(e.RowID, row, now)
-			}
-		}
-		if err := txn.Apply(w, e); err != nil {
-			discardAll()
-			return nil, err
-		}
-		switch e.Op {
-		case txn.OpDelete, txn.OpUpdate:
-			if row, ok := w.Get(e.RowID); ok {
-				if err := w.IndexRow(e.RowID, row, now); err != nil {
-					discardAll()
-					return nil, err
-				}
-			}
-		}
-	}
-	for _, w := range writers {
-		w.Commit()
-	}
-	s.db.hz.endTxn(tx.ID)
-	return &exec.Result{}, nil
 }
 
 func (s *Session) setNow(st *ast.SetNow, params map[string]types.Value) (*exec.Result, error) {

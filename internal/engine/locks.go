@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"errors"
 	"strings"
 	"sync"
 
@@ -10,125 +10,152 @@ import (
 )
 
 // Locking and snapshot acquisition. The catalog lock (Database.mu)
-// guards the schema and the tables/locks maps; per-table read-write
-// locks order writers. A statement's footprint is decided up front from
+// guards the schema and the tables/locks maps; one lock per table
+// orders its writers. A statement's footprint is decided up front from
 // its AST (exec.StatementTables), before any shared state is touched:
 //
-//   - DDL takes the catalog lock exclusively and needs nothing else
-//     (exclusive catalog hold implies no statement is in flight, so DDL
-//     may install new table versions directly).
-//   - Everything that binds rows takes the catalog lock shared, then
-//     the table locks of its footprint in sorted name order: exclusive
-//     on the tables it writes and, if it writes any, shared on the
-//     tables it only reads, so no write to those lands between its
-//     read and its log append and replay reads what it read. A pure
-//     reader takes no table lock at all: the statement pins an
-//     immutable version snapshot of every footprint table instead
-//     (captureSnaps), so one long scan never blocks a writer and
-//     vice versa.
-//   - ROLLBACK writes the tables named in the transaction's undo log.
-//   - BEGIN, COMMIT and SET NOW = DEFAULT touch only session-local
-//     state and lock nothing. SET NOW = <value> reads its value
-//     subquery through pinned snapshots like any other read.
+//   - DDL takes the catalog lock exclusively, which waits out every
+//     running statement, and fails with ErrBusy on a table an open
+//     transaction holds.
+//   - A DML statement takes the catalog lock shared and the lock of its
+//     one written table. The log records what it wrote, not what it
+//     read, so it reads other tables as a pure reader does: through
+//     pinned versions (captureSnaps), with no lock.
+//   - COMMIT takes no lock and ends by releasing the transaction's
+//     locks, as ROLLBACK does; statements that bind no table, such as
+//     BEGIN, take the catalog lock shared.
 //
-// Table locks are only ever acquired while the catalog lock is held
-// shared, and only ever created/deleted while it is held exclusively,
-// so the locks map is stable during acquisition and a dropped table's
-// lock can never be mid-acquisition.
+// Table locks are acquired only under the shared catalog lock and
+// created or deleted only under the exclusive one, so the locks map is
+// stable during acquisition.
 
-// lockFor acquires every lock stmt needs, pins the statement's table
-// snapshots, and returns the matching release function.
-func (s *Session) lockFor(stmt ast.Statement) func() {
-	switch st := stmt.(type) {
-	case *ast.CreateTable, *ast.DropTable, *ast.CreateIndex, *ast.DropIndex:
-		s.db.mu.Lock()
-		return s.db.mu.Unlock
-	case *ast.Begin, *ast.Commit:
-		return func() {}
-	case *ast.SetNow:
-		if st.Value == nil {
-			return func() {}
+// ErrBusy reports a statement that needs a table an open transaction
+// has written: the transaction holds the table until it commits or
+// rolls back. Nothing was applied; retry later.
+var ErrBusy = errors.New("engine: table is held by an open transaction")
+
+// tableLock is a table's write lock. A writer statement holds it while
+// it runs; a transaction keeps it parked from the end of its first
+// statement on the table until it ends. A statement waits for a running
+// holder, but fails at once with ErrBusy on a parked lock, also when it
+// is parked while the statement waits. Nobody waits on a client that
+// may be idle, so there is no deadlock to detect — which is also what
+// lets COMMIT take the checkpoint gate while it holds table locks, the
+// reverse of an autocommit writer's order.
+type tableLock struct {
+	mu     sync.Mutex
+	owner  *Session      // nil when free
+	parked bool          // owner is between the statements of its transaction
+	wake   chan struct{} // closed at the next release or park; nil while nobody waits
+}
+
+// acquire takes the lock for a statement of s, waiting while another
+// statement runs under it; s takes back a lock its transaction parked.
+func (l *tableLock) acquire(s *Session) error {
+	l.mu.Lock()
+	for {
+		switch {
+		case l.owner == nil || l.owner == s:
+			l.owner, l.parked = s, false
+			l.mu.Unlock()
+			return nil
+		case l.parked:
+			l.mu.Unlock()
+			return ErrBusy
 		}
-		reads, writes := exec.StatementTables(stmt)
-		return s.lockTables(reads, writes)
-	case *ast.Rollback:
-		var writes []string
-		if s.tx != nil {
-			seen := map[string]bool{}
-			for _, e := range s.tx.UndoEntries() {
-				key := strings.ToLower(e.Table)
-				if !seen[key] {
-					seen[key] = true
-					writes = append(writes, key)
-				}
-			}
+		if l.wake == nil {
+			l.wake = make(chan struct{})
 		}
-		return s.lockTables(nil, writes)
-	default:
-		reads, writes := exec.StatementTables(stmt)
-		return s.lockTables(reads, writes)
+		wake := l.wake
+		l.mu.Unlock()
+		<-wake
+		l.mu.Lock()
 	}
 }
 
-// lockTables takes the catalog lock shared plus, in sorted name order,
-// the write locks of the written tables and — when there are any — the
-// read locks of the other footprint tables, then pins version
-// snapshots of the whole footprint (a locked table after its lock is
-// held, so the pinned version is the latest), and returns the release
-// function.
-// Names must be lower-cased; names without a registered table are
-// skipped — the statement will fail resolution under the catalog lock
-// anyway.
-func (s *Session) lockTables(reads, writes []string) func() {
+// release frees the lock at the end of a statement, or parks it when
+// the statement's transaction keeps the table.
+func (l *tableLock) release(park bool) {
+	l.mu.Lock()
+	if park {
+		l.parked = true
+	} else {
+		l.owner, l.parked = nil, false
+	}
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
+	l.mu.Unlock()
+}
+
+// checkFree fails with ErrBusy while an open transaction holds the
+// table. DDL calls it under the exclusive catalog lock.
+func (db *Database) checkFree(table string) error {
+	l := db.locks[strings.ToLower(table)]
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.owner != nil {
+		return ErrBusy
+	}
+	return nil
+}
+
+// lockFor acquires every lock stmt needs, pins the statement's table
+// snapshots, and returns the matching release function.
+func (s *Session) lockFor(stmt ast.Statement) (func(), error) {
+	switch stmt.(type) {
+	case *ast.CreateTable, *ast.DropTable, *ast.CreateIndex, *ast.DropIndex:
+		s.db.mu.Lock()
+		return s.db.mu.Unlock, nil
+	case *ast.Commit:
+		// The transaction's locks outlast its publication and its log
+		// append, so the log holds its group before any later writer's.
+		if tx := s.tx; tx != nil {
+			return tx.release, nil
+		}
+	}
+	tables, write := exec.StatementTables(stmt)
+	return s.lockTables(tables, write)
+}
+
+// lockTables takes the catalog lock shared and the lock of the written
+// table, if any, then pins versions of all the named tables (the
+// written table's after its lock is held, so it is the latest one, or
+// the transaction's own), and returns the release function. Names must
+// be lower-cased; names without a registered table are skipped — the
+// statement fails resolution under the catalog lock anyway.
+func (s *Session) lockTables(tables []string, write string) (func(), error) {
 	db := s.db
 	db.mu.RLock()
-	write := make(map[string]bool, len(reads)+len(writes))
-	for _, t := range writes {
-		write[t] = true
-	}
-	for _, t := range reads {
-		if _, ok := write[t]; !ok {
-			write[t] = false
+	wl := db.locks[write]
+	if wl != nil {
+		db.obs.tableOf(write).writes.Inc()
+		if err := wl.acquire(s); err != nil {
+			db.mu.RUnlock()
+			return nil, err
 		}
 	}
-	names := make([]string, 0, len(write))
-	for t := range write {
+	names := tables[:0]
+	for _, t := range tables {
 		if _, ok := db.locks[t]; ok {
+			if t != write {
+				db.obs.tableOf(t).reads.Inc()
+			}
 			names = append(names, t)
-		}
-	}
-	sort.Strings(names)
-	var wl, rl []*sync.RWMutex
-	for _, t := range names {
-		// Per-table op counters, counted on the same filtered name list
-		// the snapshots use (nonexistent tables never reach here).
-		to := db.obs.tableOf(t)
-		switch {
-		case write[t]:
-			to.writes.Inc()
-			l := db.locks[t]
-			l.Lock()
-			wl = append(wl, l)
-		case len(writes) > 0:
-			to.reads.Inc()
-			l := db.locks[t]
-			l.RLock()
-			rl = append(rl, l)
-		default:
-			to.reads.Inc()
 		}
 	}
 	s.captureSnaps(names)
 	return func() {
 		s.releaseSnaps()
-		for _, l := range rl {
-			l.RUnlock()
-		}
-		for _, l := range wl {
-			l.Unlock()
+		if wl != nil {
+			wl.release(s.tx.staged(write) != nil)
 		}
 		db.mu.RUnlock()
-	}
+	}, nil
 }
 
 // isDDL reports whether a statement reshapes the schema (and must bump

@@ -4,46 +4,26 @@ import (
 	"sync"
 
 	"tip/internal/exec"
-	"tip/internal/sql/ast"
 )
 
 // MVCC bookkeeping. The version clock (Database.vclock) stamps every
-// writer statement; committed writers publish immutable table versions
-// carrying their sequence, and readers pin versions per statement
-// instead of taking table read locks. The horizon tracker knows which
-// old sequences are still reachable — by an open transaction (whose
-// undo log addresses row slots that must not be reused) or by a
-// statement's pinned snapshot (whose hash-index postings must not be
-// reclaimed) — and hands writers the oldest one as their reclamation
-// horizon.
+// writer statement; writers build immutable table versions carrying
+// their sequence, and readers pin versions per statement instead of
+// taking table read locks. The horizon tracker knows which old
+// sequences in-flight statement snapshots still reach — their hash
+// postings must not be reclaimed — and hands writers the oldest one as
+// their reclamation horizon.
 
-// horizonTracker records open transactions and in-flight statement
-// snapshots. It is a small mutex-guarded registry, not a lock table:
-// registration never blocks behind any writer, it only serialises map
-// updates.
+// horizonTracker records in-flight statement snapshots. It is a small
+// mutex-guarded registry, not a lock table: registration never blocks
+// behind any writer, it only serialises map updates.
 type horizonTracker struct {
 	mu      sync.Mutex
-	txns    map[int64]uint64    // open txn id → version clock at begin
 	readers map[*Session]uint64 // in-flight statement → min pinned seq
 }
 
 func newHorizonTracker() *horizonTracker {
-	return &horizonTracker{
-		txns:    make(map[int64]uint64),
-		readers: make(map[*Session]uint64),
-	}
-}
-
-func (h *horizonTracker) beginTxn(id int64, seq uint64) {
-	h.mu.Lock()
-	h.txns[id] = seq
-	h.mu.Unlock()
-}
-
-func (h *horizonTracker) endTxn(id int64) {
-	h.mu.Lock()
-	delete(h.txns, id)
-	h.mu.Unlock()
+	return &horizonTracker{readers: make(map[*Session]uint64)}
 }
 
 func (h *horizonTracker) beginRead(s *Session, seq uint64) {
@@ -59,17 +39,12 @@ func (h *horizonTracker) endRead(s *Session) {
 }
 
 // min returns the oldest sequence still reachable, or cur when nothing
-// is registered. Sessions register one statement at a time, so both
-// maps stay small.
+// is registered. Sessions register one statement at a time, so the map
+// stays small.
 func (h *horizonTracker) min(cur uint64) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	m := cur
-	for _, seq := range h.txns {
-		if seq < m {
-			m = seq
-		}
-	}
 	for _, seq := range h.readers {
 		if seq < m {
 			m = seq
@@ -78,36 +53,39 @@ func (h *horizonTracker) min(cur uint64) uint64 {
 	return m
 }
 
-// beginWrite opens a table writer stamped with a fresh version-clock
-// sequence. The caller must hold the table's write lock, and — like
-// every statement that reaches here through lockTables — have pinned
-// its snapshots: captureSnaps registered the session at or below the
-// version clock it read, so hz.min is already below seq.
-//
-// The seq-1 cap restates that as an invariant the writer depends on:
-// state this statement itself kills (hash postings, freed slots) is
-// stamped seq and must survive until Commit, because Discard has to
-// find and revert it. A horizon at seq would let Add's opportunistic
-// GC drop a posting the in-flight statement just killed.
-func (s *Session) beginWrite(tbl *exec.Table) *exec.TableWriter {
+// beginWrite opens a writer over the version the statement pinned of
+// the named (lower-cased) table — its latest one, under the table's
+// lock, or the transaction's own — stamped with a fresh version-clock
+// sequence. The horizon is capped at seq-1: postings and slots this
+// statement kills are stamped seq and must survive until Discard could
+// revert them. Inside a transaction the cap is its first write
+// sequence minus one: until COMMIT the published version still reaches
+// the postings the transaction killed, and ROLLBACK must find them.
+func (s *Session) beginWrite(name string) *exec.TableWriter {
 	seq := s.db.vclock.Add(1)
-	return tbl.BeginWrite(seq, s.db.hz.min(seq-1))
+	horizon := s.db.hz.min(seq - 1)
+	if tx := s.tx; tx != nil {
+		if tx.first == 0 {
+			tx.first = seq
+		}
+		horizon = min(horizon, tx.first-1)
+	}
+	return s.snaps[name].NewWriter(seq, horizon)
 }
 
 // captureSnaps pins a consistent set of table versions for the named
 // footprint tables (lower-cased; unknown names are skipped) and
 // registers the statement with the horizon tracker so no writer
-// reclaims state these snapshots can still see.
+// reclaims state these snapshots can still see. A table the session's
+// transaction wrote pins the transaction's private version.
 //
-// Registration must cover the pinned sequences before any writer can
-// consult the horizon, but the value to register is only known after
-// pinning — so the capture validates: pin, register the minimum pinned
-// sequence, then re-load each table's latest version and retry if any
-// advanced in between. Once a pass is stable, every later reclamation
-// decision sees this statement's registration, and anything it drops
-// (died ≤ horizon ≤ our pinned seqs) was already invisible to these
-// snapshots. The caller must hold the catalog lock at least shared and
-// must call releaseSnaps when the statement finishes.
+// The value to register is only known after pinning, so the capture
+// validates: pin, register the minimum pinned sequence, then re-pin and
+// retry if any version changed, or a multi-table commit started or
+// finished publishing (db.pub). Once a pass is stable, every later
+// reclamation decision sees the registration, and the pinned set holds
+// all of every commit or none of it. The caller holds the catalog lock
+// at least shared and calls releaseSnaps when the statement finishes.
 func (s *Session) captureSnaps(names []string) {
 	if len(names) == 0 {
 		return
@@ -116,13 +94,14 @@ func (s *Session) captureSnaps(names []string) {
 		s.snaps = make(map[string]*exec.TableVersion, len(names))
 	}
 	for {
+		pub := s.db.pub.Load()
 		minSeq := s.db.vclock.Load()
 		for _, name := range names {
 			tbl, ok := s.db.tables[name]
 			if !ok {
 				continue
 			}
-			v := tbl.Snapshot()
+			v := s.pin(name, tbl, pub)
 			s.snaps[name] = v
 			if v.Seq < minSeq {
 				minSeq = v.Seq
@@ -132,9 +111,9 @@ func (s *Session) captureSnaps(names []string) {
 			return
 		}
 		s.db.hz.beginRead(s, minSeq)
-		stable := true
+		stable := s.db.pub.Load() == pub
 		for name, v := range s.snaps {
-			if s.db.tables[name].Snapshot() != v {
+			if !stable || s.pin(name, s.db.tables[name], pub) != v {
 				stable = false
 				break
 			}
@@ -144,6 +123,21 @@ func (s *Session) captureSnaps(names []string) {
 		}
 		s.db.hz.endRead(s)
 	}
+}
+
+// pin returns the version of tbl a statement of s reads while pub (if
+// any) is being published: the transaction's private version, else the
+// committed one.
+func (s *Session) pin(name string, tbl *exec.Table, pub *publication) *exec.TableVersion {
+	if t := s.tx.staged(name); t != nil {
+		return t.v
+	}
+	if pub != nil {
+		if v, ok := (*pub)[tbl]; ok {
+			return v
+		}
+	}
+	return tbl.Snapshot()
 }
 
 // releaseSnaps drops the statement's pinned snapshots and horizon
@@ -158,15 +152,11 @@ func (s *Session) releaseSnaps() {
 	}
 }
 
-// Close releases the session's engine-side registrations. An abandoned
-// open transaction is rolled back as a logged ROLLBACK, so replay ends
-// it where it ended live instead of folding later statements into it;
-// a pending Interrupt is cleared first so it cannot abort that
-// rollback. Safe to call more than once; the session must not be used
-// afterwards.
+// Close releases the session's engine-side state: an open transaction
+// is rolled back, which logs nothing. Safe to call more than once; the
+// session must not be used afterwards.
 func (s *Session) Close() {
 	if s.tx != nil {
-		s.cancel.Reset()
-		_, _ = s.runStatement(&ast.Rollback{}, "ROLLBACK", nil)
+		_ = s.rollback()
 	}
 }

@@ -2,12 +2,13 @@ package engine
 
 // MVCC snapshot semantics, end to end. These tests live inside the
 // package so they can pin statement snapshots deterministically
-// (lockTables), hold lock-table mutexes like an in-flight writer would,
+// (lockTables), hold table locks like an in-flight writer would,
 // and inspect installed table versions — things the public API hides on
 // purpose. `make mvcc-smoke` runs everything named TestMVCC* under the
 // race detector.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -49,7 +50,7 @@ func TestMVCCScanSeesOldVersionAfterUpdate(t *testing.T) {
 	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
 	mvccExec(t, s1, `INSERT INTO t VALUES (1), (2), (3)`)
 
-	release := s1.lockTables([]string{"t"}, nil)
+	release, _ := s1.lockTables([]string{"t"}, "")
 	snap := s1.snaps["t"]
 	if snap == nil {
 		t.Fatal("statement did not pin a snapshot")
@@ -76,10 +77,11 @@ func TestMVCCScanSeesOldVersionAfterUpdate(t *testing.T) {
 	}
 }
 
-// TestMVCCScanSeesPreRollbackVersion pins a snapshot of a transaction's
-// applied-but-uncommitted state; ROLLBACK publishes the reverted
-// version, and the pinned snapshot must keep serving the pre-rollback
-// rows.
+// TestMVCCScanSeesPreRollbackVersion pins a snapshot while another
+// session's transaction holds an uncommitted UPDATE: the snapshot
+// serves the committed rows, the transaction reads its own, and after
+// ROLLBACK the pinned and the latest version both still hold the
+// committed rows.
 func TestMVCCScanSeesPreRollbackVersion(t *testing.T) {
 	db, s1 := newMVCCDB(t)
 	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
@@ -88,8 +90,11 @@ func TestMVCCScanSeesPreRollbackVersion(t *testing.T) {
 	s2 := db.NewSession()
 	mvccExec(t, s2, `BEGIN`)
 	mvccExec(t, s2, `UPDATE t SET a = a + 10`)
+	if got := mvccExec(t, s2, `SELECT SUM(a) FROM t`).Rows[0][0].Int(); got != 23 {
+		t.Fatalf("transaction reads sum %d of its own rows, want 23", got)
+	}
 
-	release := s1.lockTables([]string{"t"}, nil)
+	release, _ := s1.lockTables([]string{"t"}, "")
 	snap := s1.snaps["t"]
 	mvccExec(t, s2, `ROLLBACK`)
 
@@ -99,83 +104,67 @@ func TestMVCCScanSeesPreRollbackVersion(t *testing.T) {
 		return true
 	})
 	release()
-	if sum != 23 { // 11 + 12: the pre-rollback state
-		t.Fatalf("pinned snapshot sum = %d, want 23", sum)
+	if sum != 3 { // 1 + 2: the committed state
+		t.Fatalf("pinned snapshot sum = %d, want 3", sum)
 	}
 	res := mvccExec(t, s1, `SELECT COUNT(*) FROM t WHERE a < 10`)
 	if res.Rows[0][0].Int() != 2 {
-		t.Fatal("rollback did not restore the original rows")
+		t.Fatal("rollback did not leave the committed rows")
 	}
 }
 
-// TestMVCCInsertAtRollbackTargetsSlot opens a transaction, deletes a
-// row, lets another session insert into the same table, and rolls back:
-// the horizon gate must have kept the deleted slot unused so InsertAt
-// revives exactly it, and the concurrent insert must survive.
-func TestMVCCInsertAtRollbackTargetsSlot(t *testing.T) {
+// TestMVCCRollbackKeepsPublishedSlots opens a transaction that deletes
+// a row: another session still reads the row and gets ErrBusy writing
+// the table, ROLLBACK leaves the row in its slot, and the other
+// session's retry then lands in a new slot.
+func TestMVCCRollbackKeepsPublishedSlots(t *testing.T) {
 	db, s1 := newMVCCDB(t)
 	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
 	mvccExec(t, s1, `INSERT INTO t VALUES (0), (1), (2)`)
 
 	mvccExec(t, s1, `BEGIN`)
-	mvccExec(t, s1, `DELETE FROM t WHERE a = 1`) // frees slot 1 inside the txn
+	mvccExec(t, s1, `DELETE FROM t WHERE a = 1`) // frees slot 1 in the private version
 
 	s2 := db.NewSession()
-	mvccExec(t, s2, `INSERT INTO t VALUES (7)`) // must not reuse slot 1
-
-	snap := db.tables["t"].Snapshot()
-	if _, ok := snap.Rows.Get(1); ok {
-		t.Fatal("slot 1 was reused while the deleting transaction was open")
+	if got := mvccExec(t, s2, `SELECT COUNT(*) FROM t`).Rows[0][0].Int(); got != 3 {
+		t.Fatalf("other session reads %d rows during the transaction, want the committed 3", got)
 	}
-	if snap.Rows.Capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4 (new slot for the concurrent insert)", snap.Rows.Capacity())
+	if _, err := s2.Exec(`INSERT INTO t VALUES (7)`, nil); !errors.Is(err, ErrBusy) {
+		t.Fatalf("insert into the held table: err = %v, want ErrBusy", err)
 	}
 
 	mvccExec(t, s1, `ROLLBACK`)
-	snap = db.tables["t"].Snapshot()
-	r, ok := snap.Rows.Get(1)
-	if !ok || r[0].Int() != 1 {
-		t.Fatalf("slot 1 after rollback = %v, %v; want the restored row (1)", r, ok)
+	if r, ok := db.tables["t"].Snapshot().Rows.Get(1); !ok || r[0].Int() != 1 {
+		t.Fatalf("slot 1 after rollback = %v, %v; want the committed row (1)", r, ok)
 	}
-	res := mvccExec(t, s1, `SELECT COUNT(*) FROM t`)
-	if res.Rows[0][0].Int() != 4 {
-		t.Fatalf("rows after rollback = %d, want 4", res.Rows[0][0].Int())
+	mvccExec(t, s2, `INSERT INTO t VALUES (7)`)
+	snap := db.tables["t"].Snapshot()
+	if snap.Rows.Capacity() != 4 || snap.Rows.Len() != 4 {
+		t.Fatalf("capacity %d, len %d after the retry; want 4 and 4", snap.Rows.Capacity(), snap.Rows.Len())
 	}
 }
 
-// TestMVCCStaleFreeEntryRollback is the regression test for the stale
-// free-list entry bug: a slot deleted, revived by rollback, and deleted
-// again by a second (still open) transaction leaves the first death's
-// free entry queued with a stamp already behind the horizon. A
-// concurrent insert must not reuse the slot off that stale entry — the
-// open transaction's rollback has to find its slot still dead, or the
-// whole rollback aborts with its changes left applied.
+// TestMVCCStaleFreeEntryRollback repeats a delete and a rollback on one
+// slot, the pattern that once left a stale free-list entry behind.
+// Rollback now drops a private version, so the published free list
+// never holds the slot, and an insert after both rollbacks must append
+// rather than land on the live row.
 func TestMVCCStaleFreeEntryRollback(t *testing.T) {
 	db, s1 := newMVCCDB(t)
 	mvccExec(t, s1, `CREATE TABLE t (a INT)`)
 	mvccExec(t, s1, `INSERT INTO t VALUES (0), (1), (2)`)
-
-	mvccExec(t, s1, `BEGIN`)
-	mvccExec(t, s1, `DELETE FROM t WHERE a = 1`) // frees slot 1, stamp d
-	mvccExec(t, s1, `ROLLBACK`)                  // revives slot 1; {1, d} goes stale
-
-	mvccExec(t, s1, `BEGIN`)
-	mvccExec(t, s1, `DELETE FROM t WHERE a = 1`) // frees slot 1 again, stamp n > d
-
+	for range 2 {
+		mvccExec(t, s1, `BEGIN`)
+		mvccExec(t, s1, `DELETE FROM t WHERE a = 1`)
+		mvccExec(t, s1, `ROLLBACK`)
+	}
 	s2 := db.NewSession()
-	mvccExec(t, s2, `INSERT INTO t VALUES (7)`) // d is behind the horizon; n is not
-
-	snap := db.tables["t"].Snapshot()
-	if _, ok := snap.Rows.Get(1); ok {
-		t.Fatal("stale free entry handed slot 1 out under the open transaction")
-	}
-	mvccExec(t, s1, `ROLLBACK`) // InsertAt must find slot 1 still dead
-	res := mvccExec(t, s1, `SELECT COUNT(*) FROM t`)
-	if res.Rows[0][0].Int() != 4 {
-		t.Fatalf("rows after rollback = %d, want 4", res.Rows[0][0].Int())
-	}
+	mvccExec(t, s2, `INSERT INTO t VALUES (7)`)
 	if r, ok := db.tables["t"].Snapshot().Rows.Get(1); !ok || r[0].Int() != 1 {
-		t.Fatalf("slot 1 after rollback = %v, %v; want the restored row (1)", r, ok)
+		t.Fatalf("slot 1 = %v, %v; want the committed row (1)", r, ok)
+	}
+	if res := mvccExec(t, s1, `SELECT COUNT(*) FROM t`); res.Rows[0][0].Int() != 4 {
+		t.Fatalf("rows = %d, want 4", res.Rows[0][0].Int())
 	}
 }
 
@@ -188,8 +177,11 @@ func TestMVCCReadersOffLockTable(t *testing.T) {
 	mvccExec(t, s1, `CREATE TABLE x (a INT)`)
 	mvccExec(t, s1, `INSERT INTO x VALUES (1), (2)`)
 
-	db.locks["x"].Lock() // a writer statement is "in flight" on x
-	defer db.locks["x"].Unlock()
+	writer := db.NewSession()
+	if err := db.locks["x"].acquire(writer); err != nil { // a writer statement is "in flight" on x
+		t.Fatal(err)
+	}
+	defer db.locks["x"].release(false)
 
 	done := make(chan error, 1)
 	go func() {
@@ -384,8 +376,8 @@ func TestMVCCNoGoroutineLeak(t *testing.T) {
 }
 
 // TestMVCCSessionCloseReleasesHorizon checks an abandoned open
-// transaction stops pinning the reclamation horizon once its session is
-// closed, so churn after the close reuses slots again.
+// transaction is dropped when its session closes: its table is free
+// again, its insert gone, and churn after the close reuses slots.
 func TestMVCCSessionCloseReleasesHorizon(t *testing.T) {
 	db, s := newMVCCDB(t)
 	mvccExec(t, s, `CREATE TABLE t (a INT)`)
@@ -396,10 +388,15 @@ func TestMVCCSessionCloseReleasesHorizon(t *testing.T) {
 	mvccExec(t, zombie, `INSERT INTO t VALUES (2)`)
 	zombie.Close() // connection died without COMMIT/ROLLBACK
 
-	db.hz.mu.Lock()
-	open := len(db.hz.txns)
-	db.hz.mu.Unlock()
-	if open != 0 {
-		t.Fatalf("%d transactions still pin the horizon after Close", open)
+	mvccExec(t, s, `INSERT INTO t VALUES (3)`) // ErrBusy if the lock were still held
+	for range 5 {
+		mvccExec(t, s, `DELETE FROM t WHERE a = 3`)
+		mvccExec(t, s, `INSERT INTO t VALUES (3)`)
+	}
+	snap := db.tables["t"].Snapshot()
+	// One slot of slack: a statement's own snapshot holds the horizon
+	// at the version it deletes from (see TestMVCCChurnCapacityBounded).
+	if snap.Rows.Len() != 2 || snap.Rows.Capacity() > 3 {
+		t.Fatalf("len %d, capacity %d after the close and the churn; want 2 and at most 3", snap.Rows.Len(), snap.Rows.Capacity())
 	}
 }

@@ -8,33 +8,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"tip/internal/catalog"
 	"tip/internal/exec"
-	"tip/internal/sql/ast"
-	"tip/internal/storage"
-	"tip/internal/types"
 )
 
-// Database snapshot persistence. The format is a self-describing binary
-// file: magic, the durability epoch, the catalog (tables, columns with
-// type names, indexes), then per table the row count and rows encoded
-// with the value codec (UDT payloads through their blade Encode hooks).
-// Loading requires the same blades to be registered so type names
-// resolve.
-//
-// Layout (version 2):
-//
-//	"TIPDB2\n"
-//	uvarint epoch — durability epoch; WAL frames from an older epoch
-//	                are skipped at replay (see wal.go)
-//	uvarint tableCount
-//	  table: str name, uvarint colCount,
-//	         col: str name, str typeName, byte notNull
-//	         uvarint rowCount, rows (schema-directed values)
-//	uvarint indexCount
-//	  index: str name, str table, str column, byte kind
+// Database snapshot persistence. A snapshot is "TIPDB3\n", the
+// uvarint durability epoch (WAL frames from an older epoch are skipped
+// at replay), then one commit group (effects.go) that rebuilds the
+// database from empty: per table a create-table record and a put per
+// row at its row id, then a create-index record per index. Sharing the
+// log's codec, a snapshot keeps row ids as the log names them. Loading
+// requires the same blades to be registered so type names resolve.
 //
 // Checkpoint writes a durable database directory's snapshot and Open
 // loads it. Snapshots are written atomically: the bytes go to
@@ -42,7 +27,7 @@ import (
 // parent directory is fsynced — a crash at any point leaves either the
 // old snapshot or the new one, never a torn file.
 
-const snapshotMagic = "TIPDB2\n"
+const snapshotMagic = "TIPDB3\n"
 
 // ErrBadSnapshot reports a malformed snapshot file.
 var ErrBadSnapshot = errors.New("engine: bad snapshot")
@@ -51,28 +36,28 @@ var ErrBadSnapshot = errors.New("engine: bad snapshot")
 // old file or the new one: write to a temp file, fsync it, rename over
 // path, fsync the parent directory (the rename itself is not durable
 // until the directory entry is).
-func writeFileAtomic(path string, data []byte) error {
+func writeFileAtomic(path string, data []byte) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
+	defer func() {
+		if err != nil {
+			_ = os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
+	if err != nil {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
@@ -96,39 +81,18 @@ func (db *Database) encodeSnapshot(epoch uint64) []byte {
 	buf := []byte(snapshotMagic)
 	buf = binary.AppendUvarint(buf, epoch)
 	names := db.cat.TableNames()
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		tbl := db.tables[strings.ToLower(name)]
-		buf = appendString(buf, tbl.Meta.Name)
-		buf = binary.AppendUvarint(buf, uint64(len(tbl.Meta.Columns)))
-		for _, c := range tbl.Meta.Columns {
-			buf = appendString(buf, c.Name)
-			buf = appendString(buf, c.Type.Name)
-			if c.NotNull {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-		rows := tbl.Snapshot().Rows
-		buf = binary.AppendUvarint(buf, uint64(rows.Len()))
-		rows.Scan(func(_ int, r exec.Row) bool {
-			for _, v := range r {
-				buf = v.AppendBinary(buf)
-			}
+		buf = appendCreateTable(buf, tbl.Meta)
+		tbl.Snapshot().Rows.Scan(func(id int, r exec.Row) bool {
+			buf = appendPut(buf, tbl.Meta.Name, id, r)
 			return true
 		})
 	}
-	var indexes []*catalog.IndexMeta
 	for _, name := range names {
-		indexes = append(indexes, db.cat.TableIndexes(name)...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(indexes)))
-	for _, im := range indexes {
-		buf = appendString(buf, im.Name)
-		buf = appendString(buf, im.Table)
-		buf = appendString(buf, im.Column)
-		buf = append(buf, byte(im.Kind))
+		for _, im := range db.cat.TableIndexes(name) {
+			buf = appendCreateIndex(buf, im)
+		}
 	}
 	return buf
 }
@@ -142,31 +106,35 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 	if db.wal != nil {
 		return 0, fmt.Errorf("engine: cannot replace the contents of a database with a log")
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	// Decode into a staging shadow of this database: same registry and
+	epoch, group, err := splitSnapshot(data)
+	if err != nil {
+		return 0, err
+	}
+	// Apply into a staging shadow of this database: same registry and
 	// managers, fresh catalog/tables/locks. Nothing is installed until
-	// the whole snapshot decoded.
+	// the whole snapshot applied.
 	stage := &Database{
 		reg:    db.reg,
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
-		locks:  make(map[string]*sync.RWMutex),
+		locks:  make(map[string]*tableLock),
 		tm:     db.tm,
 		obs:    db.obs,
+		hz:     newHorizonTracker(),
 	}
-	epoch, err := stage.decodeSnapshot(data)
-	if err != nil {
-		return 0, err
+	if err := stage.applyGroup(group); err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.cat = stage.cat
 	db.tables = stage.tables
 	db.locks = stage.locks
-	// Index rebuilds bumped the staging version clock; carry it over so
-	// post-load writer sequences stay above every installed version.
-	// The live clock may already be higher — never move it backwards,
-	// or new writes would stamp versions old snapshots consider
-	// reclaimed.
+	// Writers and index builds bumped the staging version clock; carry
+	// it over so post-load writer sequences stay above every installed
+	// version. The live clock may already be higher — never move it
+	// backwards, or new writes would stamp versions old snapshots
+	// consider reclaimed.
 	if sv := stage.vclock.Load(); sv > db.vclock.Load() {
 		db.vclock.Store(sv)
 	}
@@ -175,135 +143,19 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 	return epoch, nil
 }
 
-// decodeSnapshot populates the (empty) database from snapshot bytes and
-// returns the snapshot's durability epoch.
-func (db *Database) decodeSnapshot(data []byte) (uint64, error) {
+// splitSnapshot checks a snapshot's header and returns its epoch and
+// its group.
+func splitSnapshot(data []byte) (uint64, []byte, error) {
+	if bytes.HasPrefix(data, []byte("TIPDB2\n")) { // refused, not renumbered
+		return 0, nil, fmt.Errorf("%w: format TIPDB2 does not keep row ids; this version reads TIPDB3", ErrBadSnapshot)
+	}
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
-		return 0, fmt.Errorf("%w: magic", ErrBadSnapshot)
+		return 0, nil, fmt.Errorf("%w: magic", ErrBadSnapshot)
 	}
-	epoch, data, err := readUvarint(data[len(snapshotMagic):])
-	if err != nil {
-		return 0, err
-	}
-	tableCount, data, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	for range tableCount {
-		var name string
-		if name, data, err = readString(data); err != nil {
-			return 0, err
-		}
-		colCount, rest, err := readUvarint(data)
-		if err != nil {
-			return 0, err
-		}
-		data = rest
-		cols := make([]catalog.Column, colCount)
-		for i := range cols {
-			var cname, tname string
-			if cname, data, err = readString(data); err != nil {
-				return 0, err
-			}
-			if tname, data, err = readString(data); err != nil {
-				return 0, err
-			}
-			if len(data) < 1 {
-				return 0, fmt.Errorf("%w: truncated column", ErrBadSnapshot)
-			}
-			notNull := data[0] == 1
-			data = data[1:]
-			t, ok := db.reg.LookupType(tname)
-			if !ok {
-				return 0, fmt.Errorf("%w: unknown type %s (blade not registered?)", ErrBadSnapshot, tname)
-			}
-			cols[i] = catalog.Column{Name: cname, Type: t, NotNull: notNull}
-		}
-		meta, err := catalog.NewTableMeta(name, cols)
-		if err != nil {
-			return 0, err
-		}
-		if err := db.cat.CreateTable(meta); err != nil {
-			return 0, err
-		}
-		tbl := exec.NewTable(meta)
-		db.tables[strings.ToLower(name)] = tbl
-		db.locks[strings.ToLower(name)] = &sync.RWMutex{}
-		rowCount, rest, err := readUvarint(data)
-		if err != nil {
-			return 0, err
-		}
-		data = rest
-		b := storage.NewVersion().NewBuilder(0, 0)
-		for range rowCount {
-			row := make(exec.Row, len(cols))
-			for i, c := range cols {
-				v, rest, err := types.DecodeValue(c.Type, data)
-				if err != nil {
-					return 0, fmt.Errorf("%w: table %s: %v", ErrBadSnapshot, name, err)
-				}
-				row[i] = v
-				data = rest
-			}
-			b.Insert(row)
-		}
-		tbl.Install(&exec.TableVersion{Rows: b.Commit()})
-	}
-	indexCount, data, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	s := &Session{db: db}
-	for range indexCount {
-		var iname, itable, icol string
-		if iname, data, err = readString(data); err != nil {
-			return 0, err
-		}
-		if itable, data, err = readString(data); err != nil {
-			return 0, err
-		}
-		if icol, data, err = readString(data); err != nil {
-			return 0, err
-		}
-		if len(data) < 1 {
-			return 0, fmt.Errorf("%w: truncated index", ErrBadSnapshot)
-		}
-		kind := catalog.IndexKind(data[0])
-		data = data[1:]
-		// Rebuild through the regular CREATE INDEX path (the session
-		// helper builds the in-memory structures over loaded rows).
-		if _, err := s.createIndex(&ast.CreateIndex{
-			Name: iname, Table: itable, Column: icol, Period: kind == catalog.PeriodIndex,
-		}); err != nil {
-			return 0, err
-		}
-	}
-	if len(data) != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(data))
-	}
-	return epoch, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readUvarint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
+	data = data[len(snapshotMagic):]
+	epoch, n := binary.Uvarint(data)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: varint", ErrBadSnapshot)
+		return 0, nil, fmt.Errorf("%w: epoch", ErrBadSnapshot)
 	}
-	return v, data[n:], nil
-}
-
-func readString(data []byte) (string, []byte, error) {
-	n, rest, err := readUvarint(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint64(len(rest)) < n {
-		return "", nil, fmt.Errorf("%w: string length", ErrBadSnapshot)
-	}
-	return string(rest[:n]), rest[n:], nil
+	return epoch, data[n:], nil
 }

@@ -7,23 +7,14 @@ import (
 	"path/filepath"
 )
 
-// The WAL as a replication feed. A frame body — {CRC32C, epoch, seq,
-// payload}, everything after the on-disk length prefix — is the unit of
+// The WAL as a replication feed. A frame body — {format, CRC32C, epoch,
+// seq, group}, everything after the on-disk length prefix — is the unit of
 // shipment: a primary forwards the exact bytes it logged, and a replica
 // verifies the same checksum local replay would. The log file is the
 // only source of frames: a WALTail reads it through the same walReader
 // recovery uses, keeping its byte offset between calls, and waits for
 // more on Appended. The append path knows nothing of replicas beyond
 // closing one channel when a tail is waiting.
-
-// ReplFrame is one WAL frame as a replica receives it. Body is the full
-// frame body (checksum included); Epoch and Seq are pre-decoded for
-// routing without re-parsing.
-type ReplFrame struct {
-	Epoch uint64
-	Seq   uint64
-	Body  []byte
-}
 
 // ErrWALGone reports that frames a tail still owes were truncated out
 // of the log by a Checkpoint: the reader must start over from a
@@ -154,12 +145,9 @@ func (db *Database) WALBase() uint64 {
 	return db.wal.base.Load()
 }
 
-// DecodeWALFrameBody validates a frame body's checksum and splits it
-// into a ReplFrame. The returned Body and payload alias the input.
-func DecodeWALFrameBody(body []byte) (ReplFrame, []byte, error) {
+// DecodeWALFrameBody validates a frame body's checksum and returns its
+// seq and its payload, which aliases body.
+func DecodeWALFrameBody(body []byte) (seq uint64, payload []byte, err error) {
 	fr, err := decodeWALFrame(body)
-	if err != nil {
-		return ReplFrame{}, nil, err
-	}
-	return ReplFrame{Epoch: fr.epoch, Seq: fr.seq, Body: body}, fr.payload, nil
+	return fr.seq, fr.payload, err
 }

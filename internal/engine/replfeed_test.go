@@ -29,11 +29,11 @@ func tailSeqs(t *testing.T, tail *engine.WALTail) []uint64 {
 		if body == nil {
 			return seqs
 		}
-		fr, _, err := engine.DecodeWALFrameBody(body)
+		seq, _, err := engine.DecodeWALFrameBody(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqs = append(seqs, fr.Seq)
+		seqs = append(seqs, seq)
 	}
 }
 
@@ -220,13 +220,28 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	if got := count(t, s, `SELECT COUNT(*) FROM t`); got != 0 {
 		t.Fatalf("read on read-only db = %d", got)
 	}
-	// A replica session bypasses the gate: that is how the stream applies.
-	rs := db.NewReplicaSession()
-	if err := func() error {
-		defer rs.Close()
-		_, err := rs.Exec(`INSERT INTO t VALUES (1)`, nil)
-		return err
-	}(); err != nil {
-		t.Fatalf("replica session write: %v", err)
+	// Applying a primary's commit group bypasses the gate: that is how
+	// the stream applies.
+	primary, ps := openDir(t, t.TempDir())
+	mustExec(t, ps, `CREATE TABLE t (a INT)`)
+	mustExec(t, ps, `INSERT INTO t VALUES (1)`)
+	tail, err := primary.TailWAL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	body, err := tail.Next()
+	if err != nil || body == nil {
+		t.Fatalf("tail: %v, %v", body, err)
+	}
+	_, payload, err := engine.DecodeWALFrameBody(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ApplyWALPayload(payload); err != nil {
+		t.Fatalf("replica apply: %v", err)
+	}
+	if got := count(t, s, `SELECT COUNT(*) FROM t`); got != 1 {
+		t.Fatalf("rows after the replica apply = %d, want 1", got)
 	}
 }

@@ -1,14 +1,18 @@
 package engine_test
 
 // Concurrency stress: the engine promises statement-level serialisation
-// (writers exclusive, readers shared). Mixed concurrent workloads must
-// neither race (run with -race) nor violate counting invariants.
+// (one writer per table, readers on snapshots). Mixed concurrent
+// workloads must neither race (run with -race) nor violate counting
+// invariants.
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"tip/internal/engine"
 	"tip/internal/types"
 )
 
@@ -85,6 +89,9 @@ type errCount struct{ got, max int64 }
 
 func (e errCount) Error() string { return "reader saw more rows than were ever inserted" }
 
+// TestConcurrentTransactionsPerSession runs one transaction per session
+// at a time on a shared table. A transaction that finds the table held
+// by another's gets ErrBusy, rolls back and retries, as a client would.
 func TestConcurrentTransactionsPerSession(t *testing.T) {
 	db, setup := newDB(t)
 	mustExec(t, setup, `CREATE TABLE t (a INT)`)
@@ -96,12 +103,19 @@ func TestConcurrentTransactionsPerSession(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			s := db.NewSession()
-			for i := 0; i < 20; i++ {
+			for i := 0; i < 20; {
 				if _, err := s.Exec(`BEGIN`, nil); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := s.Exec(`INSERT INTO t VALUES (:w)`, params("w", int64(w))); err != nil {
+				if _, err := s.Exec(`INSERT INTO t VALUES (:w)`, params("w", int64(w))); errors.Is(err, engine.ErrBusy) {
+					if _, err := s.Exec(`ROLLBACK`, nil); err != nil {
+						errs <- err
+						return
+					}
+					runtime.Gosched()
+					continue
+				} else if err != nil {
 					errs <- err
 					return
 				}
@@ -113,6 +127,7 @@ func TestConcurrentTransactionsPerSession(t *testing.T) {
 					errs <- err
 					return
 				}
+				i++
 			}
 		}(w)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,58 +8,57 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"tip/internal/blade"
 	"tip/internal/sql/ast"
-	"tip/internal/temporal"
-	"tip/internal/types"
 )
 
-// Statement-level write-ahead logging. A durable database is one
-// directory (Open): a snapshot plus the log of every successful
-// state-changing statement (DDL, DML, transaction control) since, each
-// appended — while the statement still holds its locks — together with
-// the NOW it executed under, so a restart can replay it with identical
-// temporal semantics. Checkpoint writes a snapshot and truncates the
-// log.
+// Write-ahead logging of commit groups. A durable database is one
+// directory (Open): a snapshot plus the log of every commit since — an
+// autocommit statement that changed something, or a COMMIT — as one
+// frame holding the commit's effect records (effects.go), appended
+// after the commit publishes and before it releases its locks.
+// Recovery and replicas apply the records and never parse SQL; BEGIN,
+// ROLLBACK and an open transaction's statements log nothing.
+// Checkpoint writes a snapshot and truncates the log.
 //
-// The log is a redo log of statements, not of row changes: replay
-// re-executes the SQL. A transaction left open at the end of the log
-// (crash mid-transaction) is rolled back through the log when the
-// database opens.
-//
-// Frame layout (length-prefixed, checksummed, epoch-stamped):
+// Frame layout (length-prefixed, versioned, checksummed, epoch-stamped):
 //
 //	uvarint bodyLen
+//	byte    format  — walFormat; the old statement-text format had no
+//	                  such byte and is refused with ErrWALFormat
 //	uint32  CRC32C of the rest of the body (little-endian)
 //	uvarint epoch   — durability epoch; frames older than the
 //	                  snapshot's epoch are skipped at replay
 //	uvarint seq     — frame sequence number, consecutive within a log
-//	payload: int64 now, str sql, uvarint nParams,
-//	         (str name, str typeName, value)*  — names sorted, so
-//	         identical runs produce byte-identical logs
+//	payload         — the commit group's records
 //
-// The checksum makes corruption anywhere in a frame detectable: replay
-// applies every frame up to the first damaged one and surfaces ErrWAL
-// instead of executing damaged SQL. A frame cut short by a crash (torn
-// tail) ends replay cleanly. The epoch closes the checkpoint crash
-// window: Checkpoint stamps the new snapshot with epoch+1 before
-// truncating the log, so if the truncate never happens the stale frames
-// are skipped rather than double-applied on top of the snapshot.
+// Replay applies every frame up to the first damaged one and surfaces
+// ErrWAL; a frame cut short by a crash (torn tail) ends replay cleanly.
+// Checkpoint stamps the new snapshot with epoch+1 before truncating the
+// log, so if the truncate never happens the stale frames are skipped
+// rather than applied twice.
 //
 // Durability is a policy (SetDurability): SyncGrouped, the default,
 // bounds the loss window to an interval by fsyncing from a background
-// syncer; SyncEveryAppend fsyncs before the statement returns, with
+// syncer; SyncEveryAppend fsyncs before the commit returns, with
 // concurrent appenders sharing one fsync (group commit).
 
-// walMaxFrame bounds a frame's decoded length. A corrupt length prefix
-// must not turn into an unbounded allocation at replay; no legitimate
-// statement payload approaches this.
-const walMaxFrame = 64 << 20
+// walMaxFrame bounds a frame's body length, so a corrupt length prefix
+// cannot turn into an unbounded allocation at replay; a commit whose
+// group would not fit fails (ErrGroupTooLarge). Tests lower it.
+var walMaxFrame = 64 << 20
+
+// walFormat is the frame format this version writes. Format 1, the
+// statement-text log, began its body with the checksum.
+const walFormat = 2
+
+// maxGroupPayload is the largest group a frame can carry behind the
+// body's format byte, checksum, epoch and seq.
+func maxGroupPayload() int { return walMaxFrame - 1 - 4 - 2*binary.MaxVarintLen64 }
 
 // walCRC is the Castagnoli polynomial table (hardware-accelerated on
 // most platforms).
@@ -99,10 +97,10 @@ const (
 // wal is the open log of a durable database. Open fixes it before the
 // database is shared; it is never replaced, only sealed by Close.
 type wal struct {
-	dir string // the database directory
-	mu  sync.Mutex
-	f   walSink
-	w   *bufio.Writer
+	dir   string // the database directory
+	mu    sync.Mutex
+	f     walSink
+	frame []byte // the frame being appended, reused (guarded by mu)
 	// failed is the first append error, sticky: once an append fails
 	// the log may end in a torn record, so no further records are
 	// written — the file stays a consistent (replayable) prefix of the
@@ -137,8 +135,16 @@ type wal struct {
 // everything before the damaged frame and stops.
 var ErrWAL = errors.New("engine: corrupt WAL")
 
-// ErrWALFailed reports that a statement applied in memory but could not
-// be appended to the WAL (or, under SyncEveryAppend, not fsynced). The
+// ErrWALFormat reports a log written in a frame format this version
+// does not read.
+var ErrWALFormat = errors.New("engine: wal.log is in WAL format 1 (statement text); this version reads format 2 (commit-group effects)")
+
+// ErrGroupTooLarge reports a commit whose effects would not fit in one
+// log frame. The statement failed before publishing anything.
+var ErrGroupTooLarge = errors.New("engine: commit group exceeds the WAL frame limit")
+
+// ErrWALFailed reports that a commit applied in memory but could not be
+// appended to the WAL (or, under SyncEveryAppend, not fsynced). The
 // statement's result is still returned to the caller; the log stops
 // growing so it remains a consistent prefix. Checkpoint clears the
 // condition (the snapshot captures the state the log no longer covers).
@@ -164,12 +170,11 @@ func (db *Database) Durability() SyncPolicy {
 }
 
 // Open opens the durable database kept in dir, creating the directory
-// if needed. It loads dir/snapshot.tipdb if present, replays dir/wal.log
-// on top of it, cuts a torn tail off the log and fsyncs it, and then
-// appends every state-changing statement to that same file. A
-// transaction the log leaves open (a crash mid-transaction) is rolled
-// back through the log before Open returns, so a later recovery ends it
-// at the same point. Damage inside the log fails Open with ErrWAL.
+// if needed. It loads dir/snapshot.tipdb if present, applies the
+// groups of dir/wal.log on top of it, cuts a torn tail off the log and
+// fsyncs it, and then appends every commit to that same file. Damage
+// inside the log fails Open with ErrWAL, a log of the old format with
+// ErrWALFormat.
 func Open(reg *blade.Registry, dir string) (*Database, error) {
 	return open(reg, dir, func(f *os.File) walSink { return f })
 }
@@ -193,8 +198,7 @@ func open(reg *blade.Registry, dir string, sink func(*os.File) walSink) (*Databa
 	if err != nil {
 		return nil, fmt.Errorf("engine: open: %w", err)
 	}
-	sess := db.NewSession()
-	w, end, err := db.replay(sess, f, snapEpoch)
+	w, end, err := db.replay(f, snapEpoch)
 	if err == nil {
 		err = f.Truncate(end)
 	}
@@ -206,13 +210,11 @@ func open(reg *blade.Registry, dir string, sink func(*os.File) walSink) (*Databa
 		return nil, err
 	}
 	w.dir, w.f = dir, sink(f)
-	w.w = bufio.NewWriter(w.f)
 	w.stop, w.done = make(chan struct{}), make(chan struct{})
 	w.flushedSeq.Store(w.seq)
 	w.syncedSeq.Store(w.seq)
 	db.wal = w
 	go db.walSyncer(w)
-	sess.Close() // logs the ROLLBACK of a transaction left open
 	return db, nil
 }
 
@@ -239,8 +241,8 @@ func (db *Database) Close() error {
 	w.mu.Unlock()
 	close(w.stop)
 	<-w.done
-	// Appends flush as they go, so only an fsync is outstanding. Held
-	// on syncMu, so a SyncEveryAppend committer still waiting finds its
+	// Appends write through, so only an fsync is outstanding. Held on
+	// syncMu, so a SyncEveryAppend committer still waiting finds its
 	// frame covered instead of syncing a closed file.
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -342,10 +344,8 @@ func (db *Database) Checkpoint() error {
 	// appended from here on replay on top of it, even if the truncate
 	// below fails — stale frames stay skippable either way.
 	w.epoch = newEpoch
-	// A failed WAL may hold a poisoned buffered writer and a torn tail
-	// on disk; the snapshot supersedes both, so drop the buffer and let
-	// the truncate heal the log.
-	w.w.Reset(w.f)
+	// A failed WAL may end in a torn tail on disk; the snapshot
+	// supersedes it, so let the truncate heal the log.
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
@@ -364,65 +364,31 @@ func (db *Database) Checkpoint() error {
 	return nil
 }
 
-// loggable reports whether a statement changes database state and must
-// be redone at recovery.
-func loggable(stmt ast.Statement) bool {
+// changesState reports whether a statement writes: DDL and DML.
+func changesState(stmt ast.Statement) bool {
 	switch stmt.(type) {
 	case *ast.CreateTable, *ast.DropTable, *ast.CreateIndex, *ast.DropIndex,
-		*ast.Insert, *ast.Update, *ast.Delete,
-		*ast.Begin, *ast.Commit, *ast.Rollback:
+		*ast.Insert, *ast.Update, *ast.Delete:
 		return true
 	default:
 		return false
 	}
 }
 
-// encodeWALPayload serializes one statement. Parameter names are
-// sorted so identical runs produce byte-identical logs (map iteration
-// order must not leak into the file).
-func encodeWALPayload(now temporal.Chronon, sql string, params map[string]types.Value) []byte {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(now))
-	buf = appendString(buf, sql)
-	buf = binary.AppendUvarint(buf, uint64(len(params)))
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := params[name]
-		buf = appendString(buf, name)
-		tname := ""
-		if v.T != nil && v.T.Kind != types.KindNull {
-			tname = v.T.Name
-		}
-		buf = appendString(buf, tname)
-		buf = v.AppendBinary(buf)
-	}
-	return buf
+func isCommit(stmt ast.Statement) bool {
+	_, ok := stmt.(*ast.Commit)
+	return ok
 }
 
-// encodeWALFrameBody builds a frame body — everything after the length
-// prefix: {CRC32C, epoch, seq, payload}. The body is the unit shipped
-// verbatim to replication subscribers (MsgWALFrame), so a replica
-// verifies the same checksum the local replay would.
-func encodeWALFrameBody(epoch, seq uint64, payload []byte) []byte {
-	var inner []byte
-	inner = binary.AppendUvarint(inner, epoch)
-	inner = binary.AppendUvarint(inner, seq)
-	inner = append(inner, payload...)
-	body := make([]byte, 0, len(inner)+4)
-	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(inner, walCRC))
-	return append(body, inner...)
-}
-
-// appendWALFrame wraps a payload into a length-prefixed checksummed
-// frame under the given epoch and seq.
+// appendWALFrame appends a whole frame — length prefix and body — of
+// payload under the given epoch and seq.
 func appendWALFrame(dst []byte, epoch, seq uint64, payload []byte) []byte {
-	body := encodeWALFrameBody(epoch, seq, payload)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...)
+	var pos [2 * binary.MaxVarintLen64]byte
+	p := binary.AppendUvarint(binary.AppendUvarint(pos[:0], epoch), seq)
+	dst = binary.AppendUvarint(dst, uint64(1+4+len(p)+len(payload)))
+	dst = append(dst, walFormat)
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Update(crc32.Checksum(p, walCRC), walCRC, payload))
+	return append(append(dst, p...), payload...)
 }
 
 // walFrame is one decoded log frame.
@@ -433,14 +399,17 @@ type walFrame struct {
 }
 
 // decodeWALFrame validates and splits a frame body (everything after
-// the length prefix). The payload aliases body.
+// the length prefix). The payload aliases body. A body whose checksum
+// holds for the format 1 layout — checksum first — is ErrWALFormat.
 func decodeWALFrame(body []byte) (walFrame, error) {
-	if len(body) < 4 {
+	if len(body) < 5 {
 		return walFrame{}, fmt.Errorf("%w: short frame", ErrWAL)
 	}
-	sum := binary.LittleEndian.Uint32(body)
-	rest := body[4:]
-	if crc32.Checksum(rest, walCRC) != sum {
+	rest := body[5:]
+	if body[0] != walFormat || crc32.Checksum(rest, walCRC) != binary.LittleEndian.Uint32(body[1:]) {
+		if crc32.Checksum(body[4:], walCRC) == binary.LittleEndian.Uint32(body) {
+			return walFrame{}, ErrWALFormat
+		}
 		return walFrame{}, fmt.Errorf("%w: bad checksum", ErrWAL)
 	}
 	epoch, n := binary.Uvarint(rest)
@@ -455,34 +424,24 @@ func decodeWALFrame(body []byte) (walFrame, error) {
 	return walFrame{epoch: epoch, seq: seq, payload: rest[n:]}, nil
 }
 
-// logStatement appends one executed statement to the WAL and, under
+// logGroup appends one commit group to the WAL and, under
 // SyncEveryAppend, fsyncs before returning. The caller still holds the
-// statement's locks, so frames reach the log in the order their
-// statements applied.
-func (db *Database) logStatement(now temporal.Chronon, sql string, params map[string]types.Value) error {
+// commit's locks, so groups reach the log in the order they published.
+func (db *Database) logGroup(payload []byte) error {
 	w := db.wal
-	if w == nil {
-		return nil
-	}
-	payload := encodeWALPayload(now, sql, params)
 	seq, size, err := func() (uint64, int, error) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if w.failed != nil {
 			return 0, 0, fmt.Errorf("%w (first failure: %v)", ErrWALFailed, w.failed)
 		}
-		body := encodeWALFrameBody(w.epoch, w.seq+1, payload)
-		var hdr [binary.MaxVarintLen64]byte
-		hn := binary.PutUvarint(hdr[:], uint64(len(body)))
-		if _, err := w.w.Write(hdr[:hn]); err != nil {
-			w.failed = err
-			return 0, 0, fmt.Errorf("%w: %v", ErrWALFailed, err)
+		w.frame = appendWALFrame(w.frame[:0], w.epoch, w.seq+1, payload)
+		size := len(w.frame)
+		_, err := w.f.Write(w.frame)
+		if cap(w.frame) > 1<<20 {
+			w.frame = nil // keep no large group's buffer
 		}
-		if _, err := w.w.Write(body); err != nil {
-			w.failed = err
-			return 0, 0, fmt.Errorf("%w: %v", ErrWALFailed, err)
-		}
-		if err := w.w.Flush(); err != nil {
+		if err != nil {
 			w.failed = err
 			return 0, 0, fmt.Errorf("%w: %v", ErrWALFailed, err)
 		}
@@ -492,7 +451,7 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 			close(w.appended)
 			w.appended = nil
 		}
-		return w.seq, hn + len(body), nil
+		return w.seq, size, nil
 	}()
 	if err != nil {
 		db.obs.walFailures.Inc()
@@ -514,17 +473,16 @@ func (db *Database) logStatement(now temporal.Chronon, sql string, params map[st
 	return nil
 }
 
-// replay re-executes the frames of the log f on sess, each under the
-// NOW it originally executed with. Frames are read through a bounded
-// buffer, so recovery memory scales with the largest record, not the
-// log size. Frames from an epoch older than the snapshot's are skipped
-// (they are already inside the snapshot: the checkpoint crashed before
-// truncating the log). A frame cut short at the end (a torn write)
-// ends replay cleanly; a checksum mismatch or sequence gap stops it at
-// the last valid frame and surfaces ErrWAL. It returns the log's
+// replay applies the groups of the log f. Frames are read through a
+// bounded buffer, so recovery memory scales with the largest record,
+// not the log size. Frames from an epoch older than the snapshot's are
+// skipped (they are already inside the snapshot: the checkpoint crashed
+// before truncating the log). A frame cut short at the end (a torn
+// write) ends replay cleanly; a checksum mismatch or sequence gap stops
+// it at the last valid frame and surfaces ErrWAL. It returns the log's
 // position — epoch, last seq and base — as an unopened wal, with the
 // offset just past the last whole frame.
-func (db *Database) replay(sess *Session, f *os.File, snapEpoch uint64) (*wal, int64, error) {
+func (db *Database) replay(f *os.File, snapEpoch uint64) (*wal, int64, error) {
 	w := &wal{epoch: snapEpoch}
 	r := walReader{f: f}
 	for {
@@ -542,8 +500,11 @@ func (db *Database) replay(sess *Session, f *os.File, snapEpoch uint64) (*wal, i
 		if fr.epoch < snapEpoch {
 			continue
 		}
-		if err := db.replayRecord(sess, fr.payload); err != nil {
-			return nil, 0, err
+		if err := db.applyGroup(fr.payload); err != nil {
+			if errors.Is(err, errBadGroup) {
+				err = fmt.Errorf("%w: %w", ErrWAL, err)
+			}
+			return nil, 0, fmt.Errorf("engine: wal replay of frame %d (seq %d): %w", r.frames, fr.seq, err)
 		}
 	}
 	w.seq = r.seq
@@ -576,7 +537,7 @@ func (r *walReader) next() (fr walFrame, body []byte, ok bool, err error) {
 		if k < 0 {
 			return fr, nil, false, fmt.Errorf("%w: frame %d length (after seq %d): varint overflow", ErrWAL, r.frames+1, r.seq)
 		}
-		if k > 0 && n > walMaxFrame {
+		if k > 0 && n > uint64(walMaxFrame) {
 			return fr, nil, false, fmt.Errorf("%w: frame %d length %d (after seq %d)", ErrWAL, r.frames+1, n, r.seq)
 		}
 		if k == 0 || uint64(len(r.buf)-k) < n {
@@ -629,81 +590,4 @@ func (r *walReader) fill(need int) (more bool, err error) {
 // reset moves the reader back to offset 0 of a truncated file.
 func (r *walReader) reset() {
 	*r = walReader{f: r.f, store: r.store}
-}
-
-// decodeWALPayload parses a frame payload into the statement's original
-// NOW, SQL text and parameters. Type names resolve through reg.
-func decodeWALPayload(reg *blade.Registry, rec []byte) (temporal.Chronon, string, map[string]types.Value, error) {
-	if len(rec) < 8 {
-		return 0, "", nil, fmt.Errorf("%w: short record", ErrWAL)
-	}
-	now := temporal.Chronon(binary.LittleEndian.Uint64(rec))
-	rec = rec[8:]
-	sql, rec, err := readString(rec)
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
-	}
-	nParams, k := binary.Uvarint(rec)
-	if k <= 0 {
-		return 0, "", nil, fmt.Errorf("%w: param count", ErrWAL)
-	}
-	rec = rec[k:]
-	if nParams > uint64(len(rec)) {
-		return 0, "", nil, fmt.Errorf("%w: param count %d", ErrWAL, nParams)
-	}
-	var params map[string]types.Value
-	if nParams > 0 {
-		params = make(map[string]types.Value, nParams)
-	}
-	for range nParams {
-		var name, tname string
-		if name, rec, err = readString(rec); err != nil {
-			return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
-		}
-		if tname, rec, err = readString(rec); err != nil {
-			return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
-		}
-		t := types.TNull
-		if tname != "" {
-			var ok bool
-			if t, ok = reg.LookupType(tname); !ok {
-				return 0, "", nil, fmt.Errorf("%w: unknown type %s", ErrWAL, tname)
-			}
-		}
-		var v types.Value
-		if t.Kind == types.KindNull {
-			if len(rec) < 1 {
-				return 0, "", nil, fmt.Errorf("%w: null value", ErrWAL)
-			}
-			v, rec = types.NewNull(types.TNull), rec[1:]
-		} else {
-			if v, rec, err = types.DecodeValue(t, rec); err != nil {
-				return 0, "", nil, fmt.Errorf("%w: %v", ErrWAL, err)
-			}
-		}
-		params[name] = v
-	}
-	if len(rec) != 0 {
-		return 0, "", nil, fmt.Errorf("%w: trailing bytes in record", ErrWAL)
-	}
-	return now, sql, params, nil
-}
-
-func (db *Database) replayRecord(sess *Session, rec []byte) error {
-	now, sql, params, err := decodeWALPayload(db.reg, rec)
-	if err != nil {
-		return err
-	}
-	// Replay under the original NOW so NOW-relative semantics match.
-	// Parsing goes through the session cache: a replica applying a
-	// stream of repeated statements pays the parser once per shape.
-	sess.nowOverride = &now
-	stmt, err := sess.parseCached(sql)
-	if err != nil {
-		return fmt.Errorf("engine: wal replay of %q: %w", sql, err)
-	}
-	if _, err := sess.ExecStmt(stmt, params); err != nil {
-		return fmt.Errorf("engine: wal replay of %q: %w", sql, err)
-	}
-	return nil
 }

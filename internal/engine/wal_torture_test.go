@@ -191,7 +191,7 @@ func replayDamaged(t *testing.T, log []byte) (*Database, error) {
 	}
 	defer f.Close()
 	db := freshEngine(t)
-	_, _, err = db.replay(db.NewSession(), f, 0)
+	_, _, err = db.replay(f, 0)
 	if _, openErr := recoverLog(t, nil, log); openErr == nil || openErr.Error() != err.Error() {
 		t.Fatalf("Open err = %v, replay err = %v", openErr, err)
 	}
@@ -391,7 +391,7 @@ func TestWALCorruptThroughBothReaders(t *testing.T) {
 			return b
 		}(), 5, "frame 6 (after seq 5)"},
 		{"sequence gap", append(bytes.Clone(log[:bounds[2]]), log[bounds[3]:]...), 3, "frame 4 seq 5, want 4"},
-		{"impossible length", binary.AppendUvarint(bytes.Clone(log[:bounds[3]]), walMaxFrame+1), 4, "frame 5 length"},
+		{"impossible length", binary.AppendUvarint(bytes.Clone(log[:bounds[3]]), uint64(walMaxFrame)+1), 4, "frame 5 length"},
 	}
 	for _, tc := range cases {
 		var rec *Database
@@ -512,8 +512,8 @@ func TestWALCrashSinkPrefixRecovery(t *testing.T) {
 }
 
 // TestWALDeterministicBytes runs the identical parameterized workload
-// twice: the logs must be byte-identical (sorted parameter encoding,
-// no map-order leakage), which is what makes golden log tests possible.
+// twice: the logs must be byte-identical (no map-order leakage), which
+// is what makes golden log tests possible.
 func TestWALDeterministicBytes(t *testing.T) {
 	runOnce := func() []byte {
 		dir := t.TempDir()

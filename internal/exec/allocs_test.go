@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 
+	"tip/internal/blade"
+	"tip/internal/core"
 	"tip/internal/engine"
 	"tip/internal/exec"
 	"tip/internal/temporal"
@@ -259,9 +261,9 @@ func TestRowExprAllocs(t *testing.T) {
 // literal overlap probe of TestLiteralProbeAllocs has a ceiling of its
 // own at either table size.
 const (
-	pointReadAllocs    = 50
-	insertAllocs       = 35
-	literalProbeAllocs = 85
+	pointReadAllocs    = 49
+	insertAllocs       = 32
+	literalProbeAllocs = 84
 )
 
 func TestPointStatementAllocs(t *testing.T) {
@@ -297,6 +299,43 @@ func TestPointStatementAllocs(t *testing.T) {
 		if avg > c.bound {
 			t.Errorf("%s allocates %.0f objects per statement; the bound is %.0f", c.sql, avg, c.bound)
 		}
+	}
+}
+
+// durableInsertAllocs bounds the INSERT of TestPointStatementAllocs on a
+// durable database, where the statement also records its put and
+// appends its commit group to the log.
+const durableInsertAllocs = 33
+
+func TestDurableInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	reg := blade.NewRegistry()
+	if _, err := core.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	db, err := engine.Open(reg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetClock(func() temporal.Chronon { return testNow })
+	s := db.NewSession()
+	seedAllocRx(t, s, 200)
+	valid, err := temporal.ParseElement("{[1999-01-01, NOW]}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	elem, _ := reg.LookupType("Element")
+	const insert = `INSERT INTO rx VALUES (:pat, :drug, :dose, :valid)`
+	avg := stmtAllocs(t, s, insert, map[string]types.Value{
+		"pat": types.NewString("p9999"), "drug": types.NewString("d1"),
+		"dose": types.NewInt(5), "valid": types.NewUDT(elem, valid),
+	})
+	t.Logf("durable %s: %.0f allocations per statement", insert, avg)
+	if avg > durableInsertAllocs {
+		t.Errorf("durable %s allocates %.0f objects per statement; the bound is %d", insert, avg, durableInsertAllocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"maps"
 
 	"tip/internal/index"
 	"tip/internal/storage"
@@ -10,26 +11,25 @@ import (
 )
 
 // TableWriter builds the next version of a table: a copy-on-write slab
-// builder for the rows plus the matching index maintenance, all staged
-// so a statement either publishes atomically (Commit) or leaves no
-// trace (Discard). The caller must hold the table's write lock for the
-// writer's whole lifetime; exactly one of Commit or Discard must end
-// it.
+// builder for the rows plus the matching index maintenance, so a
+// statement either yields a whole new version (Commit) or leaves no
+// trace (Discard). The caller holds the table's write lock for the
+// writer's lifetime and publishes the version or keeps it private to a
+// transaction.
 //
 // Hash index changes are the one part that touches shared state before
-// Commit: postings are added/killed in the shared cores stamped with
-// this writer's unpublished sequence, which no reader snapshot can see
-// yet. Discard physically reverts them from a journal. Row and period
-// index changes are builder-local until Commit.
+// publication: postings are added/killed in the shared cores stamped
+// with this writer's unpublished sequence, which no reader snapshot can
+// see yet. Discard reverts them from a journal — also after Commit, for
+// a transaction's ROLLBACK. Row and period index changes are
+// builder-local.
 type TableWriter struct {
-	t       *Table
-	base    *TableVersion
-	seq     uint64
-	horizon uint64
-	rows    *storage.Builder
-	periods map[int]*index.PeriodBuilder
-	hashOps []hashOp
-	done    bool
+	*storage.Builder // the rows: Get, Insert, Put, Delete, Update
+	base             *TableVersion
+	seq              uint64
+	horizon          uint64
+	periods          map[int]*index.PeriodBuilder
+	hashOps          []hashOp
 }
 
 type hashOp struct {
@@ -39,44 +39,19 @@ type hashOp struct {
 	id  int
 }
 
-// BeginWrite starts a writer over the table's latest version with the
-// given version-clock sequence and horizon (the oldest sequence any
-// open transaction or pinned statement snapshot could read at). The
-// horizon must be below seq: Discard can only revert postings the
-// writer's own index maintenance has not reclaimed.
-func (t *Table) BeginWrite(seq, horizon uint64) *TableWriter {
-	base := t.Snapshot()
+// NewWriter starts a writer over version v with the given version-clock
+// sequence and horizon (the oldest sequence a pinned statement snapshot
+// or an unpublished posting could still need). The horizon must be
+// below seq: Discard can only revert postings the writer's own index
+// maintenance has not reclaimed.
+func (v *TableVersion) NewWriter(seq, horizon uint64) *TableWriter {
 	return &TableWriter{
-		t:       t,
-		base:    base,
+		Builder: v.Rows.NewBuilder(seq, horizon),
+		base:    v,
 		seq:     seq,
 		horizon: horizon,
-		rows:    base.Rows.NewBuilder(seq, horizon),
 		periods: make(map[int]*index.PeriodBuilder),
 	}
-}
-
-// Base returns the version this writer builds on.
-func (w *TableWriter) Base() *TableVersion { return w.base }
-
-// Seq returns the writer's version-clock sequence.
-func (w *TableWriter) Seq() uint64 { return w.seq }
-
-// Get returns a row of the writer's working state.
-func (w *TableWriter) Get(id int) (storage.Row, bool) { return w.rows.Get(id) }
-
-// Insert stores a row, returning its id.
-func (w *TableWriter) Insert(r storage.Row) int { return w.rows.Insert(r) }
-
-// InsertAt revives a tombstoned slot (rollback's undo of a delete).
-func (w *TableWriter) InsertAt(id int, r storage.Row) error { return w.rows.InsertAt(id, r) }
-
-// Delete tombstones a row, returning its former content.
-func (w *TableWriter) Delete(id int) (storage.Row, error) { return w.rows.Delete(id) }
-
-// Update replaces a row's content, returning the former content.
-func (w *TableWriter) Update(id int, r storage.Row) (storage.Row, error) {
-	return w.rows.Update(id, r)
 }
 
 func (w *TableWriter) periodBuilder(pos int) *index.PeriodBuilder {
@@ -120,38 +95,29 @@ func (w *TableWriter) UnindexRow(id int, row Row, now temporal.Chronon) {
 	}
 }
 
-// Commit publishes the writer's state as the table's latest version.
-func (w *TableWriter) Commit() {
-	if w.done {
-		return
-	}
-	w.done = true
+// Commit returns the writer's state as the table's next version. The
+// writer keeps only its posting journal afterwards.
+func (w *TableWriter) Commit() *TableVersion {
 	nv := &TableVersion{
 		Seq:     w.seq,
-		Rows:    w.rows.Commit(),
+		Rows:    w.Builder.Commit(),
 		Hash:    w.base.Hash,
 		Periods: w.base.Periods,
 	}
 	if len(w.periods) > 0 {
-		nv.Periods = make(map[int]*index.Period, len(w.base.Periods))
-		for pos, ix := range w.base.Periods {
-			nv.Periods[pos] = ix
-		}
+		nv.Periods = maps.Clone(w.base.Periods)
 		for pos, b := range w.periods {
 			nv.Periods[pos] = b.Commit()
 		}
 	}
-	w.t.Install(nv)
+	w.Builder, w.periods = nil, nil
+	return nv
 }
 
-// Discard abandons the writer: the staged hash-index postings are
-// physically reverted (newest first); everything else was never
-// visible outside the writer.
+// Discard reverts the writer's hash-index postings, newest first;
+// everything else never left the writer. It may follow Commit, as long
+// as the committed version was never published, and runs once.
 func (w *TableWriter) Discard() {
-	if w.done {
-		return
-	}
-	w.done = true
 	for i := len(w.hashOps) - 1; i >= 0; i-- {
 		op := w.hashOps[i]
 		ix := w.base.Hash[op.col]

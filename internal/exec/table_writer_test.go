@@ -24,10 +24,10 @@ func TestTableWriterDiscardKeepsPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := exec.NewTable(meta)
-	w := tbl.BeginWrite(1, 0)
+	w := tbl.Snapshot().NewWriter(1, 0)
 	w.Insert(exec.Row{types.NewString("a"), types.NewInt(1)})
 	w.Insert(exec.Row{types.NewString("a"), types.NewInt(0)})
-	w.Commit()
+	tbl.Install(w.Commit())
 
 	// CREATE INDEX: postings born at sequence zero, installed as a new
 	// version over the same rows.
@@ -39,7 +39,7 @@ func TestTableWriterDiscardKeepsPostings(t *testing.T) {
 	tbl.Install(&exec.TableVersion{Seq: 2, Rows: base.Rows, Hash: map[int]*index.Hash{0: ix}, Periods: base.Periods})
 
 	const seq = 3
-	w = tbl.BeginWrite(seq, seq-1)
+	w = tbl.Snapshot().NewWriter(seq, seq-1)
 	old, _ := w.Get(0)
 	row := exec.Row{old[0], types.NewInt(10)}
 	w.UnindexRow(0, old, testNow)

@@ -1,75 +1,67 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"tip/internal/sql/ast"
 )
 
-// StatementTables reports which tables a statement binds, split into the
-// set it only reads and the set it mutates. Names are lower-cased and
-// deduplicated; a table both read and written appears only in writes.
-// The walk is purely syntactic (it descends into subqueries, EXISTS, IN
-// and derived tables), so it can run before binding — the engine uses it
-// to decide which per-table locks a statement needs before touching any
-// shared state. Unknown tables are reported too; resolution errors
-// surface later, during binding.
-func StatementTables(stmt ast.Statement) (reads, writes []string) {
-	c := &tableCollector{reads: map[string]bool{}, writes: map[string]bool{}}
+// StatementTables reports the tables a statement binds — every table it
+// reads or writes, lower-cased and deduplicated — and the one table a
+// DML statement writes ("" for any other statement). The walk is purely
+// syntactic (it descends into subqueries, EXISTS, IN and derived
+// tables), so it can run before binding — the engine uses it to decide
+// which table lock a statement needs and which versions it pins before
+// touching any shared state. Unknown tables are reported too;
+// resolution errors surface later, during binding. DDL, SHOW TABLES and
+// transaction control bind no table rows and report nothing.
+func StatementTables(stmt ast.Statement) (tables []string, write string) {
+	c := &tableCollector{}
 	switch st := stmt.(type) {
 	case *ast.Select:
 		c.selectStmt(st)
 	case *ast.Insert:
-		c.writes[strings.ToLower(st.Table)] = true
-		if st.Query != nil {
-			c.selectStmt(st.Query)
-		}
+		write = st.Table
+		c.selectStmt(st.Query)
 		for _, row := range st.Rows {
 			for _, e := range row {
 				c.expr(e)
 			}
 		}
 	case *ast.Update:
-		c.writes[strings.ToLower(st.Table)] = true
+		write = st.Table
 		c.expr(st.Where)
 		for _, a := range st.Set {
 			c.expr(a.Value)
 		}
 	case *ast.Delete:
-		c.writes[strings.ToLower(st.Table)] = true
+		write = st.Table
 		c.expr(st.Where)
-	case *ast.CreateTable:
-		c.writes[strings.ToLower(st.Name)] = true
-	case *ast.DropTable:
-		c.writes[strings.ToLower(st.Name)] = true
-	case *ast.CreateIndex:
-		c.writes[strings.ToLower(st.Table)] = true
 	case *ast.Explain:
 		c.selectStmt(st.Query)
 	case *ast.Describe:
-		c.reads[strings.ToLower(st.Table)] = true
+		c.add(st.Table)
 	case *ast.SetNow:
 		c.expr(st.Value)
 	}
-	// DropIndex, ShowTables and transaction control bind no table rows;
-	// the engine guards them with the catalog lock alone (or, for
-	// ROLLBACK, with the tables named in the undo log).
-	for t := range c.writes {
-		delete(c.reads, t)
-		writes = append(writes, t)
+	if write != "" {
+		write = strings.ToLower(write)
+		c.add(write)
 	}
-	for t := range c.reads {
-		reads = append(reads, t)
-	}
-	sort.Strings(reads)
-	sort.Strings(writes)
-	return reads, writes
+	return c.tables, write
 }
 
 // tableCollector accumulates table references from a statement tree.
+// A statement names a handful of tables, so a scan dedups them.
 type tableCollector struct {
-	reads, writes map[string]bool
+	tables []string
+}
+
+func (c *tableCollector) add(table string) {
+	if t := strings.ToLower(table); !slices.Contains(c.tables, t) {
+		c.tables = append(c.tables, t)
+	}
 }
 
 func (c *tableCollector) selectStmt(sel *ast.Select) {
@@ -80,7 +72,7 @@ func (c *tableCollector) selectStmt(sel *ast.Select) {
 		if ref.Subquery != nil {
 			c.selectStmt(ref.Subquery)
 		} else {
-			c.reads[strings.ToLower(ref.Table)] = true
+			c.add(ref.Table)
 		}
 		c.expr(ref.On)
 	}

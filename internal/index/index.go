@@ -114,8 +114,8 @@ func (h *Hash) Remove(key string, id int, seq, horizon uint64) {
 }
 
 // UndoAdd physically removes the posting Add(key, id, seq, _) created —
-// the discard path for a failed writer statement, which never published
-// seq to any reader.
+// the discard path for a failed writer statement or a rolled-back
+// transaction, neither of which published seq to any reader.
 func (h *Hash) UndoAdd(key string, id int, seq uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -135,7 +135,8 @@ func (h *Hash) UndoAdd(key string, id int, seq uint64) {
 }
 
 // UndoRemove revives the posting Remove(key, id, seq) killed — the
-// discard path for a failed writer statement.
+// discard path for a failed writer statement or a rolled-back
+// transaction.
 func (h *Hash) UndoRemove(key string, id int, seq uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

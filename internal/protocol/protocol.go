@@ -108,8 +108,8 @@ const (
 	// timeout.
 	ErrCodeTimeout
 	// ErrCodeBusy reports admission-control rejection (connection limit
-	// or load shedding); the statement never ran and a retry after
-	// backoff is safe.
+	// or load shedding) or a table an open transaction holds; the
+	// statement never ran and a retry after backoff is safe.
 	ErrCodeBusy
 	// ErrCodeShutdown reports a server that is draining: the statement
 	// never ran and the connection is about to close.

@@ -1,11 +1,11 @@
 // Package repl is WAL-shipping replication: a primary tails its
 // write-ahead log and streams the checksummed frame bodies to
-// subscribed replicas, which replay them into their own engine and
-// serve read-only queries from MVCC snapshots. The wire payload is the
-// WAL frame body exactly as logged — {CRC32C, epoch, seq} plus the
-// statement payload — so a replica verifies the same checksum local
-// crash recovery would, and the stream cannot drift from the on-disk
-// format.
+// subscribed replicas, which apply the commit groups they carry to
+// their own engine and serve read-only queries from MVCC snapshots.
+// The wire payload is the WAL frame body exactly as logged — {format,
+// CRC32C, epoch, seq} plus the group — so a replica verifies the same
+// checksum local crash recovery would, and the stream cannot drift from
+// the on-disk format.
 //
 // The log file is the one source of frames: each subscription tails
 // wal.log from the replica's position with a cursor that keeps its

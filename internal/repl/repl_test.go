@@ -539,12 +539,12 @@ func TestRawSubscribeStreamsBackloggedFrames(t *testing.T) {
 		case protocol.MsgReplStatus:
 			continue // subscription ack / heartbeat
 		case protocol.MsgWALFrame:
-			fr, _, err := engine.DecodeWALFrameBody(frame[1:])
+			seq, _, err := engine.DecodeWALFrameBody(frame[1:])
 			if err != nil {
 				t.Fatalf("frame %d fails checksum: %v", next, err)
 			}
-			if fr.Seq != next {
-				t.Fatalf("got seq %d, want %d", fr.Seq, next)
+			if seq != next {
+				t.Fatalf("got seq %d, want %d", seq, next)
 			}
 			next++
 		default:

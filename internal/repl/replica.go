@@ -59,7 +59,6 @@ type Replica struct {
 
 	mu     sync.Mutex
 	conn   net.Conn // current connection, closed by Close to unblock reads
-	sess   *engine.Session
 	closed bool
 
 	stop chan struct{}
@@ -124,7 +123,6 @@ func StartReplica(db *engine.Database, addr string, opts ...ReplicaOption) *Repl
 	}
 	db.SetReadOnly(true)
 	r.needSnapshot.Store(true)
-	r.sess = db.NewReplicaSession()
 	m := db.Metrics()
 	r.framesApplied = m.Counter("repl.frames_applied")
 	r.resubscribes = m.Counter("repl.resubscribes")
@@ -313,24 +311,24 @@ func (r *Replica) runOnce() error {
 		}
 		switch frame[0] {
 		case protocol.MsgWALFrame:
-			fr, payload, err := engine.DecodeWALFrameBody(frame[1:])
+			seq, payload, err := engine.DecodeWALFrameBody(frame[1:])
 			if err != nil {
 				return err // corrupt in flight: drop the link, refetch
 			}
 			a := r.applied.Load()
-			if fr.Seq <= a {
+			if seq <= a {
 				continue // duplicate straddling a catch-up boundary
 			}
-			if fr.Seq != a+1 {
-				return fmt.Errorf("repl: frame gap: got seq %d, want %d", fr.Seq, a+1)
+			if seq != a+1 {
+				return fmt.Errorf("repl: frame gap: got seq %d, want %d", seq, a+1)
 			}
-			if err := r.sess.ApplyWALPayload(payload); err != nil {
-				// Divergence — e.g. a ROLLBACK for a transaction opened
-				// before our bootstrap. A fresh snapshot heals it.
+			if err := r.db.ApplyWALPayload(payload); err != nil {
+				// Divergence: the group does not fit what the replica
+				// holds. A fresh snapshot heals it.
 				r.needSnapshot.Store(true)
-				return fmt.Errorf("repl: apply seq %d: %w", fr.Seq, err)
+				return fmt.Errorf("repl: apply seq %d: %w", seq, err)
 			}
-			r.applied.Store(fr.Seq)
+			r.applied.Store(seq)
 			r.framesApplied.Inc()
 		case protocol.MsgReplStatus:
 			// Subscription ack or heartbeat: traffic, nothing to apply.
@@ -376,13 +374,10 @@ func (r *Replica) bootstrap(br *bufio.Reader, writeFrame func([]byte) error) err
 	if err != nil {
 		return err
 	}
-	// Drop any half-applied transaction state from the old lineage,
-	// then swap the contents wholesale.
-	r.sess.Close()
+	// Swap the contents wholesale.
 	if err := r.db.LoadReplicaSnapshot(data); err != nil {
 		return err
 	}
-	r.sess = r.db.NewReplicaSession()
 	r.applied.Store(seq)
 	r.runID.Store(runID)
 	r.needSnapshot.Store(false)

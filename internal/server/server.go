@@ -531,6 +531,8 @@ func encodeExecError(err error) []byte {
 		return protocol.EncodeErrorCode(protocol.ErrCodeReadOnly, err.Error())
 	case errors.Is(err, engine.ErrMemory):
 		return protocol.EncodeErrorCode(protocol.ErrCodeResource, err.Error())
+	case errors.Is(err, engine.ErrBusy):
+		return protocol.EncodeErrorCode(protocol.ErrCodeBusy, err.Error())
 	}
 	return protocol.EncodeError(err.Error())
 }

@@ -7,6 +7,7 @@ package server_test
 // does not outlive its transaction.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -151,13 +152,12 @@ func TestMultiSessionStress(t *testing.T) {
 	}
 }
 
-// TestUncommittedInsertVisibleUntilRollback pins the isolation level
-// (DESIGN.md, "Isolation"): a statement snapshots the published table
-// versions, and a transaction publishes each statement as it applies —
-// rollback is an undo log, not deferred visibility. So another session
-// sees an open transaction's INSERT, and stops seeing it once the
-// transaction rolls back.
-func TestUncommittedInsertVisibleUntilRollback(t *testing.T) {
+// TestUncommittedInsertInvisibleUntilCommit pins the isolation level
+// (DESIGN.md, "Isolation"): a transaction writes private table versions
+// and publishes them at COMMIT, so another session sees none of an open
+// transaction's INSERT, nothing after it rolls back, and all of it once
+// a transaction commits.
+func TestUncommittedInsertInvisibleUntilCommit(t *testing.T) {
 	srv := start(t)
 	a, b := connect(t, srv), connect(t, srv)
 	count := func(c *client.Conn) int64 {
@@ -173,13 +173,57 @@ func TestUncommittedInsertVisibleUntilRollback(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	if got := count(b); got != 1 {
-		t.Errorf("session B sees %d rows while A's transaction is open, want 1", got)
+	if got := count(b); got != 0 {
+		t.Errorf("session B sees %d rows while A's transaction is open, want 0", got)
 	}
-	if _, err := a.Exec(`ROLLBACK`, nil); err != nil {
-		t.Fatal(err)
+	if got := count(a); got != 1 {
+		t.Errorf("session A sees %d rows of its own transaction, want 1", got)
+	}
+	for _, sql := range []string{`ROLLBACK`, `BEGIN`, `INSERT INTO t VALUES (2)`} {
+		if _, err := a.Exec(sql, nil); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
 	}
 	if got := count(b); got != 0 {
 		t.Errorf("session B sees %d rows after A rolled back, want 0", got)
+	}
+	if _, err := a.Exec(`COMMIT`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(b); got != 1 {
+		t.Errorf("session B sees %d rows after A committed, want 1", got)
+	}
+}
+
+// TestBusyTableOverWire: an autocommit INSERT into a table another
+// session's open transaction wrote fails at once with client.ErrBusy,
+// the connection stays usable, and the retry succeeds once the
+// transaction commits.
+func TestBusyTableOverWire(t *testing.T) {
+	srv := start(t)
+	a, b := connect(t, srv), connect(t, srv)
+	for _, sql := range []string{`CREATE TABLE t (a INT)`, `BEGIN`, `INSERT INTO t VALUES (1)`} {
+		if _, err := a.Exec(sql, nil); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if _, err := b.Exec(`INSERT INTO t VALUES (2)`, nil); !errors.Is(err, client.ErrBusy) {
+		t.Fatalf("insert into the held table: err = %v, want client.ErrBusy", err)
+	}
+	if _, err := b.Exec(`SELECT COUNT(*) FROM t`, nil); err != nil {
+		t.Fatalf("connection unusable after ErrBusy: %v", err)
+	}
+	if _, err := a.Exec(`COMMIT`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Exec(`INSERT INTO t VALUES (2)`, nil); err != nil {
+		t.Fatalf("retry after COMMIT: %v", err)
+	}
+	res, err := b.Exec(`SELECT COUNT(*) FROM t`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Int(); got != 2 {
+		t.Errorf("rows = %d, want 2", got)
 	}
 }

@@ -1,11 +1,10 @@
-// Package storage implements the engine's row store. Since the MVCC
-// refactor a table's rows live in a chain of immutable slab versions:
-// each committed writer statement publishes a new Version, and readers
-// pin one Version for the duration of a statement, never blocking on
-// (or being blocked by) writers. Superseded versions are reclaimed by
-// the Go garbage collector once the last reader snapshot drops them —
-// versions hold no pointers to their successors or predecessors, only
-// shared chunks.
+// Package storage implements the engine's row store. A table's rows
+// live in a chain of immutable slab versions: each writer builds a new
+// Version — published at once, or kept private to a transaction until
+// COMMIT — and readers pin one Version per statement, never blocking on
+// (or being blocked by) writers. The Go garbage collector reclaims
+// superseded and dropped versions once no snapshot holds them: versions
+// point at no other version, only at shared chunks.
 //
 // Copy-on-write is per chunk of chunkSize row slots: a writer that
 // touches a slot of a published chunk copies just that chunk, while
@@ -13,15 +12,10 @@
 // published version's slot bound are invisible to every reader of that
 // version, so in-place tail writes race with nothing.
 //
-// Row ids are slot positions and stay stable across versions; deletes
-// tombstone the slot and queue it on a FIFO free list stamped with the
-// deleting version's sequence. A later insert may reuse the slot only
-// once the stamp falls behind the caller-supplied horizon (the minimum
-// sequence any open transaction started at), because undo logs address
-// rows by slot id and rollback must find its slot still dead. This
-// folds the old Heap.Compact tombstone reclamation — which nothing ever
-// called in production — into the normal write path, keeping capacity
-// bounded under delete/insert churn.
+// Row ids are slot positions and stay stable across versions; the log
+// and snapshots name rows by id, and replay places rows at their ids
+// (Put). Deletes queue the slot on a FIFO free list stamped with the
+// deleting version's sequence (see Builder.Insert).
 package storage
 
 import (
@@ -42,13 +36,6 @@ const chunkSize = 256
 type chunk struct {
 	rows [chunkSize]Row
 	live [chunkSize]bool
-	// freed stamps each slot with the sequence of its most recent
-	// death. A free-list entry is only honored when its stamp still
-	// matches: a slot revived by rollback and later deleted again gets
-	// a fresh entry under the new stamp, and the stale old entry —
-	// whose stamp may already be behind the horizon — must not hand
-	// the slot out while the newer death's transaction is still open.
-	freed [chunkSize]uint64
 }
 
 // freeSlot records a tombstoned slot and the sequence of the version
@@ -123,14 +110,17 @@ type Builder struct {
 	owned   []bool // when !shared: chunks[i] is builder-local and freely mutable
 	slots   int
 	n       int
-	popped  int        // free entries consumed from base.free
-	pushes  []freeSlot // slots freed by this builder
+	// free is the free list, oldest first. It shares base.free's
+	// backing array, and appends may write past base.free's length:
+	// safe, because a table's builders start from its newest version,
+	// one at a time.
+	free []freeSlot
 }
 
 // NewBuilder starts a successor of v with the given version sequence.
-// horizon is the oldest sequence any open transaction started at (or
-// seq itself when none are open): free slots stamped before it may be
-// reused.
+// horizon is the oldest sequence a pinned reader or an open
+// transaction's writes can still reach (seq itself when there is none):
+// free slots stamped before it may be reused.
 //
 // The builder starts out aliasing v's chunk-pointer slice rather than
 // copying it — a pure-append statement (the INSERT hot path) then costs
@@ -148,6 +138,7 @@ func (v *Version) NewBuilder(seq, horizon uint64) *Builder {
 		shared:  true,
 		slots:   v.slots,
 		n:       v.n,
+		free:    v.free,
 	}
 }
 
@@ -190,12 +181,6 @@ func (b *Builder) mutable(ci int) *chunk {
 	return b.chunks[ci]
 }
 
-// Len returns the live row count of the builder's working state.
-func (b *Builder) Len() int { return b.n }
-
-// Capacity returns the slot count of the builder's working state.
-func (b *Builder) Capacity() int { return b.slots }
-
 // Get returns a row of the builder's working state.
 func (b *Builder) Get(id int) (Row, bool) {
 	if id < 0 || id >= b.slots {
@@ -208,64 +193,91 @@ func (b *Builder) Get(id int) (Row, bool) {
 	return c.rows[id%chunkSize], true
 }
 
-// Insert stores a row and returns its id, reusing a tombstoned slot
-// when one has fallen behind the transaction horizon.
+// Insert stores a row and returns its id, reusing the oldest tombstoned
+// slot once its free stamp has fallen behind the horizon. The gate is
+// conservative: a reader fetches rows from the version it pinned, so a
+// reused slot never shows it a wrong row. The gate keeps a freed id out
+// of new rows while a pinned statement, or a transaction whose own
+// writes freed it, can still reach the row that held it, so every hash
+// posting a snapshot can see names the row that snapshot holds.
 func (b *Builder) Insert(r Row) int {
-	for b.popped < len(b.base.free) {
-		fs := b.base.free[b.popped]
-		if fs.seq >= b.horizon {
-			break
-		}
-		b.popped++
-		ci, off := fs.id/chunkSize, fs.id%chunkSize
-		if b.chunks[ci].live[off] || b.chunks[ci].freed[off] != fs.seq {
-			// Stale entry: a rollback revived the slot after it was
-			// freed (and, if it died again, the newer death queued its
-			// own entry under its own stamp, which gates reuse against
-			// the horizon correctly). Drop it and keep looking.
-			continue
-		}
-		c := b.mutable(ci)
-		c.rows[off] = r
-		c.live[off] = true
-		b.n++
-		return fs.id
+	if len(b.free) > 0 && b.free[0].seq < b.horizon {
+		id := b.free[0].id
+		b.free = b.free[1:]
+		b.place(id, r)
+		return id
 	}
+	return b.appendSlot(r)
+}
+
+// appendSlot stores r in a new slot past the last one.
+func (b *Builder) appendSlot(r Row) int {
 	id := b.slots
-	ci, off := id/chunkSize, id%chunkSize
-	var c *chunk
-	if ci < len(b.chunks) {
-		// Tail slots at or beyond the published bound are invisible to
-		// every reader, so the shared tail chunk is filled in place.
-		c = b.chunks[ci]
-	} else {
-		c = b.mutable(ci)
-	}
-	c.rows[off] = r
-	c.live[off] = true
+	c := b.tailChunk(id / chunkSize)
+	c.rows[id%chunkSize], c.live[id%chunkSize] = r, true
 	b.slots = id + 1
 	b.n++
 	return id
 }
 
-// InsertAt revives a specific row id with the given content — used
-// only by transaction rollback to undo a delete. The slot must be a
-// tombstone. The slot's free-list entry is left in place but becomes
-// permanently stale: Insert skips entries whose slot is live or whose
-// stamp no longer matches the slot's most recent death.
-func (b *Builder) InsertAt(id int, r Row) error {
-	if id < 0 || id >= b.slots {
-		return fmt.Errorf("storage: row id %d out of range", id)
+// tailChunk returns chunk ci for writing slots at or beyond the slot
+// bound. Those slots are invisible to every reader of a published
+// version, so a shared tail chunk is written in place.
+func (b *Builder) tailChunk(ci int) *chunk {
+	if ci < len(b.chunks) {
+		return b.chunks[ci]
 	}
-	ci, off := id/chunkSize, id%chunkSize
-	if b.chunks[ci].live[off] {
-		return fmt.Errorf("storage: row id %d is live", id)
-	}
-	c := b.mutable(ci)
-	c.rows[off] = r
-	c.live[off] = true
+	return b.mutable(ci)
+}
+
+// place stores r in the dead slot id, below the slot bound.
+func (b *Builder) place(id int, r Row) {
+	c := b.mutable(id / chunkSize)
+	c.rows[id%chunkSize] = r
+	c.live[id%chunkSize] = true
 	b.n++
-	return nil
+}
+
+// Put stores r at row id, whatever the slot holds — replay's way to
+// place a row where the log says it was written. It returns the row it
+// replaced, if the slot was live. A dead slot leaves the free list; an
+// id past the last slot extends the table, queueing the slots it skips
+// as free.
+func (b *Builder) Put(id int, r Row) (old Row, ok bool) {
+	if id < b.slots {
+		ci, off := id/chunkSize, id%chunkSize
+		if b.chunks[ci].live[off] {
+			c := b.mutable(ci)
+			old, c.rows[off] = c.rows[off], r
+			return old, true
+		}
+		b.unfree(id)
+		b.place(id, r)
+		return nil, false
+	}
+	for ; b.slots < id; b.slots++ {
+		c, off := b.tailChunk(b.slots/chunkSize), b.slots%chunkSize
+		c.rows[off], c.live[off] = nil, false
+		b.free = append(b.free, freeSlot{id: b.slots, seq: b.seq})
+	}
+	b.appendSlot(r)
+	return nil, false
+}
+
+// unfree drops a dead slot's entry from the free list. Replay reuses
+// slots in the order the live database did, so the entry is usually at
+// the head; elsewhere the list is copied without it.
+func (b *Builder) unfree(id int) {
+	if len(b.free) > 0 && b.free[0].id == id {
+		b.free = b.free[1:]
+		return
+	}
+	for i, fs := range b.free {
+		if fs.id == id {
+			b.free = append(b.free[:i:i], b.free[i+1:]...)
+			return
+		}
+	}
 }
 
 // Delete tombstones a row, returning its former content and queueing
@@ -282,9 +294,8 @@ func (b *Builder) Delete(id int) (Row, error) {
 	old := c.rows[off]
 	c.rows[off] = nil
 	c.live[off] = false
-	c.freed[off] = b.seq
 	b.n--
-	b.pushes = append(b.pushes, freeSlot{id: id, seq: b.seq})
+	b.free = append(b.free, freeSlot{id: id, seq: b.seq})
 	return old, nil
 }
 
@@ -303,41 +314,10 @@ func (b *Builder) Update(id int, r Row) (Row, error) {
 	return old, nil
 }
 
-// Scan visits every live row of the builder's working state in id
-// order until yield returns false.
-func (b *Builder) Scan(yield func(id int, r Row) bool) {
-	for ci, c := range b.chunks {
-		base := ci * chunkSize
-		end := b.slots - base
-		if end > chunkSize {
-			end = chunkSize
-		}
-		for off := 0; off < end; off++ {
-			if c.live[off] && !yield(base+off, c.rows[off]) {
-				return
-			}
-		}
-	}
-}
-
 // Commit publishes the builder's state as a new immutable version.
 // The caller installs it under the table's write lock; publication to
 // lock-free readers happens through an atomic pointer store above this
 // layer.
 func (b *Builder) Commit() *Version {
-	// The surviving tail of base.free shares its backing array;
-	// appending this builder's pushes may write past base.free's
-	// length into that backing, which is safe because only serialized
-	// writers ever touch free lists.
-	free := b.base.free[b.popped:]
-	if len(b.pushes) > 0 {
-		free = append(free, b.pushes...)
-	}
-	return &Version{
-		seq:    b.seq,
-		chunks: b.chunks,
-		slots:  b.slots,
-		n:      b.n,
-		free:   free,
-	}
+	return &Version{seq: b.seq, chunks: b.chunks, slots: b.slots, n: b.n, free: b.free}
 }

@@ -83,12 +83,15 @@ func TestSlabUpdate(t *testing.T) {
 	}
 }
 
-func TestSlabInsertAt(t *testing.T) {
+// TestSlabPut places rows at given ids the way replay does: over a
+// live row, into a dead slot, and past the last slot, where the skipped
+// slots become free and a later insert reuses them first.
+func TestSlabPut(t *testing.T) {
 	var id int
 	v := commit1(NewVersion(), func(b *Builder) {
 		id = b.Insert(row(1))
-		if err := b.InsertAt(id, row(2)); err == nil {
-			t.Error("InsertAt on live slot should fail")
+		if old, ok := b.Put(id, row(2)); !ok || old[0].Int() != 1 {
+			t.Errorf("Put over a live row = %v, %v", old, ok)
 		}
 	})
 	v = commit1(v, func(b *Builder) {
@@ -97,17 +100,28 @@ func TestSlabInsertAt(t *testing.T) {
 		}
 	})
 	v = commit1(v, func(b *Builder) {
-		if err := b.InsertAt(id, row(2)); err != nil {
-			t.Fatal(err)
+		if _, ok := b.Put(id, row(3)); ok {
+			t.Error("Put into a dead slot reported a replaced row")
 		}
-		if err := b.InsertAt(99, row(1)); err == nil {
-			t.Error("InsertAt out of range should fail")
+		b.Put(chunkSize+2, row(4))
+	})
+	if r, ok := v.Get(id); !ok || r[0].Int() != 3 {
+		t.Errorf("revived row = %v, %v", r, ok)
+	}
+	if r, ok := v.Get(chunkSize + 2); !ok || r[0].Int() != 4 {
+		t.Errorf("row past the tail = %v, %v", r, ok)
+	}
+	if v.Len() != 2 || v.Capacity() != chunkSize+3 {
+		t.Fatalf("len=%d cap=%d, want 2 and %d", v.Len(), v.Capacity(), chunkSize+3)
+	}
+	if _, ok := v.Get(1); ok {
+		t.Error("a skipped slot is live")
+	}
+	v = commit1(v, func(b *Builder) {
+		if got := b.Insert(row(5)); got != 1 {
+			t.Errorf("insert after a gap took slot %d, want the first skipped slot 1", got)
 		}
 	})
-	r, ok := v.Get(id)
-	if !ok || r[0].Int() != 2 {
-		t.Error("revived row wrong")
-	}
 }
 
 func TestSlabScanOrderAndEarlyStop(t *testing.T) {
@@ -141,7 +155,7 @@ func TestSlabScanOrderAndEarlyStop(t *testing.T) {
 
 // TestSlabChurnBounded is the regression test for the old
 // Heap.Compact tombstone leak: a delete/insert churn loop must reuse
-// slots once the transaction horizon passes, keeping capacity bounded
+// slots once the horizon passes, keeping capacity bounded
 // rather than growing one slot per churn round.
 func TestSlabChurnBounded(t *testing.T) {
 	v := commit1(NewVersion(), func(b *Builder) {
@@ -152,7 +166,7 @@ func TestSlabChurnBounded(t *testing.T) {
 	for round := 0; round < 1000; round++ {
 		v = commit1(v, func(b *Builder) {
 			var victim int = -1
-			b.Scan(func(id int, _ Row) bool {
+			v.Scan(func(id int, _ Row) bool {
 				victim = id
 				return false
 			})
@@ -175,10 +189,8 @@ func TestSlabChurnBounded(t *testing.T) {
 	}
 }
 
-// TestSlabHorizonBlocksReuse pins a transaction horizon below the
-// freeing sequence and checks the slot is not reused until the horizon
-// passes it — undo logs address rows by slot id, so premature reuse
-// would break rollback.
+// TestSlabHorizonBlocksReuse pins a horizon below the freeing sequence
+// and checks the slot is not reused until the horizon passes it.
 func TestSlabHorizonBlocksReuse(t *testing.T) {
 	var id int
 	v := commit1(NewVersion(), func(b *Builder) {
@@ -189,71 +201,52 @@ func TestSlabHorizonBlocksReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// A transaction open since seq 1 pins horizon=1: no reuse.
+	// A reader pinned at seq 1 holds the horizon at 1: no reuse.
 	b := v.NewBuilder(3, 1)
 	if got := b.Insert(row(2)); got == id {
-		t.Fatal("slot reused under an open transaction horizon")
+		t.Fatal("slot reused under a pinned horizon")
 	}
 	v2 := b.Commit()
-	// With the transaction gone the horizon passes the free stamp.
+	// With the reader gone the horizon passes the free stamp.
 	b = v2.NewBuilder(4, 4)
 	if got := b.Insert(row(3)); got != id {
 		t.Fatalf("slot not reused after horizon passed: got %d want %d", got, id)
 	}
 }
 
-// TestSlabStaleFreeEntry is the regression test for the stale
-// free-list entry bug: a slot freed at seq d, revived by rollback, and
-// freed again at seq n leaves the old {id, d} entry queued. An insert
-// whose horizon has passed d but not n must not honor the stale entry —
-// the newer death's transaction is still open, and its rollback will
-// InsertAt the slot, which has to find it still dead.
+// TestSlabStaleFreeEntry checks that a slot Put revives leaves the free
+// list: replay places a row in a slot the live database reused, and no
+// stale entry may later hand that live slot to another row, whether
+// the entry sat at the head of the list or behind others.
 func TestSlabStaleFreeEntry(t *testing.T) {
-	var id int
 	v := commit1(NewVersion(), func(b *Builder) {
-		id = b.Insert(row(1))
-	})
-	v = commit1(v, func(b *Builder) { // seq 2: first death, queues {id, 2}
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
+		for i := int64(0); i < 4; i++ {
+			b.Insert(row(i))
 		}
 	})
-	v = commit1(v, func(b *Builder) { // seq 3: rollback revives the slot
-		if err := b.InsertAt(id, row(1)); err != nil {
-			t.Fatal(err)
+	v = commit1(v, func(b *Builder) { // queues 0, 1, 2 in that order
+		for id := 0; id < 3; id++ {
+			if _, err := b.Delete(id); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
-	v = commit1(v, func(b *Builder) { // seq 4: second death, queues {id, 4}
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
+	v = commit1(v, func(b *Builder) {
+		b.Put(0, row(10)) // the head of the list
+		b.Put(2, row(12)) // behind slot 1
+	})
+	v = commit1(v, func(b *Builder) {
+		if got := b.Insert(row(11)); got != 1 {
+			t.Errorf("first insert took slot %d, want the one free slot 1", got)
+		}
+		if got := b.Insert(row(14)); got != 4 {
+			t.Errorf("second insert took slot %d, want a new slot 4", got)
 		}
 	})
-	// A transaction open since seq 4 pins horizon=4: the stale {id, 2}
-	// entry is poppable but must be recognised as stale, not reused.
-	b := v.NewBuilder(5, 4)
-	if got := b.Insert(row(9)); got == id {
-		t.Fatal("stale free entry handed out a slot whose latest death is inside the horizon")
-	}
-	v = b.Commit()
-	// The open transaction's rollback still finds its slot dead.
-	b = v.NewBuilder(6, 4)
-	if err := b.InsertAt(id, row(1)); err != nil {
-		t.Fatalf("rollback InsertAt after stale-entry insert: %v", err)
-	}
-	v = b.Commit()
-	if r, ok := v.Get(id); !ok || r[0].Int() != 1 {
-		t.Fatalf("revived slot = %v, %v", r, ok)
-	}
-	// Once the second death's stamp falls behind the horizon, its own
-	// entry (not the stale one) hands the slot out again.
-	v = commit1(v, func(b *Builder) { // seq 7: third death, queues {id, 7}
-		if _, err := b.Delete(id); err != nil {
-			t.Fatal(err)
+	for id, want := range []int64{10, 11, 12, 3, 14} {
+		if r, ok := v.Get(id); !ok || r[0].Int() != want {
+			t.Errorf("slot %d = %v, %v; want %d", id, r, ok, want)
 		}
-	})
-	b = v.NewBuilder(8, 8)
-	if got := b.Insert(row(2)); got != id {
-		t.Fatalf("slot not reused after horizon passed its latest death: got %d want %d", got, id)
 	}
 }
 

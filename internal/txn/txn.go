@@ -1,39 +1,20 @@
 // Package txn provides the engine's transaction bookkeeping: transaction
-// identity, the transaction time that interprets the special symbol NOW,
-// and an undo log of row-level changes for rollback.
+// identity and the transaction time that interprets the special symbol
+// NOW.
 //
 // The TIP semantics of NOW (after Clifford et al.) fix the interpretation
 // of NOW-relative values to the *transaction* time: every statement within
 // one transaction sees the same NOW, assigned when the transaction begins.
+// What a transaction wrote lives in the engine's private table versions
+// until COMMIT publishes them, so there is nothing here to undo.
 package txn
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
-	"tip/internal/storage"
 	"tip/internal/temporal"
 )
-
-// Op is the kind of a logged change.
-type Op int
-
-// Logged change kinds.
-const (
-	OpInsert Op = iota
-	OpDelete
-	OpUpdate
-)
-
-// Entry records one row-level change for undo.
-type Entry struct {
-	Op    Op
-	Table string
-	RowID int
-	// Old is the pre-change row for OpDelete and OpUpdate.
-	Old storage.Row
-}
 
 // Txn is one open transaction.
 type Txn struct {
@@ -41,24 +22,7 @@ type Txn struct {
 	// Time is the transaction time: the value of NOW for every statement
 	// in this transaction (unless the session overrides NOW).
 	Time temporal.Chronon
-	undo []Entry
 }
-
-// Log appends an undo entry.
-func (t *Txn) Log(e Entry) { t.undo = append(t.undo, e) }
-
-// UndoEntries returns the logged entries newest-first, the order rollback
-// must apply them in.
-func (t *Txn) UndoEntries() []Entry {
-	out := make([]Entry, len(t.undo))
-	for i, e := range t.undo {
-		out[len(t.undo)-1-i] = e
-	}
-	return out
-}
-
-// Len returns the number of logged changes.
-func (t *Txn) Len() int { return len(t.undo) }
 
 // Manager allocates transactions. The zero Manager uses the wall clock;
 // tests may pin the clock with SetClock. The clock is stored atomically
@@ -90,38 +54,4 @@ func (m *Manager) Now() temporal.Chronon {
 // Begin opens a transaction stamped with the current clock reading.
 func (m *Manager) Begin() *Txn {
 	return &Txn{ID: m.nextID.Add(1), Time: m.Now()}
-}
-
-// Store is the row mutation surface rollback applies undo entries
-// against — in the engine, a table writer building the next slab
-// version of the table the entry names.
-type Store interface {
-	Delete(id int) (storage.Row, error)
-	InsertAt(id int, r storage.Row) error
-	Update(id int, r storage.Row) (storage.Row, error)
-}
-
-// Apply undoes one entry against the store of its table. The caller
-// resolves the table and is responsible for index maintenance.
-func Apply(st Store, e Entry) error {
-	switch e.Op {
-	case OpInsert:
-		// Undo an insert by deleting the row.
-		if _, err := st.Delete(e.RowID); err != nil {
-			return fmt.Errorf("txn: undo insert: %w", err)
-		}
-	case OpDelete:
-		// Undo a delete by reviving the row.
-		if err := st.InsertAt(e.RowID, e.Old); err != nil {
-			return fmt.Errorf("txn: undo delete: %w", err)
-		}
-	case OpUpdate:
-		// Undo an update by restoring the old content.
-		if _, err := st.Update(e.RowID, e.Old); err != nil {
-			return fmt.Errorf("txn: undo update: %w", err)
-		}
-	default:
-		return fmt.Errorf("txn: unknown op %d", e.Op)
-	}
-	return nil
 }

@@ -4,12 +4,8 @@ import (
 	"sync"
 	"testing"
 
-	"tip/internal/storage"
 	"tip/internal/temporal"
-	"tip/internal/types"
 )
-
-func row(v int64) storage.Row { return storage.Row{types.NewInt(v)} }
 
 func TestManagerClockAndIDs(t *testing.T) {
 	m := NewManager()
@@ -79,68 +75,5 @@ func TestZeroManagerWallClock(t *testing.T) {
 	}
 	if tx := m.Begin(); tx.Time == 0 {
 		t.Error("zero-manager Begin should stamp wall-clock time")
-	}
-}
-
-func TestUndoOrderNewestFirst(t *testing.T) {
-	tx := &Txn{}
-	tx.Log(Entry{Op: OpInsert, RowID: 1})
-	tx.Log(Entry{Op: OpDelete, RowID: 2})
-	tx.Log(Entry{Op: OpUpdate, RowID: 3})
-	if tx.Len() != 3 {
-		t.Fatalf("len = %d", tx.Len())
-	}
-	entries := tx.UndoEntries()
-	if entries[0].RowID != 3 || entries[1].RowID != 2 || entries[2].RowID != 1 {
-		t.Errorf("undo order = %v", entries)
-	}
-}
-
-func TestApplyUndo(t *testing.T) {
-	// Apply runs against a slab builder in production (rollback opens a
-	// writer per table); exercise the real thing.
-	h := storage.NewVersion().NewBuilder(1, 1)
-	id0 := h.Insert(row(10))
-
-	// A "transaction": insert a row, update row 0, delete row 0... then
-	// undo everything in reverse.
-	tx := &Txn{}
-	id1 := h.Insert(row(20))
-	tx.Log(Entry{Op: OpInsert, RowID: id1})
-	old, _ := h.Update(id0, row(11))
-	tx.Log(Entry{Op: OpUpdate, RowID: id0, Old: old})
-	old2, _ := h.Delete(id0)
-	tx.Log(Entry{Op: OpDelete, RowID: id0, Old: old2})
-
-	for _, e := range tx.UndoEntries() {
-		if err := Apply(h, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.Len() != 1 {
-		t.Fatalf("len after undo = %d", h.Len())
-	}
-	r, ok := h.Get(id0)
-	if !ok || r[0].Int() != 10 {
-		t.Errorf("row 0 after undo = %v", r)
-	}
-	if _, ok := h.Get(id1); ok {
-		t.Error("inserted row survived undo")
-	}
-}
-
-func TestApplyErrors(t *testing.T) {
-	h := storage.NewVersion().NewBuilder(1, 1)
-	if err := Apply(h, Entry{Op: OpInsert, RowID: 5}); err == nil {
-		t.Error("undo insert of missing row should fail")
-	}
-	if err := Apply(h, Entry{Op: OpUpdate, RowID: 5, Old: row(1)}); err == nil {
-		t.Error("undo update of missing row should fail")
-	}
-	if err := Apply(h, Entry{Op: OpDelete, RowID: 5, Old: row(1)}); err == nil {
-		t.Error("undo delete at invalid slot should fail")
-	}
-	if err := Apply(h, Entry{Op: Op(99)}); err == nil {
-		t.Error("unknown op should fail")
 	}
 }

@@ -99,9 +99,9 @@ func Open() *DB {
 }
 
 // OpenDurable opens a crash-safe database rooted at dir: it loads
-// dir/snapshot.tipdb if present, replays dir/wal.log, and then logs
-// every further state-changing statement to the WAL. Call Checkpoint
-// periodically to fold the log into a fresh snapshot.
+// dir/snapshot.tipdb if present, applies dir/wal.log, and then logs
+// every further commit to the WAL. Call Checkpoint periodically to fold
+// the log into a fresh snapshot.
 func OpenDurable(dir string) (*DB, error) {
 	reg := blade.NewRegistry()
 	b := core.MustRegister(reg)
@@ -122,8 +122,8 @@ const (
 	// fixed cadence; a crash loses at most one interval of acknowledged
 	// statements.
 	SyncGrouped = engine.SyncGrouped
-	// SyncEveryAppend fsyncs before each logged statement returns;
-	// concurrent appenders share one fsync (group commit).
+	// SyncEveryAppend fsyncs before each commit returns; concurrent
+	// appenders share one fsync (group commit).
 	SyncEveryAppend = engine.SyncEveryAppend
 )
 
