@@ -75,9 +75,15 @@ parse-smoke:
 # and snapshot formats refused, an oversized group failing before it
 # publishes, recovered rows at their live row ids across a snapshot
 # and slot reuse, and the two reopen-twice recoveries: a torn tail, and
-# a crash mid-transaction followed by a write.
+# a crash mid-transaction followed by a write. Then the snapshot file:
+# one changed byte in a row value, a cut at any frame boundary (the end
+# frame missing), bytes after the end frame, a missing frame or one of
+# another epoch, and the TIPDB3 format are each refused with
+# ErrBadSnapshot; a refused load leaves the database retryable; and a
+# checkpoint's frames stay within the frame bound.
 crash-smoke:
 	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink|TestWALTornTail|TestLogOrder|TestInterleavedRollback|TestConcurrentBegins|TestCrashMidTransactionRecoversNeither|TestOldFormatsRefused|TestOversizedGroup|TestRecoveredRowIDs' ./internal/engine
+	$(GO) test -short -run 'TestSnapshotFlippedByteRefused|TestSnapshotWithoutEndFrameRefused|TestSnapshotDamageRefused|TestTIPDB3SnapshotRefused|TestLoadFailureLeavesDatabaseRetryable|TestCheckpointFramesWithinBound' ./internal/engine
 	$(GO) test -run 'TestTornTailReopenedTwice|TestCrashMidTransactionThenWrite' .
 
 # netfault-smoke replays the wire-fault torture battery under the race
@@ -97,8 +103,8 @@ netfault-smoke:
 	$(GO) test -race -run 'TestNetFault|TestLifecycle' ./internal/server
 
 # fuzz-smoke gives each fuzz target of the commit-group codec (WAL
-# frames and snapshots) a short randomized burst beyond the checked-in
-# corpus.
+# frames, and snapshot files fed through the loader Open uses) a short
+# randomized burst beyond the checked-in corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALFrame$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/engine
@@ -167,7 +173,14 @@ plan-smoke:
 
 # repl-smoke runs the replication torture battery under the race
 # detector: a 3-node in-process cluster (durable primary + 2 snapshot-
-# bootstrapped read replicas over real TCP) converging under load,
+# bootstrapped read replicas over real TCP) converging under load, the
+# chunked bootstrap (a snapshot streamed as bounded frames: under a
+# lowered bound a small database ships in >= 10 frames, each within
+# the bound, and a replica converges on it; the 65,536-row bootstrap
+# past the 64 MiB frame bound runs only without -race and -short), a
+# link cut in the middle of a bootstrap leaving the replica empty until
+# it reconnects and bootstraps afresh, a snapshot encoded while a
+# commit completes, WaitForSeq woken by the apply loop,
 # killed replicas rejoining via snapshot + WAL catch-up, severed and
 # stalled links resubscribing with exact-count (no-gap, no-double-apply)
 # convergence, checkpoint truncation forcing snapshot re-bootstrap, a
@@ -181,6 +194,7 @@ plan-smoke:
 # replica's position read over the client's Stats beside the primary's.
 repl-smoke:
 	$(GO) test -race -count=1 ./internal/repl
+	$(GO) test -race -count=1 -run 'TestBootstrapStreamsBoundedFrames|TestReplicationSnapshot' ./internal/engine
 
 # mem-smoke runs the resource-governance battery under the race
 # detector: SET STATEMENT_MEMORY surface and budget aborts (typed

@@ -4,7 +4,7 @@ import (
 	"errors"
 
 	"tip/internal/exec"
-	"tip/internal/txn"
+	"tip/internal/temporal"
 )
 
 // Transactions and commit publication. A writer statement builds the
@@ -24,7 +24,10 @@ var ErrDDLInTransaction = errors.New("engine: DDL inside a transaction is not su
 
 // txState is an open transaction.
 type txState struct {
-	*txn.Txn
+	// time is the transaction time, read from the engine clock at
+	// BEGIN: the value of NOW for every statement of the transaction
+	// (unless the session overrides NOW), after Clifford et al.
+	time    temporal.Chronon
 	first   uint64              // sequence of its first write; 0 before it
 	tables  []*stagedTable      // the tables it wrote, in first-write order
 	writers []*exec.TableWriter // its statements' writers, oldest first

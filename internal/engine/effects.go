@@ -17,8 +17,9 @@ import (
 // Commit groups. A commit is logged as what it changed, not as the
 // statements that changed it: one group of records per commit, framed
 // once in the log (wal.go), shipped verbatim to replicas and applied by
-// recovery and replica alike without parsing SQL. A snapshot is a
-// header plus one group (persist.go). The records:
+// recovery and replica alike without parsing SQL. A snapshot is a run
+// of frames whose groups rebuild the database (persist.go). The
+// records:
 //
 //	put:          byte 1, str table, uvarint id, one value per column
 //	delete:       byte 2, str table, uvarint id
@@ -277,7 +278,7 @@ func (db *Database) applyGroup(payload []byte) error {
 		}
 		return tbl.Meta, true
 	}
-	now := db.tm.Now() // indexable keys do not depend on it
+	now := db.now() // indexable keys do not depend on it
 	err := decodeGroup(db.reg, payload, schema, func(rec *record) error {
 		if rec.kind != recPut && rec.kind != recDelete {
 			publish()

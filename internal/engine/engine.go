@@ -42,7 +42,6 @@ import (
 	"tip/internal/sql/ast"
 	"tip/internal/sql/parse"
 	"tip/internal/temporal"
-	"tip/internal/txn"
 	"tip/internal/types"
 )
 
@@ -57,9 +56,8 @@ type Database struct {
 	cat    *catalog.Catalog
 	tables map[string]*exec.Table // lower-cased name
 	locks  map[string]*tableLock  // per-table write locks, same keys as tables
-	tm     *txn.Manager
-	wal    *wal      // the log of a durable database, fixed by Open; nil in memory
-	obs    *obsState // metrics registry + statement instrumentation
+	wal    *wal                   // the log of a durable database, fixed by Open; nil in memory
+	obs    *obsState              // metrics registry + statement instrumentation
 
 	// MVCC state: vclock is the version clock stamping every writer
 	// statement (the in-memory extension of the WAL epoch/seq pair —
@@ -71,11 +69,15 @@ type Database struct {
 	pub    atomic.Pointer[publication]
 	pubMu  sync.Mutex
 
+	// clock interprets NOW by default (the wall clock while nil).
+	clock atomic.Pointer[func() temporal.Chronon]
+
 	// ckpt is the checkpoint gate: commits hold it shared across
 	// publish+log, Checkpoint exclusively across epoch-bump+snapshot+
 	// truncate, so no commit lands in the snapshot while its WAL
 	// frame carries the new epoch (which would double-apply it at
-	// recovery).
+	// recovery). ReplicationSnapshot holds it exclusively for its
+	// capture alone.
 	ckpt         sync.RWMutex
 	syncPolicy   atomic.Int32 // SyncPolicy; see SetDurability
 	syncInterval atomic.Int64 // SyncGrouped fsync cadence, nanoseconds
@@ -104,7 +106,6 @@ func New(reg *blade.Registry) *Database {
 		cat:    catalog.New(),
 		tables: make(map[string]*exec.Table),
 		locks:  make(map[string]*tableLock),
-		tm:     txn.NewManager(),
 		obs:    newObsState(),
 		hz:     newHorizonTracker(),
 	}
@@ -132,8 +133,17 @@ func New(reg *blade.Registry) *Database {
 func (db *Database) Registry() *blade.Registry { return db.reg }
 
 // SetClock pins the engine clock, fixing the default interpretation of
-// NOW; intended for tests and reproducible experiments.
-func (db *Database) SetClock(clock func() temporal.Chronon) { db.tm.SetClock(clock) }
+// NOW; intended for tests and reproducible experiments. Safe to call
+// while sessions run.
+func (db *Database) SetClock(clock func() temporal.Chronon) { db.clock.Store(&clock) }
+
+// now reads the engine clock.
+func (db *Database) now() temporal.Chronon {
+	if c := db.clock.Load(); c != nil {
+		return (*c)()
+	}
+	return temporal.ChrononOf(time.Now())
+}
 
 // Catalog exposes the schema metadata (read-only use).
 func (db *Database) Catalog() *catalog.Catalog { return db.cat }
@@ -194,9 +204,9 @@ func (s *Session) Now() temporal.Chronon {
 		return *s.nowOverride
 	}
 	if s.tx != nil {
-		return s.tx.Time
+		return s.tx.time
 	}
-	return s.db.tm.Now()
+	return s.db.now()
 }
 
 // Exec parses and executes one SQL statement with optional named
@@ -408,7 +418,7 @@ func (s *Session) execLocked(stmt ast.Statement, params map[string]types.Value) 
 		if s.tx != nil {
 			return nil, fmt.Errorf("engine: transaction already open")
 		}
-		s.tx = &txState{Txn: s.db.tm.Begin()}
+		s.tx = &txState{time: s.db.now()}
 		return &exec.Result{}, nil
 	case *ast.Commit:
 		// The caller holds the checkpoint gate on a durable database,

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +10,20 @@ import (
 
 	"tip/internal/engine"
 )
+
+// frameSource returns a loader source over a snapshot file's bytes,
+// one frame body per call; it ends at a frame cut short.
+func frameSource(data []byte) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || uint64(len(data)-k) < n {
+			return nil, nil
+		}
+		body := data[k : k+int(n)]
+		data = data[k+int(n):]
+		return body, nil
+	}
+}
 
 // Regression: a snapshot that fails to decode mid-stream used to leave
 // the catalog, tables and locks partially populated, so the retry with
@@ -27,7 +43,7 @@ func TestLoadFailureLeavesDatabaseRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut the snapshot inside the row section.
+	// Cut the snapshot inside its records.
 	bad := good[:len(good)-10]
 	badDir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(badDir, "snapshot.tipdb"), bad, 0o644); err != nil {
@@ -38,11 +54,11 @@ func TestLoadFailureLeavesDatabaseRetryable(t *testing.T) {
 	}
 
 	db2, _ := newDB(t)
-	if err := db2.LoadReplicaSnapshot(bad); !errors.Is(err, engine.ErrBadSnapshot) {
+	if err := db2.LoadReplicaSnapshot(frameSource(bad)); !errors.Is(err, engine.ErrBadSnapshot) {
 		t.Fatalf("load of truncated snapshot: err = %v, want ErrBadSnapshot", err)
 	}
 	// The failed load must not have left staging debris behind.
-	if err := db2.LoadReplicaSnapshot(good); err != nil {
+	if err := db2.LoadReplicaSnapshot(frameSource(good)); err != nil {
 		t.Fatalf("retry load after failure: %v", err)
 	}
 	s2 := db2.NewSession()
@@ -52,6 +68,83 @@ func TestLoadFailureLeavesDatabaseRetryable(t *testing.T) {
 	// The index came back through the retried load too.
 	if got := count(t, s2, `SELECT COUNT(*) FROM t WHERE overlaps(valid, '[1999-06-01, 1999-06-02]')`); got != 1 {
 		t.Errorf("index lookup after retried load = %d", got)
+	}
+}
+
+// One changed byte inside a row value of the snapshot file fails Open
+// with ErrBadSnapshot: every frame is checksummed. The unframed format
+// this replaced had no checksum, and the changed value loaded.
+func TestSnapshotFlippedByteRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, s := openDir(t, dir)
+	mustExec(t, s, `CREATE TABLE t (a INT, name VARCHAR(20))`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 'aspirin')`)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "snapshot.tipdb")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte("aspirin"))
+	if i < 0 {
+		t.Fatal("row value not found in the snapshot")
+	}
+	data[i] = 'b'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := engine.Open(db.Registry(), dir)
+	if err == nil {
+		s2 := db2.NewSession()
+		res := mustExec(t, s2, `SELECT name FROM t WHERE a = 1`)
+		t.Fatalf("Open of a snapshot with a changed byte succeeded; the row reads %v", res.Rows)
+	}
+	if !errors.Is(err, engine.ErrBadSnapshot) {
+		t.Fatalf("Open of a snapshot with a changed byte: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// A snapshot cut exactly at a frame boundary, its end frame missing,
+// fails Open the same way.
+func TestSnapshotWithoutEndFrameRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, s := openDir(t, dir)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1)`)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "snapshot.tipdb")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whole frames up to the last one, which is the end frame.
+	var whole []int
+	for off := 0; off < len(data); {
+		n, k := binary.Uvarint(data[off:])
+		if k <= 0 {
+			t.Fatal("bad frame length")
+		}
+		off += k + int(n)
+		whole = append(whole, off)
+	}
+	if len(whole) < 2 || whole[len(whole)-1] != len(data) {
+		t.Fatalf("snapshot frames end at %v of %d bytes", whole, len(data))
+	}
+	if err := os.WriteFile(path, data[:whole[len(whole)-2]], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Open(db.Registry(), dir); !errors.Is(err, engine.ErrBadSnapshot) {
+		t.Fatalf("Open of a snapshot without its end frame: err = %v, want ErrBadSnapshot", err)
 	}
 }
 

@@ -27,32 +27,33 @@ func (db *Database) ApplyWALPayload(payload []byte) error {
 	return db.applyGroup(payload)
 }
 
-// ReplicationSnapshot encodes a consistent snapshot for replica
-// bootstrap and returns it with the epoch it carries and the WAL seq it
-// reflects: a replica that loads the data and subscribes from seq sees
-// every commit exactly once. Commits are quiesced on the checkpoint
-// gate while the position is read and the tables encoded, so no commit
-// straddles the snapshot and its WAL frame. An open transaction is in
-// neither: its private versions are not published, and its group
-// reaches the log only when it commits.
-func (db *Database) ReplicationSnapshot() (epoch, seq uint64, data []byte) {
+// ReplicationSnapshot captures a consistent snapshot for replica
+// bootstrap at the WAL seq it reflects: a replica that loads it and
+// subscribes from Seq sees every commit exactly once. Commits are held
+// off on the checkpoint gate only while the position is read and the
+// tables' versions pinned, so no commit straddles the capture and its
+// WAL frame; the caller encodes the snapshot afterwards while commits
+// go on. An open transaction is in neither: its private versions are
+// not published, and its group reaches the log only when it commits.
+func (db *Database) ReplicationSnapshot() *Snapshot {
 	db.ckpt.Lock()
 	defer db.ckpt.Unlock()
+	var epoch, seq uint64
 	if w := db.wal; w != nil {
 		epoch, seq = w.epoch, w.flushedSeq.Load()
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return epoch, seq, db.encodeSnapshot(epoch)
+	return db.capture(epoch, seq)
 }
 
 // LoadReplicaSnapshot replaces the database's entire contents with a
 // snapshot shipped from the primary (replica bootstrap and
-// re-bootstrap). The old catalog and tables are swapped out atomically
-// under the catalog lock, and in-flight snapshot reads keep their
-// pinned versions. Refused on a database with a log — a replica's
-// durability is the primary's.
-func (db *Database) LoadReplicaSnapshot(data []byte) error {
-	_, err := db.loadSnapshot(data)
+// re-bootstrap), whose frame bodies next returns as they arrive (see
+// loadSnapshot). The old catalog and tables are swapped out atomically
+// under the catalog lock once the end frame has applied, and in-flight
+// snapshot reads keep their pinned versions; a stream that fails
+// before then changes nothing. Refused on a database with a log — a
+// replica's durability is the primary's.
+func (db *Database) LoadReplicaSnapshot(next func() ([]byte, error)) error {
+	_, err := db.loadSnapshot(next)
 	return err
 }

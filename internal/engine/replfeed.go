@@ -26,6 +26,7 @@ var ErrWALGone = errors.New("engine: WAL frames checkpointed away")
 // the caller waits on Appended and calls Next again.
 type WALTail struct {
 	db    *Database
+	f     *os.File
 	r     walReader
 	after uint64 // seq of the last frame returned (or the start position)
 	base  uint64 // WALBase when the reader last started at offset 0
@@ -46,12 +47,12 @@ func (db *Database) TailWAL(afterSeq uint64) (*WALTail, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: wal tail: %w", err)
 	}
-	t.r.f = f
+	t.f, t.r.f = f, f
 	return t, nil
 }
 
 // Close releases the log file.
-func (t *WALTail) Close() error { return t.r.f.Close() }
+func (t *WALTail) Close() error { return t.f.Close() }
 
 // Next returns the body of frame after+1, or nil when the file holds no
 // complete frame past the tail yet: a frame cut short at the end of

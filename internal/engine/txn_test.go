@@ -18,8 +18,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tip/internal/exec"
+	"tip/internal/temporal"
 )
 
 // recovered closes db and returns a session on a fresh open of its
@@ -373,5 +375,68 @@ func TestRecoveredRowIDsMatchLive(t *testing.T) {
 	}
 	if len(got) != len(live)+6 {
 		t.Fatalf("%d rows after six more inserts, want %d", len(got), len(live)+6)
+	}
+}
+
+// Regression: the engine clock used to be a plain field, racing with
+// sessions reading NOW and beginning transactions on other goroutines
+// (caught by -race when the browser repinned NOW mid-query). It is
+// stored atomically.
+func TestSetClockConcurrent(t *testing.T) {
+	db := New(testRegistry(t))
+	a, b := temporal.MustDate(1999, 1, 1), temporal.MustDate(2000, 1, 1)
+	db.SetClock(func() temporal.Chronon { return a })
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		c := a
+		if g%2 == 1 {
+			c = b
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				db.SetClock(func() temporal.Chronon { return c })
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		s := db.NewSession()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.Close()
+			for i := 0; i < 200; i++ {
+				if now := s.Now(); now != a && now != b {
+					t.Errorf("Now = %v, want one of the pinned clocks", now)
+					return
+				}
+				if _, err := s.Exec(`BEGIN`, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if tt := s.tx.time; tt != a && tt != b {
+					t.Errorf("transaction time = %v, want one of the pinned clocks", tt)
+				}
+				if _, err := s.Exec(`ROLLBACK`, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Without SetClock, NOW and a transaction's time read the wall clock.
+func TestClockDefaultsToWallClock(t *testing.T) {
+	s := New(testRegistry(t)).NewSession()
+	before := temporal.ChrononOf(time.Now())
+	if now := s.Now(); now < before {
+		t.Errorf("Now = %v, before the wall clock's %v", now, before)
+	}
+	execSQL(t, s, `BEGIN`)
+	if tt := s.tx.time; tt < before {
+		t.Errorf("transaction time = %v, before the wall clock's %v", tt, before)
 	}
 }

@@ -187,8 +187,10 @@ func open(reg *blade.Registry, dir string, sink func(*os.File) walSink) (*Databa
 	}
 	db := New(reg)
 	var snapEpoch uint64
-	if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
-		if snapEpoch, err = db.loadSnapshot(data); err != nil {
+	if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
+		snapEpoch, err = db.readSnapshot(f)
+		_ = f.Close()
+		if err != nil {
 			return nil, err
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -312,13 +314,14 @@ func (db *Database) walSyncTo(w *wal, seq uint64) error {
 	return nil
 }
 
-// Checkpoint writes dir/snapshot.tipdb under the next durability epoch,
-// then truncates the log: recovery needs only the snapshot plus the
-// (empty) log. The epoch ordering closes the crash window between the
-// two steps — a snapshot at epoch e+1 makes replay skip every frame
-// still stamped e, so a crash before the truncate cannot double-apply
-// them. Writers are quiesced (db.ckpt held exclusively) so no statement
-// straddles the snapshot with its WAL frame.
+// Checkpoint streams a snapshot (persist.go) into dir/snapshot.tipdb
+// under the next durability epoch, then truncates the log: recovery
+// needs only the snapshot plus the (empty) log. The epoch ordering
+// closes the crash window between the two steps — a snapshot at epoch
+// e+1 makes replay skip every frame still stamped e, so a crash before
+// the truncate cannot double-apply them. Writers are quiesced (db.ckpt
+// held exclusively) so no statement straddles the snapshot with its
+// WAL frame.
 func (db *Database) Checkpoint() error {
 	w := db.wal
 	if w == nil {
@@ -331,13 +334,12 @@ func (db *Database) Checkpoint() error {
 	if w.failed == errClosed {
 		return fmt.Errorf("engine: checkpoint: %w", errClosed)
 	}
-	// Each table's latest published version is immutable and writers
-	// are quiesced, so the catalog read lock is all encoding needs.
+	// Writers are quiesced, so the captured versions are the state at
+	// w.seq. The gate stays held across the encode: the truncate below
+	// must drop no frame the snapshot lacks.
 	newEpoch := w.epoch + 1
-	db.mu.RLock()
-	data := db.encodeSnapshot(newEpoch)
-	db.mu.RUnlock()
-	if err := writeFileAtomic(filepath.Join(w.dir, snapshotFile), data); err != nil {
+	snap := db.capture(newEpoch, w.seq)
+	if err := writeFileAtomic(filepath.Join(w.dir, snapshotFile), snap.writeTo); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
 	// The snapshot at newEpoch is on disk: commit the epoch so frames
@@ -519,7 +521,7 @@ func (db *Database) replay(f *os.File, snapEpoch uint64) (*wal, int64, error) {
 // it is a torn tail to recovery and a frame still being written to a
 // tail, which reads it whole once its remaining bytes land.
 type walReader struct {
-	f      *os.File
+	f      io.ReaderAt
 	off    int64  // file offset of the first unconsumed byte, a frame boundary
 	buf    []byte // bytes read from off on, not yet consumed
 	store  []byte // backing array of buf

@@ -1,12 +1,13 @@
 package engine
 
 // Fuzz targets for the commit-group codec, beside the SQL-level fuzz
-// sweep in fuzz_test.go: log frames and snapshots decode through the
-// same record decoder. Arbitrary bytes must decode to an error or to
+// sweep in fuzz_test.go: log frames and snapshot frames decode through
+// the same frame and record decoders. Arbitrary bytes must decode to an error or to
 // records — never a panic or an unbounded allocation — because the
 // decoder's input is whatever a crash left on disk.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -81,22 +82,45 @@ func FuzzWALFrame(f *testing.F) {
 	})
 }
 
+// FuzzSnapshot feeds snapshot files through the loader Open uses.
+// Seeds: an empty database, a multi-frame snapshot cut under a lowered
+// frame bound, the same missing its end frame, and the old unframed
+// formats.
 func FuzzSnapshot(f *testing.F) {
-	reg, schema, tRow, _ := fuzzSchema(f)
-	meta, _ := schema("t")
-	header := binary.AppendUvarint([]byte(snapshotMagic), 2)
-	f.Add(header)
-	f.Add(appendCreateIndex(appendPut(appendPut(appendCreateTable(header, meta), "t", 0, tRow), "t", 9, tRow),
-		&catalog.IndexMeta{Name: "tv", Table: "t", Column: "v", Kind: catalog.PeriodIndex}))
+	reg := testRegistry(f)
+	empty := snapshotBytes(f, New(reg))
+	defer func(n int) { snapshotFrameBytes = n }(snapshotFrameBytes)
+	snapshotFrameBytes = 64
+	db := New(reg)
+	s := db.NewSession()
+	for _, q := range []string{
+		`CREATE TABLE t (a INT, v Element)`,
+		`INSERT INTO t VALUES (1, '{[1999-01-01, NOW]}'), (2, NULL), (3, '{[1999-02-01, 1999-03-01]}')`,
+		`DELETE FROM t WHERE a = 2`,
+		`CREATE TABLE u (s VARCHAR(20) NOT NULL)`,
+		`INSERT INTO u VALUES ('x'), ('y')`,
+		`CREATE INDEX tv ON t (v) USING PERIOD`,
+		`CREATE INDEX us ON u (s)`,
+	} {
+		if _, err := s.Exec(q, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	multi := snapshotBytes(f, db)
+	frames := splitFrames(f, multi)
+	if len(frames) < 4 {
+		f.Fatalf("seed snapshot has %d frames, want a multi-frame one", len(frames))
+	}
+	f.Add(empty)
+	f.Add(multi)
+	f.Add(multi[:len(multi)-len(frames[len(frames)-1])]) // no end frame
+	old := binary.AppendUvarint([]byte("TIPDB3\n"), 2)
+	meta := db.tables["t"].Meta
+	f.Add(appendPut(appendCreateTable(old, meta), "t", 0, exec.Row{types.NewInt(1), types.NewNull(meta.Columns[1].Type)}))
 	f.Add([]byte("TIPDB2\n"))
 	f.Add([]byte{})
 
-	none := func(string) (*catalog.TableMeta, bool) { return nil, false }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, group, err := splitSnapshot(data)
-		if err != nil {
-			return
-		}
-		_ = decodeGroup(reg, group, none, func(*record) error { return nil })
+		_, _ = New(reg).readSnapshot(bytes.NewReader(data))
 	})
 }

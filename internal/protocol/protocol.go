@@ -28,12 +28,14 @@
 //
 //	MsgSubscribe  replica→primary: uvarint fromSeq, str replicaName,
 //	              str runID ("" on first contact)
-//	MsgWALFrame   primary→replica: a WAL frame body verbatim —
-//	              {CRC32C, epoch, seq, payload} as internal/engine
-//	              logged it
-//	MsgSnapshot   replica→primary: no body (request);
-//	              primary→replica: str runID, uvarint epoch,
-//	              uvarint seq, snapshot bytes (rest of frame)
+//	MsgWALFrame   primary→replica: a log or snapshot frame body
+//	              verbatim — {format, CRC32C, epoch, seq, payload}
+//	              as internal/engine encoded it
+//	MsgSnapshot   replica→primary: no body. The primary answers
+//	              with a MsgReplStatus (its runID and the seq the
+//	              snapshot reflects), then the snapshot as one
+//	              MsgWALFrame per snapshot frame, the last one the
+//	              snapshot's end frame (empty payload)
 //	MsgReplStatus either direction on a stream: byte role,
 //	              uvarint appliedSeq, str runID
 //
@@ -79,9 +81,11 @@ const (
 	// MsgWALFrame (primary→replica) carries one WAL frame body
 	// verbatim; the replica checksums and applies it.
 	MsgWALFrame
-	// MsgSnapshot requests (empty body) or carries (response) a full
-	// database snapshot for replica bootstrap, stamped with the
-	// primary's runID and the WAL seq the snapshot reflects.
+	// MsgSnapshot (replica→primary, empty body) requests a database
+	// snapshot for replica bootstrap. The primary replies with a
+	// MsgReplStatus carrying its runID and the WAL seq the snapshot
+	// reflects, then streams the snapshot's frames as MsgWALFrame
+	// messages, ending with its end frame.
 	MsgSnapshot
 	// MsgReplStatus reports {role, appliedSeq, runID} on a WAL stream:
 	// the primary's flushed seq (first reply and idle heartbeats) and

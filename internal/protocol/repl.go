@@ -57,34 +57,6 @@ func EncodeWALFrameMsg(frameBody []byte) []byte {
 // EncodeSnapshotRequest builds the empty-body MsgSnapshot request.
 func EncodeSnapshotRequest() []byte { return []byte{MsgSnapshot} }
 
-// EncodeSnapshot builds a MsgSnapshot response carrying the snapshot
-// bytes, the primary's runID and the epoch/seq position the snapshot
-// reflects.
-func EncodeSnapshot(runID string, epoch, seq uint64, data []byte) []byte {
-	buf := AppendString([]byte{MsgSnapshot}, runID)
-	buf = binary.AppendUvarint(buf, epoch)
-	buf = binary.AppendUvarint(buf, seq)
-	return append(buf, data...)
-}
-
-// DecodeSnapshot parses a MsgSnapshot response body (after the kind
-// byte). The returned data aliases body.
-func DecodeSnapshot(body []byte) (runID string, epoch, seq uint64, data []byte, err error) {
-	if runID, body, err = ReadString(body); err != nil {
-		return "", 0, 0, nil, err
-	}
-	epoch, k := binary.Uvarint(body)
-	if k <= 0 {
-		return "", 0, 0, nil, fmt.Errorf("%w: snapshot epoch", ErrProtocol)
-	}
-	body = body[k:]
-	seq, k = binary.Uvarint(body)
-	if k <= 0 {
-		return "", 0, 0, nil, fmt.Errorf("%w: snapshot seq", ErrProtocol)
-	}
-	return runID, epoch, seq, body[k:], nil
-}
-
 // EncodeReplStatus builds a MsgReplStatus report.
 func EncodeReplStatus(st ReplStatus) []byte {
 	buf := append([]byte{MsgReplStatus}, st.Role)

@@ -36,25 +36,6 @@ func TestWALFrameMsgWrapsBody(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	data := []byte("snapshot-bytes")
-	msg := protocol.EncodeSnapshot("run-1", 3, 99, data)
-	if msg[0] != protocol.MsgSnapshot {
-		t.Fatalf("kind = %d", msg[0])
-	}
-	runID, epoch, seq, got, err := protocol.DecodeSnapshot(msg[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runID != "run-1" || epoch != 3 || seq != 99 || !bytes.Equal(got, data) {
-		t.Fatalf("decoded (%q, %d, %d, %q)", runID, epoch, seq, got)
-	}
-	// The request form is the bare kind byte.
-	if req := protocol.EncodeSnapshotRequest(); len(req) != 1 || req[0] != protocol.MsgSnapshot {
-		t.Fatalf("request = %x", req)
-	}
-}
-
 func TestReplStatusRoundTrip(t *testing.T) {
 	st := protocol.ReplStatus{Role: protocol.RoleReplica, AppliedSeq: 1 << 40, RunID: "r"}
 	msg := protocol.EncodeReplStatus(st)

@@ -133,13 +133,26 @@ func (p *Primary) status() protocol.ReplStatus {
 	}
 }
 
-// Snapshot implements server.ReplSource: a consistent bootstrap
-// snapshot stamped with the WAL seq it reflects.
-func (p *Primary) Snapshot() (runID string, epoch, seq uint64, data []byte, err error) {
-	epoch, seq, data = p.db.ReplicationSnapshot()
-	p.snapshots.Inc()
-	p.logf("repl: served snapshot at seq %d (%d bytes)", seq, len(data))
-	return p.runID, epoch, seq, data, nil
+// Snapshot implements server.ReplSource: it sends a status report
+// with this primary's runID and the WAL seq of a consistent snapshot,
+// then one MsgWALFrame per snapshot frame, ending with the end frame.
+// Commits go on while it encodes.
+func (p *Primary) Snapshot(send func(payload []byte) error) error {
+	snap := p.db.ReplicationSnapshot()
+	st := protocol.ReplStatus{Role: protocol.RolePrimary, AppliedSeq: snap.Seq(), RunID: p.runID}
+	err := send(protocol.EncodeReplStatus(st))
+	var msg []byte
+	if err == nil {
+		err = snap.Encode(func(body []byte) error {
+			msg = append(append(msg[:0], protocol.MsgWALFrame), body...)
+			return send(msg)
+		})
+	}
+	if err == nil {
+		p.snapshots.Inc()
+		p.logf("repl: served snapshot at seq %d", snap.Seq())
+	}
+	return err
 }
 
 // Stream implements server.ReplSource: it owns one subscriber's

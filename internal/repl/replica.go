@@ -57,6 +57,9 @@ type Replica struct {
 	resubscribes    *obs.Counter
 	snapshotsLoaded *obs.Counter
 
+	// advanced is closed, and replaced, each time applied moves.
+	advanced atomic.Pointer[chan struct{}]
+
 	mu     sync.Mutex
 	conn   net.Conn // current connection, closed by Close to unblock reads
 	closed bool
@@ -95,8 +98,9 @@ func WithStatusInterval(d time.Duration) ReplicaOption {
 	}
 }
 
-// WithIdleTimeout bounds silence on the stream before the replica
-// declares the link dead and resubscribes. Must exceed the primary's
+// WithIdleTimeout bounds silence from the primary — in the handshake,
+// a bootstrap or the stream — before the replica declares the link dead
+// and reconnects. Must exceed the primary's
 // heartbeat interval; zero disables the bound.
 func WithIdleTimeout(d time.Duration) ReplicaOption {
 	return func(r *Replica) { r.idleTimeout = d }
@@ -123,6 +127,8 @@ func StartReplica(db *engine.Database, addr string, opts ...ReplicaOption) *Repl
 	}
 	db.SetReadOnly(true)
 	r.needSnapshot.Store(true)
+	first := make(chan struct{})
+	r.advanced.Store(&first)
 	m := db.Metrics()
 	r.framesApplied = m.Counter("repl.frames_applied")
 	r.resubscribes = m.Counter("repl.resubscribes")
@@ -142,16 +148,29 @@ func (r *Replica) status() protocol.ReplStatus {
 }
 
 // WaitForSeq blocks until the replica has applied through seq or the
-// timeout passes, reporting whether it converged.
+// timeout passes, reporting whether it converged. The apply loop wakes
+// it at every applied frame.
 func (r *Replica) WaitForSeq(seq uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		advanced := *r.advanced.Load() // before the check: a later advance closes it
 		if r.applied.Load() >= seq {
 			return true
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-advanced:
+		case <-timer.C:
+			return r.applied.Load() >= seq
+		}
 	}
-	return r.applied.Load() >= seq
+}
+
+// advance moves the applied position to seq and wakes WaitForSeq.
+func (r *Replica) advance(seq uint64) {
+	r.applied.Store(seq)
+	next := make(chan struct{})
+	close(*r.advanced.Swap(&next))
 }
 
 // Close stops replication and waits for the apply loop to exit. The
@@ -250,20 +269,48 @@ func (r *Replica) runOnce() error {
 		return protocol.WriteFrame(bw, payload)
 	}
 
+	// recv reads the primary's next message. Silence past the idle
+	// timeout means a partitioned or stalled link: the error drops it
+	// for a fresh one. A MsgError comes back as an error, and
+	// ErrCodeWALGone also marks the replica for a snapshot.
+	recv := func() ([]byte, error) {
+		if r.idleTimeout > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(r.idleTimeout))
+		}
+		frame, err := protocol.ReadFrame(br)
+		if err != nil {
+			return nil, err
+		}
+		if len(frame) == 0 {
+			return nil, errors.New("repl: empty frame")
+		}
+		if frame[0] != protocol.MsgError {
+			return frame, nil
+		}
+		msg, code, err := protocol.DecodeError(frame[1:])
+		if err != nil {
+			return nil, err
+		}
+		if code == protocol.ErrCodeWALGone {
+			r.needSnapshot.Store(true)
+		}
+		return nil, fmt.Errorf("repl: primary: %s", msg)
+	}
+
 	// Handshake.
 	if err := writeFrame(protocol.EncodeHello("repl:" + r.name)); err != nil {
 		return err
 	}
-	frame, err := protocol.ReadFrame(br)
+	frame, err := recv()
+	if err == nil && frame[0] != protocol.MsgWelcome {
+		err = errors.New("repl: unexpected handshake reply")
+	}
 	if err != nil {
 		return err
 	}
-	if len(frame) == 0 || frame[0] != protocol.MsgWelcome {
-		return fmt.Errorf("repl: unexpected handshake reply")
-	}
 
 	if r.needSnapshot.Load() {
-		if err := r.bootstrap(br, writeFrame); err != nil {
+		if err := r.bootstrap(recv, writeFrame); err != nil {
 			return err
 		}
 	}
@@ -299,15 +346,9 @@ func (r *Replica) runOnce() error {
 	}()
 
 	for {
-		if r.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(r.idleTimeout))
-		}
-		frame, err := protocol.ReadFrame(br)
+		frame, err := recv()
 		if err != nil {
-			return err // includes idle timeout: resubscribe through a fresh link
-		}
-		if len(frame) == 0 {
-			return fmt.Errorf("repl: empty frame")
+			return err // resubscribe through a fresh link
 		}
 		switch frame[0] {
 		case protocol.MsgWALFrame:
@@ -328,60 +369,54 @@ func (r *Replica) runOnce() error {
 				r.needSnapshot.Store(true)
 				return fmt.Errorf("repl: apply seq %d: %w", seq, err)
 			}
-			r.applied.Store(seq)
 			r.framesApplied.Inc()
+			r.advance(seq) // last: it wakes WaitForSeq
 		case protocol.MsgReplStatus:
 			// Subscription ack or heartbeat: traffic, nothing to apply.
-		case protocol.MsgError:
-			msg, code, derr := protocol.DecodeError(frame[1:])
-			if derr != nil {
-				return derr
-			}
-			if code == protocol.ErrCodeWALGone {
-				r.needSnapshot.Store(true)
-			}
-			return fmt.Errorf("repl: primary: %s", msg)
 		default:
 			return fmt.Errorf("repl: unexpected frame kind %d", frame[0])
 		}
 	}
 }
 
-// bootstrap loads a full snapshot from the primary, replacing the
+// bootstrap loads a snapshot from the primary, replacing the
 // database's contents and adopting the snapshot's position and lineage.
-func (r *Replica) bootstrap(br *bufio.Reader, writeFrame func([]byte) error) error {
+// The primary answers with its position, then the snapshot's frames,
+// which the database applies into a staging copy as they arrive: a
+// link that dies mid-stream leaves the database as it was, and
+// needSnapshot still set.
+func (r *Replica) bootstrap(recv func() ([]byte, error), writeFrame func([]byte) error) error {
 	if err := writeFrame(protocol.EncodeSnapshotRequest()); err != nil {
 		return err
 	}
-	frame, err := protocol.ReadFrame(br)
+	frame, err := recv()
+	if err == nil && frame[0] != protocol.MsgReplStatus {
+		err = fmt.Errorf("repl: unexpected snapshot reply kind %d", frame[0])
+	}
 	if err != nil {
 		return err
 	}
-	if len(frame) == 0 {
-		return errors.New("repl: empty snapshot reply")
+	st, err := protocol.DecodeReplStatus(frame[1:])
+	if err != nil {
+		return err
 	}
-	if frame[0] == protocol.MsgError {
-		msg, _, derr := protocol.DecodeError(frame[1:])
-		if derr != nil {
-			return derr
+	err = r.db.LoadReplicaSnapshot(func() ([]byte, error) {
+		frame, err := recv()
+		if err == nil && frame[0] != protocol.MsgWALFrame {
+			err = fmt.Errorf("repl: unexpected message kind %d in a snapshot", frame[0])
 		}
-		return fmt.Errorf("repl: snapshot refused: %s", msg)
-	}
-	if frame[0] != protocol.MsgSnapshot {
-		return fmt.Errorf("repl: unexpected snapshot reply kind %d", frame[0])
-	}
-	runID, _, seq, data, err := protocol.DecodeSnapshot(frame[1:])
+		if err != nil {
+			return nil, err
+		}
+		return frame[1:], nil
+	})
 	if err != nil {
 		return err
 	}
-	// Swap the contents wholesale.
-	if err := r.db.LoadReplicaSnapshot(data); err != nil {
-		return err
-	}
-	r.applied.Store(seq)
-	r.runID.Store(runID)
+	r.runID.Store(st.RunID)
 	r.needSnapshot.Store(false)
 	r.snapshotsLoaded.Inc()
-	r.logf("repl: replica %s: bootstrapped at seq %d (lineage %s)", r.name, seq, runID)
+	r.advance(st.AppliedSeq) // last: it wakes WaitForSeq
+	r.logf("repl: replica %s: bootstrapped at seq %d (lineage %s)", r.name, st.AppliedSeq, st.RunID)
 	return nil
 }

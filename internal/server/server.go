@@ -53,9 +53,9 @@ const memShedFrac = 0.9
 // WithReplication); internal/repl.Primary implements it. The server
 // keeps the interface structural so it never imports the repl package.
 type ReplSource interface {
-	// Snapshot encodes a bootstrap snapshot with the runID and
-	// epoch/seq position it reflects.
-	Snapshot() (runID string, epoch, seq uint64, data []byte, err error)
+	// Snapshot streams a bootstrap snapshot through send: a status
+	// report with the runID and the seq it reflects, then its frames.
+	Snapshot(send func(payload []byte) error) error
 	// Stream serves one subscriber until the connection dies or stop
 	// closes: it sends protocol payloads through send (WAL frames,
 	// status reports, or a terminal typed error), and consumes the
@@ -433,13 +433,19 @@ func (s *Server) serveConn(conn net.Conn, admitted bool) {
 			if fatal {
 				return
 			}
-		case protocol.MsgSnapshot:
-			if err := protocol.WriteFrame(w, s.replSnapshot()); err != nil {
-				return
-			}
-		case protocol.MsgSubscribe:
+		case protocol.MsgSnapshot, protocol.MsgSubscribe:
 			if s.repl == nil {
 				if err := protocol.WriteFrame(w, protocol.EncodeError("server: not a replication primary")); err != nil {
+					return
+				}
+				continue
+			}
+			// Snapshot and log frames and status reports alike go out
+			// within the bound the replica reads under.
+			send := func(payload []byte) error { return protocol.WriteFrameLimit(w, payload, protocol.MaxFrame) }
+			if frame[0] == protocol.MsgSnapshot {
+				if err := s.repl.Snapshot(send); err != nil {
+					s.logf("server: snapshot to %s: %v", conn.RemoteAddr(), err)
 					return
 				}
 				continue
@@ -473,8 +479,7 @@ func (s *Server) serveConn(conn net.Conn, admitted bool) {
 			}()
 			err = s.repl.Stream(
 				ReplStreamRequest{Name: name, FromSeq: fromSeq, RunID: runID},
-				func(payload []byte) error { return protocol.WriteFrame(w, payload) },
-				reports, s.drainCh)
+				send, reports, s.drainCh)
 			if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("server: stream to %q: %v", name, err)
 			}
@@ -535,16 +540,4 @@ func encodeExecError(err error) []byte {
 		return protocol.EncodeErrorCode(protocol.ErrCodeBusy, err.Error())
 	}
 	return protocol.EncodeError(err.Error())
-}
-
-// replSnapshot builds the MsgSnapshot response payload.
-func (s *Server) replSnapshot() []byte {
-	if s.repl == nil {
-		return protocol.EncodeError("server: not a replication primary")
-	}
-	runID, epoch, seq, data, err := s.repl.Snapshot()
-	if err != nil {
-		return protocol.EncodeError("server: snapshot: " + err.Error())
-	}
-	return protocol.EncodeSnapshot(runID, epoch, seq, data)
 }
