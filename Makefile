@@ -134,7 +134,11 @@ mvcc-smoke:
 # check that no operator wrote through an aliased slab row; then the
 # indexed and the bare fixture asked the same exact-overlaps probes and
 # joins under two SET NOWs, with joined columns read only in ORDER BY,
-# HAVING, GROUP BY, CASE, aggregates and LEFT JOIN ON), the period-index
+# HAVING, GROUP BY, CASE, aggregates and LEFT JOIN ON), COUNT(*) answered
+# without reading rows (a bitset or Rows.Len() count, whole batches)
+# against the rows of the same query selecting a column, bare and
+# indexed, under two SET NOWs, after DELETE, UPDATE and ROLLBACK and
+# inside a transaction, the period-index
 # edge cases (an empty contained side, a user overload of overlaps that
 # keeps its re-check, a probe text the cast rejects, an index miss that
 # must not scan), group_union and length through the fused, Element,
@@ -165,7 +169,7 @@ mvcc-smoke:
 # slice, the cast memo converting a repeated input once, and the memo's
 # input test.
 plan-smoke:
-	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade

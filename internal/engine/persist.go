@@ -187,15 +187,15 @@ func (e *snapshotEncoder) flush(payload []byte) {
 	}
 }
 
-// loadSnapshot applies the snapshot whose frame bodies next returns (a
-// nil body when its source ends) into a staging database, swaps that
+// loadSnapshot applies the snapshot whose decoded frames next returns
+// (ok false when its source ends) into a staging database, swaps that
 // in for the current catalog and tables when the end frame arrives,
 // and returns the snapshot's epoch. next's errors come back as they
-// are; a damaged frame, a break in the sequence or epoch, or a source
-// that ends first is ErrBadSnapshot. A failed load changes nothing.
-// Open loads into a fresh database, a replica into a live one
-// (LoadReplicaSnapshot).
-func (db *Database) loadSnapshot(next func() ([]byte, error)) (uint64, error) {
+// are, so next refuses a damaged frame itself; a break in the sequence
+// or epoch, a group that does not apply, or a source that ends first is
+// ErrBadSnapshot. A failed load changes nothing. Open loads into a
+// fresh database, a replica into a live one (LoadReplicaSnapshot).
+func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) (uint64, error) {
 	if db.wal != nil {
 		return 0, fmt.Errorf("engine: cannot replace the contents of a database with a log")
 	}
@@ -209,18 +209,17 @@ func (db *Database) loadSnapshot(next func() ([]byte, error)) (uint64, error) {
 	}
 	var epoch uint64
 	for seq := uint64(1); ; seq++ {
-		body, err := next()
+		fr, ok, err := next()
 		if err != nil {
 			return 0, err
 		}
-		if body == nil {
+		if !ok {
 			return 0, fmt.Errorf("%w: ends after frame %d, before its end frame", ErrBadSnapshot, seq-1)
 		}
-		fr, err := decodeWALFrame(body)
 		if seq == 1 {
 			epoch = fr.epoch
 		}
-		if err == nil && (fr.seq != seq || fr.epoch != epoch) {
+		if fr.seq != seq || fr.epoch != epoch {
 			err = fmt.Errorf("seq %d of epoch %d follows seq %d of epoch %d", fr.seq, fr.epoch, seq-1, epoch)
 		}
 		if err == nil && len(fr.payload) == 0 {
@@ -259,18 +258,18 @@ func (db *Database) readSnapshot(src io.ReaderAt) (uint64, error) {
 			return 0, fmt.Errorf("%w: format %s is one unframed group; this version reads snapshots framed like wal.log", ErrBadSnapshot, old)
 		}
 	}
-	next := func() ([]byte, error) {
-		_, body, _, err := r.next()
+	next := func() (walFrame, bool, error) {
+		fr, _, ok, err := r.next()
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+			return fr, false, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
-		return body, nil
+		return fr, ok, nil
 	}
 	epoch, err := db.loadSnapshot(next)
 	if err != nil {
 		return 0, err
 	}
-	if body, err := next(); body != nil || err != nil || len(r.buf) > 0 {
+	if _, ok, err := next(); ok || err != nil || len(r.buf) > 0 {
 		return 0, fmt.Errorf("%w: bytes after the end frame", ErrBadSnapshot)
 	}
 	return epoch, nil

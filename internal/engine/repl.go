@@ -1,6 +1,9 @@
 package engine
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Replica-side engine support. A replica database is an ordinary
 // engine.Database switched read-only: client sessions can run queries
@@ -51,9 +54,22 @@ func (db *Database) ReplicationSnapshot() *Snapshot {
 // loadSnapshot). The old catalog and tables are swapped out atomically
 // under the catalog lock once the end frame has applied, and in-flight
 // snapshot reads keep their pinned versions; a stream that fails
-// before then changes nothing. Refused on a database with a log — a
+// before then changes nothing; so does a body that fails to decode,
+// which is ErrBadSnapshot. Refused on a database with a log — a
 // replica's durability is the primary's.
 func (db *Database) LoadReplicaSnapshot(next func() ([]byte, error)) error {
-	_, err := db.loadSnapshot(next)
+	frames := 0
+	_, err := db.loadSnapshot(func() (walFrame, bool, error) {
+		body, err := next()
+		if body == nil || err != nil {
+			return walFrame{}, false, err
+		}
+		frames++
+		fr, err := decodeWALFrame(body)
+		if err != nil {
+			err = fmt.Errorf("%w: frame %d: %v", ErrBadSnapshot, frames, err)
+		}
+		return fr, true, err
+	})
 	return err
 }

@@ -175,6 +175,17 @@ func (gt *groupTable) add(rt *runtime, fr Row) error {
 	return nil
 }
 
+// count folds n input rows into a global aggregate whose every aggregate
+// is COUNT(*), reading none of them.
+func (gt *groupTable) count(n int) {
+	if len(gt.order) == 0 {
+		gt.order = append(gt.order, gt.newGroup())
+	}
+	for _, acc := range gt.order[0].accs {
+		acc.count += int64(n)
+	}
+}
+
 // group returns the group of the row on top of the scope stack, creating
 // it on first sight. A global aggregate (no GROUP BY) has one group and
 // builds no key.

@@ -61,10 +61,14 @@ func stmtAllocs(t *testing.T, s *engine.Session, sql string, params map[string]t
 }
 
 // The period-index join and the literal overlap probe the allocation
-// pins below measure, each over a period-indexed rx of n rows.
+// pins below measure, each over a period-indexed rx of n rows. Their
+// COUNT(*) forms count in the index's answer; the twins read a column,
+// so they keep fetching and pairing rows.
 const (
-	periodJoinQ   = `SELECT COUNT(*) FROM visit v, rx p WHERE v.id BETWEEN 0 AND 3 AND overlaps(p.valid, v.during)`
-	literalProbeQ = `SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-06-30]')`
+	periodJoinQ      = `SELECT COUNT(*) FROM visit v, rx p WHERE v.id BETWEEN 0 AND 3 AND overlaps(p.valid, v.during)`
+	literalProbeQ    = `SELECT COUNT(*) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-06-30]')`
+	periodJoinRowQ   = `SELECT COUNT(p.dosage) FROM visit v, rx p WHERE v.id BETWEEN 0 AND 3 AND overlaps(p.valid, v.during)`
+	literalProbeRowQ = `SELECT COUNT(dosage) FROM rx WHERE overlaps(valid, '[1998-03-01, 1998-06-30]')`
 )
 
 // periodJoinDB seeds rx with n rows beside four visits and checks that
@@ -96,19 +100,21 @@ func TestPeriodJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	join := func(n int) (allocs float64, pairs int64) {
-		s := periodJoinDB(t, n)
-		return stmtAllocs(t, s, periodJoinQ, nil), mustExec(t, s, periodJoinQ).Rows[0][0].Int()
-	}
-	small, pSmall := join(500)
-	large, pLarge := join(5000)
-	t.Logf("period-index join: %.0f allocations for %d pairs, %.0f for %d", small, pSmall, large, pLarge)
-	if pLarge < 5*pSmall {
-		t.Fatalf("pairs %d vs %d: the larger table should give many more", pSmall, pLarge)
-	}
-	if large >= 1.5*small {
-		t.Errorf("period-index join allocates %.0f objects for %d pairs but %.0f for %d: per-pair allocation is back",
-			small, pSmall, large, pLarge)
+	for _, q := range []string{periodJoinQ, periodJoinRowQ} {
+		join := func(n int) (allocs float64, pairs int64) {
+			s := periodJoinDB(t, n)
+			return stmtAllocs(t, s, q, nil), mustExec(t, s, q).Rows[0][0].Int()
+		}
+		small, pSmall := join(500)
+		large, pLarge := join(5000)
+		t.Logf("%s: %.0f allocations for %d pairs, %.0f for %d", q, small, pSmall, large, pLarge)
+		if pLarge < 5*pSmall {
+			t.Fatalf("pairs %d vs %d: the larger table should give many more", pSmall, pLarge)
+		}
+		if large >= 1.5*small {
+			t.Errorf("%s allocates %.0f objects for %d pairs but %.0f for %d: per-pair allocation is back",
+				q, small, pSmall, large, pLarge)
+		}
 	}
 }
 
@@ -116,22 +122,30 @@ func TestLiteralProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
 	}
-	probe := func(n int) (allocs float64, candidates int64) {
-		s := literalProbeDB(t, n)
-		return stmtAllocs(t, s, literalProbeQ, nil), mustExec(t, s, literalProbeQ).Rows[0][0].Int()
-	}
-	small, kSmall := probe(300)
-	large, kLarge := probe(3000)
-	t.Logf("literal probe: %.0f allocations over %d candidates, %.0f over %d", small, kSmall, large, kLarge)
-	if kLarge < 5*kSmall {
-		t.Fatalf("candidates %d vs %d: the larger table should give many more", kSmall, kLarge)
-	}
-	if large >= 1.5*small {
-		t.Errorf("literal probe allocates %.0f objects over %d candidates but %.0f over %d: per-candidate allocation is back",
-			large, kLarge, small, kSmall)
-	}
-	if large > literalProbeAllocs {
-		t.Errorf("literal probe allocates %.0f objects per statement; the bound is %d", large, literalProbeAllocs)
+	for _, c := range []struct {
+		q     string
+		bound float64
+	}{
+		{literalProbeQ, literalProbeAllocs},
+		{literalProbeRowQ, literalProbeRowAllocs},
+	} {
+		probe := func(n int) (allocs float64, candidates int64) {
+			s := literalProbeDB(t, n)
+			return stmtAllocs(t, s, c.q, nil), mustExec(t, s, c.q).Rows[0][0].Int()
+		}
+		small, kSmall := probe(300)
+		large, kLarge := probe(3000)
+		t.Logf("%s: %.0f allocations over %d candidates, %.0f over %d", c.q, small, kSmall, large, kLarge)
+		if kLarge < 5*kSmall {
+			t.Fatalf("candidates %d vs %d: the larger table should give many more", kSmall, kLarge)
+		}
+		if large >= 1.5*small {
+			t.Errorf("%s allocates %.0f objects over %d candidates but %.0f over %d: per-candidate allocation is back",
+				c.q, large, kLarge, small, kSmall)
+		}
+		if large > c.bound {
+			t.Errorf("%s allocates %.0f objects per statement; the bound is %.0f", c.q, large, c.bound)
+		}
 	}
 }
 
@@ -152,7 +166,9 @@ func TestPeriodProbeBytes(t *testing.T) {
 		small, large int
 	}{
 		{"literal probe", literalProbeQ, literalProbeDB, 300, 3000},
+		{"literal probe reading a column", literalProbeRowQ, literalProbeDB, 300, 3000},
 		{"period-index join", periodJoinQ, periodJoinDB, 500, 5000},
+		{"period-index join reading a column", periodJoinRowQ, periodJoinDB, 500, 5000},
 	} {
 		small := stmtBytes(t, c.db(t, c.small), c.q)
 		large := stmtBytes(t, c.db(t, c.large), c.q)
@@ -259,11 +275,13 @@ func TestRowExprAllocs(t *testing.T) {
 // The bounds are their measured counts (go 1.24, amd64); work on the
 // temporal paths must not make either statement allocate more. The
 // literal overlap probe of TestLiteralProbeAllocs has a ceiling of its
-// own at either table size.
+// own at either table size, for its COUNT(*) form and for its twin
+// that reads rows.
 const (
-	pointReadAllocs    = 49
-	insertAllocs       = 32
-	literalProbeAllocs = 84
+	pointReadAllocs       = 49
+	insertAllocs          = 32
+	literalProbeAllocs    = 82
+	literalProbeRowAllocs = 85
 )
 
 func TestPointStatementAllocs(t *testing.T) {

@@ -95,6 +95,10 @@ type periodJoinCond struct {
 	contains        bool
 	check           *overlapsCheck
 	hits            index.Hits // the index's answer for one accumulated row, read by this site only
+	// counts is set on a last level whose consumer is a count-only
+	// aggregate and which needs no filter: it counts each accumulated
+	// row's live hits instead of pairing them (countRows).
+	counts bool
 }
 
 // hashJoinCond is an equality conjunct usable as a hash-join condition at
@@ -311,6 +315,12 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		return nil, err
 	}
 	grouped := len(aggSpecs) > 0 || len(sel.GroupBy) > 0
+	// A global aggregate whose every aggregate is COUNT(*) reads no
+	// column of its input: it adds whole batches, and a scan or a last
+	// period-index level that needs no filter counts its exact answer
+	// without fetching a row. The row path stays the reference.
+	countOnly := grouped && len(sel.GroupBy) == 0 &&
+		!slices.ContainsFunc(aggSpecs, func(s *aggSpec) bool { return !s.star })
 	var cp *coalescePlan
 	if grouped {
 		for _, spec := range aggSpecs {
@@ -320,10 +330,21 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		}
 		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
+	if last := len(sources) - 1; countOnly && last >= 0 && len(levelFilters[last]) == 0 {
+		switch pc := periodConds[last]; {
+		case last == 0 && sources[0].tbl != nil:
+			sources[0].table.counts = true
+		case pc != nil && pc.check != nil && len(sources[last].pushed) == 0:
+			pc.counts = true
+		}
+	}
 	if grouped && b.env.PlanChoice != nil {
-		if cp != nil {
+		switch {
+		case cp != nil:
 			b.env.PlanChoice("coalesce.hash")
-		} else {
+		case countOnly:
+			b.env.PlanChoice("agg.count")
+		default:
 			b.env.PlanChoice("agg.generic")
 		}
 	}
@@ -610,6 +631,12 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		case cp != nil:
 			cr = cp.start(rowsHint)
 			consume = func(rows []Row) error { return cr.add(rt, rows) }
+		case countOnly:
+			gt = newGroupTable(nil, aggSpecs)
+			consume = func(rows []Row) error {
+				gt.count(len(rows))
+				return nil
+			}
 		case grouped:
 			gt = newGroupTable(groupKeyExprs, aggSpecs)
 			consume = func(rows []Row) error {

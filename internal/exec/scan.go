@@ -141,6 +141,9 @@ type tableScan struct {
 	hits     index.Hits // the period search's answer, read by this site only
 	ids      []int      // the hash lookup's answer
 	buf      []Row      // the batch buffer
+	// counts is set when the consumer is a count-only aggregate
+	// (countRows): a run that needs no filter counts instead of reading.
+	counts bool
 }
 
 // run evaluates the index probe, if any, and hands emit the rows it
@@ -158,6 +161,9 @@ func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
 		defer func() { ts.st.record(start, rows) }()
 	}
 	if ts.kind == "" {
+		if ts.counts && len(ts.filters) == 0 {
+			return countRows(rt, ts.snap.Rows.Len(), emit)
+		}
 		return ts.read(rt, ts.snap.Rows.Len(), nil, nil, ts.filters, emit)
 	}
 	pv, err := ts.probe(rt)
@@ -172,7 +178,10 @@ func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
 			return nil // nil ids would read the whole table
 		}
 		return ts.read(rt, len(ts.ids), ts.ids, nil, ts.filters, emit)
-	case periodCandidates(rt, ts.snap.Periods[ts.col], cv, ts.contains, &ts.hits):
+	case !periodCandidates(rt, ts.snap.Periods[ts.col], cv, ts.contains, &ts.hits):
+	case ts.counts && len(ts.residual) == 0:
+		return countRows(rt, liveHits(ts.snap, &ts.hits), emit)
+	default:
 		return ts.read(rt, ts.hits.Len(), nil, &ts.hits, ts.residual, emit)
 	}
 	// A probe the cast rejects or the index cannot answer scans fully,
@@ -235,6 +244,38 @@ func (ts *tableScan) read(rt *runtime, n int, ids []int, hits *index.Hits, fs []
 		return err
 	}
 	return emit(buf)
+}
+
+// countRows hands a count-only consumer — a global aggregate whose every
+// aggregate is COUNT(*), which reads nothing but the length of each
+// batch — n rows that no filter needs to see, as batches of nil rows.
+// It polls cancel once for the lot.
+func countRows(rt *runtime, n int, emit func([]Row) error) error {
+	if err := rt.checkCancel(); err != nil {
+		return err
+	}
+	for ; n > 0; n -= BatchRows {
+		if err := emit(nilRows[:min(n, BatchRows)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nilRows backs countRows's batches. Nothing writes it: a batch is
+// filtered in place only under filters, and a counted one has none.
+var nilRows = make([]Row, BatchRows)
+
+// liveHits counts the ids in h that are live in snap, reading no row,
+// and leaves h clear.
+func liveHits(snap *TableVersion, h *index.Hits) int {
+	n := 0
+	for id, ok := h.Next(); ok; id, ok = h.Next() {
+		if snap.Rows.Live(id) {
+			n++
+		}
+	}
+	return n
 }
 
 // probeCast lifts an index probe to the indexed column's type along the
@@ -510,8 +551,10 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 // stays among the level filters pair applies. When the index cannot
 // answer (the probe's cast rejects it, it has no interval form, or it is
 // an empty contained side), the accumulated row pairs with every source
-// row, and an exact conjunct is tested here.
-func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, begin func(a Row), pair func(sr Row) error) error {
+// row, and an exact conjunct is tested here. When count is non-nil (the
+// level counts its pairs, see periodJoinCond.counts) an indexed row's
+// live hits go to count instead of being paired.
+func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, begin func(a Row), pair func(sr Row) error, count func(n int) error) error {
 	ix := src.snap.Periods[pc.col]
 	for _, a := range acc {
 		if err := rt.checkCancel(); err != nil {
@@ -533,6 +576,12 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, be
 		}
 		if !ok {
 			if err := pairUnindexed(rt, src, pc, pv, pair); err != nil {
+				return err
+			}
+			continue
+		}
+		if count != nil {
+			if err := count(liveHits(src.snap, &pc.hits)); err != nil {
 				return err
 			}
 			continue
@@ -640,7 +689,8 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 // re-reads; the last level streams. A single source passes its scan's
 // batches through, filtered in place (see source.scan for what emit may
 // keep). A join hands over each surviving pair as it is found, in a scratch row
-// the next pair overwrites, which emit must copy to keep. The scratch
+// the next pair overwrites, which emit must copy to keep; a last level
+// that counts its pairs hands over nil rows (countRows). The scratch
 // row holds only the columns some expression over the joined row reads
 // (source.cols); the others stay zero Values, which no operator accepts,
 // so a column wrongly left out fails loudly instead of reading a stale
@@ -697,7 +747,14 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 		}
 
 		if pc := periodConds[level]; pc != nil {
-			if err := periodIndexJoin(rt, acc, src, pc, begin, pair); err != nil {
+			var count func(n int) error
+			if pc.counts {
+				count = func(n int) error {
+					kept += n
+					return countRows(rt, n, emit)
+				}
+			}
+			if err := periodIndexJoin(rt, acc, src, pc, begin, pair, count); err != nil {
 				return err
 			}
 		} else if err := joinLevel(rt, acc, src, hashConds[level], scratch, begin, pair); err != nil {

@@ -501,6 +501,62 @@ func TestStalledStreamDetectedByIdleTimeout(t *testing.T) {
 	}
 }
 
+// A primary speaking another protocol version fails the link at its
+// welcome, with an error naming both versions, before the replica asks
+// it for anything: a snapshot request framed for one version would be
+// read by the other. The fake primary welcomes as TIP/2 did, with a
+// version and no cancel key.
+func TestReplicaRefusesOtherProtocolVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var asked []byte // kinds of the frames the replica sent after the welcome
+	served := make(chan struct{})
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer close(served)
+		defer nc.Close()
+		r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+		if _, err := protocol.ReadFrame(r); err != nil {
+			return
+		}
+		_ = protocol.WriteFrame(w, protocol.AppendString([]byte{protocol.MsgWelcome}, "TIP/2"))
+		for {
+			frame, err := protocol.ReadFrame(r)
+			if err != nil {
+				return // the replica dropped the link
+			}
+			asked = append(asked, frame[0])
+		}
+	}()
+	logged := make(chan string, 1)
+	r := repl.StartReplica(newEngine(t), ln.Addr().String(), repl.WithReplicaLogger(func(format string, args ...any) {
+		select {
+		case logged <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}))
+	defer r.Close()
+	var line string
+	select {
+	case line = <-logged:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the replica logged no failed link")
+	}
+	<-served
+	if !strings.Contains(line, `"TIP/2"`) || !strings.Contains(line, protocol.Version) {
+		t.Errorf("logged %q, want an error naming both protocol versions", line)
+	}
+	if len(asked) != 0 {
+		t.Errorf("the replica sent frames of kinds %v after the welcome (MsgSnapshot is %d), want none", asked, protocol.MsgSnapshot)
+	}
+}
+
 // TestRawSubscribeStreamsBackloggedFrames speaks the wire protocol
 // directly: a subscription from seq 0 must deliver every frame already
 // in the log file (the catch-up path), contiguous and checksum-clean.

@@ -305,6 +305,14 @@ func (r *Replica) runOnce() error {
 	if err == nil && frame[0] != protocol.MsgWelcome {
 		err = errors.New("repl: unexpected handshake reply")
 	}
+	if err == nil {
+		// Version first, as the client checks it: a primary of another
+		// revision may frame everything after it differently.
+		var version string
+		if version, _, err = protocol.ReadString(frame[1:]); err == nil && version != protocol.Version {
+			err = fmt.Errorf("repl: primary speaks protocol %q, this replica %q", version, protocol.Version)
+		}
+	}
 	if err != nil {
 		return err
 	}
