@@ -111,15 +111,18 @@ fuzz-smoke:
 
 # mvcc-smoke exercises the MVCC snapshot layer under the race detector:
 # snapshot atomicity beside concurrent writers (plain, hash-index and
-# period-index scans), horizon-gated slot reuse, zero goroutine leaks
-# and GC of superseded versions, a transaction's killed hash postings
-# still found by fresh readers of the published version, and a
-# two-table commit that no statement sees half of — then runs the
-# disjoint-writer benchmark with and without the scanning analyst so the
-# analyst's cost to writers stays visible (scans never take locks, so
-# any gap is pure CPU competition).
+# period-index scans), immediate slot reuse, zero goroutine leaks and GC
+# of superseded versions, rows a transaction deleted still found through
+# the hash index by fresh readers of the published version, and a
+# two-table commit that no statement sees half of; then the versioned
+# hash index's property test (every committed version against its own
+# model, dropped builders included) and its readers beside an appending
+# builder — then runs the disjoint-writer benchmark with and without the
+# scanning analyst so the analyst's cost to writers stays visible (scans
+# never take locks, so any gap is pure CPU competition).
 mvcc-smoke:
 	$(GO) test -race -run 'TestMVCC|TestTxnKeepsKilledHashPostings|TestCommitPublishesAllTablesAtOnce' -count=1 ./internal/engine
+	$(GO) test -race -run 'TestHash' -count=1 ./internal/index
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .
 
 # plan-smoke exercises the planner and the batched executor under the

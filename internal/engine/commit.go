@@ -14,9 +14,7 @@ import (
 // and read it, other sessions read the committed version, and the
 // transaction keeps the table's lock (see tableLock). COMMIT publishes
 // the private versions and logs the transaction's effects as one
-// group; ROLLBACK, Session.Close and a crash drop them unlogged. The
-// shared hash indexes hold the transaction's unpublished postings, so
-// ROLLBACK reverts them, newest first (see beginWrite for the horizon).
+// group; ROLLBACK, Session.Close and a crash drop them unlogged.
 
 // ErrDDLInTransaction reports a schema change inside an explicit
 // transaction. DDL runs in autocommit only.
@@ -27,11 +25,9 @@ type txState struct {
 	// time is the transaction time, read from the engine clock at
 	// BEGIN: the value of NOW for every statement of the transaction
 	// (unless the session overrides NOW), after Clifford et al.
-	time    temporal.Chronon
-	first   uint64              // sequence of its first write; 0 before it
-	tables  []*stagedTable      // the tables it wrote, in first-write order
-	writers []*exec.TableWriter // its statements' writers, oldest first
-	group   []byte              // its effect records (durable databases only)
+	time   temporal.Chronon
+	tables []*stagedTable // the tables it wrote, in first-write order
+	group  []byte         // its effect records (durable databases only)
 }
 
 // stagedTable is a table version a commit is about to publish.
@@ -96,10 +92,10 @@ func (db *Database) publish(tables []*stagedTable) {
 
 // endWrite ends the writer of a statement that succeeded: it publishes
 // the new version in autocommit, or keeps it private to the
-// transaction. A group too large to log fails the statement instead.
+// transaction. A group too large to log fails the statement instead,
+// and the writer is dropped.
 func (s *Session) endWrite(name string, tbl *exec.Table, w *exec.TableWriter) error {
 	if s.fx != nil && len(*s.fx) > maxGroupPayload() {
-		w.Discard()
 		return ErrGroupTooLarge
 	}
 	v := w.Commit()
@@ -114,21 +110,17 @@ func (s *Session) endWrite(name string, tbl *exec.Table, w *exec.TableWriter) er
 		tx.tables = append(tx.tables, t)
 	}
 	t.v = v
-	tx.writers = append(tx.writers, w)
 	return nil
 }
 
-// rollback drops the open transaction: its postings are reverted, its
-// private versions dropped and its locks released.
+// rollback drops the open transaction: its private versions are
+// dropped and its locks released.
 func (s *Session) rollback() error {
 	tx := s.tx
 	if tx == nil {
 		return errNoTxn
 	}
 	s.tx = nil
-	for i := len(tx.writers) - 1; i >= 0; i-- {
-		tx.writers[i].Discard()
-	}
 	tx.release()
 	return nil
 }

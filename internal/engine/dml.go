@@ -13,11 +13,12 @@ import (
 // implicit assignment casts, index maintenance and effect recording.
 //
 // Each statement opens a TableWriter over the version it pinned of its
-// table (beginWrite), applies every row change to the writer, and ends
-// it with endWrite, which publishes or keeps the new version. Any error
-// discards the writer, so readers never observe a partial statement
-// and failed statements leave no trace. On a durable database each row
-// change is also recorded in the statement's group (s.fx).
+// table (its latest one, under the table's lock, or its transaction's
+// own), applies every row change to the writer, and ends it with
+// endWrite, which publishes or keeps the new version. Any error drops
+// the writer, so readers never observe a partial statement and failed
+// statements leave no trace. On a durable database each row change is
+// also recorded in the statement's group (s.fx).
 
 func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.Result, error) {
 	key := strings.ToLower(st.Table)
@@ -65,17 +66,16 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 	}
 
 	// Last cancel point: once the writer opens, the statement runs to
-	// completion (or discards wholesale), so cancellation can never
+	// completion (or is dropped wholesale), so cancellation can never
 	// leave a partial insert.
 	if err := env.CancelErr(); err != nil {
 		return nil, err
 	}
 	now := s.Now()
 	ctx := env.Ctx()
-	w := s.beginWrite(key)
+	w := s.snaps[key].NewWriter()
 	for _, in := range incoming {
 		if len(in) != len(cols) {
-			w.Discard()
 			return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(in), len(cols))
 		}
 		row := make(exec.Row, len(tbl.Meta.Columns))
@@ -85,20 +85,17 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 		for i, pos := range cols {
 			cv, err := s.db.reg.ImplicitConvert(ctx, in[i], tbl.Meta.Columns[pos].Type)
 			if err != nil {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s: %w", tbl.Meta.Columns[pos].Name, err)
 			}
 			row[pos] = cv
 		}
 		for i, col := range tbl.Meta.Columns {
 			if col.NotNull && row[i].Null {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s is NOT NULL", col.Name)
 			}
 		}
 		id := w.Insert(row)
 		if err := w.IndexRow(id, row, now); err != nil {
-			w.Discard()
 			return nil, err
 		}
 		if s.fx != nil {
@@ -148,13 +145,13 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		return nil, err
 	}
 	// Last cancel point: the WHERE scan above polls the token per row;
-	// once the writer opens, the update commits or discards wholesale.
+	// once the writer opens, the update commits or is dropped wholesale.
 	if err := env.CancelErr(); err != nil {
 		return nil, err
 	}
 	now := s.Now()
 	ctx := env.Ctx()
-	w := s.beginWrite(key)
+	w := s.snaps[key].NewWriter()
 	for _, id := range ids {
 		old, ok := w.Get(id)
 		if !ok {
@@ -165,27 +162,22 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		for _, set := range setters {
 			v, err := set.e(env, old)
 			if err != nil {
-				w.Discard()
 				return nil, err
 			}
 			cv, err := s.db.reg.ImplicitConvert(ctx, v, tbl.Meta.Columns[set.pos].Type)
 			if err != nil {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s: %w", tbl.Meta.Columns[set.pos].Name, err)
 			}
 			if tbl.Meta.Columns[set.pos].NotNull && cv.Null {
-				w.Discard()
 				return nil, fmt.Errorf("engine: column %s is NOT NULL", tbl.Meta.Columns[set.pos].Name)
 			}
 			row[set.pos] = cv
 		}
 		w.UnindexRow(id, old, now)
 		if _, err := w.Update(id, row); err != nil {
-			w.Discard()
 			return nil, err
 		}
 		if err := w.IndexRow(id, row, now); err != nil {
-			w.Discard()
 			return nil, err
 		}
 		if s.fx != nil {
@@ -221,11 +213,10 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 		return nil, err
 	}
 	now := s.Now()
-	w := s.beginWrite(key)
+	w := s.snaps[key].NewWriter()
 	for _, id := range ids {
 		old, err := w.Delete(id)
 		if err != nil {
-			w.Discard()
 			return nil, err
 		}
 		w.UnindexRow(id, old, now)

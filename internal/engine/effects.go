@@ -259,9 +259,8 @@ func (db *Database) applyGroup(payload []byte) error {
 		if !ok {
 			return nil, fmt.Errorf("%w: no table %s", errBadGroup, table)
 		}
-		seq := db.vclock.Add(1)
 		staged = append(staged, &stagedTable{name: table, tbl: tbl})
-		writers = append(writers, tbl.Snapshot().NewWriter(seq, db.hz.min(seq-1)))
+		writers = append(writers, tbl.Snapshot().NewWriter())
 		return writers[len(writers)-1], nil
 	}
 	publish := func() {
@@ -301,14 +300,10 @@ func (db *Database) applyGroup(payload []byte) error {
 		}
 		return w.IndexRow(rec.id, rec.row, now)
 	})
-	if err != nil {
-		for _, w := range writers {
-			w.Discard()
-		}
-		return err
+	if err == nil {
+		publish() // a failed group's writers are dropped
 	}
-	publish()
-	return nil
+	return err
 }
 
 // applyDDL replays one DDL record through the DDL code path.

@@ -10,8 +10,8 @@
 // and every table carries its own write lock. DDL takes the catalog
 // lock exclusively; a DML statement shares the catalog lock and locks
 // the one table it writes, so writers of different tables run in
-// parallel; queries pin immutable table versions instead of locking
-// (see locks.go).
+// parallel; queries pin immutable table versions, rows and indexes
+// alike, instead of locking (see locks.go and mvcc.go).
 // Each session keeps an LRU cache of parsed statements keyed by SQL
 // text, revalidated against a catalog generation counter that every DDL
 // bumps, so the hot repeated-statement path skips the parser.
@@ -28,7 +28,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,15 +59,10 @@ type Database struct {
 	wal    *wal                   // the log of a durable database, fixed by Open; nil in memory
 	obs    *obsState              // metrics registry + statement instrumentation
 
-	// MVCC state: vclock is the version clock stamping every writer
-	// statement (the in-memory extension of the WAL epoch/seq pair —
-	// see DESIGN.md), hz tracks which old sequences in-flight statement
-	// snapshots still reach. pub is the multi-table commit being
-	// published, if any, and pubMu admits one at a time (see publish).
-	vclock atomic.Uint64
-	hz     *horizonTracker
-	pub    atomic.Pointer[publication]
-	pubMu  sync.Mutex
+	// pub is the multi-table commit being published, if any, and pubMu
+	// admits one at a time (see publish).
+	pub   atomic.Pointer[publication]
+	pubMu sync.Mutex
 
 	// clock interprets NOW by default (the wall clock while nil).
 	clock atomic.Pointer[func() temporal.Chronon]
@@ -107,7 +102,6 @@ func New(reg *blade.Registry) *Database {
 		tables: make(map[string]*exec.Table),
 		locks:  make(map[string]*tableLock),
 		obs:    newObsState(),
-		hz:     newHorizonTracker(),
 	}
 	db.syncInterval.Store(int64(2 * time.Millisecond))
 	// Durability-position gauges: replication lag is judged against
@@ -553,14 +547,14 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 		if colType.Kind != types.KindUDT {
 			return nil, fmt.Errorf("engine: PERIOD index requires a temporal column, not %s", colType)
 		}
-		if snap.Periods[pos] != nil {
+		if snap.Indexes[pos].Period != nil {
 			return nil, fmt.Errorf("engine: column %s already has a period index", st.Column)
 		}
 	} else {
 		if colType.Kind == types.KindUDT && !colType.UDT.StableKey {
 			return nil, fmt.Errorf("engine: type %s has NOW-dependent values; use a PERIOD index", colType)
 		}
-		if snap.Hash[pos] != nil {
+		if snap.Indexes[pos].Hash != nil {
 			return nil, fmt.Errorf("engine: column %s already has a hash index", st.Column)
 		}
 	}
@@ -572,12 +566,7 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 	// The catalog lock is held exclusively, so no statement is in
 	// flight and the version chain stays linear.
 	now := s.Now()
-	nv := &exec.TableVersion{
-		Seq:     s.db.vclock.Add(1),
-		Rows:    snap.Rows,
-		Hash:    snap.Hash,
-		Periods: snap.Periods,
-	}
+	nv := &exec.TableVersion{Rows: snap.Rows, Indexes: slices.Clone(snap.Indexes)}
 	if st.Period {
 		pb := index.NewPeriodBuilder(nil)
 		var buildErr error
@@ -589,21 +578,16 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 			_ = s.db.cat.DropIndex(st.Name)
 			return nil, buildErr
 		}
-		nv.Periods = maps.Clone(snap.Periods)
-		nv.Periods[pos] = pb.Commit()
+		nv.Indexes[pos].Period = pb.Commit()
 	} else {
-		ix := index.NewHash()
+		hb := index.NewHashBuilder(nil)
 		snap.Rows.Scan(func(id int, r exec.Row) bool {
 			if !r[pos].Null {
-				// Born at sequence zero: the index only becomes
-				// reachable through nv, so every snapshot that can see
-				// it sees all existing rows.
-				ix.Add(r[pos].Key(now), id, 0, 0)
+				hb.Add(r[pos].Key(now), id)
 			}
 			return true
 		})
-		nv.Hash = maps.Clone(snap.Hash)
-		nv.Hash[pos] = ix
+		nv.Indexes[pos].Hash = hb.Commit()
 	}
 	tbl.Install(nv)
 	if s.fx != nil {
@@ -623,18 +607,11 @@ func (s *Session) dropIndex(st *ast.DropIndex) (*exec.Result, error) {
 	tbl := s.db.tables[strings.ToLower(im.Table)]
 	pos, _ := tbl.Meta.ColumnIndex(im.Column)
 	snap := tbl.Snapshot()
-	nv := &exec.TableVersion{
-		Seq:     s.db.vclock.Add(1),
-		Rows:    snap.Rows,
-		Hash:    snap.Hash,
-		Periods: snap.Periods,
-	}
+	nv := &exec.TableVersion{Rows: snap.Rows, Indexes: slices.Clone(snap.Indexes)}
 	if im.Kind == catalog.PeriodIndex {
-		nv.Periods = maps.Clone(snap.Periods)
-		delete(nv.Periods, pos)
+		nv.Indexes[pos].Period = nil
 	} else {
-		nv.Hash = maps.Clone(snap.Hash)
-		delete(nv.Hash, pos)
+		nv.Indexes[pos].Hash = nil
 	}
 	tbl.Install(nv)
 	if s.fx != nil {

@@ -150,7 +150,7 @@ func (s *Session) lockTables(tables []string, write string) (func(), error) {
 	}
 	s.captureSnaps(names)
 	return func() {
-		s.releaseSnaps()
+		clear(s.snaps)
 		if wl != nil {
 			wl.release(s.tx.staged(write) != nil)
 		}

@@ -318,7 +318,8 @@ func TestMVCCVersionGC(t *testing.T) {
 }
 
 // TestMVCCChurnCapacityBounded drives delete/insert churn through SQL
-// and checks slot reuse keeps table capacity bounded — the engine-level
+// and checks that every insert reuses the slot the delete before it
+// freed, so capacity stays at the live row count — the engine-level
 // face of the old Heap.Compact tombstone leak.
 func TestMVCCChurnCapacityBounded(t *testing.T) {
 	db, s := newMVCCDB(t)
@@ -330,9 +331,8 @@ func TestMVCCChurnCapacityBounded(t *testing.T) {
 		mvccExec(t, s, fmt.Sprintf(`DELETE FROM t WHERE a = %d`, round%50))
 		mvccExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, round%50))
 	}
-	cap := db.tables["t"].Snapshot().Rows.Capacity()
-	if cap > 60 {
-		t.Fatalf("capacity after churn = %d slots for 50 rows; tombstones leak", cap)
+	if cap := db.tables["t"].Snapshot().Rows.Capacity(); cap != 50 {
+		t.Fatalf("capacity after churn = %d slots for 50 rows; want 50", cap)
 	}
 }
 
@@ -375,10 +375,10 @@ func TestMVCCNoGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// TestMVCCSessionCloseReleasesHorizon checks an abandoned open
+// TestMVCCSessionCloseDropsTransaction checks an abandoned open
 // transaction is dropped when its session closes: its table is free
 // again, its insert gone, and churn after the close reuses slots.
-func TestMVCCSessionCloseReleasesHorizon(t *testing.T) {
+func TestMVCCSessionCloseDropsTransaction(t *testing.T) {
 	db, s := newMVCCDB(t)
 	mvccExec(t, s, `CREATE TABLE t (a INT)`)
 	mvccExec(t, s, `INSERT INTO t VALUES (1)`)
@@ -394,9 +394,7 @@ func TestMVCCSessionCloseReleasesHorizon(t *testing.T) {
 		mvccExec(t, s, `INSERT INTO t VALUES (3)`)
 	}
 	snap := db.tables["t"].Snapshot()
-	// One slot of slack: a statement's own snapshot holds the horizon
-	// at the version it deletes from (see TestMVCCChurnCapacityBounded).
-	if snap.Rows.Len() != 2 || snap.Rows.Capacity() > 3 {
-		t.Fatalf("len %d, capacity %d after the close and the churn; want 2 and at most 3", snap.Rows.Len(), snap.Rows.Capacity())
+	if snap.Rows.Len() != 2 || snap.Rows.Capacity() != 2 {
+		t.Fatalf("len %d, capacity %d after the close and the churn; want 2 and 2", snap.Rows.Len(), snap.Rows.Capacity())
 	}
 }

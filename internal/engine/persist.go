@@ -87,8 +87,7 @@ func syncDir(dir string) error {
 
 // Snapshot is the database captured at one log position: each table's
 // metadata and published rows, and the index definitions. Slab versions
-// are immutable and the encoder reads no hash postings, so a captured
-// Snapshot needs no horizon registration: it encodes after the capture's
+// are immutable, so a captured Snapshot encodes after the capture's
 // locks are released, while writers carry on.
 type Snapshot struct {
 	epoch, seq uint64
@@ -205,7 +204,6 @@ func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) 
 		tables: make(map[string]*exec.Table),
 		locks:  make(map[string]*tableLock),
 		obs:    db.obs,
-		hz:     newHorizonTracker(),
 	}
 	var epoch uint64
 	for seq := uint64(1); ; seq++ {
@@ -235,13 +233,6 @@ func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) 
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.cat, db.tables, db.locks = stage.cat, stage.tables, stage.locks
-	// Carry the staging version clock over so later writer sequences
-	// stay above every installed version, but never move the live clock
-	// backwards, or new writes would stamp versions old snapshots
-	// consider reclaimed.
-	if sv := stage.vclock.Load(); sv > db.vclock.Load() {
-		db.vclock.Store(sv)
-	}
 	db.gen.Add(1) // the schema changed under every cached plan
 	return epoch, nil
 }

@@ -278,8 +278,8 @@ func TestRowExprAllocs(t *testing.T) {
 // own at either table size, for its COUNT(*) form and for its twin
 // that reads rows.
 const (
-	pointReadAllocs       = 49
-	insertAllocs          = 32
+	pointReadAllocs       = 48
+	insertAllocs          = 30
 	literalProbeAllocs    = 82
 	literalProbeRowAllocs = 85
 )
@@ -323,7 +323,7 @@ func TestPointStatementAllocs(t *testing.T) {
 // durableInsertAllocs bounds the INSERT of TestPointStatementAllocs on a
 // durable database, where the statement also records its put and
 // appends its commit group to the log.
-const durableInsertAllocs = 33
+const durableInsertAllocs = 31
 
 func TestDurableInsertAllocs(t *testing.T) {
 	if raceEnabled {

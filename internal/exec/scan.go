@@ -139,7 +139,6 @@ type tableScan struct {
 	lift     probeCast
 	contains bool
 	hits     index.Hits // the period search's answer, read by this site only
-	ids      []int      // the hash lookup's answer
 	buf      []Row      // the batch buffer
 	// counts is set when the consumer is a count-only aggregate
 	// (countRows): a run that needs no filter counts instead of reading.
@@ -174,11 +173,12 @@ func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
 	switch {
 	case !ok:
 	case ts.kind == "hash":
-		if ts.ids = ts.snap.Hash[ts.col].Lookup(cv.Key(rt.env.Now), ts.snap.Seq, ts.ids[:0]); len(ts.ids) == 0 {
+		ids := ts.snap.Indexes[ts.col].Hash.Lookup(cv.Key(rt.env.Now))
+		if len(ids) == 0 {
 			return nil // nil ids would read the whole table
 		}
-		return ts.read(rt, len(ts.ids), ts.ids, nil, ts.filters, emit)
-	case !periodCandidates(rt, ts.snap.Periods[ts.col], cv, ts.contains, &ts.hits):
+		return ts.read(rt, len(ids), ids, nil, ts.filters, emit)
+	case !periodCandidates(rt, ts.snap.Indexes[ts.col].Period, cv, ts.contains, &ts.hits):
 	case ts.counts && len(ts.residual) == 0:
 		return countRows(rt, liveHits(ts.snap, &ts.hits), emit)
 	default:
@@ -461,9 +461,9 @@ func indexedColumn(e ast.Expr, src *source, kind string) (int, bool) {
 		return 0, false
 	}
 	if kind == "hash" {
-		return pos, src.snap.Hash[pos] != nil
+		return pos, src.snap.Indexes[pos].Hash != nil
 	}
-	return pos, src.snap.Periods[pos] != nil
+	return pos, src.snap.Indexes[pos].Period != nil
 }
 
 // tryPeriodJoin checks whether conjunct c can drive a period-index
@@ -555,7 +555,7 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 // level counts its pairs, see periodJoinCond.counts) an indexed row's
 // live hits go to count instead of being paired.
 func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, begin func(a Row), pair func(sr Row) error, count func(n int) error) error {
-	ix := src.snap.Periods[pc.col]
+	ix := src.snap.Indexes[pc.col].Period
 	for _, a := range acc {
 		if err := rt.checkCancel(); err != nil {
 			return err

@@ -90,17 +90,20 @@ type Result struct {
 }
 
 // TableVersion is one immutable snapshot of a table's contents: a row
-// slab version plus the matching index versions, stamped with the
-// version-clock sequence of the writer that published it. Readers pin
-// one TableVersion per table at statement start and read it without
-// any locking. The Hash cores are shared across versions (their
-// postings are sequence-filtered against Seq); the Periods values are
-// per-version immutable.
+// slab version plus the matching index versions. Readers pin one
+// TableVersion per table at statement start and read it without any
+// locking.
 type TableVersion struct {
-	Seq     uint64
-	Rows    *storage.Version
-	Hash    map[int]*index.Hash
-	Periods map[int]*index.Period
+	Rows *storage.Version
+	// Indexes holds each column's index versions, by column position.
+	Indexes []ColumnIndex
+}
+
+// ColumnIndex is the indexes of one column: nil where the column has no
+// index of that kind.
+type ColumnIndex struct {
+	Hash   *index.Hash
+	Period *index.Period
 }
 
 // Table is the runtime state of one table: catalog metadata plus the
@@ -114,11 +117,7 @@ type Table struct {
 // NewTable returns an empty runtime table for the given metadata.
 func NewTable(meta *catalog.TableMeta) *Table {
 	t := &Table{Meta: meta}
-	t.cur.Store(&TableVersion{
-		Rows:    storage.NewVersion(),
-		Hash:    make(map[int]*index.Hash),
-		Periods: make(map[int]*index.Period),
-	})
+	t.cur.Store(&TableVersion{Rows: storage.NewVersion(), Indexes: make([]ColumnIndex, len(meta.Columns))})
 	return t
 }
 

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 
 	"tip/internal/index"
 	"tip/internal/storage"
@@ -11,71 +11,58 @@ import (
 )
 
 // TableWriter builds the next version of a table: a copy-on-write slab
-// builder for the rows plus the matching index maintenance, so a
-// statement either yields a whole new version (Commit) or leaves no
-// trace (Discard). The caller holds the table's write lock for the
+// builder for the rows plus a copy-on-write builder for each index, so a
+// statement either yields a whole new version (Commit) or, dropped,
+// leaves no trace. The caller holds the table's write lock for the
 // writer's lifetime and publishes the version or keeps it private to a
 // transaction.
-//
-// Hash index changes are the one part that touches shared state before
-// publication: postings are added/killed in the shared cores stamped
-// with this writer's unpublished sequence, which no reader snapshot can
-// see yet. Discard reverts them from a journal — also after Commit, for
-// a transaction's ROLLBACK. Row and period index changes are
-// builder-local.
 type TableWriter struct {
-	*storage.Builder // the rows: Get, Insert, Put, Delete, Update
-	base             *TableVersion
-	seq              uint64
-	horizon          uint64
-	periods          map[int]*index.PeriodBuilder
-	hashOps          []hashOp
+	storage.Builder // the rows: Get, Insert, Put, Delete, Update
+	base            *TableVersion
+	cols            []columnBuilder // by column position; nil until an index changes
 }
 
-type hashOp struct {
-	add bool
-	col int
-	key string
-	id  int
+// columnBuilder builds the next versions of one column's indexes.
+type columnBuilder struct {
+	hash   index.HashBuilder
+	period index.PeriodBuilder
 }
 
-// NewWriter starts a writer over version v with the given version-clock
-// sequence and horizon (the oldest sequence a pinned statement snapshot
-// or an unpublished posting could still need). The horizon must be
-// below seq: Discard can only revert postings the writer's own index
-// maintenance has not reclaimed.
-func (v *TableVersion) NewWriter(seq, horizon uint64) *TableWriter {
-	return &TableWriter{
-		Builder: v.Rows.NewBuilder(seq, horizon),
-		base:    v,
-		seq:     seq,
-		horizon: horizon,
-		periods: make(map[int]*index.PeriodBuilder),
+// NewWriter starts a writer over version v. Its row builder takes the
+// sequence after v's as both its sequence and its horizon, so a slot an
+// earlier version freed is reused at once: a reader fetches rows and
+// index entries from the version it pinned, so a reused slot never
+// shows it a wrong row.
+func (v *TableVersion) NewWriter() *TableWriter {
+	seq := v.Rows.Seq() + 1
+	return &TableWriter{Builder: *v.Rows.NewBuilder(seq, seq), base: v}
+}
+
+// builders returns the index builders, starting them on first use.
+func (w *TableWriter) builders() []columnBuilder {
+	if w.cols == nil {
+		w.cols = make([]columnBuilder, len(w.base.Indexes))
+		for pos, ci := range w.base.Indexes {
+			w.cols[pos].hash = index.NewHashBuilder(ci.Hash)
+			if ci.Period != nil {
+				w.cols[pos].period = *index.NewPeriodBuilder(ci.Period)
+			}
+		}
 	}
-}
-
-func (w *TableWriter) periodBuilder(pos int) *index.PeriodBuilder {
-	b, ok := w.periods[pos]
-	if !ok {
-		b = index.NewPeriodBuilder(w.base.Periods[pos])
-		w.periods[pos] = b
-	}
-	return b
+	return w.cols
 }
 
 // IndexRow adds a row to every index of the table. Hash keys are
 // formatted at now, matching lookup-side key formatting.
 func (w *TableWriter) IndexRow(id int, row Row, now temporal.Chronon) error {
-	for pos, ix := range w.base.Hash {
-		if !row[pos].Null {
-			key := row[pos].Key(now)
-			ix.Add(key, id, w.seq, w.horizon)
-			w.hashOps = append(w.hashOps, hashOp{add: true, col: pos, key: key, id: id})
+	for pos, ci := range w.base.Indexes {
+		if ci.Hash != nil && !row[pos].Null {
+			w.builders()[pos].hash.Add(row[pos].Key(now), id)
 		}
-	}
-	for pos := range w.base.Periods {
-		if err := AddPeriodEntries(w.periodBuilder(pos), row[pos], id); err != nil {
-			return err
+		if ci.Period != nil {
+			if err := AddPeriodEntries(&w.builders()[pos].period, row[pos], id); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -83,50 +70,33 @@ func (w *TableWriter) IndexRow(id int, row Row, now temporal.Chronon) error {
 
 // UnindexRow removes a row from every index of the table.
 func (w *TableWriter) UnindexRow(id int, row Row, now temporal.Chronon) {
-	for pos, ix := range w.base.Hash {
-		if !row[pos].Null {
-			key := row[pos].Key(now)
-			ix.Remove(key, id, w.seq, w.horizon)
-			w.hashOps = append(w.hashOps, hashOp{add: false, col: pos, key: key, id: id})
+	for pos, ci := range w.base.Indexes {
+		if ci.Hash != nil && !row[pos].Null {
+			w.builders()[pos].hash.Remove(row[pos].Key(now), id)
 		}
-	}
-	for pos := range w.base.Periods {
-		w.periodBuilder(pos).Remove(id)
+		if ci.Period != nil {
+			w.builders()[pos].period.Remove(id)
+		}
 	}
 }
 
 // Commit returns the writer's state as the table's next version. The
-// writer keeps only its posting journal afterwards.
+// writer must not be used afterwards.
 func (w *TableWriter) Commit() *TableVersion {
-	nv := &TableVersion{
-		Seq:     w.seq,
-		Rows:    w.Builder.Commit(),
-		Hash:    w.base.Hash,
-		Periods: w.base.Periods,
-	}
-	if len(w.periods) > 0 {
-		nv.Periods = maps.Clone(w.base.Periods)
-		for pos, b := range w.periods {
-			nv.Periods[pos] = b.Commit()
+	nv := &TableVersion{Rows: w.Builder.Commit(), Indexes: w.base.Indexes}
+	if w.cols != nil {
+		nv.Indexes = slices.Clone(w.base.Indexes)
+		for pos := range nv.Indexes {
+			ci, b := &nv.Indexes[pos], &w.cols[pos]
+			if ci.Hash != nil {
+				ci.Hash = b.hash.Commit()
+			}
+			if ci.Period != nil {
+				ci.Period = b.period.Commit()
+			}
 		}
 	}
-	w.Builder, w.periods = nil, nil
 	return nv
-}
-
-// Discard reverts the writer's hash-index postings, newest first;
-// everything else never left the writer. It may follow Commit, as long
-// as the committed version was never published, and runs once.
-func (w *TableWriter) Discard() {
-	for i := len(w.hashOps) - 1; i >= 0; i-- {
-		op := w.hashOps[i]
-		ix := w.base.Hash[op.col]
-		if op.add {
-			ix.UndoAdd(op.key, op.id, w.seq)
-		} else {
-			ix.UndoRemove(op.key, op.id, w.seq)
-		}
-	}
 }
 
 // AddPeriodEntries indexes a temporal value's periods into a period

@@ -12,29 +12,33 @@
 // conservative contract (a superset at every NOW) for callers that have
 // no NOW.
 //
-// Readers hold no table locks, so both indexes are versioned to match
-// the row-slab versions they travel with:
+// Readers hold no table locks, so both indexes are immutable per-version
+// values that travel with the row-slab versions, and each is built by a
+// copy-on-write builder under the table's write lock, the way
+// storage.Builder builds the rows:
 //
-//   - Hash is one shared structure per indexed column whose postings carry
-//     the born/died version sequences of the writers that added and
-//     removed them. Lookup filters postings against the reader's snapshot
-//     sequence and copies the ids out, so nothing mutable escapes; a short
-//     internal latch covers the map itself. Dead postings are reclaimed
-//     opportunistically on Add and Remove once they fall behind the
-//     snapshot horizon, so both insert-heavy and delete-heavy keys stay
-//     bounded.
+//   - Hash is a small trie over the hash of the key. A HashBuilder
+//     copies only the nodes and leaves on the path to a key it touches;
+//     a key's id list grows in place past the length a published
+//     version sees, and a removal copies it, once per builder. Lookup
+//     hands out the version's own id list, so it neither locks nor
+//     copies.
 //
-//   - Period is an immutable per-version value built by a PeriodBuilder
-//     under the table's write lock. Appends extend the shared entry logs
-//     in place (slots beyond a published version's length are invisible
-//     to its readers); removals copy the surviving entries. The sorted
-//     search form is built lazily once per version into fresh slices, so
-//     the read path mutates nothing a reader can see. Searches mark a
-//     caller-owned Hits bitset, which the caller reads the ids from.
+//   - Period keeps shared entry logs. Appends extend them in place (slots
+//     beyond a published version's length are invisible to its readers);
+//     removals copy the surviving entries. The sorted search form is
+//     built lazily once per version into fresh slices, so the read path
+//     mutates nothing a reader can see. Searches mark a caller-owned Hits
+//     bitset, which the caller reads the ids from.
+//
+// Both builders rest on the slab's invariant: a table's builders start
+// from its newest version, one at a time, so an in-place append never
+// meets another builder's.
 package index
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
@@ -44,141 +48,183 @@ import (
 	"tip/internal/temporal"
 )
 
-// posting is one hash-index entry: a row id plus the version sequences
-// bounding its visibility. died == 0 means the posting is still live.
-type posting struct {
-	id         int
-	born, died uint64
+// Hash is one immutable version of an equality index from value keys
+// (types.Value.Key strings) to row ids. It is a trie over the key's
+// hash whose last level heads chains of leaves, one leaf per key with
+// its ids in insertion order. Lookup is safe for any number of
+// concurrent readers.
+type Hash hashRoot
+
+type (
+	hashRoot        = hashNode[hashNode[hashNode[hashLeaf]]]
+	hashNode[K any] struct {
+		gen  uint64 // the generation of the builder that made the node
+		kids [fanout]*K
+	}
+)
+
+type hashLeaf struct {
+	gen   uint64
+	owned bool // ids' backing array is private to the generation
+	key   string
+	ids   []int
+	next  *hashLeaf // the next key of the chain
 }
 
-// Hash is an equality index from value keys (types.Value.Key strings) to
-// row ids, shared across all versions of its table. Mutations require the
-// table's write lock on top of the internal latch; Lookup needs neither.
-type Hash struct {
-	mu sync.RWMutex
-	m  map[string][]posting
+// Three 16-way levels give 4,096 chains. A builder copies one node per
+// level, about 430 bytes in all; two 64-way levels copied about 1 KB.
+const (
+	levels  = 3
+	fanBits = 4
+	fanout  = 1 << fanBits
+)
+
+// seed hashes the keys of every Hash. Lookup's order does not depend on
+// it: a key's ids keep the order they were added in.
+var seed = maphash.MakeSeed()
+
+// slots returns the child index of a key at each level.
+func slots(key string) (s [levels]int) {
+	x := maphash.String(seed, key)
+	for i := range s {
+		s[i] = int(x>>(64-(i+1)*fanBits)) & (fanout - 1)
+	}
+	return s
 }
 
-// NewHash returns an empty hash index.
-func NewHash() *Hash { return &Hash{m: make(map[string][]posting)} }
-
-// Add indexes a row id under key, visible to snapshots at or after seq.
-// Postings under the same key that died before horizon — the oldest
-// sequence any open snapshot or transaction could read at — are
-// reclaimed on the way.
-func (h *Hash) Add(key string, id int, seq, horizon uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ps := h.m[key]
-	out := ps[:0]
-	for _, p := range ps {
-		if p.died != 0 && p.died <= horizon {
-			continue
-		}
-		out = append(out, p)
+// Lookup returns the row ids indexed under key, in the order they were
+// added. The slice belongs to the index and must not be modified; its
+// capacity ends at its length, so an append copies.
+func (h *Hash) Lookup(key string) []int {
+	if h == nil {
+		return nil
 	}
-	h.m[key] = append(out, posting{id: id, born: seq})
-}
-
-// Remove marks the live posting of a row id under key as dead from seq
-// on. Snapshots older than seq still see it. Like Add, it reclaims
-// postings under the key that died behind horizon on the way —
-// Add-side reclamation never visits keys that only shrink, so
-// delete-heavy keys would otherwise accumulate dead postings without
-// bound. The posting killed by this call is kept regardless of the
-// horizon: a Discard (UndoRemove) must still find it.
-func (h *Hash) Remove(key string, id int, seq, horizon uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ps := h.m[key]
-	killed := -1
-	for i := len(ps) - 1; i >= 0; i-- {
-		if ps[i].id == id && ps[i].died == 0 {
-			ps[i].died = seq
-			killed = i
-			break
-		}
-	}
-	out := ps[:0]
-	for i, p := range ps {
-		if i != killed && p.died != 0 && p.died <= horizon {
-			continue
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		delete(h.m, key)
-	} else {
-		h.m[key] = out
-	}
-}
-
-// UndoAdd physically removes the posting Add(key, id, seq, _) created —
-// the discard path for a failed writer statement or a rolled-back
-// transaction, neither of which published seq to any reader.
-func (h *Hash) UndoAdd(key string, id int, seq uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ps := h.m[key]
-	for i := len(ps) - 1; i >= 0; i-- {
-		if ps[i].id == id && ps[i].born == seq && ps[i].died == 0 {
-			ps[i] = ps[len(ps)-1]
-			ps = ps[:len(ps)-1]
-			break
-		}
-	}
-	if len(ps) == 0 {
-		delete(h.m, key)
-	} else {
-		h.m[key] = ps
-	}
-}
-
-// UndoRemove revives the posting Remove(key, id, seq) killed — the
-// discard path for a failed writer statement or a rolled-back
-// transaction.
-func (h *Hash) UndoRemove(key string, id int, seq uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ps := h.m[key]
-	for i := len(ps) - 1; i >= 0; i-- {
-		if ps[i].id == id && ps[i].died == seq {
-			ps[i].died = 0
-			return
-		}
-	}
-}
-
-// Lookup appends to dst the row ids indexed under key as seen by a
-// snapshot at seq, and returns the extended slice.
-func (h *Hash) Lookup(key string, seq uint64, dst []int) []int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	ps := h.m[key]
-	for i, p := range ps {
-		if p.born <= seq && (p.died == 0 || p.died > seq) {
-			// Room for every posting left, so dst grows at most once.
-			dst = append(slices.Grow(dst, len(ps)-i), p.id)
-		}
-	}
-	return dst
-}
-
-// Len returns the number of distinct keys with at least one live
-// posting.
-func (h *Hash) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	n := 0
-	for _, ps := range h.m {
-		for _, p := range ps {
-			if p.died == 0 {
-				n++
-				break
+	s := slots(key)
+	if m := h.kids[s[0]]; m != nil {
+		if n := m.kids[s[1]]; n != nil {
+			for l := n.kids[s[2]]; l != nil; l = l.next {
+				if l.key == key {
+					return l.ids[:len(l.ids):len(l.ids)]
+				}
 			}
 		}
 	}
-	return n
+	return nil
+}
+
+// HashBuilder accumulates the next version of a hash index. Like
+// storage.Builder it must only be used by the one writer holding the
+// table's write lock, and a table's builders start from its newest
+// version, one at a time. It copies the nodes and the chain prefix on
+// the path to each key it touches, once per generation, and recognises
+// its own copies by their generation. A key's id list grows in place
+// past the length any published version sees, which is safe by that
+// same rule; Remove copies the list, once per generation. Dropping the
+// builder discards every change.
+type HashBuilder struct {
+	h   *Hash
+	gen uint64 // taken on the first change after NewHashBuilder or Commit
+}
+
+// NewHashBuilder starts a successor of v, which may be nil to build the
+// first version.
+func NewHashBuilder(v *Hash) HashBuilder { return HashBuilder{h: v} }
+
+// own returns *p as a node of generation gen, copying it (or making an
+// empty one) first if it is not.
+func own[K any](p **hashNode[K], gen uint64) *hashNode[K] {
+	if n := *p; n == nil || n.gen != gen {
+		c := &hashNode[K]{gen: gen}
+		if n != nil {
+			c.kids = n.kids
+		}
+		*p = c
+	}
+	return *p
+}
+
+// chain returns the builder's own copy of the node slot that heads
+// key's chain.
+func (b *HashBuilder) chain(key string) **hashLeaf {
+	root := (*hashRoot)(b.h)
+	if b.gen == 0 {
+		// A root carries the highest generation in its trie. A dropped
+		// builder may have used the same number, but none of its copies
+		// is reachable from the base.
+		b.gen = 1
+		if root != nil {
+			b.gen = root.gen + 1
+		}
+	}
+	s := slots(key)
+	own(&root, b.gen)
+	b.h = (*Hash)(root)
+	return &own(&own(&root.kids[s[0]], b.gen).kids[s[1]], b.gen).kids[s[2]]
+}
+
+// find returns the link that points at key's leaf, copying the leaves
+// of the chain up to and including it, or nil when key has no leaf.
+func (b *HashBuilder) find(p **hashLeaf, key string) **hashLeaf {
+	l := *p
+	for l != nil && l.key != key {
+		l = l.next
+	}
+	if l == nil {
+		return nil
+	}
+	for {
+		if l := *p; l.gen != b.gen {
+			c := *l
+			c.gen, c.owned = b.gen, false
+			*p = &c
+		}
+		if (*p).key == key {
+			return p
+		}
+		p = &(*p).next
+	}
+}
+
+// Add indexes a row id under key, after the ids already there.
+func (b *HashBuilder) Add(key string, id int) {
+	p := b.chain(key)
+	if q := b.find(p, key); q != nil {
+		l := *q
+		l.owned = l.owned || len(l.ids) == cap(l.ids) // append reallocates
+		l.ids = append(l.ids, id)
+		return
+	}
+	*p = &hashLeaf{gen: b.gen, owned: true, key: key, ids: []int{id}, next: *p}
+}
+
+// Remove drops a row id from key's ids; a key left without ids goes.
+func (b *HashBuilder) Remove(key string, id int) {
+	q := b.find(b.chain(key), key)
+	if q == nil {
+		return
+	}
+	l := *q
+	i := slices.Index(l.ids, id)
+	switch {
+	case i < 0:
+	case len(l.ids) == 1:
+		*q = l.next
+	case l.owned:
+		l.ids = slices.Delete(l.ids, i, i+1)
+	default:
+		l.ids = slices.Concat(l.ids[:i], l.ids[i+1:])
+		l.owned = true
+	}
+}
+
+// Commit returns the builder's state as an immutable version. The
+// builder may go on to build that version's successor.
+func (b *HashBuilder) Commit() *Hash {
+	if b.h == nil {
+		b.h = &Hash{}
+	}
+	b.gen = 0
+	return b.h
 }
 
 // Period is one immutable version of an interval index over the periods

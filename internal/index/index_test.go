@@ -4,160 +4,10 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"tip/internal/temporal"
 )
-
-func TestHashIndex(t *testing.T) {
-	h := NewHash()
-	h.Add("a", 1, 1, 1)
-	h.Add("a", 2, 1, 1)
-	h.Add("b", 3, 1, 1)
-	if got := h.Lookup("a", 1, nil); len(got) != 2 {
-		t.Errorf("lookup a = %v", got)
-	}
-	if got := h.Lookup("missing", 1, nil); got != nil {
-		t.Errorf("lookup missing = %v", got)
-	}
-	h.Remove("a", 1, 2, 0)
-	if got := h.Lookup("a", 2, nil); len(got) != 1 || got[0] != 2 {
-		t.Errorf("after remove = %v", got)
-	}
-	// A snapshot from before the remove still sees both postings.
-	if got := h.Lookup("a", 1, nil); len(got) != 2 {
-		t.Errorf("old snapshot after remove = %v", got)
-	}
-	// A snapshot from before an add does not see it.
-	h.Add("c", 4, 5, 5)
-	if got := h.Lookup("c", 4, nil); len(got) != 0 {
-		t.Errorf("pre-add snapshot = %v", got)
-	}
-	h.Remove("a", 2, 3, 0)
-	if h.Len() != 2 { // "b" and "c" still have live postings
-		t.Errorf("len = %d", h.Len())
-	}
-	// Removing a non-existent entry is a no-op.
-	h.Remove("zzz", 9, 4, 0)
-}
-
-func TestHashUndo(t *testing.T) {
-	h := NewHash()
-	h.Add("a", 1, 1, 1)
-	// A discarded statement's add is physically removed.
-	h.Add("a", 2, 5, 1)
-	h.UndoAdd("a", 2, 5)
-	if got := h.Lookup("a", 9, nil); len(got) != 1 || got[0] != 1 {
-		t.Errorf("after UndoAdd = %v", got)
-	}
-	// A discarded statement's remove is revived.
-	h.Remove("a", 1, 6, 0)
-	h.UndoRemove("a", 1, 6)
-	if got := h.Lookup("a", 9, nil); len(got) != 1 || got[0] != 1 {
-		t.Errorf("after UndoRemove = %v", got)
-	}
-	// UndoAdd of the only posting drops the key.
-	h.Add("solo", 3, 7, 1)
-	h.UndoAdd("solo", 3, 7)
-	if got := h.Lookup("solo", 9, nil); got != nil {
-		t.Errorf("key survived UndoAdd = %v", got)
-	}
-}
-
-func TestHashDeadPostingGC(t *testing.T) {
-	h := NewHash()
-	for seq := uint64(1); seq <= 100; seq++ {
-		h.Add("k", int(seq), seq, seq)
-		h.Remove("k", int(seq), seq, 0)
-	}
-	// Every posting died behind the horizon; one more add reclaims them.
-	h.Add("k", 999, 101, 101)
-	h.mu.RLock()
-	n := len(h.m["k"])
-	h.mu.RUnlock()
-	if n > 2 {
-		t.Errorf("dead postings not reclaimed: %d postings remain", n)
-	}
-}
-
-// TestHashRemoveSideGC is the regression test for delete-heavy keys:
-// a key that sees removals but no further adds must not accumulate
-// dead postings, since Add-side reclamation never visits it.
-func TestHashRemoveSideGC(t *testing.T) {
-	h := NewHash()
-	for i := 0; i < 100; i++ {
-		h.Add("k", i, 1, 0)
-	}
-	for i := 0; i < 100; i++ {
-		seq := uint64(2 + i)
-		h.Remove("k", i, seq, seq-1)
-	}
-	h.mu.RLock()
-	n := len(h.m["k"])
-	h.mu.RUnlock()
-	// Each removal reclaims the previous removals' dead postings along
-	// with the still-live tail; only the most recent kill (kept for its
-	// Discard path) may linger.
-	if n > 1 {
-		t.Errorf("delete-heavy key kept %d postings, want <= 1", n)
-	}
-	// The kill of the final Remove must survive its own call so a
-	// discarded statement can revive it.
-	h.Remove("solo", 0, 5, 9) // no-op: key never existed
-	h.Add("solo", 1, 5, 0)
-	h.Remove("solo", 1, 6, 9) // horizon ahead of seq: posting still kept
-	h.UndoRemove("solo", 1, 6)
-	if got := h.Lookup("solo", 7, nil); len(got) != 1 || got[0] != 1 {
-		t.Errorf("killed posting was reclaimed by its own Remove: %v", got)
-	}
-}
-
-// TestHashConcurrentLookupRemove is the regression test for the old
-// Lookup slice-aliasing bug: Lookup used to return the live internal
-// slice while Remove swap-mutated it. Under -race this test fails on
-// that implementation; with versioned postings behind a latch the
-// scans are stable and race-free.
-func TestHashConcurrentLookupRemove(t *testing.T) {
-	h := NewHash()
-	const n = 1000
-	for i := 0; i < n; i++ {
-		h.Add("k", i, 1, 1)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for seq := uint64(2); seq < 2+n; seq++ {
-			h.Remove("k", int(seq-2), seq, 1)
-		}
-		close(stop)
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// A snapshot pinned before every remove sees all ids.
-				got := h.Lookup("k", 1, nil)
-				if len(got) != n {
-					t.Errorf("snapshot scan saw %d ids, want %d", len(got), n)
-					return
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := h.Lookup("k", 2+n, nil); len(got) != 0 {
-		t.Errorf("after all removes = %v", got)
-	}
-}
 
 func day(d int) temporal.Chronon { return temporal.MustDate(1999, 1, 1) + temporal.Chronon(d*86400) }
 

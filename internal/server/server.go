@@ -322,8 +322,8 @@ func (s *Server) serveConn(conn net.Conn, admitted bool) {
 		defer s.nConns.Add(-1)
 	}
 	sess := s.db.NewSession()
-	// Roll back a transaction the client abandoned and drop the
-	// session's MVCC registrations.
+	// Roll back a transaction the client abandoned, which drops its
+	// private table versions and releases its table locks.
 	defer sess.Close()
 	sess.SetDefaultStmtTimeout(s.stmtTimeout)
 	sess.SetDefaultStmtMem(s.stmtMem)

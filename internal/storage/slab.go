@@ -124,9 +124,12 @@ type Builder struct {
 }
 
 // NewBuilder starts a successor of v with the given version sequence.
-// horizon is the oldest sequence a pinned reader or an open
-// transaction's writes can still reach (seq itself when there is none):
-// free slots stamped before it may be reused.
+// Free slots stamped before horizon may be reused. The engine passes
+// seq as the horizon (exec's TableVersion.NewWriter): a reader fetches
+// rows from the version it pinned, and each version carries its own
+// indexes, so a slot an earlier version freed is reused at once. The
+// parameter stays because the benchmark's slab kernel calls NewBuilder
+// the same way; it can go with that kernel.
 //
 // The builder starts out aliasing v's chunk-pointer slice rather than
 // copying it — a pure-append statement (the INSERT hot path) then costs
@@ -200,12 +203,9 @@ func (b *Builder) Get(id int) (Row, bool) {
 }
 
 // Insert stores a row and returns its id, reusing the oldest tombstoned
-// slot once its free stamp has fallen behind the horizon. The gate is
-// conservative: a reader fetches rows from the version it pinned, so a
-// reused slot never shows it a wrong row. The gate keeps a freed id out
-// of new rows while a pinned statement, or a transaction whose own
-// writes freed it, can still reach the row that held it, so every hash
-// posting a snapshot can see names the row that snapshot holds.
+// slot once its free stamp has fallen behind the horizon. A reader
+// fetches rows from the version it pinned, so a reused slot never shows
+// it a wrong row.
 func (b *Builder) Insert(r Row) int {
 	if len(b.free) > 0 && b.free[0].seq < b.horizon {
 		id := b.free[0].id
@@ -287,7 +287,7 @@ func (b *Builder) unfree(id int) {
 }
 
 // Delete tombstones a row, returning its former content and queueing
-// the slot for horizon-gated reuse.
+// the slot for reuse.
 func (b *Builder) Delete(id int) (Row, error) {
 	if id < 0 || id >= b.slots {
 		return nil, fmt.Errorf("storage: no row %d", id)
