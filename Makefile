@@ -77,13 +77,14 @@ parse-smoke:
 # and slot reuse, and the two reopen-twice recoveries: a torn tail, and
 # a crash mid-transaction followed by a write. Then the snapshot file:
 # one changed byte in a row value, a cut at any frame boundary (the end
-# frame missing), bytes after the end frame, a missing frame or one of
-# another epoch, and the TIPDB3 format are each refused with
-# ErrBadSnapshot; a refused load leaves the database retryable; and a
-# checkpoint's frames stay within the frame bound.
+# frame missing), bytes after the end frame, a missing frame or a
+# renumbered frame, and the TIPDB3 format are each refused with
+# ErrBadSnapshot; a refused load leaves the database retryable; a
+# checkpoint's frames stay within the frame bound; and a snapshot from
+# an earlier checkpoint beside a later log is refused with ErrWAL.
 crash-smoke:
 	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink|TestWALTornTail|TestLogOrder|TestInterleavedRollback|TestConcurrentBegins|TestCrashMidTransactionRecoversNeither|TestOldFormatsRefused|TestOversizedGroup|TestRecoveredRowIDs' ./internal/engine
-	$(GO) test -short -run 'TestSnapshotFlippedByteRefused|TestSnapshotWithoutEndFrameRefused|TestSnapshotDamageRefused|TestTIPDB3SnapshotRefused|TestLoadFailureLeavesDatabaseRetryable|TestCheckpointFramesWithinBound' ./internal/engine
+	$(GO) test -short -run 'TestSnapshotFlippedByteRefused|TestSnapshotWithoutEndFrameRefused|TestSnapshotDamageRefused|TestTIPDB3SnapshotRefused|TestLoadFailureLeavesDatabaseRetryable|TestCheckpointFramesWithinBound|TestStaleSnapshotBesideNewerLogRefused' ./internal/engine
 	$(GO) test -run 'TestTornTailReopenedTwice|TestCrashMidTransactionThenWrite' .
 
 # netfault-smoke replays the wire-fault torture battery under the race
@@ -191,7 +192,8 @@ plan-smoke:
 # killed replicas rejoining via snapshot + WAL catch-up, severed and
 # stalled links resubscribing with exact-count (no-gap, no-double-apply)
 # convergence, checkpoint truncation forcing snapshot re-bootstrap, a
-# caught-up replica tailing wal.log across a Checkpoint on the same
+# primary closed and reopened on its directory forcing one too (its log
+# numbering carries on, its runID does not), a caught-up replica tailing wal.log across a Checkpoint on the same
 # stream (no snapshot, no resubscribe), a 3,000-INSERT burst shipped
 # from the file, concurrent writers whose log order the replica must
 # reproduce row for row, the interleaved-transaction repros on a

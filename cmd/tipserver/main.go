@@ -123,10 +123,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("-mem-budget: %v", err)
 	}
+	db.Engine().SetMemBudget(memBudgetBytes)
 	srvOpts := []server.Option{
 		server.WithStmtTimeout(*stmtTimeout),
 		server.WithStmtMem(stmtMemBytes),
-		server.WithMemBudget(memBudgetBytes),
 		server.WithMaxConns(*maxConns),
 		server.WithMaxInflight(*maxInflight),
 		server.WithLogger(log.Printf),

@@ -15,8 +15,8 @@ import (
 
 // A replica bootstrap over the wire under a lowered frame bound: a
 // small database ships in at least ten frames, each within the bound,
-// numbered 1..k and ending with the empty end frame, after the
-// primary's position; a replica loads the stream and converges.
+// numbered S+1..S+k after the primary's position S and ending with the
+// empty end frame; a replica loads the stream and converges.
 func TestBootstrapStreamsBoundedFrames(t *testing.T) {
 	bound := *engine.SnapshotFrameBytes
 	// Registered first, so it runs after the server and the replica
@@ -53,7 +53,8 @@ func TestBootstrapStreamsBoundedFrames(t *testing.T) {
 	if err != nil || frame[0] != protocol.MsgReplStatus {
 		t.Fatalf("snapshot reply: %x, %v", frame, err)
 	}
-	if st, err := protocol.DecodeReplStatus(frame[1:]); err != nil || st.AppliedSeq != db.WALSeq() {
+	st, err := protocol.DecodeReplStatus(frame[1:])
+	if err != nil || st.AppliedSeq != db.WALSeq() {
 		t.Fatalf("snapshot position %+v (%v), log at %d", st, err, db.WALSeq())
 	}
 	for n := uint64(1); ; n++ {
@@ -62,7 +63,7 @@ func TestBootstrapStreamsBoundedFrames(t *testing.T) {
 			t.Fatalf("snapshot frame %d: %x, %v", n, frame, err)
 		}
 		seq, payload, err := engine.DecodeWALFrameBody(frame[1:])
-		if err != nil || seq != n || len(payload) > 512 {
+		if err != nil || seq != st.AppliedSeq+n || len(payload) > 512 {
 			t.Fatalf("snapshot frame %d: seq %d, %d-byte payload, %v", n, seq, len(payload), err)
 		}
 		if len(payload) == 0 {

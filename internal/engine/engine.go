@@ -68,11 +68,10 @@ type Database struct {
 	clock atomic.Pointer[func() temporal.Chronon]
 
 	// ckpt is the checkpoint gate: commits hold it shared across
-	// publish+log, Checkpoint exclusively across epoch-bump+snapshot+
-	// truncate, so no commit lands in the snapshot while its WAL
-	// frame carries the new epoch (which would double-apply it at
-	// recovery). ReplicationSnapshot holds it exclusively for its
-	// capture alone.
+	// publish+log, Checkpoint exclusively across snapshot+truncate, so
+	// no commit lands in a snapshot whose frame gets a seq past the
+	// snapshot's position (recovery would apply it twice).
+	// ReplicationSnapshot holds it exclusively for its capture alone.
 	ckpt         sync.RWMutex
 	syncPolicy   atomic.Int32 // SyncPolicy; see SetDurability
 	syncInterval atomic.Int64 // SyncGrouped fsync cadence, nanoseconds
@@ -326,8 +325,8 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 	commits := durable && (writes && tx == nil || tx != nil && isCommit(stmt))
 	if commits {
 		// Hold the checkpoint gate across publish+log so Checkpoint
-		// never snapshots a commit whose WAL frame then lands in the
-		// new epoch (it would replay on top of the snapshot).
+		// never snapshots a commit whose WAL frame then gets a seq past
+		// the snapshot's (it would replay on top of the snapshot).
 		s.db.ckpt.RLock()
 		defer s.db.ckpt.RUnlock()
 	}

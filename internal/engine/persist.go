@@ -17,23 +17,23 @@ import (
 )
 
 // Database snapshots. A snapshot is a run of frames in the log's
-// framing (wal.go), numbered 1..k under the snapshot's durability
-// epoch (log frames of an older epoch are skipped at replay). Their
-// payloads are groups of records (effects.go) that rebuild the
-// database from empty — per table a create-table record and a put per
-// row at its row id, then a create-index record per index — cut at a
-// record boundary once a payload reaches snapshotFrameBytes (a larger
-// record travels alone). A frame with an empty payload ends it. One
-// encoder (Snapshot.Encode) and one loader (loadSnapshot) serve
-// Checkpoint, Open and replica bootstrap; none of them holds the whole
-// database as bytes.
+// framing (wal.go). A snapshot of the database at log position S
+// numbers its frames S+1..S+k, so it needs no field of its own for S,
+// and replay skips the log's frames ≤ S. Their payloads are groups of
+// records (effects.go) that rebuild the database from empty — per
+// table a create-table record and a put per row at its row id, then a
+// create-index record per index — cut at a record boundary once a
+// payload reaches snapshotFrameBytes (a larger record travels alone).
+// A frame with an empty payload ends it. One encoder (Snapshot.Encode)
+// and one loader (loadSnapshot) serve Checkpoint, Open and replica
+// bootstrap; none of them holds the whole database as bytes.
 
 // snapshotFrameBytes is the payload size at which the encoder cuts a
 // snapshot frame. Tests lower it.
 var snapshotFrameBytes = 1 << 20
 
 // ErrBadSnapshot reports a malformed snapshot: a damaged frame, a
-// break in the frame sequence or epoch, a run without its end frame or
+// break in the frame sequence, a run without its end frame or
 // with bytes after it, or a file in an older format.
 var ErrBadSnapshot = errors.New("engine: bad snapshot")
 
@@ -90,19 +90,19 @@ func syncDir(dir string) error {
 // are immutable, so a captured Snapshot encodes after the capture's
 // locks are released, while writers carry on.
 type Snapshot struct {
-	epoch, seq uint64
-	tables     []*catalog.TableMeta
-	rows       []*storage.Version
-	indexes    []*catalog.IndexMeta
+	seq     uint64
+	tables  []*catalog.TableMeta
+	rows    []*storage.Version
+	indexes []*catalog.IndexMeta
 }
 
 // capture pins every table's published version and the index
 // definitions under the catalog read lock. The caller keeps commits
 // out (the checkpoint gate), so the versions are those at seq.
-func (db *Database) capture(epoch, seq uint64) *Snapshot {
+func (db *Database) capture(seq uint64) *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	s := &Snapshot{epoch: epoch, seq: seq}
+	s := &Snapshot{seq: seq}
 	for _, name := range db.cat.TableNames() {
 		tbl := db.tables[strings.ToLower(name)]
 		s.tables = append(s.tables, tbl.Meta)
@@ -115,11 +115,11 @@ func (db *Database) capture(epoch, seq uint64) *Snapshot {
 // Seq returns the log sequence the snapshot reflects.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
-// Encode passes the snapshot's frame bodies to emit in order, ending
-// with the end frame, and stops at emit's first error. A body aliases
-// a buffer the encoder reuses.
+// Encode passes the snapshot's frame bodies, numbered from Seq()+1, to
+// emit in order, ending with the end frame, and stops at emit's first
+// error. A body aliases a buffer the encoder reuses.
 func (s *Snapshot) Encode(emit func(body []byte) error) error {
-	e := snapshotEncoder{epoch: s.epoch, emit: emit}
+	e := snapshotEncoder{seq: s.seq, emit: emit}
 	for i, meta := range s.tables {
 		e.cut(len(e.payload), appendCreateTable(e.payload, meta))
 		s.rows[i].Scan(func(id int, r exec.Row) bool {
@@ -153,11 +153,11 @@ func (s *Snapshot) writeTo(w io.Writer) error {
 // frame. Its two buffers are reused, so it holds about two frames'
 // bytes whatever the database's size.
 type snapshotEncoder struct {
-	epoch, seq uint64 // seq of the last emitted frame
-	payload    []byte // records not yet emitted
-	frame      []byte
-	emit       func(body []byte) error
-	err        error
+	seq     uint64 // seq of the last emitted frame
+	payload []byte // records not yet emitted
+	frame   []byte
+	emit    func(body []byte) error
+	err     error
 }
 
 // cut takes the payload with one more record appended at mark. If the
@@ -180,7 +180,7 @@ func (e *snapshotEncoder) cut(mark int, payload []byte) bool {
 func (e *snapshotEncoder) flush(payload []byte) {
 	if e.err == nil {
 		e.seq++
-		e.frame = appendWALFrame(e.frame[:0], e.epoch, e.seq, payload)
+		e.frame = appendWALFrame(e.frame[:0], e.seq, payload)
 		_, n := binary.Uvarint(e.frame)
 		e.err = e.emit(e.frame[n:])
 	}
@@ -189,11 +189,12 @@ func (e *snapshotEncoder) flush(payload []byte) {
 // loadSnapshot applies the snapshot whose decoded frames next returns
 // (ok false when its source ends) into a staging database, swaps that
 // in for the current catalog and tables when the end frame arrives,
-// and returns the snapshot's epoch. next's errors come back as they
-// are, so next refuses a damaged frame itself; a break in the sequence
-// or epoch, a group that does not apply, or a source that ends first is
-// ErrBadSnapshot. A failed load changes nothing. Open loads into a
-// fresh database, a replica into a live one (LoadReplicaSnapshot).
+// and returns the snapshot's position, its first frame's seq − 1.
+// next's errors come back as they are, so next refuses a damaged frame
+// itself; a break in the sequence, a group that does not apply, or a
+// source that ends first is ErrBadSnapshot. A failed load changes
+// nothing. Open loads into a fresh database, a replica into a live one
+// (LoadReplicaSnapshot).
 func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) (uint64, error) {
 	if db.wal != nil {
 		return 0, fmt.Errorf("engine: cannot replace the contents of a database with a log")
@@ -205,20 +206,20 @@ func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) 
 		locks:  make(map[string]*tableLock),
 		obs:    db.obs,
 	}
-	var epoch uint64
-	for seq := uint64(1); ; seq++ {
+	var pos uint64
+	for n := uint64(1); ; n++ {
 		fr, ok, err := next()
 		if err != nil {
 			return 0, err
 		}
 		if !ok {
-			return 0, fmt.Errorf("%w: ends after frame %d, before its end frame", ErrBadSnapshot, seq-1)
+			return 0, fmt.Errorf("%w: ends after frame %d, before its end frame", ErrBadSnapshot, n-1)
 		}
-		if seq == 1 {
-			epoch = fr.epoch
+		if n == 1 {
+			pos = fr.seq - 1 // decodeWALFrame refuses seq 0
 		}
-		if fr.seq != seq || fr.epoch != epoch {
-			err = fmt.Errorf("seq %d of epoch %d follows seq %d of epoch %d", fr.seq, fr.epoch, seq-1, epoch)
+		if fr.seq != pos+n {
+			err = fmt.Errorf("seq %d, want %d", fr.seq, pos+n)
 		}
 		if err == nil && len(fr.payload) == 0 {
 			break
@@ -227,18 +228,20 @@ func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) 
 			err = stage.applyGroup(fr.payload)
 		}
 		if err != nil {
-			return 0, fmt.Errorf("%w: frame %d: %v", ErrBadSnapshot, seq, err)
+			return 0, fmt.Errorf("%w: frame %d: %v", ErrBadSnapshot, n, err)
 		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.cat, db.tables, db.locks = stage.cat, stage.tables, stage.locks
 	db.gen.Add(1) // the schema changed under every cached plan
-	return epoch, nil
+	return pos, nil
 }
 
 // readSnapshot loads the snapshot file src through walReader and
-// returns its epoch. The older unframed formats are refused by name.
+// returns its position. Older formats are refused by name: the
+// unframed ones as ErrBadSnapshot, older frame formats as
+// ErrWALFormat too.
 func (db *Database) readSnapshot(src io.ReaderAt) (uint64, error) {
 	r := walReader{f: src}
 	if _, err := r.fill(0); err != nil {
@@ -251,17 +254,20 @@ func (db *Database) readSnapshot(src io.ReaderAt) (uint64, error) {
 	}
 	next := func() (walFrame, bool, error) {
 		fr, _, ok, err := r.next()
+		if errors.Is(err, ErrWALFormat) {
+			return fr, false, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+		}
 		if err != nil {
 			return fr, false, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
 		return fr, ok, nil
 	}
-	epoch, err := db.loadSnapshot(next)
+	pos, err := db.loadSnapshot(next)
 	if err != nil {
 		return 0, err
 	}
 	if _, ok, err := next(); ok || err != nil || len(r.buf) > 0 {
 		return 0, fmt.Errorf("%w: bytes after the end frame", ErrBadSnapshot)
 	}
-	return epoch, nil
+	return pos, nil
 }

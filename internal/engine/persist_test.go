@@ -25,6 +25,39 @@ func frameSource(data []byte) func() ([]byte, error) {
 	}
 }
 
+// A snapshot from an earlier checkpoint beside the log a later
+// checkpoint left does not meet it: the commits between the two
+// checkpoints are in neither file. Open refuses the pair instead of
+// coming back without them.
+func TestStaleSnapshotBesideNewerLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, s := openDir(t, dir)
+	mustExec(t, s, `CREATE TABLE t (a INT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1)`)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "snapshot.tipdb")
+	stale, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, `INSERT INTO t VALUES (2)`)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, `INSERT INTO t VALUES (3)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Open(db.Registry(), dir); !errors.Is(err, engine.ErrWAL) {
+		t.Fatalf("Open of a stale snapshot beside a newer log: err = %v, want ErrWAL", err)
+	}
+}
+
 // Regression: a snapshot that fails to decode mid-stream used to leave
 // the catalog, tables and locks partially populated, so the retry with
 // a good snapshot died with "load into non-empty database". Loading now

@@ -41,11 +41,7 @@ func (db *Database) ApplyWALPayload(payload []byte) error {
 func (db *Database) ReplicationSnapshot() *Snapshot {
 	db.ckpt.Lock()
 	defer db.ckpt.Unlock()
-	var epoch, seq uint64
-	if w := db.wal; w != nil {
-		epoch, seq = w.epoch, w.flushedSeq.Load()
-	}
-	return db.capture(epoch, seq)
+	return db.capture(db.WALSeq())
 }
 
 // LoadReplicaSnapshot replaces the database's entire contents with a

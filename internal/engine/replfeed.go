@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 )
 
-// The WAL as a replication feed. A frame body — {format, CRC32C, epoch,
-// seq, group}, everything after the on-disk length prefix — is the unit of
+// The WAL as a replication feed. A frame body — {format, CRC32C, seq,
+// group}, everything after the on-disk length prefix — is the unit of
 // shipment: a primary forwards the exact bytes it logged, and a replica
 // verifies the same checksum local replay would. The log file is the
 // only source of frames: a WALTail reads it through the same walReader
@@ -135,10 +135,10 @@ func (db *Database) WALSeq() uint64 {
 	return db.wal.flushedSeq.Load()
 }
 
-// WALBase returns the sequence number preceding the oldest frame still
-// retrievable from the log file. Catch-up from a position below the
-// base is impossible (Checkpoint truncated those frames); the
-// subscriber needs a fresh snapshot instead.
+// WALBase returns the position of the database's last snapshot (0
+// before the first): every frame past it is in the log file. Catch-up
+// from a position below the base is impossible (Checkpoint truncated
+// those frames); the subscriber needs a fresh snapshot instead.
 func (db *Database) WALBase() uint64 {
 	if db.wal == nil {
 		return 0

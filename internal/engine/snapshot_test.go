@@ -16,7 +16,7 @@ import (
 func snapshotBytes(tb testing.TB, db *Database) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := db.capture(1, 0).writeTo(&buf); err != nil {
+	if err := db.capture(0).writeTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -71,12 +71,14 @@ func snapshotFixture(t *testing.T) (*Database, *Session) {
 }
 
 // Every frame of a checkpoint's snapshot carries at most the frame
-// bound, the run is numbered 1..k under the checkpoint's epoch, and it
-// ends with the one empty frame; Open brings back every row and index.
+// bound, the run is numbered S+1..S+k after the log position S it
+// captures, and it ends with the one empty frame; Open brings back
+// every row and index.
 func TestCheckpointFramesWithinBound(t *testing.T) {
 	defer func(n int) { snapshotFrameBytes = n }(snapshotFrameBytes)
 	snapshotFrameBytes = 256
 	db, _ := snapshotFixture(t)
+	pos := db.WALSeq()
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +96,8 @@ func TestCheckpointFramesWithinBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i+1, err)
 		}
-		if fr.seq != uint64(i+1) || fr.epoch != db.wal.epoch {
-			t.Fatalf("frame %d is seq %d epoch %d, want seq %d epoch %d", i+1, fr.seq, fr.epoch, i+1, db.wal.epoch)
+		if fr.seq != pos+uint64(i+1) {
+			t.Fatalf("frame %d is seq %d, want seq %d", i+1, fr.seq, pos+uint64(i+1))
 		}
 		if len(fr.payload) > snapshotFrameBytes {
 			t.Fatalf("frame %d payload is %d bytes, bound %d", i+1, len(fr.payload), snapshotFrameBytes)
@@ -173,8 +175,8 @@ func resultString(t *testing.T, s *Session, q string) string {
 }
 
 // A snapshot cut at any frame boundary short of its end frame, with
-// bytes after the end frame, with a frame missing or moved to another
-// epoch, or with any one byte changed is refused, and a database that
+// bytes after the end frame, with a frame missing or renumbered, or
+// with any one byte changed is refused, and a database that
 // refuses it is left as it was.
 func TestSnapshotDamageRefused(t *testing.T) {
 	defer func(n int) { snapshotFrameBytes = n }(snapshotFrameBytes)
@@ -202,8 +204,8 @@ func TestSnapshotDamageRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved := appendWALFrame(nil, fr.epoch+1, fr.seq, fr.payload)
-	refused("frame 2 in another epoch", bytes.Join(append(append(frames[:1:1], moved), frames[2:]...), nil))
+	moved := appendWALFrame(nil, fr.seq+1, fr.payload)
+	refused("frame 2 renumbered", bytes.Join(append(append(frames[:1:1], moved), frames[2:]...), nil))
 	for i := 0; i < len(good); i += 7 {
 		flipped := bytes.Clone(good)
 		flipped[i] ^= 0x20

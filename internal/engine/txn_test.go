@@ -279,8 +279,9 @@ func TestFailedStatementLeavesTransaction(t *testing.T) {
 	}
 }
 
-// A log written in the statement-text format and a TIPDB2 snapshot are
-// refused with typed errors naming the format, not read as damage.
+// A log written in the statement-text format, a log and a snapshot of
+// epoch-stamped format 2 frames, and a TIPDB2 snapshot are refused
+// with typed errors naming the format, not read as damage.
 func TestOldFormatsRefused(t *testing.T) {
 	dir := t.TempDir()
 	// A format 1 frame: CRC32C first, then epoch, seq and a payload.
@@ -292,6 +293,20 @@ func TestOldFormatsRefused(t *testing.T) {
 	}
 	if _, err := Open(testRegistry(t), dir); !errors.Is(err, ErrWALFormat) || errors.Is(err, ErrWAL) {
 		t.Fatalf("Open of a format 1 log: err = %v, want ErrWALFormat", err)
+	}
+	// A format 2 frame: format byte, CRC32C of the rest, then epoch,
+	// seq and a payload (here empty, as a snapshot's end frame).
+	inner = []byte{0, 1}
+	body = append(binary.LittleEndian.AppendUint32([]byte{2}, crc32.Checksum(inner, walCRC)), inner...)
+	frame = append([]byte{byte(len(body))}, body...)
+	for _, name := range []string{walFile, snapshotFile} {
+		dir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(testRegistry(t), dir); !errors.Is(err, ErrWALFormat) || errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), "format 2") {
+			t.Fatalf("Open of a format 2 %s: err = %v, want ErrWALFormat naming format 2", name, err)
+		}
 	}
 	dir = t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("TIPDB2\n\x00\x00\x00"), 0o644); err != nil {

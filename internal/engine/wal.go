@@ -25,21 +25,21 @@ import (
 // ROLLBACK and an open transaction's statements log nothing.
 // Checkpoint writes a snapshot and truncates the log.
 //
-// Frame layout (length-prefixed, versioned, checksummed, epoch-stamped):
+// Frame layout (length-prefixed, versioned, checksummed):
 //
 //	uvarint bodyLen
-//	byte    format  — walFormat; the old statement-text format had no
-//	                  such byte and is refused with ErrWALFormat
+//	byte    format  — walFormat; older formats are refused with
+//	                  ErrWALFormat
 //	uint32  CRC32C of the rest of the body (little-endian)
-//	uvarint epoch   — durability epoch; frames older than the
-//	                  snapshot's epoch are skipped at replay
-//	uvarint seq     — frame sequence number, consecutive within a log
+//	uvarint seq     — the log position: consecutive, and never
+//	                  restarted by a checkpoint or a reopen
 //	payload         — the commit group's records
 //
 // Replay applies every frame up to the first damaged one and surfaces
 // ErrWAL; a frame cut short by a crash (torn tail) ends replay cleanly.
-// Checkpoint stamps the new snapshot with epoch+1 before truncating the
-// log, so if the truncate never happens the stale frames are skipped
+// A snapshot taken at position S numbers its own frames from S+1
+// (persist.go), and replay skips the log's frames ≤ S, so if a
+// checkpoint's truncate never happens the stale frames are skipped
 // rather than applied twice.
 //
 // Durability is a policy (SetDurability): SyncGrouped, the default,
@@ -53,12 +53,13 @@ import (
 var walMaxFrame = 64 << 20
 
 // walFormat is the frame format this version writes. Format 1, the
-// statement-text log, began its body with the checksum.
-const walFormat = 2
+// statement-text log, began its body with the checksum; format 2 had
+// format 3's layout with one more uvarint before the seq.
+const walFormat = 3
 
 // maxGroupPayload is the largest group a frame can carry behind the
-// body's format byte, checksum, epoch and seq.
-func maxGroupPayload() int { return walMaxFrame - 1 - 4 - 2*binary.MaxVarintLen64 }
+// body's format byte, checksum and seq.
+func maxGroupPayload() int { return walMaxFrame - 1 - 4 - binary.MaxVarintLen64 }
 
 // walCRC is the Castagnoli polynomial table (hardware-accelerated on
 // most platforms).
@@ -107,16 +108,16 @@ type wal struct {
 	// in-memory history until Checkpoint truncates and heals it.
 	// errClosed seals the log for good.
 	failed error
-	epoch  uint64 // stamped on new frames; bumped by Checkpoint under mu and the checkpoint gate
-	seq    uint64 // last assigned frame seq (guarded by mu)
-	// base is the seq preceding the oldest frame still in the file:
-	// catch-up from below it needs a snapshot (see WALBase).
+	// base is the position of the last snapshot: every frame past it is
+	// in the file, and catch-up from below it needs a snapshot (see
+	// WALBase).
 	base atomic.Uint64
 
 	// Group commit: appenders record the highest seq flushed to the
 	// file; fsyncs are serialized on syncMu, and one fsync covers every
 	// frame flushed before it started, so concurrent SyncEveryAppend
 	// committers behind the same fsync all return without a second one.
+	// flushedSeq is also the last assigned seq: it only moves under mu.
 	flushedSeq atomic.Uint64 // highest seq written through to f
 	syncedSeq  atomic.Uint64 // highest seq known durable (fsynced)
 	syncMu     sync.Mutex    // serializes fsyncs
@@ -135,9 +136,9 @@ type wal struct {
 // everything before the damaged frame and stops.
 var ErrWAL = errors.New("engine: corrupt WAL")
 
-// ErrWALFormat reports a log written in a frame format this version
-// does not read.
-var ErrWALFormat = errors.New("engine: wal.log is in WAL format 1 (statement text); this version reads format 2 (commit-group effects)")
+// ErrWALFormat reports a log or snapshot written in a frame format
+// this version does not read; the error names the format.
+var ErrWALFormat = errors.New("engine: unsupported frame format")
 
 // ErrGroupTooLarge reports a commit whose effects would not fit in one
 // log frame. The statement failed before publishing anything.
@@ -186,9 +187,9 @@ func open(reg *blade.Registry, dir string, sink func(*os.File) walSink) (*Databa
 		return nil, fmt.Errorf("engine: open: %w", err)
 	}
 	db := New(reg)
-	var snapEpoch uint64
+	var snapSeq uint64
 	if f, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
-		snapEpoch, err = db.readSnapshot(f)
+		snapSeq, err = db.readSnapshot(f)
 		_ = f.Close()
 		if err != nil {
 			return nil, err
@@ -200,7 +201,7 @@ func open(reg *blade.Registry, dir string, sink func(*os.File) walSink) (*Databa
 	if err != nil {
 		return nil, fmt.Errorf("engine: open: %w", err)
 	}
-	w, end, err := db.replay(f, snapEpoch)
+	w, end, err := db.replay(f, snapSeq)
 	if err == nil {
 		err = f.Truncate(end)
 	}
@@ -213,8 +214,7 @@ func open(reg *blade.Registry, dir string, sink func(*os.File) walSink) (*Databa
 	}
 	w.dir, w.f = dir, sink(f)
 	w.stop, w.done = make(chan struct{}), make(chan struct{})
-	w.flushedSeq.Store(w.seq)
-	w.syncedSeq.Store(w.seq)
+	w.syncedSeq.Store(w.flushedSeq.Load())
 	db.wal = w
 	go db.walSyncer(w)
 	return db, nil
@@ -314,14 +314,13 @@ func (db *Database) walSyncTo(w *wal, seq uint64) error {
 	return nil
 }
 
-// Checkpoint streams a snapshot (persist.go) into dir/snapshot.tipdb
-// under the next durability epoch, then truncates the log: recovery
-// needs only the snapshot plus the (empty) log. The epoch ordering
-// closes the crash window between the two steps — a snapshot at epoch
-// e+1 makes replay skip every frame still stamped e, so a crash before
-// the truncate cannot double-apply them. Writers are quiesced (db.ckpt
-// held exclusively) so no statement straddles the snapshot with its
-// WAL frame.
+// Checkpoint streams a snapshot (persist.go) of the database at the
+// log's position S into dir/snapshot.tipdb, then truncates the log:
+// recovery needs only the snapshot plus the (empty) log. The snapshot
+// carries S, and replay skips every frame ≤ S, so a crash before the
+// truncate cannot double-apply the stale frames. Writers are quiesced
+// (db.ckpt held exclusively) so no statement straddles the snapshot
+// with its WAL frame.
 func (db *Database) Checkpoint() error {
 	w := db.wal
 	if w == nil {
@@ -335,17 +334,16 @@ func (db *Database) Checkpoint() error {
 		return fmt.Errorf("engine: checkpoint: %w", errClosed)
 	}
 	// Writers are quiesced, so the captured versions are the state at
-	// w.seq. The gate stays held across the encode: the truncate below
+	// seq. The gate stays held across the encode: the truncate below
 	// must drop no frame the snapshot lacks.
-	newEpoch := w.epoch + 1
-	snap := db.capture(newEpoch, w.seq)
-	if err := writeFileAtomic(filepath.Join(w.dir, snapshotFile), snap.writeTo); err != nil {
+	seq := w.flushedSeq.Load()
+	if err := writeFileAtomic(filepath.Join(w.dir, snapshotFile), db.capture(seq).writeTo); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
-	// The snapshot at newEpoch is on disk: commit the epoch so frames
-	// appended from here on replay on top of it, even if the truncate
-	// below fails — stale frames stay skippable either way.
-	w.epoch = newEpoch
+	// The snapshot at seq is on disk. Frames appended from here on
+	// number from seq+1 and replay on top of it, even if the truncate
+	// below fails: the stale frames are ≤ seq and skipped.
+	//
 	// A failed WAL may end in a torn tail on disk; the snapshot
 	// supersedes it, so let the truncate heal the log.
 	if err := w.f.Truncate(0); err != nil {
@@ -357,12 +355,11 @@ func (db *Database) Checkpoint() error {
 	w.failed = nil
 	// Everything logged so far is inside the snapshot: nothing awaits
 	// an fsync.
-	w.flushedSeq.Store(w.seq)
-	w.syncedSeq.Store(w.seq)
-	// The truncate discarded every frame up to w.seq: a replica below
+	w.syncedSeq.Store(seq)
+	// The truncate discarded every frame up to seq: a replica below
 	// that point must go through a snapshot, and a WALTail sees the
 	// truncation as the new WALBase.
-	w.base.Store(w.seq)
+	w.base.Store(seq)
 	return nil
 }
 
@@ -383,10 +380,10 @@ func isCommit(stmt ast.Statement) bool {
 }
 
 // appendWALFrame appends a whole frame — length prefix and body — of
-// payload under the given epoch and seq.
-func appendWALFrame(dst []byte, epoch, seq uint64, payload []byte) []byte {
-	var pos [2 * binary.MaxVarintLen64]byte
-	p := binary.AppendUvarint(binary.AppendUvarint(pos[:0], epoch), seq)
+// payload at the given seq.
+func appendWALFrame(dst []byte, seq uint64, payload []byte) []byte {
+	var pos [binary.MaxVarintLen64]byte
+	p := binary.AppendUvarint(pos[:0], seq)
 	dst = binary.AppendUvarint(dst, uint64(1+4+len(p)+len(payload)))
 	dst = append(dst, walFormat)
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Update(crc32.Checksum(p, walCRC), walCRC, payload))
@@ -395,35 +392,34 @@ func appendWALFrame(dst []byte, epoch, seq uint64, payload []byte) []byte {
 
 // walFrame is one decoded log frame.
 type walFrame struct {
-	epoch   uint64
 	seq     uint64
 	payload []byte
 }
 
 // decodeWALFrame validates and splits a frame body (everything after
 // the length prefix). The payload aliases body. A body whose checksum
-// holds for the format 1 layout — checksum first — is ErrWALFormat.
+// holds for an older format's layout is ErrWALFormat naming it:
+// format 2 checksums what follows the format byte, as format 3 does;
+// format 1 put the checksum first.
 func decodeWALFrame(body []byte) (walFrame, error) {
 	if len(body) < 5 {
 		return walFrame{}, fmt.Errorf("%w: short frame", ErrWAL)
 	}
 	rest := body[5:]
-	if body[0] != walFormat || crc32.Checksum(rest, walCRC) != binary.LittleEndian.Uint32(body[1:]) {
-		if crc32.Checksum(body[4:], walCRC) == binary.LittleEndian.Uint32(body) {
-			return walFrame{}, ErrWALFormat
+	if crc := crc32.Checksum(rest, walCRC) == binary.LittleEndian.Uint32(body[1:]); body[0] != walFormat || !crc {
+		switch {
+		case body[0] == 2 && crc:
+			return walFrame{}, fmt.Errorf("%w: format 2 (two position fields per frame); this version reads format 3", ErrWALFormat)
+		case crc32.Checksum(body[4:], walCRC) == binary.LittleEndian.Uint32(body):
+			return walFrame{}, fmt.Errorf("%w: format 1 (statement text); this version reads format 3 (commit-group effects)", ErrWALFormat)
 		}
 		return walFrame{}, fmt.Errorf("%w: bad checksum", ErrWAL)
 	}
-	epoch, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return walFrame{}, fmt.Errorf("%w: epoch", ErrWAL)
-	}
-	rest = rest[n:]
 	seq, n := binary.Uvarint(rest)
-	if n <= 0 {
+	if n <= 0 || seq == 0 {
 		return walFrame{}, fmt.Errorf("%w: seq", ErrWAL)
 	}
-	return walFrame{epoch: epoch, seq: seq, payload: rest[n:]}, nil
+	return walFrame{seq: seq, payload: rest[n:]}, nil
 }
 
 // logGroup appends one commit group to the WAL and, under
@@ -437,7 +433,8 @@ func (db *Database) logGroup(payload []byte) error {
 		if w.failed != nil {
 			return 0, 0, fmt.Errorf("%w (first failure: %v)", ErrWALFailed, w.failed)
 		}
-		w.frame = appendWALFrame(w.frame[:0], w.epoch, w.seq+1, payload)
+		seq := w.flushedSeq.Load() + 1
+		w.frame = appendWALFrame(w.frame[:0], seq, payload)
 		size := len(w.frame)
 		_, err := w.f.Write(w.frame)
 		if cap(w.frame) > 1<<20 {
@@ -447,13 +444,12 @@ func (db *Database) logGroup(payload []byte) error {
 			w.failed = err
 			return 0, 0, fmt.Errorf("%w: %v", ErrWALFailed, err)
 		}
-		w.seq++
-		w.flushedSeq.Store(w.seq)
+		w.flushedSeq.Store(seq)
 		if w.appended != nil {
 			close(w.appended)
 			w.appended = nil
 		}
-		return w.seq, size, nil
+		return seq, size, nil
 	}()
 	if err != nil {
 		db.obs.walFailures.Inc()
@@ -475,18 +471,21 @@ func (db *Database) logGroup(payload []byte) error {
 	return nil
 }
 
-// replay applies the groups of the log f. Frames are read through a
-// bounded buffer, so recovery memory scales with the largest record,
-// not the log size. Frames from an epoch older than the snapshot's are
-// skipped (they are already inside the snapshot: the checkpoint crashed
-// before truncating the log). A frame cut short at the end (a torn
+// replay applies the groups of the log f on top of a snapshot taken at
+// position snap. Frames are read through a bounded buffer, so recovery
+// memory scales with the largest record, not the log size. Frames
+// ≤ snap are skipped (they are already inside the snapshot: the
+// checkpoint crashed before truncating the log); the first frame past
+// them must be snap+1, or the snapshot and the log do not meet and
+// replay fails with ErrWAL. A frame cut short at the end (a torn
 // write) ends replay cleanly; a checksum mismatch or sequence gap stops
 // it at the last valid frame and surfaces ErrWAL. It returns the log's
-// position — epoch, last seq and base — as an unopened wal, with the
-// offset just past the last whole frame.
-func (db *Database) replay(f *os.File, snapEpoch uint64) (*wal, int64, error) {
-	w := &wal{epoch: snapEpoch}
+// position — last seq, and snap as the base — as an unopened wal, with
+// the offset to keep the file to: just past the last whole frame, or 0
+// when no frame is past snap.
+func (db *Database) replay(f *os.File, snap uint64) (*wal, int64, error) {
 	r := walReader{f: f}
+	last := snap // seq of the last frame applied
 	for {
 		fr, _, ok, err := r.next()
 		if err != nil {
@@ -495,12 +494,11 @@ func (db *Database) replay(f *os.File, snapEpoch uint64) (*wal, int64, error) {
 		if !ok {
 			break
 		}
-		if r.frames == 1 {
-			w.base.Store(fr.seq - 1)
-		}
-		w.epoch = max(w.epoch, fr.epoch)
-		if fr.epoch < snapEpoch {
+		if fr.seq <= snap {
 			continue
+		}
+		if fr.seq != last+1 { // the reader keeps later frames consecutive
+			return nil, 0, fmt.Errorf("%w: the log resumes at seq %d, but the snapshot ends at seq %d", ErrWAL, fr.seq, snap)
 		}
 		if err := db.applyGroup(fr.payload); err != nil {
 			if errors.Is(err, errBadGroup) {
@@ -508,8 +506,14 @@ func (db *Database) replay(f *os.File, snapEpoch uint64) (*wal, int64, error) {
 			}
 			return nil, 0, fmt.Errorf("engine: wal replay of frame %d (seq %d): %w", r.frames, fr.seq, err)
 		}
+		last = fr.seq
 	}
-	w.seq = r.seq
+	w := &wal{}
+	w.base.Store(snap)
+	w.flushedSeq.Store(last)
+	if last == snap {
+		return w, 0, nil
+	}
 	return w, r.off, nil
 }
 

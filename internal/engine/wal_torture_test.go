@@ -259,8 +259,8 @@ func TestCrashTortureEveryCutPoint(t *testing.T) {
 }
 
 // TestCheckpointCrashWindowNoDoubleApply forces the crash window the
-// epoch stamp closes: the snapshot is written but the log truncate
-// fails. Recovery from that snapshot plus the stale log must not
+// snapshot's position closes: the snapshot is written but the log
+// truncate fails. Recovery from that snapshot plus the stale log must not
 // double-apply the pre-checkpoint statements, and every cut of the
 // combined log must still recover to an exact prefix.
 func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
@@ -275,14 +275,15 @@ func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
 	tortureWorkload(t, s, 0, half)
 
 	// Checkpoint writes the snapshot, then "crashes" before the
-	// truncate: the stale epoch-0 frames stay in the log.
+	// truncate: the stale frames ≤ the snapshot's position stay in the
+	// log.
 	sink.FailTruncate(true)
 	if err := db.Checkpoint(); !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("checkpoint err = %v, want injected truncate failure", err)
 	}
 	sink.FailTruncate(false)
 
-	// The survivor keeps writing in the new epoch.
+	// The survivor keeps writing, numbering on past the snapshot.
 	tortureWorkload(t, s, half, stmts)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -297,8 +298,8 @@ func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
 	assertExactPrefix(t, rec, stmts, "checkpoint window full recovery")
 
 	// Every boundary cut of the combined log. Cuts inside the stale
-	// epoch-0 region recover to the snapshot alone (the first half);
-	// cuts past it add the epoch-1 frames before the cut.
+	// region recover to the snapshot alone (the first half); cuts past
+	// it add the frames past the snapshot before the cut.
 	bounds := frameBoundaries(t, log)
 	if len(bounds) != stmts { // CREATE + 100 inserts, one frame each
 		t.Fatalf("frames = %d, want %d", len(bounds), stmts)
@@ -308,8 +309,8 @@ func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
 		if err != nil {
 			t.Fatalf("checkpoint-window cut %d: %v", cut, err)
 		}
-		// Frames 1..half are stale epoch-0 copies of what the snapshot
-		// already holds; only frames past them add statements.
+		// Frames 1..half are stale copies of what the snapshot already
+		// holds; only frames past them add statements.
 		want := half
 		if k > half {
 			want = k

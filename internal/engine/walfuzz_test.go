@@ -61,7 +61,7 @@ func FuzzWALFrame(f *testing.F) {
 	// Seed with frame bodies (decodeWALFrame's input excludes the
 	// length prefix the replay loop consumes).
 	for i, g := range groups {
-		fr := appendWALFrame(nil, uint64(i), uint64(i+1), g)
+		fr := appendWALFrame(nil, uint64(i+1), g)
 		_, n := binary.Uvarint(fr)
 		f.Add(fr[n:])
 		f.Add(g)

@@ -1,9 +1,9 @@
 package engine_test
 
-// Durability-policy behavior: fsync accounting per policy, and epoch /
+// Durability-policy behavior: fsync accounting per policy, and
 // sequence continuity across restart-recover-append cycles (a fresh
-// process appending to a survivor log must continue its numbering, or
-// the next recovery reports a bogus sequence gap).
+// process must continue the numbering of the log and snapshot it
+// recovered, or the next recovery reports a bogus sequence gap).
 
 import (
 	"testing"
@@ -60,7 +60,8 @@ func TestSyncGroupedBatchesFsyncs(t *testing.T) {
 
 // Restart cycles: recover, append more, recover again. Sequence numbers
 // must continue across the restart or the second recovery would report
-// a gap; epochs must continue across a checkpoint in the middle.
+// a gap, and across a checkpoint and the restart after it, where the
+// log is empty and the position comes from the snapshot alone.
 func TestWALRestartCycleContinuesNumbering(t *testing.T) {
 	dir := t.TempDir()
 	reopen := func(db *engine.Database) *engine.Session {
@@ -94,5 +95,25 @@ func TestWALRestartCycleContinuesNumbering(t *testing.T) {
 	s4 := reopen(s3.Database())
 	if got := count(t, s4, `SELECT COUNT(*) FROM t`); got != 4 {
 		t.Errorf("rows after three restarts = %d, want 4", got)
+	}
+
+	// Fifth lifetime: a checkpoint empties the log, so the reopened
+	// database takes its position from the snapshot.
+	seq := s4.Database().WALSeq()
+	if err := s4.Database().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s5 := reopen(s4.Database())
+	db5 := s5.Database()
+	if db5.WALSeq() != seq || db5.WALBase() != seq {
+		t.Fatalf("after checkpoint and restart: WALSeq %d, WALBase %d, want both %d", db5.WALSeq(), db5.WALBase(), seq)
+	}
+	mustExec(t, s5, `INSERT INTO t VALUES (5)`)
+	if db5.WALSeq() != seq+1 {
+		t.Fatalf("the next commit logged seq %d, want %d", db5.WALSeq(), seq+1)
+	}
+	s6 := reopen(db5)
+	if got := count(t, s6, `SELECT COUNT(*) FROM t`); got != 5 {
+		t.Errorf("rows after five restarts = %d, want 5", got)
 	}
 }

@@ -29,7 +29,7 @@
 //	MsgSubscribe  replica→primary: uvarint fromSeq, str replicaName,
 //	              str runID ("" on first contact)
 //	MsgWALFrame   primary→replica: a log or snapshot frame body
-//	              verbatim — {format, CRC32C, epoch, seq, payload}
+//	              verbatim — {format, CRC32C, seq, payload}
 //	              as internal/engine encoded it
 //	MsgSnapshot   replica→primary: no body. The primary answers
 //	              with a MsgReplStatus (its runID and the seq the
@@ -139,8 +139,10 @@ const (
 // Version identifies the protocol revision. A client refuses a server
 // that welcomes it with another one: TIP/1 sent every result value with
 // its type name, so the two cannot read each other's result frames;
-// TIP/2 took MsgCancel, without a key, on the statement's connection.
-const Version = "TIP/3"
+// TIP/2 took MsgCancel, without a key, on the statement's connection;
+// TIP/3 replicas read MsgWALFrame bodies of frame format 2, which
+// this revision's frame format 3 replaced.
+const Version = "TIP/4"
 
 // MaxFrame bounds a frame's payload to keep a malicious peer from forcing
 // huge allocations.

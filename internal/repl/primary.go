@@ -3,7 +3,7 @@
 // subscribed replicas, which apply the commit groups they carry to
 // their own engine and serve read-only queries from MVCC snapshots.
 // The wire payload is the WAL frame body exactly as logged — {format,
-// CRC32C, epoch, seq} plus the group — so a replica verifies the same
+// CRC32C, seq} plus the group — so a replica verifies the same
 // checksum local crash recovery would, and the stream cannot drift from
 // the on-disk format.
 //
@@ -80,9 +80,12 @@ func WithHeartbeat(d time.Duration) PrimaryOption {
 
 // NewPrimary makes db's WAL streamable. Subscriptions need a durable
 // database (engine.Open); snapshots work regardless. The runID stamps
-// this process's WAL lineage: frame seqs restart when the process
-// does, so a replica holding seqs from an older run must re-bootstrap,
-// and the runID mismatch is how both sides notice.
+// this process's WAL lineage. Frame seqs carry on across a restart,
+// but a process that dies loses the frames it had not fsynced, and the
+// next one issues those seqs again for other commits: a replica that
+// applied the lost frames would resume onto the new ones and diverge.
+// So a replica holding seqs from an older run re-bootstraps, and the
+// runID mismatch is how both sides notice.
 func NewPrimary(db *engine.Database, opts ...PrimaryOption) *Primary {
 	p := &Primary{
 		db:        db,

@@ -4,10 +4,10 @@ package repl_test
 // under load, killed replicas rejoining via snapshot + catch-up,
 // partitioned and stalled replicas resubscribing without gaps or
 // double-apply, checkpoint truncation forcing snapshot re-bootstrap,
-// a caught-up replica tailing the log across a Checkpoint, a burst of
-// appends streamed from the file, concurrent writers whose log order
-// the replica reproduces, and the raw wire subscription. Run with
-// -race; every exact-count
+// a restarted primary forcing one too, a caught-up replica tailing the
+// log across a Checkpoint, a burst of appends streamed from the file,
+// concurrent writers whose log order the replica reproduces, and the
+// raw wire subscription. Run with -race; every exact-count
 // assertion doubles as a no-gap/no-double-apply proof (INSERT is not
 // idempotent, so a double-applied frame shows up as an extra row and a
 // gap as a missing one).
@@ -53,11 +53,17 @@ type primaryNode struct {
 
 func startPrimary(t testing.TB, opts ...repl.PrimaryOption) *primaryNode {
 	t.Helper()
+	return startPrimaryIn(t, t.TempDir(), opts...)
+}
+
+// startPrimaryIn serves the durable database in dir as a primary.
+func startPrimaryIn(t testing.TB, dir string, opts ...repl.PrimaryOption) *primaryNode {
+	t.Helper()
 	reg := blade.NewRegistry()
 	if _, err := core.Register(reg); err != nil {
 		t.Fatal(err)
 	}
-	db, err := engine.Open(reg, t.TempDir())
+	db, err := engine.Open(reg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +297,54 @@ func TestCheckpointTruncationForcesRebootstrap(t *testing.T) {
 	}
 	if got := metric(t, r.db, "repl.snapshots_loaded"); got < 2 {
 		t.Fatalf("snapshots_loaded = %v, want >= 2 (bootstrap + WALGone recovery)", got)
+	}
+}
+
+// TestRestartedPrimaryForcesRebootstrap: a primary closed and reopened
+// on the same directory continues its log's numbering, but under a new
+// runID. The replica's resubscribe is refused on the lineage alone, and
+// it re-bootstraps: seqs that survive a restart say nothing about
+// frames the old process lost before they were fsynced.
+func TestRestartedPrimaryForcesRebootstrap(t *testing.T) {
+	dir := t.TempDir()
+	p := startPrimaryIn(t, dir)
+	p.mustExec(t, `CREATE TABLE t (a INT)`)
+	for i := 0; i < 10; i++ {
+		p.mustExec(t, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
+	}
+	var mu sync.Mutex
+	target := p.srv.Addr()
+	dial := func(string) (net.Conn, error) {
+		mu.Lock()
+		addr := target
+		mu.Unlock()
+		return net.DialTimeout("tcp", addr, time.Second)
+	}
+	r := startReplica(t, "", repl.WithDialer(dial))
+	r.converge(t, p)
+
+	if err := p.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2 := startPrimaryIn(t, dir)
+	if p2.prim.RunID() == p.prim.RunID() {
+		t.Fatal("the restarted primary kept its runID")
+	}
+	mu.Lock()
+	target = p2.srv.Addr()
+	mu.Unlock()
+	for i := 10; i < 20; i++ {
+		p2.mustExec(t, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
+	}
+	r.converge(t, p2)
+	if got := countRows(t, r.db, "t"); got != 20 {
+		t.Fatalf("replica rows after the primary's restart = %d, want 20", got)
+	}
+	if got := metric(t, r.db, "repl.snapshots_loaded"); got != 2 {
+		t.Fatalf("snapshots_loaded = %v, want 2 (bootstrap + the new lineage)", got)
 	}
 }
 

@@ -79,7 +79,8 @@ func TestBudgetAbortOverWire(t *testing.T) {
 }
 
 func TestMemShedThenSucceeds(t *testing.T) {
-	srv, db := startOpts(t, server.WithMemBudget(1<<20))
+	srv, db := startOpts(t)
+	db.SetMemBudget(1 << 20)
 	seedWide(t, db, 10)
 	c := connectTo(t, srv)
 
@@ -136,10 +137,8 @@ func TestResultFrameCapOverWire(t *testing.T) {
 // bounded and no goroutine may leak.
 func TestOOMStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv, db := startOpts(t,
-		server.WithStmtMem(256<<10),
-		server.WithMemBudget(8<<20),
-	)
+	srv, db := startOpts(t, server.WithStmtMem(256<<10))
+	db.SetMemBudget(8 << 20)
 	seedWide(t, db, 300)
 
 	const clients = 16

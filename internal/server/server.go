@@ -44,9 +44,10 @@ import (
 const DefaultReadTimeout = 10 * time.Second
 
 // memShedFrac is the global-memory-pressure watermark: while the
-// engine-wide account (see WithMemBudget) is above this fraction of its
-// budget, new queries are shed with a typed resource error rather than
-// admitted on top of the statements already holding the memory.
+// engine-wide account (engine.Database.SetMemBudget) is above this
+// fraction of its budget, new queries are shed with a typed resource
+// error rather than admitted on top of the statements already holding
+// the memory.
 const memShedFrac = 0.9
 
 // ReplSource is what a replication primary plugs into the server (see
@@ -80,7 +81,6 @@ type Server struct {
 
 	stmtTimeout time.Duration // per-statement cap for every session (0 = none)
 	stmtMem     int64         // per-statement memory budget for every session (0 = none)
-	memBudget   int64         // engine-wide memory budget (0 = none)
 	maxConns    int           // connection limit (0 = unlimited)
 	maxInflight int64         // executing-statement watermark (0 = unlimited)
 	readTimeout time.Duration // per-frame read deadline
@@ -132,15 +132,6 @@ func WithStmtTimeout(d time.Duration) Option {
 // means no cap.
 func WithStmtMem(n int64) Option {
 	return func(s *Server) { s.stmtMem = n }
-}
-
-// WithMemBudget installs the engine-wide memory budget: the cap on the
-// summed accounted bytes of all in-flight statements. While usage is
-// above memShedFrac of the budget, new queries are shed with a typed
-// resource error instead of admitted. Zero (the default) means no
-// budget.
-func WithMemBudget(n int64) Option {
-	return func(s *Server) { s.memBudget = n }
 }
 
 // WithMaxResult bounds one result frame's encoded size; a query whose
@@ -212,9 +203,6 @@ func Listen(db *engine.Database, addr string, opts ...Option) (*Server, error) {
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.memBudget > 0 {
-		db.SetMemBudget(s.memBudget)
 	}
 	m.RegisterFunc("server.inflight", func() float64 { return float64(s.inflight.Load()) })
 	s.wg.Add(1)
