@@ -115,15 +115,22 @@ fuzz-smoke:
 # period-index scans), immediate slot reuse, zero goroutine leaks and GC
 # of superseded versions, rows a transaction deleted still found through
 # the hash index by fresh readers of the published version, and a
-# two-table commit that no statement sees half of; then the versioned
-# hash index's property test (every committed version against its own
-# model, dropped builders included) and its readers beside an appending
-# builder — then runs the disjoint-writer benchmark with and without the
-# scanning analyst so the analyst's cost to writers stays visible (scans
-# never take locks, so any gap is pure CPU competition).
+# two-table commit that no statement sees half of, and the period
+# index's liveness invariant (every committed version's index marks only
+# its live rows, over INSERT, UPDATE, DELETE, slot reuse, ROLLBACK,
+# failed statements and log replay); then the versioned hash index's
+# property test (every committed version against its own model, dropped
+# builders included) and its readers beside an appending builder; the
+# bytes of a 100-row UPDATE of a period-indexed table at 1,000 and
+# 10,000 rows (a removal copies no entry log; an allocation pin, so
+# without the race detector) — then runs the disjoint-writer benchmark
+# with and without the scanning analyst so the analyst's cost to
+# writers stays visible (scans never take locks, so any gap is pure CPU
+# competition).
 mvcc-smoke:
-	$(GO) test -race -run 'TestMVCC|TestTxnKeepsKilledHashPostings|TestCommitPublishesAllTablesAtOnce' -count=1 ./internal/engine
+	$(GO) test -race -run 'TestMVCC|TestTxnKeepsKilledHashPostings|TestCommitPublishesAllTablesAtOnce|TestPeriodIndexMarksOnlyLiveRows' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestHash' -count=1 ./internal/index
+	$(GO) test -run 'TestPeriodUpdateBytes' -count=1 ./internal/exec
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .
 
 # plan-smoke exercises the planner and the batched executor under the
@@ -154,7 +161,11 @@ mvcc-smoke:
 # the layered stratum (E2) and against the kernel truth. Binding resolves
 # every overload, comparison and aggregate once per call site from
 # static types, and the bound expressions are checked against the
-# per-row dispatch they replaced, over every operator and pair of types.
+# per-row dispatch they replaced, over every operator and pair of types;
+# the typed comparison kernel filters use is checked against the generic
+# ladder over every covered type, operator, BETWEEN and NOT BETWEEN,
+# NULL column and parameter and constant side, and the shapes just
+# outside its rules must bind the ladder.
 # The period index's exact search is checked against Element.Overlaps
 # over all four indexable types at three NOWs. The allocation pins
 # (testing.AllocsPerRun, so they run without the race detector's
@@ -173,7 +184,7 @@ mvcc-smoke:
 # slice, the cast memo converting a repeated input once, and the memo's
 # input test.
 plan-smoke:
-	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade

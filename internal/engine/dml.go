@@ -116,10 +116,10 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 	}
 	env := s.env(params)
 	schema := exec.TableSchema(tbl)
-	var where exec.RowExpr
+	var where exec.RowPred
 	var err error
 	if st.Where != nil {
-		if where, err = exec.CompileRowExpr(env, schema, st.Where); err != nil {
+		if where, err = exec.CompileRowPred(env, schema, st.Where); err != nil {
 			return nil, err
 		}
 	}
@@ -197,10 +197,10 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
 	env := s.env(params)
-	var where exec.RowExpr
+	var where exec.RowPred
 	var err error
 	if st.Where != nil {
-		if where, err = exec.CompileRowExpr(env, exec.TableSchema(tbl), st.Where); err != nil {
+		if where, err = exec.CompileRowPred(env, exec.TableSchema(tbl), st.Where); err != nil {
 			return nil, err
 		}
 	}
@@ -235,7 +235,7 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 // mutation begins. For a written table the pinned snapshot is the
 // latest version (captured under the write lock), so the id set is
 // exact.
-func (s *Session) matchingRows(key string, env *exec.Env, where exec.RowExpr) ([]int, error) {
+func (s *Session) matchingRows(key string, env *exec.Env, where exec.RowPred) ([]int, error) {
 	var ids []int
 	var scanErr error
 	var ticks uint32
@@ -246,17 +246,12 @@ func (s *Session) matchingRows(key string, env *exec.Env, where exec.RowExpr) ([
 			}
 		}
 		if where != nil {
-			v, err := where(env, r)
+			keep, err := where(r)
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			keep, isNull, err := exec.Truth(v)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if isNull || !keep {
+			if !keep {
 				return true
 			}
 		}

@@ -180,6 +180,40 @@ func TestPeriodProbeBytes(t *testing.T) {
 	}
 }
 
+// TestPeriodUpdateBytes pins the bytes of an UPDATE of 100 rows of a
+// period-indexed table at 1,000 and 10,000 rows: re-indexing a row must
+// not copy the index's entry logs, nor may the WHERE scan allocate per
+// row, so the larger table may cost at most 1.5 times the smaller.
+func TestPeriodUpdateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	const update = `UPDATE u SET dosage = dosage + 1 WHERE k < 100`
+	updateBytes := func(n int) float64 {
+		s := newDB(t)
+		mustExec(t, s, `CREATE TABLE u (k INT, dosage INT, valid Element)`)
+		mustExec(t, s, `CREATE INDEX u_valid ON u (valid) USING PERIOD`)
+		base := temporal.MustDate(1998, 1, 1)
+		for lo := 0; lo < n; lo += 500 {
+			var vals []string
+			for i := lo; i < n && i < lo+500; i++ {
+				start := base + temporal.Chronon(i%1000*86400)
+				vals = append(vals, fmt.Sprintf("(%d, %d, '%s')", i, i%100, temporal.MustPeriod(start, start+86400-1).Element()))
+			}
+			mustExec(t, s, "INSERT INTO u VALUES "+strings.Join(vals, ", "))
+		}
+		if got := mustExec(t, s, update).Affected; got != 100 {
+			t.Fatalf("UPDATE changed %d rows, want 100", got)
+		}
+		return stmtBytes(t, s, update)
+	}
+	small, large := updateBytes(1000), updateBytes(10000)
+	t.Logf("%s: %.0f bytes per statement over 1,000 rows, %.0f over 10,000", update, small, large)
+	if large > 1.5*small {
+		t.Errorf("%s allocates %.0f bytes over 1,000 rows but %.0f over 10,000: the update copies by table size", update, small, large)
+	}
+}
+
 // stmtBytes is the average number of bytes one execution of sql
 // allocates, measured like testing.AllocsPerRun: one warm-up run, then
 // the TotalAlloc delta over 20 runs on a single P.

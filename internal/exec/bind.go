@@ -248,6 +248,9 @@ func (b *binder) bindUnary(n *ast.Unary, sc *bindScope) (cexpr, *types.Type, err
 }
 
 func (b *binder) bindBinary(n *ast.Binary, sc *bindScope) (cexpr, *types.Type, error) {
+	if k := b.kernel(n, sc); k != nil {
+		return k.value(), types.TBool, nil
+	}
 	l, ltyp, err := b.bind(n.L, sc)
 	if err != nil {
 		return nil, nil, err
@@ -468,6 +471,9 @@ func (b *binder) bindCast(n *ast.Cast, sc *bindScope) (cexpr, *types.Type, error
 }
 
 func (b *binder) bindBetween(n *ast.Between, sc *bindScope) (cexpr, *types.Type, error) {
+	if k := b.kernel(n, sc); k != nil {
+		return k.value(), types.TBool, nil
+	}
 	bounds, typs, err := b.bindAll([]ast.Expr{n.X, n.Lo, n.Hi}, sc)
 	if err != nil {
 		return nil, nil, err

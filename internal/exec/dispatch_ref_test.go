@@ -74,6 +74,25 @@ func (rt *runtime) equalValues(a, b types.Value) (eq, null bool, err error) {
 	return v.Bool(), false, nil
 }
 
+func cmpMatches(op string, cmp int) bool {
+	switch op {
+	case "=":
+		return cmp == 0
+	case "<>":
+		return cmp != 0
+	case "<":
+		return cmp < 0
+	case "<=":
+		return cmp <= 0
+	case ">":
+		return cmp > 0
+	case ">=":
+		return cmp >= 0
+	default:
+		return false
+	}
+}
+
 // refRegistry lends the registry the Invoke method it used to have.
 type refRegistry struct{ *blade.Registry }
 

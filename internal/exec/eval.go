@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tip/internal/blade"
+	"tip/internal/sql/ast"
 	"tip/internal/types"
 )
 
@@ -107,6 +108,211 @@ func compareCall(res *blade.Resolution) cmpFn {
 	}
 }
 
+// pred is a compiled filter conjunct: whether it is TRUE on row. FALSE
+// and UNKNOWN both reject the row.
+type pred func(rt *runtime, row Row) (bool, error)
+
+// bindFilters compiles the conjuncts of a filter in one scope. A
+// conjunct of a comparison kernel's shape (see kernel) reads the row in
+// place; any other pushes the row as the innermost scope, is evaluated
+// as an expression and is tested by truth.
+func (b *binder) bindFilters(exprs []ast.Expr, sc *bindScope) ([]pred, error) {
+	out := make([]pred, len(exprs))
+	for i, e := range exprs {
+		if k := b.kernel(e, sc); k != nil {
+			out[i] = k.pred()
+			continue
+		}
+		ce, _, err := b.bind(e, sc)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = func(rt *runtime, row Row) (bool, error) {
+			rt.push(row)
+			v, err := ce(rt)
+			rt.pop()
+			if err != nil {
+				return false, err
+			}
+			ok, isNull, err := truth(v)
+			return ok && !isNull, err
+		}
+	}
+	return out, nil
+}
+
+// ordKernel compares one column of the row with row-invariant operands,
+// reading the column's payload in place: col op k, k op col (the mask
+// flipped) and col [NOT] BETWEEN k1 AND k2. It is TRUE when the column's
+// order against k[0] is in the mask m[0] and its order against k[1] in
+// m[1] (col op k leaves m[1] orderAny), negated under NOT. The orders
+// are Value.Compare's, so a FLOAT NaN orders equal to everything. Under
+// three-valued logic a NULL column makes the comparison UNKNOWN, and so
+// does a NULL operand, whose test accepts every order, where the other
+// test passes (unknown).
+type ordKernel struct {
+	col     int
+	kind    types.Kind
+	k       [2]types.Value
+	m       [2]uint8
+	unknown bool
+	not     bool
+}
+
+// kernel returns the comparison kernel of e, or nil when e is not one of
+// its shapes: col op k, k op col or col [NOT] BETWEEN k1 AND k2, where
+// col is a column of the row (scope depth 0) of type INT, FLOAT,
+// BOOLEAN, VARCHAR or DATE, each k a literal or parameter of that same
+// type, and bindCompare would order the pair by Value.Compare (no blade
+// overload, no cast). Every other shape binds the generic ladder, which
+// stays the reference.
+func (b *binder) kernel(e ast.Expr, sc *bindScope) *ordKernel {
+	switch n := e.(type) {
+	case *ast.Binary:
+		m, ok := orderMasks[n.Op]
+		if !ok {
+			return nil
+		}
+		col, k := n.L, n.R
+		if _, isCol := col.(*ast.ColumnRef); !isCol {
+			col, k, m = k, col, flipped(m)
+		}
+		return b.newKernel(sc, col, false, kernelTest{n.Op, m, k})
+	case *ast.Between:
+		return b.newKernel(sc, n.X, n.Not,
+			kernelTest{">=", orderMasks[">="], n.Lo}, kernelTest{"<=", orderMasks["<="], n.Hi})
+	}
+	return nil
+}
+
+// kernelTest is one comparison of a kernel: the operator bindCompare
+// would resolve, the orders of the column against k that satisfy it.
+type kernelTest struct {
+	op string
+	m  uint8
+	k  ast.Expr
+}
+
+// newKernel builds the kernel of column x under its tests, or returns
+// nil when the operands fall outside the kernel's shapes.
+func (b *binder) newKernel(sc *bindScope, x ast.Expr, not bool, tests ...kernelTest) *ordKernel {
+	cr, ok := x.(*ast.ColumnRef)
+	if !ok || sc == nil || sc.agg != nil {
+		return nil
+	}
+	col, err := sc.schema.Resolve(cr.Table, cr.Column)
+	if err != nil {
+		return nil
+	}
+	t := sc.schema[col].Type
+	switch t.Kind {
+	case types.KindInt, types.KindFloat, types.KindBool, types.KindString, types.KindDate:
+	default:
+		return nil
+	}
+	k := &ordKernel{col: col, kind: t.Kind, m: [2]uint8{orderAny, orderAny}, not: not}
+	for i, test := range tests {
+		if _, ok := b.env.Reg.ResolveExact(test.op, []*types.Type{t, t}); ok {
+			return nil
+		}
+		v, ok := b.constant(test.k)
+		if !ok || v.T != t {
+			return nil
+		}
+		k.k[i], k.m[i] = v, test.m
+		if v.Null {
+			k.m[i], k.unknown = orderAny, true
+		}
+	}
+	return k
+}
+
+// constant returns the value of a literal or a bound parameter.
+func (b *binder) constant(e ast.Expr) (types.Value, bool) {
+	switch n := e.(type) {
+	case *ast.IntLit:
+		return types.NewInt(n.V), true
+	case *ast.FloatLit:
+		return types.NewFloat(n.V), true
+	case *ast.StringLit:
+		return types.NewString(n.V), true
+	case *ast.BoolLit:
+		return types.NewBool(n.V), true
+	case *ast.Param:
+		v, ok := b.env.Params[n.Name]
+		return v, ok
+	}
+	return types.Value{}, false
+}
+
+// passes returns the kernel's test of a non-NULL column value, typed by
+// the column's payload, before NOT and the unknown rule.
+func (k *ordKernel) passes() func(v *types.Value) bool {
+	switch k.kind {
+	case types.KindFloat:
+		t := ordTest[float64]{k.k[0].F, k.k[1].F, k.m[0], k.m[1]}
+		return func(v *types.Value) bool { return t.pass(v.F) }
+	case types.KindString:
+		t := ordTest[string]{k.k[0].S, k.k[1].S, k.m[0], k.m[1]}
+		return func(v *types.Value) bool { return t.pass(v.S) }
+	default: // INT, BOOLEAN and DATE keep their payload in I
+		t := ordTest[int64]{k.k[0].I, k.k[1].I, k.m[0], k.m[1]}
+		return func(v *types.Value) bool { return t.pass(v.I) }
+	}
+}
+
+// pred is the kernel as a filter: TRUE only.
+func (k *ordKernel) pred() pred {
+	if k.unknown && !k.not {
+		// Passing both tests is UNKNOWN, failing one FALSE: never TRUE.
+		return func(*runtime, Row) (bool, error) { return false, nil }
+	}
+	pass, col, not := k.passes(), k.col, k.not
+	return func(_ *runtime, row Row) (bool, error) {
+		v := &row[col]
+		return !v.Null && pass(v) != not, nil
+	}
+}
+
+// value is the kernel as a BOOLEAN expression over the row on top of
+// the scope stack.
+func (k *ordKernel) value() cexpr {
+	pass, col, not, unknown := k.passes(), k.col, k.not, k.unknown
+	return func(rt *runtime) (types.Value, error) {
+		v := &rt.at(0)[col]
+		if v.Null {
+			return nullBool, nil
+		}
+		p := pass(v)
+		if p && unknown {
+			return nullBool, nil
+		}
+		return types.NewBool(p != not), nil
+	}
+}
+
+// ordTest tests a payload's orders against two constants.
+type ordTest[T int64 | float64 | string] struct {
+	k0, k1 T
+	m0, m1 uint8
+}
+
+func (t *ordTest[T]) pass(x T) bool {
+	return t.m0>>(order(x, t.k0)+1)&1 != 0 && t.m1>>(order(x, t.k1)+1)&1 != 0
+}
+
+// order is Value.Compare on one payload: a NaN is neither less nor
+// greater than anything.
+func order[T int64 | float64 | string](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // callSite is one bound call of a resolved routine. Routines receive
 // the argument slice for the duration of the call only (see
 // Registry.Call), so one buffer per call site serves every row; the
@@ -136,11 +342,12 @@ func (cs *callSite) call(rt *runtime) (types.Value, error) {
 }
 
 // byOrder holds, per operator, the comparison by the operands' own order
-// (Value.Compare), shared by every call site.
+// (Value.Compare), shared by every call site. Each tests the order
+// against its operator's mask, fixed here rather than per row.
 var byOrder = map[string]cmpFn{}
 
 func init() {
-	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+	for op, m := range orderMasks {
 		byOrder[op] = func(rt *runtime, a, b types.Value) (types.Value, error) {
 			if a.Null || b.Null {
 				return nullBool, nil
@@ -149,29 +356,33 @@ func init() {
 			if err != nil {
 				return types.Value{}, err
 			}
-			return types.NewBool(cmpMatches(op, cmp)), nil
+			return types.NewBool(accepts(m, cmp)), nil
 		}
 	}
 }
 
-func cmpMatches(op string, cmp int) bool {
-	switch op {
-	case "=":
-		return cmp == 0
-	case "<>":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	default:
-		return false
-	}
+// An order mask is the set of orders of a against b that satisfy a
+// comparison operator: bit 0 for a < b, bit 1 for a = b, bit 2 for a > b.
+const (
+	orderLess    uint8 = 1
+	orderEqual   uint8 = 2
+	orderGreater uint8 = 4
+	orderAny           = orderLess | orderEqual | orderGreater
+)
+
+var orderMasks = map[string]uint8{
+	"=": orderEqual, "<>": orderLess | orderGreater,
+	"<": orderLess, "<=": orderLess | orderEqual,
+	">": orderGreater, ">=": orderGreater | orderEqual,
 }
+
+// accepts reports whether the order cmp (negative, zero or positive, as
+// Compare returns it) is in the mask m.
+func accepts(m uint8, cmp int) bool { return m>>(min(max(cmp, -1), 1)+1)&1 != 0 }
+
+// flipped is the mask of the operator with its operands swapped: k < col
+// holds where col > k does.
+func flipped(m uint8) uint8 { return m&orderEqual | m&orderLess<<2 | m&orderGreater>>2 }
 
 // implicitCast returns the cast that lifts values of type from to type
 // to: nil when from already is to or is NULL-typed, ok=false when no

@@ -36,8 +36,7 @@ func Explain(env *Env, sel *ast.Select) (*Result, error) {
 }
 
 // RowExpr is a compiled expression evaluated against one row of a single
-// table, used by the engine for UPDATE SET expressions and UPDATE/DELETE
-// WHERE clauses.
+// table, used by the engine for UPDATE SET expressions.
 type RowExpr func(env *Env, row Row) (types.Value, error)
 
 // CompileRowExpr compiles e against the schema of one table binding.
@@ -54,6 +53,23 @@ func CompileRowExpr(env *Env, schema Schema, e ast.Expr) (RowExpr, error) {
 	}, nil
 }
 
+// RowPred is a compiled UPDATE or DELETE WHERE clause: whether it is TRUE
+// of one row of a single table. It reuses one runtime, so it serves one
+// statement on one goroutine.
+type RowPred func(row Row) (bool, error)
+
+// CompileRowPred compiles a WHERE clause against the schema of one table
+// binding into filters, as a SELECT's WHERE binds (bindFilters).
+func CompileRowPred(env *Env, schema Schema, e ast.Expr) (RowPred, error) {
+	b := &binder{env: env}
+	fs, err := b.bindFilters(splitConjuncts(e), &bindScope{schema: schema})
+	if err != nil {
+		return nil, err
+	}
+	rt := &runtime{env: env}
+	return func(row Row) (bool, error) { return evalFilters(rt, fs, row) }, nil
+}
+
 // TableSchema builds the executor schema of a stored table.
 func TableSchema(t *Table) Schema {
 	schema := make(Schema, len(t.Meta.Columns))
@@ -62,10 +78,6 @@ func TableSchema(t *Table) Schema {
 	}
 	return schema
 }
-
-// Truth classifies a predicate result under three-valued logic, exported
-// for the engine's UPDATE/DELETE filtering.
-func Truth(v types.Value) (isTrue, isNull bool, err error) { return truth(v) }
 
 // FormatResult renders a result as an aligned text table, used by the SQL
 // shell and the examples.

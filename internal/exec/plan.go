@@ -43,10 +43,10 @@ type source struct {
 	// every row and index access of the source goes through it.
 	snap     *TableVersion
 	leftJoin bool
-	on       []cexpr // LEFT JOIN condition conjuncts (bound to fromScope)
+	on       []pred // LEFT JOIN condition conjuncts (bound to fromScope)
 	// pushed holds the compiled single-source filters; the period-index
 	// join path re-applies them to index candidates.
-	pushed  []cexpr
+	pushed  []pred
 	table   *tableScan  // a table's compiled scan (bindScan)
 	derived *selectPlan // a derived table's plan
 	// cols lists the columns a join level copies into its scratch row:
@@ -97,7 +97,8 @@ type periodJoinCond struct {
 	hits            index.Hits // the index's answer for one accumulated row, read by this site only
 	// counts is set on a last level whose consumer is a count-only
 	// aggregate and which needs no filter: it counts each accumulated
-	// row's live hits instead of pairing them (countRows).
+	// row's hits instead of pairing them (countRows). A version's period
+	// index marks only rows live in it, so a count reads no row.
 	counts bool
 }
 
@@ -161,7 +162,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			return nil, fmt.Errorf("exec: LEFT JOIN ON may only reference %s and earlier tables",
 				sources[i].binding)
 		}
-		on, _, err := b.bindAll(splitConjuncts(ref.On), fromScope)
+		on, err := b.bindFilters(splitConjuncts(ref.On), fromScope)
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +242,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		if src.derived == nil {
 			err = b.bindScan(src, pushed[i], parent)
 		} else {
-			src.pushed, _, err = b.bindAll(pushed[i], &bindScope{parent: parent, schema: src.schema})
+			src.pushed, err = b.bindFilters(pushed[i], &bindScope{parent: parent, schema: src.schema})
 		}
 		if err != nil {
 			return nil, err
@@ -280,17 +281,17 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 
 	// Compile per-level join filters against the full from schema.
-	levelFilters := make([][]cexpr, len(sources))
+	levelFilters := make([][]pred, len(sources))
 	for i, cs := range levelConj {
-		fs, _, err := b.bindAll(cs, fromScope)
+		fs, err := b.bindFilters(cs, fromScope)
 		if err != nil {
 			return nil, err
 		}
 		levelFilters[i] = fs
 	}
-	var zeroFilters []cexpr
+	var zeroFilters []pred
 	if len(zeroLevel) > 0 { // FROM-less query with WHERE
-		fs, _, err := b.bindAll(zeroLevel, &bindScope{parent: parent, schema: nil})
+		fs, err := b.bindFilters(zeroLevel, &bindScope{parent: parent, schema: nil})
 		if err != nil {
 			return nil, err
 		}
@@ -994,26 +995,11 @@ func (b *binder) bindAll(exprs []ast.Expr, sc *bindScope) ([]cexpr, []*types.Typ
 	return out, typs, nil
 }
 
-// evalFilters pushes row (when non-nil) and requires every filter TRUE.
-func evalFilters(rt *runtime, filters []cexpr, row Row) (bool, error) {
-	if len(filters) == 0 {
-		return true, nil
-	}
-	if row != nil {
-		rt.push(row)
-		defer rt.pop()
-	}
+// evalFilters requires every filter TRUE of row.
+func evalFilters(rt *runtime, filters []pred, row Row) (bool, error) {
 	for _, f := range filters {
-		v, err := f(rt)
-		if err != nil {
+		if ok, err := f(rt, row); err != nil || !ok {
 			return false, err
-		}
-		ok, isNull, err := truth(v)
-		if err != nil {
-			return false, err
-		}
-		if isNull || !ok {
-			return false, nil
 		}
 	}
 	return true, nil

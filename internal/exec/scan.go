@@ -51,7 +51,7 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) error {
 	tbl := src.tbl
 	scope := &bindScope{parent: parent, schema: src.schema}
-	filters, _, err := b.bindAll(pushed, scope)
+	filters, err := b.bindFilters(pushed, scope)
 	if err != nil {
 		return err
 	}
@@ -130,8 +130,8 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) err
 // execution (a correlated subquery re-runs its scans per outer row).
 type tableScan struct {
 	snap     *TableVersion
-	filters  []cexpr // every pushed filter
-	residual []cexpr // what an exact period search's rows are re-checked against
+	filters  []pred // every pushed filter
+	residual []pred // what an exact period search's rows are re-checked against
 	st       *OpStats
 	kind     string // "" for a full scan, else "hash" or "period"
 	col      int
@@ -180,7 +180,7 @@ func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
 		return ts.read(rt, len(ids), ids, nil, ts.filters, emit)
 	case !periodCandidates(rt, ts.snap.Indexes[ts.col].Period, cv, ts.contains, &ts.hits):
 	case ts.counts && len(ts.residual) == 0:
-		return countRows(rt, liveHits(ts.snap, &ts.hits), emit)
+		return countRows(rt, ts.hits.Drain(), emit)
 	default:
 		return ts.read(rt, ts.hits.Len(), nil, &ts.hits, ts.residual, emit)
 	}
@@ -194,7 +194,7 @@ func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
 // when both are nil, of the whole table. The batch buffer is sized for
 // the n rows the run may find, split evenly over the fewest batches, so
 // a point read does not pay for a whole batch.
-func (ts *tableScan) read(rt *runtime, n int, ids []int, hits *index.Hits, fs []cexpr, emit func([]Row) error) error {
+func (ts *tableScan) read(rt *runtime, n int, ids []int, hits *index.Hits, fs []pred, emit func([]Row) error) error {
 	rows := ts.snap.Rows
 	batches := max(1, (n+BatchRows-1)/BatchRows)
 	if want := (n + batches - 1) / batches; cap(ts.buf) < want {
@@ -265,18 +265,6 @@ func countRows(rt *runtime, n int, emit func([]Row) error) error {
 // nilRows backs countRows's batches. Nothing writes it: a batch is
 // filtered in place only under filters, and a counted one has none.
 var nilRows = make([]Row, BatchRows)
-
-// liveHits counts the ids in h that are live in snap, reading no row,
-// and leaves h clear.
-func liveHits(snap *TableVersion, h *index.Hits) int {
-	n := 0
-	for id, ok := h.Next(); ok; id, ok = h.Next() {
-		if snap.Rows.Live(id) {
-			n++
-		}
-	}
-	return n
-}
 
 // probeCast lifts an index probe to the indexed column's type along the
 // implicit cast chosen at bind time, through its own memo; without a
@@ -553,7 +541,7 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 // an empty contained side), the accumulated row pairs with every source
 // row, and an exact conjunct is tested here. When count is non-nil (the
 // level counts its pairs, see periodJoinCond.counts) an indexed row's
-// live hits go to count instead of being paired.
+// hits, every one a live row, go to count instead of being paired.
 func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, begin func(a Row), pair func(sr Row) error, count func(n int) error) error {
 	ix := src.snap.Indexes[pc.col].Period
 	for _, a := range acc {
@@ -581,7 +569,7 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, be
 			continue
 		}
 		if count != nil {
-			if err := count(liveHits(src.snap, &pc.hits)); err != nil {
+			if err := count(pc.hits.Drain()); err != nil {
 				return err
 			}
 			continue
@@ -684,9 +672,11 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 }
 
 // joinSources runs the left-deep join of one or more sources and hands
-// every full-width row of its last level to emit. Earlier levels
-// materialise their survivors into arena rows, which the next level
-// re-reads; the last level streams. A single source passes its scan's
+// every full-width row of its last level to emit. Level 0's survivors
+// are its source's own rows, which are immutable and exactly the prefix
+// of a joined row, so level 1 reads them in place; later levels below
+// the last materialise their survivors into arena rows, which the next
+// level re-reads; the last level streams. A single source passes its scan's
 // batches through, filtered in place (see source.scan for what emit may
 // keep). A join hands over each surviving pair as it is found, in a scratch row
 // the next pair overwrites, which emit must copy to keep; a last level
@@ -695,20 +685,33 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 // (source.cols); the others stay zero Values, which no operator accepts,
 // so a column wrongly left out fails loudly instead of reading a stale
 // value.
-func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, periodConds []*periodJoinCond, levelFilters [][]cexpr, levelStats []*OpStats, emit func(rows []Row) error) error {
+func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, periodConds []*periodJoinCond, levelFilters [][]pred, levelStats []*OpStats, emit func(rows []Row) error) error {
 	if len(sources) == 1 {
 		return sources[0].scan(rt, func(batch []Row) error { return emitFiltered(rt, levelFilters[0], batch, emit) })
 	}
 
-	// One empty prefix row makes level 0 a nested loop like any other.
-	acc := []Row{nil}
+	// Level 0's filters read no column of the row (a conjunct on source
+	// 0 alone is pushed into its scan), so they test its narrow rows.
+	var acc []Row
+	if err := sources[0].scan(rt, func(batch []Row) error {
+		return emitFiltered(rt, levelFilters[0], batch, func(kept []Row) (err error) {
+			if acc, err = growRows(rt, acc, len(kept), rowHeaderSize); err == nil {
+				acc = append(acc, kept...)
+			}
+			return err
+		})
+	}); err != nil {
+		return err
+	}
 	last := len(sources) - 1
 	// Candidate pairs merge into one scratch row; only survivors of a
-	// level below the last are copied out (into the arena, batch.go), so
-	// filtered-out pairs and every last-level pair allocate nothing.
+	// level between the first and the last are copied out (into the
+	// arena, batch.go), so filtered-out pairs and every last-level pair
+	// allocate nothing.
 	scratch := make(Row, width)
 	scratchBatch := []Row{scratch}
-	for level, src := range sources {
+	for level := 1; level <= last; level++ {
+		src := sources[level]
 		var st *OpStats
 		if level < len(levelStats) {
 			st = levelStats[level]
@@ -877,7 +880,7 @@ func joinLevel(rt *runtime, acc []Row, src *source, hc *hashJoinCond, scratch Ro
 
 // emitFiltered hands emit the rows of batch that pass fs, filtering the
 // batch in place.
-func emitFiltered(rt *runtime, fs []cexpr, batch []Row, emit func([]Row) error) error {
+func emitFiltered(rt *runtime, fs []pred, batch []Row, emit func([]Row) error) error {
 	if len(fs) == 0 {
 		return emit(batch)
 	}

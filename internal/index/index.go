@@ -26,10 +26,13 @@
 //
 //   - Period keeps shared entry logs. Appends extend them in place (slots
 //     beyond a published version's length are invisible to its readers);
-//     removals copy the surviving entries. The sorted search form is
-//     built lazily once per version into fresh slices, so the read path
-//     mutates nothing a reader can see. Searches mark a caller-owned Hits
-//     bitset, which the caller reads the ids from.
+//     removals mark the dropped entries in a per-version bitset over log
+//     positions, copied once per builder, and a log half of whose
+//     entries are dropped is compacted into a fresh one. The sorted
+//     search form is built lazily once per version into fresh slices,
+//     leaving dropped entries out, so the read path mutates nothing a
+//     reader can see. Searches mark a caller-owned Hits bitset, which the
+//     caller reads the ids from.
 //
 // Both builders rest on the slab's invariant: a table's builders start
 // from its newest version, one at a time, so an in-place append never
@@ -245,6 +248,10 @@ func (b *HashBuilder) Commit() *Hash {
 type Period struct {
 	closed []periodEntry // shared log prefixes; immutable within [0, len)
 	open   []openEntry
+	// gone marks the entries a removal dropped, by log position: gone[0]
+	// over closed, gone[1] over open. A position past a bitset's words
+	// is live. Nothing writes a published bitset.
+	gone   [2][]uint64
 	once   sync.Once
 	sorted []periodEntry // closed, by lo
 	maxHi  []int64       // maxHi[i] is the largest hi of sorted[:i+1]
@@ -268,11 +275,11 @@ func (ix *Period) Len() int {
 	if ix == nil {
 		return 0
 	}
-	return len(ix.closed) + len(ix.open)
+	return len(ix.closed) + len(ix.open) - ones(ix.gone[0]) - ones(ix.gone[1])
 }
 
 func (ix *Period) build() {
-	ix.sorted = slices.Clone(ix.closed)
+	ix.sorted = live(ix.closed, ix.gone[0])
 	slices.SortFunc(ix.sorted, func(a, b periodEntry) int { return cmp.Compare(a.lo, b.lo) })
 	ix.maxHi = make([]int64, len(ix.sorted))
 	maxSoFar := int64(math.MinInt64)
@@ -281,11 +288,36 @@ func (ix *Period) build() {
 		ix.maxHi[i] = maxSoFar
 		ix.slots = max(ix.slots, e.id+1)
 	}
-	ix.opens = slices.Clone(ix.open)
+	ix.opens = live(ix.open, ix.gone[1])
 	slices.SortFunc(ix.opens, func(a, b openEntry) int { return cmp.Compare(a.lo, b.lo) })
 	for _, e := range ix.opens {
 		ix.slots = max(ix.slots, e.id+1)
 	}
+}
+
+// live returns a fresh slice of the entries of log that gone does not
+// mark.
+func live[E any](log []E, gone []uint64) []E {
+	out := make([]E, 0, len(log)-ones(gone))
+	for i := range log {
+		if !marked(gone, i) {
+			out = append(out, log[i])
+		}
+	}
+	return out
+}
+
+func marked(set []uint64, i int) bool {
+	w := i >> 6
+	return w < len(set) && set[w]>>(i&63)&1 != 0
+}
+
+func ones(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Hits gathers the row ids of a search in a bitset over row slots: a row
@@ -318,6 +350,17 @@ func (h *Hits) Len() int {
 	n := 0
 	for w := h.lo; w < h.hi; w++ {
 		n += bits.OnesCount64(h.words[w])
+	}
+	return n
+}
+
+// Drain returns the number of ids marked and not yet read, and clears
+// them: a count that reads no id.
+func (h *Hits) Drain() int {
+	n := 0
+	for ; h.lo < h.hi; h.lo++ {
+		n += bits.OnesCount64(h.words[h.lo])
+		h.words[h.lo] = 0
 	}
 	return n
 }
@@ -392,10 +435,15 @@ func (ix *Period) collect(h *Hits, probe []temporal.Interval, now temporal.Chron
 // only be used by the one writer holding the table's write lock; Commit
 // publishes the new version, and dropping the builder discards every
 // change (appends land beyond the base version's visible lengths, and
-// removals copy).
+// removals only take effect at Commit).
 type PeriodBuilder struct {
 	closed []periodEntry
 	open   []openEntry
+	gone   [2][]uint64 // the base's until Commit drops entries
+	// removed holds each row id removed since the last Commit with the
+	// lengths of the two logs at its last removal: its entries below
+	// them go at Commit, and any added since stay.
+	removed map[int][2]int
 }
 
 // NewPeriodBuilder starts a successor of v, which may be nil to build
@@ -403,7 +451,7 @@ type PeriodBuilder struct {
 func NewPeriodBuilder(v *Period) *PeriodBuilder {
 	b := &PeriodBuilder{}
 	if v != nil {
-		b.closed, b.open = v.closed, v.open
+		b.closed, b.open, b.gone = v.closed, v.open, v.gone
 	}
 	return b
 }
@@ -435,14 +483,45 @@ func (b *PeriodBuilder) AddPeriod(p temporal.Period, id int) {
 	}
 }
 
-// Remove drops all entries of a row id, copying the survivors so
-// published versions keep theirs.
+// Remove drops every entry the row id has so far; entries added for it
+// afterwards (an UPDATE re-indexing the row, a reused slot) stay. The
+// entries go at Commit, in one pass over each log for all the ids
+// removed.
 func (b *PeriodBuilder) Remove(id int) {
-	b.closed = slices.DeleteFunc(slices.Clone(b.closed), func(e periodEntry) bool { return e.id == id })
-	b.open = slices.DeleteFunc(slices.Clone(b.open), func(e openEntry) bool { return e.id == id })
+	if b.removed == nil {
+		b.removed = map[int][2]int{}
+	}
+	b.removed[id] = [2]int{len(b.closed), len(b.open)}
 }
 
-// Commit publishes the builder's state as a new immutable version.
+// Commit publishes the builder's state as a new immutable version. The
+// builder may go on to build that version's successor.
 func (b *PeriodBuilder) Commit() *Period {
-	return &Period{closed: b.closed, open: b.open}
+	if len(b.removed) > 0 {
+		b.closed, b.gone[0] = drop(b.closed, b.gone[0], b.removed, 0, func(e *periodEntry) int { return e.id })
+		b.open, b.gone[1] = drop(b.open, b.gone[1], b.removed, 1, func(e *openEntry) int { return e.id })
+		b.removed = nil
+	}
+	return &Period{closed: b.closed, open: b.open, gone: b.gone}
+}
+
+// drop marks in a copy of gone, in one pass over log, the entries of the
+// removed rows below the log length each removal saw (removed[id][which]).
+// Once half of the log is gone, the survivors move to a fresh log with
+// nothing marked, so the dropped entries cost at most the live ones.
+func drop[E any](log []E, gone []uint64, removed map[int][2]int, which int, id func(*E) int) ([]E, []uint64) {
+	out := make([]uint64, (len(log)+63)>>6)
+	copy(out, gone)
+	for i := range log {
+		if at, ok := removed[id(&log[i])]; ok && i < at[which] {
+			out[i>>6] |= 1 << (i & 63)
+		}
+	}
+	switch n := ones(out); {
+	case n == 0:
+		return log, nil
+	case 2*n >= len(log):
+		return live(log, out), nil
+	}
+	return log, out
 }

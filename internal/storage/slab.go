@@ -80,12 +80,6 @@ func (v *Version) Get(id int) (Row, bool) {
 	return c.rows[id%chunkSize], true
 }
 
-// Live reports whether the row with the given id is live, reading only
-// its slot's flag.
-func (v *Version) Live(id int) bool {
-	return id >= 0 && id < v.slots && v.chunks[id/chunkSize].live[id%chunkSize]
-}
-
 // Scan visits every live row in id order until yield returns false.
 func (v *Version) Scan(yield func(id int, r Row) bool) {
 	for ci, c := range v.chunks {
