@@ -165,7 +165,14 @@ mvcc-smoke:
 # the typed comparison kernel filters use is checked against the generic
 # ladder over every covered type, operator, BETWEEN and NOT BETWEEN,
 # NULL column and parameter and constant side, and the shapes just
-# outside its rules must bind the ladder.
+# outside its rules must bind the ladder. UPDATE and DELETE find their
+# rows through the SELECT scan's candidate walk: the same statements on
+# a bare and an indexed copy (hash probes by literal, parameter, NULL and
+# a rejected cast, exact and NOW-relative overlaps, contains, a user
+# overlaps overload, IN (SELECT ...), table names in another case,
+# inside a transaction) must leave the same rows, an UPDATE whose new
+# value still matches changes each row once, and the planner.scan.*
+# counters show the hash, period or full scan each chose.
 # The period index's exact search is checked against Element.Overlaps
 # over all four indexable types at three NOWs. The allocation pins
 # (testing.AllocsPerRun, so they run without the race detector's
@@ -184,7 +191,8 @@ mvcc-smoke:
 # slice, the cast memo converting a repeated input once, and the memo's
 # input test.
 plan-smoke:
-	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestDMLPlanChoice' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade

@@ -19,6 +19,10 @@ import (
 // the writer, so readers never observe a partial statement and failed
 // statements leave no trace. On a durable database each row change is
 // also recorded in the statement's group (s.fx).
+//
+// UPDATE and DELETE find their rows as a single-table SELECT does
+// (exec.MatchingRows), every id before the writer opens, so a row the
+// statement writes is never visited again.
 
 func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.Result, error) {
 	key := strings.ToLower(st.Table)
@@ -115,14 +119,6 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
 	env := s.env(params)
-	schema := exec.TableSchema(tbl)
-	var where exec.RowPred
-	var err error
-	if st.Where != nil {
-		if where, err = exec.CompileRowPred(env, schema, st.Where); err != nil {
-			return nil, err
-		}
-	}
 	type setter struct {
 		pos int
 		e   exec.RowExpr
@@ -133,20 +129,17 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 		if !ok {
 			return nil, fmt.Errorf("engine: no column %s in table %s", a.Column, st.Table)
 		}
-		ce, err := exec.CompileRowExpr(env, schema, a.Value)
+		ce, err := exec.CompileRowExpr(env, st.Table, a.Value)
 		if err != nil {
 			return nil, err
 		}
 		setters[i] = setter{pos: pos, e: ce}
 	}
 
-	ids, err := s.matchingRows(key, env, where)
+	// Last cancel point: once the writer opens, the update commits or is
+	// dropped wholesale.
+	ids, err := exec.MatchingRows(env, st.Table, st.Where)
 	if err != nil {
-		return nil, err
-	}
-	// Last cancel point: the WHERE scan above polls the token per row;
-	// once the writer opens, the update commits or is dropped wholesale.
-	if err := env.CancelErr(); err != nil {
 		return nil, err
 	}
 	now := s.Now()
@@ -197,19 +190,8 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
 	env := s.env(params)
-	var where exec.RowPred
-	var err error
-	if st.Where != nil {
-		if where, err = exec.CompileRowPred(env, exec.TableSchema(tbl), st.Where); err != nil {
-			return nil, err
-		}
-	}
-	ids, err := s.matchingRows(key, env, where)
+	ids, err := exec.MatchingRows(env, st.Table, st.Where) // the last cancel point
 	if err != nil {
-		return nil, err
-	}
-	// Last cancel point before the writer opens (see update).
-	if err := env.CancelErr(); err != nil {
 		return nil, err
 	}
 	now := s.Now()
@@ -228,35 +210,4 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 		return nil, err
 	}
 	return &exec.Result{Affected: len(ids)}, nil
-}
-
-// matchingRows collects the ids of rows satisfying the (optional) WHERE
-// predicate against the statement's pinned snapshot, before any
-// mutation begins. For a written table the pinned snapshot is the
-// latest version (captured under the write lock), so the id set is
-// exact.
-func (s *Session) matchingRows(key string, env *exec.Env, where exec.RowPred) ([]int, error) {
-	var ids []int
-	var scanErr error
-	var ticks uint32
-	s.snaps[key].Rows.Scan(func(id int, r exec.Row) bool {
-		if ticks++; ticks&(exec.BatchRows-1) == 0 {
-			if scanErr = env.CancelErr(); scanErr != nil {
-				return false
-			}
-		}
-		if where != nil {
-			keep, err := where(r)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !keep {
-				return true
-			}
-		}
-		ids = append(ids, id)
-		return true
-	})
-	return ids, scanErr
 }

@@ -15,7 +15,7 @@ import (
 
 var testNow = temporal.MustDate(1999, 11, 12)
 
-func newDB(t *testing.T) (*engine.Database, *engine.Session) {
+func newDB(t testing.TB) (*engine.Database, *engine.Session) {
 	t.Helper()
 	reg := blade.NewRegistry()
 	if _, err := core.Register(reg); err != nil {
@@ -26,7 +26,7 @@ func newDB(t *testing.T) (*engine.Database, *engine.Session) {
 	return db, db.NewSession()
 }
 
-func mustExec(t *testing.T, s *engine.Session, sql string) *exec.Result {
+func mustExec(t testing.TB, s *engine.Session, sql string) *exec.Result {
 	t.Helper()
 	res, err := s.Exec(sql, nil)
 	if err != nil {

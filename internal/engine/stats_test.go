@@ -174,3 +174,38 @@ func TestLatencyHistogramsSampled(t *testing.T) {
 		t.Error("lock.wait histogram empty with every statement traced")
 	}
 }
+
+// TestDMLPlanChoice checks that UPDATE and DELETE choose their scan as a
+// SELECT does and count it in the planner.scan.* metrics.
+func TestDMLPlanChoice(t *testing.T) {
+	db, s := newDB(t)
+	mustExec(t, s, `CREATE TABLE t (k INT, v INT, valid Element)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 1, '[1998-01-01, 1998-01-31]'), (2, 2, '[1998-02-01, 1998-02-28]'), (3, 2, '[1998-03-01, NOW]')`)
+	mustExec(t, s, `CREATE INDEX tk ON t (k)`)
+	mustExec(t, s, `CREATE INDEX tv ON t (valid) USING PERIOD`)
+	for _, c := range []struct {
+		sql, scan string
+		affected  int
+	}{
+		{`UPDATE t SET v = v + 1 WHERE k = 2`, "hash", 1},
+		{`DELETE FROM t WHERE overlaps(valid, '[1998-01-15, 1998-02-01]')`, "period", 2},
+		{`UPDATE t SET k = 0 WHERE v = 2`, "full", 1},
+	} {
+		before := map[string]float64{}
+		for _, scan := range []string{"hash", "period", "full"} {
+			before[scan] = counterValue(db, "planner.scan."+scan)
+		}
+		if n := mustExec(t, s, c.sql).Affected; n != c.affected {
+			t.Errorf("%s affected %d rows, want %d", c.sql, n, c.affected)
+		}
+		for scan, n := range before {
+			want := n
+			if scan == c.scan {
+				want++
+			}
+			if got := counterValue(db, "planner.scan."+scan); got != want {
+				t.Errorf("%s: planner.scan.%s = %v, want %v", c.sql, scan, got, want)
+			}
+		}
+	}
+}

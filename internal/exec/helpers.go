@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"tip/internal/sql/ast"
 	"tip/internal/types"
@@ -39,10 +40,14 @@ func Explain(env *Env, sel *ast.Select) (*Result, error) {
 // table, used by the engine for UPDATE SET expressions.
 type RowExpr func(env *Env, row Row) (types.Value, error)
 
-// CompileRowExpr compiles e against the schema of one table binding.
-func CompileRowExpr(env *Env, schema Schema, e ast.Expr) (RowExpr, error) {
+// CompileRowExpr compiles e against the columns of table.
+func CompileRowExpr(env *Env, table string, e ast.Expr) (RowExpr, error) {
 	b := &binder{env: env}
-	ce, _, err := b.bind(e, &bindScope{schema: schema})
+	src, err := b.bindSource(ast.TableRef{Table: table}, nil)
+	if err != nil {
+		return nil, err
+	}
+	ce, _, err := b.bind(e, &bindScope{schema: src.schema})
 	if err != nil {
 		return nil, err
 	}
@@ -53,30 +58,38 @@ func CompileRowExpr(env *Env, schema Schema, e ast.Expr) (RowExpr, error) {
 	}, nil
 }
 
-// RowPred is a compiled UPDATE or DELETE WHERE clause: whether it is TRUE
-// of one row of a single table. It reuses one runtime, so it serves one
-// statement on one goroutine.
-type RowPred func(row Row) (bool, error)
-
-// CompileRowPred compiles a WHERE clause against the schema of one table
-// binding into filters, as a SELECT's WHERE binds (bindFilters).
-func CompileRowPred(env *Env, schema Schema, e ast.Expr) (RowPred, error) {
+// MatchingRows returns, in id order, the ids of the rows of table that
+// satisfy where (every row when where is nil) in the version the
+// statement pinned. It binds where as a single-table SELECT's WHERE, so
+// UPDATE and DELETE probe the same hash or period index, and walks the
+// same candidates (tableScan.candidates). Id order keeps a DELETE's freed
+// slots in the same order whichever index found them. It polls cancel
+// once more with every id in hand: the caller's writer opens next, and
+// from there its statement applies whole or not at all.
+func MatchingRows(env *Env, table string, where ast.Expr) ([]int, error) {
 	b := &binder{env: env}
-	fs, err := b.bindFilters(splitConjuncts(e), &bindScope{schema: schema})
+	src, err := b.bindSource(ast.TableRef{Table: table}, nil)
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{env: env}
-	return func(row Row) (bool, error) { return evalFilters(rt, fs, row) }, nil
-}
-
-// TableSchema builds the executor schema of a stored table.
-func TableSchema(t *Table) Schema {
-	schema := make(Schema, len(t.Meta.Columns))
-	for i, c := range t.Meta.Columns {
-		schema[i] = ColMeta{Table: t.Meta.Name, Name: c.Name, Type: c.Type}
+	if err := b.bindScan(src, splitConjuncts(where), nil); err != nil {
+		return nil, err
 	}
-	return schema
+	rt := &runtime{env: env}
+	defer rt.flushMem()
+	c, err := src.table.candidates(rt)
+	if err != nil {
+		return nil, err
+	}
+	var ids []int
+	for c.next(rt) {
+		ids = append(ids, c.id)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	slices.Sort(ids)
+	return ids, env.CancelErr()
 }
 
 // FormatResult renders a result as an aligned text table, used by the SQL

@@ -192,17 +192,7 @@ func TestUserOverlapsKeepsRecheck(t *testing.T) {
 	plain, indexed := newDB(t), newDB(t)
 	seedTemporalJoin(t, plain, false, 60, 5)
 	seedTemporalJoin(t, indexed, true, 60, 5)
-	for _, s := range []*engine.Session{plain, indexed} {
-		reg := s.Database().Registry()
-		period, _ := reg.LookupType("Period")
-		reg.MustRegisterRoutine(&blade.Routine{
-			Name: "overlaps", Params: []*types.Type{period, period}, Result: types.TBool, Strict: true,
-			Fn: func(ctx *blade.Ctx, args []types.Value) (types.Value, error) {
-				p, q := args[0].Obj().(temporal.Period), args[1].Obj().(temporal.Period)
-				return types.NewBool(temporal.PeriodOverlapsAllen(p, q, ctx.Now)), nil
-			},
-		})
-	}
+	registerAllenOverlaps(plain, indexed)
 	for _, c := range []struct{ q, plan, loose string }{
 		{`SELECT COUNT(*) FROM visit WHERE overlaps(during, '[1998-03-01, 1998-06-30]')`,
 			"period index on during (1 filter(s) re-checked)",
@@ -223,6 +213,22 @@ func TestUserOverlapsKeepsRecheck(t *testing.T) {
 		if n := mustExec(t, indexed, c.loose).Rows[0][0].Int(); n <= got {
 			t.Errorf("%s = %d, not above the overload's %d: the fixture does not tell them apart", c.loose, n, got)
 		}
+	}
+}
+
+// registerAllenOverlaps registers, in each session's registry, an
+// overlaps(Period, Period) with strict Allen semantics.
+func registerAllenOverlaps(sessions ...*engine.Session) {
+	for _, s := range sessions {
+		reg := s.Database().Registry()
+		period, _ := reg.LookupType("Period")
+		reg.MustRegisterRoutine(&blade.Routine{
+			Name: "overlaps", Params: []*types.Type{period, period}, Result: types.TBool, Strict: true,
+			Fn: func(ctx *blade.Ctx, args []types.Value) (types.Value, error) {
+				p, q := args[0].Obj().(temporal.Period), args[1].Obj().(temporal.Period)
+				return types.NewBool(temporal.PeriodOverlapsAllen(p, q, ctx.Now)), nil
+			},
+		})
 	}
 }
 

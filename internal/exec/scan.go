@@ -8,6 +8,7 @@ import (
 	"tip/internal/blade"
 	"tip/internal/index"
 	"tip/internal/sql/ast"
+	"tip/internal/storage"
 	"tip/internal/temporal"
 	"tip/internal/types"
 )
@@ -145,9 +146,9 @@ type tableScan struct {
 	counts bool
 }
 
-// run evaluates the index probe, if any, and hands emit the rows it
-// selects. Under EXPLAIN ANALYZE it counts them and leaves the
-// consumer's time out of its own.
+// run hands emit the candidates' rows that pass the filters, or counts
+// them when the consumer only counts and no filter is left. Under EXPLAIN
+// ANALYZE it counts them and leaves the consumer's time out of its own.
 func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
 	if ts.st != nil {
 		start, rows, consume := time.Now(), 0, emit
@@ -159,43 +160,108 @@ func (ts *tableScan) run(rt *runtime, emit func([]Row) error) error {
 		}
 		defer func() { ts.st.record(start, rows) }()
 	}
+	c, err := ts.candidates(rt)
+	switch {
+	case err != nil:
+		return err
+	case ts.counts && len(c.fs) == 0:
+		return countRows(rt, c.size(true), emit)
+	}
+	return ts.read(rt, &c, emit)
+}
+
+// candidates evaluates the index probe, if any, and returns a cursor over
+// the rows it selects: the hash lookup's ids, or the period search's hits
+// re-checked against the filters the index does not answer; else, with no
+// index or a probe it cannot take, every row against every filter. SELECT
+// and, through MatchingRows, UPDATE and DELETE choose their rows here.
+func (ts *tableScan) candidates(rt *runtime) (cursor, error) {
+	c := cursor{rows: ts.snap.Rows, fs: ts.filters}
 	if ts.kind == "" {
-		if ts.counts && len(ts.filters) == 0 {
-			return countRows(rt, ts.snap.Rows.Len(), emit)
-		}
-		return ts.read(rt, ts.snap.Rows.Len(), nil, nil, ts.filters, emit)
+		return c, nil
 	}
 	pv, err := ts.probe(rt)
 	if err != nil || pv.Null {
-		return err // equality/overlap with NULL matches nothing
+		c.ids = []int{} // equality/overlap with NULL matches nothing
+		return c, err
 	}
 	cv, ok := ts.lift.apply(rt, pv)
 	switch {
 	case !ok:
 	case ts.kind == "hash":
-		ids := ts.snap.Indexes[ts.col].Hash.Lookup(cv.Key(rt.env.Now))
-		if len(ids) == 0 {
-			return nil // nil ids would read the whole table
+		if c.ids = ts.snap.Indexes[ts.col].Hash.Lookup(cv.Key(rt.env.Now)); c.ids == nil {
+			c.ids = []int{} // nil ids would read the whole table
 		}
-		return ts.read(rt, len(ids), ids, nil, ts.filters, emit)
-	case !periodCandidates(rt, ts.snap.Indexes[ts.col].Period, cv, ts.contains, &ts.hits):
-	case ts.counts && len(ts.residual) == 0:
-		return countRows(rt, ts.hits.Drain(), emit)
-	default:
-		return ts.read(rt, ts.hits.Len(), nil, &ts.hits, ts.residual, emit)
+	case periodCandidates(rt, ts.snap.Indexes[ts.col].Period, cv, ts.contains, &ts.hits):
+		c.hits, c.fs = &ts.hits, ts.residual
 	}
-	// A probe the cast rejects or the index cannot answer scans fully,
-	// re-checking every filter.
-	return ts.read(rt, ts.snap.Rows.Len(), nil, nil, ts.filters, emit)
+	return c, nil
 }
 
-// read hands emit the live rows that pass fs, in batches of at most
-// BatchRows: of the hash lookup's ids, of the period search's hits, or,
-// when both are nil, of the whole table. The batch buffer is sized for
-// the n rows the run may find, split evenly over the fewest batches, so
-// a point read does not pay for a whole batch.
-func (ts *tableScan) read(rt *runtime, n int, ids []int, hits *index.Hits, fs []pred, emit func([]Row) error) error {
-	rows := ts.snap.Rows
+// cursor walks candidate rows — ids, hits, or, when both are nil, every
+// slot of rows — and yields the live ones that pass fs.
+type cursor struct {
+	rows *storage.Version
+	ids  []int
+	hits *index.Hits
+	fs   []pred
+	at   int // the next position in ids, or the next slot
+	id   int // the row next yielded, and its id
+	row  Row
+	err  error
+}
+
+// next advances to the next row the cursor yields, polling cancel per
+// live candidate. It is false at the end, or on an error, left in err.
+func (c *cursor) next(rt *runtime) bool {
+	for {
+		var ok bool
+		switch {
+		case c.hits != nil:
+			c.id, ok = c.hits.Next()
+		case c.ids != nil:
+			if ok = c.at < len(c.ids); ok {
+				c.id = c.ids[c.at]
+			}
+		default:
+			c.id, ok = c.at, c.at < c.rows.Capacity()
+		}
+		c.at++
+		if !ok {
+			return false
+		}
+		if c.row, ok = c.rows.Get(c.id); !ok {
+			continue
+		}
+		if c.err = rt.checkCancel(); c.err != nil {
+			return false
+		}
+		if ok, c.err = evalFilters(rt, c.fs, c.row); ok || c.err != nil {
+			return ok
+		}
+	}
+}
+
+// size is the number of candidates: a bound on the rows the cursor yields,
+// and their count when fs is empty, since a version's indexes mark only
+// its live rows. drain counts a period search's hits by clearing them.
+func (c *cursor) size(drain bool) int {
+	switch {
+	case c.hits != nil && drain:
+		return c.hits.Drain()
+	case c.hits != nil:
+		return c.hits.Len()
+	case c.ids != nil:
+		return len(c.ids)
+	}
+	return c.rows.Len()
+}
+
+// read hands emit the rows c yields in batches of at most BatchRows. The
+// batch buffer is sized for c's candidates, split evenly over the fewest
+// batches, so a point read does not pay for a whole batch.
+func (ts *tableScan) read(rt *runtime, c *cursor, emit func([]Row) error) error {
+	n := c.size(false)
 	batches := max(1, (n+BatchRows-1)/BatchRows)
 	if want := (n + batches - 1) / batches; cap(ts.buf) < want {
 		if err := rt.grow(int64(want-cap(ts.buf)) * rowHeaderSize); err != nil {
@@ -204,44 +270,18 @@ func (ts *tableScan) read(rt *runtime, n int, ids []int, hits *index.Hits, fs []
 		ts.buf = make([]Row, 0, want)
 	}
 	buf := ts.buf[:0]
-	add := func(r Row) error {
-		if err := rt.checkCancel(); err != nil {
-			return err
-		}
-		if ok, err := evalFilters(rt, fs, r); err != nil || !ok {
-			return err
-		}
+	for c.next(rt) {
 		// MVCC slab rows are immutable (writers replace whole rows), so
 		// the scan aliases them instead of copying.
-		if buf = append(buf, r); len(buf) < cap(buf) {
-			return nil
-		}
-		err := emit(buf)
-		buf = buf[:0]
-		return err
-	}
-	var err error
-	switch {
-	case hits != nil:
-		for id, ok := hits.Next(); ok && err == nil; id, ok = hits.Next() {
-			if r, live := rows.Get(id); live {
-				err = add(r)
+		if buf = append(buf, c.row); len(buf) == cap(buf) {
+			if err := emit(buf); err != nil {
+				return err
 			}
+			buf = buf[:0]
 		}
-	case ids != nil:
-		for _, id := range ids {
-			if r, live := rows.Get(id); live && err == nil {
-				err = add(r)
-			}
-		}
-	default:
-		rows.Scan(func(_ int, r Row) bool {
-			err = add(r)
-			return err == nil
-		})
 	}
-	if err != nil || len(buf) == 0 {
-		return err
+	if c.err != nil || len(buf) == 0 {
+		return c.err
 	}
 	return emit(buf)
 }
@@ -574,24 +614,14 @@ func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, be
 			}
 			continue
 		}
-		for id, more := pc.hits.Next(); more; id, more = pc.hits.Next() {
-			if err := rt.checkCancel(); err != nil {
+		c := cursor{rows: src.snap.Rows, hits: &pc.hits, fs: src.pushed}
+		for c.next(rt) {
+			if err := pair(c.row); err != nil {
 				return err
 			}
-			sr, live := src.snap.Rows.Get(id)
-			if !live {
-				continue
-			}
-			ok, err := evalFilters(rt, src.pushed, sr)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := pair(sr); err != nil {
-				return err
-			}
+		}
+		if c.err != nil {
+			return c.err
 		}
 	}
 	return nil
