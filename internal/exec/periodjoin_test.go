@@ -260,3 +260,38 @@ func TestPeriodJoinProbeCastFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestPeriodJoinProbeCastFailureWithFilters is the cast failure above
+// on a level whose source also has pushed filters: text that does not
+// parse leaves the index out, and the join still applies the pushed
+// filters and tests the conjunct on every pair that passes them, so it
+// fails as the bare join fails and, when no row passes, succeeds alike.
+func TestPeriodJoinProbeCastFailureWithFilters(t *testing.T) {
+	plain, indexed := newDB(t), newDB(t)
+	seedTemporalJoin(t, plain, false, 40, 17)
+	seedTemporalJoin(t, indexed, true, 40, 17)
+	const (
+		q     = `SELECT COUNT(*) FROM w, visit v WHERE overlaps(v.during, w.txt) AND v.id BETWEEN 3 AND 30 AND v.id <> 7`
+		empty = `SELECT COUNT(*) FROM w, visit v WHERE overlaps(v.during, w.txt) AND v.id > 1000`
+	)
+	for _, s := range []*engine.Session{plain, indexed} {
+		mustExec(t, s, `CREATE TABLE w (txt VARCHAR(40))`)
+		mustExec(t, s, `INSERT INTO w VALUES ('[1998-03-01, 1998-05-31]'), ('{[1998-07-01, 1998-07-02], [1999-01-01, 1999-03-01]}')`)
+	}
+	if plan := explained(t, indexed, q); !strings.Contains(plan, "period-index nested loop on during, exact overlaps") {
+		t.Fatalf("the join does not answer overlaps from the index:\n%s", plan)
+	}
+	got, want := mustExec(t, indexed, q).Rows[0][0].Int(), mustExec(t, plain, q).Rows[0][0].Int()
+	if got != want || got == 0 {
+		t.Fatalf("%s = %d on the indexed table, %d on the bare one", q, got, want)
+	}
+	for _, s := range []*engine.Session{plain, indexed} {
+		mustExec(t, s, `INSERT INTO w VALUES ('not a period')`)
+		if _, err := s.Exec(q, nil); err == nil || !strings.Contains(err.Error(), "not a period") {
+			t.Errorf("%s over unparsable text: err = %v, want the cast's error", q, err)
+		}
+		if n := mustExec(t, s, empty).Rows[0][0].Int(); n != 0 {
+			t.Errorf("%s = %d, want 0", empty, n)
+		}
+	}
+}
