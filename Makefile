@@ -134,7 +134,8 @@ mvcc-smoke:
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .
 
 # plan-smoke exercises the planner and the batched executor under the
-# race detector: the EXPLAIN/EXPLAIN ANALYZE goldens (one plan per query
+# race detector, the executor's battery on 1 and 2 CPUs: the
+# EXPLAIN/EXPLAIN ANALYZE goldens (one plan per query
 # shape: a period predicate over a period-indexed column probes the
 # index even when the window covers every stored period, GROUP BY ...
 # group_union runs the coalesce operator's hash grouping), the SQL-level
@@ -145,7 +146,10 @@ mvcc-smoke:
 # check that no operator wrote through an aliased slab row; then the
 # indexed and the bare fixture asked the same exact-overlaps probes and
 # joins under two SET NOWs, with joined columns read only in ORDER BY,
-# HAVING, GROUP BY, CASE, aggregates and LEFT JOIN ON), COUNT(*) answered
+# HAVING, GROUP BY, CASE, aggregates and LEFT JOIN ON, and period-join
+# levels with pushed hash and range filters, NULL probes, a last level
+# of three sources, a correlated EXISTS checked against the join and a
+# join inside a correlated subquery), COUNT(*) answered
 # without reading rows (a bitset or Rows.Len() count, whole batches)
 # against the rows of the same query selecting a column, bare and
 # indexed, under two SET NOWs, after DELETE, UPDATE and ROLLBACK and
@@ -191,7 +195,7 @@ mvcc-smoke:
 # slice, the cast memo converting a repeated input once, and the memo's
 # input test.
 plan-smoke:
-	$(GO) test -race -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
+	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestDMLPlanChoice' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec

@@ -72,7 +72,7 @@ func MatchingRows(env *Env, table string, where ast.Expr) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.bindScan(src, splitConjuncts(where), nil); err != nil {
+	if err := b.bindScan(src, splitConjuncts(where), nil, nil, nil); err != nil {
 		return nil, err
 	}
 	rt := &runtime{env: env}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"tip/internal/index"
 	"tip/internal/sql/ast"
 	"tip/internal/types"
 )
@@ -43,12 +42,10 @@ type source struct {
 	// every row and index access of the source goes through it.
 	snap     *TableVersion
 	leftJoin bool
-	on       []pred // LEFT JOIN condition conjuncts (bound to fromScope)
-	// pushed holds the compiled single-source filters; the period-index
-	// join path re-applies them to index candidates.
-	pushed  []pred
-	table   *tableScan  // a table's compiled scan (bindScan)
-	derived *selectPlan // a derived table's plan
+	on       []pred      // LEFT JOIN condition conjuncts (bound to fromScope)
+	pushed   []pred      // a derived table's compiled single-source filters
+	table    *tableScan  // a table's compiled scan (bindScan)
+	derived  *selectPlan // a derived table's plan
 	// cols lists the columns a join level copies into its scratch row:
 	// those some expression over the joined row reads (readColumns). nil
 	// copies every column.
@@ -79,27 +76,6 @@ func (s *source) put(dst, sr Row) {
 	for _, c := range s.cols {
 		dst[s.off+c] = sr[c]
 	}
-}
-
-// periodJoinCond drives a period-index nested-loop join: for each
-// accumulated row, probe evaluates a temporal value over the earlier
-// sources and the index on col of the newly joined table supplies its
-// rows. When the index answers the originating conjunct exactly (check
-// is set, see periodLift) the conjunct leaves the level filters;
-// otherwise it stays there and re-checks the index's superset.
-type periodJoinCond struct {
-	conj, probeExpr ast.Expr
-	probe           cexpr
-	col             int
-	lift            probeCast
-	contains        bool
-	check           *overlapsCheck
-	hits            index.Hits // the index's answer for one accumulated row, read by this site only
-	// counts is set on a last level whose consumer is a count-only
-	// aggregate and which needs no filter: it counts each accumulated
-	// row's hits instead of pairing them (countRows). A version's period
-	// index marks only rows live in it, so a count reads no row.
-	counts bool
 }
 
 // hashJoinCond is an equality conjunct usable as a hash-join condition at
@@ -175,7 +151,6 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	pushed := make([][]ast.Expr, len(sources)) // single-source filters
 	levelConj := make([][]ast.Expr, len(sources))
 	hashConds := make([]*hashJoinCond, len(sources))
-	periodConds := make([]*periodJoinCond, len(sources))
 	var zeroLevel []ast.Expr // conjuncts referencing no source
 	var joinReads []ast.Expr // join conditions' probe sides read the joined row
 	for _, c := range conjuncts {
@@ -207,14 +182,6 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 					continue
 				}
 			}
-			// An overlaps/contains conjunct against a period-indexed
-			// column can drive an index nested-loop join.
-			if hashConds[level] == nil && periodConds[level] == nil && !sources[level].leftJoin {
-				if pc, ok := b.tryPeriodJoin(c, level, set, sources, fromSchema, fromScope); ok {
-					periodConds[level] = pc
-					joinReads = append(joinReads, pc.probeExpr)
-				}
-			}
 			levelConj[level] = append(levelConj[level], c)
 		}
 	}
@@ -222,30 +189,32 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		levelConj[0] = append(levelConj[0], zeroLevel...)
 		zeroLevel = nil
 	}
-	for level, pc := range periodConds {
-		switch {
-		case pc == nil:
-		case hashConds[level] != nil:
-			periodConds[level] = nil // a later equality took the level
-		case pc.check != nil:
-			// The index answers the conjunct; it is not re-checked.
-			levelConj[level] = slices.DeleteFunc(levelConj[level], func(c ast.Expr) bool { return c == pc.conj })
-		}
-	}
 	if len(sources) > 1 {
 		readColumns(sel, append(joinReads, slices.Concat(levelConj...)...), sources, fromSchema)
 	}
 
-	// Compile scans with their pushed filters.
+	// Compile scans with their pushed filters. An inner join level that
+	// no equality took offers its conjuncts to its table's scan, whose
+	// index may take one as a probe per accumulated row (bindScan). A
+	// conjunct the index answers exactly moves last, so that the rows of
+	// its hits pass the level's filters but that one (joinSources).
 	for i, src := range sources {
-		var err error
-		if src.derived == nil {
-			err = b.bindScan(src, pushed[i], parent)
-		} else {
-			src.pushed, err = b.bindFilters(pushed[i], &bindScope{parent: parent, schema: src.schema})
+		if src.derived != nil {
+			var err error
+			if src.pushed, err = b.bindFilters(pushed[i], &bindScope{parent: parent, schema: src.schema}); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		if err != nil {
+		var join []ast.Expr
+		if i > 0 && hashConds[i] == nil && !src.leftJoin {
+			join = levelConj[i]
+		}
+		if err := b.bindScan(src, pushed[i], join, parent, fromScope); err != nil {
 			return nil, err
+		}
+		if c := src.table.exact; c != nil {
+			levelConj[i] = append(slices.DeleteFunc(levelConj[i], func(x ast.Expr) bool { return x == c }), c)
 		}
 	}
 	// An unfiltered single table hands the coalesce operator exactly its
@@ -266,13 +235,13 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			case hashConds[i] != nil:
 				joinStats[i] = b.note("join %s: hash join (%d residual filter(s))",
 					sources[i].binding, len(levelConj[i]))
-			case periodConds[i] != nil:
-				exact := ""
-				if periodConds[i].check != nil {
-					exact = ", exact overlaps"
+			case sources[i].table != nil && sources[i].table.joined:
+				exact, rechecked := "", len(levelConj[i])
+				if sources[i].table.exact != nil {
+					exact, rechecked = ", exact overlaps", rechecked-1
 				}
 				joinStats[i] = b.note("join %s: period-index nested loop on %s%s (%d filter(s) re-checked)",
-					sources[i].binding, sources[i].tbl.Meta.Columns[periodConds[i].col].Name, exact, len(levelConj[i]))
+					sources[i].binding, sources[i].tbl.Meta.Columns[sources[i].table.col].Name, exact, rechecked)
 			default:
 				joinStats[i] = b.note("join %s: nested loop (%d filter(s))",
 					sources[i].binding, len(levelConj[i]))
@@ -318,7 +287,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	grouped := len(aggSpecs) > 0 || len(sel.GroupBy) > 0
 	// A global aggregate whose every aggregate is COUNT(*) reads no
 	// column of its input: it adds whole batches, and a scan or a last
-	// period-index level that needs no filter counts its exact answer
+	// probing join level that needs no filter counts its exact answer
 	// without fetching a row. The row path stays the reference.
 	countOnly := grouped && len(sel.GroupBy) == 0 &&
 		!slices.ContainsFunc(aggSpecs, func(s *aggSpec) bool { return !s.star })
@@ -331,12 +300,9 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		}
 		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
-	if last := len(sources) - 1; countOnly && last >= 0 && len(levelFilters[last]) == 0 {
-		switch pc := periodConds[last]; {
-		case last == 0 && sources[0].tbl != nil:
-			sources[0].table.counts = true
-		case pc != nil && pc.check != nil && len(sources[last].pushed) == 0:
-			pc.counts = true
+	if last := len(sources) - 1; countOnly && last >= 0 && sources[last].tbl != nil {
+		if ts := sources[last].table; len(hitFilters(ts, levelFilters[last])) == 0 && (last == 0 || ts.joined) {
+			ts.counts = true
 		}
 	}
 	if grouped && b.env.PlanChoice != nil {
@@ -697,7 +663,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 					return nil, err
 				}
 			}
-		} else if err := joinSources(rt, sources, width, hashConds, periodConds, levelFilters, joinStats, consume); err != nil {
+		} else if err := joinSources(rt, sources, width, hashConds, levelFilters, joinStats, consume); err != nil {
 			return nil, err
 		}
 		if consumeDur > 0 && len(sources) > 1 {

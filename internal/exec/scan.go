@@ -49,40 +49,60 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 // builtin overlaps(Element, Element) exactly (periodLift), so that
 // conjunct leaves the filters its rows are re-checked against; any other
 // period conjunct stays, since its index rows are a superset.
-func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) error {
+//
+// join holds the conjuncts of a join level over src and earlier sources,
+// bound in fromScope. The first period conjunct among them that can
+// probe src's index does so ahead of every pushed one, once per
+// accumulated row, which joinSources pushes as the probe's outer row
+// (ts.joined). It stays among the level's filters; ts.exact names it
+// when the index answers it exactly.
+func (b *binder) bindScan(src *source, pushed, join []ast.Expr, parent, fromScope *bindScope) error {
 	tbl := src.tbl
 	scope := &bindScope{parent: parent, schema: src.schema}
 	filters, err := b.bindFilters(pushed, scope)
 	if err != nil {
 		return err
 	}
-	src.pushed = filters // retained for the period-index join path
 	ts := &tableScan{snap: src.snap, filters: filters, residual: filters}
 
 	// Index selection. A probe must not read the scanned table itself:
-	// it is evaluated once, against the outer rows only.
+	// it is evaluated once per run, against the outer rows only.
 	self := []*source{{schema: src.schema}}
 	refsSelf := func(e ast.Expr) bool {
 		set, err := b.refSources(e, self, src.schema)
 		return err != nil || set != 0
 	}
-	for ci, c := range pushed {
+	conjs := pushed // Concat would allocate for every single-table scan
+	if len(join) > 0 {
+		conjs = slices.Concat(join, pushed)
+	}
+	for ci, c := range conjs {
 		kind, call, uses := indexArgs(c)
+		sc, onJoin := parent, ci < len(join)
+		if onJoin {
+			if kind != "period" {
+				continue // an equality the hash join declined stays a filter
+			}
+			sc = fromScope
+		}
 		for _, u := range uses {
 			pos, ok := indexedColumn(u.col, src, kind)
 			if !ok || refsSelf(u.probe) {
 				continue
 			}
-			pc, pt, err := b.bind(u.probe, parent)
+			pc, pt, err := b.bind(u.probe, sc)
 			if err != nil {
 				continue
 			}
 			if kind == "period" {
-				var exact *blade.Resolution
+				var exact bool
 				ts.lift, exact = b.periodLift(call, u.colArg, src.schema[pos].Type, pt)
 				ts.contains = call.LowerName() == "contains"
-				if exact != nil {
-					ts.residual = slices.Delete(slices.Clone(filters), ci, ci+1)
+				switch {
+				case exact && onJoin:
+					ts.exact = c
+				case exact:
+					ts.residual = slices.Delete(slices.Clone(filters), ci-len(join), ci-len(join)+1)
 				}
 			} else {
 				// Hash keys are formatted values of the column's type, so
@@ -93,7 +113,7 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) err
 				}
 				ts.lift = probeCast{cast: cast}
 			}
-			ts.kind, ts.col, ts.probe = kind, pos, pc
+			ts.kind, ts.col, ts.probe, ts.joined = kind, pos, pc, onJoin
 			break
 		}
 		if ts.kind != "" {
@@ -102,7 +122,7 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) err
 	}
 
 	switch {
-	case b.explain == nil:
+	case b.explain == nil || ts.joined: // the join's line describes the probe
 	case ts.kind == "":
 		ts.st = b.note("scan %s: full scan (%d filter(s))", src.binding, len(filters))
 	case len(ts.residual) < len(filters):
@@ -128,7 +148,8 @@ func (b *binder) bindScan(src *source, pushed []ast.Expr, parent *bindScope) err
 
 // tableScan is a table's compiled scan: its filters, its index probe, if
 // any, and the scratch of this call site, kept across the runs of one
-// execution (a correlated subquery re-runs its scans per outer row).
+// execution (a correlated subquery re-runs its scans per outer row, a
+// period-join level its probe per accumulated row).
 type tableScan struct {
 	snap     *TableVersion
 	filters  []pred // every pushed filter
@@ -136,13 +157,16 @@ type tableScan struct {
 	st       *OpStats
 	kind     string // "" for a full scan, else "hash" or "period"
 	col      int
-	probe    cexpr // bound against the parent chain only
+	probe    cexpr // bound against the parent chain, or a join level's fromScope
 	lift     probeCast
 	contains bool
+	joined   bool       // the probe reads a join level's accumulated row (joinSources)
+	exact    ast.Expr   // joined: the level conjunct the index answers exactly, if any
 	hits     index.Hits // the period search's answer, read by this site only
 	buf      []Row      // the batch buffer
 	// counts is set when the consumer is a count-only aggregate
-	// (countRows): a run that needs no filter counts instead of reading.
+	// (countRows): a run, or a last join level's probe, that leaves no
+	// filter counts instead of reading.
 	counts bool
 }
 
@@ -331,13 +355,12 @@ func (p *probeCast) apply(rt *runtime, v types.Value) (types.Value, bool) {
 // column of type ct for the index conjunct call, the column being its
 // argument colArg. When call resolves to the builtin overlaps(Element,
 // Element), the index answers it exactly: the probe is lifted by that
-// routine's own cast, and the resolution comes back for the paths the
-// index cannot serve. Anything else — contains, a user overload of
-// overlaps — returns nil, so the conjunct stays among the re-checked
-// filters, and lifts the probe to the column's type where an implicit
-// cast exists (a narrower temporal value keeps its own type: it still
-// maps to intervals).
-func (b *binder) periodLift(call *ast.Call, colArg int, ct, pt *types.Type) (probeCast, *blade.Resolution) {
+// routine's own cast, and exact is true. Anything else — contains, a
+// user overload of overlaps — stays among the re-checked filters, and
+// the probe is lifted to the column's type where an implicit cast exists
+// (a narrower temporal value keeps its own type: it still maps to
+// intervals).
+func (b *binder) periodLift(call *ast.Call, colArg int, ct, pt *types.Type) (lift probeCast, exact bool) {
 	if elem, ok := b.env.Reg.LookupType("Element"); ok && call.LowerName() == "overlaps" {
 		argTypes := []*types.Type{ct, pt}
 		if colArg == 1 {
@@ -345,29 +368,11 @@ func (b *binder) periodLift(call *ast.Call, colArg int, ct, pt *types.Type) (pro
 		}
 		res, err := b.env.Reg.Resolve("overlaps", argTypes)
 		if err == nil && res.Routine.Params[0] == elem && res.Routine.Params[1] == elem {
-			return probeCast{cast: res.Casts[1-colArg]}, res
+			return probeCast{cast: res.Casts[1-colArg]}, true
 		}
 	}
 	cast, _ := b.implicitCast(pt, ct)
-	return probeCast{cast: cast}, nil
-}
-
-// overlapsCheck evaluates an exactly-answered overlaps conjunct from the
-// indexed column's value and the unconverted probe value, as the bound
-// conjunct would.
-type overlapsCheck struct {
-	cs     *callSite
-	colArg int
-}
-
-func (c *overlapsCheck) holds(rt *runtime, col, probe types.Value) (bool, error) {
-	c.cs.args[c.colArg], c.cs.args[1-c.colArg] = col, probe
-	v, err := c.cs.call(rt)
-	if err != nil {
-		return false, err
-	}
-	ok, isNull, err := truth(v)
-	return ok && !isNull, err
+	return probeCast{cast: cast}, false
 }
 
 // periodCandidates marks in h the rows of the period index ix whose
@@ -494,39 +499,6 @@ func indexedColumn(e ast.Expr, src *source, kind string) (int, bool) {
 	return pos, src.snap.Indexes[pos].Period != nil
 }
 
-// tryPeriodJoin checks whether conjunct c can drive a period-index
-// nested-loop join at the given level: a period-index conjunct (see
-// indexArgs) over a period-indexed column of source `level` whose other
-// side references only earlier sources.
-func (b *binder) tryPeriodJoin(c ast.Expr, level int, set uint64, sources []*source, fromSchema Schema, fromScope *bindScope) (*periodJoinCond, bool) {
-	src := sources[level]
-	kind, call, uses := indexArgs(c)
-	if kind != "period" || src.tbl == nil {
-		return nil, false
-	}
-	below := set &^ (uint64(1) << level)
-	for _, u := range uses {
-		pos, ok := indexedColumn(u.col, src, kind)
-		if !ok {
-			continue
-		}
-		if otherSet, err := b.refSources(u.probe, sources, fromSchema); err != nil || otherSet != below {
-			continue
-		}
-		probe, pt, err := b.bind(u.probe, fromScope)
-		if err != nil {
-			continue
-		}
-		pc := &periodJoinCond{conj: c, probeExpr: u.probe, probe: probe, col: pos, contains: call.LowerName() == "contains"}
-		var exact *blade.Resolution
-		if pc.lift, exact = b.periodLift(call, u.colArg, src.schema[pos].Type, pt); exact != nil {
-			pc.check = &overlapsCheck{cs: newCallSite(exact), colArg: u.colArg}
-		}
-		return pc, true
-	}
-	return nil, false
-}
-
 // tryHashCond checks whether conjunct c can drive a hash join at the
 // given level: an equality whose sides partition into {sources < level}
 // and {level}.
@@ -570,84 +542,6 @@ func (b *binder) tryHashCond(c ast.Expr, level int, set uint64, sources []*sourc
 		return nil, false
 	}
 	return &hashJoinCond{probe: probe, build: build}, true
-}
-
-// periodIndexJoin joins src into the accumulated rows by probing src's
-// period index with each accumulated row's temporal value, handing each
-// row the index finds, once it passes the pushed single-table filters, to
-// pair. An exact conjunct (pc.check) is answered by the index; any other
-// stays among the level filters pair applies. When the index cannot
-// answer (the probe's cast rejects it, it has no interval form, or it is
-// an empty contained side), the accumulated row pairs with every source
-// row, and an exact conjunct is tested here. When count is non-nil (the
-// level counts its pairs, see periodJoinCond.counts) an indexed row's
-// hits, every one a live row, go to count instead of being paired.
-func periodIndexJoin(rt *runtime, acc []Row, src *source, pc *periodJoinCond, begin func(a Row), pair func(sr Row) error, count func(n int) error) error {
-	ix := src.snap.Indexes[pc.col].Period
-	for _, a := range acc {
-		if err := rt.checkCancel(); err != nil {
-			return err
-		}
-		rt.push(a)
-		pv, err := pc.probe(rt)
-		rt.pop()
-		if err != nil {
-			return err
-		}
-		if pv.Null {
-			continue
-		}
-		begin(a)
-		cv, ok := pc.lift.apply(rt, pv)
-		if ok {
-			ok = periodCandidates(rt, ix, cv, pc.contains, &pc.hits)
-		}
-		if !ok {
-			if err := pairUnindexed(rt, src, pc, pv, pair); err != nil {
-				return err
-			}
-			continue
-		}
-		if count != nil {
-			if err := count(pc.hits.Drain()); err != nil {
-				return err
-			}
-			continue
-		}
-		c := cursor{rows: src.snap.Rows, hits: &pc.hits, fs: src.pushed}
-		for c.next(rt) {
-			if err := pair(c.row); err != nil {
-				return err
-			}
-		}
-		if c.err != nil {
-			return c.err
-		}
-	}
-	return nil
-}
-
-// pairUnindexed pairs the current accumulated row with every source row
-// as the scan streams them, testing an exactly-answered conjunct on the
-// probe value pv, which is not among the level filters.
-func pairUnindexed(rt *runtime, src *source, pc *periodJoinCond, pv types.Value, pair func(sr Row) error) error {
-	return src.scan(rt, func(batch []Row) error {
-		for _, sr := range batch {
-			if pc.check != nil {
-				ok, err := pc.check.holds(rt, sr[pc.col], pv)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if err := pair(sr); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // walkExpr visits e and its children pre-order until visit returns false.
@@ -714,8 +608,10 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 // row holds only the columns some expression over the joined row reads
 // (source.cols); the others stay zero Values, which no operator accepts,
 // so a column wrongly left out fails loudly instead of reading a stale
-// value.
-func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, periodConds []*periodJoinCond, levelFilters [][]pred, levelStats []*OpStats, emit func(rows []Row) error) error {
+// value. A level whose scan probes per accumulated row (tableScan.joined)
+// pairs the rows of its index hits under hitFilters, any other
+// candidates under all its filters.
+func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, levelFilters [][]pred, levelStats []*OpStats, emit func(rows []Row) error) error {
 	if len(sources) == 1 {
 		return sources[0].scan(rt, func(batch []Row) error { return emitFiltered(rt, levelFilters[0], batch, emit) })
 	}
@@ -758,13 +654,13 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 		// filters pass, keeps the result: in the next level's input, or
 		// through emit at the last level.
 		var next []Row
-		kept := 0
+		kept, fs := 0, levelFilters[level]
 		pair := func(sr Row) error {
 			if err := rt.checkCancel(); err != nil {
 				return err
 			}
 			src.put(scratch, sr)
-			ok, err := evalFilters(rt, levelFilters[level], scratch)
+			ok, err := evalFilters(rt, fs, scratch)
 			if err != nil || !ok {
 				return err
 			}
@@ -779,16 +675,42 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 			return nil
 		}
 
-		if pc := periodConds[level]; pc != nil {
-			var count func(n int) error
-			if pc.counts {
-				count = func(n int) error {
-					kept += n
-					return countRows(rt, n, emit)
+		// A probing level runs its scan's probe with each accumulated
+		// row a as the outer row: a is pushed for the probe and popped
+		// before the cursor walks, since the scan's filters bind one
+		// scope level below it.
+		if ts := src.table; ts != nil && ts.joined {
+			hits := hitFilters(ts, levelFilters[level])
+			for _, a := range acc {
+				if err := rt.checkCancel(); err != nil {
+					return err
 				}
-			}
-			if err := periodIndexJoin(rt, acc, src, pc, begin, pair, count); err != nil {
-				return err
+				rt.push(a)
+				c, err := ts.candidates(rt)
+				rt.pop()
+				if err != nil {
+					return err
+				}
+				if fs = levelFilters[level]; c.hits != nil {
+					fs = hits
+				}
+				if ts.counts && len(c.fs) == 0 && len(fs) == 0 {
+					n := c.size(true)
+					kept += n
+					if err := countRows(rt, n, emit); err != nil {
+						return err
+					}
+					continue
+				}
+				begin(a)
+				for c.next(rt) {
+					if err := pair(c.row); err != nil {
+						return err
+					}
+				}
+				if c.err != nil {
+					return c.err
+				}
 			}
 		} else if err := joinLevel(rt, acc, src, hashConds[level], scratch, begin, pair); err != nil {
 			return err
@@ -799,6 +721,16 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 		acc = next
 	}
 	return nil
+}
+
+// hitFilters returns the level filters fs that the rows of ts's index
+// hits must pass: all but the last when the index answers that one
+// exactly (bindSelect binds it last).
+func hitFilters(ts *tableScan, fs []pred) []pred {
+	if ts.exact != nil {
+		return fs[:len(fs)-1]
+	}
+	return fs
 }
 
 // joinLevel joins src into the accumulated rows without an index: an
