@@ -178,7 +178,11 @@ mvcc-smoke:
 # value still matches changes each row once, and the planner.scan.*
 # counters show the hash, period or full scan each chose.
 # The period index's exact search is checked against Element.Overlaps
-# over all four indexable types at three NOWs. The allocation pins
+# over all four indexable types at three NOWs, and on 1 and 2 CPUs at
+# the edges of the blocks its closed run is cut into (runs of 0 to 2,100
+# entries, starts repeated across a block edge, the ends of time,
+# [start, NOW] entries that start after NOW, before and after a removal),
+# beside the sort its build runs. The allocation pins
 # (testing.AllocsPerRun, so they run without the race detector's
 # allocation inflation): neither a period-index join nor a literal
 # overlap probe allocates per pair or candidate, row arithmetic and
@@ -197,7 +201,7 @@ mvcc-smoke:
 plan-smoke:
 	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestDMLPlanChoice' -count=1 ./internal/engine
-	$(GO) test -race -run 'TestPeriod' -count=1 ./internal/index
+	$(GO) test -race -cpu 1,2 -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
 	$(GO) test -race -run 'TestTotalDurationAgrees|TestCoalesceAgainstTruth' -count=1 ./internal/layered

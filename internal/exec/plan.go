@@ -196,8 +196,9 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	// Compile scans with their pushed filters. An inner join level that
 	// no equality took offers its conjuncts to its table's scan, whose
 	// index may take one as a probe per accumulated row (bindScan). A
-	// conjunct the index answers exactly moves last, so that the rows of
-	// its hits pass the level's filters but that one (joinSources).
+	// conjunct the index answers exactly leaves the level's filters: the
+	// rows of its hits pass it, and a probe the index cannot take binds
+	// it then (tableScan.fallbackFilters).
 	for i, src := range sources {
 		if src.derived != nil {
 			var err error
@@ -213,8 +214,8 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		if err := b.bindScan(src, pushed[i], join, parent, fromScope); err != nil {
 			return nil, err
 		}
-		if c := src.table.exact; c != nil {
-			levelConj[i] = append(slices.DeleteFunc(levelConj[i], func(x ast.Expr) bool { return x == c }), c)
+		if x := src.table.exact; x != nil {
+			levelConj[i] = slices.DeleteFunc(levelConj[i], func(c ast.Expr) bool { return c == x.expr })
 		}
 	}
 	// An unfiltered single table hands the coalesce operator exactly its
@@ -236,12 +237,12 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 				joinStats[i] = b.note("join %s: hash join (%d residual filter(s))",
 					sources[i].binding, len(levelConj[i]))
 			case sources[i].table != nil && sources[i].table.joined:
-				exact, rechecked := "", len(levelConj[i])
+				exact := ""
 				if sources[i].table.exact != nil {
-					exact, rechecked = ", exact overlaps", rechecked-1
+					exact = ", exact overlaps"
 				}
 				joinStats[i] = b.note("join %s: period-index nested loop on %s%s (%d filter(s) re-checked)",
-					sources[i].binding, sources[i].tbl.Meta.Columns[sources[i].table.col].Name, exact, rechecked)
+					sources[i].binding, sources[i].tbl.Meta.Columns[sources[i].table.col].Name, exact, len(levelConj[i]))
 			default:
 				joinStats[i] = b.note("join %s: nested loop (%d filter(s))",
 					sources[i].binding, len(levelConj[i]))
@@ -301,7 +302,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
 	if last := len(sources) - 1; countOnly && last >= 0 && sources[last].tbl != nil {
-		if ts := sources[last].table; len(hitFilters(ts, levelFilters[last])) == 0 && (last == 0 || ts.joined) {
+		if ts := sources[last].table; len(levelFilters[last]) == 0 && (last == 0 || ts.joined) {
 			ts.counts = true
 		}
 	}

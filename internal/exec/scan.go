@@ -54,8 +54,9 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 // bound in fromScope. The first period conjunct among them that can
 // probe src's index does so ahead of every pushed one, once per
 // accumulated row, which joinSources pushes as the probe's outer row
-// (ts.joined). It stays among the level's filters; ts.exact names it
-// when the index answers it exactly.
+// (ts.joined). ts.exact names it when the index answers it exactly, and
+// the level's filters leave it out but for a probe the index cannot take
+// (fallbackFilters); otherwise it stays among them.
 func (b *binder) bindScan(src *source, pushed, join []ast.Expr, parent, fromScope *bindScope) error {
 	tbl := src.tbl
 	scope := &bindScope{parent: parent, schema: src.schema}
@@ -100,7 +101,9 @@ func (b *binder) bindScan(src *source, pushed, join []ast.Expr, parent, fromScop
 				ts.contains = call.LowerName() == "contains"
 				switch {
 				case exact && onJoin:
-					ts.exact = c
+					// A copy of b: holding b itself would move every
+					// binder to the heap.
+					ts.exact = &exactConj{expr: c, binder: *b, scope: fromScope}
 				case exact:
 					ts.residual = slices.Delete(slices.Clone(filters), ci-len(join), ci-len(join)+1)
 				}
@@ -161,7 +164,7 @@ type tableScan struct {
 	lift     probeCast
 	contains bool
 	joined   bool       // the probe reads a join level's accumulated row (joinSources)
-	exact    ast.Expr   // joined: the level conjunct the index answers exactly, if any
+	exact    *exactConj // joined: the level conjunct the index answers exactly, if any
 	hits     index.Hits // the period search's answer, read by this site only
 	buf      []Row      // the batch buffer
 	// counts is set when the consumer is a count-only aggregate
@@ -609,8 +612,8 @@ func walkExpr(e ast.Expr, visit func(ast.Expr) bool) bool {
 // (source.cols); the others stay zero Values, which no operator accepts,
 // so a column wrongly left out fails loudly instead of reading a stale
 // value. A level whose scan probes per accumulated row (tableScan.joined)
-// pairs the rows of its index hits under hitFilters, any other
-// candidates under all its filters.
+// pairs the rows of its index hits under its filters, and every row,
+// when the index cannot take the probe, under fallbackFilters.
 func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoinCond, levelFilters [][]pred, levelStats []*OpStats, emit func(rows []Row) error) error {
 	if len(sources) == 1 {
 		return sources[0].scan(rt, func(batch []Row) error { return emitFiltered(rt, levelFilters[0], batch, emit) })
@@ -680,7 +683,6 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 		// before the cursor walks, since the scan's filters bind one
 		// scope level below it.
 		if ts := src.table; ts != nil && ts.joined {
-			hits := hitFilters(ts, levelFilters[level])
 			for _, a := range acc {
 				if err := rt.checkCancel(); err != nil {
 					return err
@@ -691,8 +693,10 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 				if err != nil {
 					return err
 				}
-				if fs = levelFilters[level]; c.hits != nil {
-					fs = hits
+				if fs = levelFilters[level]; c.hits == nil && c.ids == nil && ts.exact != nil {
+					if fs, err = ts.fallbackFilters(fs); err != nil {
+						return err
+					}
 				}
 				if ts.counts && len(c.fs) == 0 && len(fs) == 0 {
 					n := c.size(true)
@@ -723,14 +727,29 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 	return nil
 }
 
-// hitFilters returns the level filters fs that the rows of ts's index
-// hits must pass: all but the last when the index answers that one
-// exactly (bindSelect binds it last).
-func hitFilters(ts *tableScan, fs []pred) []pred {
-	if ts.exact != nil {
-		return fs[:len(fs)-1]
+// exactConj is a join level's conjunct that its scan's index answers
+// exactly, which the level's filters leave out. The rows of a probe the
+// index cannot take (one its cast rejects), which are every row, must
+// pass it too; only those need it, so it is bound for the first of them.
+type exactConj struct {
+	expr    ast.Expr
+	binder  binder
+	scope   *bindScope
+	filters []pred // the level's filters and expr, once bound
+}
+
+// fallbackFilters returns a joined level's filters fs with its exact
+// conjunct beside them.
+func (ts *tableScan) fallbackFilters(fs []pred) ([]pred, error) {
+	x := ts.exact
+	if x.filters == nil {
+		p, err := x.binder.bindFilters([]ast.Expr{x.expr}, x.scope)
+		if err != nil {
+			return nil, err
+		}
+		x.filters = append(slices.Clip(fs), p...)
 	}
-	return fs
+	return x.filters, nil
 }
 
 // joinLevel joins src into the accumulated rows without an index: an

@@ -28,11 +28,13 @@
 //     beyond a published version's length are invisible to its readers);
 //     removals mark the dropped entries in a per-version bitset over log
 //     positions, copied once per builder, and a log half of whose
-//     entries are dropped is compacted into a fresh one. The sorted
-//     search form is built lazily once per version into fresh slices,
-//     leaving dropped entries out, so the read path mutates nothing a
-//     reader can see. Searches mark a caller-owned Hits bitset, which the
-//     caller reads the ids from.
+//     entries are dropped is compacted into a fresh one. The search form
+//     is built lazily once per version into fresh slices, leaving dropped
+//     entries out, so the read path mutates nothing a reader can see:
+//     column runs sorted by start, the closed entries' cut into blocks
+//     sorted by end, and [start, NOW] entries kept apart so that a search
+//     takes a prefix of them without binding any. Searches mark the words
+//     of a caller-owned Hits bitset, which the caller reads the ids from.
 //
 // Both builders rest on the slab's invariant: a table's builders start
 // from its newest version, one at a time, so an in-place append never
@@ -232,32 +234,52 @@ func (b *HashBuilder) Commit() *Hash {
 
 // Period is one immutable version of an interval index over the periods
 // of a temporal column. Each row contributes one entry per period of its
-// (Element, Period, Chronon or Instant) value, to one of two runs:
+// (Element, Period, Chronon or Instant) value. Its search form, built
+// lazily on the first search, once per version, into fresh slices, has
+// three parts:
 //
-//   - closed entries, both endpoints absolute, sorted by start with a
-//     prefix maximum of ends, so an overlap search is O(log n + k);
-//   - open entries, with a NOW-relative endpoint ([1999-10-01, NOW], the
-//     open period of a still-current row), which keep their period and
-//     are bound at search time. Sorted by start (the minimum chronon when
-//     the start is NOW-relative too), a search walks those that start by
-//     the probe's end. Kept out of the closed run, their unbounded ends no
-//     longer saturate its prefix maximum.
+//   - closed entries, both endpoints absolute, as lo, hi and id columns
+//     sorted by start and cut into blocks of blockLen entries, each block
+//     re-sorted by end, descending. Per block it keeps the largest start
+//     and the prefix maximum of ends. A search for [qlo, qhi] binary-
+//     searches the first block starting past qhi and the first whose
+//     prefix maximum reaches qlo, walks each block between them only
+//     while its ends reach qlo, and tests starts only in that boundary
+//     block;
+//   - [start, NOW] entries (an absolute start, the open period of a
+//     current row) as start-sorted lo and id columns. At a fixed NOW each
+//     binds to [start, NOW], so the entries a probe meets are a prefix of
+//     the column and none is bound;
+//   - every other open shape (a NOW-relative start, NOW ± span), sorted
+//     by start (the minimum chronon when the start is NOW-relative) and
+//     bound per entry at search time.
 //
-// The sorted form is built lazily on first search, once per version, into
-// fresh slices. All methods are safe for any number of concurrent readers.
+// All methods are safe for any number of concurrent readers.
 type Period struct {
 	closed []periodEntry // shared log prefixes; immutable within [0, len)
 	open   []openEntry
 	// gone marks the entries a removal dropped, by log position: gone[0]
 	// over closed, gone[1] over open. A position past a bitset's words
 	// is live. Nothing writes a published bitset.
-	gone   [2][]uint64
-	once   sync.Once
-	sorted []periodEntry // closed, by lo
-	maxHi  []int64       // maxHi[i] is the largest hi of sorted[:i+1]
-	opens  []openEntry   // open, by lo
-	slots  int           // one past the largest row id
+	gone [2][]uint64
+	once sync.Once
+	s    *periodSearch
 }
+
+// periodSearch is a Period's search form.
+type periodSearch struct {
+	lo, hi  []int64 // closed, in blocks
+	ids     []int
+	blockLo []int64 // the largest lo of each block
+	blockHi []int64 // blockHi[b] is the largest hi of blocks [0, b]
+	nowLo   []int64 // the [start, NOW] entries' starts, ascending
+	nowIDs  []int
+	opens   []openEntry // the other open entries, by lo
+	slots   int         // one past the largest row id
+}
+
+// blockLen is the number of closed entries in a block of the search form.
+const blockLen = 64
 
 type periodEntry struct {
 	lo, hi int64
@@ -279,20 +301,131 @@ func (ix *Period) Len() int {
 }
 
 func (ix *Period) build() {
-	ix.sorted = live(ix.closed, ix.gone[0])
-	slices.SortFunc(ix.sorted, func(a, b periodEntry) int { return cmp.Compare(a.lo, b.lo) })
-	ix.maxHi = make([]int64, len(ix.sorted))
-	maxSoFar := int64(math.MinInt64)
-	for i, e := range ix.sorted {
-		maxSoFar = max(maxSoFar, e.hi)
-		ix.maxHi[i] = maxSoFar
-		ix.slots = max(ix.slots, e.id+1)
+	s := &periodSearch{}
+	ix.s = s
+	closed := ix.closed
+	ps := livePositions(len(closed), ix.gone[0])
+	n := len(ps)
+	sortBy(ps, bits.Len(uint(len(closed))), func(p uint64) int64 { return closed[p].lo })
+	// Rank r of the start order falls in block r/blockLen. Visiting the
+	// ranks by descending end (^hi ascends) fills each block in that order.
+	ranks := make([]uint64, n)
+	for r := range ranks {
+		ranks[r] = uint64(r)
 	}
-	ix.opens = live(ix.open, ix.gone[1])
-	slices.SortFunc(ix.opens, func(a, b openEntry) int { return cmp.Compare(a.lo, b.lo) })
-	for _, e := range ix.opens {
-		ix.slots = max(ix.slots, e.id+1)
+	sortBy(ranks, bits.Len(uint(n)), func(r uint64) int64 { return ^closed[ps[r]].hi })
+	s.lo, s.hi, s.ids = make([]int64, n), make([]int64, n), make([]int, n)
+	s.blockLo = make([]int64, (n+blockLen-1)/blockLen)
+	s.blockHi = make([]int64, len(s.blockLo))
+	fill := make([]int, len(s.blockLo))
+	for _, r := range ranks {
+		b := r / blockLen
+		e, i := &closed[ps[r]], int(b)*blockLen+fill[b]
+		fill[b]++
+		s.lo[i], s.hi[i], s.ids[i] = e.lo, e.hi, e.id
+		s.slots = max(s.slots, e.id+1)
 	}
+	top := int64(math.MinInt64)
+	for b := range s.blockLo {
+		s.blockLo[b] = closed[ps[min(n, (b+1)*blockLen)-1]].lo
+		top = max(top, s.hi[b*blockLen])
+		s.blockHi[b] = top
+	}
+	open := ix.open
+	ps = livePositions(len(open), ix.gone[1])
+	sortBy(ps, bits.Len(uint(len(open))), func(p uint64) int64 { return open[p].lo })
+	k := 0
+	for _, p := range ps {
+		if nowEnded(open[p].p) {
+			k++
+		}
+	}
+	s.nowLo, s.nowIDs = make([]int64, 0, k), make([]int, 0, k)
+	s.opens = make([]openEntry, 0, len(ps)-k)
+	for _, p := range ps {
+		e := &open[p]
+		if nowEnded(e.p) {
+			s.nowLo, s.nowIDs = append(s.nowLo, e.lo), append(s.nowIDs, e.id)
+		} else {
+			s.opens = append(s.opens, *e)
+		}
+		s.slots = max(s.slots, e.id+1)
+	}
+}
+
+// nowEnded reports whether p is [start, NOW]: an absolute start, and an
+// end at NOW exactly.
+func nowEnded(p temporal.Period) bool {
+	off, rel := p.End.Offset()
+	return rel && off == 0 && !p.Start.Relative()
+}
+
+// livePositions returns the positions below n that gone does not mark.
+func livePositions(n int, gone []uint64) []uint64 {
+	ps := make([]uint64, 0, n-ones(gone))
+	for i := 0; i < n; i++ {
+		if !marked(gone, i) {
+			ps = append(ps, uint64(i))
+		}
+	}
+	return ps
+}
+
+// sortBy orders ps, values below 1<<shift, by ascending key. When the
+// keys' range fits above the values, it packs each key above its value
+// and sorts the packed integers, calling no comparison; otherwise it
+// compares the keys.
+func sortBy(ps []uint64, shift int, key func(v uint64) int64) {
+	if len(ps) < 2 {
+		return
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, v := range ps {
+		k := key(v)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	width := bits.Len64(uint64(hi) - uint64(lo))
+	if width+shift > 64 {
+		slices.SortFunc(ps, func(a, b uint64) int { return cmp.Compare(key(a), key(b)) })
+		return
+	}
+	for i, v := range ps {
+		ps[i] = (uint64(key(v))-uint64(lo))<<shift | v
+	}
+	if len(ps) < 1<<radixBits {
+		slices.Sort(ps) // fewer values than a radix pass has counters
+	} else {
+		radixSort(ps, shift, shift+width)
+	}
+	for i := range ps {
+		ps[i] &= 1<<shift - 1
+	}
+}
+
+// radixBits is the width of the digit a radixSort pass sorts by.
+const radixBits = 11
+
+// radixSort sorts ps stably by bits [from, to) of each value, a digit
+// of radixBits per pass.
+func radixSort(ps []uint64, from, to int) {
+	src, dst := ps, make([]uint64, len(ps))
+	for s := from; s < to; s += radixBits {
+		var at [1 << radixBits]int
+		for _, k := range src {
+			at[k>>s&(1<<radixBits-1)]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for _, k := range src {
+			d := k >> s & (1<<radixBits - 1)
+			dst[at[d]] = k
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(ps, src)
 }
 
 // live returns a fresh slice of the entries of log that gone does not
@@ -339,10 +472,12 @@ func (h *Hits) reset(slots int) {
 	h.lo, h.hi = len(h.words), 0
 }
 
-func (h *Hits) add(id int) {
+// mark sets id in words and returns the touched word range [lo, hi)
+// widened to hold it.
+func mark(words []uint64, id, lo, hi int) (int, int) {
 	w := id >> 6
-	h.words[w] |= 1 << (id & 63)
-	h.lo, h.hi = min(h.lo, w), max(h.hi, w+1)
+	words[w] |= 1 << (id & 63)
+	return min(lo, w), max(hi, w+1)
 }
 
 // Len returns the number of ids marked and not yet read.
@@ -404,31 +539,62 @@ func (ix *Period) Search(qlo, qhi temporal.Chronon) []int {
 }
 
 // collect runs one search: open entries are bound at now when exact, and
-// otherwise tested with their conservative bounds.
+// otherwise tested with their conservative bounds. It marks h's words
+// itself, keeping the touched word range in locals.
 func (ix *Period) collect(h *Hits, probe []temporal.Interval, now temporal.Chronon, exact bool) {
 	ix.once.Do(ix.build)
-	h.reset(ix.slots)
+	s := ix.s
+	h.reset(s.slots)
+	words, wlo, whi := h.words, h.lo, h.hi
+	nowEnd := int64(temporal.Now.Bind(now)) // where a [start, NOW] entry ends
 	for _, q := range probe {
 		qlo, qhi := int64(q.Lo), int64(q.Hi)
-		// Entries starting after qhi cannot overlap. Below the cut, walk
-		// the closed run backwards until every earlier end is below qlo.
-		n := sort.Search(len(ix.sorted), func(i int) bool { return ix.sorted[i].lo > qhi })
-		for i := n - 1; i >= 0 && ix.maxHi[i] >= qlo; i-- {
-			if e := ix.sorted[i]; e.hi >= qlo {
-				h.add(e.id)
+		// Every end before block first is below qlo; block last is the
+		// first to start past qhi, and no later block starts by it.
+		first := sort.Search(len(s.blockHi), func(b int) bool { return s.blockHi[b] >= qlo })
+		last := sort.Search(len(s.blockLo), func(b int) bool { return s.blockLo[b] > qhi })
+		for b := first; b <= last && b < len(s.blockLo); b++ {
+			i := b * blockLen
+			his := s.hi[i:min(len(s.hi), i+blockLen)]
+			ids := s.ids[i : i+len(his)]
+			if b < last {
+				for j := 0; j < len(his) && his[j] >= qlo; j++ {
+					wlo, whi = mark(words, ids[j], wlo, whi)
+				}
+				continue
+			}
+			los := s.lo[i : i+len(his)]
+			for j := 0; j < len(his) && his[j] >= qlo; j++ {
+				if los[j] <= qhi {
+					wlo, whi = mark(words, ids[j], wlo, whi)
+				}
 			}
 		}
-		n = sort.Search(len(ix.opens), func(i int) bool { return ix.opens[i].lo > qhi })
-		for _, e := range ix.opens[:n] {
+		// A [start, NOW] entry bound at now meets q when it starts by qhi
+		// and by nowEnd, and nowEnd reaches qlo; Search takes every one
+		// starting by qhi.
+		top, meets := qhi, true
+		if exact {
+			top, meets = min(qhi, nowEnd), nowEnd >= qlo
+		}
+		if meets {
+			n := sort.Search(len(s.nowLo), func(i int) bool { return s.nowLo[i] > top })
+			for _, id := range s.nowIDs[:n] {
+				wlo, whi = mark(words, id, wlo, whi)
+			}
+		}
+		n := sort.Search(len(s.opens), func(i int) bool { return s.opens[i].lo > qhi })
+		for _, e := range s.opens[:n] {
 			if exact {
 				if iv, ok := e.p.Bind(now); ok && iv.Overlaps(q) {
-					h.add(e.id)
+					wlo, whi = mark(words, e.id, wlo, whi)
 				}
 			} else if end, abs := e.p.End.Chronon(); !abs || end >= q.Lo {
-				h.add(e.id)
+				wlo, whi = mark(words, e.id, wlo, whi)
 			}
 		}
 	}
+	h.lo, h.hi = wlo, whi
 }
 
 // PeriodBuilder accumulates the next version of a period index. It must

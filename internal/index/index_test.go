@@ -1,6 +1,9 @@
 package index
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -318,4 +321,189 @@ func TestPeriodOverlappingExact(t *testing.T) {
 	if probes == 0 {
 		t.Fatal("no probe matched any row; the generator is broken")
 	}
+}
+
+// TestPeriodBlockBoundaries checks Overlapping row by row against
+// Element.Overlaps, and Search for a superset, on closed runs of 0 to
+// 2,100 entries, so that every search meets the edges of the blocks the
+// closed run is cut into: runs of identical starts that cross a block
+// edge, periods reaching MinChronon or MaxChronon, [start, NOW] entries
+// that start after NOW (they bind empty), NOW ± span ends, and probes
+// that are empty, single chronons, the whole extent, and windows inside,
+// around and after the data, at several NOWs. A second version with a
+// few rows removed is checked the same way.
+func TestPeriodBlockBoundaries(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	const d = 86400
+	base := temporal.MustDate(1999, 1, 1)
+	at := func(days int) temporal.Chronon { return base + temporal.Chronon(days*d) }
+	rel := func(days int) temporal.Instant { return temporal.NowRelative(temporal.Span(days * d)) }
+	abs := func(days int) temporal.Instant { return temporal.AbsInstant(at(days)) }
+	closed := func(starts []int) temporal.Period {
+		switch r.Intn(12) {
+		case 0:
+			return temporal.MustPeriod(temporal.MinChronon, at(r.Intn(1000)))
+		case 1:
+			return temporal.MustPeriod(at(r.Intn(1000)), temporal.MaxChronon)
+		case 2:
+			return temporal.MustPeriod(temporal.MinChronon, temporal.MaxChronon)
+		}
+		lo := at(starts[r.Intn(len(starts))])
+		if r.Intn(2) == 0 {
+			lo = at(r.Intn(1000)) + temporal.Chronon(r.Intn(d))
+		}
+		return temporal.MustPeriod(lo, lo+temporal.Chronon(r.Intn(90*d)))
+	}
+	open := func() temporal.Period {
+		switch r.Intn(4) {
+		case 0, 1: // starts up to day 1,300, after several of the NOWs below
+			return temporal.Period{Start: abs(r.Intn(1300)), End: temporal.Now}
+		case 2:
+			return temporal.Period{Start: abs(r.Intn(1000)), End: rel(r.Intn(200) - 100)}
+		}
+		return temporal.Period{Start: rel(-r.Intn(200)), End: rel(r.Intn(200) - 50)}
+	}
+	window := func() temporal.Period {
+		switch r.Intn(8) {
+		case 0: // binds empty at every NOW
+			return temporal.Period{Start: rel(10), End: rel(-10)}
+		case 1:
+			c := at(r.Intn(1300)) + temporal.Chronon(r.Intn(d))
+			return temporal.MustPeriod(c, c)
+		case 2:
+			return temporal.MustPeriod(temporal.MinChronon, temporal.MaxChronon)
+		case 3:
+			return temporal.Period{Start: rel(-r.Intn(30)), End: rel(r.Intn(30))}
+		}
+		lo := at(r.Intn(1400) - 100)
+		return temporal.MustPeriod(lo, lo+temporal.Chronon(r.Intn(60*d)))
+	}
+	nows := []temporal.Chronon{at(150), at(600), at(999) + d - 1, at(1500), temporal.MinChronon, temporal.MaxChronon}
+
+	straddles := 0
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000, 2100} {
+		// n closed entries, whose starts repeat within runs of ~20, and a
+		// quarter as many open ones; each row holds one period.
+		starts := make([]int, max(1, n/20))
+		for i := range starts {
+			starts[i] = r.Intn(1000)
+		}
+		var rows []temporal.Period
+		for i := 0; i < n; i++ {
+			rows = append(rows, closed(starts))
+		}
+		for i := 0; i < n/4+1; i++ {
+			rows = append(rows, open())
+		}
+		r.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		b := NewPeriodBuilder(nil)
+		for id, p := range rows {
+			b.AddPeriod(p, id)
+		}
+		v1 := b.Commit()
+		b = NewPeriodBuilder(v1)
+		live := make([]bool, len(rows))
+		for id := range live {
+			if live[id] = id%5 != 2; !live[id] {
+				b.Remove(id)
+			}
+		}
+		v2 := b.Commit()
+		elems := make([]temporal.Element, len(rows))
+		for id, p := range rows {
+			elems[id] = p.Element()
+		}
+
+		var h Hits
+		var ivs []temporal.Interval
+		for _, now := range nows {
+			for trial := 0; trial < 24; trial++ {
+				probe := temporal.MustElement(window())
+				if r.Intn(4) == 0 {
+					probe = temporal.MustElement(window(), window())
+				}
+				ivs = probe.AppendBound(ivs[:0], now)
+				for _, v := range []struct {
+					ix   *Period
+					live func(id int) bool
+				}{
+					{v1, func(int) bool { return true }},
+					{v2, func(id int) bool { return live[id] }},
+				} {
+					v.ix.Overlapping(&h, ivs, now)
+					got := readHits(&h)
+					var want []int
+					for id, e := range elems {
+						if v.live(id) && e.Overlaps(probe, now) {
+							want = append(want, id)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%d closed entries, NOW %s, probe %s: Overlapping = %v, Element.Overlaps says %v", n, now, probe, got, want)
+					}
+					found := map[int]bool{}
+					for _, iv := range ivs {
+						for _, id := range v.ix.Search(iv.Lo, iv.Hi) {
+							found[id] = true
+						}
+					}
+					for _, id := range got {
+						if !found[id] {
+							t.Fatalf("%d closed entries, NOW %s, probe %s: Search misses row %d", n, now, probe, id)
+						}
+					}
+				}
+			}
+		}
+		for s, b := v1.s, 1; b < len(s.blockLo); b++ {
+			if slices.Contains(s.lo[b*blockLen:min(len(s.lo), (b+1)*blockLen)], s.blockLo[b-1]) {
+				straddles++
+			}
+		}
+	}
+	if straddles == 0 {
+		t.Fatal("no run of identical starts crosses a block edge; the generator is broken")
+	}
+}
+
+// TestPeriodSortBy checks the build's sort against a comparison sort: by
+// packed keys one radix pass at a time at and above 1<<radixBits values,
+// by a comparison sort below, and through the keys themselves when their
+// range does not fit beside the values.
+func TestPeriodSortBy(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		n    int
+		keys func() int64
+	}{
+		{5, func() int64 { return r.Int63n(100) }},
+		{1<<radixBits - 1, func() int64 { return r.Int63n(1 << 30) }},
+		{3 << radixBits, func() int64 { return r.Int63n(1<<40) - 1<<39 }},
+		{3 << radixBits, func() int64 { return r.Int63n(8) }},
+		{100, func() int64 { return []int64{math.MinInt64, math.MaxInt64, 0}[r.Intn(3)] }},
+	} {
+		keys := make([]int64, tc.n)
+		for i := range keys {
+			keys[i] = tc.keys()
+		}
+		ps, want := identity(tc.n), identity(tc.n)
+		slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(keys[a], keys[b]) })
+		sortBy(ps, bits.Len(uint(tc.n)), func(v uint64) int64 { return keys[v] })
+		for i := range ps {
+			if keys[ps[i]] != keys[want[i]] {
+				t.Fatalf("%d values: position %d holds %d (key %d), want key %d", tc.n, i, ps[i], keys[ps[i]], keys[want[i]])
+			}
+		}
+		if slices.Sort(ps); !slices.Equal(ps, identity(tc.n)) {
+			t.Fatalf("%d values: the result is not a permutation of them", tc.n)
+		}
+	}
+}
+
+func identity(n int) []uint64 {
+	ps := make([]uint64, n)
+	for i := range ps {
+		ps[i] = uint64(i)
+	}
+	return ps
 }
