@@ -74,8 +74,9 @@ parse-smoke:
 # at once), a crash mid-transaction recovering none of it, the old log
 # and snapshot formats refused, an oversized group failing before it
 # publishes, recovered rows at their live row ids across a snapshot
-# and slot reuse, and the two reopen-twice recoveries: a torn tail, and
-# a crash mid-transaction followed by a write. Then the snapshot file:
+# and slot reuse, the two reopen-twice recoveries (a torn tail, and a
+# crash mid-transaction followed by a write), and a failed background
+# fsync failing every later commit. Then the snapshot file:
 # one changed byte in a row value, a cut at any frame boundary (the end
 # frame missing), bytes after the end frame, a missing frame or a
 # renumbered frame, and the TIPDB3 format are each refused with
@@ -83,7 +84,7 @@ parse-smoke:
 # checkpoint's frames stay within the frame bound; and a snapshot from
 # an earlier checkpoint beside a later log is refused with ErrWAL.
 crash-smoke:
-	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink|TestWALTornTail|TestLogOrder|TestInterleavedRollback|TestConcurrentBegins|TestCrashMidTransactionRecoversNeither|TestOldFormatsRefused|TestOversizedGroup|TestRecoveredRowIDs' ./internal/engine
+	$(GO) test -short -run 'TestCrashTorture|TestCheckpointCrashWindow|TestWALCorrupt|TestWALSeqGap|TestWALShortWrite|TestWALCrashSink|TestWALTornTail|TestLogOrder|TestInterleavedRollback|TestConcurrentBegins|TestCrashMidTransactionRecoversNeither|TestOldFormatsRefused|TestOversizedGroup|TestRecoveredRowIDs|TestGroupedFsyncFailureSticks' ./internal/engine
 	$(GO) test -short -run 'TestSnapshotFlippedByteRefused|TestSnapshotWithoutEndFrameRefused|TestSnapshotDamageRefused|TestTIPDB3SnapshotRefused|TestLoadFailureLeavesDatabaseRetryable|TestCheckpointFramesWithinBound|TestStaleSnapshotBesideNewerLogRefused' ./internal/engine
 	$(GO) test -run 'TestTornTailReopenedTwice|TestCrashMidTransactionThenWrite' .
 
@@ -118,7 +119,11 @@ fuzz-smoke:
 # two-table commit that no statement sees half of, and the period
 # index's liveness invariant (every committed version's index marks only
 # its live rows, over INSERT, UPDATE, DELETE, slot reuse, ROLLBACK,
-# failed statements and log replay); then the versioned hash index's
+# failed statements and log replay); then, on 1 and 2 CPUs, the seeded
+# multi-table commit property test (three writers of two tables beside
+# checkpoints and replication snapshots: every reader sees equal sums,
+# and live, reopened and replica state agree) and a commit invisible
+# while its group is being written; then the versioned hash index's
 # property test (every committed version against its own model, dropped
 # builders included) and its readers beside an appending builder; the
 # bytes of a 100-row UPDATE of a period-indexed table at 1,000 and
@@ -129,6 +134,7 @@ fuzz-smoke:
 # competition).
 mvcc-smoke:
 	$(GO) test -race -run 'TestMVCC|TestTxnKeepsKilledHashPostings|TestCommitPublishesAllTablesAtOnce|TestPeriodIndexMarksOnlyLiveRows' -count=1 ./internal/engine
+	$(GO) test -race -cpu 1,2 -run 'TestMultiTableCommitProperty|TestCommitInvisibleUntilWritten' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestHash' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodUpdateBytes' -count=1 ./internal/exec
 	$(GO) test -race -run '^$$' -bench 'BenchmarkDisjointWriters(PerTable|NoAnalyst)$$' -benchtime 200ms .

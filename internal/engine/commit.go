@@ -2,19 +2,30 @@ package engine
 
 import (
 	"errors"
+	"strings"
 
 	"tip/internal/exec"
 	"tip/internal/temporal"
 )
 
-// Transactions and commit publication. A writer statement builds the
-// next version of its table. In autocommit it publishes the version at
-// once and logs its effects as a group of one. Inside a transaction the
-// version stays private: the transaction's later statements build on it
-// and read it, other sessions read the committed version, and the
-// transaction keeps the table's lock (see tableLock). COMMIT publishes
-// the private versions and logs the transaction's effects as one
-// group; ROLLBACK, Session.Close and a crash drop them unlogged.
+// Transactions and the commit step. The database publishes one
+// immutable state: every table's version, at the slot CREATE TABLE gave
+// the table. A statement pins the state with one atomic load (see
+// lockTables) and reads it without locks.
+//
+// A writer statement builds the next version of its table. In
+// autocommit it adds the version to the session's pending list. Inside a
+// transaction the version stays private: the transaction's later
+// statements build on it and read it as an overlay on the pinned state,
+// other sessions read the published state, and the transaction keeps the
+// table's lock (see tableLock). COMMIT moves the private versions to the
+// pending list; ROLLBACK, Session.Close and a crash drop them unlogged.
+// DDL adds the versions it installs to the pending list too.
+//
+// The statement then ends with the commit step, under commitMu: it
+// appends the statement's group to the log and publishes its pending
+// versions as one new state. A commit is thus visible once its group is
+// written, and a multi-table commit is visible whole or not at all.
 
 // ErrDDLInTransaction reports a schema change inside an explicit
 // transaction. DDL runs in autocommit only.
@@ -26,16 +37,16 @@ type txState struct {
 	// BEGIN: the value of NOW for every statement of the transaction
 	// (unless the session overrides NOW), after Clifford et al.
 	time   temporal.Chronon
-	tables []*stagedTable // the tables it wrote, in first-write order
-	group  []byte         // its effect records (durable databases only)
+	tables []stagedTable // the tables it wrote, in first-write order
+	group  []byte        // its effect records (durable databases only)
 }
 
-// stagedTable is a table version a commit is about to publish.
+// stagedTable is a table version not yet published.
 type stagedTable struct {
-	name string // lower-cased for a transaction; as logged for replay
+	name string // lower-cased in a transaction, as logged in replay
 	tbl  *exec.Table
-	lock *tableLock // the transaction's hold on the table; nil in replay
-	v    *exec.TableVersion
+	lock *tableLock         // the transaction's hold on the table
+	v    *exec.TableVersion // nil drops the table
 }
 
 // staged returns the transaction's private state for the named
@@ -44,9 +55,9 @@ func (tx *txState) staged(name string) *stagedTable {
 	if tx == nil {
 		return nil
 	}
-	for _, t := range tx.tables {
-		if t.name == name {
-			return t
+	for i := range tx.tables {
+		if tx.tables[i].name == name {
+			return &tx.tables[i]
 		}
 	}
 	return nil
@@ -59,41 +70,62 @@ func (tx *txState) release() {
 	}
 }
 
-// publication is a multi-table commit in progress: the versions its
-// tables had before it.
-type publication map[*exec.Table]*exec.TableVersion
-
-// publish installs a commit's versions. A commit of several tables
-// installs them one by one and posts the old ones in db.pub meanwhile:
-// captureSnaps pins those until db.pub clears, so a statement sees all
-// of the commit or none of it. pubMu admits one such commit at a time.
-func (db *Database) publish(tables []*stagedTable) {
-	if len(tables) <= 1 {
-		for _, t := range tables {
-			t.tbl.Install(t.v)
-		}
-		return
-	}
-	db.pubMu.Lock()
-	defer db.pubMu.Unlock()
-	p := make(publication, len(tables))
-	for _, t := range tables {
-		p[t.tbl] = t.tbl.Snapshot()
-	}
-	db.pub.Store(&p)
-	for i, t := range tables {
-		t.tbl.Install(t.v)
-		if i == 0 && db.midPublish != nil {
-			db.midPublish()
-		}
-	}
-	db.pub.Store(nil)
+// state is a published state of the database: each table's version at
+// the table's slot, nil at a free slot. It is never changed once stored.
+type state struct {
+	tables []*exec.TableVersion
 }
 
-// endWrite ends the writer of a statement that succeeded: it publishes
-// the new version in autocommit, or keeps it private to the
-// transaction. A group too large to log fails the statement instead,
-// and the writer is dropped.
+// publish stores the next state: the current one with each staged
+// version at its table's slot. The caller holds commitMu.
+func (db *Database) publish(staged []stagedTable) {
+	if len(staged) == 0 {
+		return
+	}
+	cur := db.state.Load().tables
+	n := len(cur)
+	for _, t := range staged {
+		n = max(n, t.tbl.Slot+1)
+	}
+	next := make([]*exec.TableVersion, n)
+	copy(next, cur)
+	for _, t := range staged {
+		next[t.tbl.Slot] = t.v
+	}
+	db.state.Store(&state{tables: next})
+}
+
+// commit is the commit step of a statement that wrote something: under
+// commitMu it runs the afterApply hook, appends group (if any) to the
+// log, and publishes the session's pending versions. A failed append
+// still publishes: the commit applies in memory and reports ErrWALFailed
+// (see Exec). Under SyncEveryAppend the fsync waits after commitMu is
+// released, so concurrent commits share one fsync.
+func (s *Session) commit(group []byte) error {
+	db := s.db
+	var seq uint64
+	var err error
+	db.commitMu.Lock()
+	if db.afterApply != nil {
+		db.afterApply(s)
+	}
+	if len(group) > 0 {
+		seq, err = db.appendGroup(group)
+	}
+	db.publish(s.pending)
+	db.commitMu.Unlock()
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	if err == nil && seq > 0 && db.Durability() == SyncEveryAppend {
+		err = db.syncStrict(seq)
+	}
+	return err
+}
+
+// endWrite ends the writer of a statement that succeeded: the new
+// version goes to the pending list in autocommit, or stays private to
+// the transaction. A group too large to log fails the statement
+// instead, and the writer is dropped.
 func (s *Session) endWrite(name string, tbl *exec.Table, w *exec.TableWriter) error {
 	if s.fx != nil && len(*s.fx) > maxGroupPayload() {
 		return ErrGroupTooLarge
@@ -101,16 +133,27 @@ func (s *Session) endWrite(name string, tbl *exec.Table, w *exec.TableWriter) er
 	v := w.Commit()
 	tx := s.tx
 	if tx == nil {
-		tbl.Install(v)
-		return nil
+		s.pending = append(s.pending, stagedTable{tbl: tbl, v: v})
+	} else if t := tx.staged(name); t != nil {
+		t.v = v
+	} else {
+		tx.tables = append(tx.tables, stagedTable{name: name, tbl: tbl, lock: s.db.locks[name], v: v})
 	}
-	t := tx.staged(name)
-	if t == nil {
-		t = &stagedTable{name: name, tbl: tbl, lock: s.db.locks[name]}
-		tx.tables = append(tx.tables, t)
-	}
-	t.v = v
 	return nil
+}
+
+// Table resolves a table for the running statement (exec.Tables): the
+// version its transaction wrote, else the one in the pinned state.
+func (s *Session) Table(name string) (*exec.Table, *exec.TableVersion, bool) {
+	key := strings.ToLower(name)
+	tbl, ok := s.db.tables[key]
+	if !ok {
+		return nil, nil, false
+	}
+	if t := s.tx.staged(key); t != nil {
+		return tbl, t.v, true
+	}
+	return tbl, s.st.tables[tbl.Slot], true
 }
 
 // rollback drops the open transaction: its private versions are
@@ -123,6 +166,15 @@ func (s *Session) rollback() error {
 	s.tx = nil
 	tx.release()
 	return nil
+}
+
+// Close releases the session's engine-side state: an open transaction
+// is rolled back, which logs nothing. Safe to call more than once; the
+// session must not be used afterwards.
+func (s *Session) Close() {
+	if s.tx != nil {
+		_ = s.rollback()
+	}
 }
 
 var errNoTxn = errors.New("engine: no open transaction")

@@ -15,10 +15,11 @@ import (
 // Each statement opens a TableWriter over the version it pinned of its
 // table (its latest one, under the table's lock, or its transaction's
 // own), applies every row change to the writer, and ends it with
-// endWrite, which publishes or keeps the new version. Any error drops
-// the writer, so readers never observe a partial statement and failed
-// statements leave no trace. On a durable database each row change is
-// also recorded in the statement's group (s.fx).
+// endWrite, which hands the new version to the commit step or keeps it
+// in the transaction. Any error drops the writer, so readers never
+// observe a partial statement and failed statements leave no trace. On
+// a durable database each row change is also recorded in the
+// statement's group (s.fx).
 //
 // UPDATE and DELETE find their rows as a single-table SELECT does
 // (exec.MatchingRows), every id before the writer opens, so a row the
@@ -26,7 +27,7 @@ import (
 
 func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.Result, error) {
 	key := strings.ToLower(st.Table)
-	tbl, ok := s.db.tables[key]
+	tbl, v, ok := s.Table(key)
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
@@ -77,7 +78,7 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 	}
 	now := s.Now()
 	ctx := env.Ctx()
-	w := s.snaps[key].NewWriter()
+	w := v.NewWriter()
 	for _, in := range incoming {
 		if len(in) != len(cols) {
 			return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(in), len(cols))
@@ -114,7 +115,7 @@ func (s *Session) insert(st *ast.Insert, params map[string]types.Value) (*exec.R
 
 func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.Result, error) {
 	key := strings.ToLower(st.Table)
-	tbl, ok := s.db.tables[key]
+	tbl, v, ok := s.Table(key)
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
@@ -144,7 +145,7 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 	}
 	now := s.Now()
 	ctx := env.Ctx()
-	w := s.snaps[key].NewWriter()
+	w := v.NewWriter()
 	for _, id := range ids {
 		old, ok := w.Get(id)
 		if !ok {
@@ -185,7 +186,7 @@ func (s *Session) update(st *ast.Update, params map[string]types.Value) (*exec.R
 
 func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*exec.Result, error) {
 	key := strings.ToLower(st.Table)
-	tbl, ok := s.db.tables[key]
+	tbl, v, ok := s.Table(key)
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %s", st.Table)
 	}
@@ -195,7 +196,7 @@ func (s *Session) deleteRows(st *ast.Delete, params map[string]types.Value) (*ex
 		return nil, err
 	}
 	now := s.Now()
-	w := s.snaps[key].NewWriter()
+	w := v.NewWriter()
 	for _, id := range ids {
 		old, err := w.Delete(id)
 		if err != nil {

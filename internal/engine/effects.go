@@ -247,7 +247,7 @@ func decodeGroup(reg *blade.Registry, data []byte, schema func(table string) (*c
 // serialises groups: recovery and the replica apply loop are each the
 // database's only writer.
 func (db *Database) applyGroup(payload []byte) error {
-	var staged []*stagedTable
+	var staged []stagedTable
 	var writers []*exec.TableWriter
 	writer := func(table string) (*exec.TableWriter, error) {
 		for i, t := range staged {
@@ -259,15 +259,17 @@ func (db *Database) applyGroup(payload []byte) error {
 		if !ok {
 			return nil, fmt.Errorf("%w: no table %s", errBadGroup, table)
 		}
-		staged = append(staged, &stagedTable{name: table, tbl: tbl})
-		writers = append(writers, tbl.Snapshot().NewWriter())
+		staged = append(staged, stagedTable{name: table, tbl: tbl})
+		writers = append(writers, db.state.Load().tables[tbl.Slot].NewWriter())
 		return writers[len(writers)-1], nil
 	}
 	publish := func() {
 		for i, w := range writers {
 			staged[i].v = w.Commit()
 		}
+		db.commitMu.Lock()
 		db.publish(staged)
+		db.commitMu.Unlock()
 		staged, writers = staged[:0], writers[:0]
 	}
 	schema := func(table string) (*catalog.TableMeta, bool) {
@@ -306,7 +308,9 @@ func (db *Database) applyGroup(payload []byte) error {
 	return err
 }
 
-// applyDDL replays one DDL record through the DDL code path.
+// applyDDL replays one DDL record through the DDL code path and
+// publishes at once: later records of its group may write into the
+// table it creates.
 func (db *Database) applyDDL(rec *record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -323,6 +327,11 @@ func (db *Database) applyDDL(rec *record) error {
 			Column: rec.index.Column, Period: rec.index.Kind == catalog.PeriodIndex})
 	case recDropIndex:
 		_, err = s.dropIndex(&ast.DropIndex{Name: rec.index.Name})
+	}
+	if err == nil {
+		db.commitMu.Lock()
+		db.publish(s.pending)
+		db.commitMu.Unlock()
 	}
 	return err
 }

@@ -5,24 +5,19 @@
 //
 // A Database owns the shared state; Sessions execute statements. A
 // Session is single-goroutine state (one per client connection); the
-// Database is safe for any number of concurrent sessions. Locking is
-// two-level: a catalog lock guards the schema and the table registry,
-// and every table carries its own write lock. DDL takes the catalog
-// lock exclusively; a DML statement shares the catalog lock and locks
-// the one table it writes, so writers of different tables run in
-// parallel; queries pin immutable table versions, rows and indexes
-// alike, instead of locking (see locks.go and mvcc.go).
-// Each session keeps an LRU cache of parsed statements keyed by SQL
-// text, revalidated against a catalog generation counter that every DDL
-// bumps, so the hot repeated-statement path skips the parser.
+// Database is safe for any number of concurrent sessions. Writers lock
+// (locks.go): the catalog lock, then the one table a DML statement
+// writes. Readers pin the published state, every table's immutable
+// version, with one atomic load. A statement that writes ends with one
+// commit step under commitMu, which logs its group and then publishes
+// the next state (commit.go). Each session keeps an LRU cache of parsed
+// statements keyed by SQL text, revalidated against a catalog generation
+// counter that every DDL bumps.
 //
 // A transaction's begin time fixes the interpretation of NOW for all its
 // statements (Clifford-style transaction-time NOW), and a session may
-// override NOW for what-if evaluation (SET NOW = ...). A transaction
-// writes private table versions that its own statements read and COMMIT
-// publishes (see commit.go). A durable database (Open) logs each
-// commit's effects as one group before the commit's locks are
-// released; see Exec for the failure contract.
+// override NOW for what-if evaluation (SET NOW = ...). See Exec for the
+// failure contract of a durable database (Open).
 package engine
 
 import (
@@ -59,20 +54,14 @@ type Database struct {
 	wal    *wal                   // the log of a durable database, fixed by Open; nil in memory
 	obs    *obsState              // metrics registry + statement instrumentation
 
-	// pub is the multi-table commit being published, if any, and pubMu
-	// admits one at a time (see publish).
-	pub   atomic.Pointer[publication]
-	pubMu sync.Mutex
+	// commitMu admits one commit step at a time; state is the published
+	// state (commit.go).
+	commitMu sync.Mutex
+	state    atomic.Pointer[state]
 
 	// clock interprets NOW by default (the wall clock while nil).
 	clock atomic.Pointer[func() temporal.Chronon]
 
-	// ckpt is the checkpoint gate: commits hold it shared across
-	// publish+log, Checkpoint exclusively across snapshot+truncate, so
-	// no commit lands in a snapshot whose frame gets a seq past the
-	// snapshot's position (recovery would apply it twice).
-	// ReplicationSnapshot holds it exclusively for its capture alone.
-	ckpt         sync.RWMutex
 	syncPolicy   atomic.Int32 // SyncPolicy; see SetDurability
 	syncInterval atomic.Int64 // SyncGrouped fsync cadence, nanoseconds
 
@@ -80,11 +69,9 @@ type Database struct {
 	// ErrReadOnly; see SetReadOnly.
 	readOnly atomic.Bool
 
-	// Test hooks: afterApply runs between a commit's publication and
-	// its log append, midPublish between the first and the second table
-	// of a multi-table publication.
+	// afterApply, a test hook, runs in each commit step before its log
+	// append.
 	afterApply func(*Session)
-	midPublish func()
 
 	// mem is the engine-wide memory account: the parent of every
 	// session's statement account, so Used() sums the intermediate
@@ -102,6 +89,7 @@ func New(reg *blade.Registry) *Database {
 		locks:  make(map[string]*tableLock),
 		obs:    newObsState(),
 	}
+	db.state.Store(&state{})
 	db.syncInterval.Store(int64(2 * time.Millisecond))
 	// Durability-position gauges: replication lag is judged against
 	// these (a replica applied through seq S is behind flushed_seq −
@@ -169,9 +157,10 @@ type Session struct {
 	defaultStmtMem int64
 	lastPeak       int64 // peak accounted bytes of the last Exec'd statement
 
-	// snaps holds the table versions the current statement pinned at
-	// start (lower-cased table name → version); see captureSnaps.
-	snaps map[string]*exec.TableVersion
+	// st is the state the running statement pinned (lockTables);
+	// pending holds the versions it wrote, for its commit step.
+	st      *state
+	pending []stagedTable
 
 	// fx is where the running statement records its effects (the
 	// transaction's group, or stmtFx); nil when nothing will log them.
@@ -206,7 +195,7 @@ func (s *Session) Now() temporal.Chronon {
 // parameters, consulting the session's statement cache before the
 // parser. On a durable database, each commit — an autocommit statement
 // that changed something, or a COMMIT — appends its effects to the log
-// after it publishes. If the append fails, the in-memory result is
+// before it publishes. If the append fails, the in-memory result is
 // still returned, together with an error wrapping ErrWALFailed: the
 // commit is applied but not durable, and the WAL stops accepting
 // appends so the log on disk stays a consistent prefix of the in-memory
@@ -307,8 +296,7 @@ func (s *Session) CacheStats() (hits, misses uint64) {
 
 // ExecStmt executes one parsed statement under the locks it needs (see
 // the package comment for the locking discipline). A statement that
-// commits appends its group to the log before the locks are released,
-// so groups reach the log in the order they published.
+// wrote ends with its commit step before the locks are released.
 func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*exec.Result, error) {
 	o := s.db.obs
 	writes := changesState(stmt)
@@ -323,13 +311,6 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 	tx := s.tx // the transaction a COMMIT ends
 	durable := s.db.wal != nil
 	commits := durable && (writes && tx == nil || tx != nil && isCommit(stmt))
-	if commits {
-		// Hold the checkpoint gate across publish+log so Checkpoint
-		// never snapshots a commit whose WAL frame then gets a seq past
-		// the snapshot's (it would replay on top of the snapshot).
-		s.db.ckpt.RLock()
-		defer s.db.ckpt.RUnlock()
-	}
 	var mark int
 	if durable && writes || commits {
 		s.stmtFx, s.fx = s.stmtFx[:0], &s.stmtFx
@@ -362,6 +343,8 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 		if s.fx != nil {
 			*s.fx = (*s.fx)[:mark] // the transaction stays as it was
 		}
+		clear(s.pending)
+		s.pending = s.pending[:0]
 		return res, err
 	case res != nil:
 		if n := len(res.Rows); n > 0 {
@@ -376,13 +359,14 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 		// reader never observes a new schema with an old generation.
 		s.db.gen.Add(1)
 	}
-	if commits && len(*s.fx) > 0 {
-		if s.db.afterApply != nil {
-			s.db.afterApply(s)
-		}
-		// On failure the commit is applied but not logged: the result
-		// still goes back with the durability error (see Exec).
-		err = s.db.logGroup(*s.fx)
+	var group []byte
+	if commits {
+		group = *s.fx
+	}
+	if len(s.pending) > 0 || len(group) > 0 {
+		// On a failed append the commit still applies: the result goes
+		// back with the durability error (see Exec).
+		err = s.commit(group)
 		s.tr.Mark(&s.tr.WAL)
 	}
 	return res, err
@@ -414,12 +398,12 @@ func (s *Session) execLocked(stmt ast.Statement, params map[string]types.Value) 
 		s.tx = &txState{time: s.db.now()}
 		return &exec.Result{}, nil
 	case *ast.Commit:
-		// The caller holds the checkpoint gate on a durable database,
-		// then logs the group and releases the transaction's locks.
+		// The caller's commit step logs the group and publishes, then
+		// releases the transaction's locks.
 		if s.tx == nil {
 			return nil, errNoTxn
 		}
-		s.db.publish(s.tx.tables)
+		s.pending = append(s.pending, s.tx.tables...)
 		s.tx = nil
 		return &exec.Result{}, nil
 	case *ast.Rollback:
@@ -452,17 +436,10 @@ func (s *Session) execLocked(stmt ast.Statement, params map[string]types.Value) 
 // env builds the execution environment for the current statement.
 func (s *Session) env(params map[string]types.Value) *exec.Env {
 	return &exec.Env{
-		Reg:    s.db.reg,
-		Now:    s.Now(),
-		Params: params,
-		Lookup: func(name string) (*exec.Table, bool) {
-			t, ok := s.db.tables[strings.ToLower(name)]
-			return t, ok
-		},
-		Snap: func(name string) (*exec.TableVersion, bool) {
-			v, ok := s.snaps[strings.ToLower(name)]
-			return v, ok
-		},
+		Reg:        s.db.reg,
+		Now:        s.Now(),
+		Params:     params,
+		Tables:     s,
 		Cancel:     &s.cancel,
 		Mem:        &s.mem,
 		PlanChoice: s.db.obs.planChoice,
@@ -483,9 +460,16 @@ func (s *Session) createTable(st *ast.CreateTable) (*exec.Result, error) {
 	if err := s.db.cat.CreateTable(meta); err != nil {
 		return nil, err
 	}
-	key := strings.ToLower(meta.Name)
-	s.db.tables[key] = exec.NewTable(meta)
+	// The table takes the first free slot of the state.
+	key, cur := strings.ToLower(meta.Name), s.db.state.Load().tables
+	slot := slices.Index(cur, nil)
+	if slot < 0 {
+		slot = len(cur)
+	}
+	tbl := &exec.Table{Meta: meta, Slot: slot}
+	s.db.tables[key] = tbl
 	s.db.locks[key] = &tableLock{}
+	s.pending = append(s.pending, stagedTable{tbl: tbl, v: exec.NewVersion(meta)})
 	if s.fx != nil {
 		*s.fx = appendCreateTable(*s.fx, meta)
 	}
@@ -518,6 +502,7 @@ func (s *Session) dropTable(st *ast.DropTable) (*exec.Result, error) {
 	if err := s.db.cat.DropTable(st.Name); err != nil {
 		return nil, err
 	}
+	s.pending = append(s.pending, stagedTable{tbl: s.db.tables[strings.ToLower(st.Name)]})
 	delete(s.db.tables, strings.ToLower(st.Name))
 	delete(s.db.locks, strings.ToLower(st.Name))
 	if s.fx != nil {
@@ -539,7 +524,7 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 		return nil, fmt.Errorf("engine: no column %s in table %s", st.Column, st.Table)
 	}
 	colType := tbl.Meta.Columns[pos].Type
-	snap := tbl.Snapshot()
+	snap := s.db.state.Load().tables[tbl.Slot]
 	kind := catalog.HashIndex
 	if st.Period {
 		kind = catalog.PeriodIndex
@@ -561,9 +546,8 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 	if err := s.db.cat.CreateIndex(im); err != nil {
 		return nil, err
 	}
-	// Build over the existing rows and install as a new table version.
-	// The catalog lock is held exclusively, so no statement is in
-	// flight and the version chain stays linear.
+	// Build over the existing rows into a new table version. The
+	// catalog lock is held exclusively, so no statement is in flight.
 	now := s.Now()
 	nv := &exec.TableVersion{Rows: snap.Rows, Indexes: slices.Clone(snap.Indexes)}
 	if st.Period {
@@ -588,7 +572,7 @@ func (s *Session) createIndex(st *ast.CreateIndex) (*exec.Result, error) {
 		})
 		nv.Indexes[pos].Hash = hb.Commit()
 	}
-	tbl.Install(nv)
+	s.pending = append(s.pending, stagedTable{tbl: tbl, v: nv})
 	if s.fx != nil {
 		*s.fx = appendCreateIndex(*s.fx, im)
 	}
@@ -605,14 +589,14 @@ func (s *Session) dropIndex(st *ast.DropIndex) (*exec.Result, error) {
 	}
 	tbl := s.db.tables[strings.ToLower(im.Table)]
 	pos, _ := tbl.Meta.ColumnIndex(im.Column)
-	snap := tbl.Snapshot()
+	snap := s.db.state.Load().tables[tbl.Slot]
 	nv := &exec.TableVersion{Rows: snap.Rows, Indexes: slices.Clone(snap.Indexes)}
 	if im.Kind == catalog.PeriodIndex {
 		nv.Indexes[pos].Period = nil
 	} else {
 		nv.Indexes[pos].Hash = nil
 	}
-	tbl.Install(nv)
+	s.pending = append(s.pending, stagedTable{tbl: tbl, v: nv})
 	if s.fx != nil {
 		*s.fx = appendRecord(*s.fx, recDropIndex, st.Name)
 	}

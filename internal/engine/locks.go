@@ -9,25 +9,22 @@ import (
 	"tip/internal/sql/ast"
 )
 
-// Locking and snapshot acquisition. The catalog lock (Database.mu)
-// guards the schema and the tables/locks maps; one lock per table
-// orders its writers. A statement's footprint is decided up front from
-// its AST (exec.StatementTables), before any shared state is touched:
+// Locking. The order is catalog lock (Database.mu) → table lock →
+// commitMu → wal.mu. A statement's footprint comes from its AST
+// (exec.StatementTables) before any shared state is touched:
 //
 //   - DDL takes the catalog lock exclusively, which waits out every
 //     running statement, and fails with ErrBusy on a table an open
 //     transaction holds.
-//   - A DML statement takes the catalog lock shared and the lock of its
-//     one written table. The log records what it wrote, not what it
-//     read, so it reads other tables as a pure reader does: through
-//     pinned versions (captureSnaps), with no lock.
-//   - COMMIT takes no lock and ends by releasing the transaction's
-//     locks, as ROLLBACK does; statements that bind no table, such as
-//     BEGIN, take the catalog lock shared.
+//   - Any other statement takes the catalog lock shared, a DML statement
+//     also the lock of the one table it writes; reads go through the
+//     pinned state, with no lock.
+//   - COMMIT releases its transaction's table locks after its commit step.
+//   - Checkpoint and ReplicationSnapshot take the catalog lock shared,
+//     then commitMu.
 //
-// Table locks are acquired only under the shared catalog lock and
-// created or deleted only under the exclusive one, so the locks map is
-// stable during acquisition.
+// Table locks are taken under the shared catalog lock and created or
+// deleted under the exclusive one, so the locks map is stable meanwhile.
 
 // ErrBusy reports a statement that needs a table an open transaction
 // has written: the transaction holds the table until it commits or
@@ -39,9 +36,7 @@ var ErrBusy = errors.New("engine: table is held by an open transaction")
 // statement on the table until it ends. A statement waits for a running
 // holder, but fails at once with ErrBusy on a parked lock, also when it
 // is parked while the statement waits. Nobody waits on a client that
-// may be idle, so there is no deadlock to detect — which is also what
-// lets COMMIT take the checkpoint gate while it holds table locks, the
-// reverse of an autocommit writer's order.
+// may be idle, so there is no deadlock to detect.
 type tableLock struct {
 	mu     sync.Mutex
 	owner  *Session      // nil when free
@@ -104,16 +99,16 @@ func (db *Database) checkFree(table string) error {
 	return nil
 }
 
-// lockFor acquires every lock stmt needs, pins the statement's table
-// snapshots, and returns the matching release function.
+// lockFor acquires every lock stmt needs, pins the published state, and
+// returns the matching release function.
 func (s *Session) lockFor(stmt ast.Statement) (func(), error) {
 	switch stmt.(type) {
 	case *ast.CreateTable, *ast.DropTable, *ast.CreateIndex, *ast.DropIndex:
 		s.db.mu.Lock()
 		return s.db.mu.Unlock, nil
 	case *ast.Commit:
-		// The transaction's locks outlast its publication and its log
-		// append, so the log holds its group before any later writer's.
+		// The transaction's locks outlast its commit step, so the log
+		// holds its group before any later writer's of its tables.
 		if tx := s.tx; tx != nil {
 			return tx.release, nil
 		}
@@ -123,11 +118,10 @@ func (s *Session) lockFor(stmt ast.Statement) (func(), error) {
 }
 
 // lockTables takes the catalog lock shared and the lock of the written
-// table, if any, then pins versions of all the named tables (the
-// written table's after its lock is held, so it is the latest one, or
-// the transaction's own), and returns the release function. Names must
-// be lower-cased; names without a registered table are skipped — the
-// statement fails resolution under the catalog lock anyway.
+// table, if any, then pins the published state (after the write lock,
+// so the written table's version in it is the latest), and returns the
+// release function. Names must be lower-cased; a name without a table
+// fails resolution later, under the catalog lock.
 func (s *Session) lockTables(tables []string, write string) (func(), error) {
 	db := s.db
 	db.mu.RLock()
@@ -139,18 +133,14 @@ func (s *Session) lockTables(tables []string, write string) (func(), error) {
 			return nil, err
 		}
 	}
-	names := tables[:0]
 	for _, t := range tables {
-		if _, ok := db.locks[t]; ok {
-			if t != write {
-				db.obs.tableOf(t).reads.Inc()
-			}
-			names = append(names, t)
+		if _, ok := db.locks[t]; ok && t != write {
+			db.obs.tableOf(t).reads.Inc()
 		}
 	}
-	s.captureSnaps(names)
+	s.st = db.state.Load()
 	return func() {
-		clear(s.snaps)
+		s.st = nil
 		if wl != nil {
 			wl.release(s.tx.staged(write) != nil)
 		}

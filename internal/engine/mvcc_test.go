@@ -32,6 +32,11 @@ func newMVCCDB(t *testing.T) (*Database, *Session) {
 	return db, db.NewSession()
 }
 
+// published returns the named table's version in the published state.
+func (db *Database) published(name string) *exec.TableVersion {
+	return db.state.Load().tables[db.tables[name].Slot]
+}
+
 func mvccExec(t *testing.T, s *Session, sql string) *exec.Result {
 	t.Helper()
 	res, err := s.Exec(sql, nil)
@@ -51,7 +56,7 @@ func TestMVCCScanSeesOldVersionAfterUpdate(t *testing.T) {
 	mvccExec(t, s1, `INSERT INTO t VALUES (1), (2), (3)`)
 
 	release, _ := s1.lockTables([]string{"t"}, "")
-	snap := s1.snaps["t"]
+	_, snap, _ := s1.Table("t")
 	if snap == nil {
 		t.Fatal("statement did not pin a snapshot")
 	}
@@ -95,7 +100,7 @@ func TestMVCCScanSeesPreRollbackVersion(t *testing.T) {
 	}
 
 	release, _ := s1.lockTables([]string{"t"}, "")
-	snap := s1.snaps["t"]
+	_, snap, _ := s1.Table("t")
 	mvccExec(t, s2, `ROLLBACK`)
 
 	sum := int64(0)
@@ -134,11 +139,11 @@ func TestMVCCRollbackKeepsPublishedSlots(t *testing.T) {
 	}
 
 	mvccExec(t, s1, `ROLLBACK`)
-	if r, ok := db.tables["t"].Snapshot().Rows.Get(1); !ok || r[0].Int() != 1 {
+	if r, ok := db.published("t").Rows.Get(1); !ok || r[0].Int() != 1 {
 		t.Fatalf("slot 1 after rollback = %v, %v; want the committed row (1)", r, ok)
 	}
 	mvccExec(t, s2, `INSERT INTO t VALUES (7)`)
-	snap := db.tables["t"].Snapshot()
+	snap := db.published("t")
 	if snap.Rows.Capacity() != 4 || snap.Rows.Len() != 4 {
 		t.Fatalf("capacity %d, len %d after the retry; want 4 and 4", snap.Rows.Capacity(), snap.Rows.Len())
 	}
@@ -160,7 +165,7 @@ func TestMVCCStaleFreeEntryRollback(t *testing.T) {
 	}
 	s2 := db.NewSession()
 	mvccExec(t, s2, `INSERT INTO t VALUES (7)`)
-	if r, ok := db.tables["t"].Snapshot().Rows.Get(1); !ok || r[0].Int() != 1 {
+	if r, ok := db.published("t").Rows.Get(1); !ok || r[0].Int() != 1 {
 		t.Fatalf("slot 1 = %v, %v; want the committed row (1)", r, ok)
 	}
 	if res := mvccExec(t, s1, `SELECT COUNT(*) FROM t`); res.Rows[0][0].Int() != 4 {
@@ -298,7 +303,7 @@ func TestMVCCVersionGC(t *testing.T) {
 
 	collected := make(chan struct{})
 	func() {
-		old := db.tables["t"].Snapshot()
+		old := db.published("t")
 		runtime.SetFinalizer(old, func(*exec.TableVersion) { close(collected) })
 	}()
 	for i := 0; i < 8; i++ {
@@ -331,7 +336,7 @@ func TestMVCCChurnCapacityBounded(t *testing.T) {
 		mvccExec(t, s, fmt.Sprintf(`DELETE FROM t WHERE a = %d`, round%50))
 		mvccExec(t, s, fmt.Sprintf(`INSERT INTO t VALUES (%d)`, round%50))
 	}
-	if cap := db.tables["t"].Snapshot().Rows.Capacity(); cap != 50 {
+	if cap := db.published("t").Rows.Capacity(); cap != 50 {
 		t.Fatalf("capacity after churn = %d slots for 50 rows; want 50", cap)
 	}
 }
@@ -393,7 +398,7 @@ func TestMVCCSessionCloseDropsTransaction(t *testing.T) {
 		mvccExec(t, s, `DELETE FROM t WHERE a = 3`)
 		mvccExec(t, s, `INSERT INTO t VALUES (3)`)
 	}
-	snap := db.tables["t"].Snapshot()
+	snap := db.published("t")
 	if snap.Rows.Len() != 2 || snap.Rows.Capacity() != 2 {
 		t.Fatalf("len %d, capacity %d after the close and the churn; want 2 and 2", snap.Rows.Len(), snap.Rows.Capacity())
 	}

@@ -159,7 +159,7 @@ func TestPeriodIndexMarksOnlyLiveRows(t *testing.T) {
 	var versions []*exec.TableVersion
 	for i := 0; i < 400; i++ {
 		step(false)
-		v := db.tables["t"].Snapshot()
+		v := db.published("t")
 		if len(versions) == 0 || versions[len(versions)-1] != v {
 			versions = append(versions, v)
 		}
@@ -174,7 +174,7 @@ func TestPeriodIndexMarksOnlyLiveRows(t *testing.T) {
 
 	last := versions[len(versions)-1]
 	rec := recovered(t, db)
-	got := rec.db.tables["t"].Snapshot()
+	got := rec.db.published("t")
 	check(got, "the replayed version")
 	rowsOf := func(v *exec.TableVersion) map[int]string {
 		m := map[int]string{}

@@ -96,17 +96,17 @@ type Snapshot struct {
 	indexes []*catalog.IndexMeta
 }
 
-// capture pins every table's published version and the index
-// definitions under the catalog read lock. The caller keeps commits
-// out (the checkpoint gate), so the versions are those at seq.
+// capture pins every table's version in the published state and the
+// index definitions. The caller holds the catalog lock shared and
+// commitMu, so the state is the one at seq; capture takes no lock
+// itself (a nested read lock would deadlock against a waiting DDL).
 func (db *Database) capture(seq uint64) *Snapshot {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	s := &Snapshot{seq: seq}
+	st := db.state.Load()
 	for _, name := range db.cat.TableNames() {
 		tbl := db.tables[strings.ToLower(name)]
 		s.tables = append(s.tables, tbl.Meta)
-		s.rows = append(s.rows, tbl.Snapshot().Rows)
+		s.rows = append(s.rows, st.tables[tbl.Slot].Rows)
 		s.indexes = append(s.indexes, db.cat.TableIndexes(name)...)
 	}
 	return s
@@ -206,6 +206,7 @@ func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) 
 		locks:  make(map[string]*tableLock),
 		obs:    db.obs,
 	}
+	stage.state.Store(&state{})
 	var pos uint64
 	for n := uint64(1); ; n++ {
 		fr, ok, err := next()
@@ -233,7 +234,10 @@ func (db *Database) loadSnapshot(next func() (fr walFrame, ok bool, err error)) 
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	db.cat, db.tables, db.locks = stage.cat, stage.tables, stage.locks
+	db.state.Store(stage.state.Load())
 	db.gen.Add(1) // the schema changed under every cached plan
 	return pos, nil
 }

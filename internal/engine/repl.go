@@ -32,15 +32,15 @@ func (db *Database) ApplyWALPayload(payload []byte) error {
 
 // ReplicationSnapshot captures a consistent snapshot for replica
 // bootstrap at the WAL seq it reflects: a replica that loads it and
-// subscribes from Seq sees every commit exactly once. Commits are held
-// off on the checkpoint gate only while the position is read and the
-// tables' versions pinned, so no commit straddles the capture and its
-// WAL frame; the caller encodes the snapshot afterwards while commits
-// go on. An open transaction is in neither: its private versions are
-// not published, and its group reaches the log only when it commits.
+// subscribes from Seq sees every commit exactly once. It reads the seq
+// and the published state under commitMu, so they match; the caller
+// encodes the snapshot afterwards while commits go on. An open
+// transaction is in neither: its versions are private until its commit.
 func (db *Database) ReplicationSnapshot() *Snapshot {
-	db.ckpt.Lock()
-	defer db.ckpt.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	return db.capture(db.WALSeq())
 }
 

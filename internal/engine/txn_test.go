@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,8 +165,8 @@ func TestTxnKeepsKilledHashPostings(t *testing.T) {
 	}
 }
 
-// A statement that runs while a two-table commit is between its two
-// publications sees both tables as they were before the commit.
+// A statement that runs while a two-table commit is in its commit step
+// sees both tables as they were before the commit.
 func TestCommitPublishesAllTablesAtOnce(t *testing.T) {
 	db, a := newMVCCDB(t)
 	mvccExec(t, a, `CREATE TABLE t (a INT)`)
@@ -179,14 +180,61 @@ func TestCommitPublishesAllTablesAtOnce(t *testing.T) {
 	mvccExec(t, a, `INSERT INTO t VALUES (2)`)
 	mvccExec(t, a, `INSERT INTO u VALUES (2)`)
 	var mid int64 = -1
-	db.midPublish = func() { mid = pairs() }
+	db.afterApply = func(*Session) { mid = pairs() }
 	mvccExec(t, a, `COMMIT`)
-	db.midPublish = nil
+	db.afterApply = nil
 	if mid != 1 {
 		t.Fatalf("mid-publication reader counts %d pairs, want 1 (none of the commit); 2 is half of it", mid)
 	}
 	if got := pairs(); got != 4 {
 		t.Fatalf("after COMMIT: %d pairs, want 4", got)
+	}
+}
+
+// blockingSink is a log file whose next Write, once armed, signals
+// entered and waits for release.
+type blockingSink struct {
+	*os.File
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingSink) Write(p []byte) (int, error) {
+	if b.armed.CompareAndSwap(true, false) {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	return b.File.Write(p)
+}
+
+// A commit is invisible until its group is written: a reader that runs
+// while an INSERT sits in its log write does not see the row.
+func TestCommitInvisibleUntilWritten(t *testing.T) {
+	sink := &blockingSink{entered: make(chan struct{}), release: make(chan struct{})}
+	db := openEngine(t, t.TempDir(), func(f *os.File) walSink {
+		sink.File = f
+		return sink
+	})
+	a, b := db.NewSession(), db.NewSession()
+	execSQL(t, a, `CREATE TABLE t (a INT)`)
+	sink.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Exec(`INSERT INTO t VALUES (1)`, nil)
+		done <- err
+	}()
+	<-sink.entered
+	during := rowCount(t, b, "t")
+	close(sink.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if during != 0 {
+		t.Fatalf("a reader counts %d rows while the INSERT's group is being written, want 0", during)
+	}
+	if got := rowCount(t, b, "t"); got != 1 {
+		t.Fatalf("after the write: %d rows, want 1", got)
 	}
 }
 
@@ -370,7 +418,7 @@ func TestRecoveredRowIDsMatchLive(t *testing.T) {
 	insert(s, 20, 22)
 	ids := func(db *Database) map[int]int64 {
 		m := map[int]int64{}
-		db.tables["t"].Snapshot().Rows.Scan(func(id int, r exec.Row) bool {
+		db.published("t").Rows.Scan(func(id int, r exec.Row) bool {
 			m[id] = r[0].Int()
 			return true
 		})

@@ -17,13 +17,11 @@ import (
 )
 
 // Write-ahead logging of commit groups. A durable database is one
-// directory (Open): a snapshot plus the log of every commit since — an
-// autocommit statement that changed something, or a COMMIT — as one
-// frame holding the commit's effect records (effects.go), appended
-// after the commit publishes and before it releases its locks.
-// Recovery and replicas apply the records and never parse SQL; BEGIN,
-// ROLLBACK and an open transaction's statements log nothing.
-// Checkpoint writes a snapshot and truncates the log.
+// directory (Open): a snapshot plus the log of every commit since, one
+// frame of effect records (effects.go) per commit, appended by the
+// commit step before it publishes (commit.go). Recovery and replicas
+// apply the records and never parse SQL. Checkpoint writes a snapshot
+// and truncates the log.
 //
 // Frame layout (length-prefixed, versioned, checksummed):
 //
@@ -260,39 +258,44 @@ func (db *Database) Close() error {
 	return err
 }
 
-// walSyncer is the background group-commit loop: under SyncGrouped it
-// fsyncs any frames flushed since the last sync, bounding the loss
-// window to the configured interval. It runs for every open log (the
-// off-policy tick is a couple of atomic loads) so switching policies
-// at runtime needs no goroutine management.
+// walSyncer is the background group-commit loop: it runs syncTick at
+// the configured interval. It runs for every open log (the off-policy
+// tick is a couple of atomic loads) so switching policies at runtime
+// needs no goroutine management.
 func (db *Database) walSyncer(w *wal) {
 	defer close(w.done)
 	for {
-		d := time.Duration(db.syncInterval.Load())
-		timer := time.NewTimer(d)
+		timer := time.NewTimer(time.Duration(db.syncInterval.Load()))
 		select {
 		case <-w.stop:
 			timer.Stop()
 			return
 		case <-timer.C:
 		}
-		if SyncPolicy(db.syncPolicy.Load()) != SyncGrouped {
-			continue
-		}
-		if target := w.flushedSeq.Load(); target > w.syncedSeq.Load() {
-			w.mu.Lock()
-			broken := w.failed != nil
-			w.mu.Unlock()
-			if !broken {
-				_ = db.walSyncTo(w, target) // a failed fsync is caught by the next strict append or Checkpoint
-			}
-		}
+		db.syncTick(w)
+	}
+}
+
+// syncTick fsyncs, under SyncGrouped, the frames flushed since the last
+// fsync. A failure is sticky, as walSyncTo makes it.
+func (db *Database) syncTick(w *wal) {
+	target := w.flushedSeq.Load()
+	if db.Durability() != SyncGrouped || target <= w.syncedSeq.Load() {
+		return
+	}
+	w.mu.Lock()
+	broken := w.failed != nil
+	w.mu.Unlock()
+	if !broken {
+		_ = db.walSyncTo(w, target)
 	}
 }
 
 // walSyncTo makes frame seq durable: it fsyncs unless a concurrent
 // fsync already covered it. One fsync covers every frame flushed before
-// it started, which is what batches concurrent committers.
+// it started, which is what batches concurrent committers. A failed
+// fsync is sticky in w.failed, like a failed append: the frames it
+// covered may not be on disk, so the log takes no more.
 func (db *Database) walSyncTo(w *wal, seq uint64) error {
 	if w.syncedSeq.Load() >= seq {
 		return nil
@@ -308,6 +311,12 @@ func (db *Database) walSyncTo(w *wal, seq uint64) error {
 	db.obs.walFsyncs.Inc()
 	db.obs.walFsyncLat.Observe(time.Since(start).Nanoseconds())
 	if err != nil {
+		w.mu.Lock()
+		if w.failed == nil {
+			w.failed = err
+		}
+		w.mu.Unlock()
+		db.obs.walFailures.Inc()
 		return err
 	}
 	w.syncedSeq.Store(target)
@@ -318,24 +327,23 @@ func (db *Database) walSyncTo(w *wal, seq uint64) error {
 // log's position S into dir/snapshot.tipdb, then truncates the log:
 // recovery needs only the snapshot plus the (empty) log. The snapshot
 // carries S, and replay skips every frame ≤ S, so a crash before the
-// truncate cannot double-apply the stale frames. Writers are quiesced
-// (db.ckpt held exclusively) so no statement straddles the snapshot
-// with its WAL frame.
+// truncate cannot double-apply the stale frames. It holds the catalog
+// lock shared and commitMu throughout, so the published state is the
+// one at S and no frame is appended before the truncate.
 func (db *Database) Checkpoint() error {
 	w := db.wal
 	if w == nil {
 		return errors.New("engine: Checkpoint needs a database opened with Open")
 	}
-	db.ckpt.Lock()
-	defer db.ckpt.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed == errClosed {
 		return fmt.Errorf("engine: checkpoint: %w", errClosed)
 	}
-	// Writers are quiesced, so the captured versions are the state at
-	// seq. The gate stays held across the encode: the truncate below
-	// must drop no frame the snapshot lacks.
 	seq := w.flushedSeq.Load()
 	if err := writeFileAtomic(filepath.Join(w.dir, snapshotFile), db.capture(seq).writeTo); err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
@@ -422,51 +430,44 @@ func decodeWALFrame(body []byte) (walFrame, error) {
 	return walFrame{seq: seq, payload: rest[n:]}, nil
 }
 
-// logGroup appends one commit group to the WAL and, under
-// SyncEveryAppend, fsyncs before returning. The caller still holds the
-// commit's locks, so groups reach the log in the order they published.
-func (db *Database) logGroup(payload []byte) error {
+// appendGroup appends one commit group to the log and returns its seq.
+// The caller holds commitMu, so groups reach the log in the order their
+// commits publish.
+func (db *Database) appendGroup(payload []byte) (uint64, error) {
 	w := db.wal
-	seq, size, err := func() (uint64, int, error) {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.failed != nil {
-			return 0, 0, fmt.Errorf("%w (first failure: %v)", ErrWALFailed, w.failed)
-		}
-		seq := w.flushedSeq.Load() + 1
-		w.frame = appendWALFrame(w.frame[:0], seq, payload)
-		size := len(w.frame)
-		_, err := w.f.Write(w.frame)
-		if cap(w.frame) > 1<<20 {
-			w.frame = nil // keep no large group's buffer
-		}
-		if err != nil {
-			w.failed = err
-			return 0, 0, fmt.Errorf("%w: %v", ErrWALFailed, err)
-		}
-		w.flushedSeq.Store(seq)
-		if w.appended != nil {
-			close(w.appended)
-			w.appended = nil
-		}
-		return seq, size, nil
-	}()
-	if err != nil {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed != nil {
 		db.obs.walFailures.Inc()
-		return err
+		return 0, fmt.Errorf("%w (first failure: %v)", ErrWALFailed, w.failed)
+	}
+	seq := w.flushedSeq.Load() + 1
+	w.frame = appendWALFrame(w.frame[:0], seq, payload)
+	size := len(w.frame)
+	_, err := w.f.Write(w.frame)
+	if cap(w.frame) > 1<<20 {
+		w.frame = nil // keep no large group's buffer
+	}
+	if err != nil {
+		w.failed = err
+		db.obs.walFailures.Inc()
+		return 0, fmt.Errorf("%w: %v", ErrWALFailed, err)
+	}
+	w.flushedSeq.Store(seq)
+	if w.appended != nil {
+		close(w.appended)
+		w.appended = nil
 	}
 	db.obs.walAppends.Inc()
 	db.obs.walBytes.Add(uint64(size))
-	if SyncPolicy(db.syncPolicy.Load()) == SyncEveryAppend {
-		if err := db.walSyncTo(w, seq); err != nil {
-			w.mu.Lock()
-			if w.failed == nil {
-				w.failed = err
-			}
-			w.mu.Unlock()
-			db.obs.walFailures.Inc()
-			return fmt.Errorf("%w: fsync: %v", ErrWALFailed, err)
-		}
+	return seq, nil
+}
+
+// syncStrict makes frame seq durable before a SyncEveryAppend commit
+// returns.
+func (db *Database) syncStrict(seq uint64) error {
+	if err := db.walSyncTo(db.wal, seq); err != nil {
+		return fmt.Errorf("%w: fsync: %v", ErrWALFailed, err)
 	}
 	return nil
 }

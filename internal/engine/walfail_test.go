@@ -12,6 +12,7 @@ import (
 	"errors"
 	"os"
 	"testing"
+	"time"
 
 	"tip/internal/iofault"
 	"tip/internal/sql/parse"
@@ -114,6 +115,32 @@ func TestWALAppendFailureHealedByCheckpoint(t *testing.T) {
 	// full post-checkpoint history.
 	if got := rowCount(t, openEngine(t, dir, nil).NewSession(), "t"); got != 2 {
 		t.Errorf("recovered rows = %d, want 2", got)
+	}
+}
+
+// A failed background fsync under SyncGrouped is sticky, as a failed
+// strict fsync is: the frames it covered may not be on disk, so the next
+// commit reports ErrWALFailed and no later fsync counts them durable.
+func TestGroupedFsyncFailureSticks(t *testing.T) {
+	var sink *iofault.File
+	db := openEngine(t, t.TempDir(), func(f *os.File) walSink {
+		sink = iofault.Wrap(f)
+		return sink
+	})
+	db.SetDurability(SyncGrouped, time.Hour) // the test runs the ticks
+	s := db.NewSession()
+	execSQL(t, s, `CREATE TABLE t (a INT)`) // frame 1
+	sink.FailSync(true)
+	execSQL(t, s, `INSERT INTO t VALUES (1)`) // frame 2, never fsynced
+	db.syncTick(db.wal)
+	db.syncTick(db.wal)
+	sink.FailSync(false)
+	if _, err := s.Exec(`INSERT INTO t VALUES (2)`, nil); !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("commit after a failed grouped fsync: err = %v, want ErrWALFailed", err)
+	}
+	db.syncTick(db.wal)
+	if synced := db.wal.syncedSeq.Load(); synced >= 2 {
+		t.Fatalf("wal.synced_seq = %d: frame 2, whose fsync failed, counts as durable", synced)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -158,11 +159,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		if err != nil {
 			return nil, err
 		}
-		switch countBits(set) {
+		switch bits.OnesCount64(set) {
 		case 0:
 			zeroLevel = append(zeroLevel, c)
 		case 1:
-			i := firstBit(set)
+			i := bits.TrailingZeros64(set)
 			if sources[i].leftJoin {
 				// WHERE filters on a left-joined table apply after
 				// NULL padding; pushing them into the scan would keep
@@ -172,7 +173,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			}
 			pushed[i] = append(pushed[i], c)
 		default:
-			level := lastBit(set)
+			level := 63 - bits.LeadingZeros64(set)
 			// Try to use an equality conjunct as the hash-join condition
 			// for its level (inner joins only).
 			if hashConds[level] == nil && !sources[level].leftJoin {
@@ -981,31 +982,4 @@ func splitConjuncts(e ast.Expr) []ast.Expr {
 		return append(splitConjuncts(bin.L), splitConjuncts(bin.R)...)
 	}
 	return []ast.Expr{e}
-}
-
-func countBits(m uint64) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
-}
-
-func firstBit(m uint64) int {
-	for i := 0; i < 64; i++ {
-		if m&(1<<i) != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-func lastBit(m uint64) int {
-	for i := 63; i >= 0; i-- {
-		if m&(1<<i) != 0 {
-			return i
-		}
-	}
-	return -1
 }

@@ -31,7 +31,7 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 			derived: plan,
 		}, nil
 	}
-	tbl, ok := b.env.Lookup(ref.Table)
+	tbl, snap, ok := b.env.Tables.Table(ref.Table)
 	if !ok {
 		return nil, fmt.Errorf("exec: no table %s", ref.Table)
 	}
@@ -40,7 +40,7 @@ func (b *binder) bindSource(ref ast.TableRef, parent *bindScope) (*source, error
 	for i, c := range tbl.Meta.Columns {
 		schema[i] = ColMeta{Table: binding, Name: c.Name, Type: c.Type}
 	}
-	return &source{binding: binding, schema: schema, tbl: tbl, snap: b.env.Snapshot(ref.Table, tbl)}, nil
+	return &source{binding: binding, schema: schema, tbl: tbl, snap: snap}, nil
 }
 
 // bindScan compiles src.table, with its pushed-down filters, choosing a

@@ -15,7 +15,6 @@ package exec
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"tip/internal/blade"
 	"tip/internal/catalog"
@@ -106,27 +105,23 @@ type ColumnIndex struct {
 	Period *index.Period
 }
 
-// Table is the runtime state of one table: catalog metadata plus the
-// atomically published latest version. Writers install successors
-// under the table's write lock; readers only ever load the pointer.
+// Table is one table's identity: its catalog metadata and the slot
+// its version takes in each state the engine publishes.
 type Table struct {
 	Meta *catalog.TableMeta
-	cur  atomic.Pointer[TableVersion]
+	Slot int
 }
 
-// NewTable returns an empty runtime table for the given metadata.
-func NewTable(meta *catalog.TableMeta) *Table {
-	t := &Table{Meta: meta}
-	t.cur.Store(&TableVersion{Rows: storage.NewVersion(), Indexes: make([]ColumnIndex, len(meta.Columns))})
-	return t
+// NewVersion returns the empty version of a table of meta.
+func NewVersion(meta *catalog.TableMeta) *TableVersion {
+	return &TableVersion{Rows: storage.NewVersion(), Indexes: make([]ColumnIndex, len(meta.Columns))}
 }
 
-// Snapshot returns the latest published version.
-func (t *Table) Snapshot() *TableVersion { return t.cur.Load() }
-
-// Install publishes v as the latest version. The caller must hold the
-// table's write lock (or the catalog lock exclusively, for DDL).
-func (t *Table) Install(v *TableVersion) { t.cur.Store(v) }
+// Tables resolves the tables a statement reads: a name to the table and
+// the version the statement pinned of it.
+type Tables interface {
+	Table(name string) (*Table, *TableVersion, bool)
+}
 
 // Env is everything a query needs at bind and run time.
 type Env struct {
@@ -137,12 +132,8 @@ type Env struct {
 	Now temporal.Chronon
 	// Params supplies named :param values.
 	Params map[string]types.Value
-	// Lookup resolves a table name to its runtime state.
-	Lookup func(name string) (*Table, bool)
-	// Snap resolves a table name to the version snapshot the current
-	// statement pinned at start. nil (or a miss) falls back to the
-	// table's latest published version.
-	Snap func(name string) (*TableVersion, bool)
+	// Tables resolves the tables the statement reads.
+	Tables Tables
 	// Cancel, when non-nil, is polled by every executor row loop; a
 	// cancelled token aborts the statement with its typed error (see
 	// cancel.go). nil means the statement cannot be cancelled.
@@ -160,18 +151,6 @@ type Env struct {
 	Mem *MemAccount
 
 	ctx *blade.Ctx // cached evaluation context; Now is fixed per statement
-}
-
-// Snapshot returns the version of tbl the current statement reads:
-// the pinned statement snapshot when one exists, the latest published
-// version otherwise.
-func (e *Env) Snapshot(name string, tbl *Table) *TableVersion {
-	if e.Snap != nil {
-		if v, ok := e.Snap(name); ok {
-			return v
-		}
-	}
-	return tbl.Snapshot()
 }
 
 // Ctx returns the blade evaluation context for this environment. The

@@ -315,9 +315,8 @@ func (b *Builder) Update(id int, r Row) (Row, error) {
 }
 
 // Commit publishes the builder's state as a new immutable version.
-// The caller installs it under the table's write lock; publication to
-// lock-free readers happens through an atomic pointer store above this
-// layer.
+// The engine hands it to lock-free readers in the state its commit step
+// stores.
 func (b *Builder) Commit() *Version {
 	return &Version{seq: b.seq, chunks: b.chunks, slots: b.slots, n: b.n, free: b.free}
 }

@@ -1,6 +1,10 @@
 package temporal
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Element is a set of Periods — the most general TIP timestamp. The
 // paper's example {[1999-01-01, 1999-04-30], [1999-07-01, 1999-10-31]}
@@ -261,9 +265,10 @@ func normalize(ivs []Interval) []Interval {
 	}
 	work := ivs
 	if !sorted {
-		work = make([]Interval, len(ivs))
-		copy(work, ivs)
-		sortIntervals(work)
+		work = slices.Clone(ivs)
+		slices.SortFunc(work, func(a, b Interval) int {
+			return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi))
+		})
 	}
 	out := make([]Interval, 0, len(work))
 	cur := work[0]
@@ -280,61 +285,4 @@ func normalize(ivs []Interval) []Interval {
 		cur = iv
 	}
 	return append(out, cur)
-}
-
-// sortIntervals sorts by (Lo, Hi) using an in-place merge-free pattern:
-// a simple top-down merge sort over a scratch slice. We avoid package sort
-// to keep the hot path free of interface dispatch.
-func sortIntervals(ivs []Interval) {
-	if len(ivs) < 2 {
-		return
-	}
-	scratch := make([]Interval, len(ivs))
-	mergeSort(ivs, scratch)
-}
-
-func mergeSort(a, scratch []Interval) {
-	n := len(a)
-	if n < 16 {
-		insertionSort(a)
-		return
-	}
-	mid := n / 2
-	mergeSort(a[:mid], scratch[:mid])
-	mergeSort(a[mid:], scratch[mid:])
-	if less(a[mid-1], a[mid]) {
-		return
-	}
-	copy(scratch, a)
-	i, j, k := 0, mid, 0
-	for i < mid && j < n {
-		if less(scratch[j], scratch[i]) {
-			a[k] = scratch[j]
-			j++
-		} else {
-			a[k] = scratch[i]
-			i++
-		}
-		k++
-	}
-	for i < mid {
-		a[k] = scratch[i]
-		i++
-		k++
-	}
-}
-
-func insertionSort(a []Interval) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && less(a[j], a[j-1]); j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func less(a, b Interval) bool {
-	if a.Lo != b.Lo {
-		return a.Lo < b.Lo
-	}
-	return a.Hi < b.Hi
 }

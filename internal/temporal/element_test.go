@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -357,19 +358,33 @@ func TestNormalizeStability(t *testing.T) {
 	}
 }
 
+// normalize sorts unsorted input and merges it into the canonical form:
+// sorted, disjoint, non-adjacent intervals whose endpoints are input
+// endpoints, with every input interval inside one of them.
 func TestSortIntervals(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		n := r.Intn(200)
 		ivs := make([]Interval, n)
+		los, his := map[Chronon]bool{}, map[Chronon]bool{}
 		for i := range ivs {
-			lo := Chronon(r.Int63n(1 << 30))
+			lo := Chronon(r.Int63n(1 << 18)) // dense enough to merge
 			ivs[i] = Interval{Lo: lo, Hi: lo + Chronon(r.Int63n(1000))}
+			los[lo], his[ivs[i].Hi] = true, true
 		}
-		sortIntervals(ivs)
-		for i := 1; i < n; i++ {
-			if less(ivs[i], ivs[i-1]) {
-				t.Fatalf("not sorted at %d", i)
+		out := normalize(ivs)
+		for i, o := range out {
+			if i > 0 && o.Lo <= out[i-1].Hi+1 {
+				t.Fatalf("trial %d: %v and %v are not sorted, disjoint and apart", trial, out[i-1], o)
+			}
+			if !los[o.Lo] || !his[o.Hi] {
+				t.Fatalf("trial %d: %v has an endpoint no input has", trial, o)
+			}
+		}
+		for _, iv := range ivs {
+			j := sort.Search(len(out), func(k int) bool { return out[k].Lo > iv.Lo }) - 1
+			if j < 0 || out[j].Hi < iv.Hi {
+				t.Fatalf("trial %d: input %v is in no output interval", trial, iv)
 			}
 		}
 	}
