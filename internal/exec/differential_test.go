@@ -163,7 +163,9 @@ func coalesceDifferential(t *testing.T, s *engine.Session) {
 // topKDifferential compares ORDER BY ... LIMIT [OFFSET] against the
 // unlimited sort sliced here. The heap must reproduce the full stable
 // sort exactly — including the first-occurrence order of equal keys,
-// DESC directions, OFFSET consumption and NULL ranking.
+// DESC directions, OFFSET consumption and NULL ranking. SELECT DISTINCT
+// under the same clauses never engages the heap and must match its
+// unlimited form sliced here too.
 func topKDifferential(t *testing.T, s *engine.Session) {
 	t.Helper()
 	const overHeapBound = 100000 // k > topKMaxRows: falls back to the full sort
@@ -195,28 +197,42 @@ func topKDifferential(t *testing.T, s *engine.Session) {
 		{`SELECT k, v, SUM(v) FROM p GROUP BY k, v ORDER BY 3 DESC, k, v`, 6, 2},
 		// WHERE + join feeding the heap.
 		{`SELECT a.k, b.v FROM p a, p b WHERE a.k = b.k ORDER BY a.k, b.v DESC`, 15, 0},
-		// Set operations sort in their own path (setop top-K).
+		// Compound selects: the heap runs over the combined rows.
 		{`SELECT k FROM p UNION SELECT v FROM p ORDER BY 1`, 4, 0},
 		{`SELECT k, v FROM p UNION ALL SELECT v, k FROM p ORDER BY 1 DESC, 2`, 9, 3},
 		{`SELECT k FROM p EXCEPT SELECT 99 FROM p ORDER BY 1 DESC`, 2, 0},
+		{`SELECT k, v FROM p UNION ALL SELECT v, k FROM p ORDER BY 1, 2`, 0, 0},
+		{`SELECT k FROM p INTERSECT SELECT v FROM p ORDER BY 1`, 3, 50}, // offset past the end
+		// NULL keys rank first under DESC; equal keys keep the left
+		// operand's rows (v) before the right's (v + 10).
+		{`SELECT k, v FROM p UNION ALL SELECT k, v + 10 FROM p ORDER BY 1 DESC`, 100, 30},
+	}
+	distinct := []struct {
+		q             string
+		limit, offset int
+	}{
+		{`SELECT DISTINCT k, v FROM p ORDER BY k DESC, v`, 5, 3},
+		{`SELECT DISTINCT v FROM p ORDER BY v`, 2, 1},
+		{`SELECT DISTINCT k, at FROM p ORDER BY at DESC, k`, 10, 20},
+		{`SELECT DISTINCT v FROM p ORDER BY 1 DESC`, 3, 10}, // offset past the end
 	}
 	topk := func() float64 { return counter(s, "planner.sort.topk") }
-	for _, c := range cases {
-		limited := fmt.Sprintf("%s LIMIT %d", c.q, c.limit)
-		if c.offset > 0 {
-			limited += fmt.Sprintf(" OFFSET %d", c.offset)
+	check := func(q string, limit, offset int, heap bool) {
+		limited := fmt.Sprintf("%s LIMIT %d", q, limit)
+		if offset > 0 {
+			limited += fmt.Sprintf(" OFFSET %d", offset)
 		}
 		before := topk()
 		got := grid(mustExec(t, s, limited))
 		engaged := topk() - before
-		if (engaged == 1) != (c.limit < overHeapBound) {
+		if (engaged == 1) != heap {
 			t.Errorf("%s: top-k heap engaged %v time(s)", limited, engaged)
 		}
-		want := grid(mustExec(t, s, c.q))
+		want := grid(mustExec(t, s, q))
 		if topk() != before+engaged {
-			t.Errorf("%s: the reference engaged the top-k heap", c.q)
+			t.Errorf("%s: the reference engaged the top-k heap", q)
 		}
-		lo, hi := c.offset, c.offset+c.limit
+		lo, hi := offset, offset+limit
 		if lo > len(want) {
 			lo = len(want)
 		}
@@ -224,6 +240,12 @@ func topKDifferential(t *testing.T, s *engine.Session) {
 			hi = len(want)
 		}
 		sameGrid(t, limited, got, want[lo:hi])
+	}
+	for _, c := range cases {
+		check(c.q, c.limit, c.offset, c.limit < overHeapBound)
+	}
+	for _, c := range distinct {
+		check(c.q, c.limit, c.offset, false)
 	}
 }
 
