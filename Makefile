@@ -144,9 +144,14 @@ mvcc-smoke:
 # EXPLAIN/EXPLAIN ANALYZE goldens (one plan per query
 # shape: a period predicate over a period-indexed column probes the
 # index even when the window covers every stored period, GROUP BY ...
-# group_union runs the coalesce operator's hash grouping), the SQL-level
-# differential battery (coalesce operator vs generic aggregation, top-K
-# heap vs full sort, period-index / hash / nested-loop / LEFT joins
+# group_union runs the coalesce operator's hash grouping, a compound
+# select prints its sort and limit/offset lines after its operands with
+# the rows each keeps), the SQL-level differential battery (coalesce
+# operator vs generic aggregation, top-K heap vs full sort over plain
+# and compound selects: LIMIT 0 on a UNION ALL, an OFFSET past the end
+# of an INTERSECT, DESC over NULLs with ties across operands; SELECT
+# DISTINCT ... ORDER BY ... LIMIT ... OFFSET, which never takes the
+# heap, against its unlimited form; period-index / hash / nested-loop / LEFT joins
 # streamed into COUNT(*), GROUP BY and SELECT * against a pair count
 # taken in the test, over NULLs and period boundaries, ending with the
 # check that no operator wrote through an aliased slab row; then the

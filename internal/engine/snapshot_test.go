@@ -251,10 +251,10 @@ func TestTIPDB3SnapshotRefused(t *testing.T) {
 	}
 }
 
-// ReplicationSnapshot holds the checkpoint gate only while it
-// captures: a durable autocommit INSERT completes while the encoder is
-// paused mid-stream, and the stream still reflects exactly the
-// captured position.
+// ReplicationSnapshot holds the catalog lock shared and commitMu only
+// while it captures: a durable autocommit INSERT completes while the
+// encoder is paused mid-stream, and the stream still reflects exactly
+// the captured position.
 func TestReplicationSnapshotEncodesOutsideGate(t *testing.T) {
 	defer func(n int) { snapshotFrameBytes = n }(snapshotFrameBytes)
 	snapshotFrameBytes = 256

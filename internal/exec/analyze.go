@@ -23,8 +23,21 @@ type OpStats struct {
 	Nanos int64 // wall time including children, like EXPLAIN ANALYZE elsewhere
 }
 
-// record closes one execution of the operator.
+// start opens one execution of the operator: the time it begins, or
+// the zero time when the statement is not analysed (st is nil).
+func (st *OpStats) start() time.Time {
+	if st == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// record closes one execution of the operator; a nil st records
+// nothing.
 func (st *OpStats) record(start time.Time, rows int) {
+	if st == nil {
+		return
+	}
 	st.Rows += int64(rows)
 	st.Loops++
 	st.Nanos += time.Since(start).Nanoseconds()

@@ -129,10 +129,71 @@ func TestExplainAnalyzeGroupUnion(t *testing.T) {
 		"set operation: UNION (actual rows=6 loops=1 time=X)",
 		"select: 1 source(s) (actual rows=3 loops=1 time=X)",
 		"  scan dept: full scan (0 filter(s)) (actual rows=3 loops=1 time=X)",
+		"sort: 2 key(s) (actual rows=6 loops=1 time=X)",
 		"execution time: X",
 		"peak memory: X",
 	}, "\n")
 	if got != want {
 		t.Errorf("group/union EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExplainCompoundTail: a compound select's ORDER BY and
+// OFFSET/LIMIT print their sort and limit/offset lines after the
+// operands, and EXPLAIN ANALYZE gives them their actual rows: the
+// heap's LIMIT+OFFSET survivors, then the rows OFFSET/LIMIT keeps.
+func TestExplainCompoundTail(t *testing.T) {
+	s := seedSets(t)
+	const q = `SELECT v FROM a UNION SELECT v FROM b ORDER BY 1 DESC LIMIT 2 OFFSET 1`
+	res := mustExec(t, s, "EXPLAIN "+q)
+	var lines []string
+	for _, r := range res.Rows {
+		lines = append(lines, r[0].Str())
+	}
+	got := strings.Join(lines, "\n")
+	want := strings.Join([]string{
+		"select: 1 source(s)",
+		"  scan a: full scan (0 filter(s))",
+		"set operation: UNION",
+		"select: 1 source(s)",
+		"  scan b: full scan (0 filter(s))",
+		"sort: 1 key(s) (top-k when limit+offset <= 1024)",
+		"limit/offset",
+	}, "\n")
+	if got != want {
+		t.Errorf("compound EXPLAIN mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	expectRows(t, col0(t, s, q), []string{"3", "2"})
+
+	got = analyzed(t, s, q)
+	want = strings.Join([]string{
+		"select: 1 source(s) (actual rows=4 loops=1 time=X)",
+		"  scan a: full scan (0 filter(s)) (actual rows=4 loops=1 time=X)",
+		"set operation: UNION (actual rows=4 loops=1 time=X)",
+		"select: 1 source(s) (actual rows=3 loops=1 time=X)",
+		"  scan b: full scan (0 filter(s)) (actual rows=3 loops=1 time=X)",
+		"sort: 1 key(s) (top-k when limit+offset <= 1024) (actual rows=3 loops=1 time=X)",
+		"limit/offset (actual rows=2 loops=1 time=X)",
+		"execution time: X",
+		"peak memory: X",
+	}, "\n")
+	if got != want {
+		t.Errorf("compound EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Without ORDER BY only the limit/offset line joins the plan.
+	got = analyzed(t, s, `SELECT v FROM a UNION ALL SELECT v FROM b LIMIT 2 OFFSET 4`)
+	want = strings.Join([]string{
+		"select: 1 source(s) (actual rows=4 loops=1 time=X)",
+		"  scan a: full scan (0 filter(s)) (actual rows=4 loops=1 time=X)",
+		"set operation: UNION ALL (actual rows=7 loops=1 time=X)",
+		"select: 1 source(s) (actual rows=3 loops=1 time=X)",
+		"  scan b: full scan (0 filter(s)) (actual rows=3 loops=1 time=X)",
+		"limit/offset (actual rows=2 loops=1 time=X)",
+		"execution time: X",
+		"peak memory: X",
+	}, "\n")
+	if got != want {
+		t.Errorf("compound UNION ALL EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -645,10 +645,7 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 		if level < len(levelStats) {
 			st = levelStats[level]
 		}
-		var lvlStart time.Time
-		if st != nil {
-			lvlStart = time.Now()
-		}
+		lvlStart := st.start()
 
 		// begin starts the pairs of accumulated row a: its columns go
 		// into scratch once, not once per pair.
@@ -719,9 +716,7 @@ func joinSources(rt *runtime, sources []*source, width int, hashConds []*hashJoi
 		} else if err := joinLevel(rt, acc, src, hashConds[level], scratch, begin, pair); err != nil {
 			return err
 		}
-		if st != nil {
-			st.record(lvlStart, kept)
-		}
+		st.record(lvlStart, kept)
 		acc = next
 	}
 	return nil

@@ -1,25 +1,21 @@
 package exec
 
-import (
-	"unsafe"
-
-	"tip/internal/types"
-)
+import "unsafe"
 
 // Bounded top-K sort. `ORDER BY ... LIMIT k` is the most common
 // big-sort shape, and the full pipeline — materialise every output row,
-// sort.SliceStable the lot, slice off k — makes its memory cost
+// stably sort the lot, slice off k — makes its memory cost
 // proportional to the input, not the answer. When k (= LIMIT + OFFSET)
 // is at most topKMaxRows, the executor instead feeds output rows
 // through a fixed-size max-heap ordered by (sort keys..., insertion
 // sequence): the root is always the worst surviving entry, so a full
 // heap admits a new row only if it sorts strictly before the root. The
 // sequence tiebreaker makes the heap's survivors and final order
-// byte-identical to sort.SliceStable over the full input.
+// byte-identical to the stable sort over the full input.
 //
-// Evicted entries donate their row and key storage back through a
-// freelist (spare), so the statement arena — which never recycles on
-// its own — stays bounded by k rows instead of growing with the input.
+// Evicted entries donate their row storage back through a freelist
+// (spare), so the statement arena — which never recycles on its own —
+// stays bounded by k rows instead of growing with the input.
 
 // topKMaxRows is the largest LIMIT+OFFSET the bounded top-K sort
 // handles; beyond it the full sort's O(n log n) compares beat the
@@ -27,20 +23,19 @@ import (
 // fades.
 const topKMaxRows = 1024
 
-// topkEntry is one candidate result row with its sort keys and
-// insertion sequence (the stability tiebreaker).
+// topkEntry is one candidate result row (its sort keys among its
+// columns) with its insertion sequence, the stability tiebreaker.
 type topkEntry struct {
-	row  Row
-	keys []types.Value
-	seq  int64
+	row Row
+	seq int64
 }
 
 const topkEntrySize = int64(unsafe.Sizeof(topkEntry{}))
 
-// topkCmp orders two entries by their sort keys: negative means a
-// sorts before b. Supplied by the caller (plan.go orders by outEntry
-// keys with per-key DESC; setop.go by output columns).
-type topkCmp func(a, b *topkEntry) (int, error)
+// topkCmp orders two rows by their sort keys: negative means a sorts
+// before b. The output tail supplies its one comparator
+// (outputTail.compare), for plain and compound selects alike.
+type topkCmp func(a, b Row) (int, error)
 
 // topkHeap is a manual array max-heap (no container/heap interface:
 // its any-boxing would allocate per offer) of the best k entries.
@@ -50,7 +45,6 @@ type topkHeap struct {
 	ents     []topkEntry
 	seq      int64
 	freeRows []Row
-	freeKeys [][]types.Value
 }
 
 // newTopK returns a collector for the best k entries, charging the
@@ -60,25 +54,21 @@ func newTopK(rt *runtime, k int, cmp topkCmp) *topkHeap {
 	return &topkHeap{k: k, cmp: cmp, ents: make([]topkEntry, 0, k)}
 }
 
-// spare returns recycled row/keys storage from evicted entries; nil
-// when none is available (the caller then allocates from the arena).
-func (h *topkHeap) spare() (Row, []types.Value) {
+// spare returns a recycled row from an evicted entry; nil when none is
+// available (the caller then allocates from the arena).
+func (h *topkHeap) spare() Row {
 	var r Row
-	var ks []types.Value
 	if n := len(h.freeRows); n > 0 {
 		r, h.freeRows = h.freeRows[n-1], h.freeRows[:n-1]
 	}
-	if n := len(h.freeKeys); n > 0 {
-		ks, h.freeKeys = h.freeKeys[n-1], h.freeKeys[:n-1]
-	}
-	return r, ks
+	return r
 }
 
 // worse reports whether a sorts after b, breaking key ties by
-// insertion sequence — exactly the order sort.SliceStable would leave
+// insertion sequence — exactly the order the stable sort would leave
 // equal-key entries in.
 func (h *topkHeap) worse(a, b *topkEntry) (bool, error) {
-	c, err := h.cmp(a, b)
+	c, err := h.cmp(a.row, b.row)
 	if err != nil {
 		return false, err
 	}
@@ -88,23 +78,20 @@ func (h *topkHeap) worse(a, b *topkEntry) (bool, error) {
 	return a.seq > b.seq, nil
 }
 
-func (h *topkHeap) recycle(e topkEntry) {
-	if e.row != nil {
-		h.freeRows = append(h.freeRows, e.row)
-	}
-	if e.keys != nil {
-		h.freeKeys = append(h.freeKeys, e.keys)
+func (h *topkHeap) recycle(r Row) {
+	if r != nil {
+		h.freeRows = append(h.freeRows, r)
 	}
 }
 
 // offer considers one candidate: admitted into a non-full heap,
 // admitted by evicting the root if it beats the current worst, or
 // recycled on the spot.
-func (h *topkHeap) offer(row Row, keys []types.Value) error {
-	e := topkEntry{row: row, keys: keys, seq: h.seq}
+func (h *topkHeap) offer(row Row) error {
+	e := topkEntry{row: row, seq: h.seq}
 	h.seq++
 	if h.k == 0 {
-		h.recycle(e)
+		h.recycle(e.row)
 		return nil
 	}
 	if len(h.ents) < h.k {
@@ -116,10 +103,10 @@ func (h *topkHeap) offer(row Row, keys []types.Value) error {
 		return err
 	}
 	if w {
-		h.recycle(e)
+		h.recycle(e.row)
 		return nil
 	}
-	h.recycle(h.ents[0])
+	h.recycle(h.ents[0].row)
 	h.ents[0] = e
 	return h.siftDown(0)
 }
