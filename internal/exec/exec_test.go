@@ -287,6 +287,18 @@ func TestLimitOffset(t *testing.T) {
 	if _, err := s.Exec(`SELECT eno FROM emp LIMIT -1`, nil); err == nil {
 		t.Error("negative LIMIT should fail")
 	}
+	// LIMIT + OFFSET past the largest integer keeps every row after
+	// the OFFSET, with and without a sort, plain and compound.
+	for q, want := range map[string]int{
+		`SELECT eno FROM emp LIMIT 9223372036854775807 OFFSET 1`:                                       4,
+		`SELECT eno FROM emp ORDER BY eno LIMIT 9223372036854775807 OFFSET 1`:                          4,
+		`SELECT eno FROM emp UNION SELECT dno FROM dept ORDER BY 1 LIMIT 9223372036854775807 OFFSET 1`: 7,
+		`SELECT eno FROM emp ORDER BY eno LIMIT 1 OFFSET 9223372036854775807`:                          0,
+	} {
+		if res, err := s.Exec(q, nil); err != nil || len(res.Rows) != want {
+			t.Errorf("%s: err = %v, want %d rows", q, err, want)
+		}
+	}
 }
 
 func TestSubqueries(t *testing.T) {
