@@ -124,8 +124,9 @@ fuzz-smoke:
 # checkpoints and replication snapshots: every reader sees equal sums,
 # and live, reopened and replica state agree) and a commit invisible
 # while its group is being written; then the versioned hash index's
-# property test (every committed version against its own model, dropped
-# builders included) and its readers beside an appending builder; the
+# property test (every committed version against its own model through
+# Lookup and Each, dropped builders included) and its readers beside an
+# appending builder; the
 # bytes of a 100-row UPDATE of a period-indexed table at 1,000 and
 # 10,000 rows (a removal copies no entry log; an allocation pin, so
 # without the race detector) — then runs the disjoint-writer benchmark
@@ -172,8 +173,12 @@ mvcc-smoke:
 # (NOW-relative, empty and NULL elements, all-NULL groups, INT, VARCHAR
 # and two-column keys, under two SET NOWs), NULL kept apart from every
 # text key in grouping, DISTINCT and UNION, the NOW-relative literal re-run under two SET NOWs and
-# a moved clock on one cached text, and TIP's coalescing checked against
-# the layered stratum (E2) and against the kernel truth. Binding resolves
+# a moved clock on one cached text, TIP's coalescing checked against
+# the layered stratum (E2) and against the kernel truth, and the coalesce
+# operator taking its groups from a hash index on its VARCHAR or INT
+# group column against the same rows bare (same rows in the same order:
+# NULL keys, refilled slots, UPDATEs across keys, rows inserted after
+# CREATE INDEX, a transaction's own writes, two SET NOWs). Binding resolves
 # every overload, comparison and aggregate once per call site from
 # static types, and the bound expressions are checked against the
 # per-row dispatch they replaced, over every operator and pair of types;
@@ -201,7 +206,9 @@ mvcc-smoke:
 # read, INSERT (in memory and on a durable database, where it records
 # its effects and logs them) and literal probe no more than their
 # recorded counts,
-# the paper's Q4 one object per output row plus a constant, and the
+# the paper's Q4 one object per output row plus a constant and, grouped
+# through the hash index with its working arrays reused, no more bytes
+# than its answer plus a constant, and the
 # literal probe and the period-index join no more bytes at ten times the
 # table than 1.5 times their bytes at the smaller one;
 # beside them Overlaps against its bind-and-merge reference on both
@@ -210,10 +217,10 @@ mvcc-smoke:
 # slice, the cast memo converting a repeated input once, and the memo's
 # input test.
 plan-smoke:
-	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
+	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCoalesceIndexDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestDMLPlanChoice' -count=1 ./internal/engine
 	$(GO) test -race -cpu 1,2 -run 'TestPeriod' -count=1 ./internal/index
-	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs' -count=1 ./internal/exec
+	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs|TestCoalesceBytes' -count=1 ./internal/exec
 	$(GO) test -run 'TestOverlaps|TestCallCastsIntoArgs|TestCallMemoConvertsOnce|TestSameInput' -count=1 ./internal/temporal ./internal/blade
 	$(GO) test -race -run 'TestTotalDurationAgrees|TestCoalesceAgainstTruth' -count=1 ./internal/layered
 
@@ -252,7 +259,10 @@ repl-smoke:
 # scan and over an exact period probe, each of more rows than the 32KB
 # budget holds row headers for, passing under it while the cross-product
 # sort still fails), bounded top-K engagement, bounded
-# memory and (TestDifferential) agreement with the full sort,
+# memory and (TestDifferential) agreement with the full sort, the
+# coalesce operator's pooled working arrays shared by two databases at
+# once (answers equal to the serial ones, every account back at zero, a
+# budget below the working set still aborting once the pool is warm),
 # the memory-hog workload mix with and without a budget, and the wire
 # layer: budget aborts as client.ErrResource on a connection that stays
 # usable, memory-pressure shedding that the same connection outlives
@@ -260,6 +270,6 @@ repl-smoke:
 # with bounded heap and zero goroutine leaks.
 mem-smoke:
 	$(GO) test -race -run 'TestSetStatementMemory|TestBudgetAbort|TestMemAccountingLeakInvariant|TestAccountingCoverage|TestStreamedScanUnderBudget' -count=1 ./internal/engine
-	$(GO) test -race -run 'TestTopK|TestDifferential' -count=1 ./internal/exec
+	$(GO) test -race -run 'TestTopK|TestDifferential|TestCoalescePoolShared' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestMemHog' -count=1 ./internal/workload
 	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenSucceeds|TestResultFrameCapOverWire|TestOOMStorm' -count=1 ./internal/server

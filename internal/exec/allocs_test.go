@@ -272,6 +272,37 @@ func TestCoalesceAllocs(t *testing.T) {
 	}
 }
 
+// TestCoalesceBytes pins the bytes of the paper's Q4 over the 5,000-row
+// rx grouped by patient (625 groups), whose hash index on patient gives
+// the rows their groups: once warm, a statement allocates no more than
+// its answer plus a constant. The answer is, per group, an output row of
+// two values, the Span's box and the row's slot in Result.Rows; the
+// operator's working arrays (the interval and ordinal arrays, the group
+// values and rows, the counting sort's copy) come from the previous
+// statement, and the groups from the index, with no key map.
+func TestCoalesceBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector inflates allocation counts")
+	}
+	const (
+		q        = `SELECT patient, length(group_union(valid)) FROM rx GROUP BY patient`
+		perGroup = 2*64 + 8 + 24 // two Values, the Span's box, a Row header
+		constant = 48 << 10
+	)
+	s := newDB(t)
+	seedAllocRx(t, s, 5000)
+	if plan := explained(t, s, q); !strings.Contains(plan, "coalesce: hash index on patient, length fused") {
+		t.Fatalf("%s: the operator does not take its groups from the hash index:\n%s", q, plan)
+	}
+	groups := len(mustExec(t, s, q).Rows)
+	got, answer := stmtBytes(t, s, q), float64(groups*perGroup)
+	t.Logf("%s: %d groups: %.0f bytes per statement, the answer %.0f", q, groups, got, answer)
+	if got > answer+constant {
+		t.Errorf("%s allocates %.0f bytes for %d groups; the answer is %.0f, the bound %.0f more",
+			q, got, groups, answer, float64(constant))
+	}
+}
+
 // TestRowExprAllocs pins per-row expressions whose overloads, comparisons
 // and casts are chosen at bind time: arithmetic and a comparison over
 // INT columns allocate nothing per row, and comparing a routine's Span

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"tip/internal/sql/ast"
@@ -23,7 +24,11 @@ import (
 // the group's Element — or, when the projection is length(group_union(x)),
 // sums the merged lengths straight into a Span and builds no Element.
 // One row per group comes out in first-encounter order, like the generic
-// operator's.
+// operator's. When the one group column has a hash index in the one
+// table the operator reads in full, a row's ordinal comes from the
+// index's key for its slot, with no hashing per row (indexKeys). The
+// working arrays outlive the execution in a pool (coalesceRuns), so a
+// repeated statement allocates little beyond its answer.
 //
 // The operator binds only when every aggregate is COUNT(*), COUNT(col)
 // or non-DISTINCT group_union(col) over plain column references, at
@@ -55,6 +60,7 @@ type coalesceKey int
 const (
 	keyEncoded coalesceKey = iota // any key: the encoded bytes (appendKeyCols)
 	keyString                     // one VARCHAR column: the row's own string
+	keyIndex                      // one column with a hash index: the row's slot (indexKeys)
 )
 
 // coalescePlan is the bound operator: group columns, how they key, and
@@ -63,7 +69,8 @@ type coalescePlan struct {
 	groupCols []int
 	key       coalesceKey
 	aggs      []coalesceAggSpec
-	fused     bool // some length(group_union(x)) is summed in the merge
+	fused     bool       // some length(group_union(x)) is summed in the merge
+	scan      *tableScan // under keyIndex, the scan of the one source
 }
 
 // tryCoalesce checks whether the grouped query is eligible for the
@@ -141,6 +148,28 @@ func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Sc
 	return cp
 }
 
+// indexKeys gives the rows of the plan's one source their groups from
+// the hash index on its one group column, in the version the scan reads:
+// the operator numbers the index's keys once per execution and then
+// reads each row's group by its slot id, with no hashing per row. It
+// applies when the scan reads every row, since numbering costs the whole
+// index, and hands each of them on (no join-level filter drops one
+// after the scan), and when the column is not a UDT, whose hash key may
+// depend on the NOW a writer formatted it at. It returns the indexed
+// column's name, or "" when the plan keeps its map.
+func (cp *coalescePlan) indexKeys(src *source) string {
+	ts := src.table
+	if ts == nil || ts.kind != "" || len(cp.groupCols) != 1 {
+		return ""
+	}
+	col := cp.groupCols[0]
+	if src.snap.Indexes[col].Hash == nil || src.schema[col].Type.Kind == types.KindUDT {
+		return ""
+	}
+	cp.key, cp.scan, ts.slots = keyIndex, ts, true
+	return src.tbl.Meta.Columns[col].Name
+}
+
 // lengthArgs returns the calls the select list, HAVING and ORDER BY
 // apply length(...) to directly.
 func lengthArgs(sel *ast.Select) map[*ast.Call]bool {
@@ -164,41 +193,122 @@ func lengthArgs(sel *ast.Select) map[*ast.Call]bool {
 }
 
 // coalesceRun is one execution of a coalescePlan: the state it builds as
-// rows stream in. It belongs to that execution alone; of it, only the
-// group values escape into the result.
+// rows stream in. Its arrays outlive the execution in coalesceRuns, so
+// the next one finds them sized; none of them reaches the result, which
+// holds the projection's copies of the group rows' values and the
+// aggregates' own Elements and Spans.
 type coalesceRun struct {
 	cp   *coalescePlan
-	strs map[string]int32 // group key → ordinal
-	null int32            // the NULL key's ordinal under keyString, -1 until seen
-	vals []types.Value    // group values, len(groupCols) per group
-	accs []coalesceAcc    // one per aggregate
-	n    int32            // groups so far
-	hint int              // rows the input will hand over, 0 if unknown
+	strs map[string]int32 // group key → ordinal, but under keyIndex
+	// Under keyIndex keyOf maps a slot to the number of its key in the
+	// index walk, -1 for a slot the index does not post, and ord a key
+	// number to its ordinal, -1 until seen.
+	keyOf, ord []int32
+	null       int32         // the NULL key's ordinal, -1 until seen
+	vals       []types.Value // group values, len(groupCols) per group
+	accs       []coalesceAcc // one per aggregate
+	n          int32         // groups so far
+	hint       int           // rows the input will hand over, 0 if unknown
+	// rows's working arrays: the group rows and their cells, the
+	// counting sort's run ends and its copy of the intervals.
+	out     []Row
+	cells   []types.Value
+	end     []int32
+	grouped []temporal.Interval
 }
 
 // coalesceAcc is one aggregate's state over every group: a COUNT's
 // per-group counts, or a group_union's per-group "saw a non-NULL input"
 // flags and its flat interval array with each interval's group ordinal.
+// room is the interval entries charged so far.
 type coalesceAcc struct {
-	cnt []int64
-	saw []bool
-	ivs []temporal.Interval
-	ivg []int32
+	cnt  []int64
+	saw  []bool
+	ivs  []temporal.Interval
+	ivg  []int32
+	room int
 }
 
-func (cp *coalescePlan) start(hint int) *coalesceRun {
-	return &coalesceRun{cp: cp, strs: make(map[string]int32), null: -1, accs: make([]coalesceAcc, len(cp.aggs)), hint: hint}
+// coalesceRuns keeps finished runs for later executions. Each execution
+// takes a run of its own, so two coalesce operators live at once in one
+// statement (a grouped subquery in a grouped query's HAVING, run while
+// the outer operator's group rows are read) never share one.
+var coalesceRuns scratchPool[coalesceRun]
+
+// start takes a run for one execution of cp. Under keyIndex it numbers
+// the index's keys first.
+func (cp *coalescePlan) start(rt *runtime, hint int) (*coalesceRun, error) {
+	r := coalesceRuns.get()
+	r.cp, r.null, r.n, r.hint, r.vals = cp, -1, 0, hint, r.vals[:0]
+	r.accs = slices.Grow(r.accs[:0], len(cp.aggs))[:len(cp.aggs)]
+	for i := range r.accs {
+		a := &r.accs[i]
+		a.cnt, a.saw, a.ivs, a.ivg, a.room = a.cnt[:0], a.saw[:0], a.ivs[:0], a.ivg[:0], 0
+	}
+	if cp.key == keyIndex {
+		return r, r.numberKeys(rt)
+	}
+	if r.strs == nil {
+		r.strs = make(map[string]int32)
+	}
+	return r, nil
+}
+
+// numberKeys numbers the keys of the group column's hash index in the
+// version the scan reads, and maps every slot the index posts to its
+// key's number.
+func (r *coalesceRun) numberKeys(rt *runtime) error {
+	snap := r.cp.scan.snap
+	slots := snap.Rows.Capacity()
+	var err error
+	if r.keyOf, err = reuse(rt, r.keyOf, slots, 4); err != nil {
+		return err
+	}
+	r.keyOf = r.keyOf[:slots]
+	for i := range r.keyOf {
+		r.keyOf[i] = -1
+	}
+	var k int32
+	snap.Indexes[r.cp.groupCols[0]].Hash.Each(func(_ string, ids []int) {
+		for _, id := range ids {
+			r.keyOf[id] = k
+		}
+		k++
+	})
+	if r.ord, err = reuse(rt, r.ord, int(k), 4); err != nil {
+		return err
+	}
+	r.ord = r.ord[:k]
+	for i := range r.ord {
+		r.ord[i] = -1
+	}
+	return nil
 }
 
 // add folds a batch of from rows into their groups. It keeps nothing of
 // a row but copies of its group values, so join scratch rows are safe.
+// Under keyIndex the scan's slot ids of the batch's rows stand beside it.
 func (r *coalesceRun) add(rt *runtime, rows []Row) error {
 	now := rt.env.Now
-	for _, fr := range rows {
+	var ids []int
+	if r.cp.key == keyIndex {
+		if ids = r.cp.scan.ids; len(ids) != len(rows) {
+			return fmt.Errorf("exec: coalesce: %d slot ids for %d rows", len(ids), len(rows))
+		}
+	}
+	for i, fr := range rows {
 		if err := rt.checkCancel(); err != nil {
 			return err
 		}
-		g := r.ordinal(rt, fr)
+		var g int32
+		if ids != nil {
+			var err error
+			if g, err = r.slotOrdinal(rt, ids[i], fr); err != nil {
+				return err
+			}
+		} else {
+			g = r.ordinal(rt, fr)
+		}
 		for ai, a := range r.cp.aggs {
 			acc := &r.accs[ai]
 			if a.kind == caCount {
@@ -212,31 +322,55 @@ func (r *coalesceRun) add(rt *runtime, rows []Row) error {
 				continue
 			}
 			acc.saw[g] = true
-			if acc.ivs == nil {
+			if acc.room == 0 {
 				// One period per row is the common case: size the arrays
 				// for the input's rows, when known, else the first batch.
-				// The budget is checked before the make.
+				// The budget is checked before they are taken.
 				n := max(r.hint, len(rows))
 				if err := rt.grow(int64(n) * (intervalSize + 4)); err != nil {
 					return err
 				}
-				acc.ivs = make([]temporal.Interval, 0, n)
-				acc.ivg = make([]int32, 0, n)
+				acc.room = n
+				acc.ivs, acc.ivg = slices.Grow(acc.ivs, n), slices.Grow(acc.ivg, n)
 			}
-			at, c := len(acc.ivs), cap(acc.ivs)
+			at := len(acc.ivs)
 			acc.ivs = v.Obj().(temporal.Element).AppendBound(acc.ivs, now)
 			for range acc.ivs[at:] {
 				acc.ivg = append(acc.ivg, g)
 			}
 			// The interval array is the operator's dominant buffer; its
-			// growth (and the ordinal array's, in lockstep) is charged as
-			// it happens, so a giant coalesce hits its budget mid-input.
-			if grown := cap(acc.ivs) - c; grown > 0 {
+			// growth past the entries charged (and the ordinal array's,
+			// in lockstep) is charged as a doubling array's, so a giant
+			// coalesce hits its budget mid-input.
+			if len(acc.ivs) > acc.room {
+				grown := max(acc.room, len(acc.ivs)-acc.room)
+				acc.room += grown
 				rt.charge(int64(grown) * (intervalSize + 4))
 			}
 		}
 	}
 	return nil
+}
+
+// slotOrdinal returns, under keyIndex, the group of row fr in slot id:
+// its key's number, renumbered in first-encounter order. A row the index
+// does not post must have a NULL key.
+func (r *coalesceRun) slotOrdinal(rt *runtime, id int, fr Row) (int32, error) {
+	if k := r.keyOf[id]; k >= 0 {
+		g := r.ord[k]
+		if g < 0 {
+			g = r.newGroup(rt, fr)
+			r.ord[k] = g
+		}
+		return g, nil
+	}
+	if !fr[r.cp.groupCols[0]].Null {
+		return 0, fmt.Errorf("exec: coalesce: the hash index holds no key for row %d", id)
+	}
+	if r.null < 0 {
+		r.null = r.newGroup(rt, fr)
+	}
+	return r.null, nil
 }
 
 // ordinal returns the group of row fr, opening it on first sight.
@@ -285,18 +419,25 @@ func (r *coalesceRun) newGroup(rt *runtime, fr Row) int32 {
 
 // rows finishes the aggregates and returns one group row ([group
 // values..., aggregate values...]) per group in first-encounter order —
-// the layout and order the generic operator produces. Semantics match
-// the generic accumulators exactly: NULL inputs are skipped, a group
-// with no non-NULL input yields NULL, and a group whose inputs bind to
-// no intervals yields the empty element (length zero).
+// the layout and order the generic operator produces. The rows are the
+// run's own, read until release. Semantics match the generic
+// accumulators exactly: NULL inputs are skipped, a group with no
+// non-NULL input yields NULL, and a group whose inputs bind to no
+// intervals yields the empty element (length zero).
 func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
 	n, w := int(r.n), len(r.cp.groupCols)
-	if err := rt.grow(int64(n) * rowHeaderSize); err != nil {
+	width := w + len(r.cp.aggs)
+	var err error
+	if r.out, err = reuse(rt, r.out, n, rowHeaderSize); err != nil {
 		return nil, err
 	}
-	out := make([]Row, n)
+	if r.cells, err = reuse(rt, r.cells, n*width, valueSize); err != nil {
+		return nil, err
+	}
+	out, cells := r.out[:n], r.cells[:n*width]
+	r.cells = cells
 	for g := range out {
-		out[g] = rt.alloc(w + len(r.cp.aggs))
+		out[g] = cells[g*width : (g+1)*width : (g+1)*width]
 		copy(out[g], r.vals[g*w:(g+1)*w])
 	}
 	var grouped []temporal.Interval
@@ -311,13 +452,12 @@ func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
 		}
 		// Counting sort by group: after the placement pass, end[g] is
 		// where group g's run ends and group g+1's begins.
-		if cap(end) < n {
-			if err := rt.grow(int64(n) * 4); err != nil {
+		if end == nil {
+			if r.end, err = reuse(rt, r.end, n, 4); err != nil {
 				return nil, err
 			}
-			end = make([]int32, n)
+			end = r.end[:n]
 		}
-		end = end[:n]
 		clear(end)
 		for _, g := range acc.ivg {
 			end[g]++
@@ -328,10 +468,10 @@ func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
 			sum += c
 		}
 		if cap(grouped) < len(acc.ivs) {
-			if err := rt.grow(int64(len(acc.ivs)) * intervalSize); err != nil {
+			if r.grouped, err = reuse(rt, r.grouped, len(acc.ivs), intervalSize); err != nil {
 				return nil, err
 			}
-			grouped = make([]temporal.Interval, len(acc.ivs))
+			grouped = r.grouped
 		}
 		grouped = grouped[:len(acc.ivs)]
 		for i, g := range acc.ivg {
@@ -353,13 +493,32 @@ func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
 				out[g][col] = types.NewUDT(a.typ, temporal.LengthOfSorted(run))
 			default:
 				sortByLo(run)
-				// The element's own period slice escapes into the result.
+				// The element's own period slice, a merged copy of the
+				// run, escapes into the result; the run stays scratch.
 				rt.charge(int64(len(run)) * intervalSize)
 				out[g][col] = types.NewUDT(a.typ, temporal.ElementOfIntervals(run))
 			}
 		}
 	}
 	return out, nil
+}
+
+// release returns the run to coalesceRuns once its group rows are no
+// longer read, unless it holds more than maxPooledScratch bytes. The
+// values it holds are cleared first, so the pool keeps none of the
+// statement's strings or answers alive.
+func (r *coalesceRun) release() {
+	bytes := int64(cap(r.vals)+cap(r.cells))*valueSize + int64(cap(r.out))*rowHeaderSize +
+		int64(cap(r.keyOf)+cap(r.ord)+cap(r.end))*4 + int64(cap(r.grouped))*intervalSize +
+		int64(len(r.strs))*mapEntryOverhead
+	for _, a := range r.accs[:cap(r.accs)] {
+		bytes += int64(cap(a.cnt))*8 + int64(cap(a.saw)) + int64(cap(a.ivs))*intervalSize + int64(cap(a.ivg))*4
+	}
+	clear(r.vals)
+	clear(r.cells)
+	clear(r.strs)
+	r.cp = nil
+	coalesceRuns.put(r, bytes)
 }
 
 // sortByLo sorts one group's run of intervals by Lo. Typical runs are a

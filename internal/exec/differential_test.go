@@ -131,8 +131,10 @@ func slabBytes(t *testing.T, s *engine.Session, tables ...string) []byte {
 // coalesceDifferential compares the coalesce operator against generic
 // aggregation. Every query groups table p and ends its select list at
 // " FROM p"; the reference form appends MIN(v) there and the test drops
-// that column again.
-func coalesceDifferential(t *testing.T, s *engine.Session) {
+// that column again. With indexed, p has a hash index on k, and the
+// operator takes the groups of the queries grouping by k alone from it
+// (planner.coalesce.index); every other query counts planner.coalesce.hash.
+func coalesceDifferential(t *testing.T, s *engine.Session, indexed bool) {
 	t.Helper()
 	queries := []string{
 		// NULL keys forming their own group, all-NULL element groups,
@@ -141,12 +143,18 @@ func coalesceDifferential(t *testing.T, s *engine.Session) {
 		`SELECT k, v, length(group_union(valid)) FROM p GROUP BY k, v ORDER BY k, v`,
 		`SELECT k, group_union(valid) FROM p GROUP BY k HAVING COUNT(*) > 10 ORDER BY k`,
 	}
-	coalesced := func() float64 { return counter(s, "planner.coalesce.hash") }
+	coalesced := func() float64 {
+		return counter(s, "planner.coalesce.hash") + counter(s, "planner.coalesce.index")
+	}
 	for _, q := range queries {
 		before, generic := coalesced(), counter(s, "planner.agg.generic")
+		byIndex := counter(s, "planner.coalesce.index")
 		got := grid(mustExec(t, s, q))
 		if coalesced() != before+1 {
 			t.Errorf("%s: the coalesce operator did not run", q)
+		}
+		if wantIndex := indexed && strings.Contains(q, "GROUP BY k "); (counter(s, "planner.coalesce.index") == byIndex+1) != wantIndex {
+			t.Errorf("%s: took its groups from the hash index: %v, want %v", q, !wantIndex, wantIndex)
 		}
 		ref := strings.Replace(q, " FROM p", ", MIN(v) FROM p", 1)
 		want := grid(mustExec(t, s, ref))
@@ -422,7 +430,7 @@ func TestDifferential(t *testing.T) {
 			}
 			slabs := slabBytes(t, s, "p", "q")
 
-			coalesceDifferential(t, s)
+			coalesceDifferential(t, s, fx.indexed)
 			topKDifferential(t, s)
 			joinDifferential(t, s, fx.indexed)
 			aliasingOperators(t, s)
@@ -449,6 +457,94 @@ func TestDifferential(t *testing.T) {
 			indexDifferential(t, plain, indexed)
 		}
 	})
+}
+
+// TestCoalesceIndexDifferential gives the coalesce operator the same
+// rows twice, bare and behind hash indexes on its VARCHAR and INT group
+// columns, whose keys then give the rows their groups (planner.coalesce.
+// index): the answers must be the same rows in the same order. The
+// queries cover the fused length, the Element itself, COUNT(*) and
+// COUNT(col) beside them, a pushed filter, HAVING and ORDER BY; the rows
+// cover NULL keys, NOW-relative and NULL elements, deleted slots refilled
+// by later rows (so a key's ids leave slot order), UPDATEs that move rows
+// to another key and to and from NULL, rows inserted after CREATE INDEX,
+// and a transaction's own INSERT and DELETE, each under two SET NOWs.
+func TestCoalesceIndexDifferential(t *testing.T) {
+	plain, indexed := newDB(t), newDB(t)
+	both := func(sql string) {
+		t.Helper()
+		mustExec(t, plain, sql)
+		mustExec(t, indexed, sql)
+	}
+	r := rand.New(rand.NewSource(81))
+	base := temporal.MustDate(1998, 1, 1)
+	insert := func(n int) {
+		t.Helper()
+		vals := make([]string, n)
+		for i := range vals {
+			k, num, valid := "NULL", "NULL", "NULL"
+			if r.Intn(8) != 0 {
+				k = fmt.Sprintf("'k%d'", r.Intn(12))
+			}
+			if r.Intn(8) != 0 {
+				num = fmt.Sprint(r.Intn(6))
+			}
+			lo := base + temporal.Chronon(int64(r.Intn(500))*86400)
+			switch r.Intn(10) {
+			case 0:
+			case 1, 2: // [start, NOW]: its length moves with NOW
+				valid = fmt.Sprintf("'{[%s, NOW]}'", lo)
+			default:
+				valid = fmt.Sprintf("'[%s, %s]'", lo, lo+temporal.Chronon(int64(r.Intn(30))*86400+86399))
+			}
+			vals[i] = fmt.Sprintf("(%s, %s, %d, %s)", k, num, r.Intn(10), valid)
+		}
+		both("INSERT INTO ci VALUES " + strings.Join(vals, ", "))
+	}
+	queries := []string{
+		`SELECT k, length(group_union(valid)) FROM ci GROUP BY k`,
+		`SELECT k, group_union(valid) FROM ci GROUP BY k`,
+		`SELECT k, COUNT(*), COUNT(valid), length(group_union(valid)), COUNT(n) FROM ci GROUP BY k`,
+		`SELECT k, group_union(valid), COUNT(*) FROM ci GROUP BY k HAVING COUNT(*) > 2 ORDER BY 3 DESC, k`,
+		`SELECT k, length(group_union(valid)) FROM ci WHERE d <> 4 GROUP BY k`,
+		`SELECT n, length(group_union(valid)), COUNT(k) FROM ci GROUP BY n`,
+		`SELECT n, COUNT(*), group_union(valid) FROM ci GROUP BY n ORDER BY n DESC`,
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, now := range []string{"1998-03-01", "1999-06-01"} {
+			both(fmt.Sprintf(`SET NOW = '%s'`, now))
+			for _, q := range queries {
+				col := q[strings.Index(q, "GROUP BY ")+len("GROUP BY ")]
+				if plan := explained(t, plain, q); !strings.Contains(plan, "coalesce: hash") || strings.Contains(plan, "index on") {
+					t.Fatalf("%s: %s: the bare copy should group through its map:\n%s", step, q, plan)
+				}
+				want := fmt.Sprintf("coalesce: hash index on %c", col)
+				if plan := explained(t, indexed, q); !strings.Contains(plan, want) {
+					t.Fatalf("%s: %s: want %q:\n%s", step, q, want, plan)
+				}
+				sameGrid(t, step+" at "+now+": "+q, grid(mustExec(t, indexed, q)), grid(mustExec(t, plain, q)))
+			}
+		}
+	}
+	both(`CREATE TABLE ci (k VARCHAR(8), n INT, d INT, valid Element)`)
+	insert(150)
+	mustExec(t, indexed, `CREATE INDEX ci_k ON ci (k)`)
+	mustExec(t, indexed, `CREATE INDEX ci_n ON ci (n)`)
+	check("loaded")
+	both(`DELETE FROM ci WHERE d < 3`)
+	insert(60)
+	check("refilled")
+	both(`UPDATE ci SET k = 'k1' WHERE d = 5`)
+	both(`UPDATE ci SET k = NULL, n = 2 WHERE d = 6`)
+	both(`UPDATE ci SET k = 'k11', n = NULL WHERE k IS NULL AND d = 7`)
+	check("updated")
+	both(`BEGIN`)
+	insert(20)
+	both(`DELETE FROM ci WHERE d = 8`)
+	check("in a transaction")
+	both(`COMMIT`)
+	check("committed")
 }
 
 // seedIndexFixtures loads the same rows into plain and indexed and gives

@@ -77,6 +77,7 @@ func MatchingRows(env *Env, table string, where ast.Expr) ([]int, error) {
 	}
 	rt := &runtime{env: env}
 	defer rt.flushMem()
+	defer src.table.release()
 	c, err := src.table.candidates(rt)
 	if err != nil {
 		return nil, err

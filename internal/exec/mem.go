@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -197,4 +198,43 @@ func growRows[T any](rt *runtime, s []T, n int, size int64) ([]T, error) {
 		return s, err
 	}
 	return slices.Grow(s, newCap-len(s)), nil
+}
+
+// maxPooledScratch bounds the working memory an operator hands back to
+// its scratchPool: a larger scratch is left to the collector, so one
+// giant statement does not pin its arrays for every later one.
+const maxPooledScratch = 16 << 20
+
+// scratchPool keeps one operator's working arrays between statements,
+// so a repeated statement reuses them instead of allocating them again
+// and leaving the collector to reclaim them. Each execution takes its
+// own value and owns it until it puts it back; nothing in a pooled value
+// may be part of a result. The arrays are charged to the statement that
+// takes them (reuse), as fresh ones would be.
+type scratchPool[T any] struct{ p sync.Pool }
+
+// get returns a pooled value, or a zero one.
+func (p *scratchPool[T]) get() *T {
+	if x, ok := p.p.Get().(*T); ok {
+		return x
+	}
+	return new(T)
+}
+
+// put hands x, holding the given bytes of arrays, to the next get,
+// unless it holds more than maxPooledScratch.
+func (p *scratchPool[T]) put(x *T, bytes int64) {
+	if bytes <= maxPooledScratch {
+		p.p.Put(x)
+	}
+}
+
+// reuse returns s emptied with room for n elements, charging n elements
+// of size bytes before it hands them out, as a fresh make of n is
+// charged; s's own array serves when it is large enough.
+func reuse[T any](rt *runtime, s []T, n int, size int64) ([]T, error) {
+	if err := rt.grow(int64(n) * size); err != nil {
+		return s[:0], err
+	}
+	return slices.Grow(s[:0], n), nil
 }

@@ -301,6 +301,10 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		}
 		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
+	indexCol := ""
+	if cp != nil && len(sources) == 1 && len(levelFilters[0]) == 0 {
+		indexCol = cp.indexKeys(sources[0])
+	}
 	if last := len(sources) - 1; countOnly && last >= 0 && sources[last].tbl != nil {
 		if ts := sources[last].table; len(levelFilters[last]) == 0 && (last == 0 || ts.joined) {
 			ts.counts = true
@@ -308,6 +312,8 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 	if grouped && b.env.PlanChoice != nil {
 		switch {
+		case indexCol != "":
+			b.env.PlanChoice("coalesce.index")
 		case cp != nil:
 			b.env.PlanChoice("coalesce.hash")
 		case countOnly:
@@ -324,8 +330,12 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			if cp.fused {
 				fused = ", length fused"
 			}
-			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s); coalesce: hash%s",
-				len(sel.GroupBy), len(aggSpecs), fused)
+			keys := "hash"
+			if indexCol != "" {
+				keys = "hash index on " + indexCol
+			}
+			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s); coalesce: %s%s",
+				len(sel.GroupBy), len(aggSpecs), keys, fused)
 		case grouped:
 			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s)", len(sel.GroupBy), len(aggSpecs))
 		}
@@ -422,6 +432,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 
 	run := func(rt *runtime) (*Result, error) {
 		rootStart := stRoot.start()
+		defer releaseScans(sources)
 
 		tk, err := tail.heap(rt)
 		if err != nil {
@@ -469,7 +480,10 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		)
 		switch {
 		case cp != nil:
-			cr = cp.start(rowsHint)
+			if cr, err = cp.start(rt, rowsHint); err != nil {
+				return nil, err
+			}
+			defer cr.release()
 			consume = func(rows []Row) error { return cr.add(rt, rows) }
 		case countOnly:
 			gt = newGroupTable(nil, aggSpecs)
@@ -596,6 +610,15 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 
 	return &selectPlan{outSchema: outSchema, run: run}, nil
+}
+
+// releaseScans returns the scratch of every table scan of sources.
+func releaseScans(sources []*source) {
+	for _, src := range sources {
+		if src.table != nil {
+			src.table.release()
+		}
+	}
 }
 
 // readColumns sets the cols of every source of a join: the columns

@@ -46,7 +46,8 @@ func insertBatch(t *testing.T, s *engine.Session, table string, n int, gen func(
 
 // TestExplainAnalyzeCoalesceHash is the exact golden for the specialised
 // coalesce operator: every GROUP BY ... group_union over plain columns
-// runs its hash grouping.
+// runs its hash grouping, through a map, or through the hash index on
+// the one group column of the one table it reads in full.
 func TestExplainAnalyzeCoalesceHash(t *testing.T) {
 	s := newDB(t)
 	mustExec(t, s, `CREATE TABLE g (k INT, valid Element)`)
@@ -63,6 +64,18 @@ func TestExplainAnalyzeCoalesceHash(t *testing.T) {
 	}, "\n")
 	if got != want {
 		t.Errorf("coalesce EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	mustExec(t, s, `CREATE INDEX gk ON g (k)`)
+	got = analyzed(t, s, `SELECT k, length(group_union(valid)) FROM g GROUP BY k`)
+	want = strings.Join([]string{
+		"select: 1 source(s) (actual rows=2 loops=1 time=X)",
+		"  scan g: full scan (0 filter(s)) (actual rows=4 loops=1 time=X)",
+		"  aggregate: 1 group expr(s), 1 aggregate(s); coalesce: hash index on k, length fused (actual rows=2 loops=1 time=X)",
+		"execution time: X",
+		"peak memory: X",
+	}, "\n")
+	if got != want {
+		t.Errorf("indexed coalesce EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

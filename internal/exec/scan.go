@@ -163,14 +163,53 @@ type tableScan struct {
 	probe    cexpr // bound against the parent chain, or a join level's fromScope
 	lift     probeCast
 	contains bool
-	joined   bool       // the probe reads a join level's accumulated row (joinSources)
-	exact    *exactConj // joined: the level conjunct the index answers exactly, if any
-	hits     index.Hits // the period search's answer, read by this site only
-	buf      []Row      // the batch buffer
+	joined   bool         // the probe reads a join level's accumulated row (joinSources)
+	exact    *exactConj   // joined: the level conjunct the index answers exactly, if any
+	scratch  *scanScratch // from scanScratches, nil until a run needs it
+	room     int          // batch rows charged to the statement
+	// slots is set when the consumer groups by slot (coalescePlan.
+	// indexKeys): read keeps in ids the slot of each row of the batch
+	// it hands over.
+	slots bool
+	ids   []int
 	// counts is set when the consumer is a count-only aggregate
 	// (countRows): a run, or a last join level's probe, that leaves no
 	// filter counts instead of reading.
 	counts bool
+}
+
+// scanScratch is a table scan's working memory, kept in scanScratches
+// between statements: the batch buffer, the slot ids beside it, and the
+// period search's answer. Each scan takes its own, so a subquery's
+// search never clears ids an outer scan is still reading.
+type scanScratch struct {
+	buf  []Row
+	ids  []int
+	hits index.Hits
+}
+
+var scanScratches scratchPool[scanScratch]
+
+// take returns the scan's scratch, taking one from scanScratches on
+// first use in a run.
+func (ts *tableScan) take() *scanScratch {
+	if ts.scratch == nil {
+		ts.scratch = scanScratches.get()
+	}
+	return ts.scratch
+}
+
+// release returns the scan's scratch to scanScratches once its run is
+// over: nothing of it is read after. The rows it charged stay charged,
+// so a correlated subquery's next run takes a buffer it has paid for.
+// A bitset holds a search's marks until its next search clears them,
+// so an abandoned read's marks do not reach the next user.
+func (ts *tableScan) release() {
+	if sc := ts.scratch; sc != nil {
+		clear(sc.buf[:min(ts.room, cap(sc.buf))]) // the slab rows of this run
+		ts.scratch, ts.ids = nil, nil
+		scanScratches.put(sc, int64(cap(sc.buf))*rowHeaderSize+int64(cap(sc.ids))*8)
+	}
 }
 
 // run hands emit the candidates' rows that pass the filters, or counts
@@ -219,8 +258,8 @@ func (ts *tableScan) candidates(rt *runtime) (cursor, error) {
 		if c.ids = ts.snap.Indexes[ts.col].Hash.Lookup(cv.Key(rt.env.Now)); c.ids == nil {
 			c.ids = []int{} // nil ids would read the whole table
 		}
-	case periodCandidates(rt, ts.snap.Indexes[ts.col].Period, cv, ts.contains, &ts.hits):
-		c.hits, c.fs = &ts.hits, ts.residual
+	case periodCandidates(rt, ts.snap.Indexes[ts.col].Period, cv, ts.contains, &ts.take().hits):
+		c.hits, c.fs = &ts.scratch.hits, ts.residual
 	}
 	return c, nil
 }
@@ -286,30 +325,48 @@ func (c *cursor) size(drain bool) int {
 
 // read hands emit the rows c yields in batches of at most BatchRows. The
 // batch buffer is sized for c's candidates, split evenly over the fewest
-// batches, so a point read does not pay for a whole batch.
+// batches, so a point read does not pay for a whole batch; the
+// statement is charged for it, and for the slot ids beside it, as for
+// fresh ones.
 func (ts *tableScan) read(rt *runtime, c *cursor, emit func([]Row) error) error {
 	n := c.size(false)
 	batches := max(1, (n+BatchRows-1)/BatchRows)
-	if want := (n + batches - 1) / batches; cap(ts.buf) < want {
-		if err := rt.grow(int64(want-cap(ts.buf)) * rowHeaderSize); err != nil {
+	want := (n + batches - 1) / batches
+	if ts.room < want {
+		per := rowHeaderSize
+		if ts.slots {
+			per += 8
+		}
+		if err := rt.grow(int64(want-ts.room) * per); err != nil {
 			return err
 		}
-		ts.buf = make([]Row, 0, want)
+		ts.room = want
 	}
-	buf := ts.buf[:0]
+	sc := ts.take()
+	sc.buf = slices.Grow(sc.buf[:0], want)
+	buf, ids := sc.buf[:0:want], sc.ids[:0]
+	if ts.slots {
+		sc.ids = slices.Grow(ids, want)
+		ids = sc.ids[:0:want]
+	}
 	for c.next(rt) {
+		if ts.slots {
+			ids = append(ids, c.id)
+		}
 		// MVCC slab rows are immutable (writers replace whole rows), so
 		// the scan aliases them instead of copying.
 		if buf = append(buf, c.row); len(buf) == cap(buf) {
+			ts.ids = ids
 			if err := emit(buf); err != nil {
 				return err
 			}
-			buf = buf[:0]
+			buf, ids = buf[:0], ids[:0]
 		}
 	}
 	if c.err != nil || len(buf) == 0 {
 		return c.err
 	}
+	ts.ids = ids
 	return emit(buf)
 }
 

@@ -47,7 +47,37 @@ func checkVersions(t *testing.T, keys []string, vs []hashVersion, step string) {
 				t.Fatalf("%s: version %d: Lookup(%q) = %v, want %v", step, n, k, got, want)
 			}
 		}
+		if err := eachMatches(v); err != nil {
+			t.Fatalf("%s: version %d: %v", step, n, err)
+		}
 	}
+}
+
+// eachMatches checks Hash.Each on one version against its model: every
+// key the model holds exactly once, with its ids in order, and nothing
+// else — no key the builders were not given (the table writers never
+// give one for a NULL value), no emptied key, and no id a later
+// builder appended in place or copied into its own leaves. Every id
+// then comes exactly once, since no id is posted under two keys.
+func eachMatches(v hashVersion) error {
+	seen := map[string]bool{}
+	var err error
+	v.h.Each(func(key string, ids []int) {
+		switch want, ok := v.m[key]; {
+		case err != nil:
+		case seen[key]:
+			err = fmt.Errorf("Each yields %q twice", key)
+		case !ok:
+			err = fmt.Errorf("Each yields %q, which the version does not hold", key)
+		case !slices.Equal(ids, want):
+			err = fmt.Errorf("Each yields %q with %v, want %v", key, ids, want)
+		}
+		seen[key] = true
+	})
+	if err == nil && len(seen) != len(v.m) {
+		err = fmt.Errorf("Each yields %d keys, the version holds %d", len(seen), len(v.m))
+	}
+	return err
 }
 
 // TestHashVersionsProperty checks every committed version of a hash
@@ -55,7 +85,8 @@ func checkVersions(t *testing.T, keys []string, vs []hashVersion, step string) {
 // under hot keys and colliding keys, removals that empty keys which
 // later come back, and one builder in three dropped without Commit, its
 // successor starting from the same base, so in-place appends past a
-// published length are overwritten by the next builder.
+// published length are overwritten by the next builder. Each is checked
+// beside Lookup on every version (eachMatches).
 func TestHashVersionsProperty(t *testing.T) {
 	keys := propertyKeys()
 	for seed := int64(1); seed <= 20; seed++ {
@@ -123,9 +154,9 @@ func TestHashCommitThenBuild(t *testing.T) {
 }
 
 // TestHashReadersBesideBuilder reads old versions while one builder at
-// a time appends to the same keys in place, removes and commits. Under
-// -race it fails if a builder writes anything a published version's
-// reader reads.
+// a time appends to the same keys in place, removes and commits, through
+// both Lookup and Each. Under -race it fails if a builder writes
+// anything a published version's reader reads.
 func TestHashReadersBesideBuilder(t *testing.T) {
 	keys := propertyKeys()
 	b := NewHashBuilder(nil)
@@ -158,6 +189,10 @@ func TestHashReadersBesideBuilder(t *testing.T) {
 							t.Errorf("Lookup(%q) = %v, want %v", k, got, v.m[k])
 							return
 						}
+					}
+					if err := eachMatches(v); err != nil {
+						t.Error(err)
+						return
 					}
 				}
 			}

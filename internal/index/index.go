@@ -117,6 +117,32 @@ func (h *Hash) Lookup(key string) []int {
 	return nil
 }
 
+// Each calls f once for every key of the version with the key's ids, in
+// the order they were added; the keys come in no fixed order. The ids
+// belong to the index and must not be modified. A later builder's
+// appends to a shared id list lie past the length this version holds,
+// so f sees exactly this version's ids.
+func (h *Hash) Each(f func(key string, ids []int)) {
+	if h == nil {
+		return
+	}
+	for _, m := range h.kids {
+		if m == nil {
+			continue
+		}
+		for _, n := range m.kids {
+			if n == nil {
+				continue
+			}
+			for _, chain := range n.kids {
+				for l := chain; l != nil; l = l.next {
+					f(l.key, l.ids[:len(l.ids):len(l.ids)])
+				}
+			}
+		}
+	}
+}
+
 // HashBuilder accumulates the next version of a hash index. Like
 // storage.Builder it must only be used by the one writer holding the
 // table's write lock, and a table's builders start from its newest
