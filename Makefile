@@ -178,7 +178,15 @@ mvcc-smoke:
 # operator taking its groups from a hash index on its VARCHAR or INT
 # group column against the same rows bare (same rows in the same order:
 # NULL keys, refilled slots, UPDATEs across keys, rows inserted after
-# CREATE INDEX, a transaction's own writes, two SET NOWs). Binding resolves
+# CREATE INDEX, a transaction's own writes, two SET NOWs), and again
+# with its periods read from a period index on the element column (NULL
+# and empty elements and groups of nothing else, [start, NOW] and
+# NOW-relative periods that bind empty at one NOW, UPDATEs of the
+# element and the key, DELETE, a transaction's writes and a ROLLBACK;
+# COUNT(col), a filter and a second group_union over an unindexed column
+# must keep reading rows), where Q4 over 5,000 rows reads every index
+# entry once and fetches one row per group (EXPLAIN ANALYZE's entries
+# and fetched). Binding resolves
 # every overload, comparison and aggregate once per call site from
 # static types, and the bound expressions are checked against the
 # per-row dispatch they replaced, over every operator and pair of types;
@@ -198,7 +206,10 @@ mvcc-smoke:
 # the edges of the blocks its closed run is cut into (runs of 0 to 2,100
 # entries, starts repeated across a block edge, the ends of time,
 # [start, NOW] entries that start after NOW, before and after a removal),
-# beside the sort its build runs. The allocation pins
+# beside the sort its build runs; the entry-log walk the coalesce
+# operator reads is checked row by row against Element.AppendBound at
+# MinChronon, MaxChronon and a NOW between, on a version, a successor
+# with removals and refilled slots, and a compacted one. The allocation pins
 # (testing.AllocsPerRun, so they run without the race detector's
 # allocation inflation): neither a period-index join nor a literal
 # overlap probe allocates per pair or candidate, row arithmetic and
@@ -217,7 +228,7 @@ mvcc-smoke:
 # slice, the cast memo converting a repeated input once, and the memo's
 # input test.
 plan-smoke:
-	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCoalesceIndexDifferential|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
+	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCoalesceIndexDifferential|TestCoalescePeriod|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestDMLPlanChoice' -count=1 ./internal/engine
 	$(GO) test -race -cpu 1,2 -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs|TestCoalesceBytes' -count=1 ./internal/exec
@@ -253,7 +264,8 @@ repl-smoke:
 # mem-smoke runs the resource-governance battery under the race
 # detector: SET STATEMENT_MEMORY surface and budget aborts (typed
 # error, all-or-nothing writes, reusable session, bounded overshoot),
-# the accounting-leak invariant across the operator matrix under every
+# the accounting-leak invariant across the operator matrix (the paper's
+# Q4 read from hash and period indexes among it) under every
 # ending (success, memory abort, timeout, interrupt, rollback), the
 # >=90% accounting-coverage floor, streamed scans (COUNT(*) over a full
 # scan and over an exact period probe, each of more rows than the 32KB
@@ -266,10 +278,13 @@ repl-smoke:
 # the memory-hog workload mix with and without a budget, and the wire
 # layer: budget aborts as client.ErrResource on a connection that stays
 # usable, memory-pressure shedding that the same connection outlives
-# once the pressure lifts, the response frame cap, and an OOM storm
-# with bounded heap and zero goroutine leaks.
+# once the pressure lifts, the response frame cap, an OOM storm
+# with bounded heap and zero goroutine leaks, and a routine that panics,
+# in a SELECT, and in an UPDATE and a DELETE inside a transaction: the
+# typed internal error, both connections still serving, the transaction's INSERT
+# committed, the account back at zero.
 mem-smoke:
 	$(GO) test -race -run 'TestSetStatementMemory|TestBudgetAbort|TestMemAccountingLeakInvariant|TestAccountingCoverage|TestStreamedScanUnderBudget' -count=1 ./internal/engine
 	$(GO) test -race -run 'TestTopK|TestDifferential|TestCoalescePoolShared' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestMemHog' -count=1 ./internal/workload
-	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenSucceeds|TestResultFrameCapOverWire|TestOOMStorm' -count=1 ./internal/server
+	$(GO) test -race -run 'TestBudgetAbortOverWire|TestMemShedThenSucceeds|TestResultFrameCapOverWire|TestOOMStorm|TestStatementPanicIsContained' -count=1 ./internal/server

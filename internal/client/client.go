@@ -326,6 +326,10 @@ var (
 	// budget, or a result too large for one response frame. No change
 	// was applied, so retrying is safe.
 	ErrResource = errors.New("client: resource limit exceeded")
+	// ErrInternal matches a statement whose execution panicked in the
+	// server: a server defect. No change was applied and the connection
+	// stays usable.
+	ErrInternal = errors.New("client: server internal error")
 )
 
 // Is classifies the error code against the sentinel targets.
@@ -343,6 +347,8 @@ func (e *ServerError) Is(target error) bool {
 		return e.Code == protocol.ErrCodeReadOnly
 	case ErrResource:
 		return e.Code == protocol.ErrCodeResource
+	case ErrInternal:
+		return e.Code == protocol.ErrCodeInternal
 	}
 	return false
 }

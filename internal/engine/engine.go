@@ -23,6 +23,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -327,7 +329,7 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 		return nil, err
 	}
 	defer unlock()
-	res, err := s.execLocked(stmt, params)
+	res, err := s.execRecovered(stmt, params)
 	s.tr.Mark(&s.tr.Exec)
 	o.stmts[stmtKind(stmt)].Inc()
 	switch {
@@ -370,6 +372,30 @@ func (s *Session) ExecStmt(stmt ast.Statement, params map[string]types.Value) (*
 		s.tr.Mark(&s.tr.WAL)
 	}
 	return res, err
+}
+
+// ErrInternal reports a statement whose execution panicked: a defect in
+// the engine, contained to the statement. It applied no change, an open
+// transaction is as it was before it, and the session stays usable.
+var ErrInternal = errors.New("engine: internal error")
+
+// execRecovered is execLocked with a panic in binding or running the
+// statement turned into an error wrapping ErrInternal. The statement's
+// writer, never committed, unwinds with the stack, and the caller's
+// error path trims the statement's effect records from its group, so an
+// open transaction keeps what its earlier statements wrote. It counts
+// stmt.panics and logs the panic with its stack. The commit step runs
+// after it, outside the recover: a panic there, or in a replica's apply,
+// may have published part of a state, and still ends the process.
+func (s *Session) execRecovered(stmt ast.Statement, params map[string]types.Value) (res *exec.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.db.obs.panics.Inc()
+			log.Printf("engine: statement panicked: %v\n%s", p, debug.Stack())
+			res, err = nil, fmt.Errorf("%w: %v", ErrInternal, p)
+		}
+	}()
+	return s.execLocked(stmt, params)
 }
 
 // execLocked dispatches one statement; the caller holds the locks.

@@ -131,6 +131,20 @@ func TestBudgetAbortWriteAtomicity(t *testing.T) {
 func TestMemAccountingLeakInvariant(t *testing.T) {
 	db, s := newDB(t)
 	seedMem(t, s, 300)
+	// mi is m behind a hash index on k and a period index on valid, so
+	// the paper's Q4 over it reads its periods from the period index.
+	mustExec(t, s, `CREATE TABLE mi (k INT, v INT, valid Element)`)
+	mustExec(t, s, `CREATE INDEX mi_k ON mi (k)`)
+	mustExec(t, s, `CREATE INDEX mi_valid ON mi (valid) USING PERIOD`)
+	mustExec(t, s, `INSERT INTO mi SELECT k, v, valid FROM m`)
+	const indexQ4 = `SELECT k, length(group_union(valid)) FROM mi GROUP BY k`
+	plan := ""
+	for _, r := range mustExec(t, s, "EXPLAIN "+indexQ4).Rows {
+		plan += r[0].Str() + "\n"
+	}
+	if !strings.Contains(plan, "coalesce: hash index on k, period index on valid, length fused") {
+		t.Fatalf("%s does not read the period index:\n%s", indexQ4, plan)
+	}
 
 	matrix := []string{
 		// sort (full + top-k)
@@ -142,8 +156,9 @@ func TestMemAccountingLeakInvariant(t *testing.T) {
 		`SELECT k, SUM(v), COUNT(DISTINCT v) FROM m GROUP BY k ORDER BY k`,
 		// DISTINCT select
 		`SELECT DISTINCT k, v FROM m`,
-		// coalesce (grouped element union)
+		// coalesce (grouped element union), and Q4 from the indexes
 		`SELECT k, group_union(valid) FROM m GROUP BY k ORDER BY k`,
+		indexQ4,
 		// set operations
 		`SELECT k FROM m UNION SELECT v FROM m ORDER BY 1 LIMIT 5`,
 		`SELECT k FROM m EXCEPT SELECT 3 FROM m`,

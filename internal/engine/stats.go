@@ -81,6 +81,7 @@ type obsState struct {
 	cancelled   *obs.Counter
 	timeouts    *obs.Counter
 	memExceeded *obs.Counter
+	panics      *obs.Counter
 	rowsRead    *obs.Counter
 	rowsWrit    *obs.Counter
 
@@ -110,6 +111,7 @@ func newObsState() *obsState {
 	o.cancelled = o.reg.Counter("stmt.cancelled")
 	o.timeouts = o.reg.Counter("stmt.timeout")
 	o.memExceeded = o.reg.Counter("stmt.mem_exceeded")
+	o.panics = o.reg.Counter("stmt.panics")
 	o.rowsRead = o.reg.Counter("rows.read")
 	o.rowsWrit = o.reg.Counter("rows.written")
 	o.pcHits = o.reg.Counter("plancache.hits")

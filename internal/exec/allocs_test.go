@@ -274,7 +274,8 @@ func TestCoalesceAllocs(t *testing.T) {
 
 // TestCoalesceBytes pins the bytes of the paper's Q4 over the 5,000-row
 // rx grouped by patient (625 groups), whose hash index on patient gives
-// the rows their groups: once warm, a statement allocates no more than
+// the rows their groups and whose period index on valid their
+// intervals: once warm, a statement allocates no more than
 // its answer plus a constant. The answer is, per group, an output row of
 // two values, the Span's box and the row's slot in Result.Rows; the
 // operator's working arrays (the interval and ordinal arrays, the group
@@ -291,7 +292,7 @@ func TestCoalesceBytes(t *testing.T) {
 	)
 	s := newDB(t)
 	seedAllocRx(t, s, 5000)
-	if plan := explained(t, s, q); !strings.Contains(plan, "coalesce: hash index on patient, length fused") {
+	if plan := explained(t, s, q); !strings.Contains(plan, "coalesce: hash index on patient, period index on valid, length fused") {
 		t.Fatalf("%s: the operator does not take its groups from the hash index:\n%s", q, plan)
 	}
 	groups := len(mustExec(t, s, q).Rows)

@@ -21,6 +21,11 @@ type OpStats struct {
 	Rows  int64 // rows produced across all loops
 	Loops int64 // times the operator ran (correlated subqueries re-run)
 	Nanos int64 // wall time including children, like EXPLAIN ANALYZE elsewhere
+	// Entries and Fetched count the index entries the operator read and
+	// the rows whose values it read; the line shows them when reads is
+	// set (the coalesce operator fed by a period index).
+	Entries, Fetched int64
+	reads            bool
 }
 
 // start opens one execution of the operator: the time it begins, or
@@ -48,8 +53,12 @@ func (st *OpStats) suffix() string {
 	if st.Loops == 0 {
 		return " (never executed)"
 	}
-	return fmt.Sprintf(" (actual rows=%d loops=%d time=%s)",
-		st.Rows, st.Loops, time.Duration(st.Nanos).Round(time.Microsecond))
+	reads := ""
+	if st.reads {
+		reads = fmt.Sprintf(" entries=%d fetched=%d", st.Entries, st.Fetched)
+	}
+	return fmt.Sprintf(" (actual rows=%d loops=%d%s time=%s)",
+		st.Rows, st.Loops, reads, time.Duration(st.Nanos).Round(time.Microsecond))
 }
 
 // ExplainAnalyze binds and runs a SELECT with operator instrumentation,

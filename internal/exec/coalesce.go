@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
+	"tip/internal/index"
 	"tip/internal/sql/ast"
 	"tip/internal/temporal"
 	"tip/internal/types"
@@ -15,20 +17,36 @@ import (
 //
 //	SELECT k..., group_union(valid) FROM ... GROUP BY k...
 //
-// The operator consumes the scan's or the join's rows as they arrive
-// and does all of its per-row work in one pass: it gives the row a group
-// ordinal from a typed key, bumps the group's COUNTs, and appends the
-// bound periods of every group_union argument, tagged with the ordinal,
-// to one flat interval array. Once the input ends, a counting sort
-// gathers each group's intervals and one linear merge per group builds
-// the group's Element — or, when the projection is length(group_union(x)),
-// sums the merged lengths straight into a Span and builds no Element.
-// One row per group comes out in first-encounter order, like the generic
-// operator's. When the one group column has a hash index in the one
-// table the operator reads in full, a row's ordinal comes from the
-// index's key for its slot, with no hashing per row (indexKeys). The
-// working arrays outlive the execution in a pool (coalesceRuns), so a
-// repeated statement allocates little beyond its answer.
+// The operator does all of its per-row work in one pass: it gives the
+// row a group ordinal from a typed key, bumps the group's COUNTs, and
+// appends the bound periods of every group_union argument, tagged with
+// the ordinal, to one flat interval array. Once the input ends, a
+// counting sort gathers each group's intervals and one linear merge per
+// group builds the group's Element — or, when the projection is
+// length(group_union(x)), sums the merged lengths straight into a Span
+// and builds no Element. One row per group comes out in first-encounter
+// order, like the generic operator's. The working arrays outlive the
+// execution in a pool (coalesceRuns), so a repeated statement allocates
+// little beyond its answer.
+//
+// Over a join, a derived table or a table without a hash index on its
+// one group column, the operator consumes the rows the scan or the join
+// hands it, and keys them through a map (add). When the one group column
+// has a hash index in the one table the query reads in full (indexKeys),
+// the operator reads that version itself (read): it numbers the index's
+// keys once, walks the live slots in slot order, applying the scan's
+// filters, and takes each row's group from its slot, with no hashing per
+// row. When, beyond that, no filter applies, every other aggregate is
+// COUNT(*) and every group_union argument is a column with a period
+// index, the intervals come from the period index instead of the rows
+// (readPeriods): the slot pass fetches a row only to open its group, and
+// one pass over the index's live entry log binds each entry at the
+// statement's NOW, as Element.AppendBound binds it, and gives it its
+// row's group. That pass reads the log, not the index's search form,
+// so a version no search has read is never sorted for the operator. A
+// group no entry reached holds only NULLs and empty elements; its rows
+// alone are fetched again to tell a NULL answer from an empty one
+// (unseen).
 //
 // The operator binds only when every aggregate is COUNT(*), COUNT(col)
 // or non-DISTINCT group_union(col) over plain column references, at
@@ -70,7 +88,10 @@ type coalescePlan struct {
 	key       coalesceKey
 	aggs      []coalesceAggSpec
 	fused     bool       // some length(group_union(x)) is summed in the merge
-	scan      *tableScan // under keyIndex, the scan of the one source
+	scan      *tableScan // under keyIndex, the scan whose version the operator reads
+	// period is set, under keyIndex, when every group_union reads its
+	// intervals from its column's period index (readPeriods).
+	period bool
 }
 
 // tryCoalesce checks whether the grouped query is eligible for the
@@ -150,13 +171,17 @@ func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Sc
 
 // indexKeys gives the rows of the plan's one source their groups from
 // the hash index on its one group column, in the version the scan reads:
-// the operator numbers the index's keys once per execution and then
-// reads each row's group by its slot id, with no hashing per row. It
-// applies when the scan reads every row, since numbering costs the whole
-// index, and hands each of them on (no join-level filter drops one
-// after the scan), and when the column is not a UDT, whose hash key may
-// depend on the NOW a writer formatted it at. It returns the indexed
-// column's name, or "" when the plan keeps its map.
+// the operator reads that version itself (read), numbers the index's
+// keys once per execution and then reads each row's group by its slot
+// id, with no hashing per row. It applies when the scan reads every row
+// through its own filters, since numbering costs the whole index, and
+// hands each survivor on (no join-level filter drops one after the
+// scan), and when the column is not a UDT, whose hash key may depend on
+// the NOW a writer formatted it at. With no filter, when every other
+// aggregate is COUNT(*) and every group_union argument has a period
+// index, the intervals come from those indexes (cp.period). It returns
+// what EXPLAIN names as the groups' and intervals' source, or "" when
+// the plan keeps its map.
 func (cp *coalescePlan) indexKeys(src *source) string {
 	ts := src.table
 	if ts == nil || ts.kind != "" || len(cp.groupCols) != 1 {
@@ -166,8 +191,25 @@ func (cp *coalescePlan) indexKeys(src *source) string {
 	if src.snap.Indexes[col].Hash == nil || src.schema[col].Type.Kind == types.KindUDT {
 		return ""
 	}
-	cp.key, cp.scan, ts.slots = keyIndex, ts, true
-	return src.tbl.Meta.Columns[col].Name
+	cp.key, cp.scan = keyIndex, ts
+	keys := "hash index on " + src.tbl.Meta.Columns[col].Name
+	var periods []string
+	cp.period = len(ts.filters) == 0
+	for _, a := range cp.aggs {
+		switch {
+		case a.kind == caCount && a.col < 0:
+		case a.kind != caCount && src.snap.Indexes[a.col].Period != nil:
+			if name := src.tbl.Meta.Columns[a.col].Name; !slices.Contains(periods, name) {
+				periods = append(periods, name)
+			}
+		default:
+			cp.period = false
+		}
+	}
+	if cp.period {
+		keys += ", period index on " + strings.Join(periods, ", ")
+	}
+	return keys
 }
 
 // lengthArgs returns the calls the select list, HAVING and ORDER BY
@@ -200,15 +242,19 @@ func lengthArgs(sel *ast.Select) map[*ast.Call]bool {
 type coalesceRun struct {
 	cp   *coalescePlan
 	strs map[string]int32 // group key → ordinal, but under keyIndex
-	// Under keyIndex keyOf maps a slot to the number of its key in the
-	// index walk, -1 for a slot the index does not post, and ord a key
-	// number to its ordinal, -1 until seen.
-	keyOf, ord []int32
-	null       int32         // the NULL key's ordinal, -1 until seen
-	vals       []types.Value // group values, len(groupCols) per group
-	accs       []coalesceAcc // one per aggregate
-	n          int32         // groups so far
-	hint       int           // rows the input will hand over, 0 if unknown
+	// Under keyIndex slot maps a slot to the number of its key in the
+	// index walk, -1 for a slot the index does not post, until the slot
+	// pass has read the slot, and to its row's group after; ord maps a
+	// key number to its ordinal, -1 until seen.
+	slot, ord []int32
+	null      int32         // the NULL key's ordinal, -1 until seen
+	vals      []types.Value // group values, len(groupCols) per group
+	accs      []coalesceAcc // one per aggregate
+	n         int32         // groups so far
+	hint      int           // rows the input will hand over, 0 if unknown
+	// entries and fetched count, under cp.period, the index entries read
+	// and the rows whose values were read (EXPLAIN ANALYZE).
+	entries, fetched int
 	// rows's working arrays: the group rows and their cells, the
 	// counting sort's run ends and its copy of the intervals.
 	out     []Row
@@ -240,6 +286,7 @@ var coalesceRuns scratchPool[coalesceRun]
 func (cp *coalescePlan) start(rt *runtime, hint int) (*coalesceRun, error) {
 	r := coalesceRuns.get()
 	r.cp, r.null, r.n, r.hint, r.vals = cp, -1, 0, hint, r.vals[:0]
+	r.entries, r.fetched = 0, 0
 	r.accs = slices.Grow(r.accs[:0], len(cp.aggs))[:len(cp.aggs)]
 	for i := range r.accs {
 		a := &r.accs[i]
@@ -261,17 +308,17 @@ func (r *coalesceRun) numberKeys(rt *runtime) error {
 	snap := r.cp.scan.snap
 	slots := snap.Rows.Capacity()
 	var err error
-	if r.keyOf, err = reuse(rt, r.keyOf, slots, 4); err != nil {
+	if r.slot, err = reuse(rt, r.slot, slots, 4); err != nil {
 		return err
 	}
-	r.keyOf = r.keyOf[:slots]
-	for i := range r.keyOf {
-		r.keyOf[i] = -1
+	r.slot = r.slot[:slots]
+	for i := range r.slot {
+		r.slot[i] = -1
 	}
 	var k int32
 	snap.Indexes[r.cp.groupCols[0]].Hash.Each(func(_ string, ids []int) {
 		for _, id := range ids {
-			r.keyOf[id] = k
+			r.slot[id] = k
 		}
 		k++
 	})
@@ -287,83 +334,189 @@ func (r *coalesceRun) numberKeys(rt *runtime) error {
 
 // add folds a batch of from rows into their groups. It keeps nothing of
 // a row but copies of its group values, so join scratch rows are safe.
-// Under keyIndex the scan's slot ids of the batch's rows stand beside it.
 func (r *coalesceRun) add(rt *runtime, rows []Row) error {
-	now := rt.env.Now
-	var ids []int
-	if r.cp.key == keyIndex {
-		if ids = r.cp.scan.ids; len(ids) != len(rows) {
-			return fmt.Errorf("exec: coalesce: %d slot ids for %d rows", len(ids), len(rows))
-		}
-	}
-	for i, fr := range rows {
+	n := max(r.hint, len(rows))
+	for _, fr := range rows {
 		if err := rt.checkCancel(); err != nil {
 			return err
 		}
-		var g int32
-		if ids != nil {
-			var err error
-			if g, err = r.slotOrdinal(rt, ids[i], fr); err != nil {
-				return err
-			}
-		} else {
-			g = r.ordinal(rt, fr)
-		}
-		for ai, a := range r.cp.aggs {
-			acc := &r.accs[ai]
-			if a.kind == caCount {
-				if a.col < 0 || !fr[a.col].Null {
-					acc.cnt[g]++
-				}
-				continue
-			}
-			v := fr[a.col]
-			if v.Null {
-				continue
-			}
-			acc.saw[g] = true
-			if acc.room == 0 {
-				// One period per row is the common case: size the arrays
-				// for the input's rows, when known, else the first batch.
-				// The budget is checked before they are taken.
-				n := max(r.hint, len(rows))
-				if err := rt.grow(int64(n) * (intervalSize + 4)); err != nil {
-					return err
-				}
-				acc.room = n
-				acc.ivs, acc.ivg = slices.Grow(acc.ivs, n), slices.Grow(acc.ivg, n)
-			}
-			at := len(acc.ivs)
-			acc.ivs = v.Obj().(temporal.Element).AppendBound(acc.ivs, now)
-			for range acc.ivs[at:] {
-				acc.ivg = append(acc.ivg, g)
-			}
-			// The interval array is the operator's dominant buffer; its
-			// growth past the entries charged (and the ordinal array's,
-			// in lockstep) is charged as a doubling array's, so a giant
-			// coalesce hits its budget mid-input.
-			if len(acc.ivs) > acc.room {
-				grown := max(acc.room, len(acc.ivs)-acc.room)
-				acc.room += grown
-				rt.charge(int64(grown) * (intervalSize + 4))
-			}
+		if err := r.fold(rt, r.ordinal(rt, fr), fr, n); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// fold adds row fr to group g's aggregates, but for the group_unions
+// the period index feeds. A group_union's interval arrays are sized for
+// n entries on first use.
+func (r *coalesceRun) fold(rt *runtime, g int32, fr Row, n int) error {
+	for ai, a := range r.cp.aggs {
+		acc := &r.accs[ai]
+		if a.kind == caCount {
+			if a.col < 0 || !fr[a.col].Null {
+				acc.cnt[g]++
+			}
+			continue
+		}
+		if r.cp.period {
+			continue
+		}
+		v := fr[a.col]
+		if v.Null {
+			continue
+		}
+		acc.saw[g] = true
+		if acc.room == 0 {
+			// One period per row is the common case: size the arrays
+			// for the input's rows, when known, else the first batch.
+			// The budget is checked before they are taken.
+			if err := rt.grow(int64(n) * (intervalSize + 4)); err != nil {
+				return err
+			}
+			acc.room = n
+			acc.ivs, acc.ivg = slices.Grow(acc.ivs, n), slices.Grow(acc.ivg, n)
+		}
+		at := len(acc.ivs)
+		acc.ivs = v.Obj().(temporal.Element).AppendBound(acc.ivs, rt.env.Now)
+		for range acc.ivs[at:] {
+			acc.ivg = append(acc.ivg, g)
+		}
+		// The interval array is the operator's dominant buffer; its
+		// growth past the entries charged (and the ordinal array's,
+		// in lockstep) is charged as a doubling array's, so a giant
+		// coalesce hits its budget mid-input.
+		if len(acc.ivs) > acc.room {
+			grown := max(acc.room, len(acc.ivs)-acc.room)
+			acc.room += grown
+			rt.charge(int64(grown) * (intervalSize + 4))
+		}
+	}
+	return nil
+}
+
+// read runs the operator under keyIndex over the version its scan
+// reads, in place of the scan's batches: one pass over the live slots
+// in slot order, through the scan's filters, gives each row its group
+// from its slot and folds it in; under cp.period the intervals then
+// come from the period indexes. The slot pass is the scan's line under
+// EXPLAIN ANALYZE.
+func (r *coalesceRun) read(rt *runtime) error {
+	ts := r.cp.scan
+	start, rows := ts.st.start(), 0
+	c, err := ts.candidates(rt)
+	if err != nil {
+		return err
+	}
+	n := max(r.hint, BatchRows)
+	for c.next(rt) {
+		g, err := r.slotOrdinal(rt, c.id, c.row)
+		if err != nil {
+			return err
+		}
+		r.slot[c.id] = g
+		if err := r.fold(rt, g, c.row, n); err != nil {
+			return err
+		}
+		rows++
+	}
+	if c.err != nil {
+		return c.err
+	}
+	ts.st.record(start, rows)
+	if !r.cp.period {
+		return nil
+	}
+	for ai, a := range r.cp.aggs {
+		if a.kind != caCount {
+			if err := r.readPeriods(rt, &r.accs[ai], ts.snap.Indexes[a.col].Period); err != nil {
+				return err
+			}
+		}
+	}
+	return r.unseen(rt)
+}
+
+// readPeriods fills one group_union's interval array from the period
+// index ix on its column, in one pass over the index's live entries:
+// each entry, bound at the statement's NOW, goes to the group of its
+// row's slot, and marks the group as holding a non-NULL input whether
+// it binds or not. The arrays are charged up front for every live
+// entry, the most that can bind.
+func (r *coalesceRun) readPeriods(rt *runtime, acc *coalesceAcc, ix *index.Period) error {
+	n := ix.Len()
+	if err := rt.grow(int64(n) * (intervalSize + 4)); err != nil {
+		return err
+	}
+	acc.room = n
+	ivs, ivg := slices.Grow(acc.ivs[:0], n), slices.Grow(acc.ivg[:0], n)
+	saw, slot := acc.saw, r.slot
+	var err error
+	ix.Bound(rt.env.Now, func(id int, iv temporal.Interval, ok bool) bool {
+		r.entries++
+		if id >= len(slot) || slot[id] < 0 {
+			err = fmt.Errorf("exec: coalesce: the period index holds slot %d, which has no row", id)
+			return false
+		}
+		g := slot[id]
+		saw[g] = true
+		if ok {
+			ivs, ivg = append(ivs, iv), append(ivg, g)
+		}
+		err = rt.checkCancel()
+		return err == nil
+	})
+	acc.ivs, acc.ivg = ivs, ivg
+	return err
+}
+
+// unseen settles, under cp.period, the groups no index entry reached:
+// their rows hold NULL or the empty element (the index keeps every
+// period an element can hold), and a group with any non-NULL input
+// answers the empty element, not NULL. One more pass over the live
+// slots fetches the rows of those groups alone.
+func (r *coalesceRun) unseen(rt *runtime) error {
+	open := false
+	for ai, a := range r.cp.aggs {
+		open = open || a.kind != caCount && slices.Contains(r.accs[ai].saw, false)
+	}
+	if !open {
+		return nil
+	}
+	c, err := r.cp.scan.candidates(rt)
+	if err != nil {
+		return err
+	}
+	for c.next(rt) {
+		g, fetched := r.slot[c.id], false
+		for ai, a := range r.cp.aggs {
+			if acc := &r.accs[ai]; a.kind != caCount && !acc.saw[g] {
+				fetched = true
+				acc.saw[g] = !c.row[a.col].Null
+			}
+		}
+		if fetched {
+			r.fetched++
+		}
+	}
+	return c.err
+}
+
 // slotOrdinal returns, under keyIndex, the group of row fr in slot id:
 // its key's number, renumbered in first-encounter order. A row the index
-// does not post must have a NULL key.
+// does not post must have a NULL key. It reads fr only to open a group
+// or to check a NULL key.
 func (r *coalesceRun) slotOrdinal(rt *runtime, id int, fr Row) (int32, error) {
-	if k := r.keyOf[id]; k >= 0 {
+	if k := r.slot[id]; k >= 0 {
 		g := r.ord[k]
 		if g < 0 {
 			g = r.newGroup(rt, fr)
 			r.ord[k] = g
+			r.fetched++
 		}
 		return g, nil
 	}
+	r.fetched++
 	if !fr[r.cp.groupCols[0]].Null {
 		return 0, fmt.Errorf("exec: coalesce: the hash index holds no key for row %d", id)
 	}
@@ -509,7 +662,7 @@ func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
 // statement's strings or answers alive.
 func (r *coalesceRun) release() {
 	bytes := int64(cap(r.vals)+cap(r.cells))*valueSize + int64(cap(r.out))*rowHeaderSize +
-		int64(cap(r.keyOf)+cap(r.ord)+cap(r.end))*4 + int64(cap(r.grouped))*intervalSize +
+		int64(cap(r.slot)+cap(r.ord)+cap(r.end))*4 + int64(cap(r.grouped))*intervalSize +
 		int64(len(r.strs))*mapEntryOverhead
 	for _, a := range r.accs[:cap(r.accs)] {
 		bytes += int64(cap(a.cnt))*8 + int64(cap(a.saw)) + int64(cap(a.ivs))*intervalSize + int64(cap(a.ivg))*4

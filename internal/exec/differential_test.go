@@ -48,6 +48,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -544,6 +545,146 @@ func TestCoalesceIndexDifferential(t *testing.T) {
 	both(`DELETE FROM ci WHERE d = 8`)
 	check("in a transaction")
 	both(`COMMIT`)
+	check("committed")
+}
+
+// TestCoalescePeriodDifferential gives the coalesce operator the same
+// rows three times: bare, behind hash indexes on its group columns k
+// and n, and behind those and a period index on valid, from whose entry
+// log the operator then reads its periods (planner.coalesce.period). The
+// answers must be the same rows in the same order. The rows cover NULL
+// and empty elements, groups whose every element is NULL or empty,
+// [start, NOW] periods, NOW-relative periods that bind empty at one of
+// the two SET NOWs, NULL keys, slots freed by DELETE and refilled,
+// UPDATEs of valid and of the key, a transaction's own writes, and a
+// ROLLBACK. COUNT(valid), COUNT(n), a filter and a second group_union
+// over the unindexed other keep the hash-index plan on the third copy.
+func TestCoalescePeriodDifferential(t *testing.T) {
+	plain, hashed, periodic := newDB(t), newDB(t), newDB(t)
+	all := []*engine.Session{plain, hashed, periodic}
+	each := func(sql string) {
+		t.Helper()
+		for _, s := range all {
+			mustExec(t, s, sql)
+		}
+	}
+	r := rand.New(rand.NewSource(82))
+	base := temporal.MustDate(1998, 1, 1)
+	element := func() string {
+		var ps []string
+		for range r.Intn(4) {
+			lo := base + temporal.Chronon(int64(r.Intn(500))*86400)
+			switch r.Intn(6) {
+			case 0: // [start, NOW]: empty at a NOW before its start
+				ps = append(ps, fmt.Sprintf("[%s, NOW]", lo))
+			case 1: // [NOW-k, NOW]
+				ps = append(ps, fmt.Sprintf("[NOW-%d 00:00:00, NOW]", r.Intn(90)))
+			case 2: // starts 400 days before NOW: empty at the later NOW
+				ps = append(ps, "[NOW-400 00:00:00, 1998-02-01]")
+			default:
+				ps = append(ps, fmt.Sprintf("[%s, %s]", lo, lo+temporal.Chronon(int64(r.Intn(30))*86400+86399)))
+			}
+		}
+		return "'{" + strings.Join(ps, ", ") + "}'" // no period: the empty element
+	}
+	insert := func(n int) {
+		t.Helper()
+		vals := make([]string, n)
+		for i := range vals {
+			k, num, valid, other := "NULL", "NULL", "NULL", "NULL"
+			if r.Intn(8) != 0 {
+				k = fmt.Sprintf("'k%d'", r.Intn(12))
+			}
+			if r.Intn(8) != 0 {
+				num = fmt.Sprint(r.Intn(6))
+			}
+			if r.Intn(6) != 0 {
+				valid = element()
+			}
+			if r.Intn(3) != 0 {
+				other = element()
+			}
+			vals[i] = fmt.Sprintf("(%s, %s, %d, %s, %s)", k, num, r.Intn(10), valid, other)
+		}
+		each("INSERT INTO cp VALUES " + strings.Join(vals, ", "))
+	}
+	periodQueries := []string{
+		`SELECT k, length(group_union(valid)) FROM cp GROUP BY k`,
+		`SELECT k, group_union(valid) FROM cp GROUP BY k`,
+		`SELECT k, COUNT(*), group_union(valid), length(group_union(valid)) FROM cp GROUP BY k HAVING COUNT(*) > 1 ORDER BY 2 DESC, k`,
+		`SELECT n, COUNT(*), length(group_union(valid)) FROM cp GROUP BY n ORDER BY n DESC`,
+	}
+	hashQueries := []string{
+		`SELECT k, COUNT(valid), length(group_union(valid)) FROM cp GROUP BY k`,
+		`SELECT k, COUNT(n), group_union(valid) FROM cp GROUP BY k`,
+		`SELECT k, length(group_union(valid)) FROM cp WHERE d <> 4 GROUP BY k`,
+		`SELECT k, length(group_union(valid)), group_union(other) FROM cp GROUP BY k`,
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, now := range []string{"1998-03-01", "1999-06-01"} {
+			each(fmt.Sprintf(`SET NOW = '%s'`, now))
+			for _, q := range slices.Concat(periodQueries, hashQueries) {
+				col := q[strings.Index(q, "GROUP BY ")+len("GROUP BY ")]
+				keys := fmt.Sprintf("coalesce: hash index on %c", col)
+				for _, c := range []struct {
+					s             *engine.Session
+					want, notWant string
+				}{
+					{plain, "coalesce: hash", "index on"},
+					{hashed, keys, "period index"},
+					{periodic, keys + ", period index on valid", ""},
+				} {
+					if c.s == periodic && slices.Contains(hashQueries, q) {
+						c.want, c.notWant = keys, "period index"
+					}
+					plan := explained(t, c.s, q)
+					if !strings.Contains(plan, c.want) || c.notWant != "" && strings.Contains(plan, c.notWant) {
+						t.Fatalf("%s: %s: want %q without %q:\n%s", step, q, c.want, c.notWant, plan)
+					}
+				}
+				want := grid(mustExec(t, plain, q))
+				sameGrid(t, step+" at "+now+", hash index: "+q, grid(mustExec(t, hashed, q)), want)
+				sameGrid(t, step+" at "+now+", period index: "+q, grid(mustExec(t, periodic, q)), want)
+			}
+		}
+	}
+	each(`CREATE TABLE cp (k VARCHAR(8), n INT, d INT, valid Element, other Element)`)
+	insert(150)
+	// Groups whose every element is NULL, or empty, or NULL and empty.
+	each(`INSERT INTO cp VALUES ('knull', 1, 0, NULL, NULL), ('knull', 1, 0, NULL, '{}'),
+		('kempty', 2, 0, '{}', NULL), ('kempty', 2, 0, NULL, NULL), ('kboth', NULL, 0, NULL, NULL), ('kboth', NULL, 0, '{}', NULL)`)
+	for _, s := range []*engine.Session{hashed, periodic} {
+		mustExec(t, s, `CREATE INDEX cp_k ON cp (k)`)
+		mustExec(t, s, `CREATE INDEX cp_n ON cp (n)`)
+	}
+	mustExec(t, periodic, `CREATE INDEX cp_valid ON cp (valid) USING PERIOD`)
+	before := counter(periodic, "planner.coalesce.period")
+	check("loaded")
+	// At each of the two NOWs, EXPLAIN binds each query once and its run once.
+	if got, want := counter(periodic, "planner.coalesce.period")-before, float64(4*len(periodQueries)); got != want {
+		t.Errorf("planner.coalesce.period counted %v plans, want %v", got, want)
+	}
+	each(`DELETE FROM cp WHERE d < 3`)
+	insert(60)
+	check("refilled")
+	each(`UPDATE cp SET k = 'k1' WHERE d = 5`)
+	each(`UPDATE cp SET k = NULL, n = 2 WHERE d = 6`)
+	each(`UPDATE cp SET valid = NULL WHERE d = 7 AND n = 1`)
+	each(`UPDATE cp SET valid = '{}' WHERE d = 7 AND n = 2`)
+	each(`UPDATE cp SET valid = '{[1998-05-01, NOW], [1998-01-01, 1998-01-31]}' WHERE d = 8`)
+	check("updated")
+	each(`BEGIN`)
+	insert(20)
+	each(`DELETE FROM cp WHERE d = 9`)
+	each(`UPDATE cp SET valid = '[1998-02-01, 1998-02-28]' WHERE k = 'knull'`)
+	check("in a transaction")
+	each(`ROLLBACK`)
+	check("rolled back")
+	each(`BEGIN`)
+	insert(20)
+	each(`UPDATE cp SET k = 'kempty' WHERE d = 4`)
+	each(`COMMIT`)
 	check("committed")
 }
 

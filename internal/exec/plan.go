@@ -301,9 +301,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		}
 		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
-	indexCol := ""
+	keys := "hash"
 	if cp != nil && len(sources) == 1 && len(levelFilters[0]) == 0 {
-		indexCol = cp.indexKeys(sources[0])
+		if k := cp.indexKeys(sources[0]); k != "" {
+			keys = k
+		}
 	}
 	if last := len(sources) - 1; countOnly && last >= 0 && sources[last].tbl != nil {
 		if ts := sources[last].table; len(levelFilters[last]) == 0 && (last == 0 || ts.joined) {
@@ -312,8 +314,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 	if grouped && b.env.PlanChoice != nil {
 		switch {
-		case indexCol != "":
+		case cp != nil && cp.key == keyIndex:
 			b.env.PlanChoice("coalesce.index")
+			if cp.period {
+				b.env.PlanChoice("coalesce.period")
+			}
 		case cp != nil:
 			b.env.PlanChoice("coalesce.hash")
 		case countOnly:
@@ -330,12 +335,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			if cp.fused {
 				fused = ", length fused"
 			}
-			keys := "hash"
-			if indexCol != "" {
-				keys = "hash index on " + indexCol
-			}
 			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s); coalesce: %s%s",
 				len(sel.GroupBy), len(aggSpecs), keys, fused)
+			if stAgg != nil {
+				stAgg.reads = cp.period
+			}
 		case grouped:
 			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s)", len(sel.GroupBy), len(aggSpecs))
 		}
@@ -537,7 +541,20 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 				return err
 			}
 		}
-		if len(sources) == 0 {
+		switch {
+		case cp != nil && cp.key == keyIndex:
+			// The operator reads the one table's version itself; the
+			// aggregate's line takes its time.
+			start := stAgg.start()
+			if err := cr.read(rt); err != nil {
+				return nil, err
+			}
+			if stAgg != nil {
+				consumeDur = time.Since(start)
+				stAgg.Entries += int64(cr.entries)
+				stAgg.Fetched += int64(cr.fetched)
+			}
+		case len(sources) == 0:
 			// Push an empty row so the FROM-less select still occupies
 			// one scope level; outer references in a correlated WHERE
 			// resolve at depth 1 and must find the outer row there.
@@ -550,8 +567,10 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 					return nil, err
 				}
 			}
-		} else if err := joinSources(rt, sources, width, hashConds, levelFilters, joinStats, consume); err != nil {
-			return nil, err
+		default:
+			if err := joinSources(rt, sources, width, hashConds, levelFilters, joinStats, consume); err != nil {
+				return nil, err
+			}
 		}
 		if consumeDur > 0 && len(sources) > 1 {
 			joinStats[len(sources)-1].Nanos -= consumeDur.Nanoseconds()

@@ -7,6 +7,7 @@ package exec_test
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -76,6 +77,59 @@ func TestExplainAnalyzeCoalesceHash(t *testing.T) {
 	}, "\n")
 	if got != want {
 		t.Errorf("indexed coalesce EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExplainAnalyzeCoalescePeriod is the golden for the coalesce
+// operator fed by a period index: the scan line counts the live slots
+// the operator walks, and the aggregate line the index entries it read
+// and the rows it fetched — one per group opened, plus, for group 3,
+// which no entry reaches, its NULL row and its empty element's row,
+// which tell its answer (the empty element) from NULL. Group 4's one
+// entry binds empty at NOW, but still shows that the group holds a
+// non-NULL element, so none of its rows is fetched again.
+func TestExplainAnalyzeCoalescePeriod(t *testing.T) {
+	s := newDB(t)
+	mustExec(t, s, `CREATE TABLE g (k INT, valid Element)`)
+	mustExec(t, s, `CREATE INDEX gk ON g (k)`)
+	mustExec(t, s, `CREATE INDEX gv ON g (valid) USING PERIOD`)
+	mustExec(t, s, `INSERT INTO g VALUES
+		(1, '[1998-01-01, 1998-01-10]'), (1, '[1998-01-05, 1998-01-20]'),
+		(2, '{[1998-02-01, 1998-02-10], [1998-03-01, 1998-03-10]}'), (3, NULL), (3, '{}'), (4, '[1999-06-01, NOW]')`)
+	mustExec(t, s, `SET NOW = '1999-01-01'`)
+	const q = `SELECT k, length(group_union(valid)) FROM g GROUP BY k`
+	got := analyzed(t, s, q)
+	want := strings.Join([]string{
+		"select: 1 source(s) (actual rows=4 loops=1 time=X)",
+		"  scan g: full scan (0 filter(s)) (actual rows=6 loops=1 time=X)",
+		"  aggregate: 1 group expr(s), 1 aggregate(s); coalesce: hash index on k, period index on valid, length fused (actual rows=4 loops=1 entries=5 fetched=6 time=X)",
+		"execution time: X",
+		"peak memory: X",
+	}, "\n")
+	if got != want {
+		t.Errorf("period-fed coalesce EXPLAIN ANALYZE mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if got := fmt.Sprint(grid(mustExec(t, s, q))); got != "[[1 19] [2 18] [3 0] [4 0]]" {
+		t.Errorf("%s = %s", q, got)
+	}
+}
+
+// TestCoalescePeriodFetchesOneRowPerGroup pins the point of the period
+// index input: over the 5,000-row rx, Q4 reads every entry of the period
+// index once and fetches one row per group, the row that opens it.
+func TestCoalescePeriodFetchesOneRowPerGroup(t *testing.T) {
+	s := newDB(t)
+	seedAllocRx(t, s, 5000)
+	const q = `SELECT patient, length(group_union(valid)) FROM rx GROUP BY patient`
+	groups := len(mustExec(t, s, q).Rows)
+	m := regexp.MustCompile(`coalesce: hash index on patient, period index on valid, length fused \(actual rows=(\d+) loops=1 entries=(\d+) fetched=(\d+) `).
+		FindStringSubmatch(analyzed(t, s, q))
+	if m == nil {
+		t.Fatalf("%s: no period-fed coalesce line:\n%s", q, analyzed(t, s, q))
+	}
+	if want := fmt.Sprint(groups); m[1] != want || m[2] != "5000" || m[3] != want {
+		t.Errorf("%s: %s groups, %s entries read, %s rows fetched; want %d groups, 5000 entries, %d rows",
+			q, m[1], m[2], m[3], groups, groups)
 	}
 }
 

@@ -167,11 +167,6 @@ type tableScan struct {
 	exact    *exactConj   // joined: the level conjunct the index answers exactly, if any
 	scratch  *scanScratch // from scanScratches, nil until a run needs it
 	room     int          // batch rows charged to the statement
-	// slots is set when the consumer groups by slot (coalescePlan.
-	// indexKeys): read keeps in ids the slot of each row of the batch
-	// it hands over.
-	slots bool
-	ids   []int
 	// counts is set when the consumer is a count-only aggregate
 	// (countRows): a run, or a last join level's probe, that leaves no
 	// filter counts instead of reading.
@@ -179,12 +174,11 @@ type tableScan struct {
 }
 
 // scanScratch is a table scan's working memory, kept in scanScratches
-// between statements: the batch buffer, the slot ids beside it, and the
-// period search's answer. Each scan takes its own, so a subquery's
-// search never clears ids an outer scan is still reading.
+// between statements: the batch buffer and the period search's answer.
+// Each scan takes its own, so a subquery's search never clears ids an
+// outer scan is still reading.
 type scanScratch struct {
 	buf  []Row
-	ids  []int
 	hits index.Hits
 }
 
@@ -207,8 +201,8 @@ func (ts *tableScan) take() *scanScratch {
 func (ts *tableScan) release() {
 	if sc := ts.scratch; sc != nil {
 		clear(sc.buf[:min(ts.room, cap(sc.buf))]) // the slab rows of this run
-		ts.scratch, ts.ids = nil, nil
-		scanScratches.put(sc, int64(cap(sc.buf))*rowHeaderSize+int64(cap(sc.ids))*8)
+		ts.scratch = nil
+		scanScratches.put(sc, int64(cap(sc.buf))*rowHeaderSize)
 	}
 }
 
@@ -326,47 +320,33 @@ func (c *cursor) size(drain bool) int {
 // read hands emit the rows c yields in batches of at most BatchRows. The
 // batch buffer is sized for c's candidates, split evenly over the fewest
 // batches, so a point read does not pay for a whole batch; the
-// statement is charged for it, and for the slot ids beside it, as for
-// fresh ones.
+// statement is charged for it as for a fresh one.
 func (ts *tableScan) read(rt *runtime, c *cursor, emit func([]Row) error) error {
 	n := c.size(false)
 	batches := max(1, (n+BatchRows-1)/BatchRows)
 	want := (n + batches - 1) / batches
 	if ts.room < want {
-		per := rowHeaderSize
-		if ts.slots {
-			per += 8
-		}
-		if err := rt.grow(int64(want-ts.room) * per); err != nil {
+		if err := rt.grow(int64(want-ts.room) * rowHeaderSize); err != nil {
 			return err
 		}
 		ts.room = want
 	}
 	sc := ts.take()
 	sc.buf = slices.Grow(sc.buf[:0], want)
-	buf, ids := sc.buf[:0:want], sc.ids[:0]
-	if ts.slots {
-		sc.ids = slices.Grow(ids, want)
-		ids = sc.ids[:0:want]
-	}
+	buf := sc.buf[:0:want]
 	for c.next(rt) {
-		if ts.slots {
-			ids = append(ids, c.id)
-		}
 		// MVCC slab rows are immutable (writers replace whole rows), so
 		// the scan aliases them instead of copying.
 		if buf = append(buf, c.row); len(buf) == cap(buf) {
-			ts.ids = ids
 			if err := emit(buf); err != nil {
 				return err
 			}
-			buf, ids = buf[:0], ids[:0]
+			buf = buf[:0]
 		}
 	}
 	if c.err != nil || len(buf) == 0 {
 		return c.err
 	}
-	ts.ids = ids
 	return emit(buf)
 }
 

@@ -326,6 +326,31 @@ func (ix *Period) Len() int {
 	return len(ix.closed) + len(ix.open) - ones(ix.gone[0]) - ones(ix.gone[1])
 }
 
+// Bound calls yield for every live entry of the version, closed entries
+// first, each log in log order, with the entry's row id and its period
+// bound at now, exactly as temporal.Element.AppendBound binds it; ok is
+// false when the period binds empty. A false from yield stops the walk.
+// It reads the entry logs and never the search form, so a version no
+// search has read is not sorted for it.
+func (ix *Period) Bound(now temporal.Chronon, yield func(id int, iv temporal.Interval, ok bool) bool) {
+	if ix == nil {
+		return
+	}
+	for i := range ix.closed {
+		if e := &ix.closed[i]; !marked(ix.gone[0], i) &&
+			!yield(e.id, temporal.Interval{Lo: temporal.Chronon(e.lo), Hi: temporal.Chronon(e.hi)}, true) {
+			return
+		}
+	}
+	for i := range ix.open {
+		if e := &ix.open[i]; !marked(ix.gone[1], i) {
+			if iv, ok := e.p.Bind(now); !yield(e.id, iv, ok) {
+				return
+			}
+		}
+	}
+}
+
 func (ix *Period) build() {
 	s := &periodSearch{}
 	ix.s = s

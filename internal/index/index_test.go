@@ -2,6 +2,7 @@ package index
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -506,4 +507,134 @@ func identity(n int) []uint64 {
 		ps[i] = uint64(i)
 	}
 	return ps
+}
+
+// TestPeriodBound checks Bound, the walk the coalesce operator reads its
+// periods from, row by row against Element.AppendBound of the row's
+// element, at MinChronon, a NOW inside the data and MaxChronon: on a
+// first version, on a successor that removes rows and refills some of
+// their slots, and on one whose removals compact the logs. Elements mix
+// closed periods, [start, NOW], NOW-relative starts and NOW ± span ends;
+// empty elements index nothing and must not be reported. The walk must
+// not build the search form, and a false from yield must stop it.
+func TestPeriodBound(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	const d = 86400
+	base := temporal.MustDate(1999, 1, 1)
+	instant := func() temporal.Instant {
+		if r.Intn(4) == 0 {
+			return temporal.NowRelative(temporal.Span((r.Intn(240) - 120) * d))
+		}
+		return temporal.AbsInstant(base + temporal.Chronon(r.Intn(900)*d))
+	}
+	period := func() temporal.Period {
+		switch r.Intn(4) {
+		case 0:
+			return temporal.Period{Start: temporal.AbsInstant(base + temporal.Chronon(r.Intn(900)*d)), End: temporal.Now}
+		case 1:
+			lo := base + temporal.Chronon(r.Intn(900)*d)
+			return temporal.MustPeriod(lo, lo+temporal.Chronon(r.Intn(20)*d)+d-1)
+		}
+		p := temporal.Period{Start: instant(), End: instant()}
+		lo, loAbs := p.Start.Chronon()
+		hi, hiAbs := p.End.Chronon()
+		if loAbs && hiAbs && hi < lo {
+			p.Start, p.End = p.End, p.Start
+		}
+		return p
+	}
+	element := func() temporal.Element {
+		ps := make([]temporal.Period, r.Intn(4)) // one in four is empty
+		for i := range ps {
+			ps[i] = period()
+		}
+		return temporal.MustElement(ps...)
+	}
+
+	const n = 500
+	rows := map[int]temporal.Element{}
+	b := NewPeriodBuilder(nil)
+	for id := 0; id < n; id++ {
+		rows[id] = element()
+		b.AddElement(rows[id], id)
+	}
+	check := func(name string, ix *Period, rows map[int]temporal.Element) {
+		t.Helper()
+		for _, now := range []temporal.Chronon{temporal.MinChronon, temporal.MustDate(2000, 6, 15), temporal.MaxChronon} {
+			got, seen := map[int][]temporal.Interval{}, map[int]bool{}
+			ix.Bound(now, func(id int, iv temporal.Interval, ok bool) bool {
+				seen[id] = true
+				if ok {
+					got[id] = append(got[id], iv)
+				}
+				return true
+			})
+			for id := range seen {
+				if _, ok := rows[id]; !ok {
+					t.Fatalf("%s, NOW %s: row %d is not in the version", name, now, id)
+				}
+			}
+			for id, e := range rows {
+				want := e.AppendBound(nil, now)
+				byLo := func(a, b temporal.Interval) int { return cmp.Or(cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Hi, b.Hi)) }
+				slices.SortFunc(want, byLo)
+				slices.SortFunc(got[id], byLo)
+				if !slices.Equal(got[id], want) {
+					t.Fatalf("%s, NOW %s: row %d (%s) bound to %v, AppendBound says %v", name, now, id, e, got[id], want)
+				}
+				if seen[id] != (len(e.Periods()) > 0) {
+					t.Fatalf("%s, NOW %s: row %d (%s) with %d periods reported: %v", name, now, id, e, len(e.Periods()), seen[id])
+				}
+			}
+		}
+		if ix.s != nil {
+			t.Errorf("%s: Bound built the search form", name)
+		}
+	}
+	v1 := b.Commit()
+	check("first version", v1, rows)
+
+	// Remove every third row; refill every other freed slot with a new
+	// element, as a reused slot or an UPDATE does.
+	b = NewPeriodBuilder(v1)
+	rows2 := maps.Clone(rows)
+	for id := 0; id < n; id += 3 {
+		b.Remove(id)
+		delete(rows2, id)
+		if id%2 == 0 {
+			rows2[id] = element()
+			b.AddElement(rows2[id], id)
+		}
+	}
+	v2 := b.Commit()
+	if v2.gone[0] == nil {
+		t.Fatal("the successor dropped nothing: the test no longer covers marked entries")
+	}
+	check("successor with removals", v2, rows2)
+	check("first version after its successor", v1, rows)
+
+	// Remove most of what is left: drop compacts both logs.
+	b = NewPeriodBuilder(v2)
+	rows3 := maps.Clone(rows2)
+	for id := range rows2 {
+		if id%4 != 1 {
+			b.Remove(id)
+			delete(rows3, id)
+		}
+	}
+	v3 := b.Commit()
+	if v3.gone[0] != nil || v3.gone[1] != nil || len(v3.closed)+len(v3.open) != v3.Len() {
+		t.Fatalf("drop did not compact: %d closed, %d open, %d live", len(v3.closed), len(v3.open), v3.Len())
+	}
+	check("compacted successor", v3, rows3)
+	check("marked version after compaction", v2, rows2)
+
+	calls := 0
+	v1.Bound(0, func(int, temporal.Interval, bool) bool {
+		calls++
+		return calls < 5
+	})
+	if calls != 5 {
+		t.Errorf("Bound went on for %d entries after yield said stop at 5", calls)
+	}
 }

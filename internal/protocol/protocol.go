@@ -134,6 +134,11 @@ const (
 	// after backoff is safe (the statement either never ran or was
 	// aborted before applying any change).
 	ErrCodeResource
+	// ErrCodeInternal reports a statement whose execution panicked: a
+	// defect in the server, contained to the statement, which applied
+	// no change. The connection stays usable; a retry will likely fail
+	// the same way.
+	ErrCodeInternal
 )
 
 // Version identifies the protocol revision. A client refuses a server

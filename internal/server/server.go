@@ -526,6 +526,8 @@ func encodeExecError(err error) []byte {
 		return protocol.EncodeErrorCode(protocol.ErrCodeResource, err.Error())
 	case errors.Is(err, engine.ErrBusy):
 		return protocol.EncodeErrorCode(protocol.ErrCodeBusy, err.Error())
+	case errors.Is(err, engine.ErrInternal):
+		return protocol.EncodeErrorCode(protocol.ErrCodeInternal, err.Error())
 	}
 	return protocol.EncodeError(err.Error())
 }

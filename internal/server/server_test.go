@@ -6,9 +6,11 @@ package server_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,9 +19,11 @@ import (
 	"tip/internal/client"
 	"tip/internal/core"
 	"tip/internal/engine"
+	"tip/internal/exec"
 	"tip/internal/protocol"
 	"tip/internal/server"
 	"tip/internal/temporal"
+	"tip/internal/types"
 )
 
 func start(t *testing.T) *server.Server {
@@ -253,4 +257,74 @@ func TestManyChurningConnections(t *testing.T) {
 		_ = c.Close()
 	}
 	healthy(t, srv)
+}
+
+// TestStatementPanicIsContained registers a routine that panics and
+// calls it over the wire: in a SELECT list, and in an UPDATE's SET and a
+// DELETE's WHERE inside a transaction after an INSERT. Each statement fails with the typed
+// internal error instead of ending the process; the connection, a
+// second one and the transaction go on, the INSERT commits without the
+// UPDATE, the panics are counted and the memory account drains.
+func TestStatementPanicIsContained(t *testing.T) {
+	srv, db := startOpts(t)
+	db.Registry().MustRegisterRoutine(&blade.Routine{
+		Name: "boom", Params: []*types.Type{types.TInt}, Result: types.TInt,
+		Fn: func(*blade.Ctx, []types.Value) (types.Value, error) { panic("boom: deliberate") },
+	})
+	c, other := connectTo(t, srv), connectTo(t, srv)
+	run := func(c *client.Conn, sql string) *exec.Result {
+		t.Helper()
+		res, err := c.Exec(sql, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	count := func(c *client.Conn) int64 {
+		t.Helper()
+		return run(c, `SELECT COUNT(*) FROM t WHERE k = 1`).Rows[0][0].Int()
+	}
+	panics := func(sql string) {
+		t.Helper()
+		_, err := c.Exec(sql, nil)
+		if !errors.Is(err, client.ErrInternal) || !strings.Contains(err.Error(), "boom: deliberate") {
+			t.Fatalf("%s: err = %v, want the internal error carrying the panic", sql, err)
+		}
+		if used := db.MemAccount().Used(); used != 0 {
+			t.Errorf("%s: the memory account holds %d bytes, want 0", sql, used)
+		}
+	}
+	run(c, `CREATE TABLE t (k INT)`)
+	run(c, `INSERT INTO t VALUES (1), (1), (2)`)
+
+	panics(`SELECT k, boom(k) FROM t`)
+	if n := count(c); n != 2 {
+		t.Fatalf("after the SELECT: %d rows with k = 1, want 2", n)
+	}
+	run(c, `BEGIN`)
+	run(c, `INSERT INTO t VALUES (1)`)
+	panics(`UPDATE t SET k = boom(k) WHERE k = 1`)
+	panics(`DELETE FROM t WHERE boom(k) = 1`)
+	if n := count(c); n != 3 {
+		t.Errorf("inside the transaction: %d rows with k = 1, want 3 (the INSERT, not the UPDATE or DELETE)", n)
+	}
+	if n := count(other); n != 2 {
+		t.Errorf("another connection sees %d rows with k = 1 before COMMIT, want 2", n)
+	}
+	run(c, `COMMIT`)
+	for _, conn := range []*client.Conn{c, other} {
+		if n := count(conn); n != 3 {
+			t.Errorf("after COMMIT: %d rows with k = 1, want 3", n)
+		}
+	}
+	run(other, `INSERT INTO t VALUES (1)`)
+	if n := count(c); n != 4 {
+		t.Errorf("after a second connection's INSERT: %d rows with k = 1, want 4", n)
+	}
+	if v := metricValue(db, "stmt.panics"); v != 3 {
+		t.Errorf("stmt.panics = %v, want 3", v)
+	}
+	if used := db.MemAccount().Used(); used != 0 {
+		t.Errorf("the memory account holds %d bytes, want 0", used)
+	}
 }
