@@ -226,9 +226,17 @@ mvcc-smoke:
 # sides of its pair limit with zero allocations, and the one cast path
 # every implicit cast takes: Registry.Call casting into the caller's
 # slice, the cast memo converting a repeated input once, and the memo's
-# input test.
+# input test. On 1 and 2 CPUs under the race detector, the coalesce
+# operator, the one grouping operator, answers every aggregate (COUNT
+# forms, SUM, AVG, MIN, MAX, DISTINCT, group_union, its fused length,
+# another blade aggregate, a cast argument) under every key (none, INT,
+# VARCHAR, two columns, an expression, a hash-indexed column with and
+# without a period index), over a table and a join, loaded and empty, as
+# the test-side grouping reference does (TestAggregateDifferential), and
+# a plain EXPLAIN moves no planner.* counter while running a statement
+# and EXPLAIN ANALYZE move the same ones (TestExplainMovesNoPlanCounter).
 plan-smoke:
-	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestPeriodProbeWholeExtent|TestDifferential|TestCoalesceIndexDifferential|TestCoalescePeriod|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
+	$(GO) test -race -cpu 1,2 -run 'TestExplain|TestExplainMovesNoPlanCounter|TestAggregateDifferential|TestPeriodProbeWholeExtent|TestDifferential|TestCoalesceIndexDifferential|TestCoalescePeriod|TestCountMatchesRows|TestNullKeyIsNotText|TestPeriodJoin|TestUserOverlapsKeepsRecheck|TestIndexMissReadsNothing|TestNowRelativeLiteralPerExecution|TestBoundDispatchMatchesReference|TestKernel|TestDMLDifferential|TestDMLHalloween' -count=1 ./internal/exec
 	$(GO) test -race -run 'TestDMLPlanChoice' -count=1 ./internal/engine
 	$(GO) test -race -cpu 1,2 -run 'TestPeriod' -count=1 ./internal/index
 	$(GO) test -run 'TestPeriodJoinAllocs|TestLiteralProbeAllocs|TestPeriodProbeBytes|TestPointStatementAllocs|TestDurableInsertAllocs|TestRowExprAllocs|TestCoalesceAllocs|TestCoalesceBytes' -count=1 ./internal/exec

@@ -186,13 +186,24 @@ func BenchmarkCoalesceLayered(b *testing.B) {
 // over 20,000 rows of 5,000 patients behind a hash index on patient,
 // whose keys give the rows their groups, alone and beside a period index
 // on valid, whose entries give the groups their periods (the benchmark
-// referee's coalesce dataset has both indexes).
+// referee's coalesce dataset has both indexes). Beside both indexes it
+// also runs Q4 with a COUNT(dosage), which the coalesce operator counts
+// in an array, and with a MAX(dosage), whose per-group state it steps
+// row by row, and a plain grouped COUNT(*).
 func BenchmarkCoalesceQuery(b *testing.B) {
+	const q4 = `SELECT patient, length(group_union(valid)) FROM Prescription GROUP BY patient`
 	for _, c := range []struct {
-		rows    int
-		indexes string
-	}{{2000, "none"}, {20000, "patient"}, {20000, "patient+valid"}} {
-		b.Run(fmt.Sprintf("rows=%d/indexed=%s", c.rows, c.indexes), func(b *testing.B) {
+		rows             int
+		indexes, name, q string
+	}{
+		{2000, "none", "", q4},
+		{20000, "patient", "", q4},
+		{20000, "patient+valid", "", q4},
+		{20000, "patient+valid", "/q=q4+count", `SELECT patient, length(group_union(valid)), COUNT(dosage) FROM Prescription GROUP BY patient`},
+		{20000, "patient+valid", "/q=q4+max", `SELECT patient, length(group_union(valid)), MAX(dosage) FROM Prescription GROUP BY patient`},
+		{20000, "patient+valid", "/q=count", `SELECT patient, COUNT(*) FROM Prescription GROUP BY patient`},
+	} {
+		b.Run(fmt.Sprintf("rows=%d/indexed=%s%s", c.rows, c.indexes, c.name), func(b *testing.B) {
 			sess, bl := newTIPDB()
 			if err := workload.LoadTIP(sess, bl, workload.Generate(workload.DefaultConfig(c.rows))); err != nil {
 				b.Fatal(err)
@@ -209,11 +220,10 @@ func BenchmarkCoalesceQuery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			q := `SELECT patient, length(group_union(valid)) FROM Prescription GROUP BY patient`
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sess.Exec(q, nil); err != nil {
+				if _, err := sess.Exec(c.q, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,7 +11,8 @@ import (
 // Aggregation: the built-in aggregates (COUNT, SUM, AVG, MIN, MAX) plus
 // blade-registered user-defined aggregates such as TIP's group_union.
 // Each call site's implementation, implicit cast and result type are
-// fixed at bind time from the argument's static type (bindAgg).
+// fixed at bind time from the argument's static type (bindAgg); the
+// coalesce operator (coalesce.go), the one grouping operator, runs them.
 
 var builtinAggs = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true,
@@ -120,188 +121,6 @@ func (b *binder) collectAggs(exprs []ast.Expr) ([]*aggSpec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// groupTable is generic grouped aggregation: one accumulator set per
-// distinct group key, kept in first-encounter order. It copies the
-// values it needs out of each input row and never keeps the row, so it
-// can consume a join's rows as they are produced.
-type groupTable struct {
-	keyExprs []cexpr
-	specs    []*aggSpec
-	groups   map[string]*aggGroup
-	order    []*aggGroup
-	vals     []types.Value
-}
-
-type aggGroup struct {
-	vals []types.Value
-	accs []*aggAcc
-}
-
-func newGroupTable(keyExprs []cexpr, specs []*aggSpec) *groupTable {
-	return &groupTable{
-		keyExprs: keyExprs,
-		specs:    specs,
-		groups:   make(map[string]*aggGroup),
-		vals:     make([]types.Value, len(keyExprs)),
-	}
-}
-
-func (gt *groupTable) newGroup() *aggGroup {
-	g := &aggGroup{accs: make([]*aggAcc, len(gt.specs))}
-	for i, spec := range gt.specs {
-		g.accs[i] = newAggAcc(spec)
-	}
-	return g
-}
-
-// add folds one from row into its group.
-func (gt *groupTable) add(rt *runtime, fr Row) error {
-	if err := rt.checkCancel(); err != nil {
-		return err
-	}
-	rt.push(fr)
-	defer rt.pop()
-	g, err := gt.group(rt)
-	if err != nil {
-		return err
-	}
-	for _, acc := range g.accs {
-		if err := acc.add(rt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// count folds n input rows into a global aggregate whose every aggregate
-// is COUNT(*), reading none of them.
-func (gt *groupTable) count(n int) {
-	if len(gt.order) == 0 {
-		gt.order = append(gt.order, gt.newGroup())
-	}
-	for _, acc := range gt.order[0].accs {
-		acc.count += int64(n)
-	}
-}
-
-// group returns the group of the row on top of the scope stack, creating
-// it on first sight. A global aggregate (no GROUP BY) has one group and
-// builds no key.
-func (gt *groupTable) group(rt *runtime) (*aggGroup, error) {
-	if len(gt.keyExprs) == 0 && len(gt.order) == 1 {
-		return gt.order[0], nil
-	}
-	for i, ge := range gt.keyExprs {
-		v, err := ge(rt)
-		if err != nil {
-			return nil, err
-		}
-		gt.vals[i] = v
-	}
-	rt.keybuf = rt.appendKey(rt.keybuf[:0], gt.vals)
-	if g, ok := gt.groups[string(rt.keybuf)]; ok {
-		return g, nil
-	}
-	g := gt.newGroup()
-	g.vals = rt.alloc(len(gt.vals))
-	copy(g.vals, gt.vals)
-	gt.groups[string(rt.keybuf)] = g
-	gt.order = append(gt.order, g)
-	rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead +
-		groupOverhead + int64(len(gt.specs))*aggAccSize)
-	return g, nil
-}
-
-// rows finalises every group into a group row ([group values...,
-// aggregate results...]). A global aggregate over no input still yields
-// one row.
-func (gt *groupTable) rows(rt *runtime) ([]Row, error) {
-	if len(gt.order) == 0 && len(gt.keyExprs) == 0 {
-		gt.order = append(gt.order, gt.newGroup())
-	}
-	if err := rt.grow(int64(len(gt.order)) * rowHeaderSize); err != nil {
-		return nil, err
-	}
-	n := len(gt.keyExprs)
-	out := make([]Row, 0, len(gt.order))
-	for _, g := range gt.order {
-		groupRow := rt.alloc(n + len(gt.specs))
-		copy(groupRow, g.vals)
-		for i, acc := range g.accs {
-			v, err := acc.final(rt)
-			if err != nil {
-				return nil, err
-			}
-			groupRow[n+i] = v
-		}
-		out = append(out, groupRow)
-	}
-	return out, nil
-}
-
-// aggAcc is the runtime accumulator for one aggregate call in one group.
-type aggAcc struct {
-	spec  *aggSpec
-	count int64
-	state blade.AggState
-	seen  map[string]struct{}
-}
-
-func newAggAcc(spec *aggSpec) *aggAcc {
-	acc := &aggAcc{spec: spec}
-	if spec.newState != nil {
-		acc.state = spec.newState()
-	}
-	if spec.distinct {
-		acc.seen = make(map[string]struct{})
-	}
-	return acc
-}
-
-// add folds one input row's value into the accumulator.
-func (a *aggAcc) add(rt *runtime) error {
-	if a.spec.star {
-		a.count++
-		return nil
-	}
-	v, err := a.spec.arg(rt)
-	if err != nil {
-		return err
-	}
-	if v.Null {
-		return nil // aggregates skip NULL input
-	}
-	if a.seen != nil {
-		k := v.Key(rt.env.Now)
-		if _, dup := a.seen[k]; dup {
-			return nil
-		}
-		rt.charge(int64(len(k)) + mapEntryOverhead)
-		a.seen[k] = struct{}{}
-	}
-	a.count++
-	if a.state == nil {
-		return nil
-	}
-	if c := a.spec.cast; c != nil {
-		if v, err = a.spec.memo.Apply(rt.env.Ctx(), c, v); err != nil {
-			return err
-		}
-	}
-	return a.state.Step(rt.env.Ctx(), v)
-}
-
-// final produces the aggregate's result for the group.
-func (a *aggAcc) final(rt *runtime) (types.Value, error) {
-	switch {
-	case a.spec.name == "count":
-		return types.NewInt(a.count), nil
-	case a.count == 0 || a.state == nil:
-		return types.NewNull(a.spec.typ), nil // no non-NULL input
-	}
-	return a.state.Final(rt.env.Ctx())
 }
 
 type sumIntState struct{ sum int64 }

@@ -125,7 +125,7 @@ func TestExplainAnalyzeGroupUnion(t *testing.T) {
 	want := strings.Join([]string{
 		"select: 1 source(s) (actual rows=3 loops=1 time=X)",
 		"  scan emp: full scan (0 filter(s)) (actual rows=5 loops=1 time=X)",
-		"  aggregate: 1 group expr(s), 1 aggregate(s) (actual rows=3 loops=1 time=X)",
+		"  aggregate: 1 group expr(s), 1 aggregate(s); coalesce: hash (actual rows=3 loops=1 time=X)",
 		"set operation: UNION (actual rows=6 loops=1 time=X)",
 		"select: 1 source(s) (actual rows=3 loops=1 time=X)",
 		"  scan dept: full scan (0 filter(s)) (actual rows=3 loops=1 time=X)",

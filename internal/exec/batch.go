@@ -72,15 +72,6 @@ func (rt *runtime) appendKey(dst []byte, vals []types.Value) []byte {
 	return dst
 }
 
-// appendKeyCols is appendKey over selected columns of a row, skipping
-// the copy into an intermediate value slice.
-func (rt *runtime) appendKeyCols(dst []byte, fr Row, cols []int) []byte {
-	for _, c := range cols {
-		dst = rt.appendValueKey(dst, fr[c])
-	}
-	return dst
-}
-
 // appendValueKey appends one value's key: "N" for NULL, else the
 // length-prefixed Value.Key (len:key). A length prefix starts with a
 // digit, so no value's key can read as NULL.

@@ -4,167 +4,153 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
+	"tip/internal/blade"
 	"tip/internal/index"
 	"tip/internal/sql/ast"
 	"tip/internal/temporal"
 	"tip/internal/types"
 )
 
-// Specialised coalesce operator for grouped temporal aggregation — the
-// executor's streaming path for the paper's §5 centrepiece,
+// The coalesce operator: the executor's one grouping operator, which
+// runs every GROUP BY and every aggregate — the paper's §5 centrepiece,
 //
 //	SELECT k..., group_union(valid) FROM ... GROUP BY k...
 //
-// The operator does all of its per-row work in one pass: it gives the
-// row a group ordinal from a typed key, bumps the group's COUNTs, and
+// among them. It does all of its per-row work in one pass: it gives the
+// row a group ordinal from a typed key, bumps the group's COUNTs,
 // appends the bound periods of every group_union argument, tagged with
-// the ordinal, to one flat interval array. Once the input ends, a
-// counting sort gathers each group's intervals and one linear merge per
-// group builds the group's Element — or, when the projection is
-// length(group_union(x)), sums the merged lengths straight into a Span
-// and builds no Element. One row per group comes out in first-encounter
-// order, like the generic operator's. The working arrays outlive the
-// execution in a pool (coalesceRuns), so a repeated statement allocates
-// little beyond its answer.
+// the ordinal, to one flat interval array, and steps the group's state
+// of every other aggregate (caState: SUM, AVG, MIN, MAX, any other blade
+// aggregate, DISTINCT, an expression argument or one needing a cast).
+// Once the input ends, a counting sort gathers each group's intervals
+// and one linear merge per group builds the group's Element — or, when
+// the projection is length(group_union(x)), sums the merged lengths
+// straight into a Span and builds no Element. One row per group comes
+// out in first-encounter order; with no GROUP BY there is exactly one
+// group, even over no input. The working arrays outlive the execution in
+// a pool (coalesceRuns), so a repeated statement allocates little beyond
+// its answer.
 //
-// Over a join, a derived table or a table without a hash index on its
-// one group column, the operator consumes the rows the scan or the join
-// hands it, and keys them through a map (add). When the one group column
-// has a hash index in the one table the query reads in full (indexKeys),
-// the operator reads that version itself (read): it numbers the index's
-// keys once, walks the live slots in slot order, applying the scan's
-// filters, and takes each row's group from its slot, with no hashing per
-// row. When, beyond that, no filter applies, every other aggregate is
-// COUNT(*) and every group_union argument is a column with a period
-// index, the intervals come from the period index instead of the rows
-// (readPeriods): the slot pass fetches a row only to open its group, and
-// one pass over the index's live entry log binds each entry at the
-// statement's NOW, as Element.AppendBound binds it, and gives it its
-// row's group. That pass reads the log, not the index's search form,
-// so a version no search has read is never sorted for the operator. A
-// group no entry reached holds only NULLs and empty elements; its rows
-// alone are fetched again to tell a NULL answer from an empty one
-// (unseen).
-//
-// The operator binds only when every aggregate is COUNT(*), COUNT(col)
-// or non-DISTINCT group_union(col) over plain column references, at
-// least one group_union is present, and every group_union argument's
-// static type is exactly the aggregate's Element parameter (no implicit
-// cast); anything else takes the generic accumulator path, which remains
-// the semantics reference.
+// The operator consumes the rows the scan or the join hands it and keys
+// them through a map (add): a VARCHAR column by its string, any other key
+// by its encoded bytes. A global aggregate whose every aggregate is
+// COUNT(*) reads no row at all: it adds whole batches (counts). When the
+// one group column has a hash index in the one table the query reads in
+// full, the operator reads that version itself and takes each row's
+// group from its slot (indexKeys, read), and, beyond that, may take the
+// intervals from a period index instead of the rows (readPeriods,
+// unseen).
 
 type coalesceAggKind int
 
 const (
-	caCount  coalesceAggKind = iota
-	caUnion                  // the group's Element
-	caLength                 // length(group_union(col)): the Element's length
+	caCount  coalesceAggKind = iota // COUNT(*) or COUNT(col): the group's counts
+	caUnion                         // the group's Element
+	caLength                        // length(group_union(col)): the Element's length
+	caState                         // any other aggregate: a state per group
 )
 
-// coalesceAggSpec mirrors one aggSpec the operator evaluates; col is the
-// fromSchema position of the argument, -1 for COUNT(*), and typ the type
-// of a group_union's value (Element, or Span when its length is fused).
+// coalesceAggSpec is how the operator evaluates one aggSpec: col is the
+// fromSchema position of a COUNT's or group_union's argument, -1 for
+// COUNT(*), typ the type of a group_union's value (Element, or Span when
+// its length is fused), and spec the call site a caState steps.
 type coalesceAggSpec struct {
 	kind coalesceAggKind
 	col  int
 	typ  *types.Type
+	spec *aggSpec
 }
+
+// unions reports whether the aggregate keeps intervals.
+func (a coalesceAggSpec) unions() bool { return a.kind == caUnion || a.kind == caLength }
 
 // coalesceKey says how the operator maps a row's group to its ordinal.
 type coalesceKey int
 
 const (
-	keyEncoded coalesceKey = iota // any key: the encoded bytes (appendKeyCols)
+	keyEncoded coalesceKey = iota // any key: the encoded bytes of its values (appendKey)
 	keyString                     // one VARCHAR column: the row's own string
 	keyIndex                      // one column with a hash index: the row's slot (indexKeys)
+	keyNone                       // no GROUP BY: one group
 )
 
-// coalescePlan is the bound operator: group columns, how they key, and
-// the aggregate specs.
+// coalescePlan is the bound operator: group keys, how they key, and the
+// aggregate specs.
 type coalescePlan struct {
+	// exprs are the group expressions; groupCols their fromSchema
+	// positions when every one is a column, else nil.
+	exprs     []cexpr
 	groupCols []int
 	key       coalesceKey
 	aggs      []coalesceAggSpec
 	fused     bool       // some length(group_union(x)) is summed in the merge
+	counts    bool       // no GROUP BY, and every aggregate is COUNT(*)
 	scan      *tableScan // under keyIndex, the scan whose version the operator reads
 	// period is set, under keyIndex, when every group_union reads its
 	// intervals from its column's period index (readPeriods).
 	period bool
 }
 
-// tryCoalesce checks whether the grouped query is eligible for the
-// specialised coalesce operator. nil means the generic path runs. A
-// group_union that is the argument of length(...), where that call
-// resolves to the blade's length(Element) without a cast, is fused: the
-// spec's fused type is length's result type, and its slot holds the
-// length, which bindCall reads for that length call.
+// tryCoalesce builds the operator's plan for a grouped query. A
+// group_union over a column whose type is exactly the aggregate's
+// Element parameter keeps its intervals in the flat array; one that is
+// the argument of length(...), where that call resolves to the blade's
+// length(Element) without a cast, is fused: the spec's fused type is
+// length's result type, and its slot holds the length, which bindCall
+// reads for that length call.
 func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Schema) *coalescePlan {
-	elem, ok := b.env.Reg.LookupType("Element")
-	if !ok || len(sel.GroupBy) == 0 || sel.Distinct {
-		return nil
-	}
-	cp := &coalescePlan{}
-	for _, ge := range sel.GroupBy {
-		cr, ok := ge.(*ast.ColumnRef)
+	cp := &coalescePlan{key: keyEncoded}
+	column := func(e ast.Expr) (int, bool) {
+		cr, ok := e.(*ast.ColumnRef)
 		if !ok {
-			return nil
+			return 0, false
 		}
 		pos, err := fromSchema.Resolve(cr.Table, cr.Column)
-		if err != nil {
-			return nil
+		return pos, err == nil
+	}
+	for _, ge := range sel.GroupBy {
+		pos, ok := column(ge)
+		if !ok {
+			cp.groupCols = nil
+			break
 		}
 		cp.groupCols = append(cp.groupCols, pos)
 	}
-	if len(cp.groupCols) == 1 && fromSchema[cp.groupCols[0]].Type == types.TString {
+	switch {
+	case len(sel.GroupBy) == 0:
+		cp.key = keyNone
+		cp.counts = !slices.ContainsFunc(aggSpecs, func(s *aggSpec) bool { return !s.star })
+	case len(cp.groupCols) == 1 && fromSchema[cp.groupCols[0]].Type == types.TString:
 		cp.key = keyString
 	}
+	elem, _ := b.env.Reg.LookupType("Element")
 	lengthOf := lengthArgs(sel)
-	fused := make([]*types.Type, len(aggSpecs))
-	union := false
-	for i, spec := range aggSpecs {
-		if spec.name == "count" && spec.star {
-			cp.aggs = append(cp.aggs, coalesceAggSpec{kind: caCount, col: -1})
-			continue
+	for _, spec := range aggSpecs {
+		a := coalesceAggSpec{kind: caState, col: -1, spec: spec}
+		var pos int
+		col := !spec.star && !spec.distinct
+		if col {
+			pos, col = column(spec.call.Args[0])
 		}
-		if spec.distinct {
-			return nil
-		}
-		cr, ok := spec.call.Args[0].(*ast.ColumnRef)
-		if !ok {
-			return nil
-		}
-		pos, err := fromSchema.Resolve(cr.Table, cr.Column)
-		if err != nil {
-			return nil
-		}
-		switch spec.name {
-		case "count":
-			cp.aggs = append(cp.aggs, coalesceAggSpec{kind: caCount, col: pos})
-		case "group_union":
-			if spec.agg == nil || spec.agg.Param != elem || spec.cast != nil {
-				return nil
-			}
-			a := coalesceAggSpec{kind: caUnion, col: pos, typ: spec.typ}
+		switch {
+		case spec.star:
+			a.kind = caCount
+		case col && spec.name == "count":
+			a.kind, a.col = caCount, pos
+		case col && spec.name == "group_union" && spec.agg != nil && spec.agg.Param == elem && spec.cast == nil:
+			a.kind, a.col, a.typ = caUnion, pos, spec.typ
 			if lengthOf[spec.call] {
 				res, err := b.env.Reg.Resolve("length", []*types.Type{spec.typ})
 				if err == nil && res.Routine.Params[0] == elem && res.Casts[0] == nil {
-					a.kind, a.typ, fused[i] = caLength, res.Routine.Result, res.Routine.Result
+					a.kind, a.typ, spec.fused = caLength, res.Routine.Result, res.Routine.Result
 					cp.fused = true
 				}
 			}
-			cp.aggs = append(cp.aggs, a)
-			union = true
-		default:
-			return nil
 		}
-	}
-	if !union {
-		return nil
-	}
-	for i, spec := range aggSpecs {
-		spec.fused = fused[i]
+		cp.aggs = append(cp.aggs, a)
 	}
 	return cp
 }
@@ -179,9 +165,10 @@ func (b *binder) tryCoalesce(sel *ast.Select, aggSpecs []*aggSpec, fromSchema Sc
 // scan), and when the column is not a UDT, whose hash key may depend on
 // the NOW a writer formatted it at. With no filter, when every other
 // aggregate is COUNT(*) and every group_union argument has a period
-// index, the intervals come from those indexes (cp.period). It returns
-// what EXPLAIN names as the groups' and intervals' source, or "" when
-// the plan keeps its map.
+// index, the intervals come from those indexes (cp.period): the slot
+// pass then fetches a row only to open its group. It returns what
+// EXPLAIN names as the groups' and intervals' source, or "" when the
+// plan keeps its map.
 func (cp *coalescePlan) indexKeys(src *source) string {
 	ts := src.table
 	if ts == nil || ts.kind != "" || len(cp.groupCols) != 1 {
@@ -198,7 +185,7 @@ func (cp *coalescePlan) indexKeys(src *source) string {
 	for _, a := range cp.aggs {
 		switch {
 		case a.kind == caCount && a.col < 0:
-		case a.kind != caCount && src.snap.Indexes[a.col].Period != nil:
+		case a.unions() && src.snap.Indexes[a.col].Period != nil:
 			if name := src.tbl.Meta.Columns[a.col].Name; !slices.Contains(periods, name) {
 				periods = append(periods, name)
 			}
@@ -206,7 +193,7 @@ func (cp *coalescePlan) indexKeys(src *source) string {
 			cp.period = false
 		}
 	}
-	if cp.period {
+	if cp.period = cp.period && len(periods) > 0; cp.period {
 		keys += ", period index on " + strings.Join(periods, ", ")
 	}
 	return keys
@@ -248,7 +235,8 @@ type coalesceRun struct {
 	// key number to its ordinal, -1 until seen.
 	slot, ord []int32
 	null      int32         // the NULL key's ordinal, -1 until seen
-	vals      []types.Value // group values, len(groupCols) per group
+	key       []types.Value // under keyEncoded, the row's group values
+	vals      []types.Value // group values, one per group expression per group
 	accs      []coalesceAcc // one per aggregate
 	n         int32         // groups so far
 	hint      int           // rows the input will hand over, 0 if unknown
@@ -264,15 +252,19 @@ type coalesceRun struct {
 }
 
 // coalesceAcc is one aggregate's state over every group: a COUNT's
-// per-group counts, or a group_union's per-group "saw a non-NULL input"
-// flags and its flat interval array with each interval's group ordinal.
-// room is the interval entries charged so far.
+// per-group counts; a group_union's per-group "saw a non-NULL input"
+// flags and its flat interval array with each interval's group ordinal
+// (room is the interval entries charged so far); or a caState's inputs
+// taken per group, its per-group states, nil until a group's first
+// input, and under DISTINCT the inputs seen, keyed by group and value.
 type coalesceAcc struct {
-	cnt  []int64
-	saw  []bool
-	ivs  []temporal.Interval
-	ivg  []int32
-	room int
+	cnt    []int64
+	saw    []bool
+	ivs    []temporal.Interval
+	ivg    []int32
+	room   int
+	states []blade.AggState
+	seen   map[string]struct{}
 }
 
 // coalesceRuns keeps finished runs for later executions. Each execution
@@ -287,16 +279,22 @@ func (cp *coalescePlan) start(rt *runtime, hint int) (*coalesceRun, error) {
 	r := coalesceRuns.get()
 	r.cp, r.null, r.n, r.hint, r.vals = cp, -1, 0, hint, r.vals[:0]
 	r.entries, r.fetched = 0, 0
+	r.key = slices.Grow(r.key[:0], len(cp.exprs))[:len(cp.exprs)]
 	r.accs = slices.Grow(r.accs[:0], len(cp.aggs))[:len(cp.aggs)]
 	for i := range r.accs {
 		a := &r.accs[i]
 		a.cnt, a.saw, a.ivs, a.ivg, a.room = a.cnt[:0], a.saw[:0], a.ivs[:0], a.ivg[:0], 0
+		a.states = a.states[:0]
 	}
-	if cp.key == keyIndex {
+	switch cp.key {
+	case keyIndex:
 		return r, r.numberKeys(rt)
-	}
-	if r.strs == nil {
-		r.strs = make(map[string]int32)
+	case keyNone:
+		r.newGroup(rt, nil)
+	default:
+		if r.strs == nil {
+			r.strs = make(map[string]int32)
+		}
 	}
 	return r, nil
 }
@@ -333,14 +331,26 @@ func (r *coalesceRun) numberKeys(rt *runtime) error {
 }
 
 // add folds a batch of from rows into their groups. It keeps nothing of
-// a row but copies of its group values, so join scratch rows are safe.
+// a row but copies of its group values and of the aggregates' inputs, so
+// join scratch rows are safe. Under cp.counts it reads only the batch's
+// length, as its rows may be nil (countRows).
 func (r *coalesceRun) add(rt *runtime, rows []Row) error {
+	if r.cp.counts {
+		for ai := range r.accs {
+			r.accs[ai].cnt[0] += int64(len(rows))
+		}
+		return nil
+	}
 	n := max(r.hint, len(rows))
 	for _, fr := range rows {
 		if err := rt.checkCancel(); err != nil {
 			return err
 		}
-		if err := r.fold(rt, r.ordinal(rt, fr), fr, n); err != nil {
+		g, err := r.ordinal(rt, fr)
+		if err != nil {
+			return err
+		}
+		if err := r.fold(rt, g, fr, n); err != nil {
 			return err
 		}
 	}
@@ -353,13 +363,18 @@ func (r *coalesceRun) add(rt *runtime, rows []Row) error {
 func (r *coalesceRun) fold(rt *runtime, g int32, fr Row, n int) error {
 	for ai, a := range r.cp.aggs {
 		acc := &r.accs[ai]
-		if a.kind == caCount {
+		switch {
+		case a.kind == caCount:
 			if a.col < 0 || !fr[a.col].Null {
 				acc.cnt[g]++
 			}
 			continue
-		}
-		if r.cp.period {
+		case a.kind == caState:
+			if err := acc.step(rt, a.spec, g, fr); err != nil {
+				return err
+			}
+			continue
+		case r.cp.period:
 			continue
 		}
 		v := fr[a.col]
@@ -395,6 +410,46 @@ func (r *coalesceRun) fold(rt *runtime, g int32, fr Row, n int) error {
 	return nil
 }
 
+// step folds row fr's input to a caState aggregate into group g: the
+// argument, unless NULL or, under DISTINCT, seen before in the group,
+// counts, and then steps the group's state, made on its first input,
+// through the call site's implicit cast. A state is charged as one Value.
+func (acc *coalesceAcc) step(rt *runtime, spec *aggSpec, g int32, fr Row) error {
+	rt.push(fr)
+	v, err := spec.arg(rt)
+	rt.pop()
+	if err != nil || v.Null {
+		return err // aggregates skip NULL input
+	}
+	if spec.distinct {
+		rt.keybuf = rt.appendValueKey(append(strconv.AppendInt(rt.keybuf[:0], int64(g), 10), '|'), v)
+		if _, dup := acc.seen[string(rt.keybuf)]; dup {
+			return nil
+		}
+		if acc.seen == nil {
+			acc.seen = make(map[string]struct{})
+		}
+		acc.seen[string(rt.keybuf)] = struct{}{}
+		rt.charge(int64(len(rt.keybuf)) + mapEntryOverhead)
+	}
+	acc.cnt[g]++
+	if spec.newState == nil {
+		return nil
+	}
+	if spec.cast != nil {
+		if v, err = spec.memo.Apply(rt.env.Ctx(), spec.cast, v); err != nil {
+			return err
+		}
+	}
+	st := acc.states[g]
+	if st == nil {
+		st = spec.newState()
+		acc.states[g] = st
+		rt.charge(valueSize)
+	}
+	return st.Step(rt.env.Ctx(), v)
+}
+
 // read runs the operator under keyIndex over the version its scan
 // reads, in place of the scan's batches: one pass over the live slots
 // in slot order, through the scan's filters, gives each row its group
@@ -428,7 +483,7 @@ func (r *coalesceRun) read(rt *runtime) error {
 		return nil
 	}
 	for ai, a := range r.cp.aggs {
-		if a.kind != caCount {
+		if a.unions() {
 			if err := r.readPeriods(rt, &r.accs[ai], ts.snap.Indexes[a.col].Period); err != nil {
 				return err
 			}
@@ -441,8 +496,10 @@ func (r *coalesceRun) read(rt *runtime) error {
 // index ix on its column, in one pass over the index's live entries:
 // each entry, bound at the statement's NOW, goes to the group of its
 // row's slot, and marks the group as holding a non-NULL input whether
-// it binds or not. The arrays are charged up front for every live
-// entry, the most that can bind.
+// it binds or not. The pass reads the log, not the index's search form,
+// so a version no search has read is never sorted for the operator. The
+// arrays are charged up front for every live entry, the most that can
+// bind.
 func (r *coalesceRun) readPeriods(rt *runtime, acc *coalesceAcc, ix *index.Period) error {
 	n := ix.Len()
 	if err := rt.grow(int64(n) * (intervalSize + 4)); err != nil {
@@ -478,7 +535,7 @@ func (r *coalesceRun) readPeriods(rt *runtime, acc *coalesceAcc, ix *index.Perio
 func (r *coalesceRun) unseen(rt *runtime) error {
 	open := false
 	for ai, a := range r.cp.aggs {
-		open = open || a.kind != caCount && slices.Contains(r.accs[ai].saw, false)
+		open = open || a.unions() && slices.Contains(r.accs[ai].saw, false)
 	}
 	if !open {
 		return nil
@@ -490,7 +547,7 @@ func (r *coalesceRun) unseen(rt *runtime) error {
 	for c.next(rt) {
 		g, fetched := r.slot[c.id], false
 		for ai, a := range r.cp.aggs {
-			if acc := &r.accs[ai]; a.kind != caCount && !acc.saw[g] {
+			if acc := &r.accs[ai]; a.unions() && !acc.saw[g] {
 				fetched = true
 				acc.saw[g] = !c.row[a.col].Null
 			}
@@ -527,58 +584,78 @@ func (r *coalesceRun) slotOrdinal(rt *runtime, id int, fr Row) (int32, error) {
 }
 
 // ordinal returns the group of row fr, opening it on first sight.
-func (r *coalesceRun) ordinal(rt *runtime, fr Row) int32 {
-	if r.cp.key == keyEncoded {
-		rt.keybuf = rt.appendKeyCols(rt.keybuf[:0], fr, r.cp.groupCols)
-		g, ok := r.strs[string(rt.keybuf)]
+func (r *coalesceRun) ordinal(rt *runtime, fr Row) (int32, error) {
+	cp := r.cp
+	switch cp.key {
+	case keyNone:
+		return 0, nil
+	case keyString:
+		v := fr[cp.groupCols[0]]
+		if v.Null {
+			if r.null < 0 {
+				r.null = r.newGroup(rt, fr)
+			}
+			return r.null, nil
+		}
+		g, ok := r.strs[v.S]
 		if !ok {
 			g = r.newGroup(rt, fr)
-			r.strs[string(rt.keybuf)] = g
-			rt.charge(int64(len(rt.keybuf)))
+			r.strs[v.S] = g
 		}
-		return g
+		return g, nil
 	}
-	v := fr[r.cp.groupCols[0]]
-	if v.Null {
-		if r.null < 0 {
-			r.null = r.newGroup(rt, fr)
+	rt.push(fr)
+	for i, ge := range cp.exprs {
+		v, err := ge(rt)
+		if err != nil {
+			rt.pop()
+			return 0, err
 		}
-		return r.null
+		r.key[i] = v
 	}
-	g, ok := r.strs[v.S]
+	rt.pop()
+	rt.keybuf = rt.appendKey(rt.keybuf[:0], r.key)
+	g, ok := r.strs[string(rt.keybuf)]
 	if !ok {
 		g = r.newGroup(rt, fr)
-		r.strs[v.S] = g
+		r.strs[string(rt.keybuf)] = g
+		rt.charge(int64(len(rt.keybuf)))
 	}
-	return g
+	return g, nil
 }
 
-// newGroup opens the next group with fr's group values.
+// newGroup opens the next group with fr's group value under keyString
+// and keyIndex, else with the values ordinal evaluated.
 func (r *coalesceRun) newGroup(rt *runtime, fr Row) int32 {
-	for _, c := range r.cp.groupCols {
-		r.vals = append(r.vals, fr[c])
+	if k := r.cp.key; k == keyString || k == keyIndex {
+		r.vals = append(r.vals, fr[r.cp.groupCols[0]])
+	} else {
+		r.vals = append(r.vals, r.key...)
 	}
 	for ai, a := range r.cp.aggs {
-		if a.kind == caCount {
-			r.accs[ai].cnt = append(r.accs[ai].cnt, 0)
-		} else {
-			r.accs[ai].saw = append(r.accs[ai].saw, false)
+		acc := &r.accs[ai]
+		switch {
+		case a.unions():
+			acc.saw = append(acc.saw, false)
+		case a.kind == caState:
+			acc.cnt, acc.states = append(acc.cnt, 0), append(acc.states, nil)
+		default:
+			acc.cnt = append(acc.cnt, 0)
 		}
 	}
-	rt.charge(mapEntryOverhead + int64(len(r.cp.groupCols))*valueSize + int64(len(r.accs))*8)
+	rt.charge(mapEntryOverhead + int64(len(r.key))*valueSize + int64(len(r.accs))*8)
 	r.n++
 	return r.n - 1
 }
 
 // rows finishes the aggregates and returns one group row ([group
-// values..., aggregate values...]) per group in first-encounter order —
-// the layout and order the generic operator produces. The rows are the
-// run's own, read until release. Semantics match the generic
-// accumulators exactly: NULL inputs are skipped, a group with no
-// non-NULL input yields NULL, and a group whose inputs bind to no
-// intervals yields the empty element (length zero).
+// values..., aggregate values...]) per group in first-encounter order.
+// The rows are the run's own, read until release. NULL inputs are
+// skipped, a group with no non-NULL input yields NULL (COUNT yields 0),
+// and a group whose inputs bind to no intervals yields the empty element
+// (length zero).
 func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
-	n, w := int(r.n), len(r.cp.groupCols)
+	n, w := int(r.n), len(r.cp.exprs)
 	width := w + len(r.cp.aggs)
 	var err error
 	if r.out, err = reuse(rt, r.out, n, rowHeaderSize); err != nil {
@@ -597,9 +674,19 @@ func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
 	var end []int32
 	for ai, a := range r.cp.aggs {
 		acc, col := &r.accs[ai], w+ai
-		if a.kind == caCount {
+		switch {
+		case a.kind == caCount || a.kind == caState && a.spec.name == "count":
 			for g, c := range acc.cnt {
 				out[g][col] = types.NewInt(c)
+			}
+			continue
+		case a.kind == caState:
+			for g, st := range acc.states {
+				if st == nil { // no non-NULL input
+					out[g][col] = types.NewNull(a.spec.typ)
+				} else if out[g][col], err = st.Final(rt.env.Ctx()); err != nil {
+					return nil, err
+				}
 			}
 			continue
 		}
@@ -661,12 +748,16 @@ func (r *coalesceRun) rows(rt *runtime) ([]Row, error) {
 // values it holds are cleared first, so the pool keeps none of the
 // statement's strings or answers alive.
 func (r *coalesceRun) release() {
-	bytes := int64(cap(r.vals)+cap(r.cells))*valueSize + int64(cap(r.out))*rowHeaderSize +
+	bytes := int64(cap(r.key)+cap(r.vals)+cap(r.cells))*valueSize + int64(cap(r.out))*rowHeaderSize +
 		int64(cap(r.slot)+cap(r.ord)+cap(r.end))*4 + int64(cap(r.grouped))*intervalSize +
 		int64(len(r.strs))*mapEntryOverhead
 	for _, a := range r.accs[:cap(r.accs)] {
-		bytes += int64(cap(a.cnt))*8 + int64(cap(a.saw)) + int64(cap(a.ivs))*intervalSize + int64(cap(a.ivg))*4
+		bytes += int64(cap(a.cnt))*8 + int64(cap(a.saw)) + int64(cap(a.ivs))*intervalSize + int64(cap(a.ivg))*4 +
+			int64(cap(a.states))*8 + int64(len(a.seen))*mapEntryOverhead
+		clear(a.states)
+		clear(a.seen)
 	}
+	clear(r.key)
 	clear(r.vals)
 	clear(r.cells)
 	clear(r.strs)

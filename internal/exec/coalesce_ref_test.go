@@ -240,9 +240,9 @@ func seedRef(t *testing.T, s *engine.Session, rows []refRow) {
 	mustExec(t, s, `INSERT INTO d VALUES (0), (1), (1), (5)`)
 }
 
-// coalesceReference asks the fused path, the Element path, the generic
-// accumulators and the join input for lengths and elements per group at
-// each NOW, and compares every cell with the chronon-set model.
+// coalesceReference asks the fused path, the Element path, the fused
+// path beside a MAX and the join input for lengths and elements per
+// group at each NOW, and compares every cell with the chronon-set model.
 func coalesceReference(t *testing.T, s *engine.Session, rows []refRow) {
 	t.Helper()
 	dMatches := map[int64]int64{0: 1, 1: 2}
@@ -266,7 +266,7 @@ func coalesceReference(t *testing.T, s *engine.Session, rows []refRow) {
 			return out
 		}
 		for _, c := range []struct {
-			q, plan        string // "fused", "hash" or "" (the generic path)
+			q, plan        string // "fused" or "hash"
 			byK, byS, join bool
 			cell           func(g *refGroup) []string
 		}{
@@ -276,7 +276,7 @@ func coalesceReference(t *testing.T, s *engine.Session, rows []refRow) {
 			{`SELECT k, length(group_union(valid)::Element) FROM c GROUP BY k`,
 				"hash", true, false, false, func(g *refGroup) []string { return []string{g.length()} }},
 			{`SELECT k, length(group_union(valid)), MAX(v) >= 0 FROM c GROUP BY k`,
-				"", true, false, false, func(g *refGroup) []string { return []string{g.length(), "TRUE"} }},
+				"fused", true, false, false, func(g *refGroup) []string { return []string{g.length(), "TRUE"} }},
 			{`SELECT k, group_union(valid) FROM c GROUP BY k`,
 				"hash", true, false, false, func(g *refGroup) []string { return []string{g.element()} }},
 			{`SELECT s, length(group_union(valid)) FROM c GROUP BY s`,

@@ -8,8 +8,9 @@ package exec_test
 // and duplicate rows (DISTINCT and set-op pressure):
 //
 //   - GROUP BY ... group_union runs the coalesce operator's hash
-//     grouping; the same query with an extra MIN(v) is declined by
-//     tryCoalesce and runs the generic accumulators.
+//     grouping; the grouping reference (group_ref_test.go) groups the
+//     rows of the same query without GROUP BY in the test and folds
+//     them itself.
 //   - ORDER BY ... LIMIT k [OFFSET o] runs the bounded top-K heap; the
 //     same query without the limit runs the full stable sort, which the
 //     test slices itself.
@@ -17,8 +18,8 @@ package exec_test
 //     GROUP BY over the joined table and SELECT * over the period-index,
 //     hash, nested-loop and LEFT joins must all agree with a pair count
 //     the test takes itself from the two tables' rows, and the coalesce
-//     operator, which collects the streamed rows, must agree with
-//     generic aggregation over the same join.
+//     operator, which collects the streamed rows, must agree with the
+//     grouping reference over the same join.
 //
 // Scans alias the immutable MVCC slab rows instead of copying them, so
 // the battery ends by checking that no operator wrote through an alias:
@@ -26,7 +27,7 @@ package exec_test
 //
 // A third fixture checks group_union and length against a chronon-set
 // model kept in the test (coalesce_ref_test.go): the fused length path,
-// the Element path, the generic accumulators and join input, over
+// the Element path, a blade aggregate's per-group state and join input, over
 // NOW-relative, empty and NULL elements under two SET NOWs.
 //
 // A fourth fixture loads the same rows twice, bare and indexed, and asks
@@ -49,6 +50,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,41 +131,42 @@ func slabBytes(t *testing.T, s *engine.Session, tables ...string) []byte {
 	return buf
 }
 
-// coalesceDifferential compares the coalesce operator against generic
-// aggregation. Every query groups table p and ends its select list at
-// " FROM p"; the reference form appends MIN(v) there and the test drops
-// that column again. With indexed, p has a hash index on k, and the
-// operator takes the groups of the queries grouping by k alone from it
-// (planner.coalesce.index); every other query counts planner.coalesce.hash.
+// coalesceDifferential compares the coalesce operator over table p
+// with the grouping reference (group_ref_test.go). With indexed, p has a
+// hash index on k, and the operator takes the groups of the queries
+// grouping by k alone from it (planner.coalesce.index); every other
+// query counts planner.coalesce.hash. The third query keeps the groups
+// of more than ten rows, which the test keeps of the reference's.
 func coalesceDifferential(t *testing.T, s *engine.Session, indexed bool) {
 	t.Helper()
-	queries := []string{
+	union, count := refAgg{name: "group_union", arg: "valid"}, refAgg{name: "count", arg: "valid"}
+	for _, c := range []struct {
+		keys   []string
+		aggs   []refAgg
+		having string
+	}{
 		// NULL keys forming their own group, all-NULL element groups,
 		// boundary merges, both COUNT forms.
-		`SELECT k, group_union(valid), COUNT(*), COUNT(valid) FROM p GROUP BY k ORDER BY k`,
-		`SELECT k, v, length(group_union(valid)) FROM p GROUP BY k, v ORDER BY k, v`,
-		`SELECT k, group_union(valid) FROM p GROUP BY k HAVING COUNT(*) > 10 ORDER BY k`,
-	}
-	coalesced := func() float64 {
-		return counter(s, "planner.coalesce.hash") + counter(s, "planner.coalesce.index")
-	}
-	for _, q := range queries {
-		before, generic := coalesced(), counter(s, "planner.agg.generic")
+		{[]string{"k"}, []refAgg{union, countStar, count}, ""},
+		{[]string{"k", "v"}, []refAgg{{name: "length", arg: "valid"}}, ""},
+		{[]string{"k"}, []refAgg{union, countStar}, " HAVING COUNT(*) > 10"},
+	} {
+		q := groupedSQL("p", c.keys, c.aggs) + c.having
+		coalesced := counter(s, "planner.coalesce.hash") + counter(s, "planner.coalesce.index")
 		byIndex := counter(s, "planner.coalesce.index")
 		got := grid(mustExec(t, s, q))
-		if coalesced() != before+1 {
+		if counter(s, "planner.coalesce.hash")+counter(s, "planner.coalesce.index") != coalesced+1 {
 			t.Errorf("%s: the coalesce operator did not run", q)
 		}
-		if wantIndex := indexed && strings.Contains(q, "GROUP BY k "); (counter(s, "planner.coalesce.index") == byIndex+1) != wantIndex {
+		if wantIndex := indexed && len(c.keys) == 1; (counter(s, "planner.coalesce.index") == byIndex+1) != wantIndex {
 			t.Errorf("%s: took its groups from the hash index: %v, want %v", q, !wantIndex, wantIndex)
 		}
-		ref := strings.Replace(q, " FROM p", ", MIN(v) FROM p", 1)
-		want := grid(mustExec(t, s, ref))
-		if coalesced() != before+1 || counter(s, "planner.agg.generic") != generic+1 {
-			t.Errorf("%s: the reference did not run generic aggregation", ref)
-		}
-		for i := range want {
-			want[i] = want[i][:len(want[i])-1]
+		want := groupReference(t, s, "p", c.keys, c.aggs)
+		if c.having != "" {
+			want = slices.DeleteFunc(want, func(row []string) bool {
+				n, err := strconv.Atoi(row[2])
+				return err != nil || n <= 10
+			})
 		}
 		sameGrid(t, q, got, want)
 	}
@@ -315,18 +318,18 @@ func joinDifferential(t *testing.T, s *engine.Session, indexed bool) {
 	}
 	for _, c := range []struct {
 		from, where, group, plan string
-		valid, num               string // an Element and an INT column of the joined rows
+		valid                    string // an Element column of the joined rows
 		want                     int64
 	}{
-		{"p, q", "overlaps(p.valid, q.during)", "q.k", periodPlan, "p.valid", "p.v",
+		{"p, q", "overlaps(p.valid, q.during)", "q.k", periodPlan, "p.valid",
 			count(pRows, qRows, func(p, q exec.Row) bool { return anyOverlap(intervalsOf(p[2]), intervalsOf(q[1])) })},
-		{"q, p", "overlaps(q.during, p.valid)", "p.k", periodPlan, "p.valid", "p.v",
+		{"q, p", "overlaps(q.during, p.valid)", "p.k", periodPlan, "p.valid",
 			count(qRows, pRows, func(q, p exec.Row) bool { return anyOverlap(intervalsOf(q[1]), intervalsOf(p[2])) })},
-		{"p a, p b", "a.k = b.k", "b.k", "hash join", "a.valid", "b.v",
+		{"p a, p b", "a.k = b.k", "b.k", "hash join", "a.valid",
 			count(pRows, pRows, func(a, b exec.Row) bool { return sameInt(a[0], b[0]) })},
-		{"p a, q b", "a.v < b.k", "b.k", "nested loop (1 filter(s))", "a.valid", "a.v",
+		{"p a, q b", "a.v < b.k", "b.k", "nested loop (1 filter(s))", "a.valid",
 			count(pRows, qRows, func(a, b exec.Row) bool { return !b[0].Null && a[1].Int() < b[0].Int() })},
-		{"q LEFT JOIN p ON q.k = p.k", "", "q.k", "left outer nested loop", "p.valid", "p.v", leftPairs},
+		{"q LEFT JOIN p ON q.k = p.k", "", "q.k", "left outer nested loop", "p.valid", leftPairs},
 	} {
 		where := ""
 		if c.where != "" {
@@ -352,20 +355,15 @@ func joinDifferential(t *testing.T, s *engine.Session, indexed bool) {
 			t.Errorf("%s returns %d rows, the test counts %d pairs", starQ, got, c.want)
 		}
 		// The coalesce operator keeps its whole input, so it copies the
-		// join's rows out; generic aggregation (MIN forces it) is the
-		// reference.
-		unionQ := "SELECT " + c.group + ", COUNT(*), group_union(" + c.valid + ") FROM " + c.from + where +
-			" GROUP BY " + c.group + " ORDER BY " + c.group
+		// join's rows out; the grouping reference groups the same join.
+		aggs := []refAgg{countStar, {name: "group_union", arg: c.valid}}
+		unionQ := groupedSQL(c.from+where, []string{c.group}, aggs)
 		before := counter(s, "planner.coalesce.hash")
 		got := grid(mustExec(t, s, unionQ))
 		if counter(s, "planner.coalesce.hash") != before+1 {
 			t.Errorf("%s: the coalesce operator did not run", unionQ)
 		}
-		want := grid(mustExec(t, s, strings.Replace(unionQ, " FROM ", ", MIN("+c.num+") FROM ", 1)))
-		for i := range want {
-			want[i] = want[i][:len(want[i])-1]
-		}
-		sameGrid(t, unionQ, got, want)
+		sameGrid(t, unionQ, got, groupReference(t, s, c.from+where, []string{c.group}, aggs))
 	}
 }
 
@@ -661,8 +659,9 @@ func TestCoalescePeriodDifferential(t *testing.T) {
 	mustExec(t, periodic, `CREATE INDEX cp_valid ON cp (valid) USING PERIOD`)
 	before := counter(periodic, "planner.coalesce.period")
 	check("loaded")
-	// At each of the two NOWs, EXPLAIN binds each query once and its run once.
-	if got, want := counter(periodic, "planner.coalesce.period")-before, float64(4*len(periodQueries)); got != want {
+	// At each of the two NOWs each query runs once; its EXPLAIN counts
+	// no plan choice.
+	if got, want := counter(periodic, "planner.coalesce.period")-before, float64(2*len(periodQueries)); got != want {
 		t.Errorf("planner.coalesce.period counted %v plans, want %v", got, want)
 	}
 	each(`DELETE FROM cp WHERE d < 3`)

@@ -22,9 +22,11 @@ func EvalConst(env *Env, e ast.Expr) (types.Value, error) {
 
 // Explain binds a SELECT without running it and returns the planner's
 // decisions — scan methods, join strategies, aggregation and sorting —
-// one note per row.
+// one note per row. No plan runs, so it reports no PlanChoice.
 func Explain(env *Env, sel *ast.Select) (*Result, error) {
-	b := &binder{env: env, explain: &explainLog{}}
+	quiet := *env
+	quiet.PlanChoice = nil
+	b := &binder{env: &quiet, explain: &explainLog{}}
 	if _, err := b.bindSelect(sel, nil); err != nil {
 		return nil, err
 	}

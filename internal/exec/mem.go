@@ -12,18 +12,18 @@ import (
 )
 
 // Per-statement memory accounting. Scans and the last join level stream,
-// but every other operator buffers its input (join inner sides, grouping
-// tables, DISTINCT sets, sort keys, coalesce interval arrays), so the
-// natural failure mode of an oversized query is an OOM kill that takes
-// the whole process — and every replica stream — down with it. The
-// accountant
-// turns that into a per-statement, typed error: each buffering site
-// charges the bytes it retains, charges accumulate into a runtime-local
-// counter with plain adds, and the counter is flushed to the statement's
-// MemAccount on the same rationed schedule as the cancel poll (once per
-// BatchRows loop iterations). A statement over its budget aborts with
-// ErrMemory at the next poll — the same discipline, and therefore the
-// same all-or-nothing write atomicity, as cooperative cancellation.
+// but every other operator buffers its input (join inner sides, the
+// coalesce operator's groups and interval arrays, DISTINCT sets, sort
+// keys), so the natural failure mode of an oversized query is an OOM
+// kill that takes the whole process — and every replica stream — down
+// with it. The accountant turns that into a per-statement, typed error:
+// each buffering site charges the bytes it retains, charges accumulate
+// into a runtime-local counter with plain adds, and the counter is
+// flushed to the statement's MemAccount on the same rationed schedule as
+// the cancel poll (once per BatchRows loop iterations). A statement over
+// its budget aborts with ErrMemory at the next poll — the same
+// discipline, and therefore the same all-or-nothing write atomicity, as
+// cooperative cancellation.
 //
 // Accounts nest: the session's statement account has the engine-wide
 // account as its parent, so every charge also lands in the global
@@ -56,14 +56,6 @@ const intervalSize = int64(unsafe.Sizeof(temporal.Interval{}))
 // mapEntryOverhead approximates the per-entry bookkeeping of a Go map
 // (bucket slot, hash, padding) beyond the key and value payloads.
 const mapEntryOverhead = 48
-
-// groupOverhead and aggAccSize approximate the generic grouped path's
-// per-group bookkeeping: the group struct with its two slice headers,
-// and one aggregate accumulator (spec pointer, counters, boxed state).
-const (
-	groupOverhead = 64
-	aggAccSize    = 96
-)
 
 // memFlushBytes bounds how many locally-accumulated bytes a runtime may
 // hold before force-flushing to the shared account. Keeps the global

@@ -286,12 +286,6 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		return nil, err
 	}
 	grouped := len(aggSpecs) > 0 || len(sel.GroupBy) > 0
-	// A global aggregate whose every aggregate is COUNT(*) reads no
-	// column of its input: it adds whole batches, and a scan or a last
-	// probing join level that needs no filter counts its exact answer
-	// without fetching a row. The row path stays the reference.
-	countOnly := grouped && len(sel.GroupBy) == 0 &&
-		!slices.ContainsFunc(aggSpecs, func(s *aggSpec) bool { return !s.star })
 	var cp *coalescePlan
 	if grouped {
 		for _, spec := range aggSpecs {
@@ -302,53 +296,50 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		cp = b.tryCoalesce(sel, aggSpecs, fromSchema)
 	}
 	keys := "hash"
-	if cp != nil && len(sources) == 1 && len(levelFilters[0]) == 0 {
+	if len(sel.GroupBy) > 0 && len(sources) == 1 && len(levelFilters[0]) == 0 {
 		if k := cp.indexKeys(sources[0]); k != "" {
 			keys = k
 		}
 	}
-	if last := len(sources) - 1; countOnly && last >= 0 && sources[last].tbl != nil {
+	// A global aggregate whose every aggregate is COUNT(*) reads no
+	// column of its input: a scan or a last probing join level that needs
+	// no filter counts its exact answer without fetching a row.
+	if last := len(sources) - 1; cp != nil && cp.counts && last >= 0 && sources[last].tbl != nil {
 		if ts := sources[last].table; len(levelFilters[last]) == 0 && (last == 0 || ts.joined) {
 			ts.counts = true
 		}
 	}
 	if grouped && b.env.PlanChoice != nil {
 		switch {
-		case cp != nil && cp.key == keyIndex:
+		case cp.key == keyIndex:
 			b.env.PlanChoice("coalesce.index")
 			if cp.period {
 				b.env.PlanChoice("coalesce.period")
 			}
-		case cp != nil:
+		case len(sel.GroupBy) > 0:
 			b.env.PlanChoice("coalesce.hash")
-		case countOnly:
+		case cp.counts:
 			b.env.PlanChoice("agg.count")
-		default:
-			b.env.PlanChoice("agg.generic")
 		}
 	}
 	var stAgg *OpStats
-	if b.explain != nil {
-		switch {
-		case cp != nil:
-			fused := ""
+	if grouped && b.explain != nil {
+		suffix := ""
+		if len(sel.GroupBy) > 0 {
+			suffix = "; coalesce: " + keys
 			if cp.fused {
-				fused = ", length fused"
+				suffix += ", length fused"
 			}
-			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s); coalesce: %s%s",
-				len(sel.GroupBy), len(aggSpecs), keys, fused)
-			if stAgg != nil {
-				stAgg.reads = cp.period
-			}
-		case grouped:
-			stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s)", len(sel.GroupBy), len(aggSpecs))
+		}
+		stAgg = b.note("aggregate: %d group expr(s), %d aggregate(s)%s", len(sel.GroupBy), len(aggSpecs), suffix)
+		if stAgg != nil {
+			stAgg.reads = cp.period
 		}
 	}
 	tail := b.newTail(sel, sel.Distinct)
 
 	// ---- projection scope -----------------------------------------------
 	projScope := fromScope
-	var groupKeyExprs []cexpr
 	if grouped {
 		if sel.Distinct {
 			return nil, fmt.Errorf("exec: DISTINCT with GROUP BY is not supported")
@@ -358,11 +349,11 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 				return nil, fmt.Errorf("exec: * is not allowed with GROUP BY or aggregates")
 			}
 		}
-		var groupTypes []*types.Type
-		groupKeyExprs, groupTypes, err = b.bindAll(sel.GroupBy, fromScope)
+		groupKeyExprs, groupTypes, err := b.bindAll(sel.GroupBy, fromScope)
 		if err != nil {
 			return nil, err
 		}
+		cp.exprs = groupKeyExprs
 		groupSchema := make(Schema, len(sel.GroupBy))
 		groupKeys := make([]string, len(sel.GroupBy))
 		for i, ge := range sel.GroupBy {
@@ -416,15 +407,12 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 	}
 
 	// ---- HAVING ------------------------------------------------------------
-	var having cexpr
-	if sel.Having != nil {
-		if !grouped {
-			return nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
-		}
-		having, _, err = b.bind(sel.Having, projScope)
-		if err != nil {
-			return nil, err
-		}
+	if sel.Having != nil && !grouped {
+		return nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
+	}
+	having, err := b.bindFilters(splitConjuncts(sel.Having), projScope)
+	if err != nil {
+		return nil, err
 	}
 
 	// ---- ORDER BY, LIMIT / OFFSET ------------------------------------------
@@ -474,37 +462,19 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		}
 
 		// consume takes the join's output as joinSources produces it
-		// (see there for who owns the rows). The coalesce operator,
-		// grouping and projection copy values out of each row and never
-		// keep it.
+		// (see there for who owns the rows). The coalesce operator and
+		// projection copy values out of each row and never keep it.
 		var (
 			consume func(rows []Row) error
-			gt      *groupTable
 			cr      *coalesceRun
 		)
 		switch {
-		case cp != nil:
+		case grouped:
 			if cr, err = cp.start(rt, rowsHint); err != nil {
 				return nil, err
 			}
 			defer cr.release()
 			consume = func(rows []Row) error { return cr.add(rt, rows) }
-		case countOnly:
-			gt = newGroupTable(nil, aggSpecs)
-			consume = func(rows []Row) error {
-				gt.count(len(rows))
-				return nil
-			}
-		case grouped:
-			gt = newGroupTable(groupKeyExprs, aggSpecs)
-			consume = func(rows []Row) error {
-				for _, fr := range rows {
-					if err := gt.add(rt, fr); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
 		default:
 			consume = func(rows []Row) error {
 				if tk == nil {
@@ -542,7 +512,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 			}
 		}
 		switch {
-		case cp != nil && cp.key == keyIndex:
+		case grouped && cp.key == keyIndex:
 			// The operator reads the one table's version itself; the
 			// aggregate's line takes its time.
 			start := stAgg.start()
@@ -578,13 +548,7 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 		aggStart := stAgg.start().Add(-consumeDur)
 
 		if grouped {
-			var groupRows []Row
-			var err error
-			if cp != nil {
-				groupRows, err = cr.rows(rt)
-			} else {
-				groupRows, err = gt.rows(rt)
-			}
+			groupRows, err := cr.rows(rt)
 			if err != nil {
 				return nil, err
 			}
@@ -594,27 +558,14 @@ func (b *binder) bindSelect(sel *ast.Select, parent *bindScope) (*selectPlan, er
 				}
 			}
 			for _, groupRow := range groupRows {
-				rt.push(groupRow)
-				if having != nil {
-					hv, err := having(rt)
-					if err != nil {
-						rt.pop()
-						return nil, err
-					}
-					keep, isNull, err := truth(hv)
-					if err != nil {
-						rt.pop()
-						return nil, err
-					}
-					if isNull || !keep {
-						rt.pop()
-						continue
-					}
+				keep, err := evalFilters(rt, having, groupRow)
+				if err == nil && keep {
+					rt.push(groupRow)
+					err = emit(rt)
+					rt.pop()
 				}
-				eErr := emit(rt)
-				rt.pop()
-				if eErr != nil {
-					return nil, eErr
+				if err != nil {
+					return nil, err
 				}
 			}
 			stAgg.record(aggStart, emitted)

@@ -140,8 +140,9 @@ type Env struct {
 	Cancel *Token
 	// PlanChoice, when non-nil, is called once per operator the planner
 	// picks from the query's shape, with a short label ("scan.full",
-	// "scan.period", "coalesce.hash", "agg.generic", "sort.topk"). The
-	// engine wires it to its planner.* counters.
+	// "scan.period", "coalesce.hash", "agg.count", "sort.topk"), when the
+	// statement is bound to run: a plain EXPLAIN reports none. The engine
+	// wires it to its planner.* counters.
 	PlanChoice func(choice string)
 	// Mem, when non-nil, is the statement's memory account: every
 	// buffering site charges the bytes it retains and the rationed poll

@@ -261,7 +261,9 @@ func TestManyChurningConnections(t *testing.T) {
 
 // TestStatementPanicIsContained registers a routine that panics and
 // calls it over the wire: in a SELECT list, and in an UPDATE's SET and a
-// DELETE's WHERE inside a transaction after an INSERT. Each statement fails with the typed
+// DELETE's WHERE inside a transaction after an INSERT. It also registers
+// two user aggregates, one whose Step panics and one whose Final panics,
+// and runs each in a grouped SELECT. Each statement fails with the typed
 // internal error instead of ending the process; the connection, a
 // second one and the transaction go on, the INSERT commits without the
 // UPDATE, the panics are counted and the memory account drains.
@@ -271,6 +273,12 @@ func TestStatementPanicIsContained(t *testing.T) {
 		Name: "boom", Params: []*types.Type{types.TInt}, Result: types.TInt,
 		Fn: func(*blade.Ctx, []types.Value) (types.Value, error) { panic("boom: deliberate") },
 	})
+	for _, name := range []string{"boom_step", "boom_final"} {
+		db.Registry().MustRegisterAggregate(&blade.Aggregate{
+			Name: name, Param: types.TInt, Result: types.TInt,
+			New: func() blade.AggState { return boomAgg{final: name == "boom_final"} },
+		})
+	}
 	c, other := connectTo(t, srv), connectTo(t, srv)
 	run := func(c *client.Conn, sql string) *exec.Result {
 		t.Helper()
@@ -298,8 +306,10 @@ func TestStatementPanicIsContained(t *testing.T) {
 	run(c, `INSERT INTO t VALUES (1), (1), (2)`)
 
 	panics(`SELECT k, boom(k) FROM t`)
+	panics(`SELECT k, boom_step(k) FROM t GROUP BY k`)
+	panics(`SELECT k, boom_final(k) FROM t GROUP BY k`)
 	if n := count(c); n != 2 {
-		t.Fatalf("after the SELECT: %d rows with k = 1, want 2", n)
+		t.Fatalf("after the SELECTs: %d rows with k = 1, want 2", n)
 	}
 	run(c, `BEGIN`)
 	run(c, `INSERT INTO t VALUES (1)`)
@@ -321,10 +331,23 @@ func TestStatementPanicIsContained(t *testing.T) {
 	if n := count(c); n != 4 {
 		t.Errorf("after a second connection's INSERT: %d rows with k = 1, want 4", n)
 	}
-	if v := metricValue(db, "stmt.panics"); v != 3 {
-		t.Errorf("stmt.panics = %v, want 3", v)
+	if v := metricValue(db, "stmt.panics"); v != 5 {
+		t.Errorf("stmt.panics = %v, want 5", v)
 	}
 	if used := db.MemAccount().Used(); used != 0 {
 		t.Errorf("the memory account holds %d bytes, want 0", used)
 	}
 }
+
+// boomAgg is a user aggregate that panics in Step, or under final in
+// Final.
+type boomAgg struct{ final bool }
+
+func (a boomAgg) Step(*blade.Ctx, types.Value) error {
+	if !a.final {
+		panic("boom: deliberate step")
+	}
+	return nil
+}
+
+func (boomAgg) Final(*blade.Ctx) (types.Value, error) { panic("boom: deliberate final") }
